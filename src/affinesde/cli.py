@@ -58,6 +58,8 @@ _ENVELOPES = {
     "LogGrow": (LogGrow, ("scale", "exponent")),
 }
 
+# eps_lo, eps_hi and eps_points are still accepted so that existing scenario
+# files parse, but nothing reads them: classify computes eps* in closed form
 _CRITERIA_DEFAULTS = {"h": 1.0, "c": 1.0, "eps_lo": 2.0 ** -8,
                       "eps_hi": 2.0 ** 8, "eps_points": 33, "n_terms": 512,
                       "t_max": 256.0, "tol": 1e-8}
@@ -331,10 +333,8 @@ def cmd_classify(scn: Scenario, args) -> int:
     crit = scn.criteria
     sigma = scn.build_sigma()
     drift = scn.build_drift()
-    verdict = criteria.classify(
-        sigma, drift, h=crit["h"], eps_lo=crit["eps_lo"],
-        eps_hi=crit["eps_hi"], eps_points=crit["eps_points"],
-        n_terms=crit["n_terms"], tol=min(crit["tol"], 1e-8))
+    verdict = criteria.classify(sigma, drift, h=crit["h"],
+                                tol=min(crit["tol"], 1e-8))
     report = criteria.criterion_report(
         sigma, h=crit["h"], c=crit["c"], n_terms=min(crit["n_terms"], 256),
         t_max=crit["t_max"], tol=crit["tol"])
@@ -366,10 +366,8 @@ def cmd_verify(scn: Scenario, args) -> int:
     crit = scn.criteria
     sigma = scn.build_sigma()
     drift = scn.build_drift()
-    verdict = criteria.classify(
-        sigma, drift, h=crit["h"], eps_lo=crit["eps_lo"],
-        eps_hi=crit["eps_hi"], eps_points=crit["eps_points"],
-        n_terms=crit["n_terms"], tol=min(crit["tol"], 1e-8))
+    verdict = criteria.classify(sigma, drift, h=crit["h"],
+                                tol=min(crit["tol"], 1e-8))
     doc = {"scenario": scn.name, "verdict": _verdict_dict(verdict)}
     if verdict.regime == "Undecided":
         doc["agreement"] = "Inconclusive"

@@ -8,14 +8,15 @@ window sums
 
 with theta(n)^2 the window energy of ||sigma||_F^2, and of the equivalent
 integral criterion I_c(eps).  Finiteness of an infinite sum cannot be decided
-from finitely many samples, so rulings are analytic per built-in envelope
-family (comparison and integral tests) and Undecided for raw tables.
+from finitely many samples, so rulings come from each built-in envelope
+family's asymptotic class and tail bound (comparison and integral tests,
+see ``model``) and are Undecided for tables and callables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,10 +25,10 @@ from scipy.special import log_ndtr, ndtr
 
 from . import model
 from .linalg import monodromy, spectral_abscissa
-from .model import (CallableDrift, CallableSigma, ConstantDrift, ConstantSigma,
-                    DiffusionSpec, EnvelopePattern, ExpDecay, LogGrow,
-                    LogPower, PeriodicDrift, PowerLaw, TableSigma,
-                    frobenius_sq, interval_integrals, sigma_fro_sq)
+from .model import (BOUNDED_BELOW, L2, LOG_THRESHOLD, SLOG_ZERO, UNKNOWN, ZERO,
+                    CallableDrift, CallableSigma, ConstantDrift, ConstantSigma,
+                    DiffusionSpec, EnvelopePattern, PeriodicDrift, TableSigma,
+                    frobenius_sq, interval_integrals)
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -37,8 +38,6 @@ STABLE = "StableAS"
 BOUNDED = "BoundedNonConvergent"
 UNBOUNDED = "Unbounded"
 REGIME_UNDECIDED = "Undecided"
-
-_SQRT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +97,30 @@ def _terms_Sprime(eps: float, theta_sq: np.ndarray) -> np.ndarray:
 # asymptotic profile of a diffusion spec
 # ---------------------------------------------------------------------------
 
-# profile kinds
-_ZERO = "zero"                 # sigma identically zero
-_L2 = "l2"                     # square integrable
-_SLOG_ZERO = "slog_zero"       # ||sigma||^2 log t -> 0 but not square integrable
-_LOG_THRESHOLD = "log_threshold"  # ||sigma||^2 log t -> L in (0, inf)
-_BOUNDED_BELOW = "bounded_below"  # window energies bounded away from zero
-_UNKNOWN = "unknown"           # table / callable: no analytic ruling
+# trichotomy class of each profile kind: S_h'(eps) and I_c(eps) are finite
+# for every eps, for none, or exactly above a threshold eps*
+FINITE_FOR_ALL = "finite-for-all"
+MIXED = "mixed"
+INFINITE_FOR_ALL = "infinite-for-all"
+_CLASS = {ZERO: FINITE_FOR_ALL, L2: FINITE_FOR_ALL, SLOG_ZERO: FINITE_FOR_ALL,
+          LOG_THRESHOLD: MIXED, BOUNDED_BELOW: INFINITE_FOR_ALL,
+          UNKNOWN: UNDECIDED}
+
+# p = eps^2 / (2 L_w) with p - 1 at or below this is p = 1 up to rounding,
+# i.e. eps = eps*, where the comparison series diverges
+_P_ONE_TOL = 8.0 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
 class _Profile:
     kind: str
-    fading: Optional[bool]
-    # L = lim ||sigma(t)||^2 log t where meaningful (log_threshold only)
-    L: float = 0.0
+    L: float = 0.0          # lim ||sigma(t)||^2 log t
     envelope: object = None
     fro_sq: float = 0.0     # squared norm of the pattern / constant matrix
+
+    @property
+    def fading(self) -> Optional[bool]:
+        return None if self.kind == UNKNOWN else self.kind != BOUNDED_BELOW
 
 
 def _analyze(spec: DiffusionSpec, pattern_norm_sq: Optional[float] = None) -> _Profile:
@@ -125,47 +131,30 @@ def _analyze(spec: DiffusionSpec, pattern_norm_sq: Optional[float] = None) -> _P
     """
     f = spec.form
     if isinstance(f, ConstantSigma):
-        F = frobenius_sq(f.values) if pattern_norm_sq is None else pattern_norm_sq
-        if F == 0.0:
-            return _Profile(_ZERO, fading=True)
-        return _Profile(_BOUNDED_BELOW, fading=False, L=math.inf, fro_sq=F)
-    if isinstance(f, EnvelopePattern):
-        F = frobenius_sq(f.pattern) if pattern_norm_sq is None else pattern_norm_sq
-        env = f.envelope
-        if F == 0.0:
-            return _Profile(_ZERO, fading=True)
-        if isinstance(env, ExpDecay):
-            if env.scale == 0.0:
-                return _Profile(_ZERO, fading=True)
-            return _Profile(_L2, fading=True, envelope=env, fro_sq=F)
-        if isinstance(env, PowerLaw):
-            if env.scale == 0.0:
-                return _Profile(_ZERO, fading=True)
-            a = env.exponent
-            if 2.0 * a < -1.0:
-                return _Profile(_L2, fading=True, envelope=env, fro_sq=F)
-            if a < 0.0:
-                return _Profile(_SLOG_ZERO, fading=True, envelope=env, fro_sq=F)
-            return _Profile(_BOUNDED_BELOW, fading=(False if a >= 0 else True),
-                            L=math.inf, envelope=env, fro_sq=F)
-        if isinstance(env, LogPower):
-            if env.gamma == 0.0:
-                return _Profile(_ZERO, fading=True)
-            return _Profile(_LOG_THRESHOLD, fading=True, L=env.gamma * F,
-                            envelope=env, fro_sq=F)
-        if isinstance(env, LogGrow):
-            if env.scale == 0.0:
-                return _Profile(_ZERO, fading=True)
-            return _Profile(_BOUNDED_BELOW, fading=False, L=math.inf,
-                            envelope=env, fro_sq=F)
-        raise ValueError(f"unknown envelope {type(env).__name__}")
-    if isinstance(f, TableSigma):
-        # hold-last extrapolation makes the far tail exactly constant, but by
-        # design tables never receive a Finite/Infinite ruling
-        return _Profile(_UNKNOWN, fading=None)
-    if isinstance(f, CallableSigma):
-        return _Profile(_UNKNOWN, fading=None)
-    raise TypeError(f"unknown diffusion form {type(f).__name__}")
+        m, envelope, (kind, L) = f.values, None, (BOUNDED_BELOW, math.inf)
+    elif isinstance(f, EnvelopePattern):
+        m, envelope = f.pattern, f.envelope
+        kind, L = envelope.profile()
+    elif isinstance(f, (TableSigma, CallableSigma)):
+        # hold-last extrapolation makes a table's far tail exactly constant,
+        # but by design tables never receive a Finite/Infinite ruling
+        return _Profile(UNKNOWN)
+    else:
+        raise TypeError(f"unknown diffusion form {type(f).__name__}")
+    F = frobenius_sq(m) if pattern_norm_sq is None else pattern_norm_sq
+    if F == 0.0 or kind == ZERO:
+        return _Profile(ZERO)
+    return _Profile(kind, L * F, envelope, F)
+
+
+def _status(profile: _Profile, eps: float, width: float) -> str:
+    """Finiteness of S'(eps) or I(eps) with windows of the given width."""
+    cls = _CLASS[profile.kind]
+    if cls == MIXED:
+        p = eps * eps / (2.0 * width * profile.L)
+        return FINITE if p - 1.0 > _P_ONE_TOL else INFINITE
+    return {FINITE_FOR_ALL: FINITE,
+            INFINITE_FOR_ALL: INFINITE}.get(cls, UNDECIDED)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +177,37 @@ class FinitenessRuling:
         return self.partial_value + self.tail_bound
 
 
+def _rule(spec: DiffusionSpec, eps: float, partial: float, n_terms: int,
+          width: float, start: float, divisor: float,
+          tol: float) -> FinitenessRuling:
+    """Ruling on a partial value computed up to `start` with windows of
+    `width`; the tail bound beyond `start` is divided by `divisor`."""
+    profile = _analyze(spec)
+    status = _status(profile, eps, width)
+    if status == FINITE:
+        tail = 0.0 if profile.kind == ZERO else \
+            profile.envelope.tail(eps, width * profile.fro_sq, start) / divisor
+        return FinitenessRuling(FINITE, eps, partial, n_terms, tail_bound=tail)
+    if status == UNDECIDED:
+        return FinitenessRuling(UNDECIDED, eps, partial, n_terms)
+    if profile.kind == LOG_THRESHOLD:
+        Lw = width * profile.L
+        p = eps * eps / (2.0 * Lw)
+        where = "p <= 1" if p <= 1.0 else (
+            f"eps equals eps* = sqrt(2 L_w) within rounding "
+            f"(p - 1 = {p - 1.0:.2g})")
+        witness = (f"terms >= sqrt(L_w/ln(e+t+w)) * (e+t+w)^(-p) with "
+                   f"p = eps^2/(2 L_w) = {p:.6g}, L_w = {Lw:.6g} and {where}; "
+                   f"the comparison series diverges")
+    else:
+        # bounded-below forms have non-decreasing envelopes: the window
+        # [w, 2w] is the smallest after the first
+        b = float(interval_integrals(spec, [width], [2.0 * width], tol)[0])
+        witness = (f"window energies are bounded below by {b:.6g} > 0, so each "
+                   f"term is >= {term_Sprime(eps, b):.6g} > 0")
+    return FinitenessRuling(INFINITE, eps, partial, n_terms, witness=witness)
+
+
 def partial_sum_Sprime(spec: DiffusionSpec, eps: float, h: float, N: int,
                        tol: float = 1e-10):
     """Partial sum over windows n = 1..N; returns (value, per-term array)."""
@@ -199,45 +219,6 @@ def partial_sum_Sprime(spec: DiffusionSpec, eps: float, h: float, N: int,
     return float(np.sum(terms)), terms
 
 
-def _exp_minus_power_bound(eps: float, base: float, q: float):
-    """Pick m so that  x e^{-eps^2/(2x^2)} <= m! (2/eps^2)^m base^{m+1/2} n^{-q(m+1/2)}
-    is summable (exponent > 1); returns (coefficient, exponent p)."""
-    m = 1
-    while q * (m + 0.5) <= 1.25:
-        m += 1
-    coeff = math.factorial(m) * (2.0 / (eps * eps)) ** m * base ** (m + 0.5)
-    return coeff, q * (m + 0.5)
-
-
-def _sprime_tail_bound(profile: _Profile, eps: float, h: float, N: int) -> float:
-    """Analytic upper bound on sum_{n > N} of the S' terms."""
-    env, F = profile.envelope, profile.fro_sq
-    if profile.kind == _ZERO:
-        return 0.0
-    if isinstance(env, ExpDecay):
-        # theta^2(n) <= k^2 F h exp(-2 lam n h): geometric in n
-        lam, B = env.rate, env.scale ** 2 * F * h
-        # x e^{-eps^2/(2x^2)} <= (2/(e eps^2)) x^3
-        ratio = math.exp(-3.0 * lam * h)
-        lead = B ** 1.5 * math.exp(-3.0 * lam * h * (N + 1))
-        return 2.0 / (math.e * eps * eps) * lead / (1.0 - ratio)
-    if isinstance(env, PowerLaw) and env.exponent < 0:
-        # theta^2(n) <= k^2 F h^(1+2a) n^(2a)
-        a = env.exponent
-        B = env.scale ** 2 * F * h ** (1.0 + 2.0 * a)
-        coeff, p = _exp_minus_power_bound(eps, B, -2.0 * a)
-        return coeff * N ** (1.0 - p) / (p - 1.0)
-    if isinstance(env, LogPower):
-        # theta^2(n) <= L_h / ln(e + n h) with L_h = h gamma F
-        Lh = h * env.gamma * F
-        p = eps * eps / (2.0 * Lh)
-        if p <= 1.0:
-            raise ValueError("no finite tail at or below the threshold")
-        lead = math.sqrt(Lh / math.log(math.e + N * h))
-        return lead * (math.e + N * h) ** (1.0 - p) / ((p - 1.0) * h)
-    raise ValueError(f"no tail bound for profile {profile.kind}")
-
-
 def decide_Sprime(spec: DiffusionSpec, eps: float, h: float,
                   n_terms: int = 512, tol: float = 1e-10) -> FinitenessRuling:
     """Analytic finiteness ruling for S_h'(eps), with a computed partial sum.
@@ -247,39 +228,11 @@ def decide_Sprime(spec: DiffusionSpec, eps: float, h: float,
     """
     if eps <= 0 or h <= 0:
         raise ValueError("need eps > 0 and h > 0")
-    profile = _analyze(spec)
     partial, _ = partial_sum_Sprime(spec, eps, h, n_terms, tol)
-
-    if profile.kind == _ZERO:
-        return FinitenessRuling(FINITE, eps, partial, n_terms, tail_bound=0.0)
-    if profile.kind in (_L2, _SLOG_ZERO):
-        tail = _sprime_tail_bound(profile, eps, h, n_terms)
-        return FinitenessRuling(FINITE, eps, partial, n_terms, tail_bound=tail)
-    if profile.kind == _LOG_THRESHOLD:
-        Lh = h * profile.L
-        p = eps * eps / (2.0 * Lh)
-        if p > 1.0:
-            tail = _sprime_tail_bound(profile, eps, h, n_terms)
-            return FinitenessRuling(FINITE, eps, partial, n_terms, tail_bound=tail)
-        witness = (f"terms >= sqrt(L_h/ln(e+(n+1)h)) * (e+(n+1)h)^(-p) with "
-                   f"p = eps^2/(2 L_h) = {p:.6g} <= 1, L_h = {Lh:.6g}; the "
-                   f"comparison series diverges by the integral test")
-        return FinitenessRuling(INFINITE, eps, partial, n_terms, witness=witness)
-    if profile.kind == _BOUNDED_BELOW:
-        b = _window_floor(spec, h, tol)
-        witness = (f"window energies are bounded below by {b:.6g} > 0, so each "
-                   f"term is >= {term_Sprime(eps, b):.6g} > 0")
-        return FinitenessRuling(INFINITE, eps, partial, n_terms, witness=witness)
-    return FinitenessRuling(UNDECIDED, eps, partial, n_terms)
-
-
-def _window_floor(spec: DiffusionSpec, h: float, tol: float) -> float:
-    """Lower bound for theta^2(n), n >= 1, for non-fading built-in forms."""
-    f = spec.form
-    if isinstance(f, ConstantSigma):
-        return frobenius_sq(f.values) * h
-    # non-decreasing envelopes: first window is the smallest
-    return float(interval_integrals(spec, [h], [2.0 * h], tol)[0])
+    # theta^2(n) = varsigma_h^2(n h) and the tail majorant decreases, so the
+    # terms n > N sum to at most its integral from N h, divided by h
+    return _rule(spec, eps, partial, n_terms, width=h, start=n_terms * h,
+                 divisor=h, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -300,69 +253,24 @@ def integral_I(spec: DiffusionSpec, eps: float, c: float, t_max: float,
         v = model.running_intensity(spec, c, float(t), tol)
         return term_Sprime(eps, v)
 
-    val, err = quad(g, 0.0, t_max, epsabs=tol * max(1.0, t_max), epsrel=1e-9,
-                    limit=400)
+    epsabs, epsrel = tol * max(1.0, t_max), 1e-9
+    val, err = quad(g, 0.0, t_max, epsabs=epsabs, epsrel=epsrel, limit=400)
+    allowed = max(epsabs, epsrel * abs(val))
+    if err > allowed:
+        raise model.QuadratureError(
+            f"I_c quadrature error {err:.3e} exceeds {allowed:.3e}")
     return float(max(val, 0.0))
-
-
-def _I_tail_bound(profile: _Profile, eps: float, c: float, T: float) -> float:
-    """Analytic upper bound on the integral over (T, inf)."""
-    env, F = profile.envelope, profile.fro_sq
-    if profile.kind == _ZERO:
-        return 0.0
-    if isinstance(env, ExpDecay):
-        lam, B = env.rate, env.scale ** 2 * F * c
-        # integrand <= (2/(e eps^2)) varsigma^3, varsigma^2(t) <= B exp(-2 lam t)
-        return 2.0 / (math.e * eps * eps) * B ** 1.5 * math.exp(-3.0 * lam * T) / (3.0 * lam)
-    if isinstance(env, PowerLaw) and env.exponent < 0:
-        a = env.exponent
-        B = env.scale ** 2 * F * c
-        # varsigma^2(t) <= B (1+t)^(2a): same m-trick as the sum
-        coeff, p = _exp_minus_power_bound(eps, B, -2.0 * a)
-        return coeff * (1.0 + T) ** (1.0 - p) / (p - 1.0)
-    if isinstance(env, LogPower):
-        Lc = c * env.gamma * F
-        p = eps * eps / (2.0 * Lc)
-        if p <= 1.0:
-            raise ValueError("no finite tail at or below the threshold")
-        lead = math.sqrt(Lc / math.log(math.e + T))
-        return lead * (math.e + T) ** (1.0 - p) / (p - 1.0)
-    raise ValueError(f"no tail bound for profile {profile.kind}")
 
 
 def decide_I(spec: DiffusionSpec, eps: float, c: float,
              t_max: float = 256.0, tol: float = 1e-8) -> FinitenessRuling:
-    """Analytic finiteness ruling for I_c(eps); mirrors decide_Sprime.
-
-    The trichotomy class always agrees with the window-sum criterion (same
-    comparison tests on the same envelope asymptotics).
-    """
+    """Analytic finiteness ruling for I_c(eps); shares its ruling with
+    decide_Sprime, so both criteria always agree on the status."""
     if eps <= 0 or c <= 0:
         raise ValueError("need eps > 0 and c > 0")
-    profile = _analyze(spec)
     partial = integral_I(spec, eps, c, t_max, tol)
-
-    if profile.kind == _ZERO:
-        return FinitenessRuling(FINITE, eps, partial, 0, tail_bound=0.0)
-    if profile.kind in (_L2, _SLOG_ZERO):
-        tail = _I_tail_bound(profile, eps, c, t_max)
-        return FinitenessRuling(FINITE, eps, partial, 0, tail_bound=tail)
-    if profile.kind == _LOG_THRESHOLD:
-        Lc = c * profile.L
-        p = eps * eps / (2.0 * Lc)
-        if p > 1.0:
-            tail = _I_tail_bound(profile, eps, c, t_max)
-            return FinitenessRuling(FINITE, eps, partial, 0, tail_bound=tail)
-        witness = (f"integrand >= sqrt(L_c/ln(e+t+c)) * (e+t+c)^(-p) with "
-                   f"p = eps^2/(2 L_c) = {p:.6g} <= 1, L_c = {Lc:.6g}; the "
-                   f"comparison integral diverges")
-        return FinitenessRuling(INFINITE, eps, partial, 0, witness=witness)
-    if profile.kind == _BOUNDED_BELOW:
-        b = model.running_intensity(spec, c, c, tol)
-        witness = (f"running energies are bounded below by {b:.6g} > 0, so the "
-                   f"integrand is >= {term_Sprime(eps, b):.6g} > 0")
-        return FinitenessRuling(INFINITE, eps, partial, 0, witness=witness)
-    return FinitenessRuling(UNDECIDED, eps, partial, 0)
+    return _rule(spec, eps, partial, 0, width=c, start=t_max, divisor=1.0,
+                 tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +494,8 @@ def limit_Lh(spec: DiffusionSpec, h: float, tol: float = 1e-10) -> Optional[floa
     if h <= 0:
         raise ValueError("h must be positive")
     profile = _analyze(spec)
-    if profile.kind in (_ZERO, _L2, _SLOG_ZERO):
-        return 0.0
-    if profile.kind == _LOG_THRESHOLD:
+    if profile.kind != UNKNOWN:
         return h * profile.L
-    if profile.kind == _BOUNDED_BELOW:
-        return math.inf
     f = spec.form
     if isinstance(f, TableSigma):
         hold = frobenius_sq(f.values[-1])
@@ -623,25 +527,22 @@ class RegimeVerdict:
     liminf_zero_predicted: bool
     avg_sq_zero_predicted: bool
     epsilon_star_bracket: Optional[tuple] = None
-    diagnostics: tuple = ()
     note: str = ""
 
 
-def _eps_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    return np.geomspace(lo, hi, points)
-
-
 def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
-             eps_lo: float = 2.0 ** -8, eps_hi: float = 2.0 ** 8,
-             eps_points: int = 33, n_terms: int = 512,
-             tol: float = 1e-10, bracket_rtol: float = 1e-3) -> RegimeVerdict:
+             tol: float = 1e-10) -> RegimeVerdict:
     """Three-way almost-sure regime verdict for dX = A(t) X dt + sigma dB.
 
     Gate 1 requires a stable drift (negative spectral abscissa, or Floquet
     multiplier inside the unit circle for periodic drifts): noise cannot
     stabilise an unstable linear system, so without the gate nothing can be
-    concluded.  Gate 2 evaluates the window-sum criterion over a geometric
-    eps grid and brackets the threshold by bisection in the mixed case.
+    concluded.  Gate 2 takes the regime from the asymptotic class of
+    ||sigma(t)||^2: S_h'(eps) finite for every eps gives StableAS, infinite
+    for every eps gives Unbounded, and ||sigma||^2 log t -> L in (0, inf)
+    gives BoundedNonConvergent with the threshold in closed form,
+    eps* = sqrt(2 h L), reported as the bracket (eps*, eps*).  Tables and
+    callables are Undecided.
     """
     # gate 1: drift stability
     if isinstance(drift, ConstantDrift):
@@ -670,44 +571,31 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
                              liminf_zero_predicted=False,
                              avg_sq_zero_predicted=False, note=gate_note)
 
-    # gate 2: finiteness trichotomy over the eps grid
-    grid = _eps_grid(eps_lo, eps_hi, eps_points)
-    rulings = tuple(decide_Sprime(sigma, float(e), h, n_terms, tol) for e in grid)
-    statuses = {r.status for r in rulings}
-
-    if UNDECIDED in statuses:
+    # gate 2: trichotomy class of the noise
+    profile = _analyze(sigma)
+    cls = _CLASS[profile.kind]
+    if cls == UNDECIDED:
         return RegimeVerdict(regime=REGIME_UNDECIDED, drift_stable=True,
                              fading_noise=fading, mean_square_stable=fading,
                              liminf_zero_predicted=False,
                              avg_sq_zero_predicted=False,
-                             diagnostics=rulings,
                              note="finiteness undecided for this sigma form")
-    if statuses == {FINITE}:
+    if cls == FINITE_FOR_ALL:
         return RegimeVerdict(regime=STABLE, drift_stable=True,
                              fading_noise=fading, mean_square_stable=fading,
                              liminf_zero_predicted=False,
-                             avg_sq_zero_predicted=False, diagnostics=rulings)
-    if statuses == {INFINITE}:
+                             avg_sq_zero_predicted=False)
+    if cls == INFINITE_FOR_ALL:
         return RegimeVerdict(regime=UNBOUNDED, drift_stable=True,
                              fading_noise=fading, mean_square_stable=fading,
                              liminf_zero_predicted=fading,
-                             avg_sq_zero_predicted=fading, diagnostics=rulings)
-
-    # mixed: bracket the threshold eps' by bisection
-    lo = max(float(g) for g, r in zip(grid, rulings) if r.status == INFINITE)
-    hi = min(float(g) for g, r in zip(grid, rulings) if r.status == FINITE)
-    while (hi - lo) > bracket_rtol * 0.5 * (hi + lo):
-        mid = math.sqrt(lo * hi)
-        r = decide_Sprime(sigma, mid, h, n_terms=8, tol=tol)
-        if r.status == FINITE:
-            hi = mid
-        else:
-            lo = mid
+                             avg_sq_zero_predicted=fading)
+    eps_star = math.sqrt(2.0 * h * profile.L)
     return RegimeVerdict(regime=BOUNDED, drift_stable=True,
                          fading_noise=fading, mean_square_stable=fading,
                          liminf_zero_predicted=True,
                          avg_sq_zero_predicted=True,
-                         epsilon_star_bracket=(lo, hi), diagnostics=rulings)
+                         epsilon_star_bracket=(eps_star, eps_star))
 
 
 # ---------------------------------------------------------------------------
@@ -736,30 +624,6 @@ class NormEquivReport:
         return self.class_frobenius == self.class_alt
 
 
-def _trichotomy_class(spec: DiffusionSpec,
-                      pattern_norm_sq: Optional[float] = None) -> str:
-    p = _analyze(spec, pattern_norm_sq)
-    if p.kind in (_ZERO, _L2, _SLOG_ZERO):
-        return "finite-for-all"
-    if p.kind == _LOG_THRESHOLD:
-        return "mixed"
-    if p.kind == _BOUNDED_BELOW:
-        return "infinite-for-all"
-    return "undecided"
-
-
-def _status_under_norm(spec: DiffusionSpec, eps: float, h: float,
-                       pattern_norm_sq: Optional[float]) -> str:
-    p = _analyze(spec, pattern_norm_sq)
-    if p.kind in (_ZERO, _L2, _SLOG_ZERO):
-        return FINITE
-    if p.kind == _LOG_THRESHOLD:
-        return FINITE if eps * eps > 2.0 * h * p.L else INFINITE
-    if p.kind == _BOUNDED_BELOW:
-        return INFINITE
-    return UNDECIDED
-
-
 def norm_equiv_check(spec: DiffusionSpec, eps: float, alt_norm: str,
                      h: float = 1.0) -> NormEquivReport:
     """Re-run the finiteness analysis under another matrix norm.
@@ -773,12 +637,13 @@ def norm_equiv_check(spec: DiffusionSpec, eps: float, alt_norm: str,
         alt_sq = _alt_norm_sq(f.pattern, alt_norm)
     else:
         raise ValueError("norm comparison needs a constant or envelope form")
+    fro, alt = _analyze(spec), _analyze(spec, alt_sq)
     return NormEquivReport(
         eps=eps, alt_norm=alt_norm,
-        status_frobenius=_status_under_norm(spec, eps, h, None),
-        status_alt=_status_under_norm(spec, eps, h, alt_sq),
-        class_frobenius=_trichotomy_class(spec),
-        class_alt=_trichotomy_class(spec, alt_sq))
+        status_frobenius=_status(fro, eps, h),
+        status_alt=_status(alt, eps, h),
+        class_frobenius=_CLASS[fro.kind],
+        class_alt=_CLASS[alt.kind])
 
 
 # ---------------------------------------------------------------------------

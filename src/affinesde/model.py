@@ -15,7 +15,7 @@ Specs are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +29,40 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 # envelope families
 # ---------------------------------------------------------------------------
+#
+# Each family carries its own asymptotic mathematics next to ``value``:
+#
+# * ``profile()`` -- the asymptotic class of value(t)^2 and
+#   L = lim value(t)^2 ln t;
+# * ``tail(eps, mass, T)`` -- for the classes that can give a finite
+#   criterion, an upper bound on int_T^inf phi(x(t)) dt for every
+#   x(t) <= mass * value(t)^2, where phi(x) = sqrt(x) exp(-eps^2 / (2x)).
+#
+# A window of width w over a non-increasing envelope has energy at most
+# w F value(t)^2 (F the squared pattern norm), so mass = w F bounds the
+# running-window integrand of I_w.  Each bound is the integral of a
+# non-increasing majorant, so tail(eps, h F, N h) / h also bounds the window
+# sum over n > N.
+
+# asymptotic classes of t -> value(t)^2
+ZERO = "zero"                     # identically zero
+L2 = "l2"                         # square integrable
+SLOG_ZERO = "slog_zero"           # value^2 log t -> 0 but not square integrable
+LOG_THRESHOLD = "log_threshold"   # value^2 log t -> L in (0, inf)
+BOUNDED_BELOW = "bounded_below"   # window energies bounded away from zero
+UNKNOWN = "unknown"               # table / callable: no analytic class
+
+
+def _exp_minus_power_bound(eps: float, base: float, q: float):
+    """Pick m so that, for x <= base s^{-q},
+    x e^{-eps^2/(2x)} <= m! (2/eps^2)^m base^{m+1/2} s^{-q(m+1/2)}
+    with exponent p = q (m + 1/2) > 1; returns (coefficient, p)."""
+    m = 1
+    while q * (m + 0.5) <= 1.25:
+        m += 1
+    coeff = math.factorial(m) * (2.0 / (eps * eps)) ** m * base ** (m + 0.5)
+    return coeff, q * (m + 0.5)
+
 
 @dataclass(frozen=True)
 class PowerLaw:
@@ -44,6 +78,22 @@ class PowerLaw:
     def value(self, t):
         return self.scale * (1.0 + np.asarray(t, dtype=float)) ** self.exponent
 
+    def profile(self):
+        a = self.exponent
+        if self.scale == 0.0:
+            return ZERO, 0.0
+        if 2.0 * a < -1.0:
+            return L2, 0.0
+        if a < 0.0:
+            return SLOG_ZERO, 0.0
+        return BOUNDED_BELOW, math.inf
+
+    def tail(self, eps: float, mass: float, T: float) -> float:
+        # x(t) <= mass k^2 (1+t)^(2a) with a < 0
+        coeff, p = _exp_minus_power_bound(eps, mass * self.scale ** 2,
+                                          -2.0 * self.exponent)
+        return coeff * (1.0 + T) ** (1.0 - p) / (p - 1.0)
+
 
 @dataclass(frozen=True)
 class LogPower:
@@ -57,6 +107,21 @@ class LogPower:
 
     def value(self, t):
         return np.sqrt(self.gamma / np.log(math.e + np.asarray(t, dtype=float)))
+
+    def profile(self):
+        if self.gamma == 0.0:
+            return ZERO, 0.0
+        return LOG_THRESHOLD, self.gamma
+
+    def tail(self, eps: float, mass: float, T: float) -> float:
+        # x(t) <= L_w / ln(e+t) with L_w = mass gamma, so
+        # phi(x(t)) <= sqrt(L_w / ln(e+t)) (e+t)^(-p), p = eps^2 / (2 L_w)
+        Lw = mass * self.gamma
+        p = eps * eps / (2.0 * Lw)
+        if p <= 1.0:
+            raise ValueError("no finite tail at or below the threshold")
+        lead = math.sqrt(Lw / math.log(math.e + T))
+        return lead * (math.e + T) ** (1.0 - p) / (p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,6 +138,16 @@ class ExpDecay:
     def value(self, t):
         return self.scale * np.exp(-self.rate * np.asarray(t, dtype=float))
 
+    def profile(self):
+        return (ZERO if self.scale == 0.0 else L2), 0.0
+
+    def tail(self, eps: float, mass: float, T: float) -> float:
+        # x(t) <= B exp(-2 lam t) with B = mass k^2, and
+        # x e^{-eps^2/(2x)} <= (2/(e eps^2)) x^{3/2}
+        lam, B = self.rate, mass * self.scale ** 2
+        return (2.0 / (math.e * eps * eps) * B ** 1.5
+                * math.exp(-3.0 * lam * T) / (3.0 * lam))
+
 
 @dataclass(frozen=True)
 class LogGrow:
@@ -87,6 +162,12 @@ class LogGrow:
 
     def value(self, t):
         return self.scale * np.log(math.e + np.asarray(t, dtype=float)) ** self.exponent
+
+    def profile(self):
+        # never finite, so no tail bound
+        if self.scale == 0.0:
+            return ZERO, 0.0
+        return BOUNDED_BELOW, math.inf
 
 
 ENVELOPE_FAMILIES = (PowerLaw, LogPower, ExpDecay, LogGrow)
@@ -160,7 +241,6 @@ class DiffusionSpec:
     d: int
     r: int
     form: object
-    monotone_hint: bool = False
 
     def __post_init__(self):
         if self.d < 1 or self.r < 1:
@@ -180,18 +260,17 @@ class DiffusionSpec:
         return DiffusionSpec(m.shape[0], m.shape[1], ConstantSigma(m))
 
     @staticmethod
-    def envelope(env, pattern, monotone_hint: bool = False) -> "DiffusionSpec":
+    def envelope(env, pattern) -> "DiffusionSpec":
         p = np.atleast_2d(np.asarray(pattern, dtype=float))
-        return DiffusionSpec(p.shape[0], p.shape[1], EnvelopePattern(env, p),
-                             monotone_hint=monotone_hint)
+        return DiffusionSpec(p.shape[0], p.shape[1], EnvelopePattern(env, p))
 
     @staticmethod
-    def table(times, values, monotone_hint: bool = False) -> "DiffusionSpec":
+    def table(times, values) -> "DiffusionSpec":
         v = np.asarray(values, dtype=float)
         if v.ndim == 1:
             v = v[:, None, None]
-        return DiffusionSpec(v.shape[1], v.shape[2], TableSigma(np.asarray(times, float), v),
-                             monotone_hint=monotone_hint)
+        return DiffusionSpec(v.shape[1], v.shape[2],
+                             TableSigma(np.asarray(times, float), v))
 
     @staticmethod
     def from_callable(fn, d: int, r: int) -> "DiffusionSpec":
@@ -343,7 +422,6 @@ class WindowIntensity:
 
     h: float
     values: np.ndarray
-    quadrature_tolerance: float
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
@@ -358,7 +436,7 @@ def window_intensity(spec: DiffusionSpec, h: float, n_max: int,
         raise ValueError("n_max must be >= 1")
     edges = h * np.arange(n_max + 1, dtype=float)
     vals = interval_integrals(spec, edges[:-1], edges[1:], tol)
-    return WindowIntensity(h=h, values=vals, quadrature_tolerance=tol)
+    return WindowIntensity(h=h, values=vals)
 
 
 def running_intensity(spec: DiffusionSpec, c: float, t: float,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from affinesde.criteria import (classify, decide_I, decide_Sprime, limit_Lh,
+from affinesde.criteria import (classify, decide_I, decide_Sprime,
                                 build_max_sequence, build_min_sequence,
                                 mean_square_equiv, term_S, term_Sprime)
 from affinesde.linalg import monodromy, solve_lyapunov
@@ -152,11 +152,7 @@ def test_criterion_04_sum_integral_agreement():
     ]
     grid = np.geomspace(2.0 ** -8, 2.0 ** 8, 33)
     for spec in specs:
-        L = limit_Lh(spec, 1.0)
         for eps in grid:
-            if L is not None and math.isfinite(L) and L > 0 and \
-                    abs(eps * eps - 2.0 * L) < 1e-9:
-                continue   # boundary eps excluded per documented convention
             a = decide_Sprime(spec, float(eps), 1.0, n_terms=16)
             b = decide_I(spec, float(eps), 1.0, t_max=16.0, tol=1e-6)
             assert a.status == b.status, (spec.form, eps, a.status, b.status)

@@ -13,7 +13,7 @@ from affinesde.criteria import (FINITE, INFINITE, UNDECIDED, build_max_sequence,
                                 row_interval_integrals, rowwise_sum_S1,
                                 sum_general_grid, term_S, term_Sprime)
 from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
-                             LogPower, PeriodicDrift, PowerLaw)
+                             LogPower, PeriodicDrift, PowerLaw, QuadratureError)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -132,6 +132,10 @@ def test_decide_logpower_threshold():
     boundary = decide_Sprime(spec, math.sqrt(2.0) * (1 - 1e-14), 1.0)
     assert boundary.status == INFINITE          # boundary defaults infinite
     assert "diverges" in boundary.witness
+    # at eps = sqrt(2) rounding gives p = 1 + 2^-52; the series diverges at p = 1
+    exact = decide_Sprime(spec, math.sqrt(2.0), 1.0)
+    assert exact.status == INFINITE and "within rounding" in exact.witness
+    assert decide_I(spec, math.sqrt(2.0), 1.0, 8.0).status == INFINITE
 
 
 def test_decide_constant_infinite():
@@ -196,6 +200,17 @@ def test_integral_logpower_against_midpoint_oracle():
     oracle = (4.0 * m2 - m1) / 3.0
     val = integral_I(scalar(LogPower(1.0)), 2.0, 1.0, 1000.0, tol=1e-10)
     assert val == pytest.approx(oracle, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_integral_raises_on_quadrature_error():
+    # a rough table makes the running energy kinked at every knot, far more
+    # than quad's 400 subintervals can resolve to tol
+    rng = np.random.default_rng(0)
+    t = np.linspace(0.0, 200.0, 400)
+    spec = DiffusionSpec.table(t, rng.uniform(-1.0, 1.0, size=(400, 1, 1)))
+    with pytest.raises(QuadratureError, match="quadrature error"):
+        integral_I(spec, 1.0, 0.37, 200.0, tol=1e-12)
 
 
 @pytest.mark.parametrize("spec", [
@@ -424,11 +439,20 @@ def test_classify_table_undecided():
     (scalar(ExpDecay(1.0, 1.0)), "StableAS"),
     (scalar(LogPower(1.0)), "BoundedNonConvergent"),
     (DiffusionSpec.constant([[1.0]]), "Unbounded"),
+    # eps* = sqrt(2 h gamma) far outside [2^-8, 2^8]
+    (scalar(LogPower(1e-6)), "BoundedNonConvergent"),
+    (scalar(LogPower(1e5)), "BoundedNonConvergent"),
 ])
 def test_classify_h_independent(spec, regime):
     drift = ConstantDrift([[-1.0]])
     for h in (1.0, 2.0):
-        assert classify(spec, drift, h=h).regime == regime
+        v = classify(spec, drift, h=h)
+        assert v.regime == regime
+        if regime == "BoundedNonConvergent":
+            F = float(np.sum(spec.form.pattern ** 2))
+            eps_star = math.sqrt(2.0 * h * spec.form.envelope.gamma * F)
+            lo, hi = v.epsilon_star_bracket
+            assert lo <= eps_star * (1 + 1e-3) and hi >= eps_star * (1 - 1e-3)
 
 
 def test_mills_band_once_ratio_large():
