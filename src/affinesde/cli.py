@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import criteria, model, simulate, stats
+from . import criteria, stats
 from .linalg import StabilityError, monodromy
 from .model import (CallableDrift, ConstantDrift, DiffusionSpec, ExpDecay,
                     LogGrow, LogPower, PeriodicDrift, PowerLaw, QuadratureError)
@@ -130,16 +130,20 @@ class Scenario:
                      "simulation", "stats", "output_dir"),
                     required=("name", "drift", "sigma"))
         name = str(doc["name"])
+        for key in ("drift", "sigma"):
+            if not isinstance(doc[key], dict):
+                raise ScenarioError(f"section {key!r} must be a mapping")
 
-        drift = dict(doc["drift"])
+        drift = doc["drift"]
         kind = drift.get("kind")
         if kind == "constant":
             _check_keys(drift, "drift", ("kind", "matrix", "period"),
                         required=("matrix",))
-            drift = {"kind": "constant",
-                     "matrix": _matrix(drift["matrix"], "drift.matrix")}
-            if "period" in dict(doc["drift"]):
-                drift["period"] = _num(dict(doc["drift"]), "period")
+            spec = {"kind": "constant",
+                    "matrix": _matrix(drift["matrix"], "drift.matrix")}
+            if "period" in drift:
+                spec["period"] = _num(drift, "period")
+            drift = spec
         elif kind == "periodic":
             _check_keys(drift, "drift", ("kind", "period", "times", "values"),
                         required=("period", "times", "values"))
@@ -151,7 +155,7 @@ class Scenario:
             raise ScenarioError(f"drift.kind must be constant or periodic, "
                                 f"got {kind!r}")
 
-        sigma = dict(doc["sigma"])
+        sigma = doc["sigma"]
         skind = sigma.get("kind")
         if skind == "constant":
             _check_keys(sigma, "sigma", ("kind", "values"), required=("values",))
@@ -184,23 +188,32 @@ class Scenario:
         sim = _defaults(doc.get("simulation") or {}, _SIM_DEFAULTS, "simulation")
         sts = _defaults(doc.get("stats") or {}, _STATS_DEFAULTS, "stats")
 
+        try:
+            xi = tuple(float(x) for x in doc.get("initial_state") or ())
+        except (TypeError, ValueError):
+            raise ScenarioError("initial_state must be a list of numbers")
+
         scn = Scenario(
-            name=name, drift=drift, sigma=sigma,
-            initial_state=tuple(float(x) for x in doc.get("initial_state", ())),
+            name=name, drift=drift, sigma=sigma, initial_state=xi,
             criteria=crit, simulation=sim, stats=sts,
             output_dir=(None if doc.get("output_dir") is None
                         else str(doc["output_dir"])))
         # build everything once so out-of-range parameters fail at parse time
         try:
-            scn.build_drift()
-            scn.build_sigma()
+            drift_d = scn.build_drift().d
+            d = scn.build_sigma().d
             scn.sim_config()
             scn.thresholds()
         except (ValueError, TypeError) as exc:
             raise ScenarioError(str(exc)) from exc
-        if not scn.initial_state:
-            scn = dataclasses.replace(
-                scn, initial_state=tuple(1.0 for _ in range(scn.build_sigma().d)))
+        if drift_d != d:
+            raise ScenarioError(f"drift is {drift_d}-dimensional but sigma "
+                                f"is {d}-dimensional")
+        if not xi:
+            return dataclasses.replace(scn, initial_state=(1.0,) * d)
+        if len(xi) != d or not all(np.isfinite(xi)):
+            raise ScenarioError(f"initial_state must hold {d} finite numbers, "
+                                f"got {list(xi)}")
         return scn
 
     def to_dict(self) -> dict:

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from .model import ConstantDrift, PeriodicDrift, eval_drift
+from .model import ConstantDrift, eval_drift
 
 
 class StabilityError(ValueError):

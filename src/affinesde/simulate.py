@@ -15,17 +15,16 @@ bit-reproducible and order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad_vec
 
-from . import model
 from .linalg import expm, fundamental_solution
-from .model import (CallableDrift, ConstantDrift, ConstantSigma,
-                    DiffusionSpec, EnvelopePattern, PeriodicDrift, PowerLaw,
-                    eval_drift, eval_sigma)
+from .model import (ConstantDrift, ConstantSigma, DiffusionSpec,
+                    EnvelopePattern, PeriodicDrift, PowerLaw, eval_drift,
+                    eval_sigma)
 
 SCHEME_EXACT = "ExactLinearGaussian"
 SCHEME_EULER = "EulerMaruyama"
@@ -70,7 +69,6 @@ class PathEnsemble:
     times: np.ndarray          # (N+1,)
     states: np.ndarray         # (paths, N+1, d)
     config: SimConfig
-    seeds: tuple               # per-path seed tuples
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.states)):
@@ -84,40 +82,24 @@ class PathEnsemble:
     def d(self) -> int:
         return self.states.shape[2]
 
+    @property
+    def seeds(self) -> tuple:
+        """Per-path seed tuples (seed, p) of the Philox streams."""
+        return _path_seeds(self.config)
+
     @cached_property
     def norms(self) -> np.ndarray:
         """Euclidean norm ||X(t)||_2 per path and grid point."""
         return np.linalg.norm(self.states, axis=2)
 
-    @cached_property
-    def running_sup(self) -> np.ndarray:
-        """Running maximum of ||X|| along each path."""
-        return np.maximum.accumulate(self.norms, axis=1)
 
-    @cached_property
-    def running_avg_sq(self) -> np.ndarray:
-        """Trapezoid time-average (1/t) int_0^t ||X(s)||^2 ds per path.
-
-        The t = 0 entry is defined by continuity as ||X(0)||^2.
-        """
-        sq = self.norms ** 2
-        dt = self.config.dt
-        cum = np.concatenate(
-            [np.zeros((self.n_paths, 1)),
-             np.cumsum(0.5 * dt * (sq[:, 1:] + sq[:, :-1]), axis=1)], axis=1)
-        out = np.empty_like(cum)
-        out[:, 0] = sq[:, 0]
-        out[:, 1:] = cum[:, 1:] / self.times[1:]
-        return out
+def _path_seeds(cfg: SimConfig) -> tuple:
+    return tuple((int(cfg.seed), p) for p in range(cfg.paths))
 
 
-def _path_generators(cfg: SimConfig):
-    gens, seeds = [], []
-    for p in range(cfg.paths):
-        ss = np.random.SeedSequence(entropy=(int(cfg.seed), p))
-        gens.append(np.random.Generator(np.random.Philox(ss)))
-        seeds.append((int(cfg.seed), p))
-    return gens, tuple(seeds)
+def _path_generators(cfg: SimConfig) -> list:
+    return [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed))) for seed in _path_seeds(cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +238,7 @@ def _run_exact(trans: np.ndarray, sqrtQ: np.ndarray, xi: np.ndarray,
                cfg: SimConfig) -> np.ndarray:
     """Vectorised exact recursion; trans is (d,d) or a per-step stack (N,d,d)."""
     N, d = sqrtQ.shape[0], sqrtQ.shape[2]
-    gens, _ = _path_generators(cfg)
+    gens = _path_generators(cfg)
     states = np.empty((cfg.paths, N + 1, d))
     states[:, 0] = xi
     X = np.broadcast_to(xi, (cfg.paths, d)).copy()
@@ -284,7 +266,7 @@ def _run_euler(drift, sigma: DiffusionSpec, xi: np.ndarray,
         A = drift.matrix
     else:
         A_all = np.stack([eval_drift(drift, float(t)) for t in times])
-    gens, _ = _path_generators(cfg)
+    gens = _path_generators(cfg)
     states = np.empty((cfg.paths, N + 1, d))
     states[:, 0] = xi
     X = np.broadcast_to(xi, (cfg.paths, d)).copy()
@@ -312,8 +294,7 @@ def _prepare_xi(xi, d: int) -> np.ndarray:
 
 def _assemble(states: np.ndarray, cfg: SimConfig) -> PathEnsemble:
     times = cfg.dt * np.arange(cfg.n_steps + 1)
-    _, seeds = _path_generators(cfg)
-    return PathEnsemble(times=times, states=states, config=cfg, seeds=seeds)
+    return PathEnsemble(times=times, states=states, config=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ Inconclusive — it never forces agreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,20 @@ INCONCLUSIVE = "Inconclusive"
 # ---------------------------------------------------------------------------
 
 def dyadic_checkpoints(t_end: float) -> np.ndarray:
-    """Default limsup-proxy checkpoints T/16, T/8, T/4, T/2."""
+    """Limsup-proxy checkpoints T/16, T/8, T/4, T/2."""
     return t_end / np.array([16.0, 8.0, 4.0, 2.0])
+
+
+def _index_at(times: np.ndarray, t: float) -> int:
+    """Index of the first grid time at or after t, up to rounding."""
+    return int(np.searchsorted(times, t - 1e-12 * max(1.0, abs(t))))
+
+
+def _window_samples(times: np.ndarray, window: float) -> int:
+    """Number of grid steps spanned by a trailing window (at least one)."""
+    if window <= 0 or window > times[-1] - times[0]:
+        raise ValueError("window must be positive and fit in the horizon")
+    return max(int(round(window / (times[1] - times[0]))), 1)
 
 
 def tail_sup(series: np.ndarray, times: np.ndarray, checkpoints) -> np.ndarray:
@@ -46,11 +58,8 @@ def tail_sup(series: np.ndarray, times: np.ndarray, checkpoints) -> np.ndarray:
     cps = np.atleast_1d(np.asarray(checkpoints, dtype=float))
     if np.any(cps < times[0]) or np.any(cps > times[-1]):
         raise ValueError("checkpoints must lie within the horizon")
-    out = np.empty(series.shape[:-1] + (len(cps),))
-    for j, c in enumerate(cps):
-        i = int(np.searchsorted(times, c - 1e-12 * max(1.0, abs(c))))
-        out[..., j] = np.max(series[..., i:], axis=-1)
-    return out
+    return np.stack([np.max(series[..., _index_at(times, c):], axis=-1)
+                     for c in cps], axis=-1)
 
 
 def window_inf(series: np.ndarray, times: np.ndarray, window: float):
@@ -61,10 +70,7 @@ def window_inf(series: np.ndarray, times: np.ndarray, window: float):
     """
     series = np.asarray(series, dtype=float)
     times = np.asarray(times, dtype=float)
-    if window <= 0 or window > times[-1] - times[0]:
-        raise ValueError("window must be positive and fit in the horizon")
-    dt = times[1] - times[0]
-    w = max(int(round(window / dt)), 1)
+    w = _window_samples(times, window)
     sw = np.lib.stride_tricks.sliding_window_view(series, w + 1, axis=-1)
     return times[w:], np.min(sw, axis=-1)
 
@@ -79,12 +85,11 @@ def avg_sq(series: np.ndarray, times: np.ndarray) -> np.ndarray:
     gaps = np.diff(times)
     if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be uniform")
-    sq = series ** 2
-    panels = 0.5 * gaps[0] * (sq[..., 1:] + sq[..., :-1])
-    cum = np.cumsum(panels, axis=-1)
-    out = np.empty_like(sq)
-    out[..., 0] = sq[..., 0]
-    out[..., 1:] = cum / times[1:]
+    out = series ** 2
+    cum = out[..., 1:] + out[..., :-1]
+    cum *= 0.5 * gaps[0]
+    np.cumsum(cum, axis=-1, out=cum)
+    np.divide(cum, times[1:], out=out[..., 1:])
     return out
 
 
@@ -159,8 +164,6 @@ class RegimeEvidence:
     window_inf_final: np.ndarray     # (paths,)
     avg_sq_half: np.ndarray          # (paths,) time-average at T/2
     avg_sq_final: np.ndarray         # (paths,)
-    mean_sq: np.ndarray              # ensemble curve
-    mean_sq_se: np.ndarray
     trends: dict                     # name -> TrendResult
     notes: tuple = ()
 
@@ -184,16 +187,30 @@ class RegimeEvidence:
         }
 
 
-def _at_time(series: np.ndarray, times: np.ndarray, t: float) -> np.ndarray:
-    i = int(np.searchsorted(times, t - 1e-12 * max(1.0, abs(t))))
-    i = min(i, series.shape[-1] - 1)
-    return series[..., i]
+def _log_trend(times, vals) -> TrendResult:
+    """Trend of a positive magnitude series on a log scale.
+
+    Decay over many orders of magnitude then registers as a trend.  A
+    monotone series that reaches exact zero has decayed past the smallest
+    positive double; the repeated floor values would otherwise inflate the
+    regression error and mask the collapse, so it is labelled Decreasing.
+    """
+    v = np.asarray(vals, dtype=float)
+    res = trend(times, np.log(np.maximum(v, 1e-300)))
+    if res.label == FLAT and v[0] > 0 and v[-1] == 0.0 and \
+            np.all(np.diff(v) <= 0):
+        res = TrendResult(label=DECREASING, slope=res.slope, stderr=res.stderr)
+    return res
 
 
-def compare(verdict, ensemble: PathEnsemble, checkpoints=None,
-            window: float = None,
+def compare(verdict, ensemble: PathEnsemble,
             thresholds: CompareThresholds = CompareThresholds()) -> RegimeEvidence:
     """Weigh ensemble statistics against a regime verdict.
+
+    Every statistic is read at the points the rules use: tail suprema,
+    running maxima and E||X||^2 at the dyadic checkpoints T/16 ... T/2, the
+    infimum over the last window [7T/8, T], and the time-average of
+    ||X||^2 at T/2 and T.
 
     Decision rules: StableAS expects a decreasing tail-sup trend and a small
     final tail sup; BoundedNonConvergent expects a stable tail-sup band with
@@ -204,43 +221,23 @@ def compare(verdict, ensemble: PathEnsemble, checkpoints=None,
     """
     times = ensemble.times
     T = float(times[-1])
-    cps = dyadic_checkpoints(T) if checkpoints is None else \
-        np.asarray(checkpoints, dtype=float)
-    win = T / 8.0 if window is None else float(window)
+    cps = dyadic_checkpoints(T)
+    idx = [_index_at(times, c) for c in cps]
 
     notes = []
     norms = ensemble.norms
     sups = tail_sup(norms, times, cps)
-    rmax = np.stack([_at_time(ensemble.running_sup, times, c) for c in cps],
-                    axis=-1)
-    _, winf = window_inf(norms, times, win)
-    winf_final = winf[..., -1]
-    aver = ensemble.running_avg_sq
-    aver_half = _at_time(aver, times, T / 2.0)
-    aver_final = aver[..., -1]
-    msq, msq_se = ensemble_mean_sq(ensemble)
-
-    sup_med = np.median(sups, axis=0)
-    rmax_med = np.median(rmax, axis=0)
-    # positive magnitude series are compared on a log scale so that decay
-    # over many orders of magnitude registers as a trend
-    def _log_trend(vals):
-        v = np.asarray(vals, dtype=float)
-        res = trend(cps, np.log(np.maximum(v, 1e-300)))
-        # a monotone series that reaches exact zero has decayed past the
-        # smallest positive double; the repeated floor values would otherwise
-        # inflate the regression error and mask the collapse
-        if res.label == FLAT and v[0] > 0 and v[-1] == 0.0 and \
-                np.all(np.diff(v) <= 0):
-            res = TrendResult(label=DECREASING, slope=res.slope,
-                              stderr=res.stderr)
-        return res
+    rmax = np.stack([np.max(norms[:, :i + 1], axis=1) for i in idx], axis=-1)
+    winf_final = np.min(norms[:, -(_window_samples(times, T / 8.0) + 1):],
+                        axis=1)
+    aver_half, aver_final = \
+        avg_sq(norms, times)[:, [_index_at(times, T / 2.0), -1]].T
+    msq_at = np.mean(norms[:, idx] ** 2, axis=0)
 
     trends = {
-        "tail_sup_median": _log_trend(sup_med),
-        "running_max_median": _log_trend(rmax_med),
-        "mean_sq_checkpoints": _log_trend(
-            [float(_at_time(msq, times, c)) for c in cps]),
+        "tail_sup_median": _log_trend(cps, np.median(sups, axis=0)),
+        "running_max_median": _log_trend(cps, np.median(rmax, axis=0)),
+        "mean_sq_checkpoints": _log_trend(cps, msq_at),
     }
 
     regime = verdict.regime
@@ -249,8 +246,7 @@ def compare(verdict, ensemble: PathEnsemble, checkpoints=None,
         return RegimeEvidence(
             regime=regime, agreement=agreement, checkpoints=cps,
             tail_sups=sups, running_max_at=rmax, window_inf_final=winf_final,
-            avg_sq_half=aver_half, avg_sq_final=aver_final,
-            mean_sq=msq, mean_sq_se=msq_se, trends=trends,
+            avg_sq_half=aver_half, avg_sq_final=aver_final, trends=trends,
             notes=tuple(notes))
 
     if len(times) < thresholds.min_grid_points:
@@ -260,13 +256,20 @@ def compare(verdict, ensemble: PathEnsemble, checkpoints=None,
         notes.append("no prediction to verify")
         return build(INCONCLUSIVE)
 
+    # shared by the rules below: the tail-sup band at the first checkpoint,
+    # the share of paths whose last-window infimum collapses below it, and
+    # whether the pathwise time-average falls from T/2 to T
+    band = float(np.median(sups[:, 0]))
+    final_med = float(np.median(sups[:, -1]))
+    frac = float(np.mean(winf_final < thresholds.liminf_ratio * band)) \
+        if band > 0 else 0.0
+    avg_falls = float(np.median(aver_final)) < float(np.median(aver_half))
+
     if regime == "StableAS":
-        first_med = float(np.median(sups[:, 0]))
-        final_med = float(np.median(sups[:, -1]))
         t_lab = trends["tail_sup_median"].label
         if t_lab == DECREASING and final_med < thresholds.stable_final_sup:
             return build(CONSISTENT)
-        ratio = final_med / first_med if first_med > 0 else 0.0
+        ratio = final_med / band if band > 0 else 0.0
         if final_med >= 10.0 * thresholds.stable_final_sup and ratio > 0.5:
             notes.append(f"tail sup median {final_med:.3g} stays large "
                          f"(ratio {ratio:.3g} across checkpoints)")
@@ -275,14 +278,9 @@ def compare(verdict, ensemble: PathEnsemble, checkpoints=None,
         return build(INCONCLUSIVE)
 
     if regime == "BoundedNonConvergent":
-        band = float(np.median(sups[:, 0]))
-        ratio = float(np.median(sups[:, -1])) / band if band > 0 else math.inf
+        ratio = final_med / band if band > 0 else math.inf
         band_ok = thresholds.band_ratio_lo <= ratio <= thresholds.band_ratio_hi
-        frac = float(np.mean(winf_final < thresholds.liminf_ratio * band)) \
-            if band > 0 else 0.0
-        liminf_ok = frac >= thresholds.liminf_fraction
-        avg_ok = float(np.median(aver_final)) < float(np.median(aver_half))
-        if band_ok and liminf_ok and avg_ok:
+        if band_ok and frac >= thresholds.liminf_fraction and avg_falls:
             return build(CONSISTENT)
         if ratio > 2.0 * thresholds.band_ratio_hi or \
                 ratio < 0.5 * thresholds.band_ratio_lo:
@@ -290,19 +288,14 @@ def compare(verdict, ensemble: PathEnsemble, checkpoints=None,
                          f"stable band")
             return build(INCONSISTENT)
         notes.append(f"band ratio {ratio:.3g}, liminf fraction {frac:.3g}, "
-                     f"avg_sq decrease {avg_ok}")
+                     f"avg_sq decrease {avg_falls}")
         return build(INCONCLUSIVE)
 
     if regime == "Unbounded":
-        growing = bool(np.all(np.diff(rmax_med) > 0))
+        growing = bool(np.all(np.diff(np.median(rmax, axis=0)) > 0))
         extras_ok = True
         if getattr(verdict, "fading_noise", False):
-            band = float(np.median(sups[:, 0]))
-            frac = float(np.mean(winf_final < thresholds.liminf_ratio * band)) \
-                if band > 0 else 0.0
-            extras_ok = (frac >= thresholds.liminf_fraction and
-                         float(np.median(aver_final)) <
-                         float(np.median(aver_half)))
+            extras_ok = frac >= thresholds.liminf_fraction and avg_falls
             if not extras_ok:
                 notes.append("fading-noise collapse statistics missing")
         if growing and extras_ok:

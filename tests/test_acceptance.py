@@ -80,7 +80,7 @@ def test_criterion_01c_unbounded_regime():
     verdict = classify(sigma, DRIFT2)
     assert verdict.regime == "Unbounded"
     ens = simulate_X(DRIFT2, sigma, [1.0, 1.0], SimConfig(seed=103, **BIG))
-    meds = _checkpoint_medians(ens, ens.running_sup)
+    meds = _checkpoint_medians(ens, np.maximum.accumulate(ens.norms, axis=1))
     assert np.all(np.diff(meds) > 0)
     assert compare(verdict, ens).agreement == "Consistent"
 
@@ -266,7 +266,7 @@ def test_criterion_09_non_stabilisation():
         assert verdict.drift_stable is False
     ens = simulate_X(drift, sigma, [1.0],
                      SimConfig(dt=0.05, t_end=200.0, paths=50, seed=909))
-    meds = _checkpoint_medians(ens, ens.running_sup)
+    meds = _checkpoint_medians(ens, np.maximum.accumulate(ens.norms, axis=1))
     assert np.all(np.diff(meds) > 0)
 
 

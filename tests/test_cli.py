@@ -61,6 +61,14 @@ def test_out_of_range_parameters_rejected(tmp_path):
     doc["sigma"]["params"] = {"scale": 1.0}   # missing rate
     with pytest.raises(ScenarioError):
         load_scenario(write(tmp_path, doc))
+    for bad in (base_doc(initial_state=[1.0, 1.0, 1.0]),   # sigma.d is 2
+                base_doc(initial_state=[1.0, math.nan]),
+                base_doc(drift="foo"),
+                base_doc(drift={"kind": "constant", "matrix": [[-1.0]]})):
+        with pytest.raises(ScenarioError):
+            load_scenario(write(tmp_path, bad))
+    path = write(tmp_path, base_doc(initial_state=[1.0]))
+    assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_PARSE
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):
