@@ -96,6 +96,16 @@ def _matrix(v, name: str):
     return [[float(x) for x in row] for row in m]
 
 
+def _list(v, name: str, item) -> list:
+    """Each entry of the list v converted by item, else a ScenarioError."""
+    if not isinstance(v, list):
+        raise ScenarioError(f"{name} must be a list")
+    try:
+        return [item(x) for x in v]
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{name} must be a list of numbers")
+
+
 def _defaults(section: dict, defaults: dict, name: str) -> dict:
     _check_keys(section, name, defaults)
     out = {}
@@ -149,8 +159,9 @@ class Scenario:
                         required=("period", "times", "values"))
             drift = {"kind": "periodic",
                      "period": _num(drift, "period"),
-                     "times": [float(t) for t in drift["times"]],
-                     "values": [_matrix(v, "drift.values") for v in drift["values"]]}
+                     "times": _list(drift["times"], "drift.times", float),
+                     "values": _list(drift["values"], "drift.values",
+                                     lambda v: _matrix(v, "drift.values"))}
         else:
             raise ScenarioError(f"drift.kind must be constant or periodic, "
                                 f"got {kind!r}")
@@ -178,8 +189,9 @@ class Scenario:
             _check_keys(sigma, "sigma", ("kind", "times", "values"),
                         required=("times", "values"))
             sigma = {"kind": "table",
-                     "times": [float(t) for t in sigma["times"]],
-                     "values": [_matrix(v, "sigma.values") for v in sigma["values"]]}
+                     "times": _list(sigma["times"], "sigma.times", float),
+                     "values": _list(sigma["values"], "sigma.values",
+                                     lambda v: _matrix(v, "sigma.values"))}
         else:
             raise ScenarioError(f"sigma.kind must be constant, envelope or "
                                 f"table, got {skind!r}")
@@ -188,10 +200,8 @@ class Scenario:
         sim = _defaults(doc.get("simulation") or {}, _SIM_DEFAULTS, "simulation")
         sts = _defaults(doc.get("stats") or {}, _STATS_DEFAULTS, "stats")
 
-        try:
-            xi = tuple(float(x) for x in doc.get("initial_state") or ())
-        except (TypeError, ValueError):
-            raise ScenarioError("initial_state must be a list of numbers")
+        xi = tuple(_list(doc.get("initial_state") or [], "initial_state",
+                         float))
 
         scn = Scenario(
             name=name, drift=drift, sigma=sigma, initial_state=xi,

@@ -429,32 +429,28 @@ def build_max_sequence(integrand: Callable[[float], float], h: float,
 @dataclass(frozen=True)
 class FadingReport:
     fading: Optional[bool]      # None = undecided
-    limit_estimate: float       # trailing window-energy level
 
 
 def check_fading(spec: DiffusionSpec, h: float, n_probe: int = 256,
                  tol: float = 1e-10) -> FadingReport:
     """Whether the window energies theta^2(n) tend to zero.
 
-    Analytic for the built-in envelope families; a trend test over n_probe
-    windows otherwise, with Undecided fallback.
+    Analytic for the built-in forms; a trend test over n_probe windows for
+    tables and callables, with Undecided fallback.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     profile = _analyze(spec)
-    wi = model.window_intensity(spec, h, n_probe, tol)
-    tail_level = float(np.mean(wi.values[-max(4, n_probe // 8):]))
     if profile.fading is not None:
-        return FadingReport(fading=profile.fading, limit_estimate=tail_level)
+        return FadingReport(profile.fading)
+    wi = model.window_intensity(spec, h, n_probe, tol)
     head = float(np.max(wi.values[: n_probe // 4])) if n_probe >= 8 else math.inf
     tail = float(np.max(wi.values[-n_probe // 4:]))
-    if head == 0.0 and tail == 0.0:
-        return FadingReport(True, 0.0)
-    if head > 0.0 and tail <= 0.05 * head:
-        return FadingReport(True, tail_level)
+    if (head == 0.0 and tail == 0.0) or (head > 0.0 and tail <= 0.05 * head):
+        return FadingReport(True)
     if tail >= 0.5 * head > 0.0:
-        return FadingReport(False, tail_level)
-    return FadingReport(None, tail_level)
+        return FadingReport(False)
+    return FadingReport(None)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Small dense linear algebra for the drift matrix.
 
 Spectral abscissa / radius, the Lyapunov solve A^T M + M A = -I, matrix
-exponentials, and fundamental solutions Psi'(t) = A(t) Psi(t) including the
-Floquet monodromy matrix Psi(T) for periodic drifts.
+exponentials, and the propagator Psi(t, s) of X' = A(t) X, whose values are
+the fundamental solutions and the Floquet monodromy matrix Psi(T, 0) for
+periodic drifts.
 """
 
 from __future__ import annotations
@@ -75,30 +76,36 @@ def expm(A, t: float = 1.0) -> np.ndarray:
     return out
 
 
-def fundamental_solution(drift, t_end: float, tol: float = 1e-10,
-                         t_start: float = 0.0) -> np.ndarray:
-    """Psi(t_end) for Psi'(t) = A(t) Psi(t), Psi(t_start) = I.
+def propagator(drift, t_end: float, t_lo: float, tol: float = 1e-10):
+    """The map s -> Psi(t_end, s) on [t_lo, t_end], Psi(t_end, t_end) = I.
 
-    Constant drifts short-circuit to the matrix exponential; time-dependent
-    drifts use an adaptive embedded Runge-Kutta 4(5) integration at local
-    tolerance tol.
+    Psi(t, s) carries a state at time s to time t under X' = A X.  Constant
+    drifts give exp(A (t_end - s)); time-dependent drifts solve the adjoint
+    equation dY/ds = -Y A(s), Y(t_end) = I, once backwards by adaptive
+    embedded Runge-Kutta 4(5) at local tolerance tol, with dense output.
     """
-    if t_end < t_start:
-        raise ValueError("t_end must be >= t_start")
+    if t_end < t_lo:
+        raise ValueError("t_end must be >= t_lo")
     if isinstance(drift, ConstantDrift):
-        return expm(drift.matrix, t_end - t_start)
+        return lambda s: expm(drift.matrix, t_end - s)
     d = drift.d
-    if t_end == t_start:
-        return np.eye(d)
+    if t_end == t_lo:
+        return lambda s: np.eye(d)
 
-    def rhs(t, y):
-        return (eval_drift(drift, t) @ y.reshape(d, d)).reshape(-1)
+    def rhs(s, y):
+        return -(y.reshape(d, d) @ eval_drift(drift, s)).reshape(-1)
 
-    sol = solve_ivp(rhs, (t_start, t_end), np.eye(d).reshape(-1),
-                    method="RK45", rtol=tol, atol=tol)
+    sol = solve_ivp(rhs, (t_end, t_lo), np.eye(d).reshape(-1),
+                    method="RK45", rtol=tol, atol=tol, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"fundamental solution integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(d, d)
+    return lambda s: sol.sol(s).reshape(d, d)
+
+
+def fundamental_solution(drift, t_end: float, tol: float = 1e-10,
+                         t_start: float = 0.0) -> np.ndarray:
+    """Psi(t_end) for Psi'(t) = A(t) Psi(t), Psi(t_start) = I."""
+    return propagator(drift, t_end, t_start, tol)(t_start)
 
 
 @dataclass(frozen=True)

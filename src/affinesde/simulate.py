@@ -1,12 +1,15 @@
 """Exact-in-distribution Monte-Carlo sampling of the affine SDE.
 
 For a linear SDE the grid-point law is exactly Gaussian: one step is
-X_{n+1} = e^{A dt} X_n + xi_n with xi_n ~ Normal(0, Q_n) and
+X_{n+1} = Psi(t_n + dt, t_n) X_n + xi_n with xi_n ~ Normal(0, Q_n) and
 
-    Q_n = int_{t_n}^{t_n + dt} e^{A (t_n + dt - s)} sigma(s) sigma(s)^T
-          e^{A^T (t_n + dt - s)} ds,
+    Q_n = int_{t_n}^{t_n + dt} Psi(t_n + dt, s) sigma(s) sigma(s)^T
+          Psi(t_n + dt, s)^T ds,
 
-so the sampler has no discretisation bias at grid points.  An
+where Psi is the propagator of X' = A(t) X (e^{A (t - s)} for a constant
+drift), so the sampler has no discretisation bias at grid points, periodic
+drifts included.  A constant drift is the periodic case with a single period
+position: both build Psi once per position and run one recursion.  An
 Euler-Maruyama scheme is provided for cross-validation.  Paths are seeded
 independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
@@ -21,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .linalg import expm, fundamental_solution
+from .linalg import propagator
 from .model import (ConstantDrift, ConstantSigma, DiffusionSpec,
                     EnvelopePattern, PeriodicDrift, PowerLaw, eval_drift,
                     eval_sigma)
@@ -90,7 +93,8 @@ class PathEnsemble:
     @cached_property
     def norms(self) -> np.ndarray:
         """Euclidean norm ||X(t)||_2 per path and grid point."""
-        return np.linalg.norm(self.states, axis=2)
+        sq = np.einsum("pni,pni->pn", self.states, self.states)
+        return np.sqrt(sq, out=sq)
 
 
 def _path_seeds(cfg: SimConfig) -> tuple:
@@ -103,65 +107,53 @@ def _path_generators(cfg: SimConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# step covariances
+# step transitions and covariances
 # ---------------------------------------------------------------------------
 
-def _frozen_matrix(drift, t: float, dt: float) -> np.ndarray:
-    """Drift matrix used inside a covariance panel (midpoint freeze)."""
-    if isinstance(drift, ConstantDrift):
-        return drift.matrix
-    return eval_drift(drift, t + 0.5 * dt)
+def _step_propagator(drift, t: float, dt: float, tol: float):
+    """u -> Psi(t + dt, t + u dt) on [0, 1]; u = 0 gives the transition."""
+    psi = propagator(drift, t + dt, t, tol=min(tol, 1e-12))
+    return lambda u: psi(t + u * dt)
 
 
 def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
                     tol: float = 1e-10) -> np.ndarray:
     """One-step transition covariance Q by adaptive quadrature.
 
-    Time-dependent drifts are frozen at the step midpoint inside the panel;
-    the result is symmetrised and tiny negative eigenvalues (down to
+    The integrand Psi(t + dt, s) sigma(s) sigma(s)^T Psi(t + dt, s)^T uses
+    the drift's propagator, so time-dependent drifts are exact too; the
+    result is symmetrised and tiny negative eigenvalues (down to
     -1e-12 * trace) are clamped to zero.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    A = _frozen_matrix(drift, t, dt)
-    d = A.shape[0]
-    if sigma.d != d:
+    if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
+    E = _step_propagator(drift, t, dt, tol)
 
     def integrand(u):
-        s = t + u * dt
-        E = expm(A, dt - u * dt)
-        S = eval_sigma(sigma, float(s))
-        M = E @ S
+        M = E(u) @ eval_sigma(sigma, float(t + u * dt))
         return dt * (M @ M.T)
 
     Q, err = quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=0.0, norm="max")
     if err > tol * 1.001:
         raise CovarianceError(f"covariance quadrature error {err:.3e} > {tol:.3e}")
-    return _clamp_psd(0.5 * (Q + Q.T))
-
-
-def _clamp_psd(Q: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(Q)
-    floor = -1e-12 * max(float(np.trace(Q)), 0.0)
-    if np.any(w < floor - 1e-300):
-        raise CovarianceError(f"covariance has eigenvalue {w.min():.3e} below "
-                              f"the clamping floor {floor:.3e}")
-    w = np.maximum(w, 0.0)
+    w, V = _psd_eigh(Q)
     return (V * w) @ V.T
 
 
-def _sqrt_psd_batch(Q: np.ndarray) -> np.ndarray:
-    """Symmetric square roots of a stack of PSD matrices, with clamping."""
+def _psd_eigh(Q: np.ndarray):
+    """Eigenvalues and vectors of symmetrised PSD matrices (one or a stack).
+
+    Eigenvalues down to -1e-12 * trace are clamped to zero; lower ones raise.
+    """
     Q = 0.5 * (Q + np.swapaxes(Q, -1, -2))
     w, V = np.linalg.eigh(Q)
-    tr = np.maximum(np.einsum("...ii", Q), 0.0)
-    floor = -1e-12 * tr
+    floor = -1e-12 * np.maximum(np.einsum("...ii", Q), 0.0)
     if np.any(w < floor[..., None] - 1e-300):
-        raise CovarianceError("covariance stack has an eigenvalue below the "
-                              "clamping floor")
-    s = np.sqrt(np.maximum(w, 0.0))
-    return np.einsum("...ik,...k,...jk->...ij", V, s, V)
+        raise CovarianceError(f"covariance has eigenvalue {w.min():.3e} below "
+                              "the clamping floor")
+    return np.maximum(w, 0.0), V
 
 
 def _gauss_legendre(n: int):
@@ -174,56 +166,35 @@ def _envelope_sq(form: EnvelopePattern, t: np.ndarray) -> np.ndarray:
 
 
 def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
-                      dt: float, tol: float) -> np.ndarray:
+                      dt: float, tol: float, E: np.ndarray) -> np.ndarray:
     """Covariance stack Q_n for every step, (N, d, d).
 
-    Separable forms (constant or envelope-times-pattern sigma) use a fixed
-    Gauss-Legendre panel batched over all steps, validated against the
-    adaptive quadrature on the first step; other forms fall back to the
-    adaptive panel per step.
+    E[j, k] = Psi(t_j + dt, t_j + u_k dt) at the Gauss-Legendre nodes u_k for
+    each of the m period positions j; step n uses E[n % m].  Separable forms
+    (constant or envelope-times-pattern sigma) use this fixed panel batched
+    over all steps, validated against the adaptive quadrature on the first
+    step; other forms fall back to the adaptive panel per step.
     """
-    N = len(times)
+    N, m = len(times), len(E)
     form = sigma.form
-    separable = isinstance(form, (ConstantSigma, EnvelopePattern))
-    period = getattr(drift, "period", None)
-    if separable:
+    if isinstance(form, (ConstantSigma, EnvelopePattern)):
         u, w = _gauss_legendre(_GL_NODES)
-        if isinstance(drift, ConstantDrift):
-            A_per_step = None
-            E = np.stack([expm(drift.matrix, dt - uk * dt) for uk in u])
-        elif period is not None:
-            m = int(round(period / dt))
-            A_per_step = [eval_drift(drift, times[n % m] + 0.5 * dt)
-                          for n in range(min(m, N))]
-        else:
-            A_per_step = [eval_drift(drift, t + 0.5 * dt) for t in times]
-
         if isinstance(form, ConstantSigma):
             P = form.values
             g = np.ones((N, _GL_NODES))
         else:
             P = form.pattern
             g = _envelope_sq(form, times[:, None] + u[None, :] * dt)
-
-        if A_per_step is None:
-            C = np.stack([dt * (Ek @ P) @ (Ek @ P).T for Ek in E])  # (K,d,d)
-            Q = np.einsum("k,nk,kij->nij", w, g, C)
-        else:
-            nA = len(A_per_step)
-            C = np.empty((nA, _GL_NODES, sigma.d, sigma.d))
-            for j, Aj in enumerate(A_per_step):
-                for k, uk in enumerate(u):
-                    M = expm(Aj, dt - uk * dt) @ P
-                    C[j, k] = dt * (M @ M.T)
-            idx = (np.arange(N) % nA) if period is not None else np.arange(N)
-            Q = np.einsum("k,nk,nkij->nij", w, g, C[idx])
-
+        M = E @ P
+        C = (dt * M) @ np.swapaxes(M, -1, -2)   # (m, K, d, d)
+        Q = np.empty((N, sigma.d, sigma.d))
+        for j in range(m):
+            Q[j::m] = np.einsum("k,nk,kij->nij", w, g[j::m], C[j])
         ref = step_covariance(drift, sigma, float(times[0]), dt, tol)
         scale = max(float(np.abs(ref).max()), 1e-300)
-        if float(np.abs(Q[0] - ref).max()) > max(tol, 1e-12 * scale) * 10 + tol:
-            separable = False   # panel not accurate enough; use adaptive
-        else:
+        if float(np.abs(Q[0] - ref).max()) <= max(tol, 1e-12 * scale) * 10 + tol:
             return Q
+        # panel not accurate enough; use adaptive
     Q = np.empty((N, sigma.d, sigma.d))
     for n, t in enumerate(times):
         Q[n] = step_covariance(drift, sigma, float(t), dt, tol)
@@ -231,56 +202,55 @@ def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# engines
+# the sampler
 # ---------------------------------------------------------------------------
 
-def _run_exact(trans: np.ndarray, sqrtQ: np.ndarray, xi: np.ndarray,
-               cfg: SimConfig) -> np.ndarray:
-    """Vectorised exact recursion; trans is (d,d) or a per-step stack (N,d,d)."""
-    N, d = sqrtQ.shape[0], sqrtQ.shape[2]
+def _run(trans: np.ndarray, noise: np.ndarray, xi: np.ndarray,
+         cfg: SimConfig) -> np.ndarray:
+    """X_{n+1} = trans[n % m] X_n + noise[n] Z_n, Z_n standard normal.
+
+    trans is the (m, d, d) stack of transitions over one drift period
+    (m = 1 for a constant drift), noise the (N, d, r) per-step factors.
+    """
+    N, d, r = noise.shape
+    m = len(trans)
     gens = _path_generators(cfg)
     states = np.empty((cfg.paths, N + 1, d))
     states[:, 0] = xi
     X = np.broadcast_to(xi, (cfg.paths, d)).copy()
-    shared = trans.ndim == 2
-    for start in range(0, N, _NOISE_CHUNK):
-        stop = min(start + _NOISE_CHUNK, N)
-        Z = np.empty((cfg.paths, stop - start, d))
-        for p, g in enumerate(gens):
-            Z[p] = g.standard_normal((stop - start, d))
-        for n in range(start, stop):
-            Phi = trans if shared else trans[n]
-            X = X @ Phi.T + Z[:, n - start] @ sqrtQ[n].T
-            states[:, n + 1] = X
-    return states
-
-
-def _run_euler(drift, sigma: DiffusionSpec, xi: np.ndarray,
-               cfg: SimConfig) -> np.ndarray:
-    N, d, r = cfg.n_steps, sigma.d, sigma.r
-    dt = cfg.dt
-    times = dt * np.arange(N)
-    sig = np.stack([eval_sigma(sigma, float(t)) for t in times])   # (N,d,r)
-    if isinstance(drift, ConstantDrift):
-        A_all = None
-        A = drift.matrix
-    else:
-        A_all = np.stack([eval_drift(drift, float(t)) for t in times])
-    gens = _path_generators(cfg)
-    states = np.empty((cfg.paths, N + 1, d))
-    states[:, 0] = xi
-    X = np.broadcast_to(xi, (cfg.paths, d)).copy()
-    sdt = math.sqrt(dt)
     for start in range(0, N, _NOISE_CHUNK):
         stop = min(start + _NOISE_CHUNK, N)
         Z = np.empty((cfg.paths, stop - start, r))
         for p, g in enumerate(gens):
             Z[p] = g.standard_normal((stop - start, r))
         for n in range(start, stop):
-            An = A if A_all is None else A_all[n]
-            X = X + dt * (X @ An.T) + sdt * (Z[:, n - start] @ sig[n].T)
+            X = X @ trans[n % m].T + Z[:, n - start] @ noise[n].T
             states[:, n + 1] = X
     return states
+
+
+def _sample(drift, sigma: DiffusionSpec, xi: np.ndarray, cfg: SimConfig,
+            m: int) -> PathEnsemble:
+    """Sample with cfg's scheme a drift that repeats every m steps."""
+    if sigma.d != drift.d:
+        raise ValueError("sigma and drift dimensions differ")
+    dt, N = cfg.dt, cfg.n_steps
+    times = dt * np.arange(N)
+    if cfg.scheme == SCHEME_EULER:
+        trans = np.stack([np.eye(drift.d) + dt * eval_drift(drift, float(t))
+                          for t in times[:m]])
+        noise = math.sqrt(dt) * np.stack([eval_sigma(sigma, float(t))
+                                          for t in times])
+    else:
+        u, _ = _gauss_legendre(_GL_NODES)
+        psis = [_step_propagator(drift, t, dt, cfg.cov_tol) for t in times[:m]]
+        E = np.array([[psi(uk) for uk in (0.0, *u)] for psi in psis])
+        trans = E[:, 0]
+        w, V = _psd_eigh(_step_covariances(drift, sigma, times, dt,
+                                           cfg.cov_tol, E[:, 1:]))
+        noise = np.einsum("...ik,...k,...jk->...ij", V, np.sqrt(w), V)
+    return PathEnsemble(times=dt * np.arange(N + 1),
+                        states=_run(trans, noise, xi, cfg), config=cfg)
 
 
 def _prepare_xi(xi, d: int) -> np.ndarray:
@@ -290,11 +260,6 @@ def _prepare_xi(xi, d: int) -> np.ndarray:
     if not np.all(np.isfinite(xi)):
         raise ValueError("initial condition must be finite")
     return xi
-
-
-def _assemble(states: np.ndarray, cfg: SimConfig) -> PathEnsemble:
-    times = cfg.dt * np.arange(cfg.n_steps + 1)
-    return PathEnsemble(times=times, states=states, config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +276,7 @@ def simulate_X(drift: ConstantDrift, sigma: DiffusionSpec, xi,
     if not isinstance(drift, ConstantDrift):
         raise TypeError("simulate_X needs a constant drift; see "
                         "simulate_X_periodic")
-    xi = _prepare_xi(xi, drift.d)
-    if sigma.d != drift.d:
-        raise ValueError("sigma and drift dimensions differ")
-    if cfg.scheme == SCHEME_EULER:
-        return _assemble(_run_euler(drift, sigma, xi, cfg), cfg)
-    times = cfg.dt * np.arange(cfg.n_steps)
-    Q = _step_covariances(drift, sigma, times, cfg.dt, cfg.cov_tol)
-    sqrtQ = _sqrt_psd_batch(Q)
-    Phi = expm(drift.matrix, cfg.dt)
-    return _assemble(_run_exact(Phi, sqrtQ, xi, cfg), cfg)
+    return _sample(drift, sigma, _prepare_xi(xi, drift.d), cfg, 1)
 
 
 def simulate_Y(sigma: DiffusionSpec, cfg: SimConfig, y0=None) -> PathEnsemble:
@@ -338,9 +294,10 @@ def simulate_X_periodic(drift, sigma: DiffusionSpec, xi,
                         cfg: SimConfig) -> PathEnsemble:
     """Sample the SDE with a periodic drift A(t + T) = A(t).
 
-    dt must divide the period so the one-step transition matrices repeat;
-    they are solved once per period position and cached.  A periodic spec
-    whose samples are all identical reduces to the constant-drift sampler.
+    dt must divide the period so the m = T / dt one-step transitions and
+    covariance panels repeat; they are built once per period position.  A
+    periodic spec whose samples are all identical reduces to the
+    constant-drift sampler.
     """
     period = getattr(drift, "period", None)
     if period is None:
@@ -351,20 +308,7 @@ def simulate_X_periodic(drift, sigma: DiffusionSpec, xi,
     m = int(round(period / cfg.dt))
     if m < 1 or abs(m * cfg.dt - period) > 1e-9 * period:
         raise ValueError("dt must divide the drift period")
-    xi = _prepare_xi(xi, drift.d)
-    if cfg.scheme == SCHEME_EULER:
-        return _assemble(_run_euler(drift, sigma, xi, cfg), cfg)
-    N = cfg.n_steps
-    times = cfg.dt * np.arange(N)
-    ode_tol = min(cfg.cov_tol, 1e-12)
-    Phi_period = np.stack([
-        fundamental_solution(drift, (j + 1) * cfg.dt, tol=ode_tol,
-                             t_start=j * cfg.dt)
-        for j in range(min(m, N))])
-    trans = Phi_period[np.arange(N) % len(Phi_period)]
-    Q = _step_covariances(drift, sigma, times, cfg.dt, cfg.cov_tol)
-    sqrtQ = _sqrt_psd_batch(Q)
-    return _assemble(_run_exact(trans, sqrtQ, xi, cfg), cfg)
+    return _sample(drift, sigma, _prepare_xi(xi, drift.d), cfg, m)
 
 
 def bessel_scenario(d: int, alpha: float, cfg: SimConfig,

@@ -69,6 +69,18 @@ def test_out_of_range_parameters_rejected(tmp_path):
             load_scenario(write(tmp_path, bad))
     path = write(tmp_path, base_doc(initial_state=[1.0]))
     assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_PARSE
+    # a scalar where a list of times or matrices belongs
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    for bad in (base_doc(sigma={"kind": "table", "times": [0.0, 1.0],
+                                "values": 3}),
+                base_doc(sigma={"kind": "table", "times": 2,
+                                "values": [eye, eye]}),
+                base_doc(drift={"kind": "periodic", "period": 6.0, "times": 5,
+                                "values": [[[-1.0, 0.0], [0.0, -1.0]]]})):
+        path = write(tmp_path, bad)
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
+        assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_PARSE
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used (names in __all__ exempt)."""
+"""Every name a package module imports is used (names in __all__ exempt),
+and every module-level private name is referenced in its own module."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,28 @@ def unused_imports(source: str) -> list:
                   if name not in used)
 
 
+def unreferenced_privates(source: str) -> list:
+    tree = ast.parse(source)
+    defined = {}   # private module-level name -> line
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names
+                       if name.startswith("_") and not name.startswith("__"))
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name not in used)
+
+
 def test_checker_flags_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == \
         ["os (line 1)"]
@@ -38,3 +61,16 @@ def test_checker_flags_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_unreferenced_private():
+    source = ("_A = 1\n_B, _C = 2, 3\n__all__ = []\n"
+              "def _f():\n    return _A + _C\n"
+              "class _K:\n    pass\n_f()\n")
+    assert unreferenced_privates(source) == ["_B (line 2)", "_K (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unreferenced_privates(path):
+    assert unreferenced_privates(path.read_text()) == []

@@ -124,6 +124,18 @@ def test_fundamental_solution_shifted_cos_drift():
     assert Psi[0, 0] == pytest.approx(math.exp(-2 * math.pi), rel=1e-8)
 
 
+def test_fundamental_solution_shifted_start():
+    # Psi(t, s) = diag(exp(-(t - s) + sin t - sin s), exp(-2 (t - s)))
+    drift = CallableDrift(
+        fn=lambda t: np.diag([-1.0 + math.cos(t), -2.0]), d=2,
+        period=2 * math.pi)
+    for s, t in ((1.3, 4.0), (2.0, 2.5), (5.0, 11.0)):
+        Psi = fundamental_solution(drift, t, tol=1e-12, t_start=s)
+        expect = np.diag([math.exp(-(t - s) + math.sin(t) - math.sin(s)),
+                          math.exp(-2.0 * (t - s))])
+        np.testing.assert_allclose(Psi, expect, rtol=1e-8, atol=1e-11)
+
+
 def test_fundamental_solution_semigroup():
     A = np.array([[-0.5, 1.0], [0.0, -1.5]])
     drift = ConstantDrift(A)

@@ -8,9 +8,9 @@ from scipy.stats import kstest
 from affinesde.linalg import expm
 from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
                              ExpDecay, PeriodicDrift, PowerLaw)
-from affinesde.simulate import (SCHEME_EULER, CovarianceError, PathEnsemble,
-                                SimConfig, bessel_scenario, simulate_X,
-                                simulate_X_periodic, simulate_Y,
+from affinesde.simulate import (SCHEME_EULER, SCHEME_EXACT, CovarianceError,
+                                PathEnsemble, SimConfig, bessel_scenario,
+                                simulate_X, simulate_X_periodic, simulate_Y,
                                 step_covariance)
 from affinesde.stats import avg_sq
 
@@ -191,14 +191,65 @@ def test_nonfinite_states_rejected():
 # periodic drift
 # ---------------------------------------------------------------------------
 
-def test_periodic_zero_noise_floquet_decay():
-    drift = CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t)]]), d=1,
+# a(t) = -1 + cos t has Psi(t, s) = exp(-(t - s) + sin t - sin s)
+COS_DRIFT = CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t)]]), d=1,
                           period=2 * math.pi)
+
+
+def _cos_drift_psi(t, s):
+    return math.exp(-(t - s) + math.sin(t) - math.sin(s))
+
+
+def _cos_drift_q(t, dt):
+    """mpmath oracle: Q = int_t^{t+dt} Psi(t + dt, s)^2 ds for sigma = 1."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        end = mp.mpf(t) + mp.mpf(dt)
+        q = mp.quad(lambda s: mp.exp(2 * (-(end - s) + mp.sin(end)
+                                          - mp.sin(s))), [mp.mpf(t), end])
+    return float(q)
+
+
+def test_periodic_zero_noise_floquet_decay():
+    # Euler's product of (1 + dt a(t_j)) over the period is
+    # exp(-2 pi - dt int a^2 / 2 + O(dt^2)): off by about 3 pi dt / 2 in log
     dt = 2 * math.pi / 64
-    cfg = SimConfig(dt=dt, t_end=2 * math.pi, paths=1, seed=0, cov_tol=1e-12)
-    ens = simulate_X_periodic(drift, DiffusionSpec.constant([[0.0]]), [1.0], cfg)
-    assert ens.states[0, -1, 0] == pytest.approx(math.exp(-2 * math.pi),
-                                                 rel=1e-8)
+    for scheme, log_tol in ((SCHEME_EXACT, 1e-8), (SCHEME_EULER, 6 * dt)):
+        cfg = SimConfig(dt=dt, t_end=2 * math.pi, paths=1, seed=0,
+                        cov_tol=1e-12, scheme=scheme)
+        ens = simulate_X_periodic(COS_DRIFT, DiffusionSpec.constant([[0.0]]),
+                                  [1.0], cfg)
+        assert abs(math.log(ens.states[0, -1, 0]) + 2 * math.pi) <= log_tol
+
+
+@pytest.mark.parametrize("dt", [2 * math.pi / 64, 1.0])
+def test_periodic_step_covariance_exact(dt):
+    for t in (0.0, 1.3, 4.0):
+        Q = step_covariance(COS_DRIFT, UNIT_SIGMA, t, dt)
+        assert Q[0, 0] == pytest.approx(_cos_drift_q(t, dt), rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [64, 6])
+def test_periodic_sampler_covariances_exact(m):
+    # a zero-noise run gives the sampler's transitions Psi_n = Y_{n+1} / Y_n;
+    # path 0 draws Z_n from Philox(SeedSequence((seed, 0))), so each increment
+    # of a noisy run from 0 gives sqrt(Q_n) = (X_{n+1} - Psi_n X_n) / Z_n,
+    # which must match the oracle at every step of two periods
+    dt = 2 * math.pi / m
+    cfg = SimConfig(dt=dt, t_end=4 * math.pi, paths=1, seed=11)
+    Y = simulate_X_periodic(COS_DRIFT, DiffusionSpec.constant([[0.0]]), [1.0],
+                            cfg).states[0, :, 0]
+    X = simulate_X_periodic(COS_DRIFT, UNIT_SIGMA, [0.0], cfg).states[0, :, 0]
+    gen = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=(cfg.seed, 0))))
+    Z = gen.standard_normal((cfg.n_steps, 1))[:, 0]
+    assert np.abs(Z).min() > 1e-3   # rounding in X is not amplified
+    for n in range(cfg.n_steps):
+        t = n * dt
+        psi = Y[n + 1] / Y[n]
+        assert psi == pytest.approx(_cos_drift_psi(t + dt, t), rel=1e-10), n
+        q = ((X[n + 1] - psi * X[n]) / Z[n]) ** 2
+        assert q == pytest.approx(_cos_drift_q(t, dt), rel=1e-10), n
 
 
 def test_periodic_constant_reduces_bit_identically():
