@@ -30,8 +30,8 @@ from . import criteria, stats
 from .linalg import StabilityError, monodromy
 from .model import (CallableDrift, ConstantDrift, DiffusionSpec, ExpDecay,
                     LogGrow, LogPower, PeriodicDrift, PowerLaw, QuadratureError)
-from .simulate import (SCHEME_EXACT, CovarianceError, SimConfig,
-                       simulate_X, simulate_X_periodic)
+from .simulate import (SCHEME_EXACT, CovarianceError, SimConfig, collect,
+                       sample_chunks)
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "AFFINESDE_OUT"
@@ -325,14 +325,11 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     return scn
 
 
-def _run_ensemble(scn: Scenario):
-    drift = scn.build_drift()
-    sigma = scn.build_sigma()
-    xi = np.asarray(scn.initial_state, dtype=float)
+def _chunks(scn: Scenario):
+    """The scenario's SimConfig and the sampler's chunk stream."""
     cfg = scn.sim_config()
-    if getattr(drift, "period", None) is not None:
-        return simulate_X_periodic(drift, sigma, xi, cfg)
-    return simulate_X(drift, sigma, xi, cfg)
+    return cfg, sample_chunks(scn.build_drift(), scn.build_sigma(),
+                              scn.initial_state, cfg)
 
 
 def _write_paths_csv(ens, path: Path) -> None:
@@ -368,7 +365,8 @@ def cmd_classify(scn: Scenario, args) -> int:
 
 
 def cmd_simulate(scn: Scenario, args) -> int:
-    ens = _run_ensemble(scn)
+    cfg, chunks = _chunks(scn)
+    ens = collect(chunks, cfg)
     out = _out_dir(scn, args)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{scn.name}.paths.csv"
@@ -396,8 +394,10 @@ def cmd_verify(scn: Scenario, args) -> int:
         doc["agreement"] = "Inconclusive"
         _emit(doc, _out_dir(scn, args), f"{scn.name}.verify.yaml")
         return EXIT_UNDECIDED
-    ens = _run_ensemble(scn)
-    evidence = stats.compare(verdict, ens, thresholds=scn.thresholds())
+    # the states stream from the sampler into the evidence; no ensemble
+    cfg, chunks = _chunks(scn)
+    evidence = stats.compare_chunks(verdict, cfg.times, chunks,
+                                    thresholds=scn.thresholds())
     doc["evidence"] = evidence.summary()
     doc["agreement"] = evidence.agreement
     _emit(doc, _out_dir(scn, args), f"{scn.name}.verify.yaml")

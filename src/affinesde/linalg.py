@@ -112,7 +112,6 @@ def fundamental_solution(drift, t_end: float, tol: float = 1e-10,
 class MonodromyResult:
     Psi_T: np.ndarray
     rho: float
-    ode_tolerance: float
 
 
 def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
@@ -126,4 +125,4 @@ def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
     det = float(np.linalg.det(Psi_T))
     if det == 0.0:
         raise RuntimeError("monodromy matrix is singular; integration failed")
-    return MonodromyResult(Psi_T=Psi_T, rho=spectral_radius(Psi_T), ode_tolerance=tol)
+    return MonodromyResult(Psi_T=Psi_T, rho=spectral_radius(Psi_T))

@@ -13,6 +13,12 @@ position: both build Psi once per position and run one recursion.  An
 Euler-Maruyama scheme is provided for cross-validation.  Paths are seeded
 independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
+
+The recursion streams: `sample_chunks` yields the states as time-major
+chunks (n0, X[k, path, i]), so a consumer that only reduces them (such as
+`stats.compare_chunks`) never holds the (paths, N+1, d) ensemble;
+`simulate_X` and `simulate_X_periodic` gather the same chunks into a
+`PathEnsemble`.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from .model import (ConstantDrift, ConstantSigma, DiffusionSpec,
 SCHEME_EXACT = "ExactLinearGaussian"
 SCHEME_EULER = "EulerMaruyama"
 
-_NOISE_CHUNK = 4096   # steps of noise drawn per path at a time
-_GL_NODES = 12        # fixed Gauss-Legendre panel for the batched covariances
+_CHUNK_DRAWS = 2 ** 20   # normal draws per chunk; one step takes paths * r
+_GL_NODES = 12           # fixed Gauss-Legendre panel for the batched covariances
 
 
 class CovarianceError(RuntimeError):
@@ -66,6 +72,11 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    @property
+    def times(self) -> np.ndarray:
+        """The grid 0, dt, ..., N dt, shape (N+1,)."""
+        return self.dt * np.arange(self.n_steps + 1)
+
 
 @dataclass
 class PathEnsemble:
@@ -74,8 +85,7 @@ class PathEnsemble:
     config: SimConfig
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.states)):
-            raise FloatingPointError("non-finite states in ensemble")
+        _check_finite(self.states)
 
     @property
     def n_paths(self) -> int:
@@ -93,8 +103,18 @@ class PathEnsemble:
     @cached_property
     def norms(self) -> np.ndarray:
         """Euclidean norm ||X(t)||_2 per path and grid point."""
-        sq = np.einsum("pni,pni->pn", self.states, self.states)
-        return np.sqrt(sq, out=sq)
+        return state_norms(self.states)
+
+
+def state_norms(states: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last (state) axis of any stack of states."""
+    sq = np.einsum("...i,...i->...", states, states)
+    return np.sqrt(sq, out=sq)
+
+
+def _check_finite(states: np.ndarray) -> None:
+    if not np.all(np.isfinite(states)):
+        raise FloatingPointError("non-finite states in ensemble")
 
 
 def _path_seeds(cfg: SimConfig) -> tuple:
@@ -121,9 +141,10 @@ def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
     """One-step transition covariance Q by adaptive quadrature.
 
     The integrand Psi(t + dt, s) sigma(s) sigma(s)^T Psi(t + dt, s)^T uses
-    the drift's propagator, so time-dependent drifts are exact too; the
-    result is symmetrised and tiny negative eigenvalues (down to
-    -1e-12 * trace) are clamped to zero.
+    the drift's propagator, so time-dependent drifts are exact too.  The
+    error estimate must stay below tol * max(1, max|Q|), since Q scales with
+    ||sigma||^2.  The result is symmetrised and tiny negative eigenvalues
+    (down to -1e-12 * trace) are clamped to zero.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -135,9 +156,11 @@ def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
         M = E(u) @ eval_sigma(sigma, float(t + u * dt))
         return dt * (M @ M.T)
 
-    Q, err = quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=0.0, norm="max")
-    if err > tol * 1.001:
-        raise CovarianceError(f"covariance quadrature error {err:.3e} > {tol:.3e}")
+    Q, err = quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol, norm="max")
+    bound = tol * max(1.0, float(np.abs(Q).max()))
+    if err > bound * 1.001:
+        raise CovarianceError(f"covariance quadrature error {err:.3e} > "
+                              f"{bound:.3e}")
     w, V = _psd_eigh(Q)
     return (V * w) @ V.T
 
@@ -206,32 +229,73 @@ def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _run(trans: np.ndarray, noise: np.ndarray, xi: np.ndarray,
-         cfg: SimConfig) -> np.ndarray:
-    """X_{n+1} = trans[n % m] X_n + noise[n] Z_n, Z_n standard normal.
+         cfg: SimConfig):
+    """Time-major chunks (n0, X) of X_{n+1} = trans[n % m] X_n + noise[n] Z_n.
 
-    trans is the (m, d, d) stack of transitions over one drift period
-    (m = 1 for a constant drift), noise the (N, d, r) per-step factors.
+    X[j, p] is path p's state at grid point n0 + j; the first chunk is X_0
+    alone.  trans is the (m, d, d) stack of transitions over one drift period
+    (m = 1 for a constant drift), noise the (N, d, r) per-step factors.  Each
+    chunk of k steps draws its standard normals into one (k, paths, r)
+    buffer, path by path from the path's own Philox stream, so the states do
+    not depend on k; every chunk is checked to be finite.
     """
     N, d, r = noise.shape
     m = len(trans)
     gens = _path_generators(cfg)
-    states = np.empty((cfg.paths, N + 1, d))
-    states[:, 0] = xi
-    X = np.broadcast_to(xi, (cfg.paths, d)).copy()
-    for start in range(0, N, _NOISE_CHUNK):
-        stop = min(start + _NOISE_CHUNK, N)
-        Z = np.empty((cfg.paths, stop - start, r))
+    k = min(N, max(1, _CHUNK_DRAWS // (cfg.paths * r)))
+    Z = np.empty((k, cfg.paths, r))
+    X = np.array(np.broadcast_to(xi, (1, cfg.paths, d)))
+    yield 0, X
+    X = X[0]
+    for start in range(0, N, k):
+        kk = min(k, N - start)
         for p, g in enumerate(gens):
-            Z[p] = g.standard_normal((stop - start, r))
-        for n in range(start, stop):
-            X = X @ trans[n % m].T + Z[:, n - start] @ noise[n].T
-            states[:, n + 1] = X
-    return states
+            Z[:kk, p] = g.standard_normal((kk, r))
+        out = np.empty((kk, cfg.paths, d))
+        for j in range(kk):
+            n = start + j
+            out[j] = X @ trans[n % m].T + Z[j] @ noise[n].T
+            X = out[j]
+        _check_finite(out)
+        yield start + 1, out
 
 
-def _sample(drift, sigma: DiffusionSpec, xi: np.ndarray, cfg: SimConfig,
-            m: int) -> PathEnsemble:
-    """Sample with cfg's scheme a drift that repeats every m steps."""
+def _prepare_xi(xi, d: int) -> np.ndarray:
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.shape != (d,):
+        raise ValueError(f"initial condition must have shape ({d},)")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("initial condition must be finite")
+    return xi
+
+
+# ---------------------------------------------------------------------------
+# public samplers
+# ---------------------------------------------------------------------------
+
+def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig):
+    """Sample the SDE from X(0) = xi as time-major chunks (n0, X[k, path, i]).
+
+    The chunks cover grid points 0..N in order, the first holding X_0 alone;
+    a chunk is a fresh array of about 2**20 / (paths r) steps.  A drift with
+    a period runs the periodic sampler (dt must divide the period; a
+    periodic spec whose samples are all identical is a constant drift), any
+    other drift must be constant.  The set-up (transitions, covariances and
+    their checks) runs before this returns; a non-finite chunk raises
+    FloatingPointError when it is reached.
+    """
+    period = getattr(drift, "period", None)
+    m = 1
+    if isinstance(drift, PeriodicDrift) and \
+            all(np.array_equal(v, drift.values[0]) for v in drift.values):
+        drift = ConstantDrift(drift.values[0])
+    elif period is not None:
+        m = int(round(period / cfg.dt))
+        if m < 1 or abs(m * cfg.dt - period) > 1e-9 * period:
+            raise ValueError("dt must divide the drift period")
+    elif not isinstance(drift, ConstantDrift):
+        raise TypeError("a drift without a period must be constant")
+    xi = _prepare_xi(xi, drift.d)
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
     dt, N = cfg.dt, cfg.n_steps
@@ -249,22 +313,18 @@ def _sample(drift, sigma: DiffusionSpec, xi: np.ndarray, cfg: SimConfig,
         w, V = _psd_eigh(_step_covariances(drift, sigma, times, dt,
                                            cfg.cov_tol, E[:, 1:]))
         noise = np.einsum("...ik,...k,...jk->...ij", V, np.sqrt(w), V)
-    return PathEnsemble(times=dt * np.arange(N + 1),
-                        states=_run(trans, noise, xi, cfg), config=cfg)
+    return _run(trans, noise, xi, cfg)
 
 
-def _prepare_xi(xi, d: int) -> np.ndarray:
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (d,):
-        raise ValueError(f"initial condition must have shape ({d},)")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("initial condition must be finite")
-    return xi
+def collect(chunks, cfg: SimConfig) -> PathEnsemble:
+    """Gather a `sample_chunks` stream into a PathEnsemble."""
+    states = None
+    for n0, X in chunks:
+        if states is None:
+            states = np.empty((cfg.paths, cfg.n_steps + 1, X.shape[2]))
+        states[:, n0:n0 + len(X)] = np.swapaxes(X, 0, 1)
+    return PathEnsemble(times=cfg.times, states=states, config=cfg)
 
-
-# ---------------------------------------------------------------------------
-# public samplers
-# ---------------------------------------------------------------------------
 
 def simulate_X(drift: ConstantDrift, sigma: DiffusionSpec, xi,
                cfg: SimConfig) -> PathEnsemble:
@@ -276,7 +336,7 @@ def simulate_X(drift: ConstantDrift, sigma: DiffusionSpec, xi,
     if not isinstance(drift, ConstantDrift):
         raise TypeError("simulate_X needs a constant drift; see "
                         "simulate_X_periodic")
-    return _sample(drift, sigma, _prepare_xi(xi, drift.d), cfg, 1)
+    return collect(sample_chunks(drift, sigma, xi, cfg), cfg)
 
 
 def simulate_Y(sigma: DiffusionSpec, cfg: SimConfig, y0=None) -> PathEnsemble:
@@ -299,16 +359,9 @@ def simulate_X_periodic(drift, sigma: DiffusionSpec, xi,
     periodic spec whose samples are all identical reduces to the
     constant-drift sampler.
     """
-    period = getattr(drift, "period", None)
-    if period is None:
+    if getattr(drift, "period", None) is None:
         raise ValueError("drift has no period")
-    if isinstance(drift, PeriodicDrift) and \
-            all(np.array_equal(v, drift.values[0]) for v in drift.values):
-        return simulate_X(ConstantDrift(drift.values[0]), sigma, xi, cfg)
-    m = int(round(period / cfg.dt))
-    if m < 1 or abs(m * cfg.dt - period) > 1e-9 * period:
-        raise ValueError("dt must divide the drift period")
-    return _sample(drift, sigma, _prepare_xi(xi, drift.d), cfg, m)
+    return collect(sample_chunks(drift, sigma, xi, cfg), cfg)
 
 
 def bessel_scenario(d: int, alpha: float, cfg: SimConfig,

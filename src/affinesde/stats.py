@@ -3,9 +3,13 @@
 Almost-sure limits cannot be tested from a finite horizon, so the ensemble
 is reduced to finite-horizon proxies: suprema over dyadic tail segments
 (limsup proxy), trailing-window infima (liminf proxy), pathwise time-averages
-of ||X||^2, and the ensemble mean-square curve.  `compare` applies simple,
-explainable decision rules and reports Consistent / Inconsistent /
-Inconclusive — it never forces agreement.
+of ||X||^2, and the ensemble mean-square curve.  Every proxy the rules read
+is a running reduction at indices known before the run, so one
+`EvidenceAccumulator` with O(paths) state takes ||X|| chunk by chunk:
+`compare_chunks` feeds it the sampler's stream (no ensemble is ever held)
+and `compare` feeds it an in-memory ensemble's norms.  Its `evidence`
+applies simple, explainable decision rules and reports Consistent /
+Inconsistent / Inconclusive — it never forces agreement.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import PathEnsemble
+from .simulate import PathEnsemble, state_norms
 
 DECREASING = "Decreasing"
 FLAT = "Flat"
@@ -45,6 +49,13 @@ def _window_samples(times: np.ndarray, window: float) -> int:
     if window <= 0 or window > times[-1] - times[0]:
         raise ValueError("window must be positive and fit in the horizon")
     return max(int(round(window / (times[1] - times[0]))), 1)
+
+
+def _uniform_step(times: np.ndarray) -> float:
+    gaps = np.diff(times)
+    if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("grid must be uniform")
+    return float(gaps[0])
 
 
 def tail_sup(series: np.ndarray, times: np.ndarray, checkpoints) -> np.ndarray:
@@ -82,12 +93,9 @@ def avg_sq(series: np.ndarray, times: np.ndarray) -> np.ndarray:
     """
     series = np.asarray(series, dtype=float)
     times = np.asarray(times, dtype=float)
-    gaps = np.diff(times)
-    if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniform")
     out = series ** 2
     cum = out[..., 1:] + out[..., :-1]
-    cum *= 0.5 * gaps[0]
+    cum *= 0.5 * _uniform_step(times)
     np.cumsum(cum, axis=-1, out=cum)
     np.divide(cum, times[1:], out=out[..., 1:])
     return out
@@ -203,109 +211,200 @@ def _log_trend(times, vals) -> TrendResult:
     return res
 
 
+class EvidenceAccumulator:
+    """The running reductions of ||X|| that the compare rules read.
+
+    Feed the norms of grid points n0, n0 + 1, ... in order as time-major
+    (k, paths) chunks; the state is O(paths) whatever the chunking:
+
+    - the maximum over each segment between the dyadic checkpoints
+      T/16 ... T/2, giving tail suprema over [t_i, T] as a suffix maximum
+      and running maxima over [0, t_i] as a prefix maximum
+    - the minimum over the last window [7T/8, T]
+    - the trapezoid sum of ||X||^2, carried across chunks and read at T/2
+      and T
+    - ||X|| at the checkpoints
+    """
+
+    def __init__(self, times, paths: int):
+        times = np.asarray(times, dtype=float)
+        self._half_step = 0.5 * _uniform_step(times)
+        T = float(times[-1])
+        self.n_points = len(times)
+        self.checkpoints = dyadic_checkpoints(T)
+        self._cp = [_index_at(times, c) for c in self.checkpoints]
+        self._bounds = [0, *self._cp, self.n_points]
+        self._win = self.n_points - 1 - _window_samples(times, T / 8.0)
+        self._half = _index_at(times, T / 2.0)
+        self._t_half, self._t_end = float(times[self._half]), T
+        self._seg_max = np.full((len(self._bounds) - 1, paths), -np.inf)
+        self._at_cp = np.empty((paths, len(self._cp)))
+        self._win_min = np.full(paths, np.inf)
+        self._trap = np.zeros(paths)        # trapezoid sum up to _next - 1
+        self._trap_half = np.zeros(paths)
+        self._last_sq = None                # ||X||^2 at grid point _next - 1
+        self._next = 0
+
+    def add(self, n0: int, norms) -> None:
+        """Take ||X|| at grid points n0 .. n0 + k - 1, shape (k, paths)."""
+        norms = np.asarray(norms, dtype=float)
+        stop = n0 + len(norms)
+        if n0 != self._next or stop > self.n_points:
+            raise ValueError(f"chunk [{n0}, {stop}) does not continue at "
+                             f"{self._next} within {self.n_points} points")
+        for s, (lo, hi) in enumerate(zip(self._bounds, self._bounds[1:])):
+            lo, hi = max(lo, n0), min(hi, stop)
+            if lo < hi:
+                np.maximum(self._seg_max[s], norms[lo - n0:hi - n0].max(axis=0),
+                           out=self._seg_max[s])
+        if stop > self._win:
+            np.minimum(self._win_min,
+                       norms[max(self._win - n0, 0):].min(axis=0),
+                       out=self._win_min)
+        for j, i in enumerate(self._cp):
+            if n0 <= i < stop:
+                self._at_cp[:, j] = norms[i - n0]
+        # trapezoid increments of steps n-1 -> n for n in [max(n0, 1), stop),
+        # summed in the same order as a cumulative sum over the whole series
+        sq = norms ** 2
+        if self._last_sq is None:
+            inc, first = sq[1:] + sq[:-1], 1
+        else:
+            inc = np.empty_like(sq)
+            inc[0] = sq[0] + self._last_sq
+            np.add(sq[1:], sq[:-1], out=inc[1:])
+            first = n0
+        if len(inc):
+            inc *= self._half_step
+            inc[0] += self._trap
+            np.cumsum(inc, axis=0, out=inc)
+            if first <= self._half < stop:
+                self._trap_half = inc[self._half - first].copy()
+            self._trap = inc[-1].copy()
+        self._last_sq = sq[-1].copy()
+        self._next = stop
+
+    def evidence(self, verdict, thresholds: CompareThresholds =
+                 CompareThresholds()) -> RegimeEvidence:
+        """Weigh the fed series against a regime verdict.
+
+        Decision rules: StableAS expects a decreasing tail-sup trend and a
+        small final tail sup; BoundedNonConvergent expects a stable tail-sup
+        band with window infima collapsing toward zero and a decreasing
+        time-average; Unbounded expects running maxima increasing across
+        checkpoints, plus the collapse statistics when the noise is fading.
+        Mixed signals yield Inconclusive, contradictions Inconsistent.
+        """
+        if self._next != self.n_points:
+            raise ValueError(f"only {self._next} of {self.n_points} grid "
+                             f"points were fed")
+        cps = self.checkpoints
+        notes = []
+        suffix = np.maximum.accumulate(self._seg_max[::-1], axis=0)[::-1]
+        sups = np.ascontiguousarray(suffix[1:].T)
+        prefix = np.maximum.accumulate(self._seg_max[:-1], axis=0).T
+        rmax = np.maximum(prefix, self._at_cp)
+        winf_final = self._win_min
+        aver_half = self._trap_half / self._t_half
+        aver_final = self._trap / self._t_end
+        msq_at = np.mean(self._at_cp ** 2, axis=0)
+
+        trends = {
+            "tail_sup_median": _log_trend(cps, np.median(sups, axis=0)),
+            "running_max_median": _log_trend(cps, np.median(rmax, axis=0)),
+            "mean_sq_checkpoints": _log_trend(cps, msq_at),
+        }
+
+        regime = verdict.regime
+
+        def build(agreement):
+            return RegimeEvidence(
+                regime=regime, agreement=agreement, checkpoints=cps,
+                tail_sups=sups, running_max_at=rmax, window_inf_final=winf_final,
+                avg_sq_half=aver_half, avg_sq_final=aver_final, trends=trends,
+                notes=tuple(notes))
+
+        if self.n_points < thresholds.min_grid_points:
+            notes.append("horizon too short for trend evidence")
+            return build(INCONCLUSIVE)
+        if regime == "Undecided":
+            notes.append("no prediction to verify")
+            return build(INCONCLUSIVE)
+
+        # shared by the rules below: the tail-sup band at the first checkpoint,
+        # the share of paths whose last-window infimum collapses below it, and
+        # whether the pathwise time-average falls from T/2 to T
+        band = float(np.median(sups[:, 0]))
+        final_med = float(np.median(sups[:, -1]))
+        frac = float(np.mean(winf_final < thresholds.liminf_ratio * band)) \
+            if band > 0 else 0.0
+        avg_falls = float(np.median(aver_final)) < float(np.median(aver_half))
+
+        if regime == "StableAS":
+            t_lab = trends["tail_sup_median"].label
+            if t_lab == DECREASING and final_med < thresholds.stable_final_sup:
+                return build(CONSISTENT)
+            ratio = final_med / band if band > 0 else 0.0
+            if final_med >= 10.0 * thresholds.stable_final_sup and ratio > 0.5:
+                notes.append(f"tail sup median {final_med:.3g} stays large "
+                             f"(ratio {ratio:.3g} across checkpoints)")
+                return build(INCONSISTENT)
+            notes.append("decay visible but not conclusive at this horizon")
+            return build(INCONCLUSIVE)
+
+        if regime == "BoundedNonConvergent":
+            ratio = final_med / band if band > 0 else math.inf
+            band_ok = thresholds.band_ratio_lo <= ratio <= thresholds.band_ratio_hi
+            if band_ok and frac >= thresholds.liminf_fraction and avg_falls:
+                return build(CONSISTENT)
+            if ratio > 2.0 * thresholds.band_ratio_hi or \
+                    ratio < 0.5 * thresholds.band_ratio_lo:
+                notes.append(f"tail sup band ratio {ratio:.3g} far outside the "
+                             f"stable band")
+                return build(INCONSISTENT)
+            notes.append(f"band ratio {ratio:.3g}, liminf fraction {frac:.3g}, "
+                         f"avg_sq decrease {avg_falls}")
+            return build(INCONCLUSIVE)
+
+        if regime == "Unbounded":
+            growing = bool(np.all(np.diff(np.median(rmax, axis=0)) > 0))
+            extras_ok = True
+            if getattr(verdict, "fading_noise", False):
+                extras_ok = frac >= thresholds.liminf_fraction and avg_falls
+                if not extras_ok:
+                    notes.append("fading-noise collapse statistics missing")
+            if growing and extras_ok:
+                return build(CONSISTENT)
+            if trends["running_max_median"].label == DECREASING:
+                notes.append("running maxima decreasing against an unbounded "
+                             "prediction")
+                return build(INCONSISTENT)
+            notes.append("running maxima not strictly increasing across all "
+                         "checkpoints")
+            return build(INCONCLUSIVE)
+
+        raise ValueError(f"unknown regime {regime!r}")
+
+
 def compare(verdict, ensemble: PathEnsemble,
             thresholds: CompareThresholds = CompareThresholds()) -> RegimeEvidence:
-    """Weigh ensemble statistics against a regime verdict.
+    """Weigh an in-memory ensemble against a regime verdict.
 
-    Every statistic is read at the points the rules use: tail suprema,
-    running maxima and E||X||^2 at the dyadic checkpoints T/16 ... T/2, the
-    infimum over the last window [7T/8, T], and the time-average of
-    ||X||^2 at T/2 and T.
-
-    Decision rules: StableAS expects a decreasing tail-sup trend and a small
-    final tail sup; BoundedNonConvergent expects a stable tail-sup band with
-    window infima collapsing toward zero and a decreasing time-average;
-    Unbounded expects running maxima increasing across checkpoints, plus the
-    collapse statistics when the noise is fading.  Mixed signals yield
-    Inconclusive, contradictions Inconsistent.
+    Its norms go through the same `EvidenceAccumulator`, and the same rules,
+    as the sampler's stream in `compare_chunks`.
     """
-    times = ensemble.times
-    T = float(times[-1])
-    cps = dyadic_checkpoints(T)
-    idx = [_index_at(times, c) for c in cps]
+    acc = EvidenceAccumulator(ensemble.times, ensemble.n_paths)
+    acc.add(0, ensemble.norms.T)
+    return acc.evidence(verdict, thresholds)
 
-    notes = []
-    norms = ensemble.norms
-    sups = tail_sup(norms, times, cps)
-    rmax = np.stack([np.max(norms[:, :i + 1], axis=1) for i in idx], axis=-1)
-    winf_final = np.min(norms[:, -(_window_samples(times, T / 8.0) + 1):],
-                        axis=1)
-    aver_half, aver_final = \
-        avg_sq(norms, times)[:, [_index_at(times, T / 2.0), -1]].T
-    msq_at = np.mean(norms[:, idx] ** 2, axis=0)
 
-    trends = {
-        "tail_sup_median": _log_trend(cps, np.median(sups, axis=0)),
-        "running_max_median": _log_trend(cps, np.median(rmax, axis=0)),
-        "mean_sq_checkpoints": _log_trend(cps, msq_at),
-    }
-
-    regime = verdict.regime
-
-    def build(agreement):
-        return RegimeEvidence(
-            regime=regime, agreement=agreement, checkpoints=cps,
-            tail_sups=sups, running_max_at=rmax, window_inf_final=winf_final,
-            avg_sq_half=aver_half, avg_sq_final=aver_final, trends=trends,
-            notes=tuple(notes))
-
-    if len(times) < thresholds.min_grid_points:
-        notes.append("horizon too short for trend evidence")
-        return build(INCONCLUSIVE)
-    if regime == "Undecided":
-        notes.append("no prediction to verify")
-        return build(INCONCLUSIVE)
-
-    # shared by the rules below: the tail-sup band at the first checkpoint,
-    # the share of paths whose last-window infimum collapses below it, and
-    # whether the pathwise time-average falls from T/2 to T
-    band = float(np.median(sups[:, 0]))
-    final_med = float(np.median(sups[:, -1]))
-    frac = float(np.mean(winf_final < thresholds.liminf_ratio * band)) \
-        if band > 0 else 0.0
-    avg_falls = float(np.median(aver_final)) < float(np.median(aver_half))
-
-    if regime == "StableAS":
-        t_lab = trends["tail_sup_median"].label
-        if t_lab == DECREASING and final_med < thresholds.stable_final_sup:
-            return build(CONSISTENT)
-        ratio = final_med / band if band > 0 else 0.0
-        if final_med >= 10.0 * thresholds.stable_final_sup and ratio > 0.5:
-            notes.append(f"tail sup median {final_med:.3g} stays large "
-                         f"(ratio {ratio:.3g} across checkpoints)")
-            return build(INCONSISTENT)
-        notes.append("decay visible but not conclusive at this horizon")
-        return build(INCONCLUSIVE)
-
-    if regime == "BoundedNonConvergent":
-        ratio = final_med / band if band > 0 else math.inf
-        band_ok = thresholds.band_ratio_lo <= ratio <= thresholds.band_ratio_hi
-        if band_ok and frac >= thresholds.liminf_fraction and avg_falls:
-            return build(CONSISTENT)
-        if ratio > 2.0 * thresholds.band_ratio_hi or \
-                ratio < 0.5 * thresholds.band_ratio_lo:
-            notes.append(f"tail sup band ratio {ratio:.3g} far outside the "
-                         f"stable band")
-            return build(INCONSISTENT)
-        notes.append(f"band ratio {ratio:.3g}, liminf fraction {frac:.3g}, "
-                     f"avg_sq decrease {avg_falls}")
-        return build(INCONCLUSIVE)
-
-    if regime == "Unbounded":
-        growing = bool(np.all(np.diff(np.median(rmax, axis=0)) > 0))
-        extras_ok = True
-        if getattr(verdict, "fading_noise", False):
-            extras_ok = frac >= thresholds.liminf_fraction and avg_falls
-            if not extras_ok:
-                notes.append("fading-noise collapse statistics missing")
-        if growing and extras_ok:
-            return build(CONSISTENT)
-        if trends["running_max_median"].label == DECREASING:
-            notes.append("running maxima decreasing against an unbounded "
-                         "prediction")
-            return build(INCONSISTENT)
-        notes.append("running maxima not strictly increasing across all "
-                     "checkpoints")
-        return build(INCONCLUSIVE)
-
-    raise ValueError(f"unknown regime {regime!r}")
+def compare_chunks(verdict, times, chunks,
+                   thresholds: CompareThresholds = CompareThresholds()) -> RegimeEvidence:
+    """Weigh a stream of state chunks (n0, X[k, path, i]) on the grid times
+    against a regime verdict, holding one chunk at a time."""
+    acc = None
+    for n0, X in chunks:
+        if acc is None:
+            acc = EvidenceAccumulator(times, X.shape[1])
+        acc.add(n0, state_norms(X))
+    return acc.evidence(verdict, thresholds)

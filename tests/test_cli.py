@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,54 @@ def test_verify_tiny_horizon_inconclusive(tmp_path, capsys):
         == EXIT_UNDECIDED
     report = yaml.safe_load(capsys.readouterr().out)
     assert report["agreement"] == "Inconclusive"
+
+
+def _scalar_doc(sigma, **sim):
+    return base_doc(drift={"kind": "constant", "matrix": [[-1.0]]},
+                    sigma={"kind": "constant", "values": [[sigma]]},
+                    initial_state=[1.0],
+                    simulation={"dt": 0.125, "t_end": 64.0, "paths": 20,
+                                "seed": 3, **sim})
+
+
+def test_verify_large_noise(tmp_path, capsys):
+    # Q scales with sigma^2; the covariance error check must scale with it
+    codes = [main(["verify", write(tmp_path, _scalar_doc(s), f"s{s}.yaml"),
+                   "--out", str(tmp_path)]) for s in (1.0, 1000.0)]
+    assert "numeric failure" not in capsys.readouterr().err
+    assert codes[1] == codes[0]
+
+
+def test_verify_nonfinite_states_exit_numeric(tmp_path, capsys):
+    # Euler with dt = 4 multiplies by 1 + dt a = -3 each step and overflows
+    doc = _scalar_doc(1.0, dt=4.0, t_end=4096.0, paths=2,
+                      scheme="EulerMaruyama")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["verify", write(tmp_path, doc), "--out", str(tmp_path)])
+    assert code == EXIT_NUMERIC
+    assert "numeric failure: non-finite states in ensemble" in \
+        capsys.readouterr().err
+
+
+def test_verify_holds_no_ensemble(tmp_path, capsys):
+    # verify streams the sampler into the evidence: its allocation peak stays
+    # well below the (paths, N+1, d) states it never builds
+    paths, steps = 256, 16384
+    doc = base_doc(sigma={"kind": "constant", "values": [[1.0, 0.0],
+                                                         [0.0, 1.0]]},
+                   simulation={"dt": 0.125, "t_end": 0.125 * steps,
+                               "paths": paths, "seed": 1})
+    path = write(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        code = main(["verify", path, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (EXIT_OK, EXIT_UNDECIDED)
+    capsys.readouterr()
+    states_bytes = paths * (steps + 1) * 2 * 8
+    assert peak < 0.5 * states_bytes, (peak, states_bytes)
 
 
 def test_verify_undecided_drift(tmp_path, capsys):

@@ -8,9 +8,11 @@ from scipy.stats import kstest
 from affinesde.linalg import expm
 from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
                              ExpDecay, PeriodicDrift, PowerLaw)
+from affinesde import simulate
 from affinesde.simulate import (SCHEME_EULER, SCHEME_EXACT, CovarianceError,
                                 PathEnsemble, SimConfig, bessel_scenario,
-                                simulate_X, simulate_X_periodic, simulate_Y,
+                                sample_chunks, simulate_X,
+                                simulate_X_periodic, simulate_Y,
                                 step_covariance)
 from affinesde.stats import avg_sq
 
@@ -60,6 +62,27 @@ def test_step_covariance_psd_and_symmetric():
     Q = step_covariance(ConstantDrift(A), spec, 2.0, 0.4)
     np.testing.assert_allclose(Q, Q.T)
     assert np.all(np.linalg.eigvalsh(Q) >= 0.0)
+
+
+@pytest.mark.parametrize("A", [[[-1.0]], [[-1.0, 0.5], [0.0, -2.0]]])
+def test_step_covariance_scales_with_sigma_squared(A):
+    # the SDE is linear, so Q(sigma = 1e4 I) = 1e8 Q(sigma = I); the error
+    # bound tol * max(1, max|Q|) scales with it instead of rejecting large Q
+    drift = ConstantDrift(A)
+    eye = np.eye(drift.d)
+    q1 = step_covariance(drift, DiffusionSpec.constant(eye), 0.0, 0.125)
+    q4 = step_covariance(drift, DiffusionSpec.constant(1e4 * eye), 0.0, 0.125)
+    np.testing.assert_allclose(q4, 1e8 * q1, rtol=1e-12, atol=0.0)
+
+
+def test_states_scale_with_sigma():
+    drift = ConstantDrift([[-1.0, 0.5], [0.0, -2.0]])
+    cfg = SimConfig(dt=0.125, t_end=16.0, paths=5, seed=4)
+    unit = simulate_X(drift, DiffusionSpec.constant(np.eye(2)), [0.0, 0.0], cfg)
+    big = simulate_X(drift, DiffusionSpec.constant(1000.0 * np.eye(2)),
+                     [0.0, 0.0], cfg)
+    np.testing.assert_allclose(big.states, 1000.0 * unit.states, rtol=1e-12,
+                               atol=1e-12 * 1000.0 * np.abs(unit.states).max())
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +201,31 @@ def test_euler_zero_noise_deterministic():
     ens = simulate_X(ConstantDrift(A), DiffusionSpec.constant([[0.0]]),
                      [1.0], cfg)
     assert ens.states[0, -1, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, 1000])
+def test_chunk_stream_independent_of_chunk_size(monkeypatch, budget):
+    # the chunks tile the grid in order and carry the same bits as one
+    # ensemble, whatever the number of steps per chunk
+    spec = DiffusionSpec.envelope(ExpDecay(1.0, 0.2), [[1.0, 0.5], [0.0, 1.0]])
+    cfg = SimConfig(dt=0.25, t_end=40.0, paths=7, seed=123)
+    A = ConstantDrift(np.array([[-1.0, 0.0], [0.5, -0.5]]))
+    whole = simulate_X(A, spec, [1.0, 1.0], cfg)
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
+    chunks = list(sample_chunks(A, spec, [1.0, 1.0], cfg))
+    assert [n0 for n0, _ in chunks] == \
+        [0, *range(1, cfg.n_steps + 1, max(1, budget // (cfg.paths * 2)))]
+    streamed = np.concatenate([X for _, X in chunks])
+    np.testing.assert_array_equal(np.swapaxes(streamed, 0, 1), whole.states)
+
+
+def test_chunk_stream_rejects_unsampleable_drifts():
+    cfg = SimConfig(dt=0.5, t_end=4.0, paths=1, seed=0)
+    with pytest.raises(TypeError):   # no period and not constant
+        sample_chunks(CallableDrift(fn=COS_DRIFT.fn, d=1), UNIT_SIGMA, [1.0],
+                      cfg)
+    with pytest.raises(ValueError):  # dt does not divide the period
+        sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg)
 
 
 def test_nonfinite_states_rejected():

@@ -5,10 +5,13 @@ import pytest
 
 from affinesde.criteria import classify
 from affinesde.model import ConstantDrift, DiffusionSpec, ExpDecay, LogPower
-from affinesde.simulate import SimConfig, simulate_X, simulate_Y
+from affinesde import simulate
+from affinesde.simulate import (SimConfig, sample_chunks, simulate_X,
+                                simulate_Y)
 from affinesde.stats import (CONSISTENT, DECREASING, FLAT, INCONCLUSIVE,
                              INCONSISTENT, INCREASING, CompareThresholds,
-                             avg_sq, compare, dyadic_checkpoints,
+                             EvidenceAccumulator, avg_sq, compare,
+                             compare_chunks, dyadic_checkpoints,
                              ensemble_mean_sq, tail_sup, trend, window_inf)
 
 
@@ -213,3 +216,81 @@ def test_compare_statistics_match_brute_force():
             keep = t <= upto
             want = np.trapezoid(norms[p, keep] ** 2, t[keep]) / upto
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def _assert_brute_force(ev, t, norms):
+    # the per-path arrays against their whole-series definitions, as in
+    # test_compare_statistics_match_brute_force
+    T = t[-1]
+    last = t >= T - T / 8
+    for j, c in enumerate(ev.checkpoints):
+        i = int(np.flatnonzero(t == c)[0])
+        np.testing.assert_allclose(ev.tail_sups[:, j],
+                                   np.max(norms[:, i:], axis=1), rtol=1e-12)
+        np.testing.assert_allclose(ev.running_max_at[:, j],
+                                   np.max(norms[:, :i + 1], axis=1), rtol=1e-12)
+    np.testing.assert_allclose(ev.window_inf_final,
+                               np.min(norms[:, last], axis=1), rtol=1e-12)
+    for got, upto in ((ev.avg_sq_half, T / 2), (ev.avg_sq_final, T)):
+        keep = t <= upto
+        want = np.trapezoid(norms[:, keep] ** 2, t[keep], axis=1) / upto
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _splits(n_points, cuts):
+    """Chunks [a, b) of range(n_points) cut at the sorted points cuts."""
+    edges = [0, *sorted({c for c in cuts if 0 < c < n_points}), n_points]
+    return list(zip(edges, edges[1:]))
+
+
+def test_accumulator_matches_brute_force_any_chunking():
+    sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
+    drift, ens = _run(sigma, t_end=64.0, dt=0.25, paths=9, seed=3)
+    verdict = classify(sigma, drift)
+    t, norms = ens.times, ens.norms
+    n = len(t)
+    T = t[-1]
+    # grid indices of the checkpoints, T/2 and the window start 7T/8
+    marks = [int(np.flatnonzero(t == c)[0])
+             for c in (*dyadic_checkpoints(T), T / 2, T - T / 8)]
+    splits = {
+        "single steps": _splits(n, range(n)),
+        "cut at and around each mark": _splits(
+            n, [m + e for m in marks for e in (-1, 0, 1)]),
+        "uneven": _splits(n, range(0, n, 7)),
+        "one chunk": _splits(n, []),
+    }
+    whole = compare(verdict, ens)
+    for name, chunks in splits.items():
+        for paths in (slice(None), slice(4, 5)):   # all paths and one path
+            acc = EvidenceAccumulator(t, norms[paths].shape[0])
+            for a, b in chunks:
+                acc.add(a, norms[paths, a:b].T)
+            ev = acc.evidence(verdict)
+            _assert_brute_force(ev, t, norms[paths])
+            if paths == slice(None):
+                assert ev.summary() == whole.summary(), name
+
+
+def test_accumulator_rejects_gaps_and_short_feeds():
+    t = np.linspace(0.0, 8.0, 65)
+    acc = EvidenceAccumulator(t, 2)
+    acc.add(0, np.ones((10, 2)))
+    with pytest.raises(ValueError):
+        acc.add(11, np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        acc.evidence(None)
+
+
+def test_compare_chunks_matches_compare(monkeypatch):
+    # the sampler's stream, cut into many chunks, gives the same evidence as
+    # the in-memory ensemble
+    sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
+    drift, ens = _run(sigma, t_end=64.0, dt=0.25, paths=9, seed=3)
+    verdict = classify(sigma, drift)
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 50)
+    cfg = ens.config
+    ev = compare_chunks(verdict, cfg.times,
+                        sample_chunks(drift, sigma, [1.0], cfg))
+    _assert_brute_force(ev, ens.times, ens.norms)
+    assert ev.summary() == compare(verdict, ens).summary()
