@@ -7,9 +7,8 @@ from .model import (CallableDrift, ConstantDrift, DiffusionSpec, ExpDecay,
 from .criteria import (FinitenessRuling, RegimeVerdict, classify,
                        criterion_report, decide_I, decide_Sprime, limit_Lh)
 from .simulate import (PathEnsemble, SimConfig, bessel_scenario,
-                       sample_chunks, simulate_X, simulate_X_periodic,
-                       simulate_Y, step_covariance)
-from .stats import RegimeEvidence, compare, compare_chunks, ensemble_mean_sq
+                       sample_chunks, simulate_X, simulate_Y, step_covariance)
+from .stats import RegimeEvidence, compare, ensemble_mean_sq
 
 __version__ = "0.1.0"
 
@@ -19,7 +18,7 @@ __all__ = [
     "FinitenessRuling", "RegimeVerdict", "classify", "criterion_report",
     "decide_I", "decide_Sprime", "limit_Lh",
     "PathEnsemble", "SimConfig", "bessel_scenario", "sample_chunks",
-    "simulate_X", "simulate_X_periodic", "simulate_Y", "step_covariance",
-    "RegimeEvidence", "compare", "compare_chunks", "ensemble_mean_sq",
+    "simulate_X", "simulate_Y", "step_covariance",
+    "RegimeEvidence", "compare", "ensemble_mean_sq",
     "__version__",
 ]

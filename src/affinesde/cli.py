@@ -61,7 +61,7 @@ _ENVELOPES = {
 # eps_lo, eps_hi and eps_points are still accepted so that existing scenario
 # files parse, but nothing reads them: classify computes eps* in closed form
 _CRITERIA_DEFAULTS = {"h": 1.0, "c": 1.0, "eps_lo": 2.0 ** -8,
-                      "eps_hi": 2.0 ** 8, "eps_points": 33, "n_terms": 512,
+                      "eps_hi": 2.0 ** 8, "eps_points": 33, "n_terms": 256,
                       "t_max": 256.0, "tol": 1e-8}
 _SIM_DEFAULTS = {"dt": 0.05, "t_end": 64.0, "paths": 100, "seed": 0,
                  "scheme": SCHEME_EXACT, "cov_tol": 1e-10}
@@ -321,7 +321,10 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     if getattr(args, "horizon", None) is not None:
         sim["t_end"] = float(args.horizon)
     scn = dataclasses.replace(scn, simulation=sim)
-    scn.sim_config()   # re-validate after overrides
+    try:
+        scn.sim_config()   # re-validate after overrides
+    except ValueError as exc:
+        raise ScenarioError(f"after command-line overrides: {exc}") from exc
     return scn
 
 
@@ -356,7 +359,7 @@ def cmd_classify(scn: Scenario, args) -> int:
     verdict = criteria.classify(sigma, drift, h=crit["h"],
                                 tol=min(crit["tol"], 1e-8))
     report = criteria.criterion_report(
-        sigma, h=crit["h"], c=crit["c"], n_terms=min(crit["n_terms"], 256),
+        sigma, h=crit["h"], c=crit["c"], n_terms=crit["n_terms"],
         t_max=crit["t_max"], tol=crit["tol"])
     doc = {"scenario": scn.name, "verdict": _verdict_dict(verdict),
            "criteria": report.to_dict()}
@@ -396,8 +399,8 @@ def cmd_verify(scn: Scenario, args) -> int:
         return EXIT_UNDECIDED
     # the states stream from the sampler into the evidence; no ensemble
     cfg, chunks = _chunks(scn)
-    evidence = stats.compare_chunks(verdict, cfg.times, chunks,
-                                    thresholds=scn.thresholds())
+    evidence = stats.compare(verdict, cfg.times, chunks,
+                             thresholds=scn.thresholds())
     doc["evidence"] = evidence.summary()
     doc["agreement"] = evidence.agreement
     _emit(doc, _out_dir(scn, args), f"{scn.name}.verify.yaml")

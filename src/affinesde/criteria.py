@@ -73,24 +73,21 @@ def term_S(eps: float, theta_sq: float) -> float:
     return mills_tail(eps / math.sqrt(theta_sq))
 
 
-def term_Sprime(eps: float, theta_sq: float) -> float:
-    """Single term theta(n) * exp(-eps^2 / (2 theta(n)^2)); zero at theta^2=0."""
+def term_Sprime(eps: float, theta_sq):
+    """Terms theta(n) * exp(-eps^2 / (2 theta(n)^2)), zero where theta^2 = 0.
+
+    Elementwise over an array of theta^2; a scalar gives a float.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if theta_sq < 0:
-        raise ValueError("theta_sq must be >= 0")
-    if theta_sq == 0.0:
-        return 0.0
-    return math.sqrt(theta_sq) * math.exp(-eps * eps / (2.0 * theta_sq))
-
-
-def _terms_Sprime(eps: float, theta_sq: np.ndarray) -> np.ndarray:
     theta_sq = np.asarray(theta_sq, dtype=float)
+    if np.any(theta_sq < 0):
+        raise ValueError("theta_sq must be >= 0")
     out = np.zeros_like(theta_sq)
     pos = theta_sq > 0.0
     with np.errstate(under="ignore", over="ignore"):
         out[pos] = np.sqrt(theta_sq[pos]) * np.exp(-eps * eps / (2.0 * theta_sq[pos]))
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +212,7 @@ def partial_sum_Sprime(spec: DiffusionSpec, eps: float, h: float, N: int,
         raise ValueError("need eps > 0, h > 0, N >= 1")
     edges = h * np.arange(1, N + 2, dtype=float)
     theta_sq = interval_integrals(spec, edges[:-1], edges[1:], tol)
-    terms = _terms_Sprime(eps, theta_sq)
+    terms = term_Sprime(eps, theta_sq)
     return float(np.sum(terms)), terms
 
 

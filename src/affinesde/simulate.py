@@ -16,9 +16,8 @@ bit-reproducible and order-independent.
 
 The recursion streams: `sample_chunks` yields the states as time-major
 chunks (n0, X[k, path, i]), so a consumer that only reduces them (such as
-`stats.compare_chunks`) never holds the (paths, N+1, d) ensemble;
-`simulate_X` and `simulate_X_periodic` gather the same chunks into a
-`PathEnsemble`.
+`stats.compare`) never holds the (paths, N+1, d) ensemble; `simulate_X`
+gathers the same chunks into a `PathEnsemble`.
 """
 
 from __future__ import annotations
@@ -62,6 +61,8 @@ class SimConfig:
             raise ValueError("t_end must be at least dt")
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.scheme not in (SCHEME_EXACT, SCHEME_EULER):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         n = round(self.t_end / self.dt)
@@ -95,11 +96,6 @@ class PathEnsemble:
     def d(self) -> int:
         return self.states.shape[2]
 
-    @property
-    def seeds(self) -> tuple:
-        """Per-path seed tuples (seed, p) of the Philox streams."""
-        return _path_seeds(self.config)
-
     @cached_property
     def norms(self) -> np.ndarray:
         """Euclidean norm ||X(t)||_2 per path and grid point."""
@@ -117,13 +113,11 @@ def _check_finite(states: np.ndarray) -> None:
         raise FloatingPointError("non-finite states in ensemble")
 
 
-def _path_seeds(cfg: SimConfig) -> tuple:
-    return tuple((int(cfg.seed), p) for p in range(cfg.paths))
-
-
 def _path_generators(cfg: SimConfig) -> list:
+    """One Philox stream per path p, seeded with (seed, p)."""
     return [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed))) for seed in _path_seeds(cfg)]
+        np.random.SeedSequence(entropy=(int(cfg.seed), p))))
+        for p in range(cfg.paths)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +320,14 @@ def collect(chunks, cfg: SimConfig) -> PathEnsemble:
     return PathEnsemble(times=cfg.times, states=states, config=cfg)
 
 
-def simulate_X(drift: ConstantDrift, sigma: DiffusionSpec, xi,
-               cfg: SimConfig) -> PathEnsemble:
-    """Sample dX = A X dt + sigma(t) dB from X(0) = xi on the uniform grid.
+def simulate_X(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> PathEnsemble:
+    """Sample dX = A(t) X dt + sigma(t) dB from X(0) = xi on the uniform grid.
 
-    The drift need not be stable; unstable drifts are legitimate for
-    non-stabilisation demonstrations.
+    Gathers the `sample_chunks` stream, so it takes the same drifts: constant
+    ones and periodic ones whose period dt divides.  The drift need not be
+    stable; unstable drifts are legitimate for non-stabilisation
+    demonstrations.
     """
-    if not isinstance(drift, ConstantDrift):
-        raise TypeError("simulate_X needs a constant drift; see "
-                        "simulate_X_periodic")
     return collect(sample_chunks(drift, sigma, xi, cfg), cfg)
 
 
@@ -348,20 +340,6 @@ def simulate_Y(sigma: DiffusionSpec, cfg: SimConfig, y0=None) -> PathEnsemble:
     d = sigma.d
     xi = np.zeros(d) if y0 is None else y0
     return simulate_X(ConstantDrift(-np.eye(d)), sigma, xi, cfg)
-
-
-def simulate_X_periodic(drift, sigma: DiffusionSpec, xi,
-                        cfg: SimConfig) -> PathEnsemble:
-    """Sample the SDE with a periodic drift A(t + T) = A(t).
-
-    dt must divide the period so the m = T / dt one-step transitions and
-    covariance panels repeat; they are built once per period position.  A
-    periodic spec whose samples are all identical reduces to the
-    constant-drift sampler.
-    """
-    if getattr(drift, "period", None) is None:
-        raise ValueError("drift has no period")
-    return collect(sample_chunks(drift, sigma, xi, cfg), cfg)
 
 
 def bessel_scenario(d: int, alpha: float, cfg: SimConfig,

@@ -1,15 +1,15 @@
 """Empirical evidence for or against a regime verdict.
 
-Almost-sure limits cannot be tested from a finite horizon, so the ensemble
-is reduced to finite-horizon proxies: suprema over dyadic tail segments
-(limsup proxy), trailing-window infima (liminf proxy), pathwise time-averages
-of ||X||^2, and the ensemble mean-square curve.  Every proxy the rules read
-is a running reduction at indices known before the run, so one
-`EvidenceAccumulator` with O(paths) state takes ||X|| chunk by chunk:
-`compare_chunks` feeds it the sampler's stream (no ensemble is ever held)
-and `compare` feeds it an in-memory ensemble's norms.  Its `evidence`
-applies simple, explainable decision rules and reports Consistent /
-Inconsistent / Inconclusive — it never forces agreement.
+Almost-sure limits cannot be tested from a finite horizon, so the sample
+paths are reduced to finite-horizon proxies: suprema over dyadic tail
+segments (limsup proxy), trailing-window infima (liminf proxy) and pathwise
+time-averages of ||X||^2.  Every proxy the rules read is a running reduction
+at indices known before the run, so `compare` feeds the sampler's chunk
+stream into one `EvidenceAccumulator` with O(paths) state and never holds an
+ensemble.  Its `evidence` applies simple, explainable decision rules and
+reports Consistent / Inconsistent / Inconclusive — it never forces
+agreement.  `ensemble_mean_sq` gives the mean-square curve of an in-memory
+ensemble.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ INCONCLUSIVE = "Inconclusive"
 
 
 # ---------------------------------------------------------------------------
-# per-path reductions
+# grid helpers and the ensemble mean square
 # ---------------------------------------------------------------------------
 
 def dyadic_checkpoints(t_end: float) -> np.ndarray:
@@ -56,49 +56,6 @@ def _uniform_step(times: np.ndarray) -> float:
     if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be uniform")
     return float(gaps[0])
-
-
-def tail_sup(series: np.ndarray, times: np.ndarray, checkpoints) -> np.ndarray:
-    """Suprema of the series over [checkpoint, T_end] per checkpoint.
-
-    The series may be a single path (1-d) or a (paths, time) stack; the
-    checkpoint axis is appended last.
-    """
-    series = np.asarray(series, dtype=float)
-    times = np.asarray(times, dtype=float)
-    cps = np.atleast_1d(np.asarray(checkpoints, dtype=float))
-    if np.any(cps < times[0]) or np.any(cps > times[-1]):
-        raise ValueError("checkpoints must lie within the horizon")
-    return np.stack([np.max(series[..., _index_at(times, c):], axis=-1)
-                     for c in cps], axis=-1)
-
-
-def window_inf(series: np.ndarray, times: np.ndarray, window: float):
-    """Infima over trailing windows [t - window, t].
-
-    Returns (window_end_times, infima); infima share the leading shape of
-    the series with the window-end axis last.
-    """
-    series = np.asarray(series, dtype=float)
-    times = np.asarray(times, dtype=float)
-    w = _window_samples(times, window)
-    sw = np.lib.stride_tricks.sliding_window_view(series, w + 1, axis=-1)
-    return times[w:], np.min(sw, axis=-1)
-
-
-def avg_sq(series: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Trapezoid time-average (1/t) int_0^t series(s)^2 ds on the grid.
-
-    The t = 0 entry is the squared initial value (continuity convention).
-    """
-    series = np.asarray(series, dtype=float)
-    times = np.asarray(times, dtype=float)
-    out = series ** 2
-    cum = out[..., 1:] + out[..., :-1]
-    cum *= 0.5 * _uniform_step(times)
-    np.cumsum(cum, axis=-1, out=cum)
-    np.divide(cum, times[1:], out=out[..., 1:])
-    return out
 
 
 def ensemble_mean_sq(ensemble: PathEnsemble):
@@ -386,20 +343,8 @@ class EvidenceAccumulator:
         raise ValueError(f"unknown regime {regime!r}")
 
 
-def compare(verdict, ensemble: PathEnsemble,
+def compare(verdict, times, chunks,
             thresholds: CompareThresholds = CompareThresholds()) -> RegimeEvidence:
-    """Weigh an in-memory ensemble against a regime verdict.
-
-    Its norms go through the same `EvidenceAccumulator`, and the same rules,
-    as the sampler's stream in `compare_chunks`.
-    """
-    acc = EvidenceAccumulator(ensemble.times, ensemble.n_paths)
-    acc.add(0, ensemble.norms.T)
-    return acc.evidence(verdict, thresholds)
-
-
-def compare_chunks(verdict, times, chunks,
-                   thresholds: CompareThresholds = CompareThresholds()) -> RegimeEvidence:
     """Weigh a stream of state chunks (n0, X[k, path, i]) on the grid times
     against a regime verdict, holding one chunk at a time."""
     acc = None

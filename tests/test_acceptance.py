@@ -19,8 +19,8 @@ from affinesde.linalg import monodromy, solve_lyapunov
 from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
                              ExpDecay, LogGrow, LogPower, PowerLaw,
                              window_intensity)
-from affinesde.simulate import (SimConfig, bessel_scenario, simulate_X,
-                                simulate_X_periodic, step_covariance)
+from affinesde.simulate import (SimConfig, bessel_scenario, sample_chunks,
+                                simulate_X, step_covariance)
 from affinesde.stats import compare, dyadic_checkpoints, ensemble_mean_sq
 
 A2 = np.array([[-1.0, 0.5], [0.0, -2.0]])
@@ -28,13 +28,9 @@ DRIFT2 = ConstantDrift(A2)
 BIG = dict(dt=0.05, t_end=4096.0, paths=200)
 
 
-def _checkpoint_medians(ens, series):
-    cps = dyadic_checkpoints(float(ens.times[-1]))
-    out = []
-    for c in cps:
-        i = int(np.searchsorted(ens.times, c - 1e-9))
-        out.append(float(np.median(series[:, i])))
-    return np.array(out)
+def _evidence(verdict, drift, sigma, xi, cfg):
+    """compare on the sampler's stream; no ensemble is held."""
+    return compare(verdict, cfg.times, sample_chunks(drift, sigma, xi, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +42,14 @@ def test_criterion_01a_stable_regime():
     sigma = DiffusionSpec.envelope(ExpDecay(1.0, 1.0), np.eye(2))
     verdict = classify(sigma, DRIFT2)
     assert verdict.regime == "StableAS"
-    ens = simulate_X(DRIFT2, sigma, [1.0, 1.0], SimConfig(seed=101, **BIG))
-    ev = compare(verdict, ens)
+    ev = _evidence(verdict, DRIFT2, sigma, [1.0, 1.0],
+                   SimConfig(seed=101, **BIG))
     # per-path decay between the first and last checkpoints
     frac = float(np.mean(ev.tail_sups[:, -1] < ev.tail_sups[:, 0]))
     assert frac >= 0.95
     assert ev.trends["tail_sup_median"].label == "Decreasing"
-    assert float(np.median(ens.norms[:, -1])) < 0.05
+    # each path's sup over [T/2, T] bounds its final norm
+    assert float(np.median(ev.tail_sups[:, -1])) < 0.05
     assert ev.agreement == "Consistent"
     assert time.time() - start < 120.0
 
@@ -65,8 +62,8 @@ def test_criterion_01b_bounded_regime():
     lo, hi = verdict.epsilon_star_bracket
     root2 = math.sqrt(2.0)
     assert lo <= root2 + 1e-3 and hi >= root2 - 1e-3
-    ens = simulate_X(DRIFT2, sigma, [1.0, 1.0], SimConfig(seed=102, **BIG))
-    ev = compare(verdict, ens)
+    ev = _evidence(verdict, DRIFT2, sigma, [1.0, 1.0],
+                   SimConfig(seed=102, **BIG))
     band = float(np.median(ev.tail_sups[:, 0]))
     ratio = float(np.median(ev.tail_sups[:, -1])) / band
     assert 0.5 <= ratio <= 2.0
@@ -79,10 +76,10 @@ def test_criterion_01c_unbounded_regime():
     sigma = DiffusionSpec.constant(np.eye(2))
     verdict = classify(sigma, DRIFT2)
     assert verdict.regime == "Unbounded"
-    ens = simulate_X(DRIFT2, sigma, [1.0, 1.0], SimConfig(seed=103, **BIG))
-    meds = _checkpoint_medians(ens, np.maximum.accumulate(ens.norms, axis=1))
-    assert np.all(np.diff(meds) > 0)
-    assert compare(verdict, ens).agreement == "Consistent"
+    ev = _evidence(verdict, DRIFT2, sigma, [1.0, 1.0],
+                   SimConfig(seed=103, **BIG))
+    assert np.all(np.diff(np.median(ev.running_max_at, axis=0)) > 0)
+    assert ev.agreement == "Consistent"
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +186,8 @@ def test_criterion_06_floquet():
     assert verdict.regime == "StableAS"
     dt = 2 * math.pi / 64
     cfg = SimConfig(dt=dt, t_end=128 * math.pi, paths=100, seed=606)
-    ens = simulate_X_periodic(drift, sigma, [1.0], cfg)
-    assert compare(verdict, ens).agreement == "Consistent"
+    assert _evidence(verdict, drift, sigma, [1.0], cfg).agreement == \
+        "Consistent"
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +261,9 @@ def test_criterion_09_non_stabilisation():
         verdict = classify(s, drift)
         assert verdict.regime == "Undecided"
         assert verdict.drift_stable is False
-    ens = simulate_X(drift, sigma, [1.0],
-                     SimConfig(dt=0.05, t_end=200.0, paths=50, seed=909))
-    meds = _checkpoint_medians(ens, np.maximum.accumulate(ens.norms, axis=1))
-    assert np.all(np.diff(meds) > 0)
+    ev = _evidence(verdict, drift, sigma, [1.0],
+                   SimConfig(dt=0.05, t_end=200.0, paths=50, seed=909))
+    assert np.all(np.diff(np.median(ev.running_max_at, axis=0)) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +294,16 @@ def test_criterion_11_bessel_scenarios():
     sigma = DiffusionSpec.envelope(PowerLaw(1.0, -1.0), np.eye(d))
     verdict = classify(sigma, drift)
     assert verdict.regime == "StableAS"
-    ens = bessel_scenario(d, -1.0, SimConfig(dt=0.05, t_end=256.0, paths=100,
-                                             seed=111))
-    assert compare(verdict, ens).agreement == "Consistent"
+    cfg = SimConfig(dt=0.05, t_end=256.0, paths=100, seed=111)
+    assert _evidence(verdict, drift, sigma, np.ones(d), cfg).agreement == \
+        "Consistent"
 
     # alpha = 0: constant noise, unbounded with liminf collapsing to zero
     sigma = DiffusionSpec.envelope(PowerLaw(1.0, 0.0), np.eye(d))
     verdict = classify(sigma, drift)
     assert verdict.regime == "Unbounded"
-    ens = bessel_scenario(d, 0.0, SimConfig(dt=0.05, t_end=512.0, paths=100,
-                                            seed=112))
-    ev = compare(verdict, ens)
+    cfg = SimConfig(dt=0.05, t_end=512.0, paths=100, seed=112)
+    ev = _evidence(verdict, drift, sigma, np.ones(d), cfg)
     band = float(np.median(ev.tail_sups[:, -1]))
     assert float(np.median(ev.window_inf_final)) < 0.5 * band
 
@@ -318,8 +313,10 @@ def test_criterion_11_bessel_scenarios():
     assert verdict.regime == "Unbounded"
     ens = bessel_scenario(d, 1.0, SimConfig(dt=0.05, t_end=512.0, paths=100,
                                             seed=113))
-    from affinesde.stats import window_inf
-    _, winf = window_inf(ens.norms, ens.times, 64.0)
-    early = float(np.median(winf[:, winf.shape[1] // 2]))
-    late = float(np.median(winf[:, -1]))
+    # minima over the trailing 64-unit windows ending at T/2 + 32 and at T
+    w = int(round(64.0 / 0.05))
+    n = ens.norms.shape[1]
+    mid = w + (n - w) // 2
+    early = float(np.median(ens.norms[:, mid - w:mid + 1].min(axis=1)))
+    late = float(np.median(ens.norms[:, n - 1 - w:].min(axis=1)))
     assert late > early

@@ -92,6 +92,21 @@ def test_malformed_file_exit_code(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "missing.yaml")]) == EXIT_PARSE
 
 
+def test_bad_overrides_and_seeds_exit_parse(tmp_path, capsys):
+    # each is caught when the scenario is validated, not at sampling time
+    doc = base_doc()
+    doc["simulation"] = {"dt": 0.5, "t_end": 4.0, "paths": 2, "seed": 0}
+    path = write(tmp_path, doc)
+    for flags in (["--paths", "0"], ["--horizon", "4.3"], ["--seed", "-1"]):
+        assert main(["verify", path, "--out", str(tmp_path), *flags]) == \
+            EXIT_PARSE, flags
+        assert "scenario error" in capsys.readouterr().err
+    doc["simulation"]["seed"] = -5
+    assert main(["verify", write(tmp_path, doc), "--out", str(tmp_path)]) == \
+        EXIT_PARSE
+    assert "scenario error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -103,6 +118,16 @@ def test_classify_stable(tmp_path, capsys):
     assert report["schema_version"] == 1
     assert report["verdict"]["regime"] == "StableAS"
     assert (tmp_path / "out" / "demo.classify.yaml").exists()
+
+
+def test_classify_reports_requested_n_terms(tmp_path, capsys):
+    for n_terms, doc in ((256, base_doc()),
+                         (300, base_doc(criteria={"n_terms": 300}))):
+        assert main(["classify", write(tmp_path, doc), "--out", str(tmp_path)]) \
+            == EXIT_OK
+        report = yaml.safe_load(capsys.readouterr().out)
+        assert {r["n_terms"] for r in report["criteria"]["sum_rulings"]} == \
+            {n_terms}
 
 
 def test_classify_bounded_bracket(tmp_path, capsys):

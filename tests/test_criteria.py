@@ -70,10 +70,16 @@ def test_terms():
     assert term_Sprime(1.0, 1.0) == pytest.approx(math.exp(-0.5))
     eps = 1.7
     assert term_Sprime(eps, eps * eps) == pytest.approx(eps * math.exp(-0.5))
+    # elementwise over an array, with the same values as the scalar calls
+    th2 = np.array([0.0, 1.0, eps * eps, 1e-300])
+    np.testing.assert_array_equal(term_Sprime(eps, th2),
+                                  [term_Sprime(eps, v) for v in th2])
     with pytest.raises(ValueError):
         term_S(0.0, 1.0)
     with pytest.raises(ValueError):
         term_Sprime(1.0, -1.0)
+    with pytest.raises(ValueError):
+        term_Sprime(1.0, np.array([1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Every name a package module imports is used (names in __all__ exempt),
-and every module-level private name is referenced in its own module."""
+every module-level private name is referenced in its own module, and every
+name the package exports resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,13 @@ def test_checker_flags_unreferenced_private():
                          ids=lambda p: p.name)
 def test_no_unreferenced_privates(path):
     assert unreferenced_privates(path.read_text()) == []
+
+
+def test_package_exports_resolve():
+    package = importlib.import_module("affinesde")
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert missing == []
+    assert len(set(package.__all__)) == len(package.__all__)
+    namespace = {}
+    exec("from affinesde import *", namespace)
+    assert set(package.__all__) <= set(namespace)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +12,9 @@ from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
 from affinesde import simulate
 from affinesde.simulate import (SCHEME_EULER, SCHEME_EXACT, CovarianceError,
                                 PathEnsemble, SimConfig, bessel_scenario,
-                                sample_chunks, simulate_X,
-                                simulate_X_periodic, simulate_Y,
+                                sample_chunks, simulate_X, simulate_Y,
                                 step_covariance)
-from affinesde.stats import avg_sq
+from affinesde.stats import compare
 
 OU_DRIFT = ConstantDrift(np.array([[-1.0]]))
 UNIT_SIGMA = DiffusionSpec.constant([[1.0]])
@@ -168,7 +168,6 @@ def test_reproducibility_bit_identical():
     a = simulate_X(A, spec, [1.0, 1.0], cfg)
     b = simulate_X(A, spec, [1.0, 1.0], cfg)
     np.testing.assert_array_equal(a.states, b.states)
-    assert a.seeds == b.seeds
 
 
 def test_scheme_agreement_richardson():
@@ -265,8 +264,8 @@ def test_periodic_zero_noise_floquet_decay():
     for scheme, log_tol in ((SCHEME_EXACT, 1e-8), (SCHEME_EULER, 6 * dt)):
         cfg = SimConfig(dt=dt, t_end=2 * math.pi, paths=1, seed=0,
                         cov_tol=1e-12, scheme=scheme)
-        ens = simulate_X_periodic(COS_DRIFT, DiffusionSpec.constant([[0.0]]),
-                                  [1.0], cfg)
+        ens = simulate_X(COS_DRIFT, DiffusionSpec.constant([[0.0]]), [1.0],
+                         cfg)
         assert abs(math.log(ens.states[0, -1, 0]) + 2 * math.pi) <= log_tol
 
 
@@ -285,9 +284,9 @@ def test_periodic_sampler_covariances_exact(m):
     # which must match the oracle at every step of two periods
     dt = 2 * math.pi / m
     cfg = SimConfig(dt=dt, t_end=4 * math.pi, paths=1, seed=11)
-    Y = simulate_X_periodic(COS_DRIFT, DiffusionSpec.constant([[0.0]]), [1.0],
-                            cfg).states[0, :, 0]
-    X = simulate_X_periodic(COS_DRIFT, UNIT_SIGMA, [0.0], cfg).states[0, :, 0]
+    Y = simulate_X(COS_DRIFT, DiffusionSpec.constant([[0.0]]), [1.0],
+                   cfg).states[0, :, 0]
+    X = simulate_X(COS_DRIFT, UNIT_SIGMA, [0.0], cfg).states[0, :, 0]
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=(cfg.seed, 0))))
     Z = gen.standard_normal((cfg.n_steps, 1))[:, 0]
@@ -305,7 +304,7 @@ def test_periodic_constant_reduces_bit_identically():
     periodic = PeriodicDrift(period=1.0, times=[0.0, 0.5], values=[A, A])
     spec = DiffusionSpec.envelope(ExpDecay(1.0, 0.5), np.eye(2))
     cfg = SimConfig(dt=0.25, t_end=4.0, paths=4, seed=31)
-    a = simulate_X_periodic(periodic, spec, [1.0, 0.0], cfg)
+    a = simulate_X(periodic, spec, [1.0, 0.0], cfg)
     b = simulate_X(ConstantDrift(A), spec, [1.0, 0.0], cfg)
     np.testing.assert_array_equal(a.states, b.states)
 
@@ -315,7 +314,7 @@ def test_periodic_requires_dt_dividing_period():
                           period=2 * math.pi)
     cfg = SimConfig(dt=0.25, t_end=8.0, paths=1, seed=0)
     with pytest.raises(ValueError):
-        simulate_X_periodic(drift, UNIT_SIGMA, [0.0], cfg)
+        simulate_X(drift, UNIT_SIGMA, [0.0], cfg)
 
 
 def test_periodic_stable_with_fading_noise_decays():
@@ -324,7 +323,7 @@ def test_periodic_stable_with_fading_noise_decays():
     dt = 2 * math.pi / 32
     cfg = SimConfig(dt=dt, t_end=64 * 2 * math.pi, paths=40, seed=8)
     sigma = DiffusionSpec.envelope(ExpDecay(1.0, 0.1), [[1.0]])
-    ens = simulate_X_periodic(drift, sigma, [1.0], cfg)
+    ens = simulate_X(drift, sigma, [1.0], cfg)
     T = ens.times[-1]
     cps = [T / 16, T / 8, T / 4, T / 2]
     meds = []
@@ -355,9 +354,10 @@ def test_derived_series():
     cfg = SimConfig(dt=0.5, t_end=4.0, paths=2, seed=6)
     ens = simulate_Y(UNIT_SIGMA, cfg)
     np.testing.assert_allclose(ens.norms, np.abs(ens.states[:, :, 0]))
-    aver = avg_sq(ens.norms, ens.times)
-    assert np.all(aver >= 0)
-    # trapezoid average against a direct computation at the final time
-    sq = ens.norms[0] ** 2
-    direct = np.trapezoid(sq, ens.times) / ens.times[-1]
-    assert aver[0, -1] == pytest.approx(direct, rel=1e-12)
+    # the time-average compare reads from the same stream, against a direct
+    # trapezoid average of the collected norms at the final time
+    ev = compare(SimpleNamespace(regime="Undecided"), cfg.times,
+                 sample_chunks(ConstantDrift(-np.eye(1)), UNIT_SIGMA, [0.0], cfg))
+    assert np.all(ev.avg_sq_final >= 0)
+    direct = np.trapezoid(ens.norms ** 2, ens.times, axis=1) / ens.times[-1]
+    np.testing.assert_allclose(ev.avg_sq_final, direct, rtol=1e-12)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +10,18 @@ from affinesde import simulate
 from affinesde.simulate import (SimConfig, sample_chunks, simulate_X,
                                 simulate_Y)
 from affinesde.stats import (CONSISTENT, DECREASING, FLAT, INCONCLUSIVE,
-                             INCONSISTENT, INCREASING, CompareThresholds,
-                             EvidenceAccumulator, avg_sq, compare,
-                             compare_chunks, dyadic_checkpoints,
-                             ensemble_mean_sq, tail_sup, trend, window_inf)
+                             INCONSISTENT, INCREASING, EvidenceAccumulator,
+                             compare, dyadic_checkpoints, ensemble_mean_sq,
+                             trend)
+
+# a verdict without a prediction: compare reports the evidence, no rules
+UNDECIDED = SimpleNamespace(regime="Undecided")
+
+
+def _signal_evidence(t, x):
+    """compare's evidence on scalar signals x[path, time], fed as one chunk."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return compare(UNDECIDED, t, [(0, x.T[:, :, None])])
 
 
 # ---------------------------------------------------------------------------
@@ -20,60 +29,53 @@ from affinesde.stats import (CONSISTENT, DECREASING, FLAT, INCONCLUSIVE,
 # ---------------------------------------------------------------------------
 
 def test_tail_sup_exponential():
-    t = np.linspace(0.0, 10.0, 2001)
-    x = np.exp(-t)
-    for s in (1.0, 2.5, 5.0):
-        assert tail_sup(x, t, [s])[0] == pytest.approx(math.exp(-s), rel=1e-3)
+    t = np.linspace(0.0, 16.0, 2049)
+    ev = _signal_evidence(t, np.exp(-t))
+    np.testing.assert_array_equal(ev.checkpoints, [1.0, 2.0, 4.0, 8.0])
+    np.testing.assert_allclose(ev.tail_sups[0], np.exp(-ev.checkpoints),
+                               rtol=1e-12)
+    np.testing.assert_array_equal(ev.running_max_at[0], 1.0)
 
 
 def test_tail_sup_periodic():
     t = np.linspace(0.0, 40.0, 8001)
-    x = np.sin(t)
-    assert tail_sup(x, t, [10.0])[0] == pytest.approx(1.0, abs=1e-3)
+    ev = _signal_evidence(t, np.sin(t))
+    np.testing.assert_allclose(ev.tail_sups[0], 1.0, atol=1e-3)
 
 
 def test_tail_sup_non_increasing_in_checkpoint():
     rng = np.random.default_rng(0)
     t = np.linspace(0.0, 8.0, 513)
-    x = np.abs(rng.standard_normal((5, len(t))))
-    sups = tail_sup(x, t, [1.0, 2.0, 4.0])
-    assert np.all(np.diff(sups, axis=-1) <= 0)
-
-
-def test_tail_sup_checkpoint_bounds():
-    t = np.linspace(0.0, 4.0, 65)
-    with pytest.raises(ValueError):
-        tail_sup(np.ones_like(t), t, [5.0])
+    ev = _signal_evidence(t, rng.standard_normal((5, len(t))))
+    assert np.all(np.diff(ev.tail_sups, axis=-1) <= 0)
+    assert np.all(np.diff(ev.running_max_at, axis=-1) >= 0)
 
 
 def test_window_inf_signals():
     t = np.linspace(0.0, 10.0, 2001)
-    ends, infs = window_inf(np.exp(-t), t, 1.0)
-    assert infs[-1] == pytest.approx(math.exp(-t[-1]), rel=1e-9)
-    _, const = window_inf(np.ones_like(t), t, 2.0)
-    np.testing.assert_allclose(const, 1.0)
+    ev = _signal_evidence(t, np.exp(-t))
+    assert ev.window_inf_final[0] == pytest.approx(math.exp(-t[-1]), rel=1e-9)
+    ev = _signal_evidence(t, np.ones_like(t))
+    np.testing.assert_allclose(ev.window_inf_final, 1.0)
 
 
 def test_avg_sq_constant_and_exponential():
     t = np.linspace(0.0, 4.0, 4001)
-    np.testing.assert_allclose(avg_sq(3.0 * np.ones_like(t), t)[1:], 9.0)
+    ev = _signal_evidence(t, 3.0 * np.ones_like(t))
+    np.testing.assert_allclose([ev.avg_sq_half, ev.avg_sq_final], 9.0)
     dt = 1e-3
     t = np.arange(0.0, 5.0 + dt / 2, dt)
-    a = avg_sq(np.exp(-t), t)
-    expect = (1 - np.exp(-2 * t[1:])) / (2 * t[1:])
-    np.testing.assert_allclose(a[1:], expect, atol=1e-6)
+    ev = _signal_evidence(t, np.exp(-t))
+    for got, upto in ((ev.avg_sq_half, 2.5), (ev.avg_sq_final, 5.0)):
+        expect = (1 - math.exp(-2 * upto)) / (2 * upto)
+        np.testing.assert_allclose(got, expect, atol=1e-6)
 
 
 def test_avg_sq_sine_approaches_half():
     dt = 1e-3
     t = np.arange(0.0, 200.0 + dt / 2, dt)
-    a = avg_sq(np.sin(t), t)
-    assert a[-1] == pytest.approx(0.5, abs=2e-3)
-
-
-def test_avg_sq_requires_uniform_grid():
-    with pytest.raises(ValueError):
-        avg_sq(np.ones(4), np.array([0.0, 1.0, 3.0, 4.0]))
+    ev = _signal_evidence(t, np.sin(t))
+    assert ev.avg_sq_final[0] == pytest.approx(0.5, abs=2e-3)
 
 
 def test_ensemble_mean_sq_deterministic():
@@ -112,26 +114,28 @@ def test_dyadic_checkpoints():
 # verdict comparison (end-to-end, small ensembles)
 # ---------------------------------------------------------------------------
 
-def _run(sigma, t_end=256.0, dt=0.125, paths=60, seed=13):
-    drift = ConstantDrift(-np.eye(1))
-    cfg = SimConfig(dt=dt, t_end=t_end, paths=paths, seed=seed)
-    return drift, simulate_X(drift, sigma, [1.0], cfg)
+DRIFT = ConstantDrift(-np.eye(1))
+
+
+def _config(t_end=256.0, dt=0.125, paths=60, seed=13):
+    return SimConfig(dt=dt, t_end=t_end, paths=paths, seed=seed)
+
+
+def _compare(verdict, sigma, cfg):
+    """compare on the sampler's stream of dX = -X dt + sigma dB, X(0) = 1."""
+    return compare(verdict, cfg.times, sample_chunks(DRIFT, sigma, [1.0], cfg))
 
 
 def test_compare_stable_consistent():
     sigma = DiffusionSpec.envelope(ExpDecay(1.0, 0.5), [[1.0]])
-    drift, ens = _run(sigma)
-    verdict = classify(sigma, drift)
-    ev = compare(verdict, ens)
+    ev = _compare(classify(sigma, DRIFT), sigma, _config())
     assert ev.agreement == CONSISTENT
     assert ev.trends["tail_sup_median"].label == DECREASING
 
 
 def test_compare_unbounded_consistent():
     sigma = DiffusionSpec.constant([[1.0]])
-    drift, ens = _run(sigma, t_end=512.0, paths=80)
-    verdict = classify(sigma, drift)
-    ev = compare(verdict, ens)
+    ev = _compare(classify(sigma, DRIFT), sigma, _config(t_end=512.0, paths=80))
     assert ev.agreement == CONSISTENT
     meds = np.median(ev.running_max_at, axis=0)
     assert np.all(np.diff(meds) > 0)
@@ -141,20 +145,16 @@ def test_compare_negative_control_inconsistent():
     # deliberate mismatch: a StableAS verdict judged against a stationary
     # constant-noise ensemble
     sigma_exp = DiffusionSpec.envelope(ExpDecay(1.0, 0.5), [[1.0]])
-    drift = ConstantDrift(-np.eye(1))
-    verdict = classify(sigma_exp, drift)
+    verdict = classify(sigma_exp, DRIFT)
     assert verdict.regime == "StableAS"
-    _, ens = _run(DiffusionSpec.constant([[1.0]]))
-    ev = compare(verdict, ens)
+    ev = _compare(verdict, DiffusionSpec.constant([[1.0]]), _config())
     assert ev.agreement == INCONSISTENT
 
 
 def test_compare_short_horizon_inconclusive():
     sigma = DiffusionSpec.envelope(ExpDecay(1.0, 0.5), [[1.0]])
-    drift = ConstantDrift(-np.eye(1))
     cfg = SimConfig(dt=0.125, t_end=2.0, paths=10, seed=1)
-    ens = simulate_X(drift, sigma, [1.0], cfg)
-    ev = compare(classify(sigma, drift), ens)
+    ev = _compare(classify(sigma, DRIFT), sigma, cfg)
     assert ev.agreement == INCONCLUSIVE
 
 
@@ -162,16 +162,15 @@ def test_compare_undecided_inconclusive():
     sigma = DiffusionSpec.envelope(ExpDecay(1.0, 0.5), [[1.0]])
     verdict = classify(sigma, ConstantDrift([[0.1]]))
     assert verdict.regime == "Undecided"
-    _, ens = _run(sigma)
-    assert compare(verdict, ens).agreement == INCONCLUSIVE
+    assert _compare(verdict, sigma, _config()).agreement == INCONCLUSIVE
 
 
 def test_compare_deterministic_and_evidence_invariants():
     sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
-    drift, ens = _run(sigma, t_end=512.0, paths=100, seed=99)
-    verdict = classify(sigma, drift)
-    ev1 = compare(verdict, ens)
-    ev2 = compare(verdict, ens)
+    verdict = classify(sigma, DRIFT)
+    cfg = _config(t_end=512.0, paths=100, seed=99)
+    ev1 = _compare(verdict, sigma, cfg)
+    ev2 = _compare(verdict, sigma, cfg)
     assert ev1.agreement == ev2.agreement
     assert np.array_equal(ev1.tail_sups, ev2.tail_sups)
     assert np.all(ev1.avg_sq_final >= 0)
@@ -184,22 +183,26 @@ def test_bounded_regime_liminf_fraction():
     # across >= 100 paths most trailing-window infima collapse well below
     # the tail-sup band
     sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
-    drift, ens = _run(sigma, t_end=1024.0, dt=0.25, paths=120, seed=5)
-    verdict = classify(sigma, drift)
-    ev = compare(verdict, ens)
+    cfg = _config(t_end=1024.0, dt=0.25, paths=120, seed=5)
+    ev = _compare(classify(sigma, DRIFT), sigma, cfg)
     band = float(np.median(ev.tail_sups[:, 0]))
     frac = float(np.mean(ev.window_inf_final < 0.1 * band))
     assert frac > 0.9
     assert ev.agreement == CONSISTENT
 
 
+# the ensemble of the brute-force tests; simulate_X collects the same
+# per-path Philox streams that compare reads from sample_chunks
+BRUTE_SIGMA = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
+BRUTE_CFG = _config(t_end=64.0, dt=0.25, paths=9, seed=3)
+
+
 def test_compare_statistics_match_brute_force():
     # every per-path array compare reports, against its definition on the
     # grid: sup over [t_i, T], max over [0, t_i], min over [T - T/8, T] and
     # the trapezoid average of ||X||^2 over [0, t]
-    sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
-    drift, ens = _run(sigma, t_end=64.0, dt=0.25, paths=9, seed=3)
-    ev = compare(classify(sigma, drift), ens)
+    ens = simulate_X(DRIFT, BRUTE_SIGMA, [1.0], BRUTE_CFG)
+    ev = _compare(classify(BRUTE_SIGMA, DRIFT), BRUTE_SIGMA, BRUTE_CFG)
     t, norms = ens.times, ens.norms
     T = t[-1]
     np.testing.assert_array_equal(ev.checkpoints, [T / 16, T / 8, T / 4, T / 2])
@@ -244,9 +247,8 @@ def _splits(n_points, cuts):
 
 
 def test_accumulator_matches_brute_force_any_chunking():
-    sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
-    drift, ens = _run(sigma, t_end=64.0, dt=0.25, paths=9, seed=3)
-    verdict = classify(sigma, drift)
+    ens = simulate_X(DRIFT, BRUTE_SIGMA, [1.0], BRUTE_CFG)
+    verdict = classify(BRUTE_SIGMA, DRIFT)
     t, norms = ens.times, ens.norms
     n = len(t)
     T = t[-1]
@@ -260,7 +262,7 @@ def test_accumulator_matches_brute_force_any_chunking():
         "uneven": _splits(n, range(0, n, 7)),
         "one chunk": _splits(n, []),
     }
-    whole = compare(verdict, ens)
+    streamed = _compare(verdict, BRUTE_SIGMA, BRUTE_CFG)
     for name, chunks in splits.items():
         for paths in (slice(None), slice(4, 5)):   # all paths and one path
             acc = EvidenceAccumulator(t, norms[paths].shape[0])
@@ -269,7 +271,7 @@ def test_accumulator_matches_brute_force_any_chunking():
             ev = acc.evidence(verdict)
             _assert_brute_force(ev, t, norms[paths])
             if paths == slice(None):
-                assert ev.summary() == whole.summary(), name
+                assert ev.summary() == streamed.summary(), name
 
 
 def test_accumulator_rejects_gaps_and_short_feeds():
@@ -280,17 +282,17 @@ def test_accumulator_rejects_gaps_and_short_feeds():
         acc.add(11, np.ones((3, 2)))
     with pytest.raises(ValueError):
         acc.evidence(None)
+    with pytest.raises(ValueError):   # the trapezoid sums need a uniform grid
+        EvidenceAccumulator(np.array([0.0, 1.0, 3.0, 4.0]), 1)
 
 
 def test_compare_chunks_matches_compare(monkeypatch):
-    # the sampler's stream, cut into many chunks, gives the same evidence as
-    # the in-memory ensemble
-    sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
-    drift, ens = _run(sigma, t_end=64.0, dt=0.25, paths=9, seed=3)
-    verdict = classify(sigma, drift)
+    # compare over the sampler's stream cut into many small chunks gives the
+    # same evidence as over the default chunks
+    verdict = classify(BRUTE_SIGMA, DRIFT)
+    ens = simulate_X(DRIFT, BRUTE_SIGMA, [1.0], BRUTE_CFG)
+    default = _compare(verdict, BRUTE_SIGMA, BRUTE_CFG)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 50)
-    cfg = ens.config
-    ev = compare_chunks(verdict, cfg.times,
-                        sample_chunks(drift, sigma, [1.0], cfg))
+    ev = _compare(verdict, BRUTE_SIGMA, BRUTE_CFG)
     _assert_brute_force(ev, ens.times, ens.norms)
-    assert ev.summary() == compare(verdict, ens).summary()
+    assert ev.summary() == default.summary()
