@@ -197,6 +197,13 @@ class Scenario:
                                 f"table, got {skind!r}")
 
         crit = _defaults(doc.get("criteria") or {}, _CRITERIA_DEFAULTS, "criteria")
+        for key in ("h", "c", "t_max", "tol"):
+            if not crit[key] > 0:
+                raise ScenarioError(f"criteria.{key} must be positive, "
+                                    f"got {crit[key]!r}")
+        if crit["n_terms"] < 1:
+            raise ScenarioError(f"criteria.n_terms must be at least 1, "
+                                f"got {crit['n_terms']!r}")
         sim = _defaults(doc.get("simulation") or {}, _SIM_DEFAULTS, "simulation")
         sts = _defaults(doc.get("stats") or {}, _STATS_DEFAULTS, "stats")
 

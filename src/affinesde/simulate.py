@@ -17,7 +17,11 @@ bit-reproducible and order-independent.
 The recursion streams: `sample_chunks` yields the states as time-major
 chunks (n0, X[k, path, i]), so a consumer that only reduces them (such as
 `stats.compare`) never holds the (paths, N+1, d) ensemble; `simulate_X`
-gathers the same chunks into a `PathEnsemble`.
+gathers the same chunks into a `PathEnsemble`.  Each chunk is solved in
+blocks of about 64 steps anchored at absolute step indices: partial sums
+inside every block of the chunk at once, then one carry of the block-start
+state per block, so a chunk of k steps costs O(b + k/b) numpy calls rather
+than k, and the states do not depend on the chunk length.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ SCHEME_EULER = "EulerMaruyama"
 
 _CHUNK_DRAWS = 2 ** 20   # normal draws per chunk; one step takes paths * r
 _GL_NODES = 12           # fixed Gauss-Legendre panel for the batched covariances
+_BLOCK = 64              # target steps per block of the blocked recursion
 
 
 class CovarianceError(RuntimeError):
@@ -222,34 +227,98 @@ def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
 # the sampler
 # ---------------------------------------------------------------------------
 
-def _run(trans: np.ndarray, noise: np.ndarray, xi: np.ndarray,
+def _block_products(trans: np.ndarray):
+    """Block length b and prefix products P[q, i] of the blocked recursion.
+
+    b is _BLOCK rounded up to a multiple of the period m, so every block
+    starts at period position 0 and P[0, i] = trans[i % m] ... trans[0] serves
+    all blocks.  Where some P_i overflows, b is cut back to the largest
+    multiple of m below the first non-finite P_i: an infinite P_i would turn
+    a zero block-start state into nan (inf * 0).  When even that is 0, b = 1,
+    which is the plain one-step recursion; then a block is one step and
+    P[q, 0] = trans[q] for the step's period position q.
+    """
+    m = len(trans)
+    b = m * -(-_BLOCK // m)
+    P = np.empty((b, *trans.shape[1:]))
+    P[0] = trans[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, b):
+            np.matmul(trans[i % m], P[i - 1], out=P[i])
+    finite = np.isfinite(P).all(axis=(1, 2))
+    if not finite.all():
+        b = m * (int(np.argmin(finite)) // m)
+    if b == 0:
+        return 1, trans[:, None]
+    return b, P[None, :b]
+
+
+def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
          cfg: SimConfig):
     """Time-major chunks (n0, X) of X_{n+1} = trans[n % m] X_n + noise[n] Z_n.
 
     X[j, p] is path p's state at grid point n0 + j; the first chunk is X_0
     alone.  trans is the (m, d, d) stack of transitions over one drift period
-    (m = 1 for a constant drift), noise the (N, d, r) per-step factors.  Each
-    chunk of k steps draws its standard normals into one (k, paths, r)
-    buffer, path by path from the path's own Philox stream, so the states do
-    not depend on k; every chunk is checked to be finite.
+    (m = 1 for a constant drift), noise_t the (N, r, d) stack of the per-step
+    factors' transposes noise[n]^T, in C order.  Each chunk of k steps draws
+    path p's standard normals from the path's own Philox stream into row p of
+    one (paths, k, r) buffer, and forms the increments V_n = noise[n] Z_n in
+    the chunk's output array with one batched matmul.
+
+    The recursion is then solved in blocks of b steps (see _block_products)
+    anchored at absolute step indices s = 0, b, 2b, ...: the in-block partial
+    sums W_i = trans[i % m] W_{i-1} + V_{s+i} take b - 1 updates, each over
+    every block of the chunk at once, and one carry per block gives
+    X_{s+i+1} = P_i X_s + W_i.  A block cut by a chunk boundary carries its
+    start state X_s and its last partial sum into the next chunk, so the
+    states do not depend on k.  Every chunk is checked to be finite.
     """
-    N, d, r = noise.shape
+    N, r, d = noise_t.shape
     m = len(trans)
+    b, P = _block_products(trans)
+    # every right-hand factor is a transpose in C order: numpy's matmul of
+    # small matrices runs several times faster on those than on transposed
+    # views
+    TT, PT = (np.ascontiguousarray(np.swapaxes(a, -1, -2))
+              for a in (trans, P))
     gens = _path_generators(cfg)
     k = min(N, max(1, _CHUNK_DRAWS // (cfg.paths * r)))
-    Z = np.empty((k, cfg.paths, r))
+    # Z is read only by the increments' matmul, so the solve's products
+    # reuse its memory
+    rows = max(min(b, k), -(-k // b))
+    scratch = np.empty(max(cfg.paths * k * r, rows * cfg.paths * d))
+    Z = scratch[:cfg.paths * k * r].reshape(cfg.paths, k, r)
+    tmp = scratch[:rows * cfg.paths * d].reshape(rows, cfg.paths, d)
     X = np.array(np.broadcast_to(xi, (1, cfg.paths, d)))
     yield 0, X
-    X = X[0]
+    Xs, W = X[0], None   # state at the current block's start, partial sum
     for start in range(0, N, k):
         kk = min(k, N - start)
         for p, g in enumerate(gens):
-            Z[:kk, p] = g.standard_normal((kk, r))
-        out = np.empty((kk, cfg.paths, d))
-        for j in range(kk):
-            n = start + j
-            out[j] = X @ trans[n % m].T + Z[j] @ noise[n].T
-            X = out[j]
+            g.standard_normal(out=Z[p, :kk])
+        out = np.matmul(np.swapaxes(Z[:, :kk], 0, 1),
+                        noise_t[start:start + kk])
+        o = start % b    # block position of the chunk's first step
+        if o:
+            out[0] += W @ TT[o % m]
+        for i in range(1, b):
+            j = (i - o) % b or b     # first row at position i past row 0
+            if j < kk:
+                cur = out[j::b]
+                n = len(cur)
+                cur += np.matmul(out[j - 1:j - 1 + (n - 1) * b + 1:b],
+                                 TT[i % m], out=tmp[:n])
+        j = 0
+        while j < kk:
+            pos = (o + j) % b
+            n = min(b - pos, kk - j)
+            if pos + n < b:
+                W = out[kk - 1].copy()
+            q = (start + j - pos) % m   # period position of the block start
+            out[j:j + n] += np.matmul(Xs, PT[q, pos:pos + n], out=tmp[:n])
+            if pos + n == b:
+                Xs = out[j + n - 1].copy()
+            j += n
         _check_finite(out)
         yield start + 1, out
 
@@ -297,8 +366,8 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig):
     if cfg.scheme == SCHEME_EULER:
         trans = np.stack([np.eye(drift.d) + dt * eval_drift(drift, float(t))
                           for t in times[:m]])
-        noise = math.sqrt(dt) * np.stack([eval_sigma(sigma, float(t))
-                                          for t in times])
+        noise_t = math.sqrt(dt) * np.stack([eval_sigma(sigma, float(t)).T
+                                            for t in times])
     else:
         u, _ = _gauss_legendre(_GL_NODES)
         psis = [_step_propagator(drift, t, dt, cfg.cov_tol) for t in times[:m]]
@@ -306,8 +375,8 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig):
         trans = E[:, 0]
         w, V = _psd_eigh(_step_covariances(drift, sigma, times, dt,
                                            cfg.cov_tol, E[:, 1:]))
-        noise = np.einsum("...ik,...k,...jk->...ij", V, np.sqrt(w), V)
-    return _run(trans, noise, xi, cfg)
+        noise_t = np.einsum("...ik,...k,...jk->...ji", V, np.sqrt(w), V)
+    return _run(trans, noise_t, xi, cfg)
 
 
 def collect(chunks, cfg: SimConfig) -> PathEnsemble:

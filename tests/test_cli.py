@@ -107,6 +107,20 @@ def test_bad_overrides_and_seeds_exit_parse(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [{"n_terms": 0}, {"h": -1.0}, {"t_max": -1.0},
+                                 {"tol": 0.0}, {"c": -1.0}])
+def test_criteria_out_of_range_exit_parse(tmp_path, capsys, bad):
+    # rejected when the scenario is parsed, by every command that reads it
+    doc = base_doc(sigma={"kind": "constant", "values": [[1.0]]},
+                   drift={"kind": "constant", "matrix": [[-1.0]]},
+                   initial_state=[1.0], criteria=bad)
+    doc["simulation"] = {"dt": 0.5, "t_end": 4.0, "paths": 2, "seed": 0}
+    path = write(tmp_path, doc)
+    for command in ("classify", "verify"):
+        assert main([command, path, "--out", str(tmp_path)]) == EXIT_PARSE
+        assert "scenario error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------

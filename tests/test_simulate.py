@@ -202,7 +202,7 @@ def test_euler_zero_noise_deterministic():
     assert ens.states[0, -1, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
 
-@pytest.mark.parametrize("budget", [1, 7, 64, 1000])
+@pytest.mark.parametrize("budget", [1, 7, 64, 1000, 63 * 14, 65 * 14])
 def test_chunk_stream_independent_of_chunk_size(monkeypatch, budget):
     # the chunks tile the grid in order and carry the same bits as one
     # ensemble, whatever the number of steps per chunk
@@ -331,6 +331,98 @@ def test_periodic_stable_with_fading_noise_decays():
         i = int(np.searchsorted(ens.times, c))
         meds.append(float(np.median(np.max(ens.norms[:, i:], axis=1))))
     assert all(b < a for a, b in zip(meds, meds[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the blocked recursion
+# ---------------------------------------------------------------------------
+
+def _sequential_states(trans, noise, xi, cfg):
+    """Reference: X_{n+1} = trans[n % m] X_n + noise[n] Z_n one step at a time,
+    path p drawing its Z_n from Philox(SeedSequence((seed, p)))."""
+    N, d, r = noise.shape
+    states = np.empty((cfg.paths, N + 1, d))
+    for p in range(cfg.paths):
+        gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=(cfg.seed, p))))
+        Z = gen.standard_normal((N, r))
+        x = states[p, 0] = xi
+        for n in range(N):
+            x = states[p, n + 1] = trans[n % len(trans)] @ x + noise[n] @ Z[n]
+    return states
+
+
+def _sample_with_factors(monkeypatch, drift, sigma, xi, cfg):
+    """The sampled states, and the (trans, noise) the sampler ran them with."""
+    factors = {}
+    run = simulate._run
+
+    def spy(trans, noise_t, xi, cfg):
+        factors.update(trans=trans, noise=np.swapaxes(noise_t, 1, 2))
+        return run(trans, noise_t, xi, cfg)
+
+    monkeypatch.setattr(simulate, "_run", spy)
+    states = simulate_X(drift, sigma, xi, cfg).states
+    return states, factors["trans"], factors["noise"]
+
+
+EYE2_SIGMA = DiffusionSpec.constant(np.eye(2))
+
+
+@pytest.mark.parametrize("drift, sigma, xi, dt, t_end, scheme", [
+    (ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]])),
+     DiffusionSpec.envelope(ExpDecay(1.0, 0.1), [[1.0, 0.5], [0.0, 1.0]]),
+     [1.0, -1.0], 0.25, 75.0, SCHEME_EXACT),
+    (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 6, 100 * math.pi,
+     SCHEME_EXACT),
+    (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 64, 12 * math.pi,
+     SCHEME_EXACT),
+    (ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]])), EYE2_SIGMA,
+     [1.0, 1.0], 0.05, 20.0, SCHEME_EULER),
+    (ConstantDrift(np.array([[-1.0, 400.0], [0.0, -1.0]])), EYE2_SIGMA,
+     [1.0, 1.0], 0.05, 20.0, SCHEME_EXACT),
+], ids=["constant", "periodic-m6", "periodic-m64", "euler", "non-normal"])
+def test_blocked_solve_matches_sequential(monkeypatch, drift, sigma, xi, dt,
+                                          t_end, scheme):
+    # a small draw budget makes the chunks cut the blocks mid-way
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 100)
+    cfg = SimConfig(dt=dt, t_end=t_end, paths=3, seed=17, scheme=scheme)
+    states, trans, noise = _sample_with_factors(monkeypatch, drift, sigma,
+                                                xi, cfg)
+    assert cfg.n_steps >= 300
+    ref = _sequential_states(trans, noise, np.asarray(xi, float), cfg)
+    assert np.abs(states - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_blocked_solve_no_spurious_overflow():
+    # e^{50 i} overflows for i > 14: a block product that is inf would make
+    # the exact zero states inf * 0 = nan
+    drift = ConstantDrift(np.array([[50.0]]))
+    cfg = SimConfig(dt=1.0, t_end=128.0, paths=2, seed=0)
+    zero = DiffusionSpec.constant([[0.0]])
+    ens = simulate_X(drift, zero, [0.0], cfg)
+    assert np.all(ens.states == 0.0)
+    with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
+        simulate_X(drift, zero, [1.0], cfg)
+    # a period of m = 2 steps whose product overflows already: the blocks
+    # are single steps
+    chunks = simulate._run(np.full((2, 1, 1), 1e200), np.zeros((8, 1, 1)),
+                           np.zeros(1), SimConfig(dt=1.0, t_end=8.0, paths=2,
+                                                  seed=0))
+    assert all(np.all(X == 0.0) for _, X in chunks)
+
+
+@pytest.mark.parametrize("budget", [1, 7 * 65, 7 * 67, 7 * 200])
+def test_chunk_stream_independent_of_chunk_size_periodic(monkeypatch, budget):
+    # m = 6 gives blocks of 66 steps, which chunks of 65 or 67 steps cut
+    cfg = SimConfig(dt=2 * math.pi / 6, t_end=80 * math.pi, paths=7, seed=5)
+    whole = simulate_X(COS_DRIFT, UNIT_SIGMA, [1.0], cfg)
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
+    chunks = list(sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg))
+    assert [n0 for n0, _ in chunks] == \
+        [0, *range(1, cfg.n_steps + 1, max(1, budget // cfg.paths))]
+    streamed = np.concatenate([X for _, X in chunks])
+    np.testing.assert_array_equal(np.swapaxes(streamed, 0, 1), whole.states)
 
 
 # ---------------------------------------------------------------------------
