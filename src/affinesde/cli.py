@@ -336,10 +336,20 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
 
 
 def _chunks(scn: Scenario):
-    """The scenario's SimConfig and the sampler's chunk stream."""
+    """The scenario's SimConfig and the sampler's chunk stream.
+
+    The sampler's set-up rejects what only sampling needs, e.g. a step dt
+    that does not divide the drift period; that is a scenario error, while
+    its numeric failures keep their own exit code.
+    """
     cfg = scn.sim_config()
-    return cfg, sample_chunks(scn.build_drift(), scn.build_sigma(),
-                              scn.initial_state, cfg)
+    try:
+        return cfg, sample_chunks(scn.build_drift(), scn.build_sigma(),
+                                  scn.initial_state, cfg)
+    except np.linalg.LinAlgError:   # a ValueError, but a numeric failure
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _write_paths_csv(ens, path: Path) -> None:

@@ -26,9 +26,9 @@ from scipy.special import log_ndtr, ndtr
 from . import model
 from .linalg import monodromy, spectral_abscissa
 from .model import (BOUNDED_BELOW, L2, LOG_THRESHOLD, SLOG_ZERO, UNKNOWN, ZERO,
-                    CallableDrift, CallableSigma, ConstantDrift, ConstantSigma,
-                    DiffusionSpec, EnvelopePattern, PeriodicDrift, TableSigma,
-                    frobenius_sq, interval_integrals)
+                    CallableDrift, CallableSigma, ConstantDrift, DiffusionSpec,
+                    EnvelopePattern, PeriodicDrift, TableSigma, frobenius_sq,
+                    interval_integrals)
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -113,7 +113,7 @@ class _Profile:
     kind: str
     L: float = 0.0          # lim ||sigma(t)||^2 log t
     envelope: object = None
-    fro_sq: float = 0.0     # squared norm of the pattern / constant matrix
+    fro_sq: float = 0.0     # squared norm of the pattern
 
     @property
     def fading(self) -> Optional[bool]:
@@ -124,24 +124,21 @@ def _analyze(spec: DiffusionSpec, pattern_norm_sq: Optional[float] = None) -> _P
     """Asymptotic class of t -> ||sigma(t)||^2 for the built-in forms.
 
     pattern_norm_sq overrides the squared pattern norm; used to re-run the
-    analysis under a norm other than Frobenius.
+    analysis under a norm other than Frobenius.  A constant sigma is the
+    zero-exponent PowerLaw envelope, so it is bounded below unless zero.
     """
     f = spec.form
-    if isinstance(f, ConstantSigma):
-        m, envelope, (kind, L) = f.values, None, (BOUNDED_BELOW, math.inf)
-    elif isinstance(f, EnvelopePattern):
-        m, envelope = f.pattern, f.envelope
-        kind, L = envelope.profile()
-    elif isinstance(f, (TableSigma, CallableSigma)):
+    if isinstance(f, (TableSigma, CallableSigma)):
         # hold-last extrapolation makes a table's far tail exactly constant,
         # but by design tables never receive a Finite/Infinite ruling
         return _Profile(UNKNOWN)
-    else:
+    if not isinstance(f, EnvelopePattern):
         raise TypeError(f"unknown diffusion form {type(f).__name__}")
-    F = frobenius_sq(m) if pattern_norm_sq is None else pattern_norm_sq
+    kind, L = f.envelope.profile()
+    F = frobenius_sq(f.pattern) if pattern_norm_sq is None else pattern_norm_sq
     if F == 0.0 or kind == ZERO:
         return _Profile(ZERO)
-    return _Profile(kind, L * F, envelope, F)
+    return _Profile(kind, L * F, f.envelope, F)
 
 
 def _status(profile: _Profile, eps: float, width: float) -> str:
@@ -314,9 +311,7 @@ def row_interval_integrals(spec: DiffusionSpec, left, right,
     widths = right - left
 
     def integrand(u):
-        pts = left + u * widths
-        rows = np.stack([model.sigma_row_sq(spec, float(t)) for t in pts])
-        return widths[:, None] * rows
+        return widths[:, None] * model.sigma_row_sq(spec, left + u * widths)
 
     res, err = quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=0.0, norm="max")
     if err > tol * 1.001:
@@ -432,16 +427,19 @@ def check_fading(spec: DiffusionSpec, h: float, n_probe: int = 256,
                  tol: float = 1e-10) -> FadingReport:
     """Whether the window energies theta^2(n) tend to zero.
 
-    Analytic for the built-in forms; a trend test over n_probe windows for
-    tables and callables, with Undecided fallback.
+    Analytic for the built-in forms; a trend test over n_probe >= 8 windows
+    (first quarter against last quarter) for tables and callables, with
+    Undecided fallback.
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    if n_probe < 8:
+        raise ValueError("n_probe must be >= 8")
     profile = _analyze(spec)
     if profile.fading is not None:
         return FadingReport(profile.fading)
     wi = model.window_intensity(spec, h, n_probe, tol)
-    head = float(np.max(wi.values[: n_probe // 4])) if n_probe >= 8 else math.inf
+    head = float(np.max(wi.values[: n_probe // 4]))
     tail = float(np.max(wi.values[-n_probe // 4:]))
     if (head == 0.0 and tail == 0.0) or (head > 0.0 and tail <= 0.05 * head):
         return FadingReport(True)
@@ -624,13 +622,9 @@ def norm_equiv_check(spec: DiffusionSpec, eps: float, alt_norm: str,
     Thresholds may move but the trichotomy class must not.
     """
     f = spec.form
-    if isinstance(f, ConstantSigma):
-        alt_sq = _alt_norm_sq(f.values, alt_norm)
-    elif isinstance(f, EnvelopePattern):
-        alt_sq = _alt_norm_sq(f.pattern, alt_norm)
-    else:
+    if not isinstance(f, EnvelopePattern):
         raise ValueError("norm comparison needs a constant or envelope form")
-    fro, alt = _analyze(spec), _analyze(spec, alt_sq)
+    fro, alt = _analyze(spec), _analyze(spec, _alt_norm_sq(f.pattern, alt_norm))
     return NormEquivReport(
         eps=eps, alt_norm=alt_norm,
         status_frobenius=_status(fro, eps, h),

@@ -1,9 +1,13 @@
 """Diffusion and drift specifications, and windowed intensity integrals.
 
 The diffusion coefficient is a continuous matrix function sigma(t) of shape
-(d, r).  Everything downstream (classification criteria, exact simulation)
-consumes sigma only through weighted integrals of its squared Frobenius norm,
-so this module centralises those quadratures:
+(d, r) in one of three forms: an envelope family times a constant pattern
+(a constant sigma is the pattern under the zero-exponent ``PowerLaw``), a
+piecewise-linear table, or a user callable.  ``eval_sigma`` is the one
+evaluator of every form, at a single time or at an array of times.
+Everything downstream (classification criteria, exact simulation) consumes
+sigma only through weighted integrals of its squared Frobenius norm, so this
+module centralises those quadratures:
 
 * ``window_intensity``     -- energy per uniform window [n*h, (n+1)*h]
 * ``running_intensity``    -- energy over a sliding window [t, t+c]
@@ -186,16 +190,6 @@ def _readonly(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConstantSigma:
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        if self.values.ndim != 2:
-            raise ValueError("constant sigma must be a 2-d matrix")
-
-
-@dataclass(frozen=True)
 class EnvelopePattern:
     envelope: object
     pattern: np.ndarray
@@ -246,8 +240,6 @@ class DiffusionSpec:
         if self.d < 1 or self.r < 1:
             raise ValueError("dimensions must be positive")
         f = self.form
-        if isinstance(f, ConstantSigma) and f.values.shape != (self.d, self.r):
-            raise ValueError("constant sigma shape mismatch")
         if isinstance(f, EnvelopePattern) and f.pattern.shape != (self.d, self.r):
             raise ValueError("pattern shape mismatch")
         if isinstance(f, TableSigma) and f.values.shape[1:] != (self.d, self.r):
@@ -256,8 +248,9 @@ class DiffusionSpec:
     # -- constructors -------------------------------------------------------
     @staticmethod
     def constant(values) -> "DiffusionSpec":
-        m = np.atleast_2d(np.asarray(values, dtype=float))
-        return DiffusionSpec(m.shape[0], m.shape[1], ConstantSigma(m))
+        """A constant sigma: the pattern under the zero-exponent PowerLaw,
+        whose value is exactly 1."""
+        return DiffusionSpec.envelope(PowerLaw(1.0, 0.0), values)
 
     @staticmethod
     def envelope(env, pattern) -> "DiffusionSpec":
@@ -289,71 +282,64 @@ def frobenius_sq(m) -> float:
     return float(np.sum(a * a))
 
 
-def _check_time(t: float):
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
+def _check_time(t) -> np.ndarray:
+    """t as a float array, after checking every entry is finite and >= 0."""
+    tt = np.asarray(t, dtype=float)
+    bad = ~np.isfinite(tt) | (tt < 0)
+    if np.any(bad):
+        raise ValueError(f"time must be finite and >= 0, got {float(tt[bad][0])!r}")
+    return tt
 
 
-def _table_interp(tab: TableSigma, t: float) -> np.ndarray:
-    ts = tab.times
-    if t <= ts[0]:
-        return tab.values[0]
-    if t >= ts[-1]:
-        return tab.values[-1]
-    i = int(np.searchsorted(ts, t, side="right")) - 1
-    w = (t - ts[i]) / (ts[i + 1] - ts[i])
-    return (1.0 - w) * tab.values[i] + w * tab.values[i + 1]
+def eval_sigma(spec: DiffusionSpec, t) -> np.ndarray:
+    """Evaluate sigma(t): a (d, r) matrix for a scalar t, and an array of
+    shape t.shape + (d, r) for an array of times.
 
-
-def eval_sigma(spec: DiffusionSpec, t: float) -> np.ndarray:
-    """Evaluate sigma(t) as a (d, r) matrix."""
-    _check_time(t)
+    Every entry equals the scalar call at its time: envelopes are evaluated
+    on a 1-d array even for a scalar t, since numpy's scalar power rounds
+    differently from its array loop.
+    """
+    tt = _check_time(t)
     f = spec.form
-    if isinstance(f, ConstantSigma):
-        return f.values.copy()
     if isinstance(f, EnvelopePattern):
-        return float(f.envelope.value(t)) * f.pattern
+        env = f.envelope.value(tt.reshape(-1)).reshape(tt.shape)
+        return env[..., None, None] * f.pattern
     if isinstance(f, TableSigma):
-        return np.array(_table_interp(f, t))
+        ts, vs = f.times, f.values
+        i = np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, len(ts) - 2)
+        w = ((tt - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
+        out = (1.0 - w) * vs[i] + w * vs[i + 1]
+        out[tt <= ts[0]] = vs[0]
+        out[tt >= ts[-1]] = vs[-1]
+        return out
     if isinstance(f, CallableSigma):
-        out = np.atleast_2d(np.asarray(f.fn(t), dtype=float))
-        if out.shape != (spec.d, spec.r):
-            raise ValueError("callable sigma returned wrong shape")
+        out = np.empty(tt.shape + (spec.d, spec.r))
+        for idx in np.ndindex(tt.shape):
+            m = np.atleast_2d(np.asarray(f.fn(float(tt[idx])), dtype=float))
+            if m.shape != (spec.d, spec.r):
+                raise ValueError("callable sigma returned wrong shape")
+            out[idx] = m
         return out
     raise TypeError(f"unknown diffusion form {type(f).__name__}")
 
 
 def sigma_fro_sq(spec: DiffusionSpec, t) -> np.ndarray:
-    """Vectorised ||sigma(t)||_F^2 for an array of times."""
-    tt = np.asarray(t, dtype=float)
-    f = spec.form
-    if isinstance(f, ConstantSigma):
-        return np.full(tt.shape, frobenius_sq(f.values))
-    if isinstance(f, EnvelopePattern):
-        env = np.asarray(f.envelope.value(tt))
-        return env * env * frobenius_sq(f.pattern)
-    if isinstance(f, TableSigma):
-        flat = tt.ravel()
-        out = np.array([float(np.sum(_table_interp(f, s) ** 2)) for s in flat])
-        return out.reshape(tt.shape)
-    if isinstance(f, CallableSigma):
-        flat = tt.ravel()
-        out = np.array([float(np.sum(np.asarray(f.fn(s), float) ** 2)) for s in flat])
-        return out.reshape(tt.shape)
-    raise TypeError(f"unknown diffusion form {type(f).__name__}")
-
-
-def sigma_row_sq(spec: DiffusionSpec, t: float) -> np.ndarray:
-    """Row-wise sums sum_j sigma_ij(t)^2, shape (d,)."""
+    """||sigma(t)||_F^2, shape t.shape."""
     m = eval_sigma(spec, t)
-    return np.sum(m * m, axis=1)
+    return np.einsum("...ij,...ij->...", m, m)
+
+
+def sigma_row_sq(spec: DiffusionSpec, t) -> np.ndarray:
+    """Row-wise sums sum_j sigma_ij(t)^2, shape t.shape + (d,)."""
+    m = eval_sigma(spec, t)
+    return np.einsum("...ij,...ij->...i", m, m)
 
 
 # ---------------------------------------------------------------------------
 # intensity integrals
 # ---------------------------------------------------------------------------
 
-def _table_fro_sq_integral(tab: TableSigma, a: float, b: float) -> float:
+def _table_fro_sq_integral(spec: DiffusionSpec, a: float, b: float) -> float:
     """Exact integral of ||sigma||_F^2 over [a, b] for a piecewise-linear table.
 
     The integrand is piecewise quadratic, so Simpson on each linear piece is
@@ -361,23 +347,19 @@ def _table_fro_sq_integral(tab: TableSigma, a: float, b: float) -> float:
     """
     if b <= a:
         return 0.0
-    knots = tab.times[(tab.times > a) & (tab.times < b)]
-    pts = np.concatenate(([a], knots, [b]))
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (lo + hi)
-        flo = float(np.sum(_table_interp(tab, lo) ** 2))
-        fmid = float(np.sum(_table_interp(tab, mid) ** 2))
-        fhi = float(np.sum(_table_interp(tab, hi) ** 2))
-        total += (hi - lo) * (flo + 4.0 * fmid + fhi) / 6.0
-    return total
+    ts = spec.form.times
+    pts = np.concatenate(([a], ts[(ts > a) & (ts < b)], [b]))
+    f = sigma_fro_sq(spec, np.concatenate((pts, 0.5 * (pts[:-1] + pts[1:]))))
+    n = len(pts)
+    return float(np.sum(np.diff(pts) * (f[:n - 1] + 4.0 * f[n:] + f[1:n]))
+                 / 6.0)
 
 
 def interval_integrals(spec: DiffusionSpec, left, right, tol: float = 1e-10) -> np.ndarray:
     """Integral of ||sigma||_F^2 over each interval [left[i], right[i]].
 
     Adaptive (Gauss-Kronrod based) with absolute error <= tol per interval;
-    exact for Constant and Table forms.
+    exact for tables.
     """
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
@@ -389,10 +371,9 @@ def interval_integrals(spec: DiffusionSpec, left, right, tol: float = 1e-10) -> 
         raise ValueError("tol must be positive")
     f = spec.form
     widths = right - left
-    if isinstance(f, ConstantSigma):
-        return frobenius_sq(f.values) * widths
     if isinstance(f, TableSigma):
-        return np.array([_table_fro_sq_integral(f, a, b) for a, b in zip(left, right)])
+        return np.array([_table_fro_sq_integral(spec, a, b)
+                         for a, b in zip(left, right)])
 
     # smooth forms: map every interval onto u in [0, 1] and integrate the
     # whole vector with one shared adaptive subdivision

@@ -34,9 +34,8 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from .linalg import propagator
-from .model import (ConstantDrift, ConstantSigma, DiffusionSpec,
-                    EnvelopePattern, PeriodicDrift, PowerLaw, eval_drift,
-                    eval_sigma)
+from .model import (ConstantDrift, DiffusionSpec, EnvelopePattern,
+                    PeriodicDrift, PowerLaw, eval_drift, eval_sigma)
 
 SCHEME_EXACT = "ExactLinearGaussian"
 SCHEME_EULER = "EulerMaruyama"
@@ -183,31 +182,23 @@ def _gauss_legendre(n: int):
     return 0.5 * (x + 1.0), 0.5 * w   # mapped to [0, 1]
 
 
-def _envelope_sq(form: EnvelopePattern, t: np.ndarray) -> np.ndarray:
-    return np.asarray(form.envelope.value(t), dtype=float) ** 2
-
-
 def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
                       dt: float, tol: float, E: np.ndarray) -> np.ndarray:
     """Covariance stack Q_n for every step, (N, d, d).
 
     E[j, k] = Psi(t_j + dt, t_j + u_k dt) at the Gauss-Legendre nodes u_k for
-    each of the m period positions j; step n uses E[n % m].  Separable forms
-    (constant or envelope-times-pattern sigma) use this fixed panel batched
-    over all steps, validated against the adaptive quadrature on the first
-    step; other forms fall back to the adaptive panel per step.
+    each of the m period positions j; step n uses E[n % m].  The separable
+    envelope-times-pattern form (a constant sigma included) uses this fixed
+    panel batched over all steps, with the squared envelope g as the only
+    per-node factor, validated against the adaptive quadrature on the first
+    step; tables and callables fall back to the adaptive panel per step.
     """
     N, m = len(times), len(E)
     form = sigma.form
-    if isinstance(form, (ConstantSigma, EnvelopePattern)):
+    if isinstance(form, EnvelopePattern):
         u, w = _gauss_legendre(_GL_NODES)
-        if isinstance(form, ConstantSigma):
-            P = form.values
-            g = np.ones((N, _GL_NODES))
-        else:
-            P = form.pattern
-            g = _envelope_sq(form, times[:, None] + u[None, :] * dt)
-        M = E @ P
+        g = np.asarray(form.envelope.value(times[:, None] + u[None, :] * dt)) ** 2
+        M = E @ form.pattern
         C = (dt * M) @ np.swapaxes(M, -1, -2)   # (m, K, d, d)
         Q = np.empty((N, sigma.d, sigma.d))
         for j in range(m):
@@ -366,8 +357,8 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig):
     if cfg.scheme == SCHEME_EULER:
         trans = np.stack([np.eye(drift.d) + dt * eval_drift(drift, float(t))
                           for t in times[:m]])
-        noise_t = math.sqrt(dt) * np.stack([eval_sigma(sigma, float(t)).T
-                                            for t in times])
+        noise_t = np.ascontiguousarray(
+            math.sqrt(dt) * np.swapaxes(eval_sigma(sigma, times), -1, -2))
     else:
         u, _ = _gauss_legendre(_GL_NODES)
         psis = [_step_propagator(drift, t, dt, cfg.cov_tol) for t in times[:m]]

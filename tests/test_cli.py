@@ -335,6 +335,27 @@ def test_floquet_periodic_table(tmp_path, capsys):
     assert report["rho"] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_sampler_setup_error_exit_parse(tmp_path, capsys):
+    # dt = 0.05 does not divide the period 2 pi: only sampling needs that,
+    # so the scenario parses, classify and floquet run, and verify and
+    # simulate report a scenario error
+    doc = base_doc()
+    doc["drift"] = {"kind": "constant", "matrix": [[-1.0]],
+                    "period": float(2 * math.pi)}
+    doc["sigma"] = {"kind": "constant", "values": [[1.0]]}
+    doc["initial_state"] = [1.0]
+    doc["simulation"] = {"dt": 0.05, "t_end": 1.0, "paths": 4, "seed": 1}
+    path = write(tmp_path, doc)
+    for command in ("classify", "floquet"):
+        assert main([command, path, "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    for command in ("verify", "simulate"):
+        assert main([command, path, "--out", str(tmp_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:")
+        assert "dt must divide the drift period" in err
+
+
 def test_floquet_needs_period(tmp_path, capsys):
     assert main(["floquet", write(tmp_path, base_doc()),
                  "--out", str(tmp_path)]) == EXIT_PARSE

@@ -366,6 +366,16 @@ def test_check_fading_table_trend():
     assert check_fading(flat, 1.0, n_probe=128).fading is False
 
 
+def test_check_fading_rejects_short_probe():
+    # with fewer than 8 windows the first quarter is empty; a constant
+    # table must not be called fading for want of a head
+    flat = DiffusionSpec.table([0.0, 1.0], [[[1.0]], [[1.0]]])
+    for n in (1, 4, 7):
+        with pytest.raises(ValueError, match="n_probe"):
+            check_fading(flat, 1.0, n_probe=n)
+    assert check_fading(flat, 1.0, n_probe=8).fading is False
+
+
 def test_mean_square_equiv():
     rep = mean_square_equiv(scalar(ExpDecay(1.0, 1.0)))
     assert rep.all_equivalent and rep.fading_all_h

@@ -1,6 +1,7 @@
 """Every name a package module imports is used (names in __all__ exempt),
-every module-level private name is referenced in its own module, and every
-name the package exports resolves."""
+every module-level private name is referenced in its own module, no module
+reaches for another module's private names, and every name the package
+exports resolves."""
 
 import ast
 import importlib
@@ -53,6 +54,33 @@ def unreferenced_privates(source: str) -> list:
                   if name not in used)
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_cross_imports(source: str) -> list:
+    """Underscore names a module imports from another module, or reads as
+    an attribute of a module it imported."""
+    tree = ast.parse(source)
+    modules = set()   # names bound to imported modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{alias.name} (line {node.lineno})")
+                elif node.module is None:   # from . import module
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0]
+                           for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr) and \
+                isinstance(node.value, ast.Name) and node.value.id in modules:
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
 def test_checker_flags_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == \
         ["os (line 1)"]
@@ -76,6 +104,24 @@ def test_checker_flags_unreferenced_private():
                          ids=lambda p: p.name)
 def test_no_unreferenced_privates(path):
     assert unreferenced_privates(path.read_text()) == []
+
+
+def test_checker_flags_private_cross_import():
+    source = ("from .model import _sigma_at, eval_sigma\n"
+              "from . import model, stats as st\n"
+              "import numpy as np\n"
+              "from __future__ import annotations\n"
+              "x = model._table(1) + st._mean + np._core + model.eval_sigma\n"
+              "y = self._cache + _local + model.__name__\n")
+    assert private_cross_imports(source) == [
+        "_sigma_at (line 1)", "model._table (line 5)", "np._core (line 5)",
+        "st._mean (line 5)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_private_cross_imports(path):
+    assert private_cross_imports(path.read_text()) == []
 
 
 def test_package_exports_resolve():

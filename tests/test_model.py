@@ -8,7 +8,7 @@ from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
                              PowerLaw, eval_drift, eval_sigma, frobenius_sq,
                              integrate_fro_sq, interval_integrals,
                              exp_weighted_tail, running_intensity,
-                             window_intensity)
+                             sigma_fro_sq, sigma_row_sq, window_intensity)
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,71 @@ def test_eval_sigma_rejects_bad_times():
         eval_sigma(spec, -1.0)
     with pytest.raises(ValueError):
         eval_sigma(spec, math.nan)
+
+
+_VEC_TIMES = np.array([[0.0, 0.1, 0.37, 0.5],      # before the first knot,
+                      [1.2, 2.0, 3.3, 5.0],        # on knots, between knots
+                      [7.25, 40.0, 1e3, 0.2]])     # and after the last one
+_VEC_SPECS = {
+    "envelope": DiffusionSpec.envelope(PowerLaw(1.3, -0.3),
+                                       [[1.0, 0.2, 0.0], [0.5, -1.0, 0.3]]),
+    "constant": DiffusionSpec.constant([[1.0, 0.3], [0.0, 0.8]]),
+    "table": DiffusionSpec.table([0.37, 1.2, 2.0, 5.0],
+                                 [[[1.0, 0.0]], [[0.3, -2.0]],
+                                  [[0.7, 0.1]], [[-0.5, 1.5]]]),
+    "callable": DiffusionSpec.from_callable(
+        lambda t: np.array([[math.sin(t), 1.0], [0.0, math.exp(-t)]]), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VEC_SPECS))
+def test_eval_sigma_array_matches_scalar_calls(name):
+    spec = _VEC_SPECS[name]
+    got = eval_sigma(spec, _VEC_TIMES)
+    assert got.shape == _VEC_TIMES.shape + (spec.d, spec.r)
+    stacked = np.array([[eval_sigma(spec, float(t)) for t in row]
+                        for row in _VEC_TIMES])
+    assert np.array_equal(got, stacked)
+    assert eval_sigma(spec, 0.5).shape == (spec.d, spec.r)
+    fro, rows = sigma_fro_sq(spec, _VEC_TIMES), sigma_row_sq(spec, _VEC_TIMES)
+    assert fro.shape == _VEC_TIMES.shape
+    assert rows.shape == _VEC_TIMES.shape + (spec.d,)
+    np.testing.assert_allclose(fro, np.sum(stacked ** 2, axis=(-2, -1)),
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(rows, np.sum(stacked ** 2, axis=-1),
+                               rtol=1e-15, atol=0.0)
+
+
+def test_eval_sigma_table_knots_and_holds_are_exact():
+    spec = _VEC_SPECS["table"]
+    vals = spec.form.values
+    got = eval_sigma(spec, np.array([0.0, 0.37, 1.2, 2.0, 5.0, 9.0]))
+    assert np.array_equal(got, vals[[0, 0, 1, 2, 3, 3]])
+
+
+@pytest.mark.parametrize("name", sorted(_VEC_SPECS))
+def test_eval_sigma_array_rejects_bad_times(name):
+    spec = _VEC_SPECS[name]
+    for bad in (-1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="time must be"):
+            eval_sigma(spec, np.array([0.0, 1.0, bad, 2.0]))
+
+
+def test_eval_sigma_array_rejects_wrong_callable_shape():
+    spec = DiffusionSpec.from_callable(
+        lambda t: np.ones((2, 2)) if t < 1.0 else np.ones((2, 3)), 2, 2)
+    assert eval_sigma(spec, np.array([0.0, 0.5])).shape == (2, 2, 2)
+    with pytest.raises(ValueError, match="wrong shape"):
+        eval_sigma(spec, np.array([0.0, 0.5, 1.5]))
+
+
+def test_constant_sigma_is_zero_exponent_powerlaw():
+    spec = DiffusionSpec.constant([[1.0, 0.3], [0.0, 0.8]])
+    assert spec.form.envelope == PowerLaw(1.0, 0.0)
+    assert np.array_equal(spec.form.pattern, [[1.0, 0.3], [0.0, 0.8]])
+    t = np.array([0.0, 1.0, 1e6])
+    assert np.array_equal(eval_sigma(spec, t),
+                          np.broadcast_to(spec.form.pattern, (3, 2, 2)))
 
 
 def test_table_continuity_lipschitz():

@@ -202,6 +202,27 @@ def test_euler_zero_noise_deterministic():
     assert ens.states[0, -1, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
 
+@pytest.mark.parametrize("scheme", [SCHEME_EXACT, SCHEME_EULER])
+def test_table_sigma_samples_through_covariance_fallback(monkeypatch, scheme):
+    # a constant-valued table takes the per-step adaptive covariances, the
+    # equal constant sigma the Gauss-Legendre panel; with the same Philox
+    # streams both ensembles agree up to the quadratures' rounding
+    S = [[1.0, 0.3], [0.0, 0.8]]
+    table = DiffusionSpec.table([0.0, 0.37, 5.0], [S, S, S])
+    A = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
+    cfg = SimConfig(dt=0.05, t_end=3.2, paths=8, seed=31, scheme=scheme)
+    calls = []
+    real = simulate.step_covariance
+    monkeypatch.setattr(simulate, "step_covariance",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    ref = simulate_X(A, DiffusionSpec.constant(S), [1.0, -1.0], cfg).states
+    n_panel = len(calls)
+    got = simulate_X(A, table, [1.0, -1.0], cfg).states
+    if scheme == SCHEME_EXACT:
+        assert (n_panel, len(calls) - n_panel) == (1, cfg.n_steps)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("budget", [1, 7, 64, 1000, 63 * 14, 65 * 14])
 def test_chunk_stream_independent_of_chunk_size(monkeypatch, budget):
     # the chunks tile the grid in order and carry the same bits as one
