@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -81,11 +82,21 @@ def _check_keys(section: dict, name: str, allowed, required=()):
 
 
 def _num(section: dict, key: str, default=None, kind=float):
+    """section[key] (else default) as a finite float, or an integer for int."""
     v = section.get(key, default)
     try:
-        return kind(v)
-    except (TypeError, ValueError):
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"field {key!r} must be a number, got {v!r}")
+    if not math.isfinite(x):
+        raise ScenarioError(f"field {key!r} must be finite, got {v!r}")
+    if kind is float:
+        return x
+    if isinstance(v, int):
+        return int(v)
+    if not x.is_integer():
+        raise ScenarioError(f"field {key!r} must be an integer, got {v!r}")
+    return int(x)
 
 
 def _matrix(v, name: str):

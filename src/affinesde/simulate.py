@@ -14,19 +14,29 @@ Euler-Maruyama scheme is provided for cross-validation.  Paths are seeded
 independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
 
-The recursion streams: `sample_chunks` yields the states as time-major
-chunks (n0, X[k, path, i]), so a consumer that only reduces them (such as
-`stats.compare`) never holds the (paths, N+1, d) ensemble; `simulate_X`
-gathers the same chunks into a `PathEnsemble`.  Each chunk is solved in
-blocks of about 64 steps anchored at absolute step indices: partial sums
-inside every block of the chunk at once, then one carry of the block-start
-state per block, so a chunk of k steps costs O(b + k/b) numpy calls rather
-than k, and the states do not depend on the chunk length.
+The recursion streams: `sample_chunks` cuts the paths into one contiguous
+shard per CPU (at most one per path) and returns one stream of time-major
+chunks (n0, X[k, path, i]) per shard, so a consumer that only reduces them
+(such as `stats.compare`) never holds the (paths, N+1, d) ensemble;
+`simulate_X` gathers the same chunks into a `PathEnsemble`.  `map_shards`
+runs a consumer on every shard at once, shard 0 on the calling thread and
+each other shard on a worker thread: the draws and the numpy kernels
+release the interpreter lock.  Each chunk is solved in blocks of about 64
+steps anchored at absolute step indices: partial sums inside every block of
+the chunk at once, then one carry of the block-start state per block, so a
+chunk of k steps costs O(b + k/b) numpy calls rather than k.  Every path
+draws from its own stream and its arithmetic is column-wise, so the states
+depend neither on the chunk length nor on the shard count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,6 +69,12 @@ class SimConfig:
     cov_tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "cov_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("paths", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
@@ -67,6 +83,8 @@ class SimConfig:
             raise ValueError("paths must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.cov_tol <= 0:
+            raise ValueError("cov_tol must be positive")
         if self.scheme not in (SCHEME_EXACT, SCHEME_EULER):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         n = round(self.t_end / self.dt)
@@ -117,11 +135,10 @@ def _check_finite(states: np.ndarray) -> None:
         raise FloatingPointError("non-finite states in ensemble")
 
 
-def _path_generators(cfg: SimConfig) -> list:
+def _path_generators(seed: int, paths: range) -> list:
     """One Philox stream per path p, seeded with (seed, p)."""
     return [np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=(int(cfg.seed), p))))
-        for p in range(cfg.paths)]
+        np.random.SeedSequence(entropy=(int(seed), p)))) for p in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +261,60 @@ def _block_products(trans: np.ndarray):
     return b, P[None, :b]
 
 
-def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
-         cfg: SimConfig):
-    """Time-major chunks (n0, X) of X_{n+1} = trans[n % m] X_n + noise[n] Z_n.
+def _cpus() -> int:
+    """CPUs this process may run on: the most shards worth running at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # not every platform has affinity masks
+        return os.cpu_count() or 1
 
-    X[j, p] is path p's state at grid point n0 + j; the first chunk is X_0
-    alone.  trans is the (m, d, d) stack of transitions over one drift period
-    (m = 1 for a constant drift), noise_t the (N, r, d) stack of the per-step
-    factors' transposes noise[n]^T, in C order.  Each chunk of k steps draws
-    path p's standard normals from the path's own Philox stream into row p of
-    one (paths, k, r) buffer, and forms the increments V_n = noise[n] Z_n in
+
+def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
+         cfg: SimConfig) -> list:
+    """Shard streams of time-major chunks (n0, X) of X_{n+1} = trans[n % m] X_n
+    + noise[n] Z_n.
+
+    The paths are cut into min(CPUs, paths) contiguous shards, and each gets
+    its own stream, in path order: X[j, p] is the state of the shard's p-th
+    path at grid point n0 + j, and the first chunk is X_0 alone.  trans is
+    the (m, d, d) stack of transitions over one drift period (m = 1 for a
+    constant drift), noise_t the (N, r, d) stack of the per-step factors'
+    transposes noise[n]^T, in C order.  A chunk has k steps, with k set by
+    the whole ensemble, so the shards' buffers together take what one
+    stream's would; they are allocated here, on the calling thread, which
+    keeps them in its malloc arena whichever thread later runs the stream.
+    """
+    N, r, d = noise_t.shape
+    b, P = _block_products(trans)
+    # every right-hand factor is a transpose in C order: numpy's matmul of
+    # small matrices runs several times faster on those than on transposed
+    # views
+    TT, PT = (np.ascontiguousarray(np.swapaxes(a, -1, -2))
+              for a in (trans, P))
+    k = min(N, max(1, _CHUNK_DRAWS // (cfg.paths * r)))
+    rows = max(min(b, k), -(-k // b))
+    n = min(_cpus(), cfg.paths)
+    edges = [cfg.paths * i // n for i in range(n + 1)]
+    streams = []
+    for lo, hi in zip(edges, edges[1:]):
+        # Z is read only by the increments' matmul, so the solve's products
+        # reuse its memory
+        w = hi - lo
+        scratch = np.empty(max(w * k * r, rows * w * d))
+        streams.append(_solve(TT, PT, b, noise_t, xi,
+                              _path_generators(cfg.seed, range(lo, hi)),
+                              scratch[:w * k * r].reshape(w, k, r),
+                              scratch[:rows * w * d].reshape(rows, w, d)))
+    return streams
+
+
+def _solve(TT, PT, b: int, noise_t, xi, gens: list, Z, tmp):
+    """One shard's chunks: the recursion for the paths drawing from gens.
+
+    TT and PT are the C-order transposes of trans and of the block products
+    P; Z (paths, k, r) and tmp share the shard's scratch memory.  Each chunk
+    of k steps draws path p's standard normals from the path's own Philox
+    stream into row p of Z, and forms the increments V_n = noise[n] Z_n in
     the chunk's output array with one batched matmul.
 
     The recursion is then solved in blocks of b steps (see _block_products)
@@ -262,25 +323,13 @@ def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
     every block of the chunk at once, and one carry per block gives
     X_{s+i+1} = P_i X_s + W_i.  A block cut by a chunk boundary carries its
     start state X_s and its last partial sum into the next chunk, so the
-    states do not depend on k.  Every chunk is checked to be finite.
+    states do not depend on k.  Every chunk is checked to be finite.  Each
+    path's arithmetic is the same in any shard, so the states do not depend
+    on the shard count either.
     """
-    N, r, d = noise_t.shape
-    m = len(trans)
-    b, P = _block_products(trans)
-    # every right-hand factor is a transpose in C order: numpy's matmul of
-    # small matrices runs several times faster on those than on transposed
-    # views
-    TT, PT = (np.ascontiguousarray(np.swapaxes(a, -1, -2))
-              for a in (trans, P))
-    gens = _path_generators(cfg)
-    k = min(N, max(1, _CHUNK_DRAWS // (cfg.paths * r)))
-    # Z is read only by the increments' matmul, so the solve's products
-    # reuse its memory
-    rows = max(min(b, k), -(-k // b))
-    scratch = np.empty(max(cfg.paths * k * r, rows * cfg.paths * d))
-    Z = scratch[:cfg.paths * k * r].reshape(cfg.paths, k, r)
-    tmp = scratch[:rows * cfg.paths * d].reshape(rows, cfg.paths, d)
-    X = np.array(np.broadcast_to(xi, (1, cfg.paths, d)))
+    N, _, d = noise_t.shape
+    m, k = len(TT), Z.shape[1]
+    X = np.array(np.broadcast_to(xi, (1, len(gens), d)))
     yield 0, X
     Xs, W = X[0], None   # state at the current block's start, partial sum
     for start in range(0, N, k):
@@ -327,11 +376,15 @@ def _prepare_xi(xi, d: int) -> np.ndarray:
 # public samplers
 # ---------------------------------------------------------------------------
 
-def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig):
-    """Sample the SDE from X(0) = xi as time-major chunks (n0, X[k, path, i]).
+def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
+    """Sample the SDE from X(0) = xi as shard streams of time-major chunks
+    (n0, X[k, path, i]).
 
-    The chunks cover grid points 0..N in order, the first holding X_0 alone;
-    a chunk is a fresh array of about 2**20 / (paths r) steps.  A drift with
+    The paths are cut into min(CPUs, paths) contiguous shards, and the list
+    holds one stream per shard, in path order; `map_shards` runs them.  Each
+    stream's chunks cover grid points 0..N in order, the first holding X_0
+    alone; a chunk is a fresh array of about 2**20 / (paths r) steps, paths
+    counting the whole ensemble.  A drift with
     a period runs the periodic sampler (dt must divide the period; a
     periodic spec whose samples are all identical is a constant drift), any
     other drift must be constant.  The set-up (transitions, covariances and
@@ -370,13 +423,65 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig):
     return _run(trans, noise_t, xi, cfg)
 
 
-def collect(chunks, cfg: SimConfig) -> PathEnsemble:
-    """Gather a `sample_chunks` stream into a PathEnsemble."""
-    states = None
-    for n0, X in chunks:
-        if states is None:
-            states = np.empty((cfg.paths, cfg.n_steps + 1, X.shape[2]))
-        states[:, n0:n0 + len(X)] = np.swapaxes(X, 0, 1)
+def map_shards(fn, shards) -> list:
+    """[fn(i, chunks_i)] over shard streams, each shard on its own thread.
+
+    The calling thread runs shard 0 and one worker thread each other shard,
+    in the caller's context (numpy's error state included).  The draws and
+    the numpy kernels release the interpreter lock, so the shards run in
+    parallel.  If a call raises, the other shards stop before their next
+    chunk, and once every shard has stopped the first failure in shard
+    order is raised.
+    """
+    stop = threading.Event()
+    results, errors = [None] * len(shards), [None] * len(shards)
+
+    def until_stopped(chunks):
+        for chunk in chunks:
+            if stop.is_set():
+                return
+            yield chunk
+
+    def work(i):
+        try:
+            results[i] = fn(i, until_stopped(shards[i]))
+        except BaseException as exc:   # re-raised by the calling thread
+            errors[i] = exc
+            stop.set()
+
+    workers = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work, i), name=f"affinesde-shard-{i}")
+               for i in range(1, len(shards))]
+    for t in workers:
+        t.start()
+    try:
+        work(0)
+        for t in workers:
+            t.join()
+    except BaseException:   # interrupted while joining: stop the workers too
+        stop.set()
+        raise
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def collect(shards, cfg: SimConfig) -> PathEnsemble:
+    """Gather `sample_chunks` shard streams into a PathEnsemble.
+
+    Each shard fills its own paths' rows of the states on its own thread.
+    """
+    shards = [iter(s) for s in shards]
+    heads = [next(s) for s in shards]   # the X_0 chunks: no draws yet
+    states = np.empty((cfg.paths, cfg.n_steps + 1, heads[0][1].shape[2]))
+    views = np.split(states, np.cumsum([X.shape[1] for _, X in heads[:-1]]))
+
+    def fill(i, chunks):
+        for n0, X in chunks:
+            views[i][:, n0:n0 + len(X)] = np.swapaxes(X, 0, 1)
+
+    map_shards(fill, [itertools.chain([h], s) for h, s in zip(heads, shards)])
     return PathEnsemble(times=cfg.times, states=states, config=cfg)
 
 

@@ -4,22 +4,26 @@ Almost-sure limits cannot be tested from a finite horizon, so the sample
 paths are reduced to finite-horizon proxies: suprema over dyadic tail
 segments (limsup proxy), trailing-window infima (liminf proxy) and pathwise
 time-averages of ||X||^2.  Every proxy the rules read is a running reduction
-at indices known before the run, so `compare` feeds the sampler's chunk
-stream into one `EvidenceAccumulator` with O(paths) state and never holds an
-ensemble.  Its `evidence` applies simple, explainable decision rules and
-reports Consistent / Inconsistent / Inconclusive — it never forces
-agreement.  `ensemble_mean_sq` gives the mean-square curve of an in-memory
-ensemble.
+at indices known before the run, so `compare` feeds each of the sampler's
+shard streams, on the shard's own thread, into an `EvidenceAccumulator` with
+O(paths) state and never holds an ensemble.  Every reduction is per path,
+so the accumulators joined along the path axis hold what one accumulator
+fed every path would, whatever the shard count.  `evidence` applies simple,
+explainable decision rules and reports Consistent / Inconsistent /
+Inconclusive — it never forces agreement.  `ensemble_mean_sq` gives the
+mean-square curve of an in-memory ensemble.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import PathEnsemble, state_norms
+from .simulate import PathEnsemble, map_shards, state_norms
 
 DECREASING = "Decreasing"
 FLAT = "Flat"
@@ -28,6 +32,8 @@ INCREASING = "Increasing"
 CONSISTENT = "Consistent"
 INCONSISTENT = "Inconsistent"
 INCONCLUSIVE = "Inconclusive"
+
+_FEED_NORMS = 2 ** 15   # norms per accumulator feed in compare
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +124,18 @@ class CompareThresholds:
     liminf_ratio: float = 0.1        # "small" = below this times band median
     min_grid_points: int = 64        # fewer -> Inconclusive outright
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{f.name} must be finite and positive, "
+                                 f"got {v!r}")
+        if self.liminf_fraction > 1:
+            raise ValueError(f"liminf_fraction must be at most 1, got "
+                             f"{self.liminf_fraction!r}")
+        if self.band_ratio_lo > self.band_ratio_hi:
+            raise ValueError("band_ratio_lo must not exceed band_ratio_hi")
+
 
 @dataclass(frozen=True)
 class RegimeEvidence:
@@ -201,6 +219,27 @@ class EvidenceAccumulator:
         self._trap_half = np.zeros(paths)
         self._last_sq = None                # ||X||^2 at grid point _next - 1
         self._next = 0
+
+    # the per-path state and the axis it stacks the paths on
+    _PATH_AXIS = {"_seg_max": 1, "_at_cp": 0, "_win_min": 0, "_trap": 0,
+                  "_trap_half": 0, "_last_sq": 0}
+
+    @classmethod
+    def concat(cls, parts) -> "EvidenceAccumulator":
+        """One accumulator over the paths of parts, in order.
+
+        The parts must share the grid and have been fed the same points;
+        every per-path reduction is column-wise, so the result is what one
+        accumulator fed all the paths would hold.
+        """
+        if len({p._next for p in parts}) != 1:
+            raise ValueError("the parts were fed different grid points")
+        acc = copy.copy(parts[0])
+        for name, axis in cls._PATH_AXIS.items():
+            if getattr(acc, name) is not None:   # _last_sq before any feed
+                setattr(acc, name, np.concatenate(
+                    [getattr(p, name) for p in parts], axis=axis))
+        return acc
 
     def add(self, n0: int, norms) -> None:
         """Take ||X|| at grid points n0 .. n0 + k - 1, shape (k, paths)."""
@@ -343,13 +382,27 @@ class EvidenceAccumulator:
         raise ValueError(f"unknown regime {regime!r}")
 
 
-def compare(verdict, times, chunks,
+def compare(verdict, times, shards,
             thresholds: CompareThresholds = CompareThresholds()) -> RegimeEvidence:
-    """Weigh a stream of state chunks (n0, X[k, path, i]) on the grid times
-    against a regime verdict, holding one chunk at a time."""
-    acc = None
-    for n0, X in chunks:
-        if acc is None:
-            acc = EvidenceAccumulator(times, X.shape[1])
-        acc.add(n0, state_norms(X))
-    return acc.evidence(verdict, thresholds)
+    """Weigh shard streams of state chunks (n0, X[k, path, i]) on the grid
+    times, such as `sample_chunks` returns, against a regime verdict.
+
+    Each shard's norms feed its own accumulator on its own thread
+    (`map_shards`), holding one chunk at a time; the accumulators are
+    joined along the path axis in shard order before the rules run.
+    """
+    def reduce(_, chunks):
+        acc = None
+        for n0, X in chunks:
+            if acc is None:
+                acc = EvidenceAccumulator(times, X.shape[1])
+            # a few rows at a time: the norms and the accumulator's
+            # temporaries stay small, and so does a worker thread's own
+            # malloc arena, which the calling thread cannot reuse
+            rows = max(1, _FEED_NORMS // X.shape[1])
+            for a in range(0, len(X), rows):
+                acc.add(n0 + a, state_norms(X[a:a + rows]))
+        return acc
+
+    return EvidenceAccumulator.concat(map_shards(reduce, shards)).evidence(
+        verdict, thresholds)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from affinesde import simulate
 from affinesde.cli import (EXIT_INCONSISTENT, EXIT_NUMERIC, EXIT_OK,
                            EXIT_PARSE, EXIT_UNDECIDED, Scenario,
                            ScenarioError, dump_scenario, load_scenario, main)
@@ -82,6 +83,31 @@ def test_out_of_range_parameters_rejected(tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(path)
         assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_PARSE
+    # non-finite numbers, fractional counts and seeds, and tolerances or
+    # thresholds out of range
+    for section, key, value in (
+            ("simulation", "t_end", math.inf), ("simulation", "dt", math.nan),
+            ("simulation", "paths", math.inf), ("simulation", "paths", 4.7),
+            ("simulation", "seed", 1.5), ("simulation", "cov_tol", -1.0),
+            ("simulation", "cov_tol", math.nan), ("simulation", "cov_tol", 0.0),
+            ("criteria", "n_terms", 2.5), ("criteria", "t_max", math.inf),
+            ("stats", "liminf_fraction", math.nan),
+            ("stats", "liminf_fraction", 1.5),
+            ("stats", "min_grid_points", -3), ("stats", "min_grid_points", 2.5),
+            ("stats", "stable_final_sup", math.inf),
+            ("stats", "band_ratio_lo", 3.0)):
+        doc = base_doc()
+        doc.setdefault(section, {})[key] = value
+        path = write(tmp_path, doc)
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(path)
+        assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_PARSE, \
+            (section, key, value)
+    # integral floats are counts all the same
+    doc = base_doc()
+    doc["simulation"].update(paths=4.0, seed=7.0)
+    scn = load_scenario(write(tmp_path, doc))
+    assert (scn.simulation["paths"], scn.simulation["seed"]) == (4, 7)
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):
@@ -97,7 +123,8 @@ def test_bad_overrides_and_seeds_exit_parse(tmp_path, capsys):
     doc = base_doc()
     doc["simulation"] = {"dt": 0.5, "t_end": 4.0, "paths": 2, "seed": 0}
     path = write(tmp_path, doc)
-    for flags in (["--paths", "0"], ["--horizon", "4.3"], ["--seed", "-1"]):
+    for flags in (["--paths", "0"], ["--horizon", "4.3"], ["--seed", "-1"],
+                  ["--horizon", "inf"], ["--horizon", "nan"]):
         assert main(["verify", path, "--out", str(tmp_path), *flags]) == \
             EXIT_PARSE, flags
         assert "scenario error" in capsys.readouterr().err
@@ -266,15 +293,19 @@ def test_verify_large_noise(tmp_path, capsys):
     assert codes[1] == codes[0]
 
 
-def test_verify_nonfinite_states_exit_numeric(tmp_path, capsys):
-    # Euler with dt = 4 multiplies by 1 + dt a = -3 each step and overflows
+def test_verify_nonfinite_states_exit_numeric(tmp_path, capsys, monkeypatch):
+    # Euler with dt = 4 multiplies by 1 + dt a = -3 each step and overflows,
+    # on the calling thread's shard and on a worker's alike
     doc = _scalar_doc(1.0, dt=4.0, t_end=4096.0, paths=2,
                       scheme="EulerMaruyama")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["verify", write(tmp_path, doc), "--out", str(tmp_path)])
-    assert code == EXIT_NUMERIC
-    assert "numeric failure: non-finite states in ensemble" in \
-        capsys.readouterr().err
+    for shards in (1, 2):
+        monkeypatch.setattr(simulate, "_cpus", lambda: shards)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["verify", write(tmp_path, doc), "--out",
+                         str(tmp_path)])
+        assert code == EXIT_NUMERIC
+        assert "numeric failure: non-finite states in ensemble" in \
+            capsys.readouterr().err
 
 
 def test_verify_holds_no_ensemble(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
 from affinesde import simulate
 from affinesde.simulate import (SCHEME_EULER, SCHEME_EXACT, CovarianceError,
                                 PathEnsemble, SimConfig, bessel_scenario,
-                                sample_chunks, simulate_X, simulate_Y,
+                                collect, sample_chunks, simulate_X, simulate_Y,
                                 step_covariance)
 from affinesde.stats import compare
 
@@ -232,11 +233,21 @@ def test_chunk_stream_independent_of_chunk_size(monkeypatch, budget):
     A = ConstantDrift(np.array([[-1.0, 0.0], [0.5, -0.5]]))
     whole = simulate_X(A, spec, [1.0, 1.0], cfg)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
-    chunks = list(sample_chunks(A, spec, [1.0, 1.0], cfg))
-    assert [n0 for n0, _ in chunks] == \
-        [0, *range(1, cfg.n_steps + 1, max(1, budget // (cfg.paths * 2)))]
-    streamed = np.concatenate([X for _, X in chunks])
-    np.testing.assert_array_equal(np.swapaxes(streamed, 0, 1), whole.states)
+    streamed = _stream_states(sample_chunks(A, spec, [1.0, 1.0], cfg),
+                              max(1, budget // (cfg.paths * 2)), cfg)
+    np.testing.assert_array_equal(streamed, whole.states)
+
+
+def _stream_states(shards, k, cfg):
+    """The states of shard streams whose chunks after X_0 have k steps,
+    checked to tile the grid in order and the paths in shard order."""
+    parts = []
+    for chunks in shards:
+        chunks = list(chunks)
+        assert [n0 for n0, _ in chunks] == [0, *range(1, cfg.n_steps + 1, k)]
+        parts.append(np.concatenate([X for _, X in chunks]))
+    assert sum(X.shape[1] for X in parts) == cfg.paths
+    return np.swapaxes(np.concatenate(parts, axis=1), 0, 1)
 
 
 def test_chunk_stream_rejects_unsampleable_drifts():
@@ -427,10 +438,10 @@ def test_blocked_solve_no_spurious_overflow():
         simulate_X(drift, zero, [1.0], cfg)
     # a period of m = 2 steps whose product overflows already: the blocks
     # are single steps
-    chunks = simulate._run(np.full((2, 1, 1), 1e200), np.zeros((8, 1, 1)),
+    shards = simulate._run(np.full((2, 1, 1), 1e200), np.zeros((8, 1, 1)),
                            np.zeros(1), SimConfig(dt=1.0, t_end=8.0, paths=2,
                                                   seed=0))
-    assert all(np.all(X == 0.0) for _, X in chunks)
+    assert all(np.all(X == 0.0) for chunks in shards for _, X in chunks)
 
 
 @pytest.mark.parametrize("budget", [1, 7 * 65, 7 * 67, 7 * 200])
@@ -439,11 +450,54 @@ def test_chunk_stream_independent_of_chunk_size_periodic(monkeypatch, budget):
     cfg = SimConfig(dt=2 * math.pi / 6, t_end=80 * math.pi, paths=7, seed=5)
     whole = simulate_X(COS_DRIFT, UNIT_SIGMA, [1.0], cfg)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
-    chunks = list(sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg))
-    assert [n0 for n0, _ in chunks] == \
-        [0, *range(1, cfg.n_steps + 1, max(1, budget // cfg.paths))]
-    streamed = np.concatenate([X for _, X in chunks])
-    np.testing.assert_array_equal(np.swapaxes(streamed, 0, 1), whole.states)
+    streamed = _stream_states(sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg),
+                              max(1, budget // cfg.paths), cfg)
+    np.testing.assert_array_equal(streamed, whole.states)
+
+
+EVIDENCE_ARRAYS = ("tail_sups", "running_max_at", "window_inf_final",
+                   "avg_sq_half", "avg_sq_final")
+
+
+@pytest.mark.parametrize("drift, sigma, xi, dt, t_end, paths, budget", [
+    (ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]])),
+     DiffusionSpec.envelope(ExpDecay(1.0, 0.1), [[1.0, 0.5], [0.0, 1.0]]),
+     [1.0, -1.0], 0.25, 75.0, 7, 7 * 2 * 63),
+    (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 6, 80 * math.pi, 7, 7 * 65),
+    (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 6, 80 * math.pi, 2, 2 ** 20),
+], ids=["constant", "periodic", "fewer-paths-than-shards"])
+def test_results_independent_of_shard_count(monkeypatch, drift, sigma, xi,
+                                            dt, t_end, paths, budget):
+    # each path's arithmetic is the same in any shard: collect's states and
+    # compare's per-path arrays equal the one-shard run's bit for bit, with
+    # chunks that cut the blocks
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
+    cfg = SimConfig(dt=dt, t_end=t_end, paths=paths, seed=29)
+    undecided = SimpleNamespace(regime="Undecided")
+    runs = []
+    for n in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_cpus", lambda: n)
+        shards = sample_chunks(drift, sigma, xi, cfg)
+        assert len(shards) == min(n, paths)
+        states = collect(shards, cfg).states
+        ev = compare(undecided, cfg.times, sample_chunks(drift, sigma, xi, cfg))
+        runs.append((states, *(getattr(ev, a) for a in EVIDENCE_ARRAYS)))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
+
+
+def test_map_shards_runs_workers_in_callers_context():
+    # the worker threads see the caller's numpy error state, so an overflow
+    # behaves on every shard as on the calling thread
+    def probe(i, chunks):
+        return i, list(chunks), np.geterr()["over"], \
+            threading.current_thread() is threading.main_thread()
+
+    with np.errstate(over="raise"):
+        got = simulate.map_shards(probe, [[0], [1, 2], [3]])
+    assert got == [(0, [0], "raise", True), (1, [1, 2], "raise", False),
+                   (2, [3], "raise", False)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +24,7 @@ UNDECIDED = SimpleNamespace(regime="Undecided")
 def _signal_evidence(t, x):
     """compare's evidence on scalar signals x[path, time], fed as one chunk."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return compare(UNDECIDED, t, [(0, x.T[:, :, None])])
+    return compare(UNDECIDED, t, [[(0, x.T[:, :, None])]])
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +285,8 @@ def test_accumulator_rejects_gaps_and_short_feeds():
         acc.add(11, np.ones((3, 2)))
     with pytest.raises(ValueError):
         acc.evidence(None)
+    with pytest.raises(ValueError):   # parts fed different grid points
+        EvidenceAccumulator.concat([acc, EvidenceAccumulator(t, 2)])
     with pytest.raises(ValueError):   # the trapezoid sums need a uniform grid
         EvidenceAccumulator(np.array([0.0, 1.0, 3.0, 4.0]), 1)
 
@@ -296,3 +301,69 @@ def test_compare_chunks_matches_compare(monkeypatch):
     ev = _compare(verdict, BRUTE_SIGMA, BRUTE_CFG)
     _assert_brute_force(ev, ens.times, ens.norms)
     assert ev.summary() == default.summary()
+
+
+# ---------------------------------------------------------------------------
+# shards on threads
+# ---------------------------------------------------------------------------
+
+def _shard_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("affinesde-shard")]
+
+
+def test_compare_raises_worker_failure_after_every_shard_stopped():
+    # shard 1 runs on a worker and fails at its second chunk; shards 0 and 2
+    # are slow, shard 2 slower than the calling thread's shard 0, and stop
+    # before their next chunk; compare raises the worker's error only once
+    # no shard thread is left
+    t = np.linspace(0.0, 64.0, 257)
+    fed = [0, 0, 0]
+    pause = [0.01, 0.0, 0.2]
+
+    def shard(i):
+        yield 0, np.ones((1, 2, 1))
+        for n0 in range(1, 257, 4):
+            if i == 1 and n0 > 1:
+                raise FloatingPointError("non-finite states in ensemble")
+            time.sleep(pause[i])
+            fed[i] += 1
+            yield n0, np.ones((4, 2, 1))
+
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite states in ensemble$"):
+        compare(UNDECIDED, t, [shard(0), shard(1), shard(2)])
+    assert not _shard_threads()
+    assert fed[1] == 1 and max(fed) < 64
+
+
+def test_compare_reentrant_across_threads(monkeypatch):
+    # two compare calls at once, each on three shards (more threads than
+    # CPUs), give the evidence of the same calls one after the other
+    monkeypatch.setattr(simulate, "_cpus", lambda: 3)
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 9 * 40)
+    cfgs = [_config(t_end=64.0, dt=0.25, paths=9, seed=seed)
+            for seed in (3, 4)]
+    verdict = classify(BRUTE_SIGMA, DRIFT)
+    want = [_compare(verdict, BRUTE_SIGMA, cfg) for cfg in cfgs]
+    got = [None, None]
+
+    def run(i):
+        got[i] = _compare(verdict, BRUTE_SIGMA, cfgs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for ev, ref in zip(got, want):
+        for name in ("tail_sups", "running_max_at", "window_inf_final",
+                     "avg_sq_half", "avg_sq_final"):
+            assert np.array_equal(getattr(ev, name), getattr(ref, name))
+    assert not np.array_equal(got[0].tail_sups, got[1].tail_sups)
