@@ -8,7 +8,7 @@ the classification / simulation / comparison parameters.  Subcommands:
     verify     classify, simulate, then compare prediction with evidence
     floquet    monodromy matrix and Floquet multiplier of the drift
 
-Exit codes: 0 success/Consistent, 1 scenario parse error, 2 numeric
+Exit codes: 0 success/Consistent, 1 scenario parse or usage error, 2 numeric
 failure, 3 Undecided or Inconclusive, 4 Inconsistent.  Reports go to
 stdout (and a file); diagnostics go to stderr.
 """
@@ -469,7 +469,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the base seed")
     parser.add_argument("--paths", type=int, help="override the ensemble size")
     parser.add_argument("--horizon", type=float, help="override t_end")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 (EXIT_NUMERIC here) on a usage error, 0 on --help
+        return EXIT_PARSE if exc.code else EXIT_OK
 
     try:
         scn = load_scenario(args.scenario)

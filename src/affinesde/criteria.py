@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 from scipy.special import log_ndtr, ndtr
 
 from . import model
@@ -202,15 +201,21 @@ def _rule(spec: DiffusionSpec, eps: float, partial: float, n_terms: int,
     return FinitenessRuling(INFINITE, eps, partial, n_terms, witness=witness)
 
 
+def _weighted_Sprime(spec: DiffusionSpec, eps: float, left, right,
+                     weights, tol: float):
+    """sum_i weights[i] * term_Sprime(eps, energy of [left[i], right[i]]) and
+    the per-term array."""
+    terms = term_Sprime(eps, interval_integrals(spec, left, right, tol))
+    return float(np.sum(weights * terms)), terms
+
+
 def partial_sum_Sprime(spec: DiffusionSpec, eps: float, h: float, N: int,
                        tol: float = 1e-10):
     """Partial sum over windows n = 1..N; returns (value, per-term array)."""
     if eps <= 0 or h <= 0 or N < 1:
         raise ValueError("need eps > 0, h > 0, N >= 1")
     edges = h * np.arange(1, N + 2, dtype=float)
-    theta_sq = interval_integrals(spec, edges[:-1], edges[1:], tol)
-    terms = term_Sprime(eps, theta_sq)
-    return float(np.sum(terms)), terms
+    return _weighted_Sprime(spec, eps, edges[:-1], edges[1:], 1.0, tol)
 
 
 def decide_Sprime(spec: DiffusionSpec, eps: float, h: float,
@@ -233,27 +238,41 @@ def decide_Sprime(spec: DiffusionSpec, eps: float, h: float,
 # integral criterion
 # ---------------------------------------------------------------------------
 
+# integral_I's rule: 12 Gauss-Legendre nodes per panel, 16 panels doubling
+# up to the cap 2^12
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_I_PANELS = [2 ** k for k in range(4, 13)]
+
+
 def integral_I(spec: DiffusionSpec, eps: float, c: float, t_max: float,
                tol: float = 1e-10) -> float:
     """Partial integral of I_c(eps) over [0, t_max].
 
     Integrand varsigma_c(t) * exp(-eps^2 / (2 varsigma_c(t)^2)) with the
-    zero-energy indicator convention.
+    zero-energy indicator convention, varsigma_c(t)^2 the energy of
+    [t, t + c].  The rule is composite Gauss-Legendre with 12 nodes on each
+    of 16, 32, 64, ... equal panels of [0, t_max]; every level takes one
+    interval_integrals call over all its nodes.  It returns the first level
+    that differs from the one before by at most
+    max(tol * max(1, t_max), 1e-9 * |I|), and raises QuadratureError when
+    2^12 panels do not get there.
     """
     if eps <= 0 or c <= 0 or t_max <= 0:
         raise ValueError("need eps, c, t_max > 0")
-
-    def g(t):
-        v = model.running_intensity(spec, c, float(t), tol)
-        return term_Sprime(eps, v)
-
-    epsabs, epsrel = tol * max(1.0, t_max), 1e-9
-    val, err = quad(g, 0.0, t_max, epsabs=epsabs, epsrel=epsrel, limit=400)
-    allowed = max(epsabs, epsrel * abs(val))
-    if err > allowed:
-        raise model.QuadratureError(
-            f"I_c quadrature error {err:.3e} exceeds {allowed:.3e}")
-    return float(max(val, 0.0))
+    prev = math.inf   # no level before the first
+    for panels in _I_PANELS:
+        half = 0.5 * t_max / panels
+        nodes = half * (np.arange(1, 2 * panels, 2)[:, None] + _GL_NODES).ravel()
+        val, _ = _weighted_Sprime(spec, eps, nodes, nodes + c,
+                                  np.tile(half * _GL_WEIGHTS, panels), tol)
+        diff = abs(val - prev)
+        allowed = max(tol * max(1.0, t_max), 1e-9 * abs(val))
+        if diff <= allowed:
+            return max(val, 0.0)
+        prev = val
+    raise model.QuadratureError(
+        f"I_c quadrature error {diff:.3e} exceeds {allowed:.3e} "
+        f"at {panels} panels")
 
 
 def decide_I(spec: DiffusionSpec, eps: float, c: float,
@@ -303,29 +322,13 @@ def sum_general_grid(spec: DiffusionSpec, eps: float, grid,
     return float(sum(term_S(eps, t2) for t2 in theta_sq))
 
 
-def row_interval_integrals(spec: DiffusionSpec, left, right,
-                           tol: float = 1e-10) -> np.ndarray:
-    """Row-wise energies int sum_j sigma_ij^2 per interval; shape (N, d)."""
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    widths = right - left
-
-    def integrand(u):
-        return widths[:, None] * model.sigma_row_sq(spec, left + u * widths)
-
-    res, err = quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=0.0, norm="max")
-    if err > tol * 1.001:
-        raise model.QuadratureError(f"row quadrature error {err:.3e} > {tol:.3e}")
-    return np.maximum(res, 0.0)
-
-
 def rowwise_sum_S1(spec: DiffusionSpec, eps: float, grid,
                    tol: float = 1e-10) -> float:
     """Partial sum of sum_i (1 - Phi(eps / theta_i(n))) over a general grid."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     g = _validate_grid(grid)
-    theta_i_sq = row_interval_integrals(spec, g[:-1], g[1:], tol)
+    theta_i_sq = model.row_interval_integrals(spec, g[:-1], g[1:], tol)
     return float(sum(term_S(eps, t2) for t2 in theta_i_sq.ravel()))
 
 

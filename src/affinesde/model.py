@@ -7,11 +7,10 @@ piecewise-linear table, or a user callable.  ``eval_sigma`` is the one
 evaluator of every form, at a single time or at an array of times.
 Everything downstream (classification criteria, exact simulation) consumes
 sigma only through weighted integrals of its squared Frobenius norm, so this
-module centralises those quadratures:
-
-* ``window_intensity``     -- energy per uniform window [n*h, (n+1)*h]
-* ``running_intensity``    -- energy over a sliding window [t, t+c]
-* ``exp_weighted_tail``    -- exponentially discounted energy on [0, t]
+module centralises those quadratures: ``interval_integrals`` (energy over
+each interval), ``row_interval_integrals`` (the same per row of sigma) and
+``window_intensity`` (uniform windows) share one routine, exact Simpson over
+a table's pieces and one error-checked ``quad_vec`` call for other forms.
 
 Specs are immutable after construction and safe to share across threads.
 """
@@ -339,28 +338,22 @@ def sigma_row_sq(spec: DiffusionSpec, t) -> np.ndarray:
 # intensity integrals
 # ---------------------------------------------------------------------------
 
-def _table_fro_sq_integral(spec: DiffusionSpec, a: float, b: float) -> float:
-    """Exact integral of ||sigma||_F^2 over [a, b] for a piecewise-linear table.
-
-    The integrand is piecewise quadratic, so Simpson on each linear piece is
-    exact.
-    """
-    if b <= a:
-        return 0.0
-    ts = spec.form.times
-    pts = np.concatenate(([a], ts[(ts > a) & (ts < b)], [b]))
-    f = sigma_fro_sq(spec, np.concatenate((pts, 0.5 * (pts[:-1] + pts[1:]))))
-    n = len(pts)
-    return float(np.sum(np.diff(pts) * (f[:n - 1] + 4.0 * f[n:] + f[1:n]))
-                 / 6.0)
+def _times(widths: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """widths * v, with widths broadcast over the trailing axes of v."""
+    return widths.reshape(widths.shape + (1,) * (v.ndim - widths.ndim)) * v
 
 
-def interval_integrals(spec: DiffusionSpec, left, right, tol: float = 1e-10) -> np.ndarray:
-    """Integral of ||sigma||_F^2 over each interval [left[i], right[i]].
+def _simpson(sq, spec: DiffusionSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Simpson's rule for sq(spec, t) on each [a[i], b[i]]."""
+    fa, fm, fb = sq(spec, np.stack((a, 0.5 * (a + b), b)))
+    return _times(b - a, fa + 4.0 * fm + fb) / 6.0
 
-    Adaptive (Gauss-Kronrod based) with absolute error <= tol per interval;
-    exact for tables.
-    """
+
+def _energies(sq, spec: DiffusionSpec, left, right, tol: float) -> np.ndarray:
+    """Integral of sq(spec, t), sq = sigma_fro_sq or sigma_row_sq, over each
+    [left[i], right[i]].  A table's sq is quadratic between knots, so Simpson
+    is exact on the first and last piece, and the whole knot segments between
+    them come from cumulative sums.  Other forms share one quad_vec call."""
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     if left.shape != right.shape:
@@ -370,15 +363,24 @@ def interval_integrals(spec: DiffusionSpec, left, right, tol: float = 1e-10) -> 
     if tol <= 0:
         raise ValueError("tol must be positive")
     f = spec.form
-    widths = right - left
     if isinstance(f, TableSigma):
-        return np.array([_table_fro_sq_integral(spec, a, b)
-                         for a, b in zip(left, right)])
+        ts = f.times
+        # cum[k] integrates over [ts[0], ts[k]]; the empty first piece is 0
+        cum = np.cumsum(_simpson(sq, spec, np.r_[ts[0], ts[:-1]], ts), axis=0)
+        i = np.searchsorted(ts, left, side="right")      # first knot > left
+        j = np.searchsorted(ts, right, side="left") - 1  # last knot < right
+        split = i <= j
+        i, j = np.minimum(i, len(ts) - 1), np.maximum(j, 0)
+        return (_simpson(sq, spec, left, np.where(split, ts[i], right))
+                + _times(split, cum[j] - cum[i])
+                + _simpson(sq, spec, np.where(split, ts[j], right), right))
 
     # smooth forms: map every interval onto u in [0, 1] and integrate the
-    # whole vector with one shared adaptive subdivision
+    # whole array with one shared adaptive subdivision
+    widths = right - left
+
     def integrand(u):
-        return widths * sigma_fro_sq(spec, left + u * widths)
+        return _times(widths, sq(spec, left + u * widths))
 
     res, err = quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol, norm="max")
     # tol is absolute for O(1) windows and relative once the window mass is
@@ -392,9 +394,19 @@ def interval_integrals(spec: DiffusionSpec, left, right, tol: float = 1e-10) -> 
     return np.maximum(res, 0.0)
 
 
-def integrate_fro_sq(spec: DiffusionSpec, a: float, b: float, tol: float = 1e-10) -> float:
-    """Integral of ||sigma||_F^2 over [a, b]."""
-    return float(interval_integrals(spec, [a], [b], tol)[0])
+def interval_integrals(spec: DiffusionSpec, left, right, tol: float = 1e-10) -> np.ndarray:
+    """Integral of ||sigma||_F^2 over each interval [left[i], right[i]].
+
+    Adaptive (Gauss-Kronrod based) with absolute error <= tol per interval,
+    relative once the energies exceed 1; exact for tables.
+    """
+    return _energies(sigma_fro_sq, spec, left, right, tol)
+
+
+def row_interval_integrals(spec: DiffusionSpec, left, right,
+                           tol: float = 1e-10) -> np.ndarray:
+    """Row-wise energies int sum_j sigma_ij^2 per interval; shape (N, d)."""
+    return _energies(sigma_row_sq, spec, left, right, tol)
 
 
 @dataclass(frozen=True)
@@ -418,33 +430,6 @@ def window_intensity(spec: DiffusionSpec, h: float, n_max: int,
     edges = h * np.arange(n_max + 1, dtype=float)
     vals = interval_integrals(spec, edges[:-1], edges[1:], tol)
     return WindowIntensity(h=h, values=vals)
-
-
-def running_intensity(spec: DiffusionSpec, c: float, t: float,
-                      tol: float = 1e-10) -> float:
-    """Sliding-window energy int_t^{t+c} ||sigma||_F^2."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    _check_time(t)
-    return integrate_fro_sq(spec, t, t + c, tol)
-
-
-def exp_weighted_tail(spec: DiffusionSpec, lam: float, t: float,
-                      tol: float = 1e-10) -> float:
-    """Discounted energy int_0^t exp(-2 lam (t-s)) ||sigma(s)||_F^2 ds."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    _check_time(t)
-    if t == 0.0:
-        return 0.0
-
-    def integrand(s):
-        return np.exp(-2.0 * lam * (t - s)) * sigma_fro_sq(spec, s)
-
-    res, err = quad_vec(integrand, 0.0, t, epsabs=tol, epsrel=0.0)
-    if err > tol * 1.001:
-        raise QuadratureError(f"discounted-tail quadrature error {err:.3e} > {tol:.3e}")
-    return float(max(res, 0.0))
 
 
 # ---------------------------------------------------------------------------

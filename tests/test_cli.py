@@ -134,6 +134,18 @@ def test_bad_overrides_and_seeds_exit_parse(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_usage_errors_exit_parse(tmp_path, capsys):
+    # argparse's own status for these is 2, the numeric-failure code
+    path = write(tmp_path, base_doc())
+    for argv in (["verify", path, "--paths", "4.7"],
+                 ["verify", path, "--no-such-flag"],
+                 ["no-such-command", path]):
+        assert main(argv) == EXIT_PARSE, argv
+        assert "error:" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("bad", [{"n_terms": 0}, {"h": -1.0}, {"t_max": -1.0},
                                  {"tol": 0.0}, {"c": -1.0}])
 def test_criteria_out_of_range_exit_parse(tmp_path, capsys, bad):

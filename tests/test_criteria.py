@@ -10,10 +10,11 @@ from affinesde.criteria import (FINITE, INFINITE, UNDECIDED, build_max_sequence,
                                 decide_I, decide_Sprime, integral_I, limit_Lh,
                                 mean_square_equiv, mills_tail,
                                 norm_equiv_check, partial_sum_Sprime,
-                                row_interval_integrals, rowwise_sum_S1,
-                                sum_general_grid, term_S, term_Sprime)
+                                rowwise_sum_S1, sum_general_grid, term_S,
+                                term_Sprime)
 from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
-                             LogPower, PeriodicDrift, PowerLaw, QuadratureError)
+                             LogPower, PeriodicDrift, PowerLaw, QuadratureError,
+                             row_interval_integrals)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -192,6 +193,22 @@ def test_integral_constant_sigma():
     assert integral_I(spec, eps, c, t_max) == pytest.approx(expect, rel=1e-9)
 
 
+def test_integral_expdecay_against_mpmath_oracle():
+    # a narrow peak at t = 0 that a coarse rule misses
+    mp = pytest.importorskip("mpmath")
+
+    def g(t):   # the window energy at t is (1 - e^-2) e^{-2t} for this sigma
+        v = (1 - mp.e ** -2) * mp.e ** (-2 * t)
+        return mp.sqrt(v) * mp.e ** (-8 / v)
+
+    with mp.workdps(30):
+        oracle = float(mp.quad(g, [0, 0.25, 0.5, 1, 2, 4, 8, 256]))
+    assert oracle == pytest.approx(4.1943e-6, rel=1e-4)
+    spec = DiffusionSpec.envelope(ExpDecay(1.0, 1.0), np.eye(2))
+    val = integral_I(spec, 4.0, 1.0, 256.0, tol=1e-8)
+    assert abs(val - oracle) <= max(1e-8 * 256.0, 1e-9 * oracle)
+
+
 def test_integral_logpower_against_midpoint_oracle():
     # independent oracle: composite midpoint rule at steps h and h/2 with
     # Richardson extrapolation of the O(h^2) error
@@ -208,10 +225,10 @@ def test_integral_logpower_against_midpoint_oracle():
     assert val == pytest.approx(oracle, rel=1e-6)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_integral_raises_on_quadrature_error():
-    # a rough table makes the running energy kinked at every knot, far more
-    # than quad's 400 subintervals can resolve to tol
+    # a rough table makes the running energy kinked at every knot and at
+    # every knot minus c: at 2^12 panels two levels still differ by ~2e-7,
+    # far above the allowed ~2e-9
     rng = np.random.default_rng(0)
     t = np.linspace(0.0, 200.0, 400)
     spec = DiffusionSpec.table(t, rng.uniform(-1.0, 1.0, size=(400, 1, 1)))

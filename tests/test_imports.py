@@ -1,7 +1,7 @@
 """Every name a package module imports is used (names in __all__ exempt),
 every module-level private name is referenced in its own module, no module
-reaches for another module's private names, and every name the package
-exports resolves."""
+reaches for another module's private names, every name the package
+exports resolves, and sigma quadrature stays in model and simulate."""
 
 import ast
 import importlib
@@ -122,6 +122,46 @@ def test_checker_flags_private_cross_import():
                          ids=lambda p: p.name)
 def test_no_private_cross_imports(path):
     assert private_cross_imports(path.read_text()) == []
+
+
+def scipy_integrate_imports(source: str) -> list:
+    """Names a module takes from scipy.integrate; the module itself when it
+    imports scipy.integrate whole."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate":
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            found += ["scipy.integrate" for alias in node.names
+                      if alias.name == "integrate"]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.startswith("scipy.integrate")]
+    return sorted(found)
+
+
+# every integral of sigma lives in model, apart from the step-covariance
+# quadrature in simulate; linalg's ODE solver integrates the drift only
+SCIPY_INTEGRATE_ALLOWED = {"model.py": None, "simulate.py": None,
+                           "linalg.py": {"solve_ivp"}}
+
+
+def test_checker_flags_scipy_integrate():
+    source = ("from scipy.integrate import quad, quad_vec\n"
+              "import scipy.integrate as si\nfrom scipy import integrate\n"
+              "from scipy.special import ndtr\nimport scipy\n")
+    assert scipy_integrate_imports(source) == \
+        ["quad", "quad_vec", "scipy.integrate", "scipy.integrate"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_scipy_integrate_only_where_allowed(path):
+    found = scipy_integrate_imports(path.read_text())
+    if path.name not in SCIPY_INTEGRATE_ALLOWED:
+        assert found == []
+    elif SCIPY_INTEGRATE_ALLOWED[path.name] is not None:
+        assert set(found) <= SCIPY_INTEGRATE_ALLOWED[path.name]
 
 
 def test_package_exports_resolve():

@@ -6,8 +6,7 @@ import pytest
 from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
                              ExpDecay, LogGrow, LogPower, PeriodicDrift,
                              PowerLaw, eval_drift, eval_sigma, frobenius_sq,
-                             integrate_fro_sq, interval_integrals,
-                             exp_weighted_tail, running_intensity,
+                             interval_integrals, row_interval_integrals,
                              sigma_fro_sq, sigma_row_sq, window_intensity)
 
 
@@ -191,7 +190,45 @@ def test_window_intensity_matches_mpmath_for_logpower():
 def test_table_integral_exact_quadratic():
     # sigma(t) = 2t on [0, 2]: integral of (2t)^2 over [0, 1] is 4/3
     spec = DiffusionSpec.table([0.0, 2.0], [[[0.0]], [[4.0]]])
-    assert integrate_fro_sq(spec, 0.0, 1.0) == pytest.approx(4.0 / 3.0, abs=1e-13)
+    assert interval_integrals(spec, [0.0], [1.0])[0] == \
+        pytest.approx(4.0 / 3.0, abs=1e-13)
+
+
+def _piecewise_simpson(spec, a, b):
+    """Reference: Simpson's rule on every piece of [a, b] between knots."""
+    ts = spec.form.times
+    pts = np.concatenate(([a], ts[(ts > a) & (ts < b)], [b]))
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    f0, fm, f1 = (sigma_fro_sq(spec, x) for x in (pts[:-1], mids, pts[1:]))
+    return float(np.sum(np.diff(pts) * (f0 + 4.0 * fm + f1)) / 6.0)
+
+
+def test_table_energies_match_piecewise_simpson_loop():
+    rng = np.random.default_rng(5)
+    times = np.sort(rng.uniform(0.5, 30.0, size=40))
+    spec = DiffusionSpec.table(times, rng.uniform(-1.0, 1.0, size=(40, 2, 3)))
+    left = rng.uniform(0.0, 35.0, size=300)
+    right = left + rng.exponential(4.0, size=300)
+    # knots as end points, intervals inside one piece, and empty intervals
+    left[:3], right[:3] = times[[0, 3, 9]], times[[1, 9, 39]]
+    right[3:6] = left[3:6] + 1e-3
+    right[6] = left[6]
+    got = interval_integrals(spec, left, right)
+    ref = np.array([_piecewise_simpson(spec, a, b) for a, b in zip(left, right)])
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_table_row_energies_sum_to_frobenius_energies():
+    rng = np.random.default_rng(6)
+    times = np.sort(rng.uniform(0.0, 20.0, size=25))
+    spec = DiffusionSpec.table(times, rng.uniform(-1.0, 1.0, size=(25, 3, 2)))
+    left = rng.uniform(0.0, 25.0, size=100)
+    right = left + rng.uniform(0.0, 5.0, size=100)
+    rows = row_interval_integrals(spec, left, right)
+    assert rows.shape == (100, 3)
+    np.testing.assert_allclose(rows.sum(axis=1),
+                               interval_integrals(spec, left, right),
+                               rtol=1e-13, atol=0.0)
 
 
 def test_interval_integrals_validation():
@@ -202,47 +239,6 @@ def test_interval_integrals_validation():
         interval_integrals(spec, [1.0], [0.5])
     with pytest.raises(ValueError):
         interval_integrals(spec, [0.0], [1.0], tol=0.0)
-
-
-def test_running_intensity():
-    const = DiffusionSpec.constant([[2.0]])
-    assert running_intensity(const, c=0.7, t=3.0) == pytest.approx(4.0 * 0.7)
-    dec = DiffusionSpec.envelope(ExpDecay(1.0, 1.0), [[1.0]])
-    assert running_intensity(dec, c=1.0, t=0.0) == \
-        pytest.approx((1 - math.e ** -2) / 2, abs=1e-10)
-    zero = DiffusionSpec.constant([[0.0]])
-    assert running_intensity(zero, c=1.0, t=5.0) == 0.0
-
-
-def test_exp_weighted_tail_zero_and_constant():
-    zero = DiffusionSpec.constant([[0.0]])
-    assert exp_weighted_tail(zero, lam=1.0, t=3.0) == 0.0
-    const = DiffusionSpec.constant([[1.5]])
-    s0_sq = 1.5 ** 2
-    for t in (0.5, 2.0, 7.0):
-        expect = s0_sq * (1 - math.exp(-2 * t)) / 2
-        assert exp_weighted_tail(const, lam=1.0, t=t) == \
-            pytest.approx(expect, abs=1e-9)
-
-
-def test_exp_weighted_tail_exponential_closed_form():
-    # sigma^2(s) = e^{-s}: integral is e^{-t} - e^{-2t} for lam = 1
-    spec = DiffusionSpec.envelope(ExpDecay(1.0, 0.5), [[1.0]])
-    for t in (1.0, 4.0, 10.0):
-        expect = math.exp(-t) - math.exp(-2 * t)
-        assert exp_weighted_tail(spec, lam=1.0, t=t) == \
-            pytest.approx(expect, abs=1e-9)
-
-
-@pytest.mark.parametrize("spec", [
-    DiffusionSpec.envelope(ExpDecay(1.0, 0.5), [[1.0]]),
-    DiffusionSpec.envelope(PowerLaw(1.0, -0.4), [[1.0]]),
-    DiffusionSpec.envelope(LogPower(1.0), [[1.0]]),
-])
-def test_exp_weighted_tail_vanishes_for_fading_noise(spec):
-    vals = [exp_weighted_tail(spec, lam=1.0, t=float(t))
-            for t in (8.0, 16.0, 32.0, 64.0)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
