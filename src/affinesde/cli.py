@@ -29,8 +29,8 @@ import yaml
 
 from . import criteria, stats
 from .linalg import StabilityError, monodromy
-from .model import (CallableDrift, ConstantDrift, DiffusionSpec, ExpDecay,
-                    LogGrow, LogPower, PeriodicDrift, PowerLaw, QuadratureError)
+from .model import (ENVELOPE_FAMILIES, REGIME_UNDECIDED, ConstantDrift,
+                    DiffusionSpec, PeriodicDrift, QuadratureError)
 from .simulate import (SCHEME_EXACT, CovarianceError, SimConfig, collect,
                        sample_chunks)
 
@@ -52,12 +52,9 @@ class ScenarioError(ValueError):
 # scenario schema
 # ---------------------------------------------------------------------------
 
-_ENVELOPES = {
-    "PowerLaw": (PowerLaw, ("scale", "exponent")),
-    "LogPower": (LogPower, ("gamma",)),
-    "ExpDecay": (ExpDecay, ("scale", "rate")),
-    "LogGrow": (LogGrow, ("scale", "exponent")),
-}
+# family name -> (class, parameter names)
+_ENVELOPES = {cls.__name__: (cls, tuple(f.name for f in dataclasses.fields(cls)))
+              for cls in ENVELOPE_FAMILIES}
 
 # eps_lo, eps_hi and eps_points are still accepted so that existing scenario
 # files parse, but nothing reads them: classify computes eps* in closed form
@@ -256,8 +253,9 @@ class Scenario:
         if d["kind"] == "constant":
             A = np.asarray(d["matrix"], dtype=float)
             if "period" in d:
-                return CallableDrift(fn=lambda t, A=A: A, d=A.shape[0],
-                                     period=float(d["period"]))
+                # a constant drift with a period is a one-knot periodic drift
+                return PeriodicDrift(period=d["period"], times=[0.0],
+                                     values=[A])
             return ConstantDrift(A)
         return PeriodicDrift(period=d["period"],
                              times=np.asarray(d["times"], dtype=float),
@@ -392,7 +390,7 @@ def cmd_classify(scn: Scenario, args) -> int:
     doc = {"scenario": scn.name, "verdict": _verdict_dict(verdict),
            "criteria": report.to_dict()}
     _emit(doc, _out_dir(scn, args), f"{scn.name}.classify.yaml")
-    return EXIT_UNDECIDED if verdict.regime == "Undecided" else EXIT_OK
+    return EXIT_UNDECIDED if verdict.regime == REGIME_UNDECIDED else EXIT_OK
 
 
 def cmd_simulate(scn: Scenario, args) -> int:
@@ -421,7 +419,7 @@ def cmd_verify(scn: Scenario, args) -> int:
     verdict = criteria.classify(sigma, drift, h=crit["h"],
                                 tol=min(crit["tol"], 1e-8))
     doc = {"scenario": scn.name, "verdict": _verdict_dict(verdict)}
-    if verdict.regime == "Undecided":
+    if verdict.regime == REGIME_UNDECIDED:
         doc["agreement"] = "Inconclusive"
         _emit(doc, _out_dir(scn, args), f"{scn.name}.verify.yaml")
         return EXIT_UNDECIDED

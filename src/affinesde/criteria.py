@@ -8,8 +8,8 @@ window sums
 
 with theta(n)^2 the window energy of ||sigma||_F^2, and of the equivalent
 integral criterion I_c(eps).  Finiteness of an infinite sum cannot be decided
-from finitely many samples, so rulings come from each built-in envelope
-family's asymptotic class and tail bound (comparison and integral tests,
+from finitely many samples, so rulings come from the regime each built-in
+envelope family names and its tail bound (comparison and integral tests,
 see ``model``) and are Undecided for tables and callables.
 """
 
@@ -24,7 +24,7 @@ from scipy.special import log_ndtr, ndtr
 
 from . import model
 from .linalg import monodromy, spectral_abscissa
-from .model import (BOUNDED_BELOW, L2, LOG_THRESHOLD, SLOG_ZERO, UNKNOWN, ZERO,
+from .model import (BOUNDED, REGIME_UNDECIDED, STABLE, UNBOUNDED, ZERO,
                     CallableDrift, CallableSigma, ConstantDrift, DiffusionSpec,
                     EnvelopePattern, PeriodicDrift, TableSigma, frobenius_sq,
                     interval_integrals)
@@ -32,11 +32,6 @@ from .model import (BOUNDED_BELOW, L2, LOG_THRESHOLD, SLOG_ZERO, UNKNOWN, ZERO,
 FINITE = "finite"
 INFINITE = "infinite"
 UNDECIDED = "undecided"
-
-STABLE = "StableAS"
-BOUNDED = "BoundedNonConvergent"
-UNBOUNDED = "Unbounded"
-REGIME_UNDECIDED = "Undecided"
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +88,6 @@ def term_Sprime(eps: float, theta_sq):
 # asymptotic profile of a diffusion spec
 # ---------------------------------------------------------------------------
 
-# trichotomy class of each profile kind: S_h'(eps) and I_c(eps) are finite
-# for every eps, for none, or exactly above a threshold eps*
-FINITE_FOR_ALL = "finite-for-all"
-MIXED = "mixed"
-INFINITE_FOR_ALL = "infinite-for-all"
-_CLASS = {ZERO: FINITE_FOR_ALL, L2: FINITE_FOR_ALL, SLOG_ZERO: FINITE_FOR_ALL,
-          LOG_THRESHOLD: MIXED, BOUNDED_BELOW: INFINITE_FOR_ALL,
-          UNKNOWN: UNDECIDED}
-
 # p = eps^2 / (2 L_w) with p - 1 at or below this is p = 1 up to rounding,
 # i.e. eps = eps*, where the comparison series diverges
 _P_ONE_TOL = 8.0 * 2.0 ** -52
@@ -109,45 +95,47 @@ _P_ONE_TOL = 8.0 * 2.0 ** -52
 
 @dataclass(frozen=True)
 class _Profile:
-    kind: str
+    regime: str
     L: float = 0.0          # lim ||sigma(t)||^2 log t
-    envelope: object = None
+    envelope: object = None  # None for a zero sigma, a table or a callable
     fro_sq: float = 0.0     # squared norm of the pattern
 
     @property
     def fading(self) -> Optional[bool]:
-        return None if self.kind == UNKNOWN else self.kind != BOUNDED_BELOW
+        return None if self.regime == REGIME_UNDECIDED \
+            else self.regime != UNBOUNDED
 
 
 def _analyze(spec: DiffusionSpec, pattern_norm_sq: Optional[float] = None) -> _Profile:
-    """Asymptotic class of t -> ||sigma(t)||^2 for the built-in forms.
+    """The regime that ||sigma(t)||^2 implies under a stable drift, and
+    L = lim ||sigma(t)||^2 log t, read from the envelope family.
 
-    pattern_norm_sq overrides the squared pattern norm; used to re-run the
-    analysis under a norm other than Frobenius.  A constant sigma is the
-    zero-exponent PowerLaw envelope, so it is bounded below unless zero.
+    Tables and callables are Undecided; an identically zero sigma is
+    StableAS without an envelope, so its tail bound is 0.  pattern_norm_sq
+    overrides the squared pattern norm; used to re-run the analysis under a
+    norm other than Frobenius.  A constant sigma is the zero-exponent
+    PowerLaw envelope, so it is Unbounded unless zero.
     """
     f = spec.form
     if isinstance(f, (TableSigma, CallableSigma)):
         # hold-last extrapolation makes a table's far tail exactly constant,
         # but by design tables never receive a Finite/Infinite ruling
-        return _Profile(UNKNOWN)
+        return _Profile(REGIME_UNDECIDED)
     if not isinstance(f, EnvelopePattern):
         raise TypeError(f"unknown diffusion form {type(f).__name__}")
-    kind, L = f.envelope.profile()
+    regime, L = f.envelope.profile()
     F = frobenius_sq(f.pattern) if pattern_norm_sq is None else pattern_norm_sq
-    if F == 0.0 or kind == ZERO:
-        return _Profile(ZERO)
-    return _Profile(kind, L * F, f.envelope, F)
+    if F == 0.0 or regime == ZERO:
+        return _Profile(STABLE)
+    return _Profile(regime, L * F, f.envelope, F)
 
 
 def _status(profile: _Profile, eps: float, width: float) -> str:
     """Finiteness of S'(eps) or I(eps) with windows of the given width."""
-    cls = _CLASS[profile.kind]
-    if cls == MIXED:
+    if profile.regime == BOUNDED:
         p = eps * eps / (2.0 * width * profile.L)
         return FINITE if p - 1.0 > _P_ONE_TOL else INFINITE
-    return {FINITE_FOR_ALL: FINITE,
-            INFINITE_FOR_ALL: INFINITE}.get(cls, UNDECIDED)
+    return {STABLE: FINITE, UNBOUNDED: INFINITE}.get(profile.regime, UNDECIDED)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +166,12 @@ def _rule(spec: DiffusionSpec, eps: float, partial: float, n_terms: int,
     profile = _analyze(spec)
     status = _status(profile, eps, width)
     if status == FINITE:
-        tail = 0.0 if profile.kind == ZERO else \
+        tail = 0.0 if profile.envelope is None else \
             profile.envelope.tail(eps, width * profile.fro_sq, start) / divisor
         return FinitenessRuling(FINITE, eps, partial, n_terms, tail_bound=tail)
     if status == UNDECIDED:
         return FinitenessRuling(UNDECIDED, eps, partial, n_terms)
-    if profile.kind == LOG_THRESHOLD:
+    if profile.regime == BOUNDED:
         Lw = width * profile.L
         p = eps * eps / (2.0 * Lw)
         where = "p <= 1" if p <= 1.0 else (
@@ -193,7 +181,7 @@ def _rule(spec: DiffusionSpec, eps: float, partial: float, n_terms: int,
                    f"p = eps^2/(2 L_w) = {p:.6g}, L_w = {Lw:.6g} and {where}; "
                    f"the comparison series diverges")
     else:
-        # bounded-below forms have non-decreasing envelopes: the window
+        # Unbounded families have non-decreasing envelopes: the window
         # [w, 2w] is the smallest after the first
         b = float(interval_integrals(spec, [width], [2.0 * width], tol)[0])
         witness = (f"window energies are bounded below by {b:.6g} > 0, so each "
@@ -488,7 +476,7 @@ def limit_Lh(spec: DiffusionSpec, h: float, tol: float = 1e-10) -> Optional[floa
     if h <= 0:
         raise ValueError("h must be positive")
     profile = _analyze(spec)
-    if profile.kind != UNKNOWN:
+    if profile.regime != REGIME_UNDECIDED:
         return h * profile.L
     f = spec.form
     if isinstance(f, TableSigma):
@@ -531,10 +519,10 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     Gate 1 requires a stable drift (negative spectral abscissa, or Floquet
     multiplier inside the unit circle for periodic drifts): noise cannot
     stabilise an unstable linear system, so without the gate nothing can be
-    concluded.  Gate 2 takes the regime from the asymptotic class of
-    ||sigma(t)||^2: S_h'(eps) finite for every eps gives StableAS, infinite
-    for every eps gives Unbounded, and ||sigma||^2 log t -> L in (0, inf)
-    gives BoundedNonConvergent with the threshold in closed form,
+    concluded.  Gate 2 takes the regime that the envelope family of sigma
+    implies: S_h'(eps) finite for every eps gives StableAS, infinite for
+    every eps gives Unbounded, and ||sigma||^2 log t -> L in (0, inf) gives
+    BoundedNonConvergent with the threshold in closed form,
     eps* = sqrt(2 h L), reported as the bracket (eps*, eps*).  Tables and
     callables are Undecided.
     """
@@ -559,37 +547,19 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     fade = check_fading(sigma, h, tol=tol)
     fading = bool(fade.fading) if fade.fading is not None else False
 
-    if not drift_stable:
-        return RegimeVerdict(regime=REGIME_UNDECIDED, drift_stable=False,
-                             fading_noise=fading, mean_square_stable=fading,
-                             liminf_zero_predicted=False,
-                             avg_sq_zero_predicted=False, note=gate_note)
-
-    # gate 2: trichotomy class of the noise
+    # gate 2: the regime the noise implies
     profile = _analyze(sigma)
-    cls = _CLASS[profile.kind]
-    if cls == UNDECIDED:
-        return RegimeVerdict(regime=REGIME_UNDECIDED, drift_stable=True,
-                             fading_noise=fading, mean_square_stable=fading,
-                             liminf_zero_predicted=False,
-                             avg_sq_zero_predicted=False,
-                             note="finiteness undecided for this sigma form")
-    if cls == FINITE_FOR_ALL:
-        return RegimeVerdict(regime=STABLE, drift_stable=True,
-                             fading_noise=fading, mean_square_stable=fading,
-                             liminf_zero_predicted=False,
-                             avg_sq_zero_predicted=False)
-    if cls == INFINITE_FOR_ALL:
-        return RegimeVerdict(regime=UNBOUNDED, drift_stable=True,
-                             fading_noise=fading, mean_square_stable=fading,
-                             liminf_zero_predicted=fading,
-                             avg_sq_zero_predicted=fading)
+    regime = profile.regime if drift_stable else REGIME_UNDECIDED
+    note = gate_note or ("finiteness undecided for this sigma form"
+                         if regime == REGIME_UNDECIDED else "")
     eps_star = math.sqrt(2.0 * h * profile.L)
-    return RegimeVerdict(regime=BOUNDED, drift_stable=True,
-                         fading_noise=fading, mean_square_stable=fading,
-                         liminf_zero_predicted=True,
-                         avg_sq_zero_predicted=True,
-                         epsilon_star_bracket=(eps_star, eps_star))
+    collapse = regime == BOUNDED or (regime == UNBOUNDED and fading)
+    return RegimeVerdict(
+        regime=regime, drift_stable=drift_stable, fading_noise=fading,
+        mean_square_stable=fading, liminf_zero_predicted=collapse,
+        avg_sq_zero_predicted=collapse,
+        epsilon_star_bracket=(eps_star, eps_star) if regime == BOUNDED else None,
+        note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +576,9 @@ def _alt_norm_sq(m: np.ndarray, which: str) -> float:
 
 @dataclass(frozen=True)
 class NormEquivReport:
+    """Finiteness statuses at eps and the regimes implied under the
+    Frobenius norm and under alt_norm."""
+
     eps: float
     alt_norm: str
     status_frobenius: str
@@ -622,7 +595,7 @@ def norm_equiv_check(spec: DiffusionSpec, eps: float, alt_norm: str,
                      h: float = 1.0) -> NormEquivReport:
     """Re-run the finiteness analysis under another matrix norm.
 
-    Thresholds may move but the trichotomy class must not.
+    Thresholds may move but the implied regime must not.
     """
     f = spec.form
     if not isinstance(f, EnvelopePattern):
@@ -632,8 +605,8 @@ def norm_equiv_check(spec: DiffusionSpec, eps: float, alt_norm: str,
         eps=eps, alt_norm=alt_norm,
         status_frobenius=_status(fro, eps, h),
         status_alt=_status(alt, eps, h),
-        class_frobenius=_CLASS[fro.kind],
-        class_alt=_CLASS[alt.kind])
+        class_frobenius=fro.regime,
+        class_alt=alt.regime)
 
 
 # ---------------------------------------------------------------------------

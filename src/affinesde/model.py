@@ -18,7 +18,7 @@ Specs are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,10 +35,12 @@ class QuadratureError(RuntimeError):
 #
 # Each family carries its own asymptotic mathematics next to ``value``:
 #
-# * ``profile()`` -- the asymptotic class of value(t)^2 and
-#   L = lim value(t)^2 ln t;
-# * ``tail(eps, mass, T)`` -- for the classes that can give a finite
-#   criterion, an upper bound on int_T^inf phi(x(t)) dt for every
+# * ``profile()`` -- the regime the envelope implies under a stable drift
+#   and L = lim value(t)^2 ln t: StableAS when L = 0, BoundedNonConvergent
+#   when L is in (0, inf), Unbounded when L = inf; ZERO marks an identically
+#   zero envelope, which is StableAS with a tail bound of 0;
+# * ``tail(eps, mass, T)`` -- for the StableAS and BoundedNonConvergent
+#   families, an upper bound on int_T^inf phi(x(t)) dt for every
 #   x(t) <= mass * value(t)^2, where phi(x) = sqrt(x) exp(-eps^2 / (2x)).
 #
 # A window of width w over a non-increasing envelope has energy at most
@@ -47,13 +49,13 @@ class QuadratureError(RuntimeError):
 # non-increasing majorant, so tail(eps, h F, N h) / h also bounds the window
 # sum over n > N.
 
-# asymptotic classes of t -> value(t)^2
-ZERO = "zero"                     # identically zero
-L2 = "l2"                         # square integrable
-SLOG_ZERO = "slog_zero"           # value^2 log t -> 0 but not square integrable
-LOG_THRESHOLD = "log_threshold"   # value^2 log t -> L in (0, inf)
-BOUNDED_BELOW = "bounded_below"   # window energies bounded away from zero
-UNKNOWN = "unknown"               # table / callable: no analytic class
+# the almost-sure regimes of the trichotomy, and the one profile value
+# outside it
+STABLE = "StableAS"
+BOUNDED = "BoundedNonConvergent"
+UNBOUNDED = "Unbounded"
+REGIME_UNDECIDED = "Undecided"
+ZERO = "zero"                     # identically zero envelope
 
 
 def _exp_minus_power_bound(eps: float, base: float, q: float):
@@ -67,29 +69,30 @@ def _exp_minus_power_bound(eps: float, base: float, q: float):
     return coeff, q * (m + 0.5)
 
 
+class _Envelope:
+    """Base of the envelope families: rejects a non-finite parameter."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{type(self).__name__} {f.name} must be "
+                                 f"finite")
+
+
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Envelope):
     """Envelope k * (1 + t)**alpha."""
 
     scale: float
     exponent: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.scale) or not math.isfinite(self.exponent):
-            raise ValueError("PowerLaw parameters must be finite")
-
     def value(self, t):
         return self.scale * (1.0 + np.asarray(t, dtype=float)) ** self.exponent
 
     def profile(self):
-        a = self.exponent
         if self.scale == 0.0:
             return ZERO, 0.0
-        if 2.0 * a < -1.0:
-            return L2, 0.0
-        if a < 0.0:
-            return SLOG_ZERO, 0.0
-        return BOUNDED_BELOW, math.inf
+        return (STABLE, 0.0) if self.exponent < 0.0 else (UNBOUNDED, math.inf)
 
     def tail(self, eps: float, mass: float, T: float) -> float:
         # x(t) <= mass k^2 (1+t)^(2a) with a < 0
@@ -99,22 +102,21 @@ class PowerLaw:
 
 
 @dataclass(frozen=True)
-class LogPower:
+class LogPower(_Envelope):
     """Envelope sqrt(gamma / ln(e + t))."""
 
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0 or not math.isfinite(self.gamma):
-            raise ValueError("LogPower gamma must be finite and >= 0")
+        super().__post_init__()
+        if self.gamma < 0:
+            raise ValueError("LogPower gamma must be >= 0")
 
     def value(self, t):
         return np.sqrt(self.gamma / np.log(math.e + np.asarray(t, dtype=float)))
 
     def profile(self):
-        if self.gamma == 0.0:
-            return ZERO, 0.0
-        return LOG_THRESHOLD, self.gamma
+        return (ZERO, 0.0) if self.gamma == 0.0 else (BOUNDED, self.gamma)
 
     def tail(self, eps: float, mass: float, T: float) -> float:
         # x(t) <= L_w / ln(e+t) with L_w = mass gamma, so
@@ -128,13 +130,14 @@ class LogPower:
 
 
 @dataclass(frozen=True)
-class ExpDecay:
+class ExpDecay(_Envelope):
     """Envelope k * exp(-lam * t)."""
 
     scale: float
     rate: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.rate <= 0:
             raise ValueError("ExpDecay rate must be positive")
 
@@ -142,7 +145,7 @@ class ExpDecay:
         return self.scale * np.exp(-self.rate * np.asarray(t, dtype=float))
 
     def profile(self):
-        return (ZERO if self.scale == 0.0 else L2), 0.0
+        return (ZERO if self.scale == 0.0 else STABLE), 0.0
 
     def tail(self, eps: float, mass: float, T: float) -> float:
         # x(t) <= B exp(-2 lam t) with B = mass k^2, and
@@ -153,13 +156,14 @@ class ExpDecay:
 
 
 @dataclass(frozen=True)
-class LogGrow:
+class LogGrow(_Envelope):
     """Envelope k * (ln(e + t))**beta with beta > 0."""
 
     scale: float
     exponent: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.exponent <= 0:
             raise ValueError("LogGrow exponent must be positive")
 
@@ -168,9 +172,7 @@ class LogGrow:
 
     def profile(self):
         # never finite, so no tail bound
-        if self.scale == 0.0:
-            return ZERO, 0.0
-        return BOUNDED_BELOW, math.inf
+        return (ZERO, 0.0) if self.scale == 0.0 else (UNBOUNDED, math.inf)
 
 
 ENVELOPE_FAMILIES = (PowerLaw, LogPower, ExpDecay, LogGrow)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import BOUNDED, REGIME_UNDECIDED, STABLE, UNBOUNDED
 from .simulate import PathEnsemble, map_shards, state_norms
 
 DECREASING = "Decreasing"
@@ -323,7 +324,7 @@ class EvidenceAccumulator:
         if self.n_points < thresholds.min_grid_points:
             notes.append("horizon too short for trend evidence")
             return build(INCONCLUSIVE)
-        if regime == "Undecided":
+        if regime == REGIME_UNDECIDED:
             notes.append("no prediction to verify")
             return build(INCONCLUSIVE)
 
@@ -336,7 +337,7 @@ class EvidenceAccumulator:
             if band > 0 else 0.0
         avg_falls = float(np.median(aver_final)) < float(np.median(aver_half))
 
-        if regime == "StableAS":
+        if regime == STABLE:
             t_lab = trends["tail_sup_median"].label
             if t_lab == DECREASING and final_med < thresholds.stable_final_sup:
                 return build(CONSISTENT)
@@ -348,7 +349,7 @@ class EvidenceAccumulator:
             notes.append("decay visible but not conclusive at this horizon")
             return build(INCONCLUSIVE)
 
-        if regime == "BoundedNonConvergent":
+        if regime == BOUNDED:
             ratio = final_med / band if band > 0 else math.inf
             band_ok = thresholds.band_ratio_lo <= ratio <= thresholds.band_ratio_hi
             if band_ok and frac >= thresholds.liminf_fraction and avg_falls:
@@ -362,7 +363,7 @@ class EvidenceAccumulator:
                          f"avg_sq decrease {avg_falls}")
             return build(INCONCLUSIVE)
 
-        if regime == "Unbounded":
+        if regime == UNBOUNDED:
             growing = bool(np.all(np.diff(np.median(rmax, axis=0)) > 0))
             extras_ok = True
             if getattr(verdict, "fading_noise", False):

@@ -383,8 +383,9 @@ def test_sampler_setup_error_exit_parse(tmp_path, capsys):
     # so the scenario parses, classify and floquet run, and verify and
     # simulate report a scenario error
     doc = base_doc()
-    doc["drift"] = {"kind": "constant", "matrix": [[-1.0]],
-                    "period": float(2 * math.pi)}
+    doc["drift"] = {"kind": "periodic", "period": float(2 * math.pi),
+                    "times": [0.0, float(math.pi)],
+                    "values": [[[-0.5]], [[-1.5]]]}
     doc["sigma"] = {"kind": "constant", "values": [[1.0]]}
     doc["initial_state"] = [1.0]
     doc["simulation"] = {"dt": 0.05, "t_end": 1.0, "paths": 4, "seed": 1}
@@ -397,6 +398,39 @@ def test_sampler_setup_error_exit_parse(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("scenario error:")
         assert "dt must divide the drift period" in err
+
+
+def test_constant_drift_with_period_is_one_knot_periodic(tmp_path, capsys):
+    # the period of a constant drift does not constrain dt, and the report
+    # equals that of the same matrix written as a one-knot periodic drift
+    A = [[-1.0, 0.5], [0.0, -2.0]]
+    doc = base_doc()
+    doc["simulation"] = {"dt": 0.3, "t_end": 76.8, "paths": 40, "seed": 3}
+    doc["drift"] = {"kind": "constant", "matrix": A, "period": 1.0}
+    periodic = base_doc()
+    periodic["simulation"] = doc["simulation"]
+    periodic["drift"] = {"kind": "periodic", "period": 1.0, "times": [0.0],
+                         "values": [A]}
+    outs = []
+    for d, name in ((doc, "constant.yaml"), (periodic, "periodic.yaml")):
+        path = write(tmp_path, d, name)
+        code = main(["verify", path, "--out", str(tmp_path)])
+        outs.append((code, capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == EXIT_OK
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0])
+def test_constant_drift_nonpositive_period_exit_parse(tmp_path, capsys,
+                                                      period):
+    doc = base_doc()
+    doc["drift"] = {"kind": "constant", "matrix": [[-1.0]], "period": period}
+    doc["sigma"] = {"kind": "constant", "values": [[1.0]]}
+    doc["initial_state"] = [1.0]
+    path = write(tmp_path, doc)
+    for command in ("classify", "floquet"):
+        assert main([command, path, "--out", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("scenario error:")
 
 
 def test_floquet_needs_period(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,16 +6,18 @@ import pytest
 from scipy.integrate import quad
 
 from affinesde import criteria
-from affinesde.criteria import (FINITE, INFINITE, UNDECIDED, build_max_sequence,
+from affinesde.criteria import (BOUNDED, FINITE, INFINITE, REGIME_UNDECIDED,
+                                STABLE, UNBOUNDED, UNDECIDED, RegimeVerdict,
+                                build_max_sequence,
                                 build_min_sequence, check_fading, classify,
                                 decide_I, decide_Sprime, integral_I, limit_Lh,
                                 mean_square_equiv, mills_tail,
                                 norm_equiv_check, partial_sum_Sprime,
                                 rowwise_sum_S1, sum_general_grid, term_S,
                                 term_Sprime)
-from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
-                             LogPower, PeriodicDrift, PowerLaw, QuadratureError,
-                             row_interval_integrals)
+from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
+                             ExpDecay, LogGrow, LogPower, PeriodicDrift,
+                             PowerLaw, QuadratureError, row_interval_integrals)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -451,7 +454,6 @@ def test_classify_unstable_drift_gate():
 
 
 def test_classify_periodic_gate():
-    from affinesde.model import CallableDrift
     stable = CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t)]]),
                            d=1, period=2 * math.pi)
     v = classify(scalar(ExpDecay(1.0, 1.0)), stable)
@@ -488,6 +490,44 @@ def test_classify_h_independent(spec, regime):
             assert lo <= eps_star * (1 + 1e-3) and hi >= eps_star * (1 - 1e-3)
 
 
+_A2 = ConstantDrift([[-1.0, 0.5], [0.0, -2.0]])
+_GATE_NOTE = ("spectral abscissa >= 0: the unperturbed system is not "
+              "asymptotically stable and additive noise cannot stabilise it")
+
+
+@pytest.mark.parametrize("sigma,drift,expected", [
+    (scalar(ExpDecay(1.0, 1.0)), ConstantDrift([[-1.0]]),
+     RegimeVerdict(STABLE, True, True, True, False, False)),
+    (DiffusionSpec.constant([[0.0]]), ConstantDrift([[-1.0]]),
+     RegimeVerdict(STABLE, True, True, True, False, False)),
+    (DiffusionSpec.envelope(LogPower(1.0), np.eye(2) / math.sqrt(2.0)), _A2,
+     RegimeVerdict(BOUNDED, True, True, True, True, True,
+                   (math.sqrt(2.0), math.sqrt(2.0)))),
+    (DiffusionSpec.constant([[1.0]]), ConstantDrift([[-1.0]]),
+     RegimeVerdict(UNBOUNDED, True, False, False, False, False)),
+    (DiffusionSpec.table([0.0, 1.0], [[[1.0]], [[0.5]]]),
+     ConstantDrift([[-1.0]]),
+     RegimeVerdict(REGIME_UNDECIDED, True, False, False, False, False,
+                   note="finiteness undecided for this sigma form")),
+    (scalar(ExpDecay(1.0, 1.0)), ConstantDrift([[0.1]]),
+     RegimeVerdict(REGIME_UNDECIDED, False, True, True, False, False,
+                   note=_GATE_NOTE)),
+    (scalar(ExpDecay(1.0, 1.0)),
+     CallableDrift(fn=lambda t: np.array([[-1.0]]), d=1),
+     RegimeVerdict(REGIME_UNDECIDED, False, True, True, False, False,
+                   note="drift is neither constant nor periodic: no "
+                        "stability gate")),
+], ids=["exp-decay", "zero", "log-power", "constant", "table",
+        "unstable-drift", "no-period"])
+def test_classify_verdict_table(sigma, drift, expected):
+    v = classify(sigma, drift)
+    bracket = expected.epsilon_star_bracket
+    if bracket is not None:
+        assert v.epsilon_star_bracket == pytest.approx(bracket, rel=1e-12)
+        v = dataclasses.replace(v, epsilon_star_bracket=bracket)
+    assert v == expected
+
+
 def test_mills_band_once_ratio_large():
     # Mills equivalence: term_S / term_Sprime * eps * sqrt(2 pi) enters the
     # 1% band once eps/theta clears ~10 (see the asymptotic series
@@ -512,7 +552,7 @@ def test_norm_equiv_logpower():
     spec = DiffusionSpec.envelope(LogPower(1.0), [[1.0, 0.5], [0.0, 1.0]])
     for alt in ("max-entry", "spectral"):
         rep = norm_equiv_check(spec, 1.0, alt)
-        assert rep.classes_agree and rep.class_frobenius == "mixed"
+        assert rep.classes_agree and rep.class_frobenius == BOUNDED
 
 
 def test_norm_equiv_trivial_cases():

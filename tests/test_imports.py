@@ -1,7 +1,8 @@
 """Every name a package module imports is used (names in __all__ exempt),
 every module-level private name is referenced in its own module, no module
 reaches for another module's private names, every name the package
-exports resolves, and sigma quadrature stays in model and simulate."""
+exports resolves, sigma quadrature stays in model and simulate, and the
+regime names are spelled only in model."""
 
 import ast
 import importlib
@@ -162,6 +163,37 @@ def test_scipy_integrate_only_where_allowed(path):
         assert found == []
     elif SCIPY_INTEGRATE_ALLOWED[path.name] is not None:
         assert set(found) <= SCIPY_INTEGRATE_ALLOWED[path.name]
+
+
+REGIME_NAMES = ("StableAS", "BoundedNonConvergent", "Unbounded", "Undecided")
+
+
+def regime_literals(source: str) -> list:
+    """String constants in the source that spell a regime name."""
+    return sorted(f"{node.value} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and
+                  node.value in REGIME_NAMES)
+
+
+def test_checker_flags_regime_literals():
+    source = ('"""Unbounded noise."""\nSTABLE = "StableAS"\n'
+              'if regime == "Undecided" or x == "unbounded":\n'
+              '    f"{regime}BoundedNonConvergent"\n')
+    assert regime_literals(source) == ["BoundedNonConvergent (line 4)",
+                                       "StableAS (line 2)",
+                                       "Undecided (line 3)"]
+
+
+# every layer compares verdicts against model's regime constants
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_regime_names_only_in_model(path):
+    found = regime_literals(path.read_text())
+    if path.name == "model.py":
+        assert len(found) == len(REGIME_NAMES)
+    else:
+        assert found == []
 
 
 def test_package_exports_resolve():

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
-                             ExpDecay, LogGrow, LogPower, PeriodicDrift,
-                             PowerLaw, eval_drift, eval_sigma, frobenius_sq,
+from affinesde.model import (ENVELOPE_FAMILIES, CallableDrift, ConstantDrift,
+                             DiffusionSpec, ExpDecay, LogGrow, LogPower,
+                             PeriodicDrift, PowerLaw, eval_drift, eval_sigma, frobenius_sq,
                              interval_integrals, row_interval_integrals,
                              sigma_fro_sq, sigma_row_sq, window_intensity)
 
@@ -25,6 +26,22 @@ def test_envelope_values_vectorized():
     t = np.array([0.0, 1.0, 4.0])
     np.testing.assert_allclose(PowerLaw(1.0, -0.5).value(t), (1 + t) ** -0.5)
     np.testing.assert_allclose(ExpDecay(2.0, 0.5).value(t), 2 * np.exp(-0.5 * t))
+
+
+_VALID_ENVELOPES = {PowerLaw: PowerLaw(1.0, -0.5), LogPower: LogPower(1.0),
+                    ExpDecay: ExpDecay(1.0, 1.0), LogGrow: LogGrow(1.0, 0.5)}
+
+
+@pytest.mark.parametrize("family,field", [
+    (family, f.name) for family in ENVELOPE_FAMILIES
+    for f in dataclasses.fields(family)],
+    ids=lambda x: x if isinstance(x, str) else x.__name__)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_envelope_rejects_nonfinite_parameters(family, field, bad):
+    valid = _VALID_ENVELOPES[family]
+    message = f"{family.__name__} {field} must be finite"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(valid, **{field: bad})
 
 
 def test_eval_sigma_constant():
