@@ -212,6 +212,14 @@ class Scenario:
         if crit["n_terms"] < 1:
             raise ScenarioError(f"criteria.n_terms must be at least 1, "
                                 f"got {crit['n_terms']!r}")
+        # the farthest window edges the criteria evaluate must stay finite
+        for keys, edge in ((("n_terms", "h"), (crit["n_terms"] + 1) * crit["h"]),
+                           (("c",), 2.0 * crit["c"]),
+                           (("t_max", "c"), crit["t_max"] + crit["c"])):
+            if not math.isfinite(edge):
+                names = " and ".join(f"criteria.{k}" for k in keys)
+                raise ScenarioError(f"{names} put a criterion window edge "
+                                    f"beyond the float range")
         sim = _defaults(doc.get("simulation") or {}, _SIM_DEFAULTS, "simulation")
         sts = _defaults(doc.get("stats") or {}, _STATS_DEFAULTS, "stats")
 
@@ -420,7 +428,7 @@ def cmd_verify(scn: Scenario, args) -> int:
                                 tol=min(crit["tol"], 1e-8))
     doc = {"scenario": scn.name, "verdict": _verdict_dict(verdict)}
     if verdict.regime == REGIME_UNDECIDED:
-        doc["agreement"] = "Inconclusive"
+        doc["agreement"] = stats.INCONCLUSIVE
         _emit(doc, _out_dir(scn, args), f"{scn.name}.verify.yaml")
         return EXIT_UNDECIDED
     # the states stream from the sampler into the evidence; no ensemble

@@ -96,38 +96,40 @@ _P_ONE_TOL = 8.0 * 2.0 ** -52
 @dataclass(frozen=True)
 class _Profile:
     regime: str
-    L: float = 0.0          # lim ||sigma(t)||^2 log t
+    L: Optional[float]      # lim ||sigma(t)||^2 log t; None when undecided
+    fading: Optional[bool]  # ||sigma(t)||^2 -> 0; None when undecided
     envelope: object = None  # None for a zero sigma, a table or a callable
     fro_sq: float = 0.0     # squared norm of the pattern
 
-    @property
-    def fading(self) -> Optional[bool]:
-        return None if self.regime == REGIME_UNDECIDED \
-            else self.regime != UNBOUNDED
-
 
 def _analyze(spec: DiffusionSpec, pattern_norm_sq: Optional[float] = None) -> _Profile:
-    """The regime that ||sigma(t)||^2 implies under a stable drift, and
-    L = lim ||sigma(t)||^2 log t, read from the envelope family.
+    """The one asymptotic profile of sigma: the regime that ||sigma(t)||^2
+    implies under a stable drift, L = lim ||sigma(t)||^2 log t, and whether
+    the noise fades.
 
-    Tables and callables are Undecided; an identically zero sigma is
-    StableAS without an envelope, so its tail bound is 0.  pattern_norm_sq
-    overrides the squared pattern norm; used to re-run the analysis under a
-    norm other than Frobenius.  A constant sigma is the zero-exponent
-    PowerLaw envelope, so it is Unbounded unless zero.
+    Envelope families give the regime and L from their ``profile()``, and
+    fade unless Unbounded; an identically zero sigma is StableAS without an
+    envelope, so its tail bound is 0.  A constant sigma is the zero-exponent
+    PowerLaw envelope, so it is Unbounded unless zero.  A table holds its
+    last value forever, so a non-zero hold gives L = inf and no fading, a
+    zero hold L = 0 and fading; its regime stays Undecided, since by design
+    tables get no Finite/Infinite ruling.  A callable is undecided in all
+    three.  pattern_norm_sq overrides the squared pattern norm; used to
+    re-run the analysis under a norm other than Frobenius.
     """
     f = spec.form
-    if isinstance(f, (TableSigma, CallableSigma)):
-        # hold-last extrapolation makes a table's far tail exactly constant,
-        # but by design tables never receive a Finite/Infinite ruling
-        return _Profile(REGIME_UNDECIDED)
+    if isinstance(f, TableSigma):
+        held = frobenius_sq(f.values[-1]) > 0.0
+        return _Profile(REGIME_UNDECIDED, math.inf if held else 0.0, not held)
+    if isinstance(f, CallableSigma):
+        return _Profile(REGIME_UNDECIDED, None, None)
     if not isinstance(f, EnvelopePattern):
         raise TypeError(f"unknown diffusion form {type(f).__name__}")
     regime, L = f.envelope.profile()
     F = frobenius_sq(f.pattern) if pattern_norm_sq is None else pattern_norm_sq
     if F == 0.0 or regime == ZERO:
-        return _Profile(STABLE)
-    return _Profile(regime, L * F, f.envelope, F)
+        return _Profile(STABLE, 0.0, True)
+    return _Profile(regime, L * F, regime != UNBOUNDED, f.envelope, F)
 
 
 def _status(profile: _Profile, eps: float, width: float) -> str:
@@ -414,29 +416,13 @@ class FadingReport:
     fading: Optional[bool]      # None = undecided
 
 
-def check_fading(spec: DiffusionSpec, h: float, n_probe: int = 256,
-                 tol: float = 1e-10) -> FadingReport:
-    """Whether the window energies theta^2(n) tend to zero.
-
-    Analytic for the built-in forms; a trend test over n_probe >= 8 windows
-    (first quarter against last quarter) for tables and callables, with
-    Undecided fallback.
-    """
+def check_fading(spec: DiffusionSpec, h: float) -> FadingReport:
+    """Whether the window energies theta^2(n) tend to zero, read from the
+    asymptotic profile: exact for envelope families and tables (from the
+    hold value), undecided for callables."""
     if h <= 0:
         raise ValueError("h must be positive")
-    if n_probe < 8:
-        raise ValueError("n_probe must be >= 8")
-    profile = _analyze(spec)
-    if profile.fading is not None:
-        return FadingReport(profile.fading)
-    wi = model.window_intensity(spec, h, n_probe, tol)
-    head = float(np.max(wi.values[: n_probe // 4]))
-    tail = float(np.max(wi.values[-n_probe // 4:]))
-    if (head == 0.0 and tail == 0.0) or (head > 0.0 and tail <= 0.05 * head):
-        return FadingReport(True)
-    if tail >= 0.5 * head > 0.0:
-        return FadingReport(False)
-    return FadingReport(None)
+    return FadingReport(_analyze(spec).fading)
 
 
 @dataclass(frozen=True)
@@ -467,33 +453,13 @@ def mean_square_equiv(spec: DiffusionSpec,
                             h_values=tuple(h_values))
 
 
-def limit_Lh(spec: DiffusionSpec, h: float, tol: float = 1e-10) -> Optional[float]:
-    """L_h = lim theta^2(n) * ln n, in [0, inf]; None when undecided.
-
-    Analytic for envelope families; for tables the constant extrapolation
-    fixes the limit (infinite for a non-zero hold value, zero otherwise).
-    """
+def limit_Lh(spec: DiffusionSpec, h: float) -> Optional[float]:
+    """L_h = lim theta^2(n) * ln n = h L, in [0, inf], with L read from the
+    asymptotic profile; None when undecided (callables)."""
     if h <= 0:
         raise ValueError("h must be positive")
-    profile = _analyze(spec)
-    if profile.regime != REGIME_UNDECIDED:
-        return h * profile.L
-    f = spec.form
-    if isinstance(f, TableSigma):
-        hold = frobenius_sq(f.values[-1])
-        return math.inf if hold > 0.0 else 0.0
-    # callable: sample theta^2(n) * ln n on a dyadic ladder
-    ns = [2 ** k for k in range(4, 14)]
-    est = [float(interval_integrals(spec, [n * h], [(n + 1) * h], tol)[0])
-           * math.log(n) for n in ns]
-    last, prev = est[-1], est[-2]
-    if last > 2.0 * prev and prev > 0:
-        return math.inf
-    if abs(last - prev) <= 0.05 * max(abs(last), 1e-300):
-        return last
-    if last == 0.0 and prev == 0.0:
-        return 0.0
-    return None
+    L = _analyze(spec).L
+    return None if L is None else h * L
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +490,11 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     every eps gives Unbounded, and ||sigma||^2 log t -> L in (0, inf) gives
     BoundedNonConvergent with the threshold in closed form,
     eps* = sqrt(2 h L), reported as the bracket (eps*, eps*).  Tables and
-    callables are Undecided.
+    callables are Undecided.  fading_noise and mean_square_stable read the
+    same profile; an undecided fading (a callable) counts as not fading.
     """
+    if h <= 0:
+        raise ValueError("h must be positive")
     # gate 1: drift stability
     if isinstance(drift, ConstantDrift):
         drift_stable = spectral_abscissa(drift.matrix) < 0.0
@@ -534,7 +503,7 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
             "asymptotically stable and additive noise cannot stabilise it")
     elif isinstance(drift, (PeriodicDrift, CallableDrift)) and \
             getattr(drift, "period", None) is not None:
-        rho = monodromy(drift, tol=max(tol, 1e-12)).rho
+        rho = monodromy(drift, tol=min(tol, 1e-12)).rho
         drift_stable = rho < 1.0
         gate_note = "" if drift_stable else (
             f"Floquet multiplier spectral radius {rho:.6g} >= 1: the "
@@ -544,15 +513,13 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
         drift_stable = False
         gate_note = "drift is neither constant nor periodic: no stability gate"
 
-    fade = check_fading(sigma, h, tol=tol)
-    fading = bool(fade.fading) if fade.fading is not None else False
-
     # gate 2: the regime the noise implies
     profile = _analyze(sigma)
+    fading = bool(profile.fading)
     regime = profile.regime if drift_stable else REGIME_UNDECIDED
     note = gate_note or ("finiteness undecided for this sigma form"
                          if regime == REGIME_UNDECIDED else "")
-    eps_star = math.sqrt(2.0 * h * profile.L)
+    eps_star = math.sqrt(2.0 * h * profile.L) if regime == BOUNDED else None
     collapse = regime == BOUNDED or (regime == UNBOUNDED and fading)
     return RegimeVerdict(
         regime=regime, drift_stable=drift_stable, fading_noise=fading,

@@ -8,9 +8,9 @@ evaluator of every form, at a single time or at an array of times.
 Everything downstream (classification criteria, exact simulation) consumes
 sigma only through weighted integrals of its squared Frobenius norm, so this
 module centralises those quadratures: ``interval_integrals`` (energy over
-each interval), ``row_interval_integrals`` (the same per row of sigma) and
-``window_intensity`` (uniform windows) share one routine, exact Simpson over
-a table's pieces and one error-checked ``quad_vec`` call for other forms.
+each interval) and ``row_interval_integrals`` (the same per row of sigma)
+share one routine, exact Simpson over a table's pieces and one error-checked
+``quad_vec`` call for other forms.
 
 Specs are immutable after construction and safe to share across threads.
 """
@@ -226,7 +226,7 @@ class TableSigma:
 @dataclass(frozen=True)
 class CallableSigma:
     """Arbitrary user function t -> (d, r) matrix.  Empirical mode only:
-    no finiteness rulings are derived from it."""
+    no finiteness ruling, fading or L_h is derived from it."""
 
     fn: Callable[[float], np.ndarray]
 
@@ -409,29 +409,6 @@ def row_interval_integrals(spec: DiffusionSpec, left, right,
                            tol: float = 1e-10) -> np.ndarray:
     """Row-wise energies int sum_j sigma_ij^2 per interval; shape (N, d)."""
     return _energies(sigma_row_sq, spec, left, right, tol)
-
-
-@dataclass(frozen=True)
-class WindowIntensity:
-    """theta^2(n) = int_{n h}^{(n+1) h} ||sigma||_F^2 for n = 0..N-1."""
-
-    h: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-
-
-def window_intensity(spec: DiffusionSpec, h: float, n_max: int,
-                     tol: float = 1e-10) -> WindowIntensity:
-    """Window energies on the uniform grid of step h, windows 0..n_max-1."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    edges = h * np.arange(n_max + 1, dtype=float)
-    vals = interval_integrals(spec, edges[:-1], edges[1:], tol)
-    return WindowIntensity(h=h, values=vals)
 
 
 # ---------------------------------------------------------------------------

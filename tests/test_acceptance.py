@@ -18,7 +18,7 @@ from affinesde.criteria import (classify, decide_I, decide_Sprime,
 from affinesde.linalg import monodromy, solve_lyapunov
 from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
                              ExpDecay, LogGrow, LogPower, PowerLaw,
-                             window_intensity)
+                             interval_integrals)
 from affinesde.simulate import (SimConfig, bessel_scenario, sample_chunks,
                                 simulate_X, step_covariance)
 from affinesde.stats import compare, dyadic_checkpoints, ensemble_mean_sq
@@ -98,7 +98,9 @@ def test_criterion_02_mills_band():
     # (the companion unit test checks the 1% band once x > 10.1).
     eps, h = 3.0, 1.0
     spec = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
-    th2 = window_intensity(spec, h, 100_001).values[1:]
+    n = 100_001
+    th2 = interval_integrals(spec, h * np.arange(n),
+                             h * np.arange(1, n + 1))[1:]
     x = eps / np.sqrt(th2)
     sel = x > 8.0
     assert np.any(sel)

@@ -160,6 +160,24 @@ def test_criteria_out_of_range_exit_parse(tmp_path, capsys, bad):
         assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad,key", [
+    ({"h": 1e306}, "criteria.h"),
+    ({"c": 1e308}, "criteria.c"),
+    ({"t_max": 1.7e308, "c": 1e307}, "criteria.t_max"),
+], ids=["h", "c", "t_max"])
+def test_criteria_overflowing_windows_exit_parse(tmp_path, capsys, bad, key):
+    # (n_terms + 1) h, 2 c and t_max + c are window edges the criteria
+    # evaluate; past the float range they are rejected at parse time
+    doc = base_doc(sigma={"kind": "constant", "values": [[1.0]]},
+                   drift={"kind": "constant", "matrix": [[-1.0]]},
+                   initial_state=[1.0], criteria=bad)
+    path = write(tmp_path, doc)
+    for command in ("classify", "verify"):
+        assert main([command, path, "--out", str(tmp_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and key in err
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -376,6 +394,27 @@ def test_floquet_periodic_table(tmp_path, capsys):
     report = yaml.safe_load(capsys.readouterr().out)
     # piecewise-linear table of sin: multiplier within interpolation error of 1
     assert report["rho"] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_classify_and_floquet_agree_on_a_barely_stable_drift(tmp_path, capsys):
+    # A(t) = -1e-8 + cos(t) / 2 at 16 knots: the trapezoid mean of the
+    # sampled cosine is zero, so rho = exp(-2 pi 1e-8) < 1, which the gate
+    # resolves only at the tolerance floquet uses
+    tt = [2 * math.pi * k / 16 for k in range(16)]
+    doc = base_doc()
+    doc["drift"] = {"kind": "periodic", "period": float(2 * math.pi),
+                    "times": tt,
+                    "values": [[[-1e-8 + 0.5 * math.cos(t)]] for t in tt]}
+    doc["sigma"] = {"kind": "constant", "values": [[1.0]]}
+    doc["initial_state"] = [1.0]
+    path = write(tmp_path, doc)
+    assert main(["floquet", path, "--out", str(tmp_path)]) == EXIT_OK
+    floquet = yaml.safe_load(capsys.readouterr().out)
+    assert floquet["rho"] < 1.0 and floquet["drift_stable"] is True
+    assert main(["classify", path, "--out", str(tmp_path)]) == EXIT_OK
+    verdict = yaml.safe_load(capsys.readouterr().out)["verdict"]
+    assert verdict["drift_stable"] is True
+    assert verdict["regime"] == "Unbounded"
 
 
 def test_sampler_setup_error_exit_parse(tmp_path, capsys):

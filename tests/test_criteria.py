@@ -17,7 +17,8 @@ from affinesde.criteria import (BOUNDED, FINITE, INFINITE, REGIME_UNDECIDED,
                                 term_Sprime)
 from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
                              ExpDecay, LogGrow, LogPower, PeriodicDrift,
-                             PowerLaw, QuadratureError, row_interval_integrals)
+                             PowerLaw, QuadratureError, interval_integrals,
+                             row_interval_integrals)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -215,7 +216,6 @@ def test_integral_expdecay_against_mpmath_oracle():
 def test_integral_logpower_against_midpoint_oracle():
     # independent oracle: composite midpoint rule at steps h and h/2 with
     # Richardson extrapolation of the O(h^2) error
-    from affinesde.model import interval_integrals
 
     def midpoint(step):
         mids = np.arange(step / 2, 1000.0, step)
@@ -269,7 +269,6 @@ def test_decide_I_examples():
 def test_sum_general_grid_uniform_matches_terms():
     spec = scalar(ExpDecay(1.0, 0.5))
     grid = np.arange(0.0, 9.0)
-    from affinesde.model import interval_integrals
     th2 = interval_integrals(spec, grid[:-1], grid[1:])
     direct = sum(term_S(1.0, t) for t in th2)
     assert sum_general_grid(spec, 1.0, grid) == pytest.approx(direct, rel=1e-12)
@@ -322,7 +321,6 @@ def test_sandwich_inequalities_on_random_tables():
     grid = np.arange(0.0, 5.0)
     eps, d = 1.3, 2
     rows = row_interval_integrals(spec, grid[:-1], grid[1:])
-    from affinesde.model import interval_integrals
     tots = interval_integrals(spec, grid[:-1], grid[1:])
     for th_i, th in zip(rows, tots):
         lhs = sum(term_S(eps, t) for t in th_i)
@@ -379,21 +377,48 @@ def test_check_fading_analytic():
 
 
 def test_check_fading_table_trend():
+    # hold-last extrapolation makes a table's far tail its last value, so it
+    # fades exactly when that value is zero, whatever the knots before it
     t = np.linspace(0.0, 200.0, 100)
     decaying = DiffusionSpec.table(t, np.exp(-0.1 * t)[:, None, None])
-    assert check_fading(decaying, 1.0, n_probe=128).fading is True
     flat = DiffusionSpec.table([0.0, 1.0], [[[1.0]], [[1.0]]])
-    assert check_fading(flat, 1.0, n_probe=128).fading is False
+    dead = DiffusionSpec.table([0.0, 1.0, 3.0], [[[1.0]], [[2.0]], [[0.0]]])
+    for h in (0.25, 1.0, 8.0):
+        assert check_fading(decaying, h).fading is False
+        assert check_fading(flat, h).fading is False
+        assert check_fading(dead, h).fading is True
 
 
-def test_check_fading_rejects_short_probe():
-    # with fewer than 8 windows the first quarter is empty; a constant
-    # table must not be called fading for want of a head
-    flat = DiffusionSpec.table([0.0, 1.0], [[[1.0]], [[1.0]]])
-    for n in (1, 4, 7):
-        with pytest.raises(ValueError, match="n_probe"):
-            check_fading(flat, 1.0, n_probe=n)
-    assert check_fading(flat, 1.0, n_probe=8).fading is False
+def _step_table(hold):
+    # 10 I up to t = 2, falling to hold * I at t = 4 and held there
+    return DiffusionSpec.table([0.0, 1.0, 2.0, 4.0],
+                               [10.0 * np.eye(2)] * 3 + [hold * np.eye(2)])
+
+
+def test_table_fading_and_L_h_follow_the_hold_value():
+    drift = ConstantDrift([[-1.0, 0.5], [0.0, -2.0]])
+    for hold, fading, L_h in ((1.0, False, math.inf), (0.0, True, 0.0)):
+        spec = _step_table(hold)
+        v = classify(spec, drift)
+        assert v.regime == REGIME_UNDECIDED
+        assert v.fading_noise is fading and v.mean_square_stable is fading
+        rep = criteria.criterion_report(spec, n_terms=16, t_max=16.0).to_dict()
+        assert rep["fading"] is fading and rep["L_h"] == L_h
+        for h in (0.5, 1.0, 2.0):
+            assert check_fading(spec, h).fading is fading
+            assert limit_Lh(spec, h) == L_h
+        rep = mean_square_equiv(spec)
+        assert rep.all_equivalent and rep.fading_all_h is fading
+
+
+def test_callable_fading_and_L_h_undecided():
+    spec = DiffusionSpec.from_callable(lambda t: np.exp(-t) * np.eye(2), 2, 2)
+    assert check_fading(spec, 1.0).fading is None
+    assert limit_Lh(spec, 1.0) is None
+    with pytest.raises(ValueError, match="undecided"):
+        mean_square_equiv(spec)
+    v = classify(spec, ConstantDrift(-np.eye(2)))
+    assert v.regime == REGIME_UNDECIDED and not v.fading_noise
 
 
 def test_mean_square_equiv():
@@ -418,7 +443,6 @@ def test_limit_Lh():
 
 def test_limit_Lh_window_oracle_at_large_n():
     # theta^2(n) * ln n at n = 10^6 for LogPower(2) is close to 2
-    from affinesde.model import interval_integrals
     spec = scalar(LogPower(2.0))
     n = 10 ** 6
     est = float(interval_integrals(spec, [float(n)], [float(n + 1)])[0]) \
@@ -534,8 +558,9 @@ def test_mills_band_once_ratio_large():
     # 1 - x^-2 + 3 x^-4 - ...)
     spec = scalar(LogPower(1.0))
     eps, h = 3.0, 1.0
-    from affinesde.model import window_intensity
-    th2 = window_intensity(spec, h, 200_000).values[1:]
+    n = 200_000
+    th2 = interval_integrals(spec, h * np.arange(n),
+                             h * np.arange(1, n + 1))[1:]
     x = eps / np.sqrt(th2)
     sel = x > 10.1
     assert np.any(sel)

@@ -1,8 +1,9 @@
 """Every name a package module imports is used (names in __all__ exempt),
 every module-level private name is referenced in its own module, no module
-reaches for another module's private names, every name the package
-exports resolves, sigma quadrature stays in model and simulate, and the
-regime names are spelled only in model."""
+reaches for another module's private names, every function reads its
+parameters, every name the package exports resolves, sigma quadrature stays
+in model and simulate, the regime names are spelled only in model and the
+agreement names only in stats."""
 
 import ast
 import importlib
@@ -82,6 +83,24 @@ def private_cross_imports(source: str) -> list:
     return sorted(found)
 
 
+def unread_parameters(source: str) -> list:
+    """Parameters of a def that its body never reads; lambdas, self, cls and
+    _-prefixed names are exempt.  A read in a nested function counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + \
+            [p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}({p.arg}) (line {node.lineno})" for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")
+                  and not p.arg.startswith("_")]
+    return sorted(found)
+
+
 def test_checker_flags_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == \
         ["os (line 1)"]
@@ -105,6 +124,29 @@ def test_checker_flags_unreferenced_private():
                          ids=lambda p: p.name)
 def test_no_unreferenced_privates(path):
     assert unreferenced_privates(path.read_text()) == []
+
+
+def test_checker_flags_unread_parameter():
+    source = ("def f(a, b, *args, c=1, _d=2, **kw):\n"
+              "    b = 3\n"
+              "    return kw[c]\n"
+              "class K:\n"
+              "    def m(self, x, y=lambda z: 0):\n"
+              "        def inner():\n"
+              "            return x\n"
+              "        return inner\n"
+              "    @classmethod\n"
+              "    def n(cls, w=None):\n"
+              "        return lambda v: cls\n")
+    assert unread_parameters(source) == [
+        "f(a) (line 1)", "f(args) (line 1)", "f(b) (line 1)",
+        "m(y) (line 5)", "n(w) (line 10)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def test_checker_flags_private_cross_import():
@@ -166,32 +208,46 @@ def test_scipy_integrate_only_where_allowed(path):
 
 
 REGIME_NAMES = ("StableAS", "BoundedNonConvergent", "Unbounded", "Undecided")
+AGREEMENT_NAMES = ("Consistent", "Inconsistent", "Inconclusive")
 
 
-def regime_literals(source: str) -> list:
-    """String constants in the source that spell a regime name."""
+def name_literals(source: str, names) -> list:
+    """String constants in the source that spell one of names."""
     return sorted(f"{node.value} (line {node.lineno})"
                   for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Constant) and
-                  node.value in REGIME_NAMES)
+                  if isinstance(node, ast.Constant) and node.value in names)
 
 
 def test_checker_flags_regime_literals():
     source = ('"""Unbounded noise."""\nSTABLE = "StableAS"\n'
               'if regime == "Undecided" or x == "unbounded":\n'
-              '    f"{regime}BoundedNonConvergent"\n')
-    assert regime_literals(source) == ["BoundedNonConvergent (line 4)",
-                                       "StableAS (line 2)",
-                                       "Undecided (line 3)"]
+              '    f"{regime}BoundedNonConvergent"\n'
+              'agreement = "Inconclusive"\n')
+    assert name_literals(source, REGIME_NAMES) == [
+        "BoundedNonConvergent (line 4)", "StableAS (line 2)",
+        "Undecided (line 3)"]
+    assert name_literals(source, AGREEMENT_NAMES) == \
+        ["Inconclusive (line 5)"]
 
 
-# every layer compares verdicts against model's regime constants
+# every layer compares verdicts against model's regime constants, and
+# agreements against stats' constants
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_regime_names_only_in_model(path):
-    found = regime_literals(path.read_text())
+    found = name_literals(path.read_text(), REGIME_NAMES)
     if path.name == "model.py":
         assert len(found) == len(REGIME_NAMES)
+    else:
+        assert found == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_agreement_names_only_in_stats(path):
+    found = name_literals(path.read_text(), AGREEMENT_NAMES)
+    if path.name == "stats.py":
+        assert len(found) == len(AGREEMENT_NAMES)
     else:
         assert found == []
 
