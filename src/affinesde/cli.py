@@ -352,8 +352,9 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     return scn
 
 
-def _chunks(scn: Scenario):
-    """The scenario's SimConfig and the sampler's chunk stream.
+def _chunks(scn: Scenario, drift, sigma: DiffusionSpec):
+    """The scenario's SimConfig and the sampler's chunk stream for the
+    scenario's built drift and sigma.
 
     The sampler's set-up rejects what only sampling needs, e.g. a step dt
     that does not divide the drift period; that is a scenario error, while
@@ -361,8 +362,7 @@ def _chunks(scn: Scenario):
     """
     cfg = scn.sim_config()
     try:
-        return cfg, sample_chunks(scn.build_drift(), scn.build_sigma(),
-                                  scn.initial_state, cfg)
+        return cfg, sample_chunks(drift, sigma, scn.initial_state, cfg)
     except np.linalg.LinAlgError:   # a ValueError, but a numeric failure
         raise
     except (ValueError, TypeError) as exc:
@@ -402,7 +402,7 @@ def cmd_classify(scn: Scenario, args) -> int:
 
 
 def cmd_simulate(scn: Scenario, args) -> int:
-    cfg, chunks = _chunks(scn)
+    cfg, chunks = _chunks(scn, scn.build_drift(), scn.build_sigma())
     ens = collect(chunks, cfg)
     out = _out_dir(scn, args)
     out.mkdir(parents=True, exist_ok=True)
@@ -432,7 +432,7 @@ def cmd_verify(scn: Scenario, args) -> int:
         _emit(doc, _out_dir(scn, args), f"{scn.name}.verify.yaml")
         return EXIT_UNDECIDED
     # the states stream from the sampler into the evidence; no ensemble
-    cfg, chunks = _chunks(scn)
+    cfg, chunks = _chunks(scn, drift, sigma)
     evidence = stats.compare(verdict, cfg.times, chunks,
                              thresholds=scn.thresholds())
     doc["evidence"] = evidence.summary()

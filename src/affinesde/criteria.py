@@ -408,7 +408,7 @@ def build_max_sequence(integrand: Callable[[float], float], h: float,
 
 
 # ---------------------------------------------------------------------------
-# fading noise, mean-square equivalents, log-window limit
+# fading noise and the log-window limit
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -423,34 +423,6 @@ def check_fading(spec: DiffusionSpec, h: float) -> FadingReport:
     if h <= 0:
         raise ValueError("h must be positive")
     return FadingReport(_analyze(spec).fading)
-
-
-@dataclass(frozen=True)
-class MeanSquareReport:
-    fading_single_h: bool
-    fading_all_h: bool
-    unit_window_limit_zero: bool
-    h_values: tuple
-    note: str = ("ensemble mean-square decay is checked empirically by the "
-                 "statistics layer")
-
-    @property
-    def all_equivalent(self) -> bool:
-        return (self.fading_single_h == self.fading_all_h
-                == self.unit_window_limit_zero)
-
-
-def mean_square_equiv(spec: DiffusionSpec,
-                      h_values=(0.5, 1.0, 2.0)) -> MeanSquareReport:
-    """Evaluate the equivalent fading-noise statements for several windows."""
-    flags = [check_fading(spec, h).fading for h in h_values]
-    if any(f is None for f in flags):
-        raise ValueError("fading undecided for this spec; use empirical mode")
-    unit = check_fading(spec, 1.0).fading
-    return MeanSquareReport(fading_single_h=bool(flags[0]),
-                            fading_all_h=all(flags),
-                            unit_window_limit_zero=bool(unit),
-                            h_values=tuple(h_values))
 
 
 def limit_Lh(spec: DiffusionSpec, h: float) -> Optional[float]:

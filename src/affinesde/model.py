@@ -17,6 +17,7 @@ Specs are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
@@ -455,6 +456,11 @@ class PeriodicDrift:
         v = self.values
         if v.ndim != 3 or v.shape[0] != len(ts) or v.shape[1] != v.shape[2]:
             raise ValueError("values must have shape (n_times, d, d)")
+        # eval_drift's segments: float knots closed by the period, whose
+        # value is the first sample again
+        object.__setattr__(self, "_knots",
+                           (*map(float, ts), float(self.period)))
+        object.__setattr__(self, "_knot_values", (*v, v[0]))
 
     @property
     def d(self) -> int:
@@ -481,15 +487,11 @@ def eval_drift(drift, t: float) -> np.ndarray:
         tm = math.fmod(float(t), drift.period)
         if tm < 0:
             tm += drift.period
-        ts, vs = drift.times, drift.values
-        if tm >= ts[-1]:
-            # wrap segment [t_last, T] -> first sample
-            span = drift.period - ts[-1]
-            w = 0.0 if span == 0 else (tm - ts[-1]) / span
-            return np.array((1.0 - w) * vs[-1] + w * vs[0])
-        i = int(np.searchsorted(ts, tm, side="right")) - 1
+        ts, vs = drift._knots, drift._knot_values
+        # tm = T after rounding stays on the wrap segment [t_last, T]
+        i = min(bisect.bisect_right(ts, tm), len(ts) - 1) - 1
         w = (tm - ts[i]) / (ts[i + 1] - ts[i])
-        return np.array((1.0 - w) * vs[i] + w * vs[i + 1])
+        return (1.0 - w) * vs[i] + w * vs[i + 1]
     if isinstance(drift, CallableDrift):
         out = np.atleast_2d(np.asarray(drift.fn(t), dtype=float))
         if out.shape != (drift.d, drift.d):

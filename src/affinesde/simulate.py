@@ -17,7 +17,9 @@ bit-reproducible and order-independent.
 The recursion streams: `sample_chunks` cuts the paths into one contiguous
 shard per CPU (at most one per path) and returns one stream of time-major
 chunks (n0, X[k, path, i]) per shard, so a consumer that only reduces them
-(such as `stats.compare`) never holds the (paths, N+1, d) ensemble;
+(such as `stats.compare`) never holds the (paths, N+1, d) ensemble: while
+it works on a chunk, each shard holds only its draw buffer and that one
+chunk of states, since a stream drops a chunk before it draws the next.
 `simulate_X` gathers the same chunks into a `PathEnsemble`.  `map_shards`
 runs a consumer on every shard at once, shard 0 on the calling thread and
 each other shard on a worker thread: the draws and the numpy kernels
@@ -53,6 +55,7 @@ SCHEME_EULER = "EulerMaruyama"
 _CHUNK_DRAWS = 2 ** 20   # normal draws per chunk; one step takes paths * r
 _GL_NODES = 12           # fixed Gauss-Legendre panel for the batched covariances
 _BLOCK = 64              # target steps per block of the blocked recursion
+_COV_BLOCK = 8192        # target steps per block of the covariance panel
 
 
 class CovarianceError(RuntimeError):
@@ -209,17 +212,23 @@ def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
     panel batched over all steps, with the squared envelope g as the only
     per-node factor, validated against the adaptive quadrature on the first
     step; tables and callables fall back to the adaptive panel per step.
+    The panel is built in blocks of about 8192 steps, a multiple of m, so
+    the (N, nodes) table of g is never whole; each block takes the same
+    einsum, and the stack equals a one-shot build bit for bit.
     """
     N, m = len(times), len(E)
     form = sigma.form
     if isinstance(form, EnvelopePattern):
         u, w = _gauss_legendre(_GL_NODES)
-        g = np.asarray(form.envelope.value(times[:, None] + u[None, :] * dt)) ** 2
         M = E @ form.pattern
         C = (dt * M) @ np.swapaxes(M, -1, -2)   # (m, K, d, d)
         Q = np.empty((N, sigma.d, sigma.d))
-        for j in range(m):
-            Q[j::m] = np.einsum("k,nk,kij->nij", w, g[j::m], C[j])
+        B = m * -(-_COV_BLOCK // m)
+        for s in range(0, N, B):
+            g = np.asarray(form.envelope.value(
+                times[s:s + B, None] + u[None, :] * dt)) ** 2
+            for j in range(m):
+                Q[s + j:s + B:m] = np.einsum("k,nk,kij->nij", w, g[j::m], C[j])
         ref = step_covariance(drift, sigma, float(times[0]), dt, tol)
         scale = max(float(np.abs(ref).max()), 1e-300)
         if float(np.abs(Q[0] - ref).max()) <= max(tol, 1e-12 * scale) * 10 + tol:
@@ -325,7 +334,9 @@ def _solve(TT, PT, b: int, noise_t, xi, gens: list, Z, tmp):
     start state X_s and its last partial sum into the next chunk, so the
     states do not depend on k.  Every chunk is checked to be finite.  Each
     path's arithmetic is the same in any shard, so the states do not depend
-    on the shard count either.
+    on the shard count either.  After the yield the generator drops the
+    chunk (and its in-block view), so the next chunk's matmul can reuse its
+    memory when the consumer has dropped it too.
     """
     N, _, d = noise_t.shape
     m, k = len(TT), Z.shape[1]
@@ -361,6 +372,8 @@ def _solve(TT, PT, b: int, noise_t, xi, gens: list, Z, tmp):
             j += n
         _check_finite(out)
         yield start + 1, out
+        # drop the chunk before the next matmul allocates its successor
+        out = cur = None
 
 
 def _prepare_xi(xi, d: int) -> np.ndarray:
@@ -384,7 +397,10 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     holds one stream per shard, in path order; `map_shards` runs them.  Each
     stream's chunks cover grid points 0..N in order, the first holding X_0
     alone; a chunk is a fresh array of about 2**20 / (paths r) steps, paths
-    counting the whole ensemble.  A drift with
+    counting the whole ensemble.  A stream drops each chunk when asked for
+    the next, so a consumer that drops it too holds, per shard, the draw
+    buffer and one chunk of states; one that keeps chunks (`list`) may, and
+    pays for them.  A drift with
     a period runs the periodic sampler (dt must divide the period; a
     periodic spec whose samples are all identical is a constant drift), any
     other drift must be constant.  The set-up (transitions, covariances and
@@ -441,6 +457,7 @@ def map_shards(fn, shards) -> list:
             if stop.is_set():
                 return
             yield chunk
+            del chunk   # let the shard free it before drawing the next one
 
     def work(i):
         try:
@@ -480,6 +497,7 @@ def collect(shards, cfg: SimConfig) -> PathEnsemble:
     def fill(i, chunks):
         for n0, X in chunks:
             views[i][:, n0:n0 + len(X)] = np.swapaxes(X, 0, 1)
+            del X
 
     map_shards(fill, [itertools.chain([h], s) for h, s in zip(heads, shards)])
     return PathEnsemble(times=cfg.times, states=states, config=cfg)

@@ -389,8 +389,10 @@ def compare(verdict, times, shards,
     times, such as `sample_chunks` returns, against a regime verdict.
 
     Each shard's norms feed its own accumulator on its own thread
-    (`map_shards`), holding one chunk at a time; the accumulators are
-    joined along the path axis in shard order before the rules run.
+    (`map_shards`); each chunk is dropped once fed, so per shard only the
+    sampler's draw buffer and one chunk of states are alive.  The
+    accumulators are joined along the path axis in shard order before the
+    rules run.
     """
     def reduce(_, chunks):
         acc = None
@@ -403,6 +405,7 @@ def compare(verdict, times, shards,
             rows = max(1, _FEED_NORMS // X.shape[1])
             for a in range(0, len(X), rows):
                 acc.add(n0 + a, state_norms(X[a:a + rows]))
+            del X   # let the shard free the chunk before drawing the next
         return acc
 
     return EvidenceAccumulator.concat(map_shards(reduce, shards)).evidence(

@@ -14,7 +14,7 @@ from scipy.stats import kstest
 
 from affinesde.criteria import (classify, decide_I, decide_Sprime,
                                 build_max_sequence, build_min_sequence,
-                                mean_square_equiv, term_S, term_Sprime)
+                                check_fading, term_S, term_Sprime)
 from affinesde.linalg import monodromy, solve_lyapunov
 from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
                              ExpDecay, LogGrow, LogPower, PowerLaw,
@@ -226,9 +226,7 @@ def test_criterion_07_ou_exactness():
 def test_criterion_08_mean_square_equivalence():
     drift = ConstantDrift(np.array([[-1.0]]))
     fading = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
-    rep = mean_square_equiv(fading)
-    assert rep.fading_single_h and rep.fading_all_h and \
-        rep.unit_window_limit_zero
+    assert all(check_fading(fading, h).fading for h in (0.5, 1.0, 2.0))
     ens = simulate_X(drift, fading, [0.0],
                      SimConfig(dt=0.25, t_end=512.0, paths=2000, seed=808))
     msq, _ = ensemble_mean_sq(ens)
@@ -238,9 +236,7 @@ def test_criterion_08_mean_square_equivalence():
     assert np.all(np.diff(vals) < 0)
 
     const = DiffusionSpec.constant([[1.0]])
-    rep = mean_square_equiv(const)
-    assert not rep.fading_single_h and not rep.fading_all_h and \
-        not rep.unit_window_limit_zero
+    assert not any(check_fading(const, h).fading for h in (0.5, 1.0, 2.0))
     ens = simulate_X(drift, const, [0.0],
                      SimConfig(dt=0.125, t_end=16.0, paths=2000, seed=809))
     msq, se = ensemble_mean_sq(ens)

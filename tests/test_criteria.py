@@ -11,7 +11,7 @@ from affinesde.criteria import (BOUNDED, FINITE, INFINITE, REGIME_UNDECIDED,
                                 build_max_sequence,
                                 build_min_sequence, check_fading, classify,
                                 decide_I, decide_Sprime, integral_I, limit_Lh,
-                                mean_square_equiv, mills_tail,
+                                mills_tail,
                                 norm_equiv_check, partial_sum_Sprime,
                                 rowwise_sum_S1, sum_general_grid, term_S,
                                 term_Sprime)
@@ -407,27 +407,14 @@ def test_table_fading_and_L_h_follow_the_hold_value():
         for h in (0.5, 1.0, 2.0):
             assert check_fading(spec, h).fading is fading
             assert limit_Lh(spec, h) == L_h
-        rep = mean_square_equiv(spec)
-        assert rep.all_equivalent and rep.fading_all_h is fading
 
 
 def test_callable_fading_and_L_h_undecided():
     spec = DiffusionSpec.from_callable(lambda t: np.exp(-t) * np.eye(2), 2, 2)
     assert check_fading(spec, 1.0).fading is None
     assert limit_Lh(spec, 1.0) is None
-    with pytest.raises(ValueError, match="undecided"):
-        mean_square_equiv(spec)
     v = classify(spec, ConstantDrift(-np.eye(2)))
     assert v.regime == REGIME_UNDECIDED and not v.fading_noise
-
-
-def test_mean_square_equiv():
-    rep = mean_square_equiv(scalar(ExpDecay(1.0, 1.0)))
-    assert rep.all_equivalent and rep.fading_all_h
-    rep = mean_square_equiv(DiffusionSpec.constant([[2.0]]))
-    assert rep.all_equivalent and not rep.fading_all_h
-    rep = mean_square_equiv(scalar(LogGrow(1.0, 1.0)))
-    assert rep.all_equivalent and not rep.fading_single_h
 
 
 def test_limit_Lh():

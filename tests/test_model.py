@@ -285,6 +285,39 @@ def test_periodic_drift_wraps_exactly():
                                       eval_drift(drift, t + 20.0))
 
 
+def _searchsorted_drift(drift, t):
+    """The periodic interpolation as a searchsorted lookup over the arrays."""
+    tm = math.fmod(float(t), drift.period)
+    if tm < 0:
+        tm += drift.period
+    ts, vs = drift.times, drift.values
+    if tm >= ts[-1]:
+        w = (tm - ts[-1]) / (drift.period - ts[-1])
+        return np.array((1.0 - w) * vs[-1] + w * vs[0])
+    i = int(np.searchsorted(ts, tm, side="right")) - 1
+    w = (tm - ts[i]) / (ts[i + 1] - ts[i])
+    return np.array((1.0 - w) * vs[i] + w * vs[i + 1])
+
+
+def test_periodic_drift_matches_searchsorted_lookup_bit_for_bit():
+    T = 2 * math.pi
+    knots = [T * k / 16 for k in range(16)]
+    drift = PeriodicDrift(
+        period=T, times=knots,
+        values=[np.array([[-1.0 + math.cos(t), 0.5], [0.0, -2.0 + math.sin(t)]])
+                for t in knots])
+    one = PeriodicDrift(period=3.0, times=[0.0], values=[[[-0.5]]])
+    mids = [0.5 * (a + b) for a, b in zip(knots, knots[1:] + [T])]
+    wrap = [knots[-1] + f * (T - knots[-1]) for f in (0.0, 0.3, 0.999)]
+    ts = knots + mids + wrap + [-x for x in mids + wrap] + \
+        [k * T for k in (-3, -1, 0, 1, 2, 7)] + [-1e-300, math.nextafter(T, 0)]
+    for d in (drift, one):
+        for t in ts + [0.7, 1.5, 2.9, -4.1, 1e6 + 0.1]:
+            a, b = eval_drift(d, t), _searchsorted_drift(d, t)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b), (t, a, b)
+
+
 def test_callable_drift():
     drift = CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
                           period=2 * math.pi)

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.stats import kstest
 
 from affinesde.linalg import expm
 from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
-                             ExpDecay, PeriodicDrift, PowerLaw)
+                             ExpDecay, LogPower, PeriodicDrift, PowerLaw)
 from affinesde import simulate
 from affinesde.simulate import (SCHEME_EULER, SCHEME_EXACT, CovarianceError,
                                 PathEnsemble, SimConfig, bessel_scenario,
@@ -329,6 +330,70 @@ def test_periodic_sampler_covariances_exact(m):
         assert psi == pytest.approx(_cos_drift_psi(t + dt, t), rel=1e-10), n
         q = ((X[n + 1] - psi * X[n]) / Z[n]) ** 2
         assert q == pytest.approx(_cos_drift_q(t, dt), rel=1e-10), n
+
+
+def _one_shot_covariances(sigma, times, dt, E):
+    """The envelope panel's covariance stack as one einsum per period
+    position over every step at once."""
+    u, w = simulate._gauss_legendre(simulate._GL_NODES)
+    g = np.asarray(sigma.form.envelope.value(times[:, None] + u[None, :] * dt)) ** 2
+    M = E @ sigma.form.pattern
+    C = (dt * M) @ np.swapaxes(M, -1, -2)
+    m = len(E)
+    Q = np.empty((len(times), sigma.d, sigma.d))
+    for j in range(m):
+        Q[j::m] = np.einsum("k,nk,kij->nij", w, g[j::m], C[j])
+    return Q
+
+
+def _panel_propagators(drift, m, dt):
+    u, _ = simulate._gauss_legendre(simulate._GL_NODES)
+    return np.array([[psi(uk) for uk in u] for psi in
+                     (simulate._step_propagator(drift, j * dt, dt, 1e-10)
+                      for j in range(m))])
+
+
+A2 = np.array([[-1.0, 0.5], [0.0, -2.0]])
+PERIODIC2 = PeriodicDrift(period=1.5, times=[0.0, 0.5],
+                          values=[A2, np.array([[-2.0, 0.0], [0.3, -0.5]])])
+
+
+@pytest.mark.parametrize("drift, m, dt, block, n_steps", [
+    (ConstantDrift(A2), 1, 0.05, 8192, 2 * 8192 + 5),
+    (ConstantDrift(A2), 1, 0.05, 16, 5 * 16 + 1),
+    (PERIODIC2, 6, 0.25, 16, 4 * 18 + 7),    # blocks of 18 steps
+    (PERIODIC2, 6, 0.25, 8192, 8196 + 11),
+], ids=["m1", "m1-small-block", "m6-small-block", "m6"])
+def test_step_covariances_blocked_equal_one_shot(monkeypatch, drift, m, dt,
+                                                 block, n_steps):
+    # the panel is built in blocks of steps (a multiple of m); the stack
+    # equals the one-shot build bit for bit, a short last block included
+    monkeypatch.setattr(simulate, "_COV_BLOCK", block)
+    times = dt * np.arange(n_steps)
+    E = _panel_propagators(drift, m, dt)
+    pattern = [[1.0, 0.5], [0.0, 1.0]]
+    for env in (LogPower(1.0), ExpDecay(1.0, 0.01), PowerLaw(1.0, -0.3),
+                PowerLaw(2.0, 0.0)):
+        sigma = DiffusionSpec.envelope(env, pattern)
+        Q = simulate._step_covariances(drift, sigma, times, dt, 1e-10, E)
+        assert np.array_equal(Q, _one_shot_covariances(sigma, times, dt, E))
+
+
+def test_step_covariances_never_build_the_node_table():
+    # the squared envelope at the panel nodes lives one step block at a time
+    dt, n_steps = 0.05, 8 * simulate._COV_BLOCK
+    times = dt * np.arange(n_steps)
+    E = _panel_propagators(ConstantDrift(A2), 1, dt)
+    sigma = DiffusionSpec.envelope(LogPower(1.0), np.eye(2))
+    tracemalloc.start()
+    try:
+        Q = simulate._step_covariances(ConstantDrift(A2), sigma, times, dt,
+                                       1e-10, E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    node_table = n_steps * simulate._GL_NODES * 8
+    assert peak < Q.nbytes + node_table, (peak, Q.nbytes, node_table)
 
 
 def test_periodic_constant_reduces_bit_identically():

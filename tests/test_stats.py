@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -367,3 +368,26 @@ def test_compare_reentrant_across_threads(monkeypatch):
                      "avg_sq_half", "avg_sq_final"):
             assert np.array_equal(getattr(ev, name), getattr(ref, name))
     assert not np.array_equal(got[0].tail_sups, got[1].tail_sups)
+
+
+def test_compare_holds_one_chunk_per_shard(monkeypatch):
+    # while compare reduces a chunk, the shard has already dropped the one
+    # before it: beyond what sample_chunks set up (transitions, noise
+    # factors, draw buffers), the traced peak is one chunk per shard plus
+    # the feeds' small temporaries
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    drift = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
+    sigma = DiffusionSpec.constant(np.eye(2))
+    cfg = SimConfig(dt=0.125, t_end=0.125 * 4 * 8192, paths=64, seed=3)
+    shards = sample_chunks(drift, sigma, [1.0, 1.0], cfg)
+    assert len(shards) == 2
+    steps = simulate._CHUNK_DRAWS // (cfg.paths * 2)
+    chunks = 2 * steps * (cfg.paths // 2) * 2 * 8   # one per shard, 8 MB
+    tracemalloc.start()
+    try:
+        ev = compare(UNDECIDED, cfg.times, shards)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev.window_inf_final.shape == (cfg.paths,)
+    assert peak < 1.5 * chunks, (peak, chunks)
