@@ -8,9 +8,11 @@ the classification / simulation / comparison parameters.  Subcommands:
     verify     classify, simulate, then compare prediction with evidence
     floquet    monodromy matrix and Floquet multiplier of the drift
 
-Exit codes: 0 success/Consistent, 1 scenario parse or usage error, 2 numeric
-failure, 3 Undecided or Inconclusive, 4 Inconsistent.  Reports go to
-stdout (and a file); diagnostics go to stderr.
+Exit codes: 0 success/Consistent, 1 scenario parse or usage error (a scenario
+name must be a plain file name) or a report or CSV that cannot be written
+(``output error:``), 2 numeric failure, 3 Undecided or Inconclusive, 4
+Inconsistent.  Reports go to a file <out>/<name>.<command>.yaml and, once
+written, to stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -96,12 +98,11 @@ def _num(section: dict, key: str, default=None, kind=float):
     return int(x)
 
 
-def _matrix(v, name: str):
+def _matrix(v, name: str) -> np.ndarray:
     try:
-        m = np.atleast_2d(np.asarray(v, dtype=float))
+        return np.atleast_2d(np.asarray(v, dtype=float))
     except (TypeError, ValueError):
         raise ScenarioError(f"{name} must be a numeric matrix")
-    return [[float(x) for x in row] for row in m]
 
 
 def _list(v, name: str, item) -> list:
@@ -127,18 +128,87 @@ def _defaults(section: dict, defaults: dict, name: str) -> dict:
     return out
 
 
+def _drift(section: dict) -> ConstantDrift | PeriodicDrift:
+    kind = section.get("kind")
+    if kind == "constant":
+        _check_keys(section, "drift", ("kind", "matrix", "period"),
+                    required=("matrix",))
+        A = _matrix(section["matrix"], "drift.matrix")
+        if "period" in section:
+            # a constant drift with a period is a one-knot periodic drift
+            return PeriodicDrift(period=_num(section, "period"), times=[0.0],
+                                 values=[A])
+        return ConstantDrift(A)
+    if kind == "periodic":
+        _check_keys(section, "drift", ("kind", "period", "times", "values"),
+                    required=("period", "times", "values"))
+        return PeriodicDrift(
+            period=_num(section, "period"),
+            times=np.asarray(_list(section["times"], "drift.times", float)),
+            values=_list(section["values"], "drift.values",
+                         lambda v: _matrix(v, "drift.values")))
+    raise ScenarioError(f"drift.kind must be constant or periodic, got {kind!r}")
+
+
+def _sigma(section: dict) -> DiffusionSpec:
+    kind = section.get("kind")
+    if kind == "constant":
+        _check_keys(section, "sigma", ("kind", "values"), required=("values",))
+        return DiffusionSpec.constant(_matrix(section["values"], "sigma.values"))
+    if kind == "envelope":
+        _check_keys(section, "sigma", ("kind", "family", "params", "pattern"),
+                    required=("family", "params", "pattern"))
+        fam = str(section["family"])
+        if fam not in _ENVELOPES:
+            raise ScenarioError(f"unknown envelope family {fam!r}")
+        cls, param_names = _ENVELOPES[fam]
+        params = section["params"]
+        _check_keys(params, "sigma.params", param_names, required=param_names)
+        env = cls(**{k: _num(params, k) for k in param_names})
+        return DiffusionSpec.envelope(
+            env, _matrix(section["pattern"], "sigma.pattern"))
+    if kind == "table":
+        _check_keys(section, "sigma", ("kind", "times", "values"),
+                    required=("times", "values"))
+        return DiffusionSpec.table(
+            np.asarray(_list(section["times"], "sigma.times", float)),
+            np.asarray(_list(section["values"], "sigma.values",
+                             lambda v: _matrix(v, "sigma.values"))))
+    raise ScenarioError(f"sigma.kind must be constant, envelope or table, "
+                        f"got {kind!r}")
+
+
+def _criteria(section: dict) -> dict:
+    crit = _defaults(section, _CRITERIA_DEFAULTS, "criteria")
+    for key in ("h", "c", "t_max", "tol"):
+        if not crit[key] > 0:
+            raise ScenarioError(f"criteria.{key} must be positive, "
+                                f"got {crit[key]!r}")
+    if crit["n_terms"] < 1:
+        raise ScenarioError(f"criteria.n_terms must be at least 1, "
+                            f"got {crit['n_terms']!r}")
+    # the farthest window edges the criteria evaluate must stay finite
+    for keys, edge in ((("n_terms", "h"), (crit["n_terms"] + 1) * crit["h"]),
+                       (("c",), 2.0 * crit["c"]),
+                       (("t_max", "c"), crit["t_max"] + crit["c"])):
+        if not math.isfinite(edge):
+            names = " and ".join(f"criteria.{k}" for k in keys)
+            raise ScenarioError(f"{names} put a criterion window edge "
+                                f"beyond the float range")
+    return crit
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    drift: dict
-    sigma: dict
+    drift: ConstantDrift | PeriodicDrift
+    sigma: DiffusionSpec
     initial_state: tuple
     criteria: dict
-    simulation: dict
-    stats: dict
+    simulation: SimConfig
+    stats: stats.CompareThresholds
     output_dir: Optional[str] = None
 
-    # -- construction -------------------------------------------------------
     @staticmethod
     def from_dict(doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
@@ -148,143 +218,42 @@ class Scenario:
                      "simulation", "stats", "output_dir"),
                     required=("name", "drift", "sigma"))
         name = str(doc["name"])
+        # reports are written to <out>/<name>.<command>.yaml
+        if name in ("", "..") or "\0" in name or Path(name).name != name:
+            raise ScenarioError(f"name must be a plain file name, got {name!r}")
         for key in ("drift", "sigma"):
             if not isinstance(doc[key], dict):
                 raise ScenarioError(f"section {key!r} must be a mapping")
-
-        drift = doc["drift"]
-        kind = drift.get("kind")
-        if kind == "constant":
-            _check_keys(drift, "drift", ("kind", "matrix", "period"),
-                        required=("matrix",))
-            spec = {"kind": "constant",
-                    "matrix": _matrix(drift["matrix"], "drift.matrix")}
-            if "period" in drift:
-                spec["period"] = _num(drift, "period")
-            drift = spec
-        elif kind == "periodic":
-            _check_keys(drift, "drift", ("kind", "period", "times", "values"),
-                        required=("period", "times", "values"))
-            drift = {"kind": "periodic",
-                     "period": _num(drift, "period"),
-                     "times": _list(drift["times"], "drift.times", float),
-                     "values": _list(drift["values"], "drift.values",
-                                     lambda v: _matrix(v, "drift.values"))}
-        else:
-            raise ScenarioError(f"drift.kind must be constant or periodic, "
-                                f"got {kind!r}")
-
-        sigma = doc["sigma"]
-        skind = sigma.get("kind")
-        if skind == "constant":
-            _check_keys(sigma, "sigma", ("kind", "values"), required=("values",))
-            sigma = {"kind": "constant",
-                     "values": _matrix(sigma["values"], "sigma.values")}
-        elif skind == "envelope":
-            _check_keys(sigma, "sigma", ("kind", "family", "params", "pattern"),
-                        required=("family", "params", "pattern"))
-            fam = str(sigma["family"])
-            if fam not in _ENVELOPES:
-                raise ScenarioError(f"unknown envelope family {fam!r}")
-            _, param_names = _ENVELOPES[fam]
-            _check_keys(sigma["params"], "sigma.params", param_names,
-                        required=param_names)
-            sigma = {"kind": "envelope", "family": fam,
-                     "params": {k: _num(sigma["params"], k)
-                                for k in param_names},
-                     "pattern": _matrix(sigma["pattern"], "sigma.pattern")}
-        elif skind == "table":
-            _check_keys(sigma, "sigma", ("kind", "times", "values"),
-                        required=("times", "values"))
-            sigma = {"kind": "table",
-                     "times": _list(sigma["times"], "sigma.times", float),
-                     "values": _list(sigma["values"], "sigma.values",
-                                     lambda v: _matrix(v, "sigma.values"))}
-        else:
-            raise ScenarioError(f"sigma.kind must be constant, envelope or "
-                                f"table, got {skind!r}")
-
-        crit = _defaults(doc.get("criteria") or {}, _CRITERIA_DEFAULTS, "criteria")
-        for key in ("h", "c", "t_max", "tol"):
-            if not crit[key] > 0:
-                raise ScenarioError(f"criteria.{key} must be positive, "
-                                    f"got {crit[key]!r}")
-        if crit["n_terms"] < 1:
-            raise ScenarioError(f"criteria.n_terms must be at least 1, "
-                                f"got {crit['n_terms']!r}")
-        # the farthest window edges the criteria evaluate must stay finite
-        for keys, edge in ((("n_terms", "h"), (crit["n_terms"] + 1) * crit["h"]),
-                           (("c",), 2.0 * crit["c"]),
-                           (("t_max", "c"), crit["t_max"] + crit["c"])):
-            if not math.isfinite(edge):
-                names = " and ".join(f"criteria.{k}" for k in keys)
-                raise ScenarioError(f"{names} put a criterion window edge "
-                                    f"beyond the float range")
-        sim = _defaults(doc.get("simulation") or {}, _SIM_DEFAULTS, "simulation")
-        sts = _defaults(doc.get("stats") or {}, _STATS_DEFAULTS, "stats")
-
+        # each section is built where it is parsed, so out-of-range
+        # parameters fail at parse time
+        try:
+            drift = _drift(doc["drift"])
+            sigma = _sigma(doc["sigma"])
+            crit = _criteria(doc.get("criteria") or {})
+            sim = SimConfig(**_defaults(doc.get("simulation") or {},
+                                        _SIM_DEFAULTS, "simulation"))
+            sts = stats.CompareThresholds(**_defaults(
+                doc.get("stats") or {}, _STATS_DEFAULTS, "stats"))
+        except ScenarioError:
+            raise
+        except (ValueError, TypeError) as exc:
+            raise ScenarioError(str(exc)) from exc
+        d = sigma.d
+        if drift.d != d:
+            raise ScenarioError(f"drift is {drift.d}-dimensional but sigma "
+                                f"is {d}-dimensional")
         xi = tuple(_list(doc.get("initial_state") or [], "initial_state",
                          float))
-
-        scn = Scenario(
+        if not xi:
+            xi = (1.0,) * d
+        elif len(xi) != d or not all(np.isfinite(xi)):
+            raise ScenarioError(f"initial_state must hold {d} finite numbers, "
+                                f"got {list(xi)}")
+        return Scenario(
             name=name, drift=drift, sigma=sigma, initial_state=xi,
             criteria=crit, simulation=sim, stats=sts,
             output_dir=(None if doc.get("output_dir") is None
                         else str(doc["output_dir"])))
-        # build everything once so out-of-range parameters fail at parse time
-        try:
-            drift_d = scn.build_drift().d
-            d = scn.build_sigma().d
-            scn.sim_config()
-            scn.thresholds()
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError(str(exc)) from exc
-        if drift_d != d:
-            raise ScenarioError(f"drift is {drift_d}-dimensional but sigma "
-                                f"is {d}-dimensional")
-        if not xi:
-            return dataclasses.replace(scn, initial_state=(1.0,) * d)
-        if len(xi) != d or not all(np.isfinite(xi)):
-            raise ScenarioError(f"initial_state must hold {d} finite numbers, "
-                                f"got {list(xi)}")
-        return scn
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "drift": self.drift, "sigma": self.sigma,
-                "initial_state": list(self.initial_state),
-                "criteria": self.criteria, "simulation": self.simulation,
-                "stats": self.stats, "output_dir": self.output_dir}
-
-    # -- materialized objects ----------------------------------------------
-    def build_drift(self):
-        d = self.drift
-        if d["kind"] == "constant":
-            A = np.asarray(d["matrix"], dtype=float)
-            if "period" in d:
-                # a constant drift with a period is a one-knot periodic drift
-                return PeriodicDrift(period=d["period"], times=[0.0],
-                                     values=[A])
-            return ConstantDrift(A)
-        return PeriodicDrift(period=d["period"],
-                             times=np.asarray(d["times"], dtype=float),
-                             values=[np.asarray(v, float) for v in d["values"]])
-
-    def build_sigma(self) -> DiffusionSpec:
-        s = self.sigma
-        if s["kind"] == "constant":
-            return DiffusionSpec.constant(np.asarray(s["values"], dtype=float))
-        if s["kind"] == "envelope":
-            cls, _ = _ENVELOPES[s["family"]]
-            env = cls(**s["params"])
-            return DiffusionSpec.envelope(env, np.asarray(s["pattern"], float))
-        return DiffusionSpec.table(np.asarray(s["times"], dtype=float),
-                                   np.asarray(s["values"], dtype=float))
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(**self.simulation)
-
-    def thresholds(self) -> stats.CompareThresholds:
-        return stats.CompareThresholds(**self.stats)
 
 
 def load_scenario(path) -> Scenario:
@@ -297,10 +266,6 @@ def load_scenario(path) -> Scenario:
     except yaml.YAMLError as exc:
         raise ScenarioError(f"YAML error: {exc}") from exc
     return Scenario.from_dict(doc)
-
-
-def dump_scenario(scn: Scenario) -> str:
-    return yaml.safe_dump(scn.to_dict(), sort_keys=False)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +288,9 @@ def _verdict_dict(v) -> dict:
 def _emit(report: dict, out_dir: Path, filename: str) -> None:
     report = {"schema_version": SCHEMA_VERSION, **report}
     text = yaml.safe_dump(report, sort_keys=False)
-    sys.stdout.write(text)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / filename).write_text(text)
+    sys.stdout.write(text)
 
 
 def _out_dir(scn: Scenario, args) -> Path:
@@ -337,32 +302,25 @@ def _out_dir(scn: Scenario, args) -> Path:
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
-    sim = dict(scn.simulation)
-    if getattr(args, "seed", None) is not None:
-        sim["seed"] = int(args.seed)
-    if getattr(args, "paths", None) is not None:
-        sim["paths"] = int(args.paths)
-    if getattr(args, "horizon", None) is not None:
-        sim["t_end"] = float(args.horizon)
-    scn = dataclasses.replace(scn, simulation=sim)
-    try:
-        scn.sim_config()   # re-validate after overrides
+    flags = {"seed": args.seed, "paths": args.paths, "t_end": args.horizon}
+    given = {k: v for k, v in flags.items() if v is not None}
+    try:   # SimConfig re-validates
+        sim = dataclasses.replace(scn.simulation, **given)
     except ValueError as exc:
         raise ScenarioError(f"after command-line overrides: {exc}") from exc
-    return scn
+    return dataclasses.replace(scn, simulation=sim)
 
 
-def _chunks(scn: Scenario, drift, sigma: DiffusionSpec):
-    """The scenario's SimConfig and the sampler's chunk stream for the
-    scenario's built drift and sigma.
+def _chunks(scn: Scenario):
+    """The sampler's chunk stream for the scenario.
 
     The sampler's set-up rejects what only sampling needs, e.g. a step dt
     that does not divide the drift period; that is a scenario error, while
     its numeric failures keep their own exit code.
     """
-    cfg = scn.sim_config()
     try:
-        return cfg, sample_chunks(drift, sigma, scn.initial_state, cfg)
+        return sample_chunks(scn.drift, scn.sigma, scn.initial_state,
+                             scn.simulation)
     except np.linalg.LinAlgError:   # a ValueError, but a numeric failure
         raise
     except (ValueError, TypeError) as exc:
@@ -386,14 +344,16 @@ def _write_paths_csv(ens, path: Path) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _verdict(scn: Scenario) -> criteria.RegimeVerdict:
+    return criteria.classify(scn.sigma, scn.drift, h=scn.criteria["h"],
+                             tol=min(scn.criteria["tol"], 1e-8))
+
+
 def cmd_classify(scn: Scenario, args) -> int:
     crit = scn.criteria
-    sigma = scn.build_sigma()
-    drift = scn.build_drift()
-    verdict = criteria.classify(sigma, drift, h=crit["h"],
-                                tol=min(crit["tol"], 1e-8))
+    verdict = _verdict(scn)
     report = criteria.criterion_report(
-        sigma, h=crit["h"], c=crit["c"], n_terms=crit["n_terms"],
+        scn.sigma, h=crit["h"], c=crit["c"], n_terms=crit["n_terms"],
         t_max=crit["t_max"], tol=crit["tol"])
     doc = {"scenario": scn.name, "verdict": _verdict_dict(verdict),
            "criteria": report.to_dict()}
@@ -402,8 +362,7 @@ def cmd_classify(scn: Scenario, args) -> int:
 
 
 def cmd_simulate(scn: Scenario, args) -> int:
-    cfg, chunks = _chunks(scn, scn.build_drift(), scn.build_sigma())
-    ens = collect(chunks, cfg)
+    ens = collect(_chunks(scn), scn.simulation)
     out = _out_dir(scn, args)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{scn.name}.paths.csv"
@@ -421,20 +380,15 @@ def cmd_simulate(scn: Scenario, args) -> int:
 
 
 def cmd_verify(scn: Scenario, args) -> int:
-    crit = scn.criteria
-    sigma = scn.build_sigma()
-    drift = scn.build_drift()
-    verdict = criteria.classify(sigma, drift, h=crit["h"],
-                                tol=min(crit["tol"], 1e-8))
+    verdict = _verdict(scn)
     doc = {"scenario": scn.name, "verdict": _verdict_dict(verdict)}
     if verdict.regime == REGIME_UNDECIDED:
         doc["agreement"] = stats.INCONCLUSIVE
         _emit(doc, _out_dir(scn, args), f"{scn.name}.verify.yaml")
         return EXIT_UNDECIDED
     # the states stream from the sampler into the evidence; no ensemble
-    cfg, chunks = _chunks(scn, drift, sigma)
-    evidence = stats.compare(verdict, cfg.times, chunks,
-                             thresholds=scn.thresholds())
+    evidence = stats.compare(verdict, scn.simulation.times, _chunks(scn),
+                             thresholds=scn.stats)
     doc["evidence"] = evidence.summary()
     doc["agreement"] = evidence.agreement
     _emit(doc, _out_dir(scn, args), f"{scn.name}.verify.yaml")
@@ -446,7 +400,7 @@ def cmd_verify(scn: Scenario, args) -> int:
 
 
 def cmd_floquet(scn: Scenario, args) -> int:
-    drift = scn.build_drift()
+    drift = scn.drift
     if getattr(drift, "period", None) is None:
         raise ScenarioError("floquet needs a periodic drift or a constant "
                             "drift with an explicit period")
@@ -491,6 +445,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](scn, args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:   # the output directory, a report or the CSV
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (QuadratureError, CovarianceError, StabilityError,
             FloatingPointError, OverflowError, np.linalg.LinAlgError,

@@ -411,18 +411,13 @@ def build_max_sequence(integrand: Callable[[float], float], h: float,
 # fading noise and the log-window limit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FadingReport:
-    fading: Optional[bool]      # None = undecided
-
-
-def check_fading(spec: DiffusionSpec, h: float) -> FadingReport:
+def check_fading(spec: DiffusionSpec, h: float) -> Optional[bool]:
     """Whether the window energies theta^2(n) tend to zero, read from the
     asymptotic profile: exact for envelope families and tables (from the
-    hold value), undecided for callables."""
+    hold value), None (undecided) for callables."""
     if h <= 0:
         raise ValueError("h must be positive")
-    return FadingReport(_analyze(spec).fading)
+    return _analyze(spec).fading
 
 
 def limit_Lh(spec: DiffusionSpec, h: float) -> Optional[float]:
@@ -591,4 +586,4 @@ def criterion_report(spec: DiffusionSpec, h: float = 1.0, c: float = 1.0,
     return CriterionReport(h=h, c=c, eps_values=tuple(float(e) for e in eps_values),
                            sum_rulings=sums, integral_rulings=ints,
                            L_h=limit_Lh(spec, h),
-                           fading=check_fading(spec, h).fading)
+                           fading=check_fading(spec, h))

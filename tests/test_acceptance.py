@@ -226,7 +226,7 @@ def test_criterion_07_ou_exactness():
 def test_criterion_08_mean_square_equivalence():
     drift = ConstantDrift(np.array([[-1.0]]))
     fading = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
-    assert all(check_fading(fading, h).fading for h in (0.5, 1.0, 2.0))
+    assert all(check_fading(fading, h) for h in (0.5, 1.0, 2.0))
     ens = simulate_X(drift, fading, [0.0],
                      SimConfig(dt=0.25, t_end=512.0, paths=2000, seed=808))
     msq, _ = ensemble_mean_sq(ens)
@@ -236,7 +236,7 @@ def test_criterion_08_mean_square_equivalence():
     assert np.all(np.diff(vals) < 0)
 
     const = DiffusionSpec.constant([[1.0]])
-    assert not any(check_fading(const, h).fading for h in (0.5, 1.0, 2.0))
+    assert not any(check_fading(const, h) for h in (0.5, 1.0, 2.0))
     ens = simulate_X(drift, const, [0.0],
                      SimConfig(dt=0.125, t_end=16.0, paths=2000, seed=809))
     msq, se = ensemble_mean_sq(ens)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,8 +9,12 @@ import yaml
 
 from affinesde import simulate
 from affinesde.cli import (EXIT_INCONSISTENT, EXIT_NUMERIC, EXIT_OK,
-                           EXIT_PARSE, EXIT_UNDECIDED, Scenario,
-                           ScenarioError, dump_scenario, load_scenario, main)
+                           EXIT_PARSE, EXIT_UNDECIDED, ScenarioError,
+                           _apply_overrides, load_scenario, main)
+from affinesde.model import (ConstantDrift, DiffusionSpec, EnvelopePattern,
+                             ExpDecay)
+from affinesde.simulate import SimConfig
+from affinesde.stats import CompareThresholds
 
 
 def write(tmp_path, doc, name="scn.yaml"):
@@ -35,10 +41,30 @@ def base_doc(**over):
 # scenario parsing
 # ---------------------------------------------------------------------------
 
-def test_scenario_roundtrip(tmp_path):
+def test_load_scenario_returns_the_built_objects(tmp_path):
     scn = load_scenario(write(tmp_path, base_doc()))
-    again = Scenario.from_dict(yaml.safe_load(dump_scenario(scn)))
-    assert scn == again
+    assert isinstance(scn.drift, ConstantDrift)
+    np.testing.assert_array_equal(scn.drift.matrix, [[-1.0, 0.5], [0.0, -2.0]])
+    assert isinstance(scn.sigma, DiffusionSpec)
+    assert isinstance(scn.sigma.form, EnvelopePattern)
+    assert scn.sigma.form.envelope == ExpDecay(scale=1.0, rate=1.0)
+    np.testing.assert_array_equal(scn.sigma.form.pattern, np.eye(2))
+    assert scn.simulation == SimConfig(dt=0.125, t_end=64.0, paths=40,
+                                       seed=11)
+    assert scn.stats == CompareThresholds()
+    assert scn.initial_state == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("seed", 5, "seed"), ("paths", 3, "paths"), ("horizon", 4.0, "t_end")])
+def test_overrides_replace_only_their_own_field(tmp_path, flag, value, field):
+    scn = load_scenario(write(tmp_path, base_doc()))
+    args = argparse.Namespace(**{"seed": None, "paths": None, "horizon": None,
+                                 flag: value})
+    over = _apply_overrides(scn, args)
+    assert over.simulation == dataclasses.replace(scn.simulation,
+                                                  **{field: value})
+    assert over.drift is scn.drift and over.sigma is scn.sigma
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -107,7 +133,7 @@ def test_out_of_range_parameters_rejected(tmp_path):
     doc = base_doc()
     doc["simulation"].update(paths=4.0, seed=7.0)
     scn = load_scenario(write(tmp_path, doc))
-    assert (scn.simulation["paths"], scn.simulation["seed"]) == (4, 7)
+    assert (scn.simulation.paths, scn.simulation.seed) == (4, 7)
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):
@@ -176,6 +202,43 @@ def test_criteria_overflowing_windows_exit_parse(tmp_path, capsys, bad, key):
         assert main([command, path, "--out", str(tmp_path)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and key in err
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir/x", "", ".", "..",
+                                  "{tmp}/abs", "nul\0byte"])
+def test_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    # reports go to <out>/<name>.<command>.yaml, so a name with a path in it
+    # would write outside --out
+    out = tmp_path / "out"
+    path = write(tmp_path, base_doc(name=name.format(tmp=tmp_path)))
+    before = set(tmp_path.rglob("*"))
+    assert main(["classify", path, "--out", str(out)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("scenario error: name")
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["floquet", "simulate"])
+def test_unwritable_output_exits_parse(tmp_path, capsys, command):
+    # --out names an existing file, so the output directory cannot be made
+    doc = base_doc(drift={"kind": "constant", "matrix": [[-1.0]],
+                          "period": 1.0},
+                   sigma={"kind": "constant", "values": [[1.0]]},
+                   initial_state=[1.0],
+                   simulation={"dt": 0.5, "t_end": 2.0, "paths": 1, "seed": 0})
+    path = write(tmp_path, doc)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    before = set(tmp_path.rglob("*"))
+    assert main([command, path, "--out", str(blocker)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output error:")
+    assert set(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "keep"
 
 
 # ---------------------------------------------------------------------------

@@ -370,10 +370,10 @@ def test_max_sequence_derived_spacing():
 # ---------------------------------------------------------------------------
 
 def test_check_fading_analytic():
-    assert check_fading(scalar(ExpDecay(1.0, 1.0)), 1.0).fading is True
-    assert check_fading(DiffusionSpec.constant([[1.0]]), 1.0).fading is False
-    assert check_fading(scalar(LogPower(1.0)), 1.0).fading is True
-    assert check_fading(scalar(LogGrow(1.0, 1.0)), 1.0).fading is False
+    assert check_fading(scalar(ExpDecay(1.0, 1.0)), 1.0) is True
+    assert check_fading(DiffusionSpec.constant([[1.0]]), 1.0) is False
+    assert check_fading(scalar(LogPower(1.0)), 1.0) is True
+    assert check_fading(scalar(LogGrow(1.0, 1.0)), 1.0) is False
 
 
 def test_check_fading_table_trend():
@@ -384,9 +384,9 @@ def test_check_fading_table_trend():
     flat = DiffusionSpec.table([0.0, 1.0], [[[1.0]], [[1.0]]])
     dead = DiffusionSpec.table([0.0, 1.0, 3.0], [[[1.0]], [[2.0]], [[0.0]]])
     for h in (0.25, 1.0, 8.0):
-        assert check_fading(decaying, h).fading is False
-        assert check_fading(flat, h).fading is False
-        assert check_fading(dead, h).fading is True
+        assert check_fading(decaying, h) is False
+        assert check_fading(flat, h) is False
+        assert check_fading(dead, h) is True
 
 
 def _step_table(hold):
@@ -405,13 +405,13 @@ def test_table_fading_and_L_h_follow_the_hold_value():
         rep = criteria.criterion_report(spec, n_terms=16, t_max=16.0).to_dict()
         assert rep["fading"] is fading and rep["L_h"] == L_h
         for h in (0.5, 1.0, 2.0):
-            assert check_fading(spec, h).fading is fading
+            assert check_fading(spec, h) is fading
             assert limit_Lh(spec, h) == L_h
 
 
 def test_callable_fading_and_L_h_undecided():
     spec = DiffusionSpec.from_callable(lambda t: np.exp(-t) * np.eye(2), 2, 2)
-    assert check_fading(spec, 1.0).fading is None
+    assert check_fading(spec, 1.0) is None
     assert limit_Lh(spec, 1.0) is None
     v = classify(spec, ConstantDrift(-np.eye(2)))
     assert v.regime == REGIME_UNDECIDED and not v.fading_noise
