@@ -361,10 +361,17 @@ def cmd_classify(scn: Scenario, args) -> int:
     return EXIT_UNDECIDED if verdict.regime == REGIME_UNDECIDED else EXIT_OK
 
 
-def cmd_simulate(scn: Scenario, args) -> int:
-    ens = collect(_chunks(scn), scn.simulation)
+def _made_out_dir(scn: Scenario, args) -> Path:
+    """The output directory, made now: a command that samples finds an
+    unwritable one before the work rather than after it."""
     out = _out_dir(scn, args)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_simulate(scn: Scenario, args) -> int:
+    out = _made_out_dir(scn, args)
+    ens = collect(_chunks(scn), scn.simulation)
     csv_path = out / f"{scn.name}.paths.csv"
     _write_paths_csv(ens, csv_path)
     msq, msq_se = stats.ensemble_mean_sq(ens)
@@ -380,18 +387,19 @@ def cmd_simulate(scn: Scenario, args) -> int:
 
 
 def cmd_verify(scn: Scenario, args) -> int:
+    out = _made_out_dir(scn, args)
     verdict = _verdict(scn)
     doc = {"scenario": scn.name, "verdict": _verdict_dict(verdict)}
     if verdict.regime == REGIME_UNDECIDED:
         doc["agreement"] = stats.INCONCLUSIVE
-        _emit(doc, _out_dir(scn, args), f"{scn.name}.verify.yaml")
+        _emit(doc, out, f"{scn.name}.verify.yaml")
         return EXIT_UNDECIDED
     # the states stream from the sampler into the evidence; no ensemble
     evidence = stats.compare(verdict, scn.simulation.times, _chunks(scn),
                              thresholds=scn.stats)
     doc["evidence"] = evidence.summary()
     doc["agreement"] = evidence.agreement
-    _emit(doc, _out_dir(scn, args), f"{scn.name}.verify.yaml")
+    _emit(doc, out, f"{scn.name}.verify.yaml")
     if evidence.agreement == stats.INCONSISTENT:
         return EXIT_INCONSISTENT
     if evidence.agreement == stats.INCONCLUSIVE:

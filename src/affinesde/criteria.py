@@ -244,8 +244,10 @@ def integral_I(spec: DiffusionSpec, eps: float, c: float, t_max: float,
     of 16, 32, 64, ... equal panels of [0, t_max]; every level takes one
     interval_integrals call over all its nodes.  It returns the first level
     that differs from the one before by at most
-    max(tol * max(1, t_max), 1e-9 * |I|), and raises QuadratureError when
-    2^12 panels do not get there.
+    max(tol * max(1, t_max) * min(1, |I|), 1e-9 * |I|): an absolute error
+    while |I| >= 1 and a relative one below, where an absolute error could
+    be most of I.  It raises QuadratureError when 2^12 panels do not get
+    there.
     """
     if eps <= 0 or c <= 0 or t_max <= 0:
         raise ValueError("need eps, c, t_max > 0")
@@ -256,7 +258,8 @@ def integral_I(spec: DiffusionSpec, eps: float, c: float, t_max: float,
         val, _ = _weighted_Sprime(spec, eps, nodes, nodes + c,
                                   np.tile(half * _GL_WEIGHTS, panels), tol)
         diff = abs(val - prev)
-        allowed = max(tol * max(1.0, t_max), 1e-9 * abs(val))
+        allowed = max(tol * max(1.0, t_max) * min(1.0, abs(val)),
+                      1e-9 * abs(val))
         if diff <= allowed:
             return max(val, 0.0)
         prev = val

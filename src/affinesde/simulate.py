@@ -14,21 +14,24 @@ Euler-Maruyama scheme is provided for cross-validation.  Paths are seeded
 independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
 
-The recursion streams: `sample_chunks` cuts the paths into one contiguous
-shard per CPU (at most one per path) and returns one stream of time-major
-chunks (n0, X[k, path, i]) per shard, so a consumer that only reduces them
-(such as `stats.compare`) never holds the (paths, N+1, d) ensemble: while
-it works on a chunk, each shard holds only its draw buffer and that one
-chunk of states, since a stream drops a chunk before it draws the next.
-`simulate_X` gathers the same chunks into a `PathEnsemble`.  `map_shards`
-runs a consumer on every shard at once, shard 0 on the calling thread and
-each other shard on a worker thread: the draws and the numpy kernels
-release the interpreter lock.  Each chunk is solved in blocks of about 64
-steps anchored at absolute step indices: partial sums inside every block of
-the chunk at once, then one carry of the block-start state per block, so a
-chunk of k steps costs O(b + k/b) numpy calls rather than k.  Every path
-draws from its own stream and its arithmetic is column-wise, so the states
-depend neither on the chunk length nor on the shard count.
+The recursion streams: `sample_chunks` cuts the paths into contiguous path
+groups and returns one stream of time-major chunks (n0, X[k, path, i]) per
+group, so a consumer that only reduces them (such as `stats.compare`) never
+holds the (paths, N+1, d) ensemble: while it works on a chunk, each running
+group holds only a draw buffer and that one chunk of states, since a stream
+drops a chunk before it draws the next.  `simulate_X` gathers the same
+chunks into a `PathEnsemble`.  `map_shards` runs a consumer on every group
+on a pool of one thread per CPU, the calling thread among them: the draws
+and the numpy kernels release the interpreter lock.  A group is narrow
+enough that each path's draw call fills at least _FILL normals, so the
+threads take the lock from each other rarely, and its chunks are as long
+as one CPU's share of the draw budget allows.  Each chunk is solved in
+blocks of about 64 steps anchored at absolute step indices: partial sums
+inside every block of the chunk at once, then one carry of the block-start
+state per block, so a chunk of k steps costs O(b + k/b) numpy calls rather
+than k.  Every path draws from its own stream and its arithmetic is
+column-wise, so the states depend neither on the chunk length nor on the
+grouping.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from .model import (ConstantDrift, DiffusionSpec, EnvelopePattern,
 SCHEME_EXACT = "ExactLinearGaussian"
 SCHEME_EULER = "EulerMaruyama"
 
-_CHUNK_DRAWS = 2 ** 20   # normal draws per chunk; one step takes paths * r
+_CHUNK_DRAWS = 2 ** 20   # normal draws per chunk over the running path groups
+_FILL = 2048             # least normals per draw call of one path
 _GL_NODES = 12           # fixed Gauss-Legendre panel for the batched covariances
 _BLOCK = 64              # target steps per block of the blocked recursion
 _COV_BLOCK = 8192        # target steps per block of the covariance panel
@@ -127,9 +131,18 @@ class PathEnsemble:
         return state_norms(self.states)
 
 
+def squared_norms(states: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms over the last (state) axis of any stack of
+    states, one multiply-add per state component."""
+    sq = states[..., 0] * states[..., 0]
+    for i in range(1, states.shape[-1]):
+        sq += states[..., i] * states[..., i]
+    return sq
+
+
 def state_norms(states: np.ndarray) -> np.ndarray:
     """Euclidean norms over the last (state) axis of any stack of states."""
-    sq = np.einsum("...i,...i->...", states, states)
+    sq = squared_norms(states)
     return np.sqrt(sq, out=sq)
 
 
@@ -280,18 +293,24 @@ def _cpus() -> int:
 
 def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
          cfg: SimConfig) -> list:
-    """Shard streams of time-major chunks (n0, X) of X_{n+1} = trans[n % m] X_n
-    + noise[n] Z_n.
+    """Group streams of time-major chunks (n0, X) of X_{n+1} = trans[n % m]
+    X_n + noise[n] Z_n.
 
-    The paths are cut into min(CPUs, paths) contiguous shards, and each gets
-    its own stream, in path order: X[j, p] is the state of the shard's p-th
-    path at grid point n0 + j, and the first chunk is X_0 alone.  trans is
-    the (m, d, d) stack of transitions over one drift period (m = 1 for a
+    The paths are cut into contiguous groups, in path order, and each group
+    gets its own stream: X[j, p] is the state of the group's p-th path at
+    grid point n0 + j, and the first chunk is X_0 alone.  trans is the
+    (m, d, d) stack of transitions over one drift period (m = 1 for a
     constant drift), noise_t the (N, r, d) stack of the per-step factors'
-    transposes noise[n]^T, in C order.  A chunk has k steps, with k set by
-    the whole ensemble, so the shards' buffers together take what one
-    stream's would; they are allocated here, on the calling thread, which
-    keeps them in its malloc arena whichever thread later runs the stream.
+    transposes noise[n]^T, in C order.
+
+    `map_shards` runs the groups T = min(CPUs, paths) at a time, so a running
+    group draws at most _CHUNK_DRAWS / T normals per chunk.  A group is at
+    most as wide as lets each path's draw call fill at least _FILL normals,
+    since every call hands the interpreter lock to the other threads; the
+    group count is rounded up to a multiple of T so that every thread runs
+    as many groups.  The T draw buffers, which together take what one
+    stream's would, are allocated here, on the calling thread, which keeps
+    them in its malloc arena whichever thread later runs a group.
     """
     N, r, d = noise_t.shape
     b, P = _block_products(trans)
@@ -300,31 +319,45 @@ def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
     # views
     TT, PT = (np.ascontiguousarray(np.swapaxes(a, -1, -2))
               for a in (trans, P))
-    k = min(N, max(1, _CHUNK_DRAWS // (cfg.paths * r)))
-    rows = max(min(b, k), -(-k // b))
-    n = min(_cpus(), cfg.paths)
+    T = min(_cpus(), cfg.paths)
+    budget = _CHUNK_DRAWS // T
+    widest = max(1, budget // (r * -(-_FILL // r)))
+    n = -(-cfg.paths // widest)
+    n = min(cfg.paths, T * -(-n // T))
     edges = [cfg.paths * i // n for i in range(n + 1)]
-    streams = []
-    for lo, hi in zip(edges, edges[1:]):
-        # Z is read only by the increments' matmul, so the solve's products
-        # reuse its memory
-        w = hi - lo
-        scratch = np.empty(max(w * k * r, rows * w * d))
-        streams.append(_solve(TT, PT, b, noise_t, xi,
-                              _path_generators(cfg.seed, range(lo, hi)),
-                              scratch[:w * k * r].reshape(w, k, r),
-                              scratch[:rows * w * d].reshape(rows, w, d)))
-    return streams
+    groups = [(range(lo, hi), min(N, max(1, budget // ((hi - lo) * r))))
+              for lo, hi in zip(edges, edges[1:])]
+    size = max(_scratch_size(len(paths), k, r, d, b) for paths, k in groups)
+    pool = [np.empty(size) for _ in range(T)]
+    return [_solve(TT, PT, b, noise_t, xi, cfg.seed, paths, k, pool)
+            for paths, k in groups]
 
 
-def _solve(TT, PT, b: int, noise_t, xi, gens: list, Z, tmp):
-    """One shard's chunks: the recursion for the paths drawing from gens.
+def _product_rows(k: int, b: int) -> int:
+    """Steps in the solve's widest product for chunks of k steps and blocks
+    of b: a block's carry, or one in-block update over every block."""
+    return max(min(b, k), -(-k // b))
+
+
+def _scratch_size(w: int, k: int, r: int, d: int, b: int) -> int:
+    """Doubles of scratch for a group of w paths and chunks of k steps: its
+    draws or its widest solve product, whichever is larger."""
+    return max(w * k * r, _product_rows(k, b) * w * d)
+
+
+def _solve(TT, PT, b: int, noise_t, xi, seed: int, paths: range, k: int,
+           pool: list):
+    """One group's chunks: the recursion for its paths, k steps per chunk.
 
     TT and PT are the C-order transposes of trans and of the block products
-    P; Z (paths, k, r) and tmp share the shard's scratch memory.  Each chunk
-    of k steps draws path p's standard normals from the path's own Philox
-    stream into row p of Z, and forms the increments V_n = noise[n] Z_n in
-    the chunk's output array with one batched matmul.
+    P.  Once X_0 is out, the group builds its paths' Philox streams and
+    takes a draw buffer from pool, which it returns after its last chunk (a
+    fresh buffer if none is free: more groups run at once than map_shards
+    runs, or a stream was left unfinished).  Each chunk draws path p's
+    standard normals from the path's own stream into row p of the buffer's
+    (paths, k, r) view Z, and forms the increments V_n = noise[n] Z_n in the
+    chunk's output array with one batched matmul; the solve's products then
+    reuse the buffer, since Z is read only by that matmul.
 
     The recursion is then solved in blocks of b steps (see _block_products)
     anchored at absolute step indices s = 0, b, 2b, ...: the in-block partial
@@ -333,15 +366,23 @@ def _solve(TT, PT, b: int, noise_t, xi, gens: list, Z, tmp):
     X_{s+i+1} = P_i X_s + W_i.  A block cut by a chunk boundary carries its
     start state X_s and its last partial sum into the next chunk, so the
     states do not depend on k.  Every chunk is checked to be finite.  Each
-    path's arithmetic is the same in any shard, so the states do not depend
-    on the shard count either.  After the yield the generator drops the
-    chunk (and its in-block view), so the next chunk's matmul can reuse its
-    memory when the consumer has dropped it too.
+    path's arithmetic is the same in any group, so the states do not depend
+    on the grouping either.  After the yield the generator drops the chunk
+    (and its in-block view), so the next chunk's matmul can reuse its memory
+    when the consumer has dropped it too.
     """
-    N, _, d = noise_t.shape
-    m, k = len(TT), Z.shape[1]
-    X = np.array(np.broadcast_to(xi, (1, len(gens), d)))
+    N, r, d = noise_t.shape
+    m, w = len(TT), len(paths)
+    X = np.array(np.broadcast_to(xi, (1, w, d)))
     yield 0, X
+    gens = _path_generators(seed, paths)
+    try:
+        scratch = pool.pop()
+    except IndexError:
+        scratch = np.empty(_scratch_size(w, k, r, d, b))
+    Z = scratch[:w * k * r].reshape(w, k, r)
+    rows = _product_rows(k, b)
+    tmp = scratch[:rows * w * d].reshape(rows, w, d)
     Xs, W = X[0], None   # state at the current block's start, partial sum
     for start in range(0, N, k):
         kk = min(k, N - start)
@@ -374,6 +415,7 @@ def _solve(TT, PT, b: int, noise_t, xi, gens: list, Z, tmp):
         yield start + 1, out
         # drop the chunk before the next matmul allocates its successor
         out = cur = None
+    pool.append(scratch)
 
 
 def _prepare_xi(xi, d: int) -> np.ndarray:
@@ -390,22 +432,23 @@ def _prepare_xi(xi, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
-    """Sample the SDE from X(0) = xi as shard streams of time-major chunks
-    (n0, X[k, path, i]).
+    """Sample the SDE from X(0) = xi as path-group streams of time-major
+    chunks (n0, X[k, path, i]).
 
-    The paths are cut into min(CPUs, paths) contiguous shards, and the list
-    holds one stream per shard, in path order; `map_shards` runs them.  Each
-    stream's chunks cover grid points 0..N in order, the first holding X_0
-    alone; a chunk is a fresh array of about 2**20 / (paths r) steps, paths
-    counting the whole ensemble.  A stream drops each chunk when asked for
-    the next, so a consumer that drops it too holds, per shard, the draw
+    The paths are cut into contiguous groups (see `_run`), and the list
+    holds one stream per group, in path order; `map_shards` runs them,
+    min(CPUs, paths) at a time.  Each stream's chunks cover grid points
+    0..N in order, the first holding X_0 alone; a later chunk is a fresh
+    array of (2**20 // T) // (width r) steps, T = min(CPUs, paths) and width
+    the group's path count.  A stream drops each chunk when asked for the
+    next, so a consumer that drops it too holds, per running group, a draw
     buffer and one chunk of states; one that keeps chunks (`list`) may, and
-    pays for them.  A drift with
-    a period runs the periodic sampler (dt must divide the period; a
-    periodic spec whose samples are all identical is a constant drift), any
-    other drift must be constant.  The set-up (transitions, covariances and
-    their checks) runs before this returns; a non-finite chunk raises
-    FloatingPointError when it is reached.
+    pays for them.  A drift with a period runs the periodic sampler (dt
+    must divide the period; a periodic spec whose samples are all identical
+    is a constant drift), any other drift must be constant.  The set-up
+    (transitions, covariances, noise factors and their checks) runs before
+    this returns; a non-finite chunk raises FloatingPointError when it is
+    reached.
     """
     period = getattr(drift, "period", None)
     m = 1
@@ -433,22 +476,40 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
         psis = [_step_propagator(drift, t, dt, cfg.cov_tol) for t in times[:m]]
         E = np.array([[psi(uk) for uk in (0.0, *u)] for psi in psis])
         trans = E[:, 0]
-        w, V = _psd_eigh(_step_covariances(drift, sigma, times, dt,
-                                           cfg.cov_tol, E[:, 1:]))
-        noise_t = np.einsum("...ik,...k,...jk->...ji", V, np.sqrt(w), V)
+        noise_t = _root_in_place(_step_covariances(drift, sigma, times, dt,
+                                                   cfg.cov_tol, E[:, 1:]))
     return _run(trans, noise_t, xi, cfg)
 
 
-def map_shards(fn, shards) -> list:
-    """[fn(i, chunks_i)] over shard streams, each shard on its own thread.
+def _root_in_place(Q: np.ndarray) -> np.ndarray:
+    """Overwrite the (N, d, d) covariance stack Q with the transposes of its
+    symmetric PSD square roots, and return it.
 
-    The calling thread runs shard 0 and one worker thread each other shard,
-    in the caller's context (numpy's error state included).  The draws and
-    the numpy kernels release the interpreter lock, so the shards run in
-    parallel.  If a call raises, the other shards stop before their next
-    chunk, and once every shard has stopped the first failure in shard
-    order is raised.
+    The roots are taken in blocks of _COV_BLOCK steps, so the eigenpairs and
+    the symmetrised copy are never whole; each matrix's root does not depend
+    on the block, so the stack equals a one-shot build bit for bit.
     """
+    for s in range(0, len(Q), _COV_BLOCK):
+        w, V = _psd_eigh(Q[s:s + _COV_BLOCK])
+        np.einsum("...ik,...k,...jk->...ji", V, np.sqrt(w), V,
+                  out=Q[s:s + _COV_BLOCK])
+    return Q
+
+
+def map_shards(fn, shards) -> list:
+    """[fn(i, chunks_i)] over shard streams, on a pool of T = min(CPUs,
+    shards) threads.
+
+    Thread j runs shards j, j + T, j + 2T, ... one after the other, thread 0
+    being the calling thread and each other one a worker, all in the
+    caller's context (numpy's error state included); so at most T streams
+    run at once.  The draws and the numpy kernels release the interpreter
+    lock, so the threads run in parallel.  If a call raises, the other
+    threads stop before their next chunk and start no further shard, and
+    once every thread has stopped the first failure in shard order is
+    raised.
+    """
+    T = min(_cpus(), len(shards))
     stop = threading.Event()
     results, errors = [None] * len(shards), [None] * len(shards)
 
@@ -459,16 +520,20 @@ def map_shards(fn, shards) -> list:
             yield chunk
             del chunk   # let the shard free it before drawing the next one
 
-    def work(i):
-        try:
-            results[i] = fn(i, until_stopped(shards[i]))
-        except BaseException as exc:   # re-raised by the calling thread
-            errors[i] = exc
-            stop.set()
+    def work(j):
+        for i in range(j, len(shards), T):
+            if stop.is_set():
+                return
+            try:
+                results[i] = fn(i, until_stopped(shards[i]))
+            except BaseException as exc:   # re-raised by the calling thread
+                errors[i] = exc
+                stop.set()
+                return
 
     workers = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(work, i), name=f"affinesde-shard-{i}")
-               for i in range(1, len(shards))]
+                                args=(work, j), name=f"affinesde-shard-{j}")
+               for j in range(1, T)]
     for t in workers:
         t.start()
     try:
@@ -485,9 +550,10 @@ def map_shards(fn, shards) -> list:
 
 
 def collect(shards, cfg: SimConfig) -> PathEnsemble:
-    """Gather `sample_chunks` shard streams into a PathEnsemble.
+    """Gather `sample_chunks` group streams into a PathEnsemble.
 
-    Each shard fills its own paths' rows of the states on its own thread.
+    Each group fills its own paths' rows of the states on the pool thread
+    that `map_shards` runs it on.
     """
     shards = [iter(s) for s in shards]
     heads = [next(s) for s in shards]   # the X_0 chunks: no draws yet

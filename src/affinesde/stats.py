@@ -4,14 +4,14 @@ Almost-sure limits cannot be tested from a finite horizon, so the sample
 paths are reduced to finite-horizon proxies: suprema over dyadic tail
 segments (limsup proxy), trailing-window infima (liminf proxy) and pathwise
 time-averages of ||X||^2.  Every proxy the rules read is a running reduction
-at indices known before the run, so `compare` feeds each of the sampler's
-shard streams, on the shard's own thread, into an `EvidenceAccumulator` with
-O(paths) state and never holds an ensemble.  Every reduction is per path,
-so the accumulators joined along the path axis hold what one accumulator
-fed every path would, whatever the shard count.  `evidence` applies simple,
-explainable decision rules and reports Consistent / Inconsistent /
-Inconclusive — it never forces agreement.  `ensemble_mean_sq` gives the
-mean-square curve of an in-memory ensemble.
+at indices known before the run, so `compare` feeds the squared norms of
+each of the sampler's shard streams, on the pool thread that runs it, into
+an `EvidenceAccumulator` with O(paths) state and never holds an ensemble.
+Every reduction is per path, so the accumulators joined along the path axis
+hold what one accumulator fed every path would, whatever the shard count.
+`evidence` applies simple, explainable decision rules and reports
+Consistent / Inconsistent / Inconclusive — it never forces agreement.
+`ensemble_mean_sq` gives the mean-square curve of an in-memory ensemble.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BOUNDED, REGIME_UNDECIDED, STABLE, UNBOUNDED
-from .simulate import PathEnsemble, map_shards, state_norms
+from .simulate import PathEnsemble, map_shards, squared_norms
 
 DECREASING = "Decreasing"
 FLAT = "Flat"
@@ -34,7 +34,7 @@ CONSISTENT = "Consistent"
 INCONSISTENT = "Inconsistent"
 INCONCLUSIVE = "Inconclusive"
 
-_FEED_NORMS = 2 ** 15   # norms per accumulator feed in compare
+_FEED_NORMS = 2 ** 15   # squared norms per accumulator feed in compare
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +187,34 @@ def _log_trend(times, vals) -> TrendResult:
     return res
 
 
-class EvidenceAccumulator:
-    """The running reductions of ||X|| that the compare rules read.
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """a[0] + a[1] + ... added in row order, for a C-order (k, paths) array.
 
-    Feed the norms of grid points n0, n0 + 1, ... in order as time-major
-    (k, paths) chunks; the state is O(paths) whatever the chunking:
+    numpy reduces several columns row by row, but a lone column pairwise,
+    which would make the sum depend on where the chunks are cut.
+    """
+    if a.shape[1] > 1:
+        return np.add.reduce(a, axis=0)
+    return np.cumsum(a, axis=0)[-1]
+
+
+class EvidenceAccumulator:
+    """The running reductions of ||X||^2 that the compare rules read.
+
+    Feed the squared norms of grid points n0, n0 + 1, ... in order as
+    time-major (k, paths) chunks; the state is O(paths) whatever the
+    chunking:
 
     - the maximum over each segment between the dyadic checkpoints
       T/16 ... T/2, giving tail suprema over [t_i, T] as a suffix maximum
       and running maxima over [0, t_i] as a prefix maximum
     - the minimum over the last window [7T/8, T]
-    - the trapezoid sum of ||X||^2, carried across chunks and read at T/2
-      and T
-    - ||X|| at the checkpoints
+    - the trapezoid sum of ||X||^2, a running sum read at T/2 and T
+    - ||X||^2 at the checkpoints
+
+    `evidence` takes the square root of the maxima, minima and checkpoint
+    values once; sqrt is monotone and correctly rounded, so these are the
+    same bits as the reductions of the norms themselves.
     """
 
     def __init__(self, times, paths: int):
@@ -242,42 +257,44 @@ class EvidenceAccumulator:
                     [getattr(p, name) for p in parts], axis=axis))
         return acc
 
-    def add(self, n0: int, norms) -> None:
-        """Take ||X|| at grid points n0 .. n0 + k - 1, shape (k, paths)."""
-        norms = np.asarray(norms, dtype=float)
-        stop = n0 + len(norms)
+    def add(self, n0: int, sq) -> None:
+        """Take ||X||^2 at grid points n0 .. n0 + k - 1, shape (k, paths)."""
+        sq = np.asarray(sq, dtype=float)
+        stop = n0 + len(sq)
         if n0 != self._next or stop > self.n_points:
             raise ValueError(f"chunk [{n0}, {stop}) does not continue at "
                              f"{self._next} within {self.n_points} points")
         for s, (lo, hi) in enumerate(zip(self._bounds, self._bounds[1:])):
             lo, hi = max(lo, n0), min(hi, stop)
             if lo < hi:
-                np.maximum(self._seg_max[s], norms[lo - n0:hi - n0].max(axis=0),
+                np.maximum(self._seg_max[s], sq[lo - n0:hi - n0].max(axis=0),
                            out=self._seg_max[s])
         if stop > self._win:
-            np.minimum(self._win_min,
-                       norms[max(self._win - n0, 0):].min(axis=0),
+            np.minimum(self._win_min, sq[max(self._win - n0, 0):].min(axis=0),
                        out=self._win_min)
         for j, i in enumerate(self._cp):
             if n0 <= i < stop:
-                self._at_cp[:, j] = norms[i - n0]
+                self._at_cp[:, j] = sq[i - n0]
         # trapezoid increments of steps n-1 -> n for n in [max(n0, 1), stop),
-        # summed in the same order as a cumulative sum over the whole series
-        sq = norms ** 2
+        # added to the running sum one step after the other, as a cumulative
+        # sum over the whole series would
+        inc = np.empty(sq.shape)
         if self._last_sq is None:
-            inc, first = sq[1:] + sq[:-1], 1
+            inc, first = inc[1:], 1
+            np.add(sq[1:], sq[:-1], out=inc)
         else:
-            inc = np.empty_like(sq)
             inc[0] = sq[0] + self._last_sq
             np.add(sq[1:], sq[:-1], out=inc[1:])
             first = n0
         if len(inc):
             inc *= self._half_step
             inc[0] += self._trap
-            np.cumsum(inc, axis=0, out=inc)
-            if first <= self._half < stop:
-                self._trap_half = inc[self._half - first].copy()
-            self._trap = inc[-1].copy()
+            cut = self._half + 1 - first   # the rows up to T/2
+            if 0 < cut <= len(inc):
+                self._trap_half = _sum_rows(inc[:cut])
+                inc = inc[cut - 1:]
+                inc[0] = self._trap_half
+            self._trap = _sum_rows(inc)
         self._last_sq = sq[-1].copy()
         self._next = stop
 
@@ -298,13 +315,13 @@ class EvidenceAccumulator:
         cps = self.checkpoints
         notes = []
         suffix = np.maximum.accumulate(self._seg_max[::-1], axis=0)[::-1]
-        sups = np.ascontiguousarray(suffix[1:].T)
+        sups = np.sqrt(suffix[1:].T, order="C")
         prefix = np.maximum.accumulate(self._seg_max[:-1], axis=0).T
-        rmax = np.maximum(prefix, self._at_cp)
-        winf_final = self._win_min
+        rmax = np.sqrt(np.maximum(prefix, self._at_cp))
+        winf_final = np.sqrt(self._win_min)
         aver_half = self._trap_half / self._t_half
         aver_final = self._trap / self._t_end
-        msq_at = np.mean(self._at_cp ** 2, axis=0)
+        msq_at = np.mean(self._at_cp, axis=0)
 
         trends = {
             "tail_sup_median": _log_trend(cps, np.median(sups, axis=0)),
@@ -388,23 +405,23 @@ def compare(verdict, times, shards,
     """Weigh shard streams of state chunks (n0, X[k, path, i]) on the grid
     times, such as `sample_chunks` returns, against a regime verdict.
 
-    Each shard's norms feed its own accumulator on its own thread
-    (`map_shards`); each chunk is dropped once fed, so per shard only the
-    sampler's draw buffer and one chunk of states are alive.  The
-    accumulators are joined along the path axis in shard order before the
-    rules run.
+    Each shard's squared norms feed its own accumulator on the thread that
+    `map_shards` runs it on; each chunk, and every view of it, is dropped
+    once fed, so per running shard only the sampler's draw buffer and one
+    chunk of states are alive.  The accumulators are joined along the path
+    axis in shard order before the rules run.
     """
     def reduce(_, chunks):
         acc = None
         for n0, X in chunks:
             if acc is None:
                 acc = EvidenceAccumulator(times, X.shape[1])
-            # a few rows at a time: the norms and the accumulator's
+            # a few rows at a time: the squared norms and the accumulator's
             # temporaries stay small, and so does a worker thread's own
             # malloc arena, which the calling thread cannot reuse
             rows = max(1, _FEED_NORMS // X.shape[1])
             for a in range(0, len(X), rows):
-                acc.add(n0 + a, state_norms(X[a:a + rows]))
+                acc.add(n0 + a, squared_norms(X[a:a + rows]))
             del X   # let the shard free the chunk before drawing the next
         return acc
 

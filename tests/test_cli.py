@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from affinesde import simulate
+from affinesde import cli, simulate
 from affinesde.cli import (EXIT_INCONSISTENT, EXIT_NUMERIC, EXIT_OK,
                            EXIT_PARSE, EXIT_UNDECIDED, ScenarioError,
                            _apply_overrides, load_scenario, main)
@@ -220,9 +220,14 @@ def test_name_must_be_a_plain_file_name(tmp_path, capsys, name):
     assert set(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("command", ["floquet", "simulate"])
-def test_unwritable_output_exits_parse(tmp_path, capsys, command):
-    # --out names an existing file, so the output directory cannot be made
+@pytest.mark.parametrize("command", ["floquet", "simulate", "verify"])
+def test_unwritable_output_exits_parse(tmp_path, capsys, monkeypatch, command):
+    # --out names an existing file, so the output directory cannot be made;
+    # the commands that sample find that out before the sampler is reached
+    def never(*args):
+        raise AssertionError("sampled before the output directory was made")
+
+    monkeypatch.setattr(cli, "sample_chunks", never)
     doc = base_doc(drift={"kind": "constant", "matrix": [[-1.0]],
                           "period": 1.0},
                    sigma={"kind": "constant", "values": [[1.0]]},

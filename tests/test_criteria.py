@@ -209,8 +209,10 @@ def test_integral_expdecay_against_mpmath_oracle():
         oracle = float(mp.quad(g, [0, 0.25, 0.5, 1, 2, 4, 8, 256]))
     assert oracle == pytest.approx(4.1943e-6, rel=1e-4)
     spec = DiffusionSpec.envelope(ExpDecay(1.0, 1.0), np.eye(2))
-    val = integral_I(spec, 4.0, 1.0, 256.0, tol=1e-8)
-    assert abs(val - oracle) <= max(1e-8 * 256.0, 1e-9 * oracle)
+    # an absolute error of tol * t_max would be most of I at tol = 1e-8
+    for tol in (1e-8, 1e-10):
+        val = integral_I(spec, 4.0, 1.0, 256.0, tol=tol)
+        assert val == pytest.approx(oracle, rel=1e-6), tol
 
 
 def test_integral_logpower_against_midpoint_oracle():

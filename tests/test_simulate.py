@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import tracemalloc
@@ -228,23 +229,33 @@ def test_table_sigma_samples_through_covariance_fallback(monkeypatch, scheme):
 @pytest.mark.parametrize("budget", [1, 7, 64, 1000, 63 * 14, 65 * 14])
 def test_chunk_stream_independent_of_chunk_size(monkeypatch, budget):
     # the chunks tile the grid in order and carry the same bits as one
-    # ensemble, whatever the number of steps per chunk
+    # ensemble, whatever the number of steps per chunk and paths per group:
+    # a fill of one normal makes the groups as wide as the budget allows
     spec = DiffusionSpec.envelope(ExpDecay(1.0, 0.2), [[1.0, 0.5], [0.0, 1.0]])
     cfg = SimConfig(dt=0.25, t_end=40.0, paths=7, seed=123)
     A = ConstantDrift(np.array([[-1.0, 0.0], [0.5, -0.5]]))
     whole = simulate_X(A, spec, [1.0, 1.0], cfg)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
-    streamed = _stream_states(sample_chunks(A, spec, [1.0, 1.0], cfg),
-                              max(1, budget // (cfg.paths * 2)), cfg)
-    np.testing.assert_array_equal(streamed, whole.states)
+    for fill in (1, simulate._FILL):
+        monkeypatch.setattr(simulate, "_FILL", fill)
+        streamed = _stream_states(sample_chunks(A, spec, [1.0, 1.0], cfg),
+                                  cfg, 2)
+        np.testing.assert_array_equal(streamed, whole.states)
 
 
-def _stream_states(shards, k, cfg):
-    """The states of shard streams whose chunks after X_0 have k steps,
-    checked to tile the grid in order and the paths in shard order."""
+def _stream_states(shards, cfg, r):
+    """The states of group streams, checked to tile the paths in group order
+    and the grid in chunks of the documented length: k = (_CHUNK_DRAWS // T)
+    // (width r) steps after X_0, T = min(CPUs, paths), width the group's
+    path count."""
     parts = []
+    T = min(simulate._cpus(), cfg.paths)
     for chunks in shards:
         chunks = list(chunks)
+        width = chunks[0][1].shape[1]
+        k = min(cfg.n_steps,
+                max(1, (simulate._CHUNK_DRAWS // T) // (width * r)))
         assert [n0 for n0, _ in chunks] == [0, *range(1, cfg.n_steps + 1, k)]
         parts.append(np.concatenate([X for _, X in chunks]))
     assert sum(X.shape[1] for X in parts) == cfg.paths
@@ -396,6 +407,26 @@ def test_step_covariances_never_build_the_node_table():
     assert peak < Q.nbytes + node_table, (peak, Q.nbytes, node_table)
 
 
+@pytest.mark.parametrize("block", [7, 8192])
+def test_noise_factors_blocked_equal_one_shot(monkeypatch, block):
+    # the square roots are taken in step blocks, a short last block
+    # included; the factors equal one eigh and one einsum over the whole
+    # covariance stack bit for bit
+    monkeypatch.setattr(simulate, "_COV_BLOCK", block)
+    stacks = []
+    build = simulate._step_covariances
+    monkeypatch.setattr(simulate, "_step_covariances",
+                        lambda *a: stacks.append(build(*a).copy())
+                        or stacks[-1].copy())
+    sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0, 0.5], [0.0, 1.0]])
+    cfg = SimConfig(dt=0.25, t_end=0.25 * 8200, paths=1, seed=0)
+    _, _, noise = _sample_with_factors(monkeypatch, PERIODIC2, sigma,
+                                       [1.0, 0.0], cfg)
+    w, V = simulate._psd_eigh(stacks[0])
+    one_shot = np.einsum("...ik,...k,...jk->...ji", V, np.sqrt(w), V)
+    assert np.array_equal(np.swapaxes(noise, 1, 2), one_shot)
+
+
 def test_periodic_constant_reduces_bit_identically():
     A = np.array([[-1.0, 0.3], [0.0, -0.5]])
     periodic = PeriodicDrift(period=1.0, times=[0.0, 0.5], values=[A, A])
@@ -511,13 +542,18 @@ def test_blocked_solve_no_spurious_overflow():
 
 @pytest.mark.parametrize("budget", [1, 7 * 65, 7 * 67, 7 * 200])
 def test_chunk_stream_independent_of_chunk_size_periodic(monkeypatch, budget):
-    # m = 6 gives blocks of 66 steps, which chunks of 65 or 67 steps cut
+    # m = 6 gives blocks of 66 steps, which chunks of 65 or 67 steps cut:
+    # on one CPU with a fill of one normal, one group of 7 paths takes
+    # chunks of budget // 7 steps
     cfg = SimConfig(dt=2 * math.pi / 6, t_end=80 * math.pi, paths=7, seed=5)
     whole = simulate_X(COS_DRIFT, UNIT_SIGMA, [1.0], cfg)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 1)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
-    streamed = _stream_states(sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg),
-                              max(1, budget // cfg.paths), cfg)
-    np.testing.assert_array_equal(streamed, whole.states)
+    for fill in (1, simulate._FILL):
+        monkeypatch.setattr(simulate, "_FILL", fill)
+        streamed = _stream_states(
+            sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg), cfg, 1)
+        np.testing.assert_array_equal(streamed, whole.states)
 
 
 EVIDENCE_ARRAYS = ("tail_sups", "running_max_at", "window_inf_final",
@@ -535,8 +571,10 @@ def test_results_independent_of_shard_count(monkeypatch, drift, sigma, xi,
                                             dt, t_end, paths, budget):
     # each path's arithmetic is the same in any shard: collect's states and
     # compare's per-path arrays equal the one-shard run's bit for bit, with
-    # chunks that cut the blocks
+    # chunks that cut the blocks; a small fill lets a group be as wide as
+    # the budget allows, so here there is one group per CPU
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
+    monkeypatch.setattr(simulate, "_FILL", 8)
     cfg = SimConfig(dt=dt, t_end=t_end, paths=paths, seed=29)
     undecided = SimpleNamespace(regime="Undecided")
     runs = []
@@ -552,9 +590,12 @@ def test_results_independent_of_shard_count(monkeypatch, drift, sigma, xi,
             assert np.array_equal(got, want)
 
 
-def test_map_shards_runs_workers_in_callers_context():
-    # the worker threads see the caller's numpy error state, so an overflow
-    # behaves on every shard as on the calling thread
+def test_map_shards_runs_workers_in_callers_context(monkeypatch):
+    # two CPUs: the calling thread runs shards 0 and 2, one worker shard 1;
+    # the worker sees the caller's numpy error state, so an overflow behaves
+    # on every shard as on the calling thread, and it is gone on return
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+
     def probe(i, chunks):
         return i, list(chunks), np.geterr()["over"], \
             threading.current_thread() is threading.main_thread()
@@ -562,7 +603,72 @@ def test_map_shards_runs_workers_in_callers_context():
     with np.errstate(over="raise"):
         got = simulate.map_shards(probe, [[0], [1, 2], [3]])
     assert got == [(0, [0], "raise", True), (1, [1, 2], "raise", False),
-                   (2, [3], "raise", False)]
+                   (2, [3], "raise", True)]
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("affinesde-shard")]
+
+
+def test_wide_ensemble_draws_in_long_fills_on_a_cpu_sized_pool(monkeypatch):
+    # 1024 paths on two CPUs: four groups of 256 paths with chunks of 1024
+    # steps, so each of a path's two draw calls fills _FILL = 2048 normals
+    # (one chunk of 2**20 draws over all the paths would fill 1024), and no
+    # more than two groups run at once
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    fills, lock = [], threading.Lock()
+    make = simulate._path_generators
+
+    class Counted:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, out):
+            with lock:
+                fills.append(out.size)
+            return self.gen.standard_normal(out=out)
+
+    monkeypatch.setattr(simulate, "_path_generators",
+                        lambda seed, paths: [Counted(g)
+                                             for g in make(seed, paths)])
+    cfg = SimConfig(dt=0.25, t_end=512.0, paths=1024, seed=8)
+    shards = sample_chunks(ConstantDrift(-np.eye(2)), EYE2_SIGMA, [1.0, 1.0],
+                           cfg)
+    running, most = set(), [0]
+
+    def consume(i, chunks):
+        with lock:
+            running.add(i)
+            most[0] = max(most[0], len(running))
+        steps = sum(len(X) for n0, X in chunks if n0)
+        with lock:
+            running.discard(i)
+        return steps
+
+    assert simulate.map_shards(consume, shards) == [cfg.n_steps] * 4
+    assert min(fills) >= simulate._FILL == 2048
+    assert len(fills) == cfg.paths * cfg.n_steps * 2 // simulate._FILL
+    assert most[0] <= simulate._cpus()
+
+
+def test_groups_beyond_the_shared_buffers_draw_into_fresh_ones(monkeypatch):
+    # a consumer that advances every group in turn keeps more groups started
+    # than map_shards would, and so than there are shared draw buffers; the
+    # groups beyond those take fresh ones, and the states stay the
+    # ensemble's
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 7 * 40)
+    spec = DiffusionSpec.envelope(ExpDecay(1.0, 0.2), [[1.0, 0.5], [0.0, 1.0]])
+    cfg = SimConfig(dt=0.25, t_end=40.0, paths=7, seed=123)
+    A = ConstantDrift(np.array([[-1.0, 0.0], [0.5, -0.5]]))
+    whole = simulate_X(A, spec, [1.0, 1.0], cfg)
+    shards = sample_chunks(A, spec, [1.0, 1.0], cfg)
+    assert len(shards) > 2
+    parts = [[] for _ in shards]
+    for chunks in itertools.zip_longest(*shards):
+        for part, chunk in zip(parts, chunks):
+            if chunk is not None:
+                part.append(chunk[1])
+    states = np.concatenate([np.concatenate(p) for p in parts], axis=1)
+    np.testing.assert_array_equal(np.swapaxes(states, 0, 1), whole.states)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from affinesde.criteria import classify
 from affinesde.model import ConstantDrift, DiffusionSpec, ExpDecay, LogPower
 from affinesde import simulate
 from affinesde.simulate import (SimConfig, sample_chunks, simulate_X,
-                                simulate_Y)
+                                simulate_Y, squared_norms)
 from affinesde.stats import (CONSISTENT, DECREASING, FLAT, INCONCLUSIVE,
                              INCONSISTENT, INCREASING, EvidenceAccumulator,
                              compare, dyadic_checkpoints, ensemble_mean_sq,
@@ -266,16 +266,52 @@ def test_accumulator_matches_brute_force_any_chunking():
         "uneven": _splits(n, range(0, n, 7)),
         "one chunk": _splits(n, []),
     }
+    sq = squared_norms(ens.states)
     streamed = _compare(verdict, BRUTE_SIGMA, BRUTE_CFG)
     for name, chunks in splits.items():
         for paths in (slice(None), slice(4, 5)):   # all paths and one path
             acc = EvidenceAccumulator(t, norms[paths].shape[0])
             for a, b in chunks:
-                acc.add(a, norms[paths, a:b].T)
+                acc.add(a, sq[paths, a:b].T)
             ev = acc.evidence(verdict)
             _assert_brute_force(ev, t, norms[paths])
             if paths == slice(None):
                 assert ev.summary() == streamed.summary(), name
+
+
+@pytest.mark.parametrize("paths", [1, 6])
+def test_accumulator_on_squared_norms_matches_numpy(paths):
+    # squared norms fed in uneven chunks against whole-series numpy: the
+    # square roots of the maxima, minima and checkpoint values are exact,
+    # the trapezoid averages agree to rounding and do not depend on the
+    # chunking
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, 64.0, 513)
+    sq = rng.exponential(size=(len(t), paths)) * (1.0 + t[:, None])
+    norms = np.sqrt(sq)
+    cps = [32, 64, 128, 256]   # the checkpoints T/16 ... T/2
+    runs = []
+    for cuts in (range(0, len(t), 37), [1, 32, 33, 256, 257, 448, 449], []):
+        acc = EvidenceAccumulator(t, paths)
+        for a, b in _splits(len(t), cuts):
+            acc.add(a, sq[a:b])
+        ev = acc.evidence(UNDECIDED)
+        for j, i in enumerate(cps):
+            assert np.array_equal(ev.tail_sups[:, j], norms[i:].max(axis=0))
+            assert np.array_equal(ev.running_max_at[:, j],
+                                  norms[:i + 1].max(axis=0))
+        assert np.array_equal(ev.window_inf_final, norms[448:].min(axis=0))
+        for got, upto in ((ev.avg_sq_half, 256), (ev.avg_sq_final, 512)):
+            want = np.trapezoid(sq[:upto + 1], t[:upto + 1], axis=0) / t[upto]
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+        runs.append((ev.avg_sq_half, ev.avg_sq_final,
+                     ev.trends["mean_sq_checkpoints"].slope))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
+    want = np.log(sq[cps].mean(axis=1))
+    slope = np.polyfit(np.log(t[cps]), want, 1)[0]
+    assert runs[0][2] == pytest.approx(slope, rel=1e-9)
 
 
 def test_accumulator_rejects_gaps_and_short_feeds():
