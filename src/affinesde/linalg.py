@@ -83,14 +83,20 @@ def propagator(drift, t_end: float, t_lo: float, tol: float = 1e-10):
     drifts give exp(A (t_end - s)); time-dependent drifts solve the adjoint
     equation dY/ds = -Y A(s), Y(t_end) = I, once backwards by adaptive
     embedded Runge-Kutta 4(5) at local tolerance tol, with dense output.
+    The map takes a time, giving a (d, d) matrix, or a 1-d array of times,
+    giving one matrix per time; the dense output evaluates an array at once.
     """
     if t_end < t_lo:
         raise ValueError("t_end must be >= t_lo")
     if isinstance(drift, ConstantDrift):
-        return lambda s: expm(drift.matrix, t_end - s)
+        def exp_at(s):
+            if np.ndim(s):
+                return np.array([expm(drift.matrix, t_end - x) for x in s])
+            return expm(drift.matrix, t_end - s)
+        return exp_at
     d = drift.d
     if t_end == t_lo:
-        return lambda s: np.eye(d)
+        return lambda s: np.eye(d) + np.zeros(np.shape(s) + (d, d))
 
     def rhs(s, y):
         return -(y.reshape(d, d) @ eval_drift(drift, s)).reshape(-1)
@@ -99,7 +105,10 @@ def propagator(drift, t_end: float, t_lo: float, tol: float = 1e-10):
                     method="RK45", rtol=tol, atol=tol, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"fundamental solution integration failed: {sol.message}")
-    return lambda s: sol.sol(s).reshape(d, d)
+
+    def at(s):
+        return np.moveaxis(sol.sol(s), 0, -1).reshape(np.shape(s) + (d, d))
+    return at
 
 
 def fundamental_solution(drift, t_end: float, tol: float = 1e-10,

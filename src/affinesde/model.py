@@ -4,13 +4,14 @@ The diffusion coefficient is a continuous matrix function sigma(t) of shape
 (d, r) in one of three forms: an envelope family times a constant pattern
 (a constant sigma is the pattern under the zero-exponent ``PowerLaw``), a
 piecewise-linear table, or a user callable.  ``eval_sigma`` is the one
-evaluator of every form, at a single time or at an array of times.
-Everything downstream (classification criteria, exact simulation) consumes
-sigma only through weighted integrals of its squared Frobenius norm, so this
-module centralises those quadratures: ``interval_integrals`` (energy over
-each interval) and ``row_interval_integrals`` (the same per row of sigma)
-share one routine, exact Simpson over a table's pieces and one error-checked
-``quad_vec`` call for other forms.
+evaluator of every form, at a single time or at an array of times; the
+exact simulation's covariance panel reads every form through it.  The
+classification criteria consume sigma only through weighted integrals of
+its squared Frobenius norm, so this module centralises those quadratures:
+``interval_integrals`` (energy over each interval) and
+``row_interval_integrals`` (the same per row of sigma) share one routine,
+exact Simpson over a table's pieces and one error-checked ``quad_vec`` call
+for other forms.
 
 Specs are immutable after construction and safe to share across threads.
 """

@@ -9,7 +9,14 @@ X_{n+1} = Psi(t_n + dt, t_n) X_n + xi_n with xi_n ~ Normal(0, Q_n) and
 where Psi is the propagator of X' = A(t) X (e^{A (t - s)} for a constant
 drift), so the sampler has no discretisation bias at grid points, periodic
 drifts included.  A constant drift is the periodic case with a single period
-position: both build Psi once per position and run one recursion.  An
+position: both build Psi once per position and run one recursion.  Every
+sigma form, envelope, table or callable, gets its Q_n from one fixed
+12-node Gauss-Legendre panel per step, fed by `eval_sigma` at the nodes.
+The panel is checked where it can fail, and the adaptive `step_covariance`
+takes over there: at every period position its propagator products are
+compared with the same rule on each half of the step, whatever sigma is; a
+table's knot strictly inside a step marks that step; and the first step the
+panel serves is compared with `step_covariance`, which sees sigma.  An
 Euler-Maruyama scheme is provided for cross-validation.  Paths are seeded
 independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
@@ -49,8 +56,8 @@ import numpy as np
 from scipy.integrate import quad_vec
 
 from .linalg import propagator
-from .model import (ConstantDrift, DiffusionSpec, EnvelopePattern,
-                    PeriodicDrift, PowerLaw, eval_drift, eval_sigma)
+from .model import (ConstantDrift, DiffusionSpec, PeriodicDrift, PowerLaw,
+                    TableSigma, eval_drift, eval_sigma)
 
 SCHEME_EXACT = "ExactLinearGaussian"
 SCHEME_EULER = "EulerMaruyama"
@@ -59,7 +66,8 @@ _CHUNK_DRAWS = 2 ** 20   # normal draws per chunk over the running path groups
 _FILL = 2048             # least normals per draw call of one path
 _GL_NODES = 12           # fixed Gauss-Legendre panel for the batched covariances
 _BLOCK = 64              # target steps per block of the blocked recursion
-_COV_BLOCK = 8192        # target steps per block of the covariance panel
+_COV_BLOCK = 8192        # set-up block length in steps (the panel's over d r)
+_TINY = 1e-310           # absolute error floor of the adaptive step covariance
 
 
 class CovarianceError(RuntimeError):
@@ -172,10 +180,11 @@ def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
     """One-step transition covariance Q by adaptive quadrature.
 
     The integrand Psi(t + dt, s) sigma(s) sigma(s)^T Psi(t + dt, s)^T uses
-    the drift's propagator, so time-dependent drifts are exact too.  The
-    error estimate must stay below tol * max(1, max|Q|), since Q scales with
-    ||sigma||^2.  The result is symmetrised and tiny negative eigenvalues
-    (down to -1e-12 * trace) are clamped to zero.
+    the drift's propagator, so time-dependent drifts are exact too.  Q
+    scales with ||sigma||^2, so the error is relative: the estimate must
+    stay below tol * max|Q|.  The absolute floor is a denormal, which only
+    lets a zero integrand end at once.  The result is symmetrised and tiny
+    negative eigenvalues (down to -1e-12 * trace) are clamped to zero.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -187,8 +196,9 @@ def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
         M = E(u) @ eval_sigma(sigma, float(t + u * dt))
         return dt * (M @ M.T)
 
-    Q, err = quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol, norm="max")
-    bound = tol * max(1.0, float(np.abs(Q).max()))
+    Q, err = quad_vec(integrand, 0.0, 1.0, epsabs=_TINY, epsrel=tol,
+                      norm="max")
+    bound = max(tol * float(np.abs(Q).max()), _TINY)
     if err > bound * 1.001:
         raise CovarianceError(f"covariance quadrature error {err:.3e} > "
                               f"{bound:.3e}")
@@ -215,42 +225,91 @@ def _gauss_legendre(n: int):
     return 0.5 * (x + 1.0), 0.5 * w   # mapped to [0, 1]
 
 
+def _panel():
+    """Nodes v on [0, 1] and weights W, (2, nodes), of the covariance panel.
+
+    The first _GL_NODES nodes carry the Gauss-Legendre rule of row 0; the
+    other nodes the check rule of row 1, the same rule on each half of
+    [0, 1].
+    """
+    u, w = _gauss_legendre(_GL_NODES)
+    v = np.concatenate([u, 0.5 * u, 0.5 + 0.5 * u])
+    W = np.zeros((2, len(v)))
+    W[0, :_GL_NODES] = w
+    W[1, _GL_NODES:] = 0.5 * np.concatenate([w, w])
+    return v, W
+
+
 def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
                       dt: float, tol: float, E: np.ndarray) -> np.ndarray:
-    """Covariance stack Q_n for every step, (N, d, d).
+    """Covariance stack Q_n for every step, (N, d, d), on one route for
+    every sigma form.
 
-    E[j, k] = Psi(t_j + dt, t_j + u_k dt) at the Gauss-Legendre nodes u_k for
-    each of the m period positions j; step n uses E[n % m].  The separable
-    envelope-times-pattern form (a constant sigma included) uses this fixed
-    panel batched over all steps, with the squared envelope g as the only
-    per-node factor, validated against the adaptive quadrature on the first
-    step; tables and callables fall back to the adaptive panel per step.
-    The panel is built in blocks of about 8192 steps, a multiple of m, so
-    the (N, nodes) table of g is never whole; each block takes the same
-    einsum, and the stack equals a one-shot build bit for bit.
+    E[j, k] = Psi(t_j + dt, t_j + v_k dt) at the nodes v_k of `_panel` for
+    each of the m period positions j; step n uses E[n % m].  With the node
+    values s_nk = sigma(t_n + u_k dt) from `eval_sigma` at the _GL_NODES
+    Gauss-Legendre nodes u_k, weights w_k, and P_nk = sqrt(w_k dt) E[j, k]
+    s_nk,
+
+        Q_n = sum_k P_nk P_nk^T.
+
+    Each period position takes its steps in blocks of _COV_BLOCK // (d r):
+    one stacked matmul over the nodes gives every P_nk of a block, and one
+    batched matmul the sums, so a step costs O(nodes d^2 r).
+
+    The panel is checked where it can fail.  At each period position j,
+    the linear maps X -> sum_k W[i, k] E[j, k] X E[j, k]^T of the two rules
+    i (the Q_n of a sigma constant over the step, per unit dt) must agree
+    to 10 tol relative to their largest entry, whatever sigma is; at a
+    position where they do not (a drift too stiff for the panel over dt),
+    every step takes the adaptive `step_covariance`, and so does every step
+    with a table knot strictly inside it.  The first step the panel serves
+    is also checked against `step_covariance`, which sees sigma; if that
+    fails (a sigma too stiff for the panel), every step takes it.
     """
     N, m = len(times), len(E)
-    form = sigma.form
-    if isinstance(form, EnvelopePattern):
-        u, w = _gauss_legendre(_GL_NODES)
-        M = E @ form.pattern
-        C = (dt * M) @ np.swapaxes(M, -1, -2)   # (m, K, d, d)
-        Q = np.empty((N, sigma.d, sigma.d))
-        B = m * -(-_COV_BLOCK // m)
-        for s in range(0, N, B):
-            g = np.asarray(form.envelope.value(
-                times[s:s + B, None] + u[None, :] * dt)) ** 2
-            for j in range(m):
-                Q[s + j:s + B:m] = np.einsum("k,nk,kij->nij", w, g[j::m], C[j])
-        ref = step_covariance(drift, sigma, float(times[0]), dt, tol)
-        scale = max(float(np.abs(ref).max()), 1e-300)
-        if float(np.abs(Q[0] - ref).max()) <= max(tol, 1e-12 * scale) * 10 + tol:
-            return Q
-        # panel not accurate enough; use adaptive
-    Q = np.empty((N, sigma.d, sigma.d))
-    for n, t in enumerate(times):
-        Q[n] = step_covariance(drift, sigma, float(t), dt, tol)
+    d, r = sigma.d, sigma.r
+    v, W = _panel()
+    stiff = np.zeros(m, dtype=bool)
+    for j in range(m):
+        L = np.einsum("ik,kac,kbe->iabce", W, E[j], E[j])
+        stiff[j] = np.abs(L[0] - L[1]).max() > 10 * tol * np.abs(L[1]).max()
+    u = v[:_GL_NODES]
+    c = np.sqrt(dt * W[0, :_GL_NODES])[:, None, None, None]
+    Q = np.empty((N, d, d))
+    B = max(1, _COV_BLOCK // (d * r))
+    for j in np.flatnonzero(~stiff):
+        for s in range(j, N, B * m):
+            n = len(range(s, N, m)[:B])
+            S = eval_sigma(sigma, times[s:s + B * m:m, None] + u * dt)
+            X = np.empty((_GL_NODES, d, n, r))
+            np.multiply(S.transpose(1, 2, 0, 3), c, out=X)
+            P = E[j, :_GL_NODES] @ X.reshape(_GL_NODES, d, n * r)
+            P = np.ascontiguousarray(
+                P.reshape(_GL_NODES, d, n, r).transpose(2, 1, 0, 3))
+            P = P.reshape(n, d, _GL_NODES * r)
+            Q[s:s + B * m:m] = P @ np.swapaxes(P, 1, 2)
+    adaptive = set(np.flatnonzero(stiff[np.arange(N) % m]).tolist()) | \
+        _kinked_steps(sigma, times, dt)
+    n = next((n for n in range(N) if n not in adaptive), None)
+    if n is not None:
+        ref = step_covariance(drift, sigma, float(times[n]), dt, tol)
+        if np.abs(Q[n] - ref).max() > 10 * tol * np.abs(ref).max():
+            adaptive = range(N)   # the panel misses this sigma: adaptive
+    for n in sorted(adaptive):
+        Q[n] = step_covariance(drift, sigma, float(times[n]), dt, tol)
     return Q
+
+
+def _kinked_steps(sigma: DiffusionSpec, times: np.ndarray, dt: float) -> set:
+    """The steps with a table knot strictly inside them; every other step,
+    and every step of the other sigma forms, is smooth."""
+    if not isinstance(sigma.form, TableSigma):
+        return set()
+    knots = sigma.form.times
+    n = np.searchsorted(times, knots, side="right") - 1
+    inside = (n >= 0) & (knots > times[n]) & (knots < times[n] + dt)
+    return set(n[inside].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +505,9 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     pays for them.  A drift with a period runs the periodic sampler (dt
     must divide the period; a periodic spec whose samples are all identical
     is a constant drift), any other drift must be constant.  The set-up
-    (transitions, covariances, noise factors and their checks) runs before
-    this returns; a non-finite chunk raises FloatingPointError when it is
-    reached.
+    (transitions, the Gauss-Legendre panel covariances of any sigma form
+    with their checks, noise factors) runs before this returns;
+    a non-finite chunk raises FloatingPointError when it is reached.
     """
     period = getattr(drift, "period", None)
     m = 1
@@ -472,9 +531,9 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
         noise_t = np.ascontiguousarray(
             math.sqrt(dt) * np.swapaxes(eval_sigma(sigma, times), -1, -2))
     else:
-        u, _ = _gauss_legendre(_GL_NODES)
+        v, _ = _panel()
         psis = [_step_propagator(drift, t, dt, cfg.cov_tol) for t in times[:m]]
-        E = np.array([[psi(uk) for uk in (0.0, *u)] for psi in psis])
+        E = np.array([[psi(0.0), *psi(v)] for psi in psis])
         trans = E[:, 0]
         noise_t = _root_in_place(_step_covariances(drift, sigma, times, dt,
                                                    cfg.cov_tol, E[:, 1:]))

@@ -2,8 +2,8 @@
 every module-level private name is referenced in its own module, no module
 reaches for another module's private names, every function reads its
 parameters, every name the package exports resolves, sigma quadrature stays
-in model and simulate, the regime names are spelled only in model and the
-agreement names only in stats."""
+in model and simulate, simulate reads no sigma form's internals, the regime
+names are spelled only in model and the agreement names only in stats."""
 
 import ast
 import importlib
@@ -205,6 +205,43 @@ def test_scipy_integrate_only_where_allowed(path):
         assert found == []
     elif SCIPY_INTEGRATE_ALLOWED[path.name] is not None:
         assert set(found) <= SCIPY_INTEGRATE_ALLOWED[path.name]
+
+
+def sigma_form_reads(source: str) -> list:
+    """Names of the envelope and callable sigma forms, and reads of an
+    envelope's parts, in the source; the constructor
+    DiffusionSpec.envelope is exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and \
+                node.id in ("EnvelopePattern", "CallableSigma"):
+            found.append(f"{node.id} (line {node.lineno})")
+        elif isinstance(node, ast.alias) and \
+                node.name in ("EnvelopePattern", "CallableSigma"):
+            found.append(f"import {node.name}")
+        elif isinstance(node, ast.Attribute) and \
+                node.attr in ("envelope", "pattern") and not (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id == "DiffusionSpec"):
+            found.append(f".{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_sigma_form_reads():
+    source = ("from .model import CallableSigma, DiffusionSpec, eval_sigma\n"
+              "if isinstance(f, EnvelopePattern):\n"
+              "    g = f.envelope.value(t) * sigma.form.pattern\n"
+              "envelope = DiffusionSpec.envelope(env, pattern)\n"
+              "s = eval_sigma(spec, t)\n")
+    assert sigma_form_reads(source) == [
+        ".envelope (line 3)", ".pattern (line 3)",
+        "EnvelopePattern (line 2)", "import CallableSigma"]
+
+
+def test_simulate_reads_sigma_only_through_eval_sigma():
+    # per-form sigma mathematics lives in model.eval_sigma; the covariance
+    # panel takes every form through it
+    assert sigma_form_reads((PACKAGE / "simulate.py").read_text()) == []
 
 
 REGIME_NAMES = ("StableAS", "BoundedNonConvergent", "Unbounded", "Undecided")

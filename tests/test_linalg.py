@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad_vec
 
 from affinesde.linalg import (MonodromyResult, StabilityError, expm,
-                              fundamental_solution, monodromy,
+                              fundamental_solution, monodromy, propagator,
                               solve_lyapunov, spectral_abscissa,
                               spectral_radius)
 from affinesde.model import CallableDrift, ConstantDrift, PeriodicDrift
@@ -143,6 +143,27 @@ def test_fundamental_solution_semigroup():
     lhs = fundamental_solution(drift, s + t)
     rhs = fundamental_solution(drift, s) @ fundamental_solution(drift, t)
     np.testing.assert_allclose(lhs, rhs, atol=1e-7)
+
+
+@pytest.mark.parametrize("drift", [
+    ConstantDrift([[-1.0, 0.5], [0.0, -2.0]]),
+    PeriodicDrift(period=1.5, times=[0.0, 0.5],
+                  values=[[[-1.0, 0.5], [0.0, -2.0]], [[-2.0, 0.0], [0.3, -0.5]]]),
+], ids=["constant", "periodic"])
+def test_propagator_takes_an_array_of_times(drift):
+    # one matrix per time, each the scalar call's up to the dense output's
+    # rounding; the degenerate interval gives identities of the same shape
+    psi = propagator(drift, 1.25, 0.5, tol=1e-12)
+    s = np.array([0.5, 0.6, 1.0, 1.25])
+    got = psi(s)
+    assert got.shape == (4, 2, 2)
+    for k, x in enumerate(s):
+        np.testing.assert_allclose(got[k], psi(float(x)), rtol=1e-14,
+                                   atol=1e-15)
+    eye = propagator(PeriodicDrift(period=1.0, times=[0.0], values=[[[-1.0]]]),
+                     0.5, 0.5)
+    assert eye(0.5).shape == (1, 1)
+    assert np.array_equal(eye(s), np.ones((4, 1, 1)))
 
 
 def test_determinant_identity():

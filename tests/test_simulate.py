@@ -11,7 +11,8 @@ from scipy.stats import kstest
 
 from affinesde.linalg import expm
 from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
-                             ExpDecay, LogPower, PeriodicDrift, PowerLaw)
+                             ExpDecay, LogPower, PeriodicDrift, PowerLaw,
+                             eval_sigma)
 from affinesde import simulate
 from affinesde.simulate import (SCHEME_EULER, SCHEME_EXACT, CovarianceError,
                                 PathEnsemble, SimConfig, bessel_scenario,
@@ -70,12 +71,105 @@ def test_step_covariance_psd_and_symmetric():
 @pytest.mark.parametrize("A", [[[-1.0]], [[-1.0, 0.5], [0.0, -2.0]]])
 def test_step_covariance_scales_with_sigma_squared(A):
     # the SDE is linear, so Q(sigma = 1e4 I) = 1e8 Q(sigma = I); the error
-    # bound tol * max(1, max|Q|) scales with it instead of rejecting large Q
+    # bound tol * max|Q| scales with it instead of rejecting large Q
     drift = ConstantDrift(A)
     eye = np.eye(drift.d)
     q1 = step_covariance(drift, DiffusionSpec.constant(eye), 0.0, 0.125)
     q4 = step_covariance(drift, DiffusionSpec.constant(1e4 * eye), 0.0, 0.125)
     np.testing.assert_allclose(q4, 1e8 * q1, rtol=1e-12, atol=0.0)
+
+
+STIFF_DRIFT = ConstantDrift(np.array([[-200.0]]))
+
+
+def _stiff_q(sigma: float, dt: float = 1.0) -> float:
+    """Closed-form Q = sigma^2 (1 - e^{2 a dt}) / (-2 a) for a = -200."""
+    return sigma ** 2 * -math.expm1(-400.0 * dt) / 400.0
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1e-3, 1e-6])
+def test_step_covariances_relative_to_the_size_of_q(sigma):
+    # Q ~ 2.5e-3 sigma^2: an absolute error floor of tol would accept a
+    # covariance far off for a small sigma, in the adaptive quadrature and
+    # in the panel check alike
+    spec = DiffusionSpec.constant([[sigma]])
+    exact = _stiff_q(sigma)
+    Q = step_covariance(STIFF_DRIFT, spec, 0.0, 1.0)
+    assert Q[0, 0] == pytest.approx(exact, rel=1e-10, abs=0.0)
+    times = np.arange(8.0)
+    Q = simulate._step_covariances(STIFF_DRIFT, spec, times, 1.0, 1e-10,
+                                   _panel_propagators(STIFF_DRIFT, 1, 1.0))
+    np.testing.assert_allclose(Q[:, 0, 0], exact, rtol=1e-10, atol=0.0)
+
+
+def _counting_step_covariance(monkeypatch) -> list:
+    """Patch simulate.step_covariance to record the time of every call."""
+    calls = []
+    real = simulate.step_covariance
+    monkeypatch.setattr(simulate, "step_covariance",
+                        lambda *a, **k: calls.append(a[2]) or real(*a, **k))
+    return calls
+
+
+def test_panel_falls_back_to_adaptive_covariances_on_a_stiff_drift(
+        monkeypatch):
+    # 12 nodes cannot resolve e^{-200 (1 - u)} over dt = 1: the panel's
+    # propagator check fails at the one period position, so every step
+    # takes the adaptive quadrature and no step is left to check against it
+    calls = _counting_step_covariance(monkeypatch)
+    times = np.arange(8.0)
+    Q = simulate._step_covariances(STIFF_DRIFT, UNIT_SIGMA, times, 1.0, 1e-10,
+                                   _panel_propagators(STIFF_DRIFT, 1, 1.0))
+    assert calls == list(times)
+    np.testing.assert_allclose(Q[:, 0, 0], _stiff_q(1.0), rtol=1e-10, atol=0.0)
+
+
+def test_panel_check_does_not_depend_on_sigma(monkeypatch):
+    # sigma is 0 on the first step, so a check of the first step's Q alone
+    # compares 0 with 0; the propagator check still sends the stiff drift's
+    # steps to the adaptive quadrature (step 1 holds the knot at 1 + 1e-9)
+    sigma = DiffusionSpec.table([0.0, 1.0, 1.0 + 1e-9, 8.0],
+                                [[[0.0]], [[0.0]], [[1.0]], [[1.0]]])
+    calls = _counting_step_covariance(monkeypatch)
+    times = np.arange(6.0)
+    Q = simulate._step_covariances(STIFF_DRIFT, sigma, times, 1.0, 1e-10,
+                                   _panel_propagators(STIFF_DRIFT, 1, 1.0))
+    assert calls == list(times)
+    assert Q[0, 0, 0] == 0.0
+    np.testing.assert_allclose(Q[2:, 0, 0], _stiff_q(1.0), rtol=1e-10, atol=0.0)
+
+
+def test_panel_checks_every_period_position(monkeypatch):
+    # A(t) is -1 on [0, 1] and ramps to -200 and back on [1, 3]: the panel
+    # is exact at position 0 and misses positions 1 and 2, whose steps take
+    # the adaptive quadrature after the check of step 0
+    drift = PeriodicDrift(period=3.0, times=[0.0, 1.0, 2.0],
+                          values=[[[-1.0]], [[-1.0]], [[-200.0]]])
+    calls = _counting_step_covariance(monkeypatch)
+    times = np.arange(9.0)
+    Q = simulate._step_covariances(drift, UNIT_SIGMA, times, 1.0, 1e-10,
+                                   _panel_propagators(drift, 3, 1.0))
+    assert calls == [0.0, 1.0, 2.0, 4.0, 5.0, 7.0, 8.0]
+    for n, t in enumerate(times):
+        ref = step_covariance(drift, UNIT_SIGMA, float(t), 1.0)
+        assert Q[n, 0, 0] == pytest.approx(ref[0, 0], rel=1e-9, abs=0.0), n
+
+
+def test_panel_falls_back_to_adaptive_covariances_on_a_stiff_sigma(
+        monkeypatch):
+    # the drift is mild, but sigma^2 = e^{-60 t} is too stiff for 12 nodes
+    # over dt = 1: the first step's check against the adaptive quadrature,
+    # which sees sigma, fails and every step takes the adaptive quadrature
+    drift = ConstantDrift([[-1.0]])
+    sigma = DiffusionSpec.envelope(ExpDecay(1.0, 30.0), [[1.0]])
+    calls = _counting_step_covariance(monkeypatch)
+    times = np.arange(4.0)
+    Q = simulate._step_covariances(drift, sigma, times, 1.0, 1e-10,
+                                   _panel_propagators(drift, 1, 1.0))
+    assert calls == [0.0, *times]
+    # Q_n = int_0^1 e^{-2 (1 - u)} e^{-60 (n + u)} du
+    exact = np.exp(-60.0 * times - 2.0) * -math.expm1(-58.0) / 58.0
+    np.testing.assert_allclose(Q[:, 0, 0], exact, rtol=1e-10, atol=0.0)
 
 
 def test_states_scale_with_sigma():
@@ -206,10 +300,12 @@ def test_euler_zero_noise_deterministic():
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_EXACT, SCHEME_EULER])
-def test_table_sigma_samples_through_covariance_fallback(monkeypatch, scheme):
-    # a constant-valued table takes the per-step adaptive covariances, the
-    # equal constant sigma the Gauss-Legendre panel; with the same Philox
-    # streams both ensembles agree up to the quadratures' rounding
+def test_table_sigma_samples_through_the_panel(monkeypatch, scheme):
+    # a constant-valued table and the equal constant sigma both take the
+    # Gauss-Legendre panel, checked once on the first step; the table's
+    # step across its knot at 0.37 takes the adaptive quadrature.  With the
+    # same Philox streams both ensembles agree up to the quadratures'
+    # rounding
     S = [[1.0, 0.3], [0.0, 0.8]]
     table = DiffusionSpec.table([0.0, 0.37, 5.0], [S, S, S])
     A = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
@@ -222,7 +318,8 @@ def test_table_sigma_samples_through_covariance_fallback(monkeypatch, scheme):
     n_panel = len(calls)
     got = simulate_X(A, table, [1.0, -1.0], cfg).states
     if scheme == SCHEME_EXACT:
-        assert (n_panel, len(calls) - n_panel) == (1, cfg.n_steps)
+        assert (n_panel, len(calls) - n_panel) == (1, 2)
+        assert [a[2] for a in calls[n_panel:]] == [0.0, 7 * cfg.dt]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -344,11 +441,22 @@ def test_periodic_sampler_covariances_exact(m):
 
 
 def _one_shot_covariances(sigma, times, dt, E):
-    """The envelope panel's covariance stack as one einsum per period
-    position over every step at once."""
+    """The panel's covariance stack over every step at once, from its
+    formula: Q_n = sum_k w_k dt (E[j, k] s_nk)(E[j, k] s_nk)^T with the
+    node values s_nk = sigma(t_n + u_k dt) and j = n % m."""
     u, w = simulate._gauss_legendre(simulate._GL_NODES)
-    g = np.asarray(sigma.form.envelope.value(times[:, None] + u[None, :] * dt)) ** 2
-    M = E @ sigma.form.pattern
+    S = eval_sigma(sigma, times[:, None] + u * dt)
+    P = E[np.arange(len(times)) % len(E), :len(u)] @ S
+    return np.einsum("k,nkaq,nkbq->nab", w * dt, P, P)
+
+
+def _envelope_covariances(sigma, times, dt, E):
+    """An envelope sigma's covariance stack from its separable form: the
+    squared envelope at the nodes weighs the pattern's per-node covariances,
+    Q_n = sum_k w_k g(t_n + u_k dt)^2 dt (E[j, k] p)(E[j, k] p)^T."""
+    u, w = simulate._gauss_legendre(simulate._GL_NODES)
+    g = np.asarray(sigma.form.envelope.value(times[:, None] + u * dt)) ** 2
+    M = E[:, :len(u)] @ sigma.form.pattern
     C = (dt * M) @ np.swapaxes(M, -1, -2)
     m = len(E)
     Q = np.empty((len(times), sigma.d, sigma.d))
@@ -358,8 +466,8 @@ def _one_shot_covariances(sigma, times, dt, E):
 
 
 def _panel_propagators(drift, m, dt):
-    u, _ = simulate._gauss_legendre(simulate._GL_NODES)
-    return np.array([[psi(uk) for uk in u] for psi in
+    v, _ = simulate._panel()
+    return np.array([[psi(vk) for vk in v] for psi in
                      (simulate._step_propagator(drift, j * dt, dt, 1e-10)
                       for j in range(m))])
 
@@ -372,26 +480,74 @@ PERIODIC2 = PeriodicDrift(period=1.5, times=[0.0, 0.5],
 @pytest.mark.parametrize("drift, m, dt, block, n_steps", [
     (ConstantDrift(A2), 1, 0.05, 8192, 2 * 8192 + 5),
     (ConstantDrift(A2), 1, 0.05, 16, 5 * 16 + 1),
-    (PERIODIC2, 6, 0.25, 16, 4 * 18 + 7),    # blocks of 18 steps
+    (PERIODIC2, 6, 0.25, 16, 4 * 18 + 7),
     (PERIODIC2, 6, 0.25, 8192, 8196 + 11),
 ], ids=["m1", "m1-small-block", "m6-small-block", "m6"])
 def test_step_covariances_blocked_equal_one_shot(monkeypatch, drift, m, dt,
                                                  block, n_steps):
-    # the panel is built in blocks of steps (a multiple of m); the stack
-    # equals the one-shot build bit for bit, a short last block included
-    monkeypatch.setattr(simulate, "_COV_BLOCK", block)
+    # each period position takes its steps in blocks of _COV_BLOCK // (d r),
+    # a short last block included; the stack equals one block per position
+    # bit for bit, the panel's formula over every step at once and, for an
+    # envelope, its separable form to 1e-14.  The table's knots lie beyond
+    # the grid, so no step takes the adaptive quadrature
     times = dt * np.arange(n_steps)
     E = _panel_propagators(drift, m, dt)
     pattern = [[1.0, 0.5], [0.0, 1.0]]
-    for env in (LogPower(1.0), ExpDecay(1.0, 0.01), PowerLaw(1.0, -0.3),
-                PowerLaw(2.0, 0.0)):
-        sigma = DiffusionSpec.envelope(env, pattern)
+    envelopes = [DiffusionSpec.envelope(env, pattern) for env in (
+        LogPower(1.0), ExpDecay(1.0, 0.01), PowerLaw(1.0, -0.3),
+        PowerLaw(2.0, 0.0))]
+    table = DiffusionSpec.table(
+        [0.0, 1e5], [[[1.0, 0.5, 0.0], [0.0, 1.0, 2.0]],
+                     [[0.0, 3.0, 1.0], [1.0, -1.0, 0.5]]])
+    for sigma in [*envelopes, table]:
+        monkeypatch.setattr(simulate, "_COV_BLOCK", block)
         Q = simulate._step_covariances(drift, sigma, times, dt, 1e-10, E)
-        assert np.array_equal(Q, _one_shot_covariances(sigma, times, dt, E))
+        monkeypatch.setattr(simulate, "_COV_BLOCK", 6 * n_steps)
+        assert np.array_equal(
+            Q, simulate._step_covariances(drift, sigma, times, dt, 1e-10, E))
+        refs = [_one_shot_covariances(sigma, times, dt, E)]
+        if sigma is not table:
+            refs.append(_envelope_covariances(sigma, times, dt, E))
+        for ref in refs:
+            assert np.abs(Q - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_table_covariances_match_adaptive_quadrature(monkeypatch):
+    # knots on the grid (0, 0.5, 2) and off it (0.6, 1.3, and 2.1 and 2.2
+    # inside one step): a table is linear between knots, so the panel is
+    # exact there; the steps 2, 5 and 8 with a knot inside take the
+    # adaptive quadrature, after the first-step check
+    dt, cov_tol = 0.25, 1e-10
+    knots = [0.0, 0.5, 0.6, 1.3, 2.0, 2.1, 2.2]
+    values = np.random.default_rng(5).normal(size=(len(knots), 2, 3))
+    sigma = DiffusionSpec.table(knots, values)
+    drift = ConstantDrift(A2)
+    times = dt * np.arange(16)
+    calls = _counting_step_covariance(monkeypatch)
+    Q = simulate._step_covariances(drift, sigma, times, dt, cov_tol,
+                                   _panel_propagators(drift, 1, dt))
+    assert calls == [0.0, 2 * dt, 5 * dt, 8 * dt]
+    for n, t in enumerate(times):
+        ref = step_covariance(drift, sigma, float(t), dt, cov_tol)
+        assert np.abs(Q[n] - ref).max() <= cov_tol * np.abs(ref).max(), n
+
+
+def test_callable_sigma_gives_the_envelope_stack(monkeypatch):
+    # a callable is evaluated node by node through eval_sigma, so one that
+    # returns an envelope's values gives that envelope's stack
+    envelope = DiffusionSpec.envelope(LogPower(1.0), [[1.0, 0.5], [0.0, 1.0]])
+    fn = DiffusionSpec.from_callable(lambda t: eval_sigma(envelope, t), 2, 2)
+    monkeypatch.setattr(simulate, "_COV_BLOCK", 64)
+    dt, drift = 0.25, PERIODIC2
+    times = dt * np.arange(100)
+    E = _panel_propagators(drift, 6, dt)
+    Q = simulate._step_covariances(drift, fn, times, dt, 1e-10, E)
+    assert np.array_equal(Q, simulate._step_covariances(drift, envelope,
+                                                        times, dt, 1e-10, E))
 
 
 def test_step_covariances_never_build_the_node_table():
-    # the squared envelope at the panel nodes lives one step block at a time
+    # sigma's values at the panel nodes live one step block at a time
     dt, n_steps = 0.05, 8 * simulate._COV_BLOCK
     times = dt * np.arange(n_steps)
     E = _panel_propagators(ConstantDrift(A2), 1, dt)
