@@ -80,11 +80,18 @@ def _check_keys(section: dict, name: str, allowed, required=()):
         raise ScenarioError(f"missing keys in {name!r}: {', '.join(missing)}")
 
 
+def _no_bool(v):
+    """v, unless it or an entry of its lists is a boolean (YAML's no/false)."""
+    if isinstance(v, bool):
+        raise TypeError("a boolean is not a number")
+    return [_no_bool(x) for x in v] if isinstance(v, list) else v
+
+
 def _num(section: dict, key: str, default=None, kind=float):
     """section[key] (else default) as a finite float, or an integer for int."""
     v = section.get(key, default)
     try:
-        x = float(v)
+        x = float(_no_bool(v))
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"field {key!r} must be a number, got {v!r}")
     if not math.isfinite(x):
@@ -100,7 +107,7 @@ def _num(section: dict, key: str, default=None, kind=float):
 
 def _matrix(v, name: str) -> np.ndarray:
     try:
-        return np.atleast_2d(np.asarray(v, dtype=float))
+        return np.atleast_2d(np.asarray(_no_bool(v), dtype=float))
     except (TypeError, ValueError):
         raise ScenarioError(f"{name} must be a numeric matrix")
 
@@ -110,7 +117,7 @@ def _list(v, name: str, item) -> list:
     if not isinstance(v, list):
         raise ScenarioError(f"{name} must be a list")
     try:
-        return [item(x) for x in v]
+        return [item(x) for x in _no_bool(v)]
     except (TypeError, ValueError):
         raise ScenarioError(f"{name} must be a list of numbers")
 

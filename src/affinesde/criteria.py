@@ -191,21 +191,15 @@ def _rule(spec: DiffusionSpec, eps: float, partial: float, n_terms: int,
     return FinitenessRuling(INFINITE, eps, partial, n_terms, witness=witness)
 
 
-def _weighted_Sprime(spec: DiffusionSpec, eps: float, left, right,
-                     weights, tol: float):
-    """sum_i weights[i] * term_Sprime(eps, energy of [left[i], right[i]]) and
-    the per-term array."""
-    terms = term_Sprime(eps, interval_integrals(spec, left, right, tol))
-    return float(np.sum(weights * terms)), terms
-
-
 def partial_sum_Sprime(spec: DiffusionSpec, eps: float, h: float, N: int,
                        tol: float = 1e-10):
     """Partial sum over windows n = 1..N; returns (value, per-term array)."""
     if eps <= 0 or h <= 0 or N < 1:
         raise ValueError("need eps > 0, h > 0, N >= 1")
     edges = h * np.arange(1, N + 2, dtype=float)
-    return _weighted_Sprime(spec, eps, edges[:-1], edges[1:], 1.0, tol)
+    terms = term_Sprime(eps, interval_integrals(spec, edges[:-1], edges[1:],
+                                                tol))
+    return float(np.sum(terms)), terms
 
 
 def decide_Sprime(spec: DiffusionSpec, eps: float, h: float,
@@ -228,44 +222,28 @@ def decide_Sprime(spec: DiffusionSpec, eps: float, h: float,
 # integral criterion
 # ---------------------------------------------------------------------------
 
-# integral_I's rule: 12 Gauss-Legendre nodes per panel, 16 panels doubling
-# up to the cap 2^12
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_I_PANELS = [2 ** k for k in range(4, 13)]
-
-
 def integral_I(spec: DiffusionSpec, eps: float, c: float, t_max: float,
                tol: float = 1e-10) -> float:
     """Partial integral of I_c(eps) over [0, t_max].
 
     Integrand varsigma_c(t) * exp(-eps^2 / (2 varsigma_c(t)^2)) with the
     zero-energy indicator convention, varsigma_c(t)^2 the energy of
-    [t, t + c].  The rule is composite Gauss-Legendre with 12 nodes on each
-    of 16, 32, 64, ... equal panels of [0, t_max]; every level takes one
-    interval_integrals call over all its nodes.  It returns the first level
-    that differs from the one before by at most
+    [t, t + c].  The rule is `model.gauss_legendre` on [0, t_max] from 16
+    panels, each level one interval_integrals call over all its nodes, to
     max(tol * max(1, t_max) * min(1, |I|), 1e-9 * |I|): an absolute error
     while |I| >= 1 and a relative one below, where an absolute error could
-    be most of I.  It raises QuadratureError when 2^12 panels do not get
-    there.
+    be most of I.  It raises QuadratureError past 2^12 panels.
     """
     if eps <= 0 or c <= 0 or t_max <= 0:
         raise ValueError("need eps, c, t_max > 0")
-    prev = math.inf   # no level before the first
-    for panels in _I_PANELS:
-        half = 0.5 * t_max / panels
-        nodes = half * (np.arange(1, 2 * panels, 2)[:, None] + _GL_NODES).ravel()
-        val, _ = _weighted_Sprime(spec, eps, nodes, nodes + c,
-                                  np.tile(half * _GL_WEIGHTS, panels), tol)
-        diff = abs(val - prev)
-        allowed = max(tol * max(1.0, t_max) * min(1.0, abs(val)),
-                      1e-9 * abs(val))
-        if diff <= allowed:
-            return max(val, 0.0)
-        prev = val
-    raise model.QuadratureError(
-        f"I_c quadrature error {diff:.3e} exceeds {allowed:.3e} "
-        f"at {panels} panels")
+
+    def integrand(u):
+        t = t_max * u
+        return t_max * term_Sprime(eps,
+                                   interval_integrals(spec, t, t + c, tol))
+
+    return max(float(model.gauss_legendre(integrand, lambda v: max(
+        tol * max(1.0, t_max) * min(1.0, abs(v)), 1e-9 * abs(v)), 4)), 0.0)
 
 
 def decide_I(spec: DiffusionSpec, eps: float, c: float,

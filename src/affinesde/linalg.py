@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .model import ConstantDrift, eval_drift
 
@@ -97,6 +96,8 @@ def propagator(drift, t_end: float, t_lo: float, tol: float = 1e-10):
     d = drift.d
     if t_end == t_lo:
         return lambda s: np.eye(d) + np.zeros(np.shape(s) + (d, d))
+    # only this branch needs scipy.integrate, a third of a second to import
+    from scipy.integrate import solve_ivp
 
     def rhs(s, y):
         return -(y.reshape(d, d) @ eval_drift(drift, s)).reshape(-1)

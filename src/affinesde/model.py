@@ -10,8 +10,8 @@ classification criteria consume sigma only through weighted integrals of
 its squared Frobenius norm, so this module centralises those quadratures:
 ``interval_integrals`` (energy over each interval) and
 ``row_interval_integrals`` (the same per row of sigma) share one routine,
-exact Simpson over a table's pieces and one error-checked ``quad_vec`` call
-for other forms.
+exact Simpson over a table's pieces and, for other forms, one call of
+``gauss_legendre``, the package's one rule for smooth integrals.
 
 Specs are immutable after construction and safe to share across threads.
 """
@@ -24,11 +24,10 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot reach the requested tolerance."""
+    """Raised when a quadrature cannot reach the requested tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +271,12 @@ class DiffusionSpec:
     def from_callable(fn, d: int, r: int) -> "DiffusionSpec":
         return DiffusionSpec(d, r, CallableSigma(fn))
 
+    @property
+    def knots(self) -> np.ndarray:
+        """Times where sigma may have a kink: a table's knots, else none."""
+        return self.form.times if isinstance(self.form, TableSigma) \
+            else np.empty(0)
+
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation
@@ -339,8 +344,40 @@ def sigma_row_sq(spec: DiffusionSpec, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# intensity integrals
+# quadrature and intensity integrals
 # ---------------------------------------------------------------------------
+
+GL_NODES = 12        # Gauss-Legendre nodes per panel
+GL_MAX_LEVEL = 12    # the finest level has 2^12 panels
+
+
+def gauss_legendre_rule(level: int):
+    """Nodes u and weights w on [0, 1] of GL_NODES Gauss-Legendre nodes on
+    each of 2^level equal panels, in panel order."""
+    panels = 2 ** level
+    x, w = np.polynomial.legendre.leggauss(GL_NODES)
+    u = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels
+    return u.ravel(), np.tile(0.5 * w / panels, panels)
+
+
+def gauss_legendre(f, bound, level: int = 0) -> np.ndarray:
+    """Integral over [0, 1] of f, whose values at a 1-d array of nodes have
+    the nodes on the first axis, by `gauss_legendre_rule` from 2^level
+    panels, doubling until two levels differ by at most bound(finer value)
+    in every entry.  Returns the finer value (a zero f ends after one pair
+    of levels); raises QuadratureError past 2^GL_MAX_LEVEL panels.
+    """
+    prev = None
+    for lev in range(level, max(level + 1, GL_MAX_LEVEL) + 1):
+        u, w = gauss_legendre_rule(lev)
+        val = np.tensordot(w, f(u), axes=1)
+        if prev is not None:
+            diff = float(np.max(np.abs(val - prev), initial=0.0))
+            if diff <= (allowed := bound(val)):
+                return val
+        prev = val
+    raise QuadratureError(f"quadrature error {diff:.3e} exceeds "
+                          f"{allowed:.3e} at {2 ** lev} panels")
 
 def _times(widths: np.ndarray, v: np.ndarray) -> np.ndarray:
     """widths * v, with widths broadcast over the trailing axes of v."""
@@ -357,7 +394,7 @@ def _energies(sq, spec: DiffusionSpec, left, right, tol: float) -> np.ndarray:
     """Integral of sq(spec, t), sq = sigma_fro_sq or sigma_row_sq, over each
     [left[i], right[i]].  A table's sq is quadratic between knots, so Simpson
     is exact on the first and last piece, and the whole knot segments between
-    them come from cumulative sums.  Other forms share one quad_vec call."""
+    them come from cumulative sums.  Other forms share one gauss_legendre."""
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     if left.shape != right.shape:
@@ -380,29 +417,25 @@ def _energies(sq, spec: DiffusionSpec, left, right, tol: float) -> np.ndarray:
                 + _simpson(sq, spec, np.where(split, ts[j], right), right))
 
     # smooth forms: map every interval onto u in [0, 1] and integrate the
-    # whole array with one shared adaptive subdivision
+    # whole array on one shared rule
     widths = right - left
 
     def integrand(u):
-        return _times(widths, sq(spec, left + u * widths))
+        t = left + u.reshape((-1,) + (1,) * left.ndim) * widths
+        return _times(np.broadcast_to(widths, t.shape), sq(spec, t))
 
-    res, err = quad_vec(integrand, 0.0, 1.0, epsabs=tol, epsrel=tol, norm="max")
     # tol is absolute for O(1) windows and relative once the window mass is
     # large, since float64 quadrature cannot beat ~1e-15 of the magnitude
-    scale = max(1.0, float(np.max(np.abs(res), initial=0.0)))
-    if err > tol * 1.001 * scale:
-        worst = float(np.max(widths))
-        raise QuadratureError(
-            f"window quadrature error {err:.3e} exceeds tol {tol:.3e} "
-            f"(widest interval {worst:.3e})")
+    res = gauss_legendre(integrand, lambda v: tol * max(
+        1.0, float(np.max(np.abs(v), initial=0.0))))
     return np.maximum(res, 0.0)
 
 
 def interval_integrals(spec: DiffusionSpec, left, right, tol: float = 1e-10) -> np.ndarray:
     """Integral of ||sigma||_F^2 over each interval [left[i], right[i]].
 
-    Adaptive (Gauss-Kronrod based) with absolute error <= tol per interval,
-    relative once the energies exceed 1; exact for tables.
+    Composite Gauss-Legendre (`gauss_legendre`) with absolute error <= tol
+    per interval, relative once the energies exceed 1; exact for tables.
     """
     return _energies(sigma_fro_sq, spec, left, right, tol)
 

@@ -10,14 +10,13 @@ where Psi is the propagator of X' = A(t) X (e^{A (t - s)} for a constant
 drift), so the sampler has no discretisation bias at grid points, periodic
 drifts included.  A constant drift is the periodic case with a single period
 position: both build Psi once per position and run one recursion.  Every
-sigma form, envelope, table or callable, gets its Q_n from one fixed
-12-node Gauss-Legendre panel per step, fed by `eval_sigma` at the nodes.
-The panel is checked where it can fail, and the adaptive `step_covariance`
-takes over there: at every period position its propagator products are
-compared with the same rule on each half of the step, whatever sigma is; a
-table's knot strictly inside a step marks that step; and the first step the
-panel serves is compared with `step_covariance`, which sees sigma.  An
-Euler-Maruyama scheme is provided for cross-validation.  Paths are seeded
+sigma form, envelope, table or callable, gets its Q_n from one panel of
+`model.gauss_legendre`'s rule per step, fed by `eval_sigma` at the nodes,
+at the lowest level (12 nodes on each of 2^L sub-panels) that passes two
+checks: at every period position against the next level, whatever sigma
+is, and on the first step against `step_covariance`, which sees sigma.
+Only a step with a table knot strictly inside it takes `step_covariance`.
+An Euler-Maruyama scheme is provided for cross-validation.  Paths are seeded
 independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
 
@@ -53,21 +52,19 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .linalg import propagator
-from .model import (ConstantDrift, DiffusionSpec, PeriodicDrift, PowerLaw,
-                    TableSigma, eval_drift, eval_sigma)
+from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
+                    PeriodicDrift, PowerLaw, QuadratureError, eval_drift,
+                    eval_sigma, gauss_legendre, gauss_legendre_rule)
 
 SCHEME_EXACT = "ExactLinearGaussian"
 SCHEME_EULER = "EulerMaruyama"
 
 _CHUNK_DRAWS = 2 ** 20   # normal draws per chunk over the running path groups
 _FILL = 2048             # least normals per draw call of one path
-_GL_NODES = 12           # fixed Gauss-Legendre panel for the batched covariances
 _BLOCK = 64              # target steps per block of the blocked recursion
-_COV_BLOCK = 8192        # set-up block length in steps (the panel's over d r)
-_TINY = 1e-310           # absolute error floor of the adaptive step covariance
+_COV_BLOCK = 8192        # set-up block length in steps (level 0's over d r)
 
 
 class CovarianceError(RuntimeError):
@@ -177,31 +174,34 @@ def _step_propagator(drift, t: float, dt: float, tol: float):
 
 def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
                     tol: float = 1e-10) -> np.ndarray:
-    """One-step transition covariance Q by adaptive quadrature.
+    """One-step transition covariance Q by `model.gauss_legendre`.
 
     The integrand Psi(t + dt, s) sigma(s) sigma(s)^T Psi(t + dt, s)^T uses
-    the drift's propagator, so time-dependent drifts are exact too.  Q
-    scales with ||sigma||^2, so the error is relative: the estimate must
-    stay below tol * max|Q|.  The absolute floor is a denormal, which only
-    lets a zero integrand end at once.  The result is symmetrised and tiny
-    negative eigenvalues (down to -1e-12 * trace) are clamped to zero.
+    the drift's propagator, so time-dependent drifts are exact too.  The
+    pieces of the step between the table knots inside it, where sigma has
+    kinks, share the rule, to tol * max|Q|: Q scales with ||sigma||^2, so
+    the error is relative.  The result is symmetrised and tiny negative
+    eigenvalues (down to -1e-12 * trace) are clamped to zero.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
     E = _step_propagator(drift, t, dt, tol)
+    knots = sigma.knots
+    cuts = np.r_[0.0, (knots[(knots > t) & (knots < t + dt)] - t) / dt, 1.0]
+    a, h = cuts[:-1], np.diff(cuts)
 
     def integrand(u):
-        M = E(u) @ eval_sigma(sigma, float(t + u * dt))
-        return dt * (M @ M.T)
+        v = (a + np.multiply.outer(u, h)).ravel()   # step fractions
+        M = E(v) @ eval_sigma(sigma, t + v * dt)
+        M = M.reshape(len(u), len(h), *M.shape[1:])
+        return np.einsum("p,npar,npbr->nab", h * dt, M, M)
 
-    Q, err = quad_vec(integrand, 0.0, 1.0, epsabs=_TINY, epsrel=tol,
-                      norm="max")
-    bound = max(tol * float(np.abs(Q).max()), _TINY)
-    if err > bound * 1.001:
-        raise CovarianceError(f"covariance quadrature error {err:.3e} > "
-                              f"{bound:.3e}")
+    try:
+        Q = gauss_legendre(integrand, lambda q: tol * float(np.abs(q).max()))
+    except QuadratureError as exc:
+        raise CovarianceError(f"covariance {exc}") from exc
     w, V = _psd_eigh(Q)
     return (V * w) @ V.T
 
@@ -220,96 +220,77 @@ def _psd_eigh(Q: np.ndarray):
     return np.maximum(w, 0.0), V
 
 
-def _gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w   # mapped to [0, 1]
-
-
-def _panel():
-    """Nodes v on [0, 1] and weights W, (2, nodes), of the covariance panel.
-
-    The first _GL_NODES nodes carry the Gauss-Legendre rule of row 0; the
-    other nodes the check rule of row 1, the same rule on each half of
-    [0, 1].
-    """
-    u, w = _gauss_legendre(_GL_NODES)
-    v = np.concatenate([u, 0.5 * u, 0.5 + 0.5 * u])
-    W = np.zeros((2, len(v)))
-    W[0, :_GL_NODES] = w
-    W[1, _GL_NODES:] = 0.5 * np.concatenate([w, w])
-    return v, W
+def _panel(sigma: DiffusionSpec, t: np.ndarray, dt: float, u: np.ndarray,
+           w: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Q_n = sum_k P_nk P_nk^T, P_nk = sqrt(w_k dt) E[k] sigma(t_n + u_k dt),
+    of the steps from the times t of a period position with propagators E
+    at the nodes u: two matmuls, so a step costs O(nodes d^2 r)."""
+    n, k = len(t), len(u)
+    d, r = sigma.d, sigma.r
+    S = eval_sigma(sigma, t[:, None] + u * dt)
+    X = np.empty((k, d, n, r))
+    np.multiply(S.transpose(1, 2, 0, 3), np.sqrt(dt * w)[:, None, None, None],
+                out=X)
+    P = E @ X.reshape(k, d, n * r)
+    P = np.ascontiguousarray(P.reshape(k, d, n, r).transpose(2, 1, 0, 3))
+    P = P.reshape(n, d, k * r)
+    return P @ np.swapaxes(P, 1, 2)
 
 
 def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
-                      dt: float, tol: float, E: np.ndarray) -> np.ndarray:
+                      dt: float, tol: float, psis: list) -> np.ndarray:
     """Covariance stack Q_n for every step, (N, d, d), on one route for
     every sigma form.
 
-    E[j, k] = Psi(t_j + dt, t_j + v_k dt) at the nodes v_k of `_panel` for
-    each of the m period positions j; step n uses E[n % m].  With the node
-    values s_nk = sigma(t_n + u_k dt) from `eval_sigma` at the _GL_NODES
-    Gauss-Legendre nodes u_k, weights w_k, and P_nk = sqrt(w_k dt) E[j, k]
-    s_nk,
+    Step n takes `_panel` with the propagators psis[n % m] of its period
+    position at the nodes of one level of `gauss_legendre_rule`, in blocks
+    of _COV_BLOCK GL_NODES / (nodes d r) steps per position, so sigma's
+    node values are never whole; the stack is built once.
 
-        Q_n = sum_k P_nk P_nk^T.
-
-    Each period position takes its steps in blocks of _COV_BLOCK // (d r):
-    one stacked matmul over the nodes gives every P_nk of a block, and one
-    batched matmul the sums, so a step costs O(nodes d^2 r).
-
-    The panel is checked where it can fail.  At each period position j,
-    the linear maps X -> sum_k W[i, k] E[j, k] X E[j, k]^T of the two rules
-    i (the Q_n of a sigma constant over the step, per unit dt) must agree
-    to 10 tol relative to their largest entry, whatever sigma is; at a
-    position where they do not (a drift too stiff for the panel over dt),
-    every step takes the adaptive `step_covariance`, and so does every step
-    with a table knot strictly inside it.  The first step the panel serves
-    is also checked against `step_covariance`, which sees sigma; if that
-    fails (a sigma too stiff for the panel), every step takes it.
+    The grid takes the lowest level that passes two checks, each to 10 tol
+    relative to what it compares with.  At every period position the map
+    X -> sum_k w_k E[j, k] X E[j, k]^T (the Q_n of a sigma constant over
+    the step, per unit dt) must agree with the next level's, whatever sigma
+    is: this catches a drift too stiff over dt.  The first step without a
+    table knot strictly inside it must agree with `step_covariance`, which
+    sees sigma.  Past GL_MAX_LEVEL a CovarianceError is raised.  The steps
+    with a knot inside, at most one per knot, take `step_covariance`.
     """
-    N, m = len(times), len(E)
-    d, r = sigma.d, sigma.r
-    v, W = _panel()
-    stiff = np.zeros(m, dtype=bool)
-    for j in range(m):
-        L = np.einsum("ik,kac,kbe->iabce", W, E[j], E[j])
-        stiff[j] = np.abs(L[0] - L[1]).max() > 10 * tol * np.abs(L[1]).max()
-    u = v[:_GL_NODES]
-    c = np.sqrt(dt * W[0, :_GL_NODES])[:, None, None, None]
+    N, m, d = len(times), len(psis), sigma.d
+    knots = sigma.knots
+    i = np.searchsorted(times, knots, side="right") - 1   # step of each knot
+    kinked = set(i[(i >= 0) & (knots > times[i]) &
+                   (knots < times[i] + dt)].tolist())
+    first = next((n for n in range(N) if n not in kinked), None)
+    ref = None if first is None else \
+        step_covariance(drift, sigma, float(times[first]), dt, tol)
+    for level in range(GL_MAX_LEVEL):
+        (u, w), (u2, w2) = map(gauss_legendre_rule, (level, level + 1))
+        k = len(u)
+        E = np.array([psi(np.concatenate([u, u2])) for psi in psis])
+        if all(_agree(np.einsum("k,kac,kbe->abce", w, e[:k], e[:k]),
+                      np.einsum("k,kac,kbe->abce", w2, e[k:], e[k:]), tol)
+               for e in E) and (ref is None or _agree(_panel(
+                   sigma, times[first:first + 1], dt, u, w,
+                   E[first % m, :k])[0], ref, tol)):
+            break
+    else:
+        raise CovarianceError(f"the covariance panel fails its checks at "
+                              f"{2 ** GL_MAX_LEVEL} panels")
     Q = np.empty((N, d, d))
-    B = max(1, _COV_BLOCK // (d * r))
-    for j in np.flatnonzero(~stiff):
+    B = max(1, _COV_BLOCK * GL_NODES // (k * d * sigma.r))
+    for j in range(m):
         for s in range(j, N, B * m):
-            n = len(range(s, N, m)[:B])
-            S = eval_sigma(sigma, times[s:s + B * m:m, None] + u * dt)
-            X = np.empty((_GL_NODES, d, n, r))
-            np.multiply(S.transpose(1, 2, 0, 3), c, out=X)
-            P = E[j, :_GL_NODES] @ X.reshape(_GL_NODES, d, n * r)
-            P = np.ascontiguousarray(
-                P.reshape(_GL_NODES, d, n, r).transpose(2, 1, 0, 3))
-            P = P.reshape(n, d, _GL_NODES * r)
-            Q[s:s + B * m:m] = P @ np.swapaxes(P, 1, 2)
-    adaptive = set(np.flatnonzero(stiff[np.arange(N) % m]).tolist()) | \
-        _kinked_steps(sigma, times, dt)
-    n = next((n for n in range(N) if n not in adaptive), None)
-    if n is not None:
-        ref = step_covariance(drift, sigma, float(times[n]), dt, tol)
-        if np.abs(Q[n] - ref).max() > 10 * tol * np.abs(ref).max():
-            adaptive = range(N)   # the panel misses this sigma: adaptive
-    for n in sorted(adaptive):
+            Q[s:s + B * m:m] = _panel(sigma, times[s:s + B * m:m], dt, u, w,
+                                      E[j, :k])
+    for n in sorted(kinked):
         Q[n] = step_covariance(drift, sigma, float(times[n]), dt, tol)
     return Q
 
 
-def _kinked_steps(sigma: DiffusionSpec, times: np.ndarray, dt: float) -> set:
-    """The steps with a table knot strictly inside them; every other step,
-    and every step of the other sigma forms, is smooth."""
-    if not isinstance(sigma.form, TableSigma):
-        return set()
-    knots = sigma.form.times
-    n = np.searchsorted(times, knots, side="right") - 1
-    inside = (n >= 0) & (knots > times[n]) & (knots < times[n] + dt)
-    return set(n[inside].tolist())
+def _agree(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """a within 10 tol of b, relative to b's largest entry."""
+    return np.abs(a - b).max() <= 10 * tol * np.abs(b).max()
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +487,7 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     must divide the period; a periodic spec whose samples are all identical
     is a constant drift), any other drift must be constant.  The set-up
     (transitions, the Gauss-Legendre panel covariances of any sigma form
-    with their checks, noise factors) runs before this returns;
+    at the level their checks pick, noise factors) runs before this returns;
     a non-finite chunk raises FloatingPointError when it is reached.
     """
     period = getattr(drift, "period", None)
@@ -531,12 +512,10 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
         noise_t = np.ascontiguousarray(
             math.sqrt(dt) * np.swapaxes(eval_sigma(sigma, times), -1, -2))
     else:
-        v, _ = _panel()
         psis = [_step_propagator(drift, t, dt, cfg.cov_tol) for t in times[:m]]
-        E = np.array([[psi(0.0), *psi(v)] for psi in psis])
-        trans = E[:, 0]
+        trans = np.array([psi(0.0) for psi in psis])
         noise_t = _root_in_place(_step_covariances(drift, sigma, times, dt,
-                                                   cfg.cov_tol, E[:, 1:]))
+                                                   cfg.cov_tol, psis))
     return _run(trans, noise_t, xi, cfg)
 
 

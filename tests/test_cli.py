@@ -1,7 +1,11 @@
 import argparse
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,61 @@ def test_out_of_range_parameters_rejected(tmp_path):
     doc["simulation"].update(paths=4.0, seed=7.0)
     scn = load_scenario(write(tmp_path, doc))
     assert (scn.simulation.paths, scn.simulation.seed) == (4, 7)
+
+
+def _rejects_with(tmp_path, doc, field):
+    """The scenario fails to load with a message naming field, and verify
+    exits EXIT_PARSE on it."""
+    path = write(tmp_path, doc)
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(path)
+    assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("simulation", "dt", True), ("simulation", "paths", True),
+    ("simulation", "seed", False), ("criteria", "h", True)])
+def test_boolean_scalar_rejected(tmp_path, section, key, value):
+    # YAML reads true/false/yes/no as booleans, which float() takes as 1
+    # and 0: `dt: true` would run with dt = 1
+    doc = base_doc()
+    doc.setdefault(section, {})[key] = value
+    _rejects_with(tmp_path, doc, key)
+
+
+def test_boolean_list_entry_rejected(tmp_path):
+    _rejects_with(tmp_path, base_doc(initial_state=[1.0, True]),
+                  "initial_state")
+
+
+def test_boolean_matrix_entry_rejected(tmp_path):
+    _rejects_with(tmp_path, base_doc(drift={
+        "kind": "constant", "matrix": [[-1.0, False], [0.0, -2.0]]}),
+        "drift.matrix")
+
+
+def test_classify_and_verify_leave_scipy_integrate_unimported(tmp_path):
+    # scipy.integrate serves only the ODE solver of a time-dependent drift:
+    # a fresh interpreter runs classify on a LogPower scenario and a small
+    # verify on a constant drift without importing it
+    logpower = write(tmp_path, base_doc(
+        name="logpower",
+        sigma={"kind": "envelope", "family": "LogPower",
+               "params": {"gamma": 1.0},
+               "pattern": [[1.0, 0.0], [0.0, 1.0]]}), "logpower.yaml")
+    constant = write(tmp_path, base_doc(), "constant.yaml")
+    out = str(tmp_path / "out")
+    code = (f"import sys\nfrom affinesde.cli import main\n"
+            f"codes = [main(['classify', {logpower!r}, '--out', {out!r}]),\n"
+            f"         main(['verify', {constant!r}, '--out', {out!r}])]\n"
+            f"print(codes, 'scipy.integrate' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"[{EXIT_OK}, {EXIT_OK}] False"
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Every name a package module imports is used (names in __all__ exempt),
 every module-level private name is referenced in its own module, no module
 reaches for another module's private names, every function reads its
-parameters, every name the package exports resolves, sigma quadrature stays
-in model and simulate, simulate reads no sigma form's internals, the regime
+parameters, every name the package exports resolves, scipy.integrate is
+imported only for linalg's ODE solver, simulate reads no sigma form's internals, the regime
 names are spelled only in model and the agreement names only in stats."""
 
 import ast
@@ -183,10 +183,9 @@ def scipy_integrate_imports(source: str) -> list:
     return sorted(found)
 
 
-# every integral of sigma lives in model, apart from the step-covariance
-# quadrature in simulate; linalg's ODE solver integrates the drift only
-SCIPY_INTEGRATE_ALLOWED = {"model.py": None, "simulate.py": None,
-                           "linalg.py": {"solve_ivp"}}
+# every integral of sigma runs on model's Gauss-Legendre rule; linalg's ODE
+# solver for a time-dependent drift is the one user of scipy.integrate
+SCIPY_INTEGRATE_ALLOWED = {"linalg.py": {"solve_ivp"}}
 
 
 def test_checker_flags_scipy_integrate():
@@ -201,10 +200,7 @@ def test_checker_flags_scipy_integrate():
                          ids=lambda p: p.name)
 def test_scipy_integrate_only_where_allowed(path):
     found = scipy_integrate_imports(path.read_text())
-    if path.name not in SCIPY_INTEGRATE_ALLOWED:
-        assert found == []
-    elif SCIPY_INTEGRATE_ALLOWED[path.name] is not None:
-        assert set(found) <= SCIPY_INTEGRATE_ALLOWED[path.name]
+    assert set(found) <= SCIPY_INTEGRATE_ALLOWED.get(path.name, set())
 
 
 def sigma_form_reads(source: str) -> list:

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from affinesde.model import (ENVELOPE_FAMILIES, CallableDrift, ConstantDrift,
-                             DiffusionSpec, ExpDecay, LogGrow, LogPower,
-                             PeriodicDrift, PowerLaw, eval_drift, eval_sigma, frobenius_sq,
+from affinesde.model import (ENVELOPE_FAMILIES, GL_MAX_LEVEL, GL_NODES,
+                             CallableDrift, ConstantDrift, DiffusionSpec,
+                             ExpDecay, LogGrow, LogPower, PeriodicDrift,
+                             PowerLaw, QuadratureError, eval_drift, eval_sigma,
+                             frobenius_sq, gauss_legendre, gauss_legendre_rule,
                              interval_integrals, row_interval_integrals,
                              sigma_fro_sq, sigma_row_sq)
 
@@ -207,6 +209,58 @@ def test_window_intensity_matches_mpmath_for_logpower():
     for n in range(3):
         oracle = mp.quad(lambda s: 1.0 / mp.log(mp.e + s), [n, n + 1])
         assert wi[n] == pytest.approx(float(oracle), abs=1e-11)
+
+
+# the squared envelopes, for mpmath at any precision
+_MP_SQUARED = {
+    LogPower(1.0): lambda mp, s: 1 / mp.log(mp.e + s),
+    LogGrow(1.0, 0.5): lambda mp, s: mp.log(mp.e + s),
+}
+
+
+@pytest.mark.parametrize("env", list(_MP_SQUARED), ids=["LogPower", "LogGrow"])
+@pytest.mark.parametrize("t", [0.0, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("w", [1e-3, 1.0])
+def test_window_energies_match_mpmath(env, t, w):
+    # the documented tolerance: absolute tol, relative once the energy
+    # exceeds 1
+    mp = pytest.importorskip("mpmath")
+    tol = 1e-12
+    right = t + w   # the float window edge, which the oracle takes too
+    got = interval_integrals(DiffusionSpec.envelope(env, [[1.0]]), [t],
+                             [right], tol)[0]
+    with mp.workdps(30):
+        oracle = float(mp.quad(lambda s: _MP_SQUARED[env](mp, s),
+                               [mp.mpf(t), mp.mpf(right)]))
+    assert abs(got - oracle) <= tol * max(1.0, oracle)
+
+
+def test_gauss_legendre_rule_levels():
+    # level 0 is exact for polynomials of degree 2 GL_NODES - 1, and each
+    # level halves the panels of the one before
+    u, w = gauss_legendre_rule(0)
+    assert len(u) == GL_NODES and np.sum(w) == pytest.approx(1.0, abs=1e-15)
+    assert np.dot(w, u ** 23) == pytest.approx(1.0 / 24.0, rel=1e-14)
+    u1, w1 = gauss_legendre_rule(1)
+    np.testing.assert_array_equal(u1, np.concatenate([0.5 * u, 0.5 + 0.5 * u]))
+    np.testing.assert_array_equal(w1, 0.5 * np.concatenate([w, w]))
+
+
+def test_gauss_legendre_ends_a_zero_integrand_after_one_pair_of_levels():
+    calls = []
+    val = gauss_legendre(
+        lambda u: calls.append(len(u)) or np.zeros((len(u), 2)),
+        lambda v: 0.0)
+    assert calls == [GL_NODES, 2 * GL_NODES]
+    np.testing.assert_array_equal(val, [0.0, 0.0])
+    zero = DiffusionSpec.constant(np.zeros((2, 2)))
+    assert np.all(interval_integrals(zero, [0.0, 5.0], [1.0, 1e6]) == 0.0)
+
+
+def test_gauss_legendre_raises_past_its_cap():
+    # 1/sqrt(u) is integrable, but the panel at 0 never converges
+    with pytest.raises(QuadratureError, match=f"{2 ** GL_MAX_LEVEL} panels"):
+        gauss_legendre(lambda u: 1.0 / np.sqrt(u), lambda v: 1e-12 * abs(v))
 
 
 def test_table_integral_exact_quadratic():

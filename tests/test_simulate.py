@@ -10,10 +10,10 @@ from scipy.integrate import quad_vec
 from scipy.stats import kstest
 
 from affinesde.linalg import expm
-from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
-                             ExpDecay, LogPower, PeriodicDrift, PowerLaw,
-                             eval_sigma)
-from affinesde import simulate
+from affinesde.model import (GL_NODES, CallableDrift, ConstantDrift,
+                             DiffusionSpec, ExpDecay, LogPower, PeriodicDrift,
+                             PowerLaw, eval_sigma, gauss_legendre_rule)
+from affinesde import model, simulate
 from affinesde.simulate import (SCHEME_EULER, SCHEME_EXACT, CovarianceError,
                                 PathEnsemble, SimConfig, bessel_scenario,
                                 collect, sample_chunks, simulate_X, simulate_Y,
@@ -90,15 +90,15 @@ def _stiff_q(sigma: float, dt: float = 1.0) -> float:
 @pytest.mark.parametrize("sigma", [1.0, 1e-3, 1e-6])
 def test_step_covariances_relative_to_the_size_of_q(sigma):
     # Q ~ 2.5e-3 sigma^2: an absolute error floor of tol would accept a
-    # covariance far off for a small sigma, in the adaptive quadrature and
-    # in the panel check alike
+    # covariance far off for a small sigma, in step_covariance and in the
+    # panel checks alike
     spec = DiffusionSpec.constant([[sigma]])
     exact = _stiff_q(sigma)
     Q = step_covariance(STIFF_DRIFT, spec, 0.0, 1.0)
     assert Q[0, 0] == pytest.approx(exact, rel=1e-10, abs=0.0)
     times = np.arange(8.0)
     Q = simulate._step_covariances(STIFF_DRIFT, spec, times, 1.0, 1e-10,
-                                   _panel_propagators(STIFF_DRIFT, 1, 1.0))
+                                   _propagators(STIFF_DRIFT, 1, 1.0))
     np.testing.assert_allclose(Q[:, 0, 0], exact, rtol=1e-10, atol=0.0)
 
 
@@ -111,65 +111,110 @@ def _counting_step_covariance(monkeypatch) -> list:
     return calls
 
 
-def test_panel_falls_back_to_adaptive_covariances_on_a_stiff_drift(
-        monkeypatch):
+def _adaptive_step_covariance(drift, sigma, t, dt, tol=1e-10, points=None):
+    """Reference Q of one step by scipy's adaptive quad_vec, independent of
+    the package's Gauss-Legendre rule; points are the step fractions of
+    sigma's kinks."""
+    E = simulate._step_propagator(drift, t, dt, tol)
+
+    def integrand(u):
+        M = E(u) @ eval_sigma(sigma, float(t + u * dt))
+        return dt * (M @ M.T)
+
+    Q, err = quad_vec(integrand, 0.0, 1.0, epsabs=1e-300, epsrel=tol,
+                      norm="max", points=points)
+    assert err <= tol * np.abs(Q).max()
+    return Q
+
+
+def test_panel_raises_its_level_on_a_stiff_drift(monkeypatch):
     # 12 nodes cannot resolve e^{-200 (1 - u)} over dt = 1: the panel's
-    # propagator check fails at the one period position, so every step
-    # takes the adaptive quadrature and no step is left to check against it
+    # propagator check fails at level 0, so the whole grid takes a finer
+    # level; step_covariance runs once, for the first-step check
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(8.0)
     Q = simulate._step_covariances(STIFF_DRIFT, UNIT_SIGMA, times, 1.0, 1e-10,
-                                   _panel_propagators(STIFF_DRIFT, 1, 1.0))
-    assert calls == list(times)
+                                   _propagators(STIFF_DRIFT, 1, 1.0))
+    assert calls == [0.0]
     np.testing.assert_allclose(Q[:, 0, 0], _stiff_q(1.0), rtol=1e-10, atol=0.0)
 
 
 def test_panel_check_does_not_depend_on_sigma(monkeypatch):
-    # sigma is 0 on the first step, so a check of the first step's Q alone
-    # compares 0 with 0; the propagator check still sends the stiff drift's
-    # steps to the adaptive quadrature (step 1 holds the knot at 1 + 1e-9)
+    # sigma is 0 on the first step, so the first-step check compares 0 with
+    # 0; the propagator check still raises the level for the stiff drift.
+    # Step 1 holds the knot at 1 + 1e-9 and alone takes step_covariance
     sigma = DiffusionSpec.table([0.0, 1.0, 1.0 + 1e-9, 8.0],
                                 [[[0.0]], [[0.0]], [[1.0]], [[1.0]]])
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(6.0)
     Q = simulate._step_covariances(STIFF_DRIFT, sigma, times, 1.0, 1e-10,
-                                   _panel_propagators(STIFF_DRIFT, 1, 1.0))
-    assert calls == list(times)
+                                   _propagators(STIFF_DRIFT, 1, 1.0))
+    assert calls == [0.0, 1.0]
     assert Q[0, 0, 0] == 0.0
-    np.testing.assert_allclose(Q[2:, 0, 0], _stiff_q(1.0), rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(Q[1:, 0, 0], _stiff_q(1.0), rtol=1e-10, atol=0.0)
 
 
 def test_panel_checks_every_period_position(monkeypatch):
     # A(t) is -1 on [0, 1] and ramps to -200 and back on [1, 3]: the panel
-    # is exact at position 0 and misses positions 1 and 2, whose steps take
-    # the adaptive quadrature after the check of step 0
+    # is exact at position 0 and misses positions 1 and 2 at level 0, so
+    # their check raises the level of the whole grid; the first step's
+    # check alone (position 0) would not
     drift = PeriodicDrift(period=3.0, times=[0.0, 1.0, 2.0],
                           values=[[[-1.0]], [[-1.0]], [[-200.0]]])
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(9.0)
     Q = simulate._step_covariances(drift, UNIT_SIGMA, times, 1.0, 1e-10,
-                                   _panel_propagators(drift, 3, 1.0))
-    assert calls == [0.0, 1.0, 2.0, 4.0, 5.0, 7.0, 8.0]
+                                   _propagators(drift, 3, 1.0))
+    assert calls == [0.0]
     for n, t in enumerate(times):
-        ref = step_covariance(drift, UNIT_SIGMA, float(t), 1.0)
+        ref = _adaptive_step_covariance(drift, UNIT_SIGMA, float(t), 1.0)
         assert Q[n, 0, 0] == pytest.approx(ref[0, 0], rel=1e-9, abs=0.0), n
 
 
-def test_panel_falls_back_to_adaptive_covariances_on_a_stiff_sigma(
-        monkeypatch):
+def _stiff_sigma_q(times):
+    """Q_n = int_0^1 e^{-2 (1 - u)} e^{-60 (n + u)} du for drift -1 and
+    sigma = e^{-30 t}, dt = 1."""
+    return np.exp(-60.0 * times - 2.0) * -math.expm1(-58.0) / 58.0
+
+
+STIFF_SIGMA = DiffusionSpec.envelope(ExpDecay(1.0, 30.0), [[1.0]])
+
+
+def test_panel_raises_its_level_on_a_stiff_sigma(monkeypatch):
     # the drift is mild, but sigma^2 = e^{-60 t} is too stiff for 12 nodes
-    # over dt = 1: the first step's check against the adaptive quadrature,
-    # which sees sigma, fails and every step takes the adaptive quadrature
+    # over dt = 1: the first step's check against step_covariance, which
+    # sees sigma, fails at level 0 and raises the level of the whole grid
     drift = ConstantDrift([[-1.0]])
-    sigma = DiffusionSpec.envelope(ExpDecay(1.0, 30.0), [[1.0]])
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(4.0)
-    Q = simulate._step_covariances(drift, sigma, times, 1.0, 1e-10,
-                                   _panel_propagators(drift, 1, 1.0))
-    assert calls == [0.0, *times]
-    # Q_n = int_0^1 e^{-2 (1 - u)} e^{-60 (n + u)} du
-    exact = np.exp(-60.0 * times - 2.0) * -math.expm1(-58.0) / 58.0
-    np.testing.assert_allclose(Q[:, 0, 0], exact, rtol=1e-10, atol=0.0)
+    Q = simulate._step_covariances(drift, STIFF_SIGMA, times, 1.0, 1e-10,
+                                   _propagators(drift, 1, 1.0))
+    assert calls == [0.0]
+    np.testing.assert_allclose(Q[:, 0, 0], _stiff_sigma_q(times), rtol=1e-10,
+                               atol=0.0)
+
+
+def test_stiff_sigma_takes_one_step_covariance_call_on_a_long_grid(
+        monkeypatch):
+    # a raised level serves every step: the sampler sets up 4,096 steps of
+    # the stiff sigma with the first-step check as its only step_covariance
+    # call, not one call per step
+    calls = _counting_step_covariance(monkeypatch)
+    cfg = SimConfig(dt=1.0, t_end=4096.0, paths=1, seed=0)
+    sample_chunks(ConstantDrift([[-1.0]]), STIFF_SIGMA, [1.0], cfg)
+    assert calls == [0.0]
+
+
+def test_covariances_past_the_cap_raise(monkeypatch):
+    # the stiff drift needs more panels than a cap of 2^2 allows, in the
+    # sampler's level search and in step_covariance alike
+    monkeypatch.setattr(simulate, "GL_MAX_LEVEL", 2)
+    with pytest.raises(CovarianceError, match="4 panels"):
+        simulate._step_covariances(STIFF_DRIFT, UNIT_SIGMA, np.arange(4.0),
+                                   1.0, 1e-10, _propagators(STIFF_DRIFT, 1, 1.0))
+    monkeypatch.setattr(model, "GL_MAX_LEVEL", 2)
+    with pytest.raises(CovarianceError, match="4 panels"):
+        step_covariance(STIFF_DRIFT, UNIT_SIGMA, 0.0, 1.0)
 
 
 def test_states_scale_with_sigma():
@@ -303,7 +348,7 @@ def test_euler_zero_noise_deterministic():
 def test_table_sigma_samples_through_the_panel(monkeypatch, scheme):
     # a constant-valued table and the equal constant sigma both take the
     # Gauss-Legendre panel, checked once on the first step; the table's
-    # step across its knot at 0.37 takes the adaptive quadrature.  With the
+    # step across its knot at 0.37 takes step_covariance.  With the
     # same Philox streams both ensembles agree up to the quadratures'
     # rounding
     S = [[1.0, 0.3], [0.0, 0.8]]
@@ -440,36 +485,42 @@ def test_periodic_sampler_covariances_exact(m):
         assert q == pytest.approx(_cos_drift_q(t, dt), rel=1e-10), n
 
 
-def _one_shot_covariances(sigma, times, dt, E):
-    """The panel's covariance stack over every step at once, from its
-    formula: Q_n = sum_k w_k dt (E[j, k] s_nk)(E[j, k] s_nk)^T with the
+def _level0_propagators(psis):
+    """E[j, k] = Psi(t_j + dt, t_j + u_k dt) at the level-0 nodes u_k."""
+    u, _ = gauss_legendre_rule(0)
+    return np.array([psi(u) for psi in psis])
+
+
+def _one_shot_covariances(sigma, times, dt, psis):
+    """The level-0 panel's covariance stack over every step at once, from
+    its formula: Q_n = sum_k w_k dt (E[j, k] s_nk)(E[j, k] s_nk)^T with the
     node values s_nk = sigma(t_n + u_k dt) and j = n % m."""
-    u, w = simulate._gauss_legendre(simulate._GL_NODES)
+    u, w = gauss_legendre_rule(0)
+    E = _level0_propagators(psis)
     S = eval_sigma(sigma, times[:, None] + u * dt)
-    P = E[np.arange(len(times)) % len(E), :len(u)] @ S
+    P = E[np.arange(len(times)) % len(E)] @ S
     return np.einsum("k,nkaq,nkbq->nab", w * dt, P, P)
 
 
-def _envelope_covariances(sigma, times, dt, E):
-    """An envelope sigma's covariance stack from its separable form: the
-    squared envelope at the nodes weighs the pattern's per-node covariances,
-    Q_n = sum_k w_k g(t_n + u_k dt)^2 dt (E[j, k] p)(E[j, k] p)^T."""
-    u, w = simulate._gauss_legendre(simulate._GL_NODES)
+def _envelope_covariances(sigma, times, dt, psis):
+    """An envelope sigma's level-0 covariance stack from its separable form:
+    the squared envelope at the nodes weighs the pattern's per-node
+    covariances, Q_n = sum_k w_k g(t_n + u_k dt)^2 dt (E[j, k] p)(E[j, k] p)^T."""
+    u, w = gauss_legendre_rule(0)
     g = np.asarray(sigma.form.envelope.value(times[:, None] + u * dt)) ** 2
-    M = E[:, :len(u)] @ sigma.form.pattern
+    M = _level0_propagators(psis) @ sigma.form.pattern
     C = (dt * M) @ np.swapaxes(M, -1, -2)
-    m = len(E)
+    m = len(psis)
     Q = np.empty((len(times), sigma.d, sigma.d))
     for j in range(m):
         Q[j::m] = np.einsum("k,nk,kij->nij", w, g[j::m], C[j])
     return Q
 
 
-def _panel_propagators(drift, m, dt):
-    v, _ = simulate._panel()
-    return np.array([[psi(vk) for vk in v] for psi in
-                     (simulate._step_propagator(drift, j * dt, dt, 1e-10)
-                      for j in range(m))])
+def _propagators(drift, m, dt):
+    """The step propagators of the m period positions of a grid from 0."""
+    return [simulate._step_propagator(drift, j * dt, dt, 1e-10)
+            for j in range(m)]
 
 
 A2 = np.array([[-1.0, 0.5], [0.0, -2.0]])
@@ -489,9 +540,9 @@ def test_step_covariances_blocked_equal_one_shot(monkeypatch, drift, m, dt,
     # a short last block included; the stack equals one block per position
     # bit for bit, the panel's formula over every step at once and, for an
     # envelope, its separable form to 1e-14.  The table's knots lie beyond
-    # the grid, so no step takes the adaptive quadrature
+    # the grid, so every step takes the panel, at level 0
     times = dt * np.arange(n_steps)
-    E = _panel_propagators(drift, m, dt)
+    psis = _propagators(drift, m, dt)
     pattern = [[1.0, 0.5], [0.0, 1.0]]
     envelopes = [DiffusionSpec.envelope(env, pattern) for env in (
         LogPower(1.0), ExpDecay(1.0, 0.01), PowerLaw(1.0, -0.3),
@@ -501,13 +552,13 @@ def test_step_covariances_blocked_equal_one_shot(monkeypatch, drift, m, dt,
                      [[0.0, 3.0, 1.0], [1.0, -1.0, 0.5]]])
     for sigma in [*envelopes, table]:
         monkeypatch.setattr(simulate, "_COV_BLOCK", block)
-        Q = simulate._step_covariances(drift, sigma, times, dt, 1e-10, E)
+        Q = simulate._step_covariances(drift, sigma, times, dt, 1e-10, psis)
         monkeypatch.setattr(simulate, "_COV_BLOCK", 6 * n_steps)
         assert np.array_equal(
-            Q, simulate._step_covariances(drift, sigma, times, dt, 1e-10, E))
-        refs = [_one_shot_covariances(sigma, times, dt, E)]
+            Q, simulate._step_covariances(drift, sigma, times, dt, 1e-10, psis))
+        refs = [_one_shot_covariances(sigma, times, dt, psis)]
         if sigma is not table:
-            refs.append(_envelope_covariances(sigma, times, dt, E))
+            refs.append(_envelope_covariances(sigma, times, dt, psis))
         for ref in refs:
             assert np.abs(Q - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -515,8 +566,9 @@ def test_step_covariances_blocked_equal_one_shot(monkeypatch, drift, m, dt,
 def test_table_covariances_match_adaptive_quadrature(monkeypatch):
     # knots on the grid (0, 0.5, 2) and off it (0.6, 1.3, and 2.1 and 2.2
     # inside one step): a table is linear between knots, so the panel is
-    # exact there; the steps 2, 5 and 8 with a knot inside take the
-    # adaptive quadrature, after the first-step check
+    # exact there; the steps 2, 5 and 8 with a knot inside take
+    # step_covariance, cut at the knots, after the first-step check.  Each
+    # Q_n matches scipy's adaptive quadrature told where the knots are
     dt, cov_tol = 0.25, 1e-10
     knots = [0.0, 0.5, 0.6, 1.3, 2.0, 2.1, 2.2]
     values = np.random.default_rng(5).normal(size=(len(knots), 2, 3))
@@ -525,10 +577,12 @@ def test_table_covariances_match_adaptive_quadrature(monkeypatch):
     times = dt * np.arange(16)
     calls = _counting_step_covariance(monkeypatch)
     Q = simulate._step_covariances(drift, sigma, times, dt, cov_tol,
-                                   _panel_propagators(drift, 1, dt))
+                                   _propagators(drift, 1, dt))
     assert calls == [0.0, 2 * dt, 5 * dt, 8 * dt]
     for n, t in enumerate(times):
-        ref = step_covariance(drift, sigma, float(t), dt, cov_tol)
+        inside = [(k - t) / dt for k in knots if t < k < t + dt]
+        ref = _adaptive_step_covariance(drift, sigma, float(t), dt, cov_tol,
+                                        points=inside or None)
         assert np.abs(Q[n] - ref).max() <= cov_tol * np.abs(ref).max(), n
 
 
@@ -540,26 +594,26 @@ def test_callable_sigma_gives_the_envelope_stack(monkeypatch):
     monkeypatch.setattr(simulate, "_COV_BLOCK", 64)
     dt, drift = 0.25, PERIODIC2
     times = dt * np.arange(100)
-    E = _panel_propagators(drift, 6, dt)
-    Q = simulate._step_covariances(drift, fn, times, dt, 1e-10, E)
+    psis = _propagators(drift, 6, dt)
+    Q = simulate._step_covariances(drift, fn, times, dt, 1e-10, psis)
     assert np.array_equal(Q, simulate._step_covariances(drift, envelope,
-                                                        times, dt, 1e-10, E))
+                                                        times, dt, 1e-10, psis))
 
 
 def test_step_covariances_never_build_the_node_table():
     # sigma's values at the panel nodes live one step block at a time
     dt, n_steps = 0.05, 8 * simulate._COV_BLOCK
     times = dt * np.arange(n_steps)
-    E = _panel_propagators(ConstantDrift(A2), 1, dt)
+    psis = _propagators(ConstantDrift(A2), 1, dt)
     sigma = DiffusionSpec.envelope(LogPower(1.0), np.eye(2))
     tracemalloc.start()
     try:
         Q = simulate._step_covariances(ConstantDrift(A2), sigma, times, dt,
-                                       1e-10, E)
+                                       1e-10, psis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    node_table = n_steps * simulate._GL_NODES * 8
+    node_table = n_steps * GL_NODES * 8
     assert peak < Q.nbytes + node_table, (peak, Q.nbytes, node_table)
 
 
