@@ -364,20 +364,22 @@ def gauss_legendre(f, bound, level: int = 0) -> np.ndarray:
     """Integral over [0, 1] of f, whose values at a 1-d array of nodes have
     the nodes on the first axis, by `gauss_legendre_rule` from 2^level
     panels, doubling until two levels differ by at most bound(finer value)
-    in every entry.  Returns the finer value (a zero f ends after one pair
-    of levels); raises QuadratureError past 2^GL_MAX_LEVEL panels.
+    in every entry, the bound one number or one per entry.  Returns the
+    finer value (a zero f ends after one pair of levels); raises
+    QuadratureError past 2^GL_MAX_LEVEL panels.
     """
     prev = None
     for lev in range(level, max(level + 1, GL_MAX_LEVEL) + 1):
         u, w = gauss_legendre_rule(lev)
         val = np.tensordot(w, f(u), axes=1)
         if prev is not None:
-            diff = float(np.max(np.abs(val - prev), initial=0.0))
-            if diff <= (allowed := bound(val)):
+            diff, allowed = np.broadcast_arrays(abs(val - prev), bound(val))
+            if np.all(diff <= allowed):
                 return val
         prev = val
-    raise QuadratureError(f"quadrature error {diff:.3e} exceeds "
-                          f"{allowed:.3e} at {2 ** lev} panels")
+    worst = np.argmax(diff - allowed)
+    raise QuadratureError(f"quadrature error {diff.flat[worst]:.3e} exceeds "
+                          f"{allowed.flat[worst]:.3e} at {2 ** lev} panels")
 
 def _times(widths: np.ndarray, v: np.ndarray) -> np.ndarray:
     """widths * v, with widths broadcast over the trailing axes of v."""

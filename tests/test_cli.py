@@ -172,9 +172,10 @@ def test_boolean_matrix_entry_rejected(tmp_path):
 
 
 def test_classify_and_verify_leave_scipy_integrate_unimported(tmp_path):
-    # scipy.integrate serves only the ODE solver of a time-dependent drift:
-    # a fresh interpreter runs classify on a LogPower scenario and a small
-    # verify on a constant drift without importing it
+    # scipy.integrate serves only the ODE solver of a time-dependent drift,
+    # and scipy.special nothing: a fresh interpreter runs classify on a
+    # LogPower scenario and a small verify on a constant drift without
+    # importing either
     logpower = write(tmp_path, base_doc(
         name="logpower",
         sigma={"kind": "envelope", "family": "LogPower",
@@ -185,14 +186,16 @@ def test_classify_and_verify_leave_scipy_integrate_unimported(tmp_path):
     code = (f"import sys\nfrom affinesde.cli import main\n"
             f"codes = [main(['classify', {logpower!r}, '--out', {out!r}]),\n"
             f"         main(['verify', {constant!r}, '--out', {out!r}])]\n"
-            f"print(codes, 'scipy.integrate' in sys.modules)\n")
+            f"print(codes, 'scipy.integrate' in sys.modules,\n"
+            f"      'scipy.special' in sys.modules)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == f"[{EXIT_OK}, {EXIT_OK}] False"
+    assert run.stdout.splitlines()[-1] == \
+        f"[{EXIT_OK}, {EXIT_OK}] False False"
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):
@@ -316,6 +319,20 @@ def test_classify_stable(tmp_path, capsys):
     assert report["schema_version"] == 1
     assert report["verdict"]["regime"] == "StableAS"
     assert (tmp_path / "out" / "demo.classify.yaml").exists()
+
+
+def test_classify_fast_fading_noise_exits_ok(tmp_path, capsys):
+    # ExpDecay(1, 20): the integral criterion's peak at t = 0 is about
+    # 0.05 wide on [0, 256]; uniform panels never converged on it (exit 2)
+    doc = base_doc()
+    doc["sigma"]["params"]["rate"] = 20.0
+    assert main(["classify", write(tmp_path, doc), "--out", str(tmp_path)]) \
+        == EXIT_OK
+    report = yaml.safe_load(capsys.readouterr().out)
+    assert report["verdict"]["regime"] == "StableAS"
+    ints = report["criteria"]["integral_rulings"]
+    assert [r["status"] for r in ints] == ["finite"] * 4
+    assert all(r["partial_value"] > 0.0 for r in ints)
 
 
 def test_classify_reports_requested_n_terms(tmp_path, capsys):

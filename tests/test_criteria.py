@@ -56,8 +56,8 @@ def test_mills_tail_high_precision_against_mpmath():
 
 
 def test_mills_tail_beyond_double_underflow():
-    # at x = 38 the value (~2.9e-316) is subnormal; only the log-continued
-    # branch keeps it positive and monotone
+    # at x = 38 the value (~2.9e-316) is subnormal; erfc keeps it positive,
+    # monotone and accurate there
     a, b = mills_tail(37.5), mills_tail(38.0)
     assert a > b > 0.0
     assert mills_tail(40.0) == 0.0    # true value ~1e-350: below any double
@@ -85,6 +85,21 @@ def test_terms():
         term_Sprime(1.0, -1.0)
     with pytest.raises(ValueError):
         term_Sprime(1.0, np.array([1.0, -1.0]))
+
+
+def test_term_sprime_takes_an_array_of_eps():
+    # one row of terms per eps, each bit for bit the scalar eps's row
+    eps = np.array([0.25, 1.0, 1.7, 40.0])
+    th2 = np.array([0.0, 1.0, 2.89, 1e-300, 1e3])
+    rows = term_Sprime(eps, th2)
+    assert rows.shape == (4, 5)
+    for e, row in zip(eps, rows):
+        np.testing.assert_array_equal(row, term_Sprime(e, th2))
+    np.testing.assert_array_equal(term_Sprime(eps, 2.89),
+                                  [term_Sprime(e, 2.89) for e in eps])
+    for bad in ([1.0, 0.0], [[1.0]], [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            term_Sprime(bad, th2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +230,36 @@ def test_integral_expdecay_against_mpmath_oracle():
         assert val == pytest.approx(oracle, rel=1e-6), tol
 
 
+@pytest.mark.parametrize("lam", [10.0, 20.0, 30.0, 60.0, 300.0])
+def test_integral_fast_fading_against_mpmath_oracle(lam):
+    # ExpDecay(1, lam) on I_2 has window energy v0 e^{-2 lam t}, with
+    # v0 = (1 - e^{-2 lam}) / lam.  With the energy s as variable, I over
+    # [0, inf) is G(v0) / (2 lam) for G(s) = 2 sqrt(s) e^{-a/s} -
+    # 2 sqrt(pi a) erfc(sqrt(a/s)), a = eps^2 / 2, G(0) = 0; the part past
+    # t_max = 256 is below exp(-a e^{512 lam} / v0), nothing in double.
+    # The peak at t = 0 narrows as lam grows: uniform panels in t either
+    # never converged (lam 10 to 30) or saw only zeros (lam >= 60).
+    mp = pytest.importorskip("mpmath")
+    eps = np.array([0.5, 1.0, 2.0, 4.0])
+    spec = DiffusionSpec.envelope(ExpDecay(1.0, lam), np.eye(2))
+    val = integral_I(spec, eps, 1.0, 256.0, tol=1e-8)
+    with mp.workdps(80):
+        L = mp.mpf(lam)
+        v0 = (1 - mp.exp(-2 * L)) / L
+
+        def G(s, a):
+            return 2 * mp.sqrt(s) * mp.exp(-a / s) - \
+                2 * mp.sqrt(mp.pi * a) * mp.erfc(mp.sqrt(a / s))
+
+        for e, v in zip(eps, val):
+            a = mp.mpf(e) ** 2 / 2
+            oracle = float(G(v0, a) / (2 * L))
+            if oracle == 0.0:      # below the double range: nothing to see
+                assert v == 0.0
+            else:
+                assert v == pytest.approx(oracle, rel=1e-8), (lam, e)
+
+
 def test_integral_logpower_against_midpoint_oracle():
     # independent oracle: composite midpoint rule at steps h and h/2 with
     # Richardson extrapolation of the O(h^2) error
@@ -232,7 +277,7 @@ def test_integral_logpower_against_midpoint_oracle():
 
 def test_integral_raises_on_quadrature_error():
     # a rough table makes the running energy kinked at every knot and at
-    # every knot minus c: at 2^12 panels two levels still differ by ~2e-7,
+    # every knot minus c: at 2^12 panels two levels still differ by ~7e-6,
     # far above the allowed ~2e-9
     rng = np.random.default_rng(0)
     t = np.linspace(0.0, 200.0, 400)
@@ -252,10 +297,57 @@ def test_integral_raises_on_quadrature_error():
     DiffusionSpec.constant([[0.0]]),
 ])
 def test_sum_and_integral_rulings_agree(spec):
-    for eps in (0.25, 1.0, 1.4, 1.5, 4.0):
-        a = decide_Sprime(spec, eps, 1.0, n_terms=32)
-        b = decide_I(spec, eps, 1.0, t_max=16.0, tol=1e-6)
+    eps = [0.25, 1.0, 1.4, 1.5, 4.0]
+    sums = decide_Sprime(spec, eps, 1.0, n_terms=32)
+    ints = decide_I(spec, eps, 1.0, t_max=16.0, tol=1e-6)
+    assert len(sums) == len(ints) == len(eps)
+    for e, a, b in zip(eps, sums, ints):
         assert a.status == b.status
+        # the array path gives each eps the ruling of its own call: the sum
+        # bit for bit, and the integral the same ruling on a partial value
+        # that the shared level sequence may refine further
+        assert a == decide_Sprime(spec, e, 1.0, n_terms=32)
+        one = decide_I(spec, e, 1.0, t_max=16.0, tol=1e-6)
+        assert (b.eps, b.status, b.n_terms, b.tail_bound, b.witness) == \
+            (one.eps, one.status, one.n_terms, one.tail_bound, one.witness)
+        assert b.partial_value == pytest.approx(
+            one.partial_value, rel=1e-6 * 16.0, abs=1e-6 * 16.0)
+
+
+def test_partial_sum_and_integral_take_an_array_of_eps():
+    spec = scalar(LogPower(1.0))
+    eps = np.array([0.5, 2.0, 4.0])
+    val, terms = partial_sum_Sprime(spec, eps, 1.0, 64)
+    assert val.shape == (3,) and terms.shape == (3, 64)
+    for e, v, row in zip(eps, val, terms):
+        one, one_terms = partial_sum_Sprime(spec, e, 1.0, 64)
+        assert isinstance(one, float) and v == one
+        np.testing.assert_array_equal(row, one_terms)
+    ints = integral_I(spec, eps, 1.0, 64.0)
+    assert ints.shape == (3,)
+    for e, v in zip(eps, ints):
+        assert v == pytest.approx(integral_I(spec, e, 1.0, 64.0), rel=1e-9)
+    assert isinstance(integral_I(spec, 2.0, 1.0, 64.0), float)
+
+
+@pytest.mark.parametrize("spec", [
+    scalar(ExpDecay(1.0, 1.0)),                # StableAS
+    scalar(LogPower(1.0)),                     # BoundedNonConvergent
+    scalar(PowerLaw(1.0, 0.5)),                # Unbounded: a witness floor
+    DiffusionSpec.constant([[1.0]]),
+])
+def test_report_computes_the_energies_once_for_every_eps(spec, monkeypatch):
+    # the window energies do not depend on eps: a report over 8 eps makes
+    # as many interval_integrals calls as a report over one
+    real, calls, counts = criteria.interval_integrals, [], []
+    monkeypatch.setattr(criteria, "interval_integrals",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for eps in ([2.0], 2.0 ** np.arange(-3, 5)):
+        calls.clear()
+        criteria.criterion_report(spec, eps_values=eps, n_terms=32,
+                                  t_max=16.0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_decide_I_examples():

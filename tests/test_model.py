@@ -263,6 +263,23 @@ def test_gauss_legendre_raises_past_its_cap():
         gauss_legendre(lambda u: 1.0 / np.sqrt(u), lambda v: 1e-12 * abs(v))
 
 
+def test_gauss_legendre_compares_each_entry_with_its_own_bound():
+    def f(u):
+        return np.stack([np.exp(u), np.sqrt(u)], axis=-1)
+
+    # one bound for every entry and the same bound per entry decide alike
+    np.testing.assert_array_equal(
+        gauss_legendre(f, lambda v: 1e-9),
+        gauss_legendre(f, lambda v: np.full(2, 1e-9)))
+    # a loose bound on the rough entry leaves the smooth one to its own
+    val = gauss_legendre(f, lambda v: np.array([1e-13, 1e-4]))
+    assert val[0] == pytest.approx(math.e - 1.0, rel=1e-13)
+    assert val[1] == pytest.approx(2.0 / 3.0, abs=1e-4)
+    # past the cap the error names the entry that misses its bound
+    with pytest.raises(QuadratureError, match=r"exceeds 1\.000e-30 at 4096"):
+        gauss_legendre(f, lambda v: np.array([1.0, 1e-30]))
+
+
 def test_table_integral_exact_quadratic():
     # sigma(t) = 2t on [0, 2]: integral of (2t)^2 over [0, 1] is 4/3
     spec = DiffusionSpec.table([0.0, 2.0], [[[0.0]], [[4.0]]])
