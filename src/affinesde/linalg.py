@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import ConstantDrift, eval_drift
 
@@ -69,7 +68,11 @@ def expm(A, t: float = 1.0) -> np.ndarray:
     At = A * float(t)
     if not np.all(np.isfinite(At)):
         raise ValueError("A*t must be finite")
-    out = scipy.linalg.expm(At)
+    # imported here, so that a run that takes no exponential (classify on a
+    # constant drift) loads no scipy
+    import scipy.linalg
+    with np.errstate(over="ignore"):   # the overflow is raised below
+        out = scipy.linalg.expm(At)
     if not np.all(np.isfinite(out)):
         raise OverflowError("matrix exponential overflowed")
     return out

@@ -11,11 +11,12 @@ drift), so the sampler has no discretisation bias at grid points, periodic
 drifts included.  A constant drift is the periodic case with a single period
 position: both build Psi once per position and run one recursion.  Every
 sigma form, envelope, table or callable, gets its Q_n from one panel of
-`model.gauss_legendre`'s rule per step, fed by `eval_sigma` at the nodes,
+`model.gauss_legendre_rule` per step, fed by `eval_sigma` at the nodes,
 at the lowest level (12 nodes on each of 2^L sub-panels) that passes two
-checks: at every period position against the next level, whatever sigma
-is, and on the first step against `step_covariance`, which sees sigma.
-Only a step with a table knot strictly inside it takes `step_covariance`.
+checks against the next level: at every period position, whatever sigma
+is, and on the first step, which sees sigma.  A step with a table knot
+strictly inside it is cut at its knots into pieces that take the same
+panel; `step_covariance` is this route on a grid of one step.
 An Euler-Maruyama scheme is provided for cross-validation.  Paths are seeded
 independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
@@ -55,8 +56,8 @@ import numpy as np
 
 from .linalg import propagator
 from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
-                    PeriodicDrift, PowerLaw, QuadratureError, eval_drift,
-                    eval_sigma, gauss_legendre, gauss_legendre_rule)
+                    PeriodicDrift, PowerLaw, eval_drift, eval_sigma,
+                    gauss_legendre_rule)
 
 SCHEME_EXACT = "ExactLinearGaussian"
 SCHEME_EULER = "EulerMaruyama"
@@ -174,34 +175,23 @@ def _step_propagator(drift, t: float, dt: float, tol: float):
 
 def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
                     tol: float = 1e-10) -> np.ndarray:
-    """One-step transition covariance Q by `model.gauss_legendre`.
+    """One-step transition covariance Q from t to t + dt.
 
-    The integrand Psi(t + dt, s) sigma(s) sigma(s)^T Psi(t + dt, s)^T uses
-    the drift's propagator, so time-dependent drifts are exact too.  The
-    pieces of the step between the table knots inside it, where sigma has
-    kinks, share the rule, to tol * max|Q|: Q scales with ||sigma||^2, so
-    the error is relative.  The result is symmetrised and tiny negative
-    eigenvalues (down to -1e-12 * trace) are clamped to zero.
+    The step is the one-step grid of `_step_covariances`, so Q is the
+    Gauss-Legendre panel at the lowest level that passes the panel's checks,
+    cut at the table knots inside the step; the propagator of the drift
+    makes time-dependent drifts exact too.  The result is symmetrised and
+    tiny negative eigenvalues (down to -1e-12 * trace) are clamped to zero.
     """
+    for name, value in (("t", t), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
-    E = _step_propagator(drift, t, dt, tol)
-    knots = sigma.knots
-    cuts = np.r_[0.0, (knots[(knots > t) & (knots < t + dt)] - t) / dt, 1.0]
-    a, h = cuts[:-1], np.diff(cuts)
-
-    def integrand(u):
-        v = (a + np.multiply.outer(u, h)).ravel()   # step fractions
-        M = E(v) @ eval_sigma(sigma, t + v * dt)
-        M = M.reshape(len(u), len(h), *M.shape[1:])
-        return np.einsum("p,npar,npbr->nab", h * dt, M, M)
-
-    try:
-        Q = gauss_legendre(integrand, lambda q: tol * float(np.abs(q).max()))
-    except QuadratureError as exc:
-        raise CovarianceError(f"covariance {exc}") from exc
+    Q = _step_covariances(sigma, np.array([float(t)]), dt, tol,
+                          [_step_propagator(drift, t, dt, tol)])[0]
     w, V = _psd_eigh(Q)
     return (V * w) @ V.T
 
@@ -237,8 +227,8 @@ def _panel(sigma: DiffusionSpec, t: np.ndarray, dt: float, u: np.ndarray,
     return P @ np.swapaxes(P, 1, 2)
 
 
-def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
-                      dt: float, tol: float, psis: list) -> np.ndarray:
+def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
+                      tol: float, psis: list) -> np.ndarray:
     """Covariance stack Q_n for every step, (N, d, d), on one route for
     every sigma form.
 
@@ -247,14 +237,16 @@ def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
     of _COV_BLOCK GL_NODES / (nodes d r) steps per position, so sigma's
     node values are never whole; the stack is built once.
 
-    The grid takes the lowest level that passes two checks, each to 10 tol
-    relative to what it compares with.  At every period position the map
-    X -> sum_k w_k E[j, k] X E[j, k]^T (the Q_n of a sigma constant over
-    the step, per unit dt) must agree with the next level's, whatever sigma
-    is: this catches a drift too stiff over dt.  The first step without a
-    table knot strictly inside it must agree with `step_covariance`, which
-    sees sigma.  Past GL_MAX_LEVEL a CovarianceError is raised.  The steps
-    with a knot inside, at most one per knot, take `step_covariance`.
+    The grid takes the lowest level that passes two checks against the next
+    level, each to 10 tol relative to the next level's value.  At every
+    period position the map X -> sum_k w_k E[j, k] X E[j, k]^T (the Q_n of
+    a sigma constant over the step, per unit dt) must agree, whatever sigma
+    is: this catches a drift too stiff over dt.  The panel of the first step
+    without a table knot strictly inside it must agree too: this catches a
+    sigma too stiff over dt.  Past GL_MAX_LEVEL a CovarianceError is raised.
+    A step with knots inside, at most one per knot, is cut at them, and each
+    piece takes the panel at the grid's level scaled to the piece: a table
+    is linear there, and the piece is shorter than the step.
     """
     N, m, d = len(times), len(psis), sigma.d
     knots = sigma.knots
@@ -262,17 +254,16 @@ def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
     kinked = set(i[(i >= 0) & (knots > times[i]) &
                    (knots < times[i] + dt)].tolist())
     first = next((n for n in range(N) if n not in kinked), None)
-    ref = None if first is None else \
-        step_covariance(drift, sigma, float(times[first]), dt, tol)
     for level in range(GL_MAX_LEVEL):
         (u, w), (u2, w2) = map(gauss_legendre_rule, (level, level + 1))
         k = len(u)
         E = np.array([psi(np.concatenate([u, u2])) for psi in psis])
         if all(_agree(np.einsum("k,kac,kbe->abce", w, e[:k], e[:k]),
                       np.einsum("k,kac,kbe->abce", w2, e[k:], e[k:]), tol)
-               for e in E) and (ref is None or _agree(_panel(
-                   sigma, times[first:first + 1], dt, u, w,
-                   E[first % m, :k])[0], ref, tol)):
+               for e in E) and (first is None or _agree(*(
+                   _panel(sigma, times[first:first + 1], dt, v, c, e)[0]
+                   for v, c, e in ((u, w, E[first % m, :k]),
+                                   (u2, w2, E[first % m, k:]))), tol)):
             break
     else:
         raise CovarianceError(f"the covariance panel fails its checks at "
@@ -283,8 +274,12 @@ def _step_covariances(drift, sigma: DiffusionSpec, times: np.ndarray,
         for s in range(j, N, B * m):
             Q[s:s + B * m:m] = _panel(sigma, times[s:s + B * m:m], dt, u, w,
                                       E[j, :k])
-    for n in sorted(kinked):
-        Q[n] = step_covariance(drift, sigma, float(times[n]), dt, tol)
+    for n in kinked:
+        t = times[n]
+        cuts = np.r_[0.0, (knots[(knots > t) & (knots < t + dt)] - t) / dt, 1.0]
+        Q[n] = sum(_panel(sigma, times[n:n + 1], dt, a + h * u, h * w,
+                          psis[n % m](a + h * u))[0]
+                   for a, h in zip(cuts[:-1], np.diff(cuts)))
     return Q
 
 
@@ -514,7 +509,7 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     else:
         psis = [_step_propagator(drift, t, dt, cfg.cov_tol) for t in times[:m]]
         trans = np.array([psi(0.0) for psi in psis])
-        noise_t = _root_in_place(_step_covariances(drift, sigma, times, dt,
+        noise_t = _root_in_place(_step_covariances(sigma, times, dt,
                                                    cfg.cov_tol, psis))
     return _run(trans, noise_t, xi, cfg)
 

@@ -175,7 +175,8 @@ def test_classify_and_verify_leave_scipy_integrate_unimported(tmp_path):
     # scipy.integrate serves only the ODE solver of a time-dependent drift,
     # and scipy.special nothing: a fresh interpreter runs classify on a
     # LogPower scenario and a small verify on a constant drift without
-    # importing either
+    # importing either.  scipy.linalg serves only the matrix exponential, so
+    # classify on a constant drift loads no scipy at all
     logpower = write(tmp_path, base_doc(
         name="logpower",
         sigma={"kind": "envelope", "family": "LogPower",
@@ -184,9 +185,10 @@ def test_classify_and_verify_leave_scipy_integrate_unimported(tmp_path):
     constant = write(tmp_path, base_doc(), "constant.yaml")
     out = str(tmp_path / "out")
     code = (f"import sys\nfrom affinesde.cli import main\n"
-            f"codes = [main(['classify', {logpower!r}, '--out', {out!r}]),\n"
-            f"         main(['verify', {constant!r}, '--out', {out!r}])]\n"
-            f"print(codes, 'scipy.integrate' in sys.modules,\n"
+            f"codes = [main(['classify', {logpower!r}, '--out', {out!r}])]\n"
+            f"loaded = 'scipy' in sys.modules\n"
+            f"codes.append(main(['verify', {constant!r}, '--out', {out!r}]))\n"
+            f"print(codes, loaded, 'scipy.integrate' in sys.modules,\n"
             f"      'scipy.special' in sys.modules)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -195,7 +197,7 @@ def test_classify_and_verify_leave_scipy_integrate_unimported(tmp_path):
                          text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == \
-        f"[{EXIT_OK}, {EXIT_OK}] False False"
+        f"[{EXIT_OK}, {EXIT_OK}] False False False"
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):

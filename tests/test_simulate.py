@@ -13,7 +13,7 @@ from affinesde.linalg import expm
 from affinesde.model import (GL_NODES, CallableDrift, ConstantDrift,
                              DiffusionSpec, ExpDecay, LogPower, PeriodicDrift,
                              PowerLaw, eval_sigma, gauss_legendre_rule)
-from affinesde import model, simulate
+from affinesde import simulate
 from affinesde.simulate import (SCHEME_EULER, SCHEME_EXACT, CovarianceError,
                                 PathEnsemble, SimConfig, bessel_scenario,
                                 collect, sample_chunks, simulate_X, simulate_Y,
@@ -79,6 +79,15 @@ def test_step_covariance_scales_with_sigma_squared(A):
     np.testing.assert_allclose(q4, 1e8 * q1, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_step_covariance_rejects_non_finite_times(bad):
+    # caught at the entry, naming the argument, before any exponential
+    with pytest.raises(ValueError, match="^t must be finite"):
+        step_covariance(OU_DRIFT, UNIT_SIGMA, bad, 0.5)
+    with pytest.raises(ValueError, match="^dt must be finite"):
+        step_covariance(OU_DRIFT, UNIT_SIGMA, 0.0, bad)
+
+
 STIFF_DRIFT = ConstantDrift(np.array([[-200.0]]))
 
 
@@ -97,13 +106,14 @@ def test_step_covariances_relative_to_the_size_of_q(sigma):
     Q = step_covariance(STIFF_DRIFT, spec, 0.0, 1.0)
     assert Q[0, 0] == pytest.approx(exact, rel=1e-10, abs=0.0)
     times = np.arange(8.0)
-    Q = simulate._step_covariances(STIFF_DRIFT, spec, times, 1.0, 1e-10,
+    Q = simulate._step_covariances(spec, times, 1.0, 1e-10,
                                    _propagators(STIFF_DRIFT, 1, 1.0))
     np.testing.assert_allclose(Q[:, 0, 0], exact, rtol=1e-10, atol=0.0)
 
 
 def _counting_step_covariance(monkeypatch) -> list:
-    """Patch simulate.step_covariance to record the time of every call."""
+    """Patch simulate.step_covariance to record the time of every call: the
+    panel's set-up makes none."""
     calls = []
     real = simulate.step_covariance
     monkeypatch.setattr(simulate, "step_covariance",
@@ -130,26 +140,26 @@ def _adaptive_step_covariance(drift, sigma, t, dt, tol=1e-10, points=None):
 def test_panel_raises_its_level_on_a_stiff_drift(monkeypatch):
     # 12 nodes cannot resolve e^{-200 (1 - u)} over dt = 1: the panel's
     # propagator check fails at level 0, so the whole grid takes a finer
-    # level; step_covariance runs once, for the first-step check
+    # level
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(8.0)
-    Q = simulate._step_covariances(STIFF_DRIFT, UNIT_SIGMA, times, 1.0, 1e-10,
+    Q = simulate._step_covariances(UNIT_SIGMA, times, 1.0, 1e-10,
                                    _propagators(STIFF_DRIFT, 1, 1.0))
-    assert calls == [0.0]
+    assert calls == []
     np.testing.assert_allclose(Q[:, 0, 0], _stiff_q(1.0), rtol=1e-10, atol=0.0)
 
 
 def test_panel_check_does_not_depend_on_sigma(monkeypatch):
     # sigma is 0 on the first step, so the first-step check compares 0 with
     # 0; the propagator check still raises the level for the stiff drift.
-    # Step 1 holds the knot at 1 + 1e-9 and alone takes step_covariance
+    # Step 1 holds the knot at 1 + 1e-9 and alone is cut at it
     sigma = DiffusionSpec.table([0.0, 1.0, 1.0 + 1e-9, 8.0],
                                 [[[0.0]], [[0.0]], [[1.0]], [[1.0]]])
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(6.0)
-    Q = simulate._step_covariances(STIFF_DRIFT, sigma, times, 1.0, 1e-10,
+    Q = simulate._step_covariances(sigma, times, 1.0, 1e-10,
                                    _propagators(STIFF_DRIFT, 1, 1.0))
-    assert calls == [0.0, 1.0]
+    assert calls == []
     assert Q[0, 0, 0] == 0.0
     np.testing.assert_allclose(Q[1:, 0, 0], _stiff_q(1.0), rtol=1e-10, atol=0.0)
 
@@ -163,12 +173,32 @@ def test_panel_checks_every_period_position(monkeypatch):
                           values=[[[-1.0]], [[-1.0]], [[-200.0]]])
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(9.0)
-    Q = simulate._step_covariances(drift, UNIT_SIGMA, times, 1.0, 1e-10,
+    Q = simulate._step_covariances(UNIT_SIGMA, times, 1.0, 1e-10,
                                    _propagators(drift, 3, 1.0))
-    assert calls == [0.0]
+    assert calls == []
     for n, t in enumerate(times):
         ref = _adaptive_step_covariance(drift, UNIT_SIGMA, float(t), 1.0)
         assert Q[n, 0, 0] == pytest.approx(ref[0, 0], rel=1e-9, abs=0.0), n
+
+
+def test_step_with_two_knots_takes_the_raised_level(monkeypatch):
+    # step 0 holds the knots 0.98 and 0.99, where e^{-400 (1 - u)} still
+    # weighs, and is cut into three pieces, each on the level that the stiff
+    # drift raised; it matches scipy's adaptive quadrature told where the
+    # knots are
+    sigma = DiffusionSpec.table([0.0, 0.98, 0.99, 8.0],
+                                [[[1.0]], [[2.0]], [[0.5]], [[1.5]]])
+    calls = _counting_step_covariance(monkeypatch)
+    times = np.arange(4.0)
+    cov_tol = 1e-10
+    Q = simulate._step_covariances(sigma, times, 1.0, cov_tol,
+                                   _propagators(STIFF_DRIFT, 1, 1.0))
+    assert calls == []
+    for n, t in enumerate(times):
+        inside = [k - t for k in (0.98, 0.99) if t < k < t + 1.0]
+        ref = _adaptive_step_covariance(STIFF_DRIFT, sigma, float(t), 1.0,
+                                        cov_tol, points=inside or None)
+        assert np.abs(Q[n] - ref).max() <= cov_tol * np.abs(ref).max(), n
 
 
 def _stiff_sigma_q(times):
@@ -182,37 +212,35 @@ STIFF_SIGMA = DiffusionSpec.envelope(ExpDecay(1.0, 30.0), [[1.0]])
 
 def test_panel_raises_its_level_on_a_stiff_sigma(monkeypatch):
     # the drift is mild, but sigma^2 = e^{-60 t} is too stiff for 12 nodes
-    # over dt = 1: the first step's check against step_covariance, which
-    # sees sigma, fails at level 0 and raises the level of the whole grid
+    # over dt = 1: the first step's panel disagrees with the next level's
+    # at level 0, which raises the level of the whole grid
     drift = ConstantDrift([[-1.0]])
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(4.0)
-    Q = simulate._step_covariances(drift, STIFF_SIGMA, times, 1.0, 1e-10,
+    Q = simulate._step_covariances(STIFF_SIGMA, times, 1.0, 1e-10,
                                    _propagators(drift, 1, 1.0))
-    assert calls == [0.0]
+    assert calls == []
     np.testing.assert_allclose(Q[:, 0, 0], _stiff_sigma_q(times), rtol=1e-10,
                                atol=0.0)
 
 
-def test_stiff_sigma_takes_one_step_covariance_call_on_a_long_grid(
+def test_stiff_sigma_takes_no_step_covariance_call_on_a_long_grid(
         monkeypatch):
     # a raised level serves every step: the sampler sets up 4,096 steps of
-    # the stiff sigma with the first-step check as its only step_covariance
-    # call, not one call per step
+    # the stiff sigma on the panel alone, with no step_covariance call
     calls = _counting_step_covariance(monkeypatch)
     cfg = SimConfig(dt=1.0, t_end=4096.0, paths=1, seed=0)
     sample_chunks(ConstantDrift([[-1.0]]), STIFF_SIGMA, [1.0], cfg)
-    assert calls == [0.0]
+    assert calls == []
 
 
 def test_covariances_past_the_cap_raise(monkeypatch):
     # the stiff drift needs more panels than a cap of 2^2 allows, in the
-    # sampler's level search and in step_covariance alike
+    # sampler's level search and in step_covariance, which shares it
     monkeypatch.setattr(simulate, "GL_MAX_LEVEL", 2)
     with pytest.raises(CovarianceError, match="4 panels"):
-        simulate._step_covariances(STIFF_DRIFT, UNIT_SIGMA, np.arange(4.0),
-                                   1.0, 1e-10, _propagators(STIFF_DRIFT, 1, 1.0))
-    monkeypatch.setattr(model, "GL_MAX_LEVEL", 2)
+        simulate._step_covariances(UNIT_SIGMA, np.arange(4.0), 1.0, 1e-10,
+                                   _propagators(STIFF_DRIFT, 1, 1.0))
     with pytest.raises(CovarianceError, match="4 panels"):
         step_covariance(STIFF_DRIFT, UNIT_SIGMA, 0.0, 1.0)
 
@@ -347,24 +375,17 @@ def test_euler_zero_noise_deterministic():
 @pytest.mark.parametrize("scheme", [SCHEME_EXACT, SCHEME_EULER])
 def test_table_sigma_samples_through_the_panel(monkeypatch, scheme):
     # a constant-valued table and the equal constant sigma both take the
-    # Gauss-Legendre panel, checked once on the first step; the table's
-    # step across its knot at 0.37 takes step_covariance.  With the
-    # same Philox streams both ensembles agree up to the quadratures'
-    # rounding
+    # Gauss-Legendre panel, with no step_covariance call; the table's step
+    # across its knot at 0.37 is cut at it.  With the same Philox streams
+    # both ensembles agree up to the quadratures' rounding
     S = [[1.0, 0.3], [0.0, 0.8]]
     table = DiffusionSpec.table([0.0, 0.37, 5.0], [S, S, S])
     A = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
     cfg = SimConfig(dt=0.05, t_end=3.2, paths=8, seed=31, scheme=scheme)
-    calls = []
-    real = simulate.step_covariance
-    monkeypatch.setattr(simulate, "step_covariance",
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    calls = _counting_step_covariance(monkeypatch)
     ref = simulate_X(A, DiffusionSpec.constant(S), [1.0, -1.0], cfg).states
-    n_panel = len(calls)
     got = simulate_X(A, table, [1.0, -1.0], cfg).states
-    if scheme == SCHEME_EXACT:
-        assert (n_panel, len(calls) - n_panel) == (1, 2)
-        assert [a[2] for a in calls[n_panel:]] == [0.0, 7 * cfg.dt]
+    assert calls == []
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -552,10 +573,10 @@ def test_step_covariances_blocked_equal_one_shot(monkeypatch, drift, m, dt,
                      [[0.0, 3.0, 1.0], [1.0, -1.0, 0.5]]])
     for sigma in [*envelopes, table]:
         monkeypatch.setattr(simulate, "_COV_BLOCK", block)
-        Q = simulate._step_covariances(drift, sigma, times, dt, 1e-10, psis)
+        Q = simulate._step_covariances(sigma, times, dt, 1e-10, psis)
         monkeypatch.setattr(simulate, "_COV_BLOCK", 6 * n_steps)
         assert np.array_equal(
-            Q, simulate._step_covariances(drift, sigma, times, dt, 1e-10, psis))
+            Q, simulate._step_covariances(sigma, times, dt, 1e-10, psis))
         refs = [_one_shot_covariances(sigma, times, dt, psis)]
         if sigma is not table:
             refs.append(_envelope_covariances(sigma, times, dt, psis))
@@ -566,9 +587,9 @@ def test_step_covariances_blocked_equal_one_shot(monkeypatch, drift, m, dt,
 def test_table_covariances_match_adaptive_quadrature(monkeypatch):
     # knots on the grid (0, 0.5, 2) and off it (0.6, 1.3, and 2.1 and 2.2
     # inside one step): a table is linear between knots, so the panel is
-    # exact there; the steps 2, 5 and 8 with a knot inside take
-    # step_covariance, cut at the knots, after the first-step check.  Each
-    # Q_n matches scipy's adaptive quadrature told where the knots are
+    # exact there; the steps 2, 5 and 8 with a knot inside are cut at the
+    # knots, and each piece takes the panel.  Each Q_n matches scipy's
+    # adaptive quadrature told where the knots are
     dt, cov_tol = 0.25, 1e-10
     knots = [0.0, 0.5, 0.6, 1.3, 2.0, 2.1, 2.2]
     values = np.random.default_rng(5).normal(size=(len(knots), 2, 3))
@@ -576,9 +597,9 @@ def test_table_covariances_match_adaptive_quadrature(monkeypatch):
     drift = ConstantDrift(A2)
     times = dt * np.arange(16)
     calls = _counting_step_covariance(monkeypatch)
-    Q = simulate._step_covariances(drift, sigma, times, dt, cov_tol,
+    Q = simulate._step_covariances(sigma, times, dt, cov_tol,
                                    _propagators(drift, 1, dt))
-    assert calls == [0.0, 2 * dt, 5 * dt, 8 * dt]
+    assert calls == []
     for n, t in enumerate(times):
         inside = [(k - t) / dt for k in knots if t < k < t + dt]
         ref = _adaptive_step_covariance(drift, sigma, float(t), dt, cov_tol,
@@ -595,9 +616,9 @@ def test_callable_sigma_gives_the_envelope_stack(monkeypatch):
     dt, drift = 0.25, PERIODIC2
     times = dt * np.arange(100)
     psis = _propagators(drift, 6, dt)
-    Q = simulate._step_covariances(drift, fn, times, dt, 1e-10, psis)
-    assert np.array_equal(Q, simulate._step_covariances(drift, envelope,
-                                                        times, dt, 1e-10, psis))
+    Q = simulate._step_covariances(fn, times, dt, 1e-10, psis)
+    assert np.array_equal(Q, simulate._step_covariances(envelope, times, dt,
+                                                        1e-10, psis))
 
 
 def test_step_covariances_never_build_the_node_table():
@@ -608,8 +629,7 @@ def test_step_covariances_never_build_the_node_table():
     sigma = DiffusionSpec.envelope(LogPower(1.0), np.eye(2))
     tracemalloc.start()
     try:
-        Q = simulate._step_covariances(ConstantDrift(A2), sigma, times, dt,
-                                       1e-10, psis)
+        Q = simulate._step_covariances(sigma, times, dt, 1e-10, psis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
