@@ -33,8 +33,7 @@ from . import criteria, stats
 from .linalg import StabilityError, monodromy
 from .model import (ENVELOPE_FAMILIES, REGIME_UNDECIDED, ConstantDrift,
                     DiffusionSpec, PeriodicDrift, QuadratureError)
-from .simulate import (SCHEME_EXACT, CovarianceError, SimConfig, collect,
-                       sample_chunks)
+from .simulate import CovarianceError, SimConfig, collect, sample_chunks
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "AFFINESDE_OUT"
@@ -64,7 +63,7 @@ _CRITERIA_DEFAULTS = {"h": 1.0, "c": 1.0, "eps_lo": 2.0 ** -8,
                       "eps_hi": 2.0 ** 8, "eps_points": 33, "n_terms": 256,
                       "t_max": 256.0, "tol": 1e-8}
 _SIM_DEFAULTS = {"dt": 0.05, "t_end": 64.0, "paths": 100, "seed": 0,
-                 "scheme": SCHEME_EXACT, "cov_tol": 1e-10}
+                 "cov_tol": 1e-10}
 _STATS_DEFAULTS = {f.name: f.default
                    for f in dataclasses.fields(stats.CompareThresholds)}
 
@@ -123,16 +122,9 @@ def _list(v, name: str, item) -> list:
 
 
 def _defaults(section: dict, defaults: dict, name: str) -> dict:
+    """The section's numbers, each of its default's type (float or int)."""
     _check_keys(section, name, defaults)
-    out = {}
-    for k, dv in defaults.items():
-        if isinstance(dv, float):
-            out[k] = _num(section, k, dv, float)
-        elif isinstance(dv, int):
-            out[k] = _num(section, k, dv, int)
-        else:
-            out[k] = str(section.get(k, dv))
-    return out
+    return {k: _num(section, k, dv, type(dv)) for k, dv in defaults.items()}
 
 
 def _drift(section: dict) -> ConstantDrift | PeriodicDrift:
@@ -385,7 +377,7 @@ def cmd_simulate(scn: Scenario, args) -> int:
     doc = {"scenario": scn.name, "csv": str(csv_path),
            "paths": ens.n_paths, "steps": len(ens.times) - 1,
            "dt": ens.config.dt, "t_end": float(ens.times[-1]),
-           "scheme": ens.config.scheme, "seed": ens.config.seed,
+           "seed": ens.config.seed,
            "final_mean_sq": float(msq[-1]),
            "final_mean_sq_se": float(msq_se[-1]),
            "final_norm_median": float(np.median(ens.norms[:, -1]))}

@@ -10,9 +10,9 @@ with theta(n)^2 the window energy of ||sigma||_F^2, and of the equivalent
 integral criterion I_c(eps).  Finiteness of an infinite sum cannot be decided
 from finitely many samples, so rulings come from the regime each built-in
 envelope family names and its tail bound (comparison and integral tests,
-see ``model``) and are Undecided for tables and callables.  Every S' and I
-routine takes one eps or a 1-d array of them (one value or ruling per eps)
-and computes the window energies, which do not depend on eps, once for all.
+see ``model``) and are Undecided for tables.  Every S' and I routine takes
+one eps or a 1-d array of them (one value or ruling per eps) and computes
+the window energies, which do not depend on eps, once for all.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from . import model
 from .linalg import monodromy, spectral_abscissa
 from .model import (BOUNDED, REGIME_UNDECIDED, STABLE, UNBOUNDED, ZERO,
-                    CallableDrift, CallableSigma, ConstantDrift, DiffusionSpec,
+                    CallableDrift, ConstantDrift, DiffusionSpec,
                     EnvelopePattern, PeriodicDrift, TableSigma, frobenius_sq,
                     interval_integrals)
 
@@ -89,9 +89,9 @@ _P_ONE_TOL = 8.0 * 2.0 ** -52
 @dataclass(frozen=True)
 class _Profile:
     regime: str
-    L: Optional[float]      # lim ||sigma(t)||^2 log t; None when undecided
-    fading: Optional[bool]  # ||sigma(t)||^2 -> 0; None when undecided
-    envelope: object = None  # None for a zero sigma, a table or a callable
+    L: float                # lim ||sigma(t)||^2 log t
+    fading: bool            # ||sigma(t)||^2 -> 0
+    envelope: object = None  # None for a zero sigma or a table
     fro_sq: float = 0.0     # squared norm of the pattern
 
 
@@ -106,18 +106,14 @@ def _analyze(spec: DiffusionSpec, pattern_norm_sq: Optional[float] = None) -> _P
     PowerLaw envelope, so it is Unbounded unless zero.  A table holds its
     last value forever, so a non-zero hold gives L = inf and no fading, a
     zero hold L = 0 and fading; its regime stays Undecided, since by design
-    tables get no Finite/Infinite ruling.  A callable is undecided in all
-    three.  pattern_norm_sq overrides the squared pattern norm; used to
-    re-run the analysis under a norm other than Frobenius.
+    tables get no Finite/Infinite ruling.  pattern_norm_sq overrides the
+    squared pattern norm; used to re-run the analysis under a norm other
+    than Frobenius.
     """
     f = spec.form
     if isinstance(f, TableSigma):
         held = frobenius_sq(f.values[-1]) > 0.0
         return _Profile(REGIME_UNDECIDED, math.inf if held else 0.0, not held)
-    if isinstance(f, CallableSigma):
-        return _Profile(REGIME_UNDECIDED, None, None)
-    if not isinstance(f, EnvelopePattern):
-        raise TypeError(f"unknown diffusion form {type(f).__name__}")
     regime, L = f.envelope.profile()
     F = frobenius_sq(f.pattern) if pattern_norm_sq is None else pattern_norm_sq
     if F == 0.0 or regime == ZERO:
@@ -206,7 +202,7 @@ def decide_Sprime(spec: DiffusionSpec, eps, h: float, n_terms: int = 512,
     """Analytic finiteness ruling for S_h'(eps), with a computed partial sum.
 
     Built-in envelope families get Finite (with tail bound) or Infinite (with
-    a divergence witness); tables and callables are Undecided.
+    a divergence witness); tables are Undecided.
     """
     partial, _ = partial_sum_Sprime(spec, eps, h, n_terms, tol)
     # theta^2(n) = varsigma_h^2(n h) and the tail majorant decreases, so the
@@ -389,22 +385,21 @@ def build_max_sequence(integrand: Callable[[float], float], h: float,
 # fading noise and the log-window limit
 # ---------------------------------------------------------------------------
 
-def check_fading(spec: DiffusionSpec, h: float) -> Optional[bool]:
+def check_fading(spec: DiffusionSpec, h: float) -> bool:
     """Whether the window energies theta^2(n) tend to zero, read from the
-    asymptotic profile: exact for envelope families and tables (from the
-    hold value), None (undecided) for callables."""
+    asymptotic profile: exact for envelope families and for tables (from
+    the hold value)."""
     if h <= 0:
         raise ValueError("h must be positive")
     return _analyze(spec).fading
 
 
-def limit_Lh(spec: DiffusionSpec, h: float) -> Optional[float]:
+def limit_Lh(spec: DiffusionSpec, h: float) -> float:
     """L_h = lim theta^2(n) * ln n = h L, in [0, inf], with L read from the
-    asymptotic profile; None when undecided (callables)."""
+    asymptotic profile."""
     if h <= 0:
         raise ValueError("h must be positive")
-    L = _analyze(spec).L
-    return None if L is None else h * L
+    return h * _analyze(spec).L
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +429,8 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     implies: S_h'(eps) finite for every eps gives StableAS, infinite for
     every eps gives Unbounded, and ||sigma||^2 log t -> L in (0, inf) gives
     BoundedNonConvergent with the threshold in closed form,
-    eps* = sqrt(2 h L), reported as the bracket (eps*, eps*).  Tables and
-    callables are Undecided.  fading_noise and mean_square_stable read the
-    same profile; an undecided fading (a callable) counts as not fading.
+    eps* = sqrt(2 h L), reported as the bracket (eps*, eps*).  Tables are
+    Undecided.  fading_noise and mean_square_stable read the same profile.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -460,7 +454,7 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
 
     # gate 2: the regime the noise implies
     profile = _analyze(sigma)
-    fading = bool(profile.fading)
+    fading = profile.fading
     regime = profile.regime if drift_stable else REGIME_UNDECIDED
     note = gate_note or ("finiteness undecided for this sigma form"
                          if regime == REGIME_UNDECIDED else "")
@@ -532,8 +526,8 @@ class CriterionReport:
     eps_values: tuple
     sum_rulings: tuple        # FinitenessRuling per eps (window sums)
     integral_rulings: tuple   # FinitenessRuling per eps (integral criterion)
-    L_h: Optional[float]
-    fading: Optional[bool]
+    L_h: float
+    fading: bool
 
     def to_dict(self) -> dict:
         def rul(r):
@@ -547,7 +541,7 @@ class CriterionReport:
         return {
             "h": self.h, "c": self.c,
             "eps_values": list(self.eps_values),
-            "L_h": None if self.L_h is None else float(self.L_h),
+            "L_h": float(self.L_h),
             "fading": self.fading,
             "sum_rulings": [rul(r) for r in self.sum_rulings],
             "integral_rulings": [rul(r) for r in self.integral_rulings],

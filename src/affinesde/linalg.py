@@ -8,6 +8,7 @@ periodic drifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,10 @@ def propagator(drift, t_end: float, t_lo: float, tol: float = 1e-10):
     The map takes a time, giving a (d, d) matrix, or a 1-d array of times,
     giving one matrix per time; the dense output evaluates an array at once.
     """
+    # a NaN would pass the order check below and hold solve_ivp forever
+    for name, value in (("t_end", t_end), ("t_lo", t_lo)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if t_end < t_lo:
         raise ValueError("t_end must be >= t_lo")
     if isinstance(drift, ConstantDrift):

@@ -1,16 +1,16 @@
 """Diffusion and drift specifications, and windowed intensity integrals.
 
 The diffusion coefficient is a continuous matrix function sigma(t) of shape
-(d, r) in one of three forms: an envelope family times a constant pattern
-(a constant sigma is the pattern under the zero-exponent ``PowerLaw``), a
-piecewise-linear table, or a user callable.  ``eval_sigma`` is the one
-evaluator of every form, at a single time or at an array of times; the
-exact simulation's covariance panel reads every form through it.  The
+(d, r) in one of two forms: an envelope family times a constant pattern (a
+constant sigma is the pattern under the zero-exponent ``PowerLaw``), or a
+piecewise-linear table; any other form is a TypeError.  ``eval_sigma`` is
+the one evaluator of both forms, at a single time or at an array of times;
+the exact simulation's covariance panel reads both through it.  The
 classification criteria consume sigma only through weighted integrals of
 its squared Frobenius norm, so this module centralises those quadratures:
 ``interval_integrals`` (energy over each interval) and
 ``row_interval_integrals`` (the same per row of sigma) share one routine,
-exact Simpson over a table's pieces and, for other forms, one call of
+exact Simpson over a table's pieces and, for envelopes, one call of
 ``gauss_legendre``, the package's one rule for smooth integrals.
 
 Specs are immutable after construction and safe to share across threads.
@@ -225,14 +225,6 @@ class TableSigma:
 
 
 @dataclass(frozen=True)
-class CallableSigma:
-    """Arbitrary user function t -> (d, r) matrix.  Empirical mode only:
-    no finiteness ruling, fading or L_h is derived from it."""
-
-    fn: Callable[[float], np.ndarray]
-
-
-@dataclass(frozen=True)
 class DiffusionSpec:
     d: int
     r: int
@@ -242,10 +234,15 @@ class DiffusionSpec:
         if self.d < 1 or self.r < 1:
             raise ValueError("dimensions must be positive")
         f = self.form
-        if isinstance(f, EnvelopePattern) and f.pattern.shape != (self.d, self.r):
-            raise ValueError("pattern shape mismatch")
-        if isinstance(f, TableSigma) and f.values.shape[1:] != (self.d, self.r):
-            raise ValueError("table value shape mismatch")
+        if isinstance(f, EnvelopePattern):
+            if f.pattern.shape != (self.d, self.r):
+                raise ValueError("pattern shape mismatch")
+        elif isinstance(f, TableSigma):
+            if f.values.shape[1:] != (self.d, self.r):
+                raise ValueError("table value shape mismatch")
+        else:
+            raise TypeError(f"sigma must be an EnvelopePattern or a "
+                            f"TableSigma, got {type(f).__name__}")
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -266,10 +263,6 @@ class DiffusionSpec:
             v = v[:, None, None]
         return DiffusionSpec(v.shape[1], v.shape[2],
                              TableSigma(np.asarray(times, float), v))
-
-    @staticmethod
-    def from_callable(fn, d: int, r: int) -> "DiffusionSpec":
-        return DiffusionSpec(d, r, CallableSigma(fn))
 
     @property
     def knots(self) -> np.ndarray:
@@ -312,23 +305,13 @@ def eval_sigma(spec: DiffusionSpec, t) -> np.ndarray:
     if isinstance(f, EnvelopePattern):
         env = f.envelope.value(tt.reshape(-1)).reshape(tt.shape)
         return env[..., None, None] * f.pattern
-    if isinstance(f, TableSigma):
-        ts, vs = f.times, f.values
-        i = np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, len(ts) - 2)
-        w = ((tt - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
-        out = (1.0 - w) * vs[i] + w * vs[i + 1]
-        out[tt <= ts[0]] = vs[0]
-        out[tt >= ts[-1]] = vs[-1]
-        return out
-    if isinstance(f, CallableSigma):
-        out = np.empty(tt.shape + (spec.d, spec.r))
-        for idx in np.ndindex(tt.shape):
-            m = np.atleast_2d(np.asarray(f.fn(float(tt[idx])), dtype=float))
-            if m.shape != (spec.d, spec.r):
-                raise ValueError("callable sigma returned wrong shape")
-            out[idx] = m
-        return out
-    raise TypeError(f"unknown diffusion form {type(f).__name__}")
+    ts, vs = f.times, f.values
+    i = np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, len(ts) - 2)
+    w = ((tt - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
+    out = (1.0 - w) * vs[i] + w * vs[i + 1]
+    out[tt <= ts[0]] = vs[0]
+    out[tt >= ts[-1]] = vs[-1]
+    return out
 
 
 def sigma_fro_sq(spec: DiffusionSpec, t) -> np.ndarray:
@@ -396,7 +379,7 @@ def _energies(sq, spec: DiffusionSpec, left, right, tol: float) -> np.ndarray:
     """Integral of sq(spec, t), sq = sigma_fro_sq or sigma_row_sq, over each
     [left[i], right[i]].  A table's sq is quadratic between knots, so Simpson
     is exact on the first and last piece, and the whole knot segments between
-    them come from cumulative sums.  Other forms share one gauss_legendre."""
+    them come from cumulative sums.  Envelopes share one gauss_legendre."""
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     if left.shape != right.shape:
@@ -418,7 +401,7 @@ def _energies(sq, spec: DiffusionSpec, left, right, tol: float) -> np.ndarray:
                 + _times(split, cum[j] - cum[i])
                 + _simpson(sq, spec, np.where(split, ts[j], right), right))
 
-    # smooth forms: map every interval onto u in [0, 1] and integrate the
+    # envelopes: map every interval onto u in [0, 1] and integrate the
     # whole array on one shared rule
     widths = right - left
 
@@ -467,6 +450,12 @@ class ConstantDrift:
         return self.matrix.shape[0]
 
 
+def _check_period(period) -> None:
+    # a NaN period passes `period <= 0`, and its monodromy never ends
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and positive, got {period!r}")
+
+
 @dataclass(frozen=True)
 class PeriodicDrift:
     """T-periodic matrix function sampled on [0, T), piecewise linear.
@@ -480,8 +469,7 @@ class PeriodicDrift:
     values: np.ndarray   # (n_times, d, d)
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        _check_period(self.period)
         object.__setattr__(self, "times", _readonly(self.times))
         object.__setattr__(self, "values", _readonly(self.values))
         ts = self.times
@@ -511,8 +499,9 @@ class CallableDrift:
     d: int
     period: Optional[float] = None
 
-
-DriftSpec = (ConstantDrift, PeriodicDrift, CallableDrift)
+    def __post_init__(self):
+        if self.period is not None:
+            _check_period(self.period)
 
 
 def eval_drift(drift, t: float) -> np.ndarray:

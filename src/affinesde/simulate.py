@@ -9,16 +9,15 @@ X_{n+1} = Psi(t_n + dt, t_n) X_n + xi_n with xi_n ~ Normal(0, Q_n) and
 where Psi is the propagator of X' = A(t) X (e^{A (t - s)} for a constant
 drift), so the sampler has no discretisation bias at grid points, periodic
 drifts included.  A constant drift is the periodic case with a single period
-position: both build Psi once per position and run one recursion.  Every
-sigma form, envelope, table or callable, gets its Q_n from one panel of
+position: both build Psi once per position and run one recursion.  Both
+sigma forms, envelope and table, get their Q_n from one panel of
 `model.gauss_legendre_rule` per step, fed by `eval_sigma` at the nodes,
 at the lowest level (12 nodes on each of 2^L sub-panels) that passes two
 checks against the next level: at every period position, whatever sigma
 is, and on the first step, which sees sigma.  A step with a table knot
 strictly inside it is cut at its knots into pieces that take the same
-panel; `step_covariance` is this route on a grid of one step.
-An Euler-Maruyama scheme is provided for cross-validation.  Paths are seeded
-independently from a counter-based generator, so the ensemble is
+panel; `step_covariance` is this route on a grid of one step.  Paths are
+seeded independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
 
 The recursion streams: `sample_chunks` cuts the paths into contiguous path
@@ -56,11 +55,7 @@ import numpy as np
 
 from .linalg import propagator
 from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
-                    PeriodicDrift, PowerLaw, eval_drift, eval_sigma,
-                    gauss_legendre_rule)
-
-SCHEME_EXACT = "ExactLinearGaussian"
-SCHEME_EULER = "EulerMaruyama"
+                    PeriodicDrift, PowerLaw, eval_sigma, gauss_legendre_rule)
 
 _CHUNK_DRAWS = 2 ** 20   # normal draws per chunk over the running path groups
 _FILL = 2048             # least normals per draw call of one path
@@ -78,7 +73,6 @@ class SimConfig:
     t_end: float
     paths: int
     seed: int
-    scheme: str = SCHEME_EXACT
     cov_tol: float = 1e-10
 
     def __post_init__(self):
@@ -86,7 +80,9 @@ class SimConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("paths", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            v = getattr(self, name)
+            # bool is an Integral, but True is no path count or seed
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -98,8 +94,6 @@ class SimConfig:
             raise ValueError("seed must be >= 0")
         if self.cov_tol <= 0:
             raise ValueError("cov_tol must be positive")
-        if self.scheme not in (SCHEME_EXACT, SCHEME_EULER):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         n = round(self.t_end / self.dt)
         if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
@@ -481,8 +475,9 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     pays for them.  A drift with a period runs the periodic sampler (dt
     must divide the period; a periodic spec whose samples are all identical
     is a constant drift), any other drift must be constant.  The set-up
-    (transitions, the Gauss-Legendre panel covariances of any sigma form
-    at the level their checks pick, noise factors) runs before this returns;
+    (the exact transitions, the Gauss-Legendre panel covariances of either
+    sigma form at the level their checks pick, and their symmetric square
+    roots as noise factors) runs before this returns;
     a non-finite chunk raises FloatingPointError when it is reached.
     """
     period = getattr(drift, "period", None)
@@ -499,18 +494,12 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     xi = _prepare_xi(xi, drift.d)
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
-    dt, N = cfg.dt, cfg.n_steps
-    times = dt * np.arange(N)
-    if cfg.scheme == SCHEME_EULER:
-        trans = np.stack([np.eye(drift.d) + dt * eval_drift(drift, float(t))
-                          for t in times[:m]])
-        noise_t = np.ascontiguousarray(
-            math.sqrt(dt) * np.swapaxes(eval_sigma(sigma, times), -1, -2))
-    else:
-        psis = [_step_propagator(drift, t, dt, cfg.cov_tol) for t in times[:m]]
-        trans = np.array([psi(0.0) for psi in psis])
-        noise_t = _root_in_place(_step_covariances(sigma, times, dt,
-                                                   cfg.cov_tol, psis))
+    dt = cfg.dt
+    times = dt * np.arange(cfg.n_steps)
+    psis = [_step_propagator(drift, t, dt, cfg.cov_tol) for t in times[:m]]
+    trans = np.array([psi(0.0) for psi in psis])
+    noise_t = _root_in_place(_step_covariances(sigma, times, dt, cfg.cov_tol,
+                                               psis))
     return _run(trans, noise_t, xi, cfg)
 
 

@@ -469,18 +469,31 @@ def test_verify_large_noise(tmp_path, capsys):
     assert codes[1] == codes[0]
 
 
-def test_verify_nonfinite_states_exit_numeric(tmp_path, capsys, monkeypatch):
-    # Euler with dt = 4 multiplies by 1 + dt a = -3 each step and overflows,
-    # on the calling thread's shard and on a worker's alike
-    doc = _scalar_doc(1.0, dt=4.0, t_end=4096.0, paths=2,
-                      scheme="EulerMaruyama")
+def test_simulate_nonfinite_states_exit_numeric(tmp_path, capsys,
+                                               monkeypatch):
+    # the unstable drift [[1]] multiplies the state by e^4 each step of
+    # dt = 4, so it overflows long before t = 4096, on the calling thread's
+    # shard and on a worker's alike
+    doc = _scalar_doc(1.0, dt=4.0, t_end=4096.0, paths=2)
+    doc["drift"] = {"kind": "constant", "matrix": [[1.0]]}
     for shards in (1, 2):
         monkeypatch.setattr(simulate, "_cpus", lambda: shards)
         with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["verify", write(tmp_path, doc), "--out",
+            code = main(["simulate", write(tmp_path, doc), "--out",
                          str(tmp_path)])
         assert code == EXIT_NUMERIC
         assert "numeric failure: non-finite states in ensemble" in \
+            capsys.readouterr().err
+
+
+def test_scenario_naming_a_scheme_is_rejected(tmp_path, capsys):
+    # the exact sampler is the only one: a file that asked for another must
+    # not get it without notice
+    for scheme in ("EulerMaruyama", "ExactLinearGaussian"):
+        doc = _scalar_doc(1.0, scheme=scheme)
+        assert main(["simulate", write(tmp_path, doc), "--out",
+                     str(tmp_path)]) == EXIT_PARSE
+        assert "unknown keys in 'simulation': scheme" in \
             capsys.readouterr().err
 
 

@@ -503,14 +503,6 @@ def test_table_fading_and_L_h_follow_the_hold_value():
             assert limit_Lh(spec, h) == L_h
 
 
-def test_callable_fading_and_L_h_undecided():
-    spec = DiffusionSpec.from_callable(lambda t: np.exp(-t) * np.eye(2), 2, 2)
-    assert check_fading(spec, 1.0) is None
-    assert limit_Lh(spec, 1.0) is None
-    v = classify(spec, ConstantDrift(-np.eye(2)))
-    assert v.regime == REGIME_UNDECIDED and not v.fading_noise
-
-
 def test_limit_Lh():
     assert limit_Lh(scalar(LogPower(2.0)), 1.0) == pytest.approx(2.0)
     assert limit_Lh(scalar(LogPower(1.0)), 2.0) == pytest.approx(2.0)

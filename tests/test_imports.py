@@ -204,16 +204,16 @@ def test_scipy_integrate_only_where_allowed(path):
 
 
 def sigma_form_reads(source: str) -> list:
-    """Names of the envelope and callable sigma forms, and reads of an
+    """Names of the envelope and table sigma forms, and reads of an
     envelope's parts, in the source; the constructor
     DiffusionSpec.envelope is exempt."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and \
-                node.id in ("EnvelopePattern", "CallableSigma"):
+                node.id in ("EnvelopePattern", "TableSigma"):
             found.append(f"{node.id} (line {node.lineno})")
         elif isinstance(node, ast.alias) and \
-                node.name in ("EnvelopePattern", "CallableSigma"):
+                node.name in ("EnvelopePattern", "TableSigma"):
             found.append(f"import {node.name}")
         elif isinstance(node, ast.Attribute) and \
                 node.attr in ("envelope", "pattern") and not (
@@ -224,19 +224,19 @@ def sigma_form_reads(source: str) -> list:
 
 
 def test_checker_flags_sigma_form_reads():
-    source = ("from .model import CallableSigma, DiffusionSpec, eval_sigma\n"
+    source = ("from .model import TableSigma, DiffusionSpec, eval_sigma\n"
               "if isinstance(f, EnvelopePattern):\n"
               "    g = f.envelope.value(t) * sigma.form.pattern\n"
               "envelope = DiffusionSpec.envelope(env, pattern)\n"
               "s = eval_sigma(spec, t)\n")
     assert sigma_form_reads(source) == [
         ".envelope (line 3)", ".pattern (line 3)",
-        "EnvelopePattern (line 2)", "import CallableSigma"]
+        "EnvelopePattern (line 2)", "import TableSigma"]
 
 
 def test_simulate_reads_sigma_only_through_eval_sigma():
     # per-form sigma mathematics lives in model.eval_sigma; the covariance
-    # panel takes every form through it
+    # panel takes both forms through it
     assert sigma_form_reads((PACKAGE / "simulate.py").read_text()) == []
 
 

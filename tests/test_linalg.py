@@ -166,6 +166,18 @@ def test_propagator_takes_an_array_of_times(drift):
     assert np.array_equal(eye(s), np.ones((4, 1, 1)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_propagator_rejects_non_finite_times(bad):
+    # caught at the entry, naming the argument: a NaN passes the order check
+    # and would hold the adjoint solve forever
+    periodic = PeriodicDrift(period=1.5, times=[0.0], values=[[[-1.0]]])
+    for drift in (periodic, ConstantDrift([[-1.0]])):
+        with pytest.raises(ValueError, match="^t_end must be finite"):
+            propagator(drift, bad, 0.0)
+        with pytest.raises(ValueError, match="^t_lo must be finite"):
+            propagator(drift, 1.0, bad)
+
+
 def test_determinant_identity():
     # det Psi(t) = exp(int_0^t tr A)
     drift = CallableDrift(

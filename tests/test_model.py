@@ -84,8 +84,6 @@ _VEC_SPECS = {
     "table": DiffusionSpec.table([0.37, 1.2, 2.0, 5.0],
                                  [[[1.0, 0.0]], [[0.3, -2.0]],
                                   [[0.7, 0.1]], [[-0.5, 1.5]]]),
-    "callable": DiffusionSpec.from_callable(
-        lambda t: np.array([[math.sin(t), 1.0], [0.0, math.exp(-t)]]), 2, 2),
 }
 
 
@@ -120,14 +118,6 @@ def test_eval_sigma_array_rejects_bad_times(name):
     for bad in (-1e-3, math.nan, math.inf):
         with pytest.raises(ValueError, match="time must be"):
             eval_sigma(spec, np.array([0.0, 1.0, bad, 2.0]))
-
-
-def test_eval_sigma_array_rejects_wrong_callable_shape():
-    spec = DiffusionSpec.from_callable(
-        lambda t: np.ones((2, 2)) if t < 1.0 else np.ones((2, 3)), 2, 2)
-    assert eval_sigma(spec, np.array([0.0, 0.5])).shape == (2, 2, 2)
-    with pytest.raises(ValueError, match="wrong shape"):
-        eval_sigma(spec, np.array([0.0, 0.5, 1.5]))
 
 
 def test_constant_sigma_is_zero_exponent_powerlaw():
@@ -395,9 +385,21 @@ def test_callable_drift():
     np.testing.assert_allclose(eval_drift(drift, math.pi / 2), [[1.0]])
 
 
+@pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_drift_period_must_be_finite_and_positive(period):
+    # a NaN period passes `period <= 0`; classify's monodromy then never
+    # ends, and an infinite one fails deep inside the sampler
+    with pytest.raises(ValueError, match="period must be finite and positive"):
+        PeriodicDrift(period=period, times=[0.0], values=[[[-1.0]]])
+    with pytest.raises(ValueError, match="period must be finite and positive"):
+        CallableDrift(fn=lambda t: np.array([[-1.0]]), d=1, period=period)
+
+
 def test_spec_shape_validation():
     with pytest.raises(ValueError):
         DiffusionSpec(2, 2, DiffusionSpec.constant([[1.0]]).form)
+    with pytest.raises(TypeError, match="EnvelopePattern or a TableSigma"):
+        DiffusionSpec(1, 1, object())
     with pytest.raises(ValueError):
         DiffusionSpec.table([0.0], [[[1.0]]])        # one sample only
     with pytest.raises(ValueError):

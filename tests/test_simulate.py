@@ -6,18 +6,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad_vec
+from scipy.integrate import quad_vec, solve_ivp
+from scipy.linalg import solve_continuous_lyapunov
 from scipy.stats import kstest
 
 from affinesde.linalg import expm
 from affinesde.model import (GL_NODES, CallableDrift, ConstantDrift,
                              DiffusionSpec, ExpDecay, LogPower, PeriodicDrift,
-                             PowerLaw, eval_sigma, gauss_legendre_rule)
+                             PowerLaw, eval_drift, eval_sigma,
+                             gauss_legendre_rule)
 from affinesde import simulate
-from affinesde.simulate import (SCHEME_EULER, SCHEME_EXACT, CovarianceError,
-                                PathEnsemble, SimConfig, bessel_scenario,
-                                collect, sample_chunks, simulate_X, simulate_Y,
-                                step_covariance)
+from affinesde.simulate import (CovarianceError, PathEnsemble, SimConfig,
+                                bessel_scenario, collect, sample_chunks,
+                                simulate_X, simulate_Y, step_covariance)
 from affinesde.stats import compare
 
 OU_DRIFT = ConstantDrift(np.array([[-1.0]]))
@@ -32,9 +33,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(dt=0.1, t_end=1.0, paths=0, seed=0)
     with pytest.raises(ValueError):
-        SimConfig(dt=0.1, t_end=1.0, paths=1, seed=0, scheme="midpoint")
-    with pytest.raises(ValueError):
         SimConfig(dt=0.3, t_end=1.0, paths=1, seed=0)   # not a multiple
+
+
+@pytest.mark.parametrize("field, value", [("paths", True), ("seed", False)])
+def test_config_rejects_booleans(field, value):
+    # bool is an Integral, so True would pass as 1 path and False as seed 0
+    args = {"dt": 0.1, "t_end": 1.0, "paths": 1, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SimConfig(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -340,40 +347,7 @@ def test_reproducibility_bit_identical():
     np.testing.assert_array_equal(a.states, b.states)
 
 
-def test_scheme_agreement_richardson():
-    # Euler-Maruyama's stationary variance bias for the scalar OU shrinks
-    # linearly in dt; the exact scheme has none
-    target = 0.5
-    errs = []
-    for dt in (0.1, 0.05, 0.025):
-        cfg = SimConfig(dt=dt, t_end=40.0, paths=400, seed=77,
-                        scheme=SCHEME_EULER)
-        ens = simulate_X(OU_DRIFT, UNIT_SIGMA, [0.0], cfg)
-        half = ens.states.shape[1] // 2
-        tail = ens.states[:, half:, 0].ravel()
-        errs.append(abs(float(np.var(tail)) - target))
-    assert errs[0] > errs[2]
-    cfg = SimConfig(dt=0.025, t_end=40.0, paths=400, seed=77,
-                    scheme=SCHEME_EULER)
-    em = simulate_X(OU_DRIFT, UNIT_SIGMA, [0.0], cfg)
-    exact = simulate_X(OU_DRIFT, UNIT_SIGMA, [0.0],
-                       SimConfig(dt=0.025, t_end=40.0, paths=400, seed=78))
-    a, b = em.norms[:, -1] ** 2, exact.norms[:, -1] ** 2
-    se = math.hypot(float(np.std(a, ddof=1)) / math.sqrt(len(a)),
-                    float(np.std(b, ddof=1)) / math.sqrt(len(b)))
-    assert abs(float(np.mean(a)) - float(np.mean(b))) <= 3 * se
-
-
-def test_euler_zero_noise_deterministic():
-    A = np.array([[-1.0]])
-    cfg = SimConfig(dt=0.001, t_end=1.0, paths=1, seed=0, scheme=SCHEME_EULER)
-    ens = simulate_X(ConstantDrift(A), DiffusionSpec.constant([[0.0]]),
-                     [1.0], cfg)
-    assert ens.states[0, -1, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
-
-
-@pytest.mark.parametrize("scheme", [SCHEME_EXACT, SCHEME_EULER])
-def test_table_sigma_samples_through_the_panel(monkeypatch, scheme):
+def test_table_sigma_samples_through_the_panel(monkeypatch):
     # a constant-valued table and the equal constant sigma both take the
     # Gauss-Legendre panel, with no step_covariance call; the table's step
     # across its knot at 0.37 is cut at it.  With the same Philox streams
@@ -381,7 +355,7 @@ def test_table_sigma_samples_through_the_panel(monkeypatch, scheme):
     S = [[1.0, 0.3], [0.0, 0.8]]
     table = DiffusionSpec.table([0.0, 0.37, 5.0], [S, S, S])
     A = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
-    cfg = SimConfig(dt=0.05, t_end=3.2, paths=8, seed=31, scheme=scheme)
+    cfg = SimConfig(dt=0.05, t_end=3.2, paths=8, seed=31)
     calls = _counting_step_covariance(monkeypatch)
     ref = simulate_X(A, DiffusionSpec.constant(S), [1.0, -1.0], cfg).states
     got = simulate_X(A, table, [1.0, -1.0], cfg).states
@@ -465,15 +439,11 @@ def _cos_drift_q(t, dt):
 
 
 def test_periodic_zero_noise_floquet_decay():
-    # Euler's product of (1 + dt a(t_j)) over the period is
-    # exp(-2 pi - dt int a^2 / 2 + O(dt^2)): off by about 3 pi dt / 2 in log
+    # the transitions over one period multiply to Psi(2 pi, 0) = e^{-2 pi}
     dt = 2 * math.pi / 64
-    for scheme, log_tol in ((SCHEME_EXACT, 1e-8), (SCHEME_EULER, 6 * dt)):
-        cfg = SimConfig(dt=dt, t_end=2 * math.pi, paths=1, seed=0,
-                        cov_tol=1e-12, scheme=scheme)
-        ens = simulate_X(COS_DRIFT, DiffusionSpec.constant([[0.0]]), [1.0],
-                         cfg)
-        assert abs(math.log(ens.states[0, -1, 0]) + 2 * math.pi) <= log_tol
+    cfg = SimConfig(dt=dt, t_end=2 * math.pi, paths=1, seed=0, cov_tol=1e-12)
+    ens = simulate_X(COS_DRIFT, DiffusionSpec.constant([[0.0]]), [1.0], cfg)
+    assert abs(math.log(ens.states[0, -1, 0]) + 2 * math.pi) <= 1e-8
 
 
 @pytest.mark.parametrize("dt", [2 * math.pi / 64, 1.0])
@@ -607,18 +577,58 @@ def test_table_covariances_match_adaptive_quadrature(monkeypatch):
         assert np.abs(Q[n] - ref).max() <= cov_tol * np.abs(ref).max(), n
 
 
-def test_callable_sigma_gives_the_envelope_stack(monkeypatch):
-    # a callable is evaluated node by node through eval_sigma, so one that
-    # returns an envelope's values gives that envelope's stack
-    envelope = DiffusionSpec.envelope(LogPower(1.0), [[1.0, 0.5], [0.0, 1.0]])
-    fn = DiffusionSpec.from_callable(lambda t: eval_sigma(envelope, t), 2, 2)
-    monkeypatch.setattr(simulate, "_COV_BLOCK", 64)
-    dt, drift = 0.25, PERIODIC2
-    times = dt * np.arange(100)
-    psis = _propagators(drift, 6, dt)
-    Q = simulate._step_covariances(fn, times, dt, 1e-10, psis)
-    assert np.array_equal(Q, simulate._step_covariances(envelope, times, dt,
-                                                        1e-10, psis))
+def _sampler_factors(monkeypatch, drift, sigma, cfg):
+    """The transitions and the transposed noise factors that sample_chunks
+    sets up, taken before any draw."""
+    got = {}
+    monkeypatch.setattr(simulate, "_run", lambda trans, noise_t, xi, cfg:
+                        got.update(trans=trans, noise_t=noise_t) or [])
+    sample_chunks(drift, sigma, np.zeros(drift.d), cfg)
+    return got["trans"], got["noise_t"]
+
+
+def _sampled_covariances(trans, noise_t):
+    """Cov X_n of the sampled law from X_0 = 0: C_0 = 0 and
+    C_{n+1} = Phi_n C_n Phi_n^T + Q_n, Phi_n = trans[n % m] and
+    Q_n = noise[n] noise[n]^T."""
+    C = [np.zeros(trans.shape[1:])]
+    for n, f in enumerate(noise_t):
+        phi = trans[n % len(trans)]
+        C.append(phi @ C[-1] @ phi.T + f.T @ f)
+    return np.array(C)
+
+
+@pytest.mark.parametrize("drift, dt", [(PERIODIC2, 0.25),
+                                       (ConstantDrift(A2), 0.05)],
+                         ids=["periodic", "constant"])
+def test_sampled_covariances_solve_the_moment_ode(monkeypatch, drift, dt):
+    # the covariance of the exact law solves C' = A C + C A^T + sigma sigma^T;
+    # scipy's DOP853 integrates it independently of the panel, here for a
+    # time-varying sigma under a matrix periodic drift and a constant one
+    sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0, 0.5], [0.0, 1.0]])
+    cfg = SimConfig(dt=dt, t_end=12.0, paths=1, seed=0)
+    C = _sampled_covariances(*_sampler_factors(monkeypatch, drift, sigma, cfg))
+
+    def rhs(t, c):
+        C, A, S = c.reshape(2, 2), eval_drift(drift, t), eval_sigma(sigma, t)
+        return (A @ C + C @ A.T + S @ S.T).ravel()
+
+    sol = solve_ivp(rhs, (0.0, cfg.t_end), np.zeros(4), t_eval=cfg.times,
+                    method="DOP853", rtol=1e-13, atol=1e-15)
+    assert sol.success
+    ref = sol.y.T.reshape(-1, 2, 2)
+    assert np.abs(C - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_sampled_covariance_reaches_the_lyapunov_solution(monkeypatch):
+    # a constant sigma S on the stable A2: Cov X_n tends to the solution of
+    # A2 C + C A2^T = -S S^T, which it meets to rounding by t = 20
+    S = np.array([[1.0, 0.3], [0.0, 0.8]])
+    cfg = SimConfig(dt=0.05, t_end=20.0, paths=1, seed=0)
+    C = _sampled_covariances(*_sampler_factors(
+        monkeypatch, ConstantDrift(A2), DiffusionSpec.constant(S), cfg))
+    ref = solve_continuous_lyapunov(A2, -S @ S.T)
+    assert np.abs(C[400] - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def test_step_covariances_never_build_the_node_table():
@@ -727,24 +737,20 @@ def _sample_with_factors(monkeypatch, drift, sigma, xi, cfg):
 EYE2_SIGMA = DiffusionSpec.constant(np.eye(2))
 
 
-@pytest.mark.parametrize("drift, sigma, xi, dt, t_end, scheme", [
+@pytest.mark.parametrize("drift, sigma, xi, dt, t_end", [
     (ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]])),
      DiffusionSpec.envelope(ExpDecay(1.0, 0.1), [[1.0, 0.5], [0.0, 1.0]]),
-     [1.0, -1.0], 0.25, 75.0, SCHEME_EXACT),
-    (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 6, 100 * math.pi,
-     SCHEME_EXACT),
-    (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 64, 12 * math.pi,
-     SCHEME_EXACT),
-    (ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]])), EYE2_SIGMA,
-     [1.0, 1.0], 0.05, 20.0, SCHEME_EULER),
+     [1.0, -1.0], 0.25, 75.0),
+    (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 6, 100 * math.pi),
+    (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 64, 12 * math.pi),
     (ConstantDrift(np.array([[-1.0, 400.0], [0.0, -1.0]])), EYE2_SIGMA,
-     [1.0, 1.0], 0.05, 20.0, SCHEME_EXACT),
-], ids=["constant", "periodic-m6", "periodic-m64", "euler", "non-normal"])
+     [1.0, 1.0], 0.05, 20.0),
+], ids=["constant", "periodic-m6", "periodic-m64", "non-normal"])
 def test_blocked_solve_matches_sequential(monkeypatch, drift, sigma, xi, dt,
-                                          t_end, scheme):
+                                          t_end):
     # a small draw budget makes the chunks cut the blocks mid-way
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 100)
-    cfg = SimConfig(dt=dt, t_end=t_end, paths=3, seed=17, scheme=scheme)
+    cfg = SimConfig(dt=dt, t_end=t_end, paths=3, seed=17)
     states, trans, noise = _sample_with_factors(monkeypatch, drift, sigma,
                                                 xi, cfg)
     assert cfg.n_steps >= 300
