@@ -3,7 +3,8 @@
 Spectral abscissa / radius, the Lyapunov solve A^T M + M A = -I, matrix
 exponentials, and the propagator Psi(t, s) of X' = A(t) X, whose values are
 the fundamental solutions and the Floquet monodromy matrix Psi(T, 0) for
-periodic drifts.
+periodic drifts.  One routine, `step_propagators`, builds Psi over a step
+from many starts in one adaptive solve; `propagator` is its one-start case.
 """
 
 from __future__ import annotations
@@ -79,15 +80,71 @@ def expm(A, t: float = 1.0) -> np.ndarray:
     return out
 
 
+def step_propagators(drift, starts, dt: float, tol: float = 1e-10):
+    """The map u -> Psi(t_j + dt, t_j + u dt) on [0, 1] for every start t_j.
+
+    u = 0 gives the transitions over [t_j, t_j + dt], u = 1 the identity.
+    Constant drifts give exp(A (dt - u dt)) for every start.  Time-dependent
+    drifts solve the stacked adjoint equations dY_j/ds = -Y_j A(t_j + s),
+    Y_j(dt) = I, once backwards over the offset s in [dt, 0] by adaptive
+    embedded Runge-Kutta 4(5) with dense output; the right-hand side takes
+    A at every t_j + s in one `eval_drift` call.  The solver's error norm is
+    an RMS over all m d^2 components, so it runs at tol / sqrt(m): each
+    start's error bound is that of a solve of its own at tol.  The map takes
+    a u, giving an (m, d, d) stack, or a 1-d array of them, giving one stack
+    per u; the dense output evaluates an array at once.
+    """
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 1 or len(starts) == 0:
+        raise ValueError("starts must be a non-empty 1-d array")
+    # a NaN would hold solve_ivp forever
+    if not np.all(np.isfinite(starts)):
+        raise ValueError("starts must be finite")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    m, d = len(starts), drift.d
+    if isinstance(drift, ConstantDrift):
+        def exp_at(u):
+            if np.ndim(u):
+                E = np.array([expm(drift.matrix, dt - x * dt) for x in u])
+            else:
+                E = expm(drift.matrix, dt - u * dt)
+            return np.array(np.broadcast_to(E[..., None, :, :],
+                                            E.shape[:-2] + (m, d, d)))
+        return exp_at
+    # only this branch needs scipy.integrate, a third of a second to import
+    from scipy.integrate import solve_ivp
+
+    # eval_drift takes one time several times faster than an array of one
+    origin = starts if m > 1 else float(starts[0])
+
+    def rhs(s, y):
+        return -(y.reshape(m, d, d) @ eval_drift(drift, origin + s)).reshape(-1)
+
+    local = tol / math.sqrt(m)
+    sol = solve_ivp(rhs, (dt, 0.0), np.tile(np.eye(d), (m, 1)).reshape(-1),
+                    method="RK45", rtol=local, atol=local, dense_output=True)
+    if not sol.success:
+        raise RuntimeError(f"fundamental solution integration failed: {sol.message}")
+
+    def at(u):
+        return np.moveaxis(sol.sol(np.multiply(u, dt)), 0, -1).reshape(
+            np.shape(u) + (m, d, d))
+    return at
+
+
 def propagator(drift, t_end: float, t_lo: float, tol: float = 1e-10):
     """The map s -> Psi(t_end, s) on [t_lo, t_end], Psi(t_end, t_end) = I.
 
-    Psi(t, s) carries a state at time s to time t under X' = A X.  Constant
-    drifts give exp(A (t_end - s)); time-dependent drifts solve the adjoint
-    equation dY/ds = -Y A(s), Y(t_end) = I, once backwards by adaptive
-    embedded Runge-Kutta 4(5) at local tolerance tol, with dense output.
-    The map takes a time, giving a (d, d) matrix, or a 1-d array of times,
-    giving one matrix per time; the dense output evaluates an array at once.
+    Psi(t, s) carries a state at time s to time t under X' = A X.  This is
+    the one-start case of `step_propagators`, from t_lo over t_end - t_lo:
+    exp(A (t_end - s)) for a constant drift, and for a time-dependent one
+    the adjoint equation dY/ds = -Y A(s), Y(t_end) = I, solved once
+    backwards at local tolerance tol, with dense output.  The map takes a
+    time, giving a (d, d) matrix, or a 1-d array of times, giving one
+    matrix per time.
     """
     # a NaN would pass the order check below and hold solve_ivp forever
     for name, value in (("t_end", t_end), ("t_lo", t_lo)):
@@ -95,29 +152,12 @@ def propagator(drift, t_end: float, t_lo: float, tol: float = 1e-10):
             raise ValueError(f"{name} must be finite")
     if t_end < t_lo:
         raise ValueError("t_end must be >= t_lo")
-    if isinstance(drift, ConstantDrift):
-        def exp_at(s):
-            if np.ndim(s):
-                return np.array([expm(drift.matrix, t_end - x) for x in s])
-            return expm(drift.matrix, t_end - s)
-        return exp_at
-    d = drift.d
     if t_end == t_lo:
+        d = drift.d
         return lambda s: np.eye(d) + np.zeros(np.shape(s) + (d, d))
-    # only this branch needs scipy.integrate, a third of a second to import
-    from scipy.integrate import solve_ivp
-
-    def rhs(s, y):
-        return -(y.reshape(d, d) @ eval_drift(drift, s)).reshape(-1)
-
-    sol = solve_ivp(rhs, (t_end, t_lo), np.eye(d).reshape(-1),
-                    method="RK45", rtol=tol, atol=tol, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"fundamental solution integration failed: {sol.message}")
-
-    def at(s):
-        return np.moveaxis(sol.sol(s), 0, -1).reshape(np.shape(s) + (d, d))
-    return at
+    dt = t_end - t_lo
+    psi = step_propagators(drift, [t_lo], dt, tol)
+    return lambda s: psi(np.subtract(s, t_lo) / dt)[..., 0, :, :]
 
 
 def fundamental_solution(drift, t_end: float, tol: float = 1e-10,

@@ -481,10 +481,14 @@ class PeriodicDrift:
         if v.ndim != 3 or v.shape[0] != len(ts) or v.shape[1] != v.shape[2]:
             raise ValueError("values must have shape (n_times, d, d)")
         # eval_drift's segments: float knots closed by the period, whose
-        # value is the first sample again
+        # value is the first sample again; the scalar branch reads the
+        # tuples, which it indexes faster than arrays, and an array of times
+        # reads arrays of them
         object.__setattr__(self, "_knots",
                            (*map(float, ts), float(self.period)))
         object.__setattr__(self, "_knot_values", (*v, v[0]))
+        object.__setattr__(self, "_knot_array", np.array(self._knots))
+        object.__setattr__(self, "_value_array", np.array(self._knot_values))
 
     @property
     def d(self) -> int:
@@ -504,12 +508,26 @@ class CallableDrift:
             _check_period(self.period)
 
 
-def eval_drift(drift, t: float) -> np.ndarray:
-    """Evaluate A(t) as a (d, d) matrix."""
+def eval_drift(drift, t) -> np.ndarray:
+    """Evaluate A(t): a (d, d) matrix for a scalar t, and an array of shape
+    t.shape + (d, d) for an array of times.
+
+    Every entry equals the scalar call at its time; a periodic drift's times
+    must be finite.
+    """
     if isinstance(drift, ConstantDrift):
-        return drift.matrix.copy()
+        return np.array(np.broadcast_to(drift.matrix,
+                                        np.shape(t) + drift.matrix.shape))
     if isinstance(drift, PeriodicDrift):
-        tm = math.fmod(float(t), drift.period)
+        # a float (np.float64 is one) is a scalar: np.ndim costs about a
+        # third of this branch, which the ODE solver calls per stage
+        if not isinstance(t, float) and np.ndim(t):
+            return _periodic_drift_at(drift, np.asarray(t, dtype=float))
+        tm = float(t)
+        # fmod raises on an infinite time and returns NaN for a NaN one
+        if not math.isfinite(tm):
+            raise ValueError("drift times must be finite")
+        tm = math.fmod(tm, drift.period)
         if tm < 0:
             tm += drift.period
         ts, vs = drift._knots, drift._knot_values
@@ -518,8 +536,31 @@ def eval_drift(drift, t: float) -> np.ndarray:
         w = (tm - ts[i]) / (ts[i + 1] - ts[i])
         return (1.0 - w) * vs[i] + w * vs[i + 1]
     if isinstance(drift, CallableDrift):
-        out = np.atleast_2d(np.asarray(drift.fn(t), dtype=float))
-        if out.shape != (drift.d, drift.d):
-            raise ValueError("callable drift returned wrong shape")
-        return out
+        if np.ndim(t) == 0:
+            return _call_drift(drift, t)
+        tt = np.asarray(t, dtype=float)
+        return np.array([_call_drift(drift, float(x)) for x in tt.reshape(-1)]
+                        ).reshape(tt.shape + (drift.d, drift.d))
     raise TypeError(f"unknown drift form {type(drift).__name__}")
+
+
+def _periodic_drift_at(drift: PeriodicDrift, t: np.ndarray) -> np.ndarray:
+    """A periodic drift at an array of times: the scalar branch of
+    `eval_drift` on arrays, so every entry equals the scalar call's; the
+    scalar branch stays, since numpy's calls cost several times its Python
+    arithmetic on a single time."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError("drift times must be finite")
+    tm = np.fmod(t, drift.period)
+    tm[tm < 0] += drift.period
+    ts, vs = drift._knot_array, drift._value_array
+    i = np.minimum(np.searchsorted(ts, tm, side="right"), len(ts) - 1) - 1
+    w = ((tm - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
+    return (1.0 - w) * vs[i] + w * vs[i + 1]
+
+
+def _call_drift(drift: CallableDrift, t) -> np.ndarray:
+    out = np.atleast_2d(np.asarray(drift.fn(t), dtype=float))
+    if out.shape != (drift.d, drift.d):
+        raise ValueError("callable drift returned wrong shape")
+    return out

@@ -9,7 +9,10 @@ X_{n+1} = Psi(t_n + dt, t_n) X_n + xi_n with xi_n ~ Normal(0, Q_n) and
 where Psi is the propagator of X' = A(t) X (e^{A (t - s)} for a constant
 drift), so the sampler has no discretisation bias at grid points, periodic
 drifts included.  A constant drift is the periodic case with a single period
-position: both build Psi once per position and run one recursion.  Both
+position, and both run one recursion.  `linalg.step_propagators` builds Psi
+over a step for every period position at once: one matrix exponential per
+node for a constant drift, one stacked adaptive solve for a periodic one,
+whose dense output serves the transitions and the panel's nodes.  Both
 sigma forms, envelope and table, get their Q_n from one panel of
 `model.gauss_legendre_rule` per step, fed by `eval_sigma` at the nodes,
 at the lowest level (12 nodes on each of 2^L sub-panels) that passes two
@@ -53,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import propagator
+from .linalg import step_propagators
 from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
                     PeriodicDrift, PowerLaw, eval_sigma, gauss_legendre_rule)
 
@@ -161,12 +164,6 @@ def _path_generators(seed: int, paths: range) -> list:
 # step transitions and covariances
 # ---------------------------------------------------------------------------
 
-def _step_propagator(drift, t: float, dt: float, tol: float):
-    """u -> Psi(t + dt, t + u dt) on [0, 1]; u = 0 gives the transition."""
-    psi = propagator(drift, t + dt, t, tol=min(tol, 1e-12))
-    return lambda u: psi(t + u * dt)
-
-
 def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
                     tol: float = 1e-10) -> np.ndarray:
     """One-step transition covariance Q from t to t + dt.
@@ -185,7 +182,7 @@ def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
     Q = _step_covariances(sigma, np.array([float(t)]), dt, tol,
-                          [_step_propagator(drift, t, dt, tol)])[0]
+                          step_propagators(drift, [t], dt, min(tol, 1e-12)))[0]
     w, V = _psd_eigh(Q)
     return (V * w) @ V.T
 
@@ -222,14 +219,16 @@ def _panel(sigma: DiffusionSpec, t: np.ndarray, dt: float, u: np.ndarray,
 
 
 def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
-                      tol: float, psis: list) -> np.ndarray:
+                      tol: float, psis) -> np.ndarray:
     """Covariance stack Q_n for every step, (N, d, d), on one route for
     every sigma form.
 
-    Step n takes `_panel` with the propagators psis[n % m] of its period
-    position at the nodes of one level of `gauss_legendre_rule`, in blocks
-    of _COV_BLOCK GL_NODES / (nodes d r) steps per position, so sigma's
-    node values are never whole; the stack is built once.
+    psis maps step fractions u to the propagators Psi(t_j + dt, t_j + u dt)
+    of the m period positions, shape u.shape + (m, d, d).  Step n takes
+    `_panel` with those of its position j = n % m at the nodes of one level
+    of `gauss_legendre_rule`, in blocks of _COV_BLOCK GL_NODES / (nodes d r)
+    steps per position, so sigma's node values are never whole; the stack
+    is built once.
 
     The grid takes the lowest level that passes two checks against the next
     level, each to 10 tol relative to the next level's value.  At every
@@ -242,7 +241,7 @@ def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     piece takes the panel at the grid's level scaled to the piece: a table
     is linear there, and the piece is shorter than the step.
     """
-    N, m, d = len(times), len(psis), sigma.d
+    N, d = len(times), sigma.d
     knots = sigma.knots
     i = np.searchsorted(times, knots, side="right") - 1   # step of each knot
     kinked = set(i[(i >= 0) & (knots > times[i]) &
@@ -251,7 +250,9 @@ def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     for level in range(GL_MAX_LEVEL):
         (u, w), (u2, w2) = map(gauss_legendre_rule, (level, level + 1))
         k = len(u)
-        E = np.array([psi(np.concatenate([u, u2])) for psi in psis])
+        E = np.ascontiguousarray(np.moveaxis(psis(np.concatenate([u, u2])),
+                                             1, 0))
+        m = len(E)
         if all(_agree(np.einsum("k,kac,kbe->abce", w, e[:k], e[:k]),
                       np.einsum("k,kac,kbe->abce", w2, e[k:], e[k:]), tol)
                for e in E) and (first is None or _agree(*(
@@ -272,7 +273,7 @@ def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
         t = times[n]
         cuts = np.r_[0.0, (knots[(knots > t) & (knots < t + dt)] - t) / dt, 1.0]
         Q[n] = sum(_panel(sigma, times[n:n + 1], dt, a + h * u, h * w,
-                          psis[n % m](a + h * u))[0]
+                          psis(a + h * u)[:, n % m])[0]
                    for a, h in zip(cuts[:-1], np.diff(cuts)))
     return Q
 
@@ -496,8 +497,8 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
         raise ValueError("sigma and drift dimensions differ")
     dt = cfg.dt
     times = dt * np.arange(cfg.n_steps)
-    psis = [_step_propagator(drift, t, dt, cfg.cov_tol) for t in times[:m]]
-    trans = np.array([psi(0.0) for psi in psis])
+    psis = step_propagators(drift, times[:m], dt, min(cfg.cov_tol, 1e-12))
+    trans = psis(0.0)
     noise_t = _root_in_place(_step_covariances(sigma, times, dt, cfg.cov_tol,
                                                psis))
     return _run(trans, noise_t, xi, cfg)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -484,6 +485,22 @@ def test_simulate_nonfinite_states_exit_numeric(tmp_path, capsys,
         assert code == EXIT_NUMERIC
         assert "numeric failure: non-finite states in ensemble" in \
             capsys.readouterr().err
+
+
+def test_simulate_failed_propagator_solve_exits_numeric(tmp_path, capsys,
+                                                       monkeypatch):
+    # the periodic sampler's stacked adjoint solve fails: a RuntimeError,
+    # reported as a numeric failure
+    import scipy.integrate
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k:
+                        SimpleNamespace(success=False, message="step too small"))
+    doc = _scalar_doc(1.0, dt=0.5, t_end=4.0, paths=2)
+    doc["drift"] = {"kind": "periodic", "period": 1.0, "times": [0.0, 0.5],
+                    "values": [[[-1.0]], [[-2.0]]]}
+    assert main(["simulate", write(tmp_path, doc), "--out",
+                 str(tmp_path)]) == EXIT_NUMERIC
+    assert "numeric failure: fundamental solution integration failed: " \
+        "step too small" in capsys.readouterr().err
 
 
 def test_scenario_naming_a_scheme_is_rejected(tmp_path, capsys):

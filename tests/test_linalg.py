@@ -1,14 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad_vec
+import scipy.integrate
+from scipy.integrate import quad_vec, solve_ivp
 
 from affinesde.linalg import (MonodromyResult, StabilityError, expm,
                               fundamental_solution, monodromy, propagator,
                               solve_lyapunov, spectral_abscissa,
-                              spectral_radius)
-from affinesde.model import CallableDrift, ConstantDrift, PeriodicDrift
+                              spectral_radius, step_propagators)
+from affinesde.model import (CallableDrift, ConstantDrift, PeriodicDrift,
+                             eval_drift, gauss_legendre_rule)
 
 
 def test_spectral_abscissa_examples():
@@ -164,6 +167,105 @@ def test_propagator_takes_an_array_of_times(drift):
                      0.5, 0.5)
     assert eye(0.5).shape == (1, 1)
     assert np.array_equal(eye(s), np.ones((4, 1, 1)))
+
+
+PERIODIC2 = PeriodicDrift(period=1.5, times=[0.0, 0.5],
+                          values=[[[-1.0, 0.5], [0.0, -2.0]],
+                                  [[-2.0, 0.0], [0.3, -0.5]]])
+
+
+def _knots16_drift():
+    """[[-1 + cos t, .5], [0, -2 + sin t]] sampled at 16 knots per 2 pi."""
+    period = 2.0 * math.pi
+    times = [period * k / 16 for k in range(16)]
+    return PeriodicDrift(period=period, times=times, values=[
+        [[-1.0 + math.cos(t), 0.5], [0.0, -2.0 + math.sin(t)]] for t in times])
+
+
+@pytest.mark.parametrize("drift, m", [(PERIODIC2, 6), (_knots16_drift(), 64)],
+                         ids=["periodic2-m6", "knots16-m64"])
+def test_step_propagators_match_the_one_start_propagator(drift, m):
+    # one stacked solve over every period position gives each position's
+    # transition (u = 0) and panel nodes as a solve of its own does
+    dt = drift.period / m
+    starts = dt * np.arange(m)
+    psis = step_propagators(drift, starts, dt, 1e-12)
+    u = np.concatenate([[0.0], *(gauss_legendre_rule(k)[0] for k in (0, 1)),
+                        [1.0]])
+    got = psis(u)
+    assert got.shape == (len(u), m, 2, 2)
+    assert np.array_equal(psis(0.0), got[0])
+    for j, t in enumerate(starts):
+        ref = propagator(drift, t + dt, t, tol=1e-12)(t + u * dt)
+        assert np.abs(got[:, j] - ref).max() <= 1e-11 * np.abs(ref).max(), j
+    assert np.array_equal(got[-1], np.broadcast_to(np.eye(2), (m, 2, 2)))
+
+
+def _separate_monodromy(drift, tol):
+    """Psi(T, 0) by a backward RK45 solve of dY/ds = -Y A(s), Y(T) = I, on
+    its own: the route monodromy took before the stacked solve."""
+    d, T = drift.d, drift.period
+
+    def rhs(s, y):
+        return -(y.reshape(d, d) @ eval_drift(drift, s)).reshape(-1)
+
+    sol = solve_ivp(rhs, (T, 0.0), np.eye(d).reshape(-1), method="RK45",
+                    rtol=tol, atol=tol, dense_output=True)
+    assert sol.success
+    return sol.sol(0.0).reshape(d, d)
+
+
+@pytest.mark.parametrize("drift", [
+    PERIODIC2, _knots16_drift(),
+    PeriodicDrift(period=1.0, times=[0.0, 0.5],
+                  values=[np.array([[-1.0]]), np.array([[-1.0]])]),
+    CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
+                  period=2 * math.pi),
+    CallableDrift(fn=lambda t: np.diag([-1.0 + math.cos(t), -2.0]), d=2,
+                  period=2 * math.pi),
+], ids=["periodic2", "knots16", "constant-values", "sin", "diag"])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_monodromy_is_the_separate_solve_bit_for_bit(drift, tol):
+    # the one-start case of the stacked solve runs from offset 0, so it
+    # takes the same steps as a solve of its own
+    assert np.array_equal(monodromy(drift, tol=tol).Psi_T,
+                          _separate_monodromy(drift, tol))
+
+
+@pytest.mark.parametrize("drift", [ConstantDrift([[-1.0]]), PERIODIC2],
+                         ids=["constant", "periodic"])
+def test_step_propagators_reject_bad_arguments(drift):
+    # caught at the entry, naming the argument: a NaN start or step would
+    # hold the adjoint solve forever
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^starts must be finite"):
+            step_propagators(drift, [0.0, bad], 0.25)
+        with pytest.raises(ValueError, match="^dt must be finite"):
+            step_propagators(drift, [0.0], bad)
+    for bad in (0.0, -0.25):
+        with pytest.raises(ValueError, match="^dt must be positive"):
+            step_propagators(drift, [0.0], bad)
+    with pytest.raises(ValueError, match="^starts must be a non-empty 1-d"):
+        step_propagators(drift, [], 0.25)
+
+
+def test_step_propagators_hold_each_start_to_tol(monkeypatch):
+    # solve_ivp's error norm is an RMS over all m d^2 components, so the
+    # stacked solve of m starts runs at tol / sqrt(m)
+    seen = []
+    real = scipy.integrate.solve_ivp
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k:
+                        seen.append((k["rtol"], k["atol"])) or real(*a, **k))
+    for m in (1, 4, 64):
+        step_propagators(PERIODIC2, 0.25 * np.arange(m), 0.25, 1e-12)
+    assert seen == [(1e-12, 1e-12), (5e-13, 5e-13), (1.25e-13, 1.25e-13)]
+
+
+def test_step_propagators_raise_on_a_failed_solve(monkeypatch):
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k:
+                        SimpleNamespace(success=False, message="step too small"))
+    with pytest.raises(RuntimeError, match="integration failed: step too small"):
+        step_propagators(PERIODIC2, [0.0, 0.25], 0.25)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -379,6 +379,43 @@ def test_periodic_drift_matches_searchsorted_lookup_bit_for_bit():
             assert np.array_equal(a, b), (t, a, b)
 
 
+def test_eval_drift_array_matches_scalar_calls():
+    # an array of times gives t.shape + (d, d), each entry the scalar call's
+    # bit for bit: on knots, at whole periods, at negative times and on the
+    # wrap segment from the last knot back to the period
+    T = 2 * math.pi
+    knots = [T * k / 16 for k in range(16)]
+    periodic = PeriodicDrift(
+        period=T, times=knots,
+        values=[np.array([[-1.0 + math.cos(t), 0.5], [0.0, -2.0 + math.sin(t)]])
+                for t in knots])
+    wrap = [knots[-1] + f * (T - knots[-1]) for f in (0.0, 0.3, 0.999)]
+    ts = np.array(knots + wrap + [k * T for k in (-3, -1, 0, 1, 2, 7)] +
+                  [-x for x in knots[1:] + wrap] +
+                  [-1e-300, math.nextafter(T, 0), 0.7, 1e6 + 0.1])
+    drifts = [
+        periodic,
+        PeriodicDrift(period=3.0, times=[0.0], values=[[[-0.5]]]),
+        ConstantDrift([[-1.0, 0.5], [0.0, -2.0]]),
+        CallableDrift(fn=lambda t: np.array([[math.sin(t), 1.0],
+                                             [0.0, math.cos(3 * t)]]),
+                      d=2, period=T)]
+    for drift in drifts:
+        got = eval_drift(drift, ts)
+        assert got.shape == ts.shape + (drift.d, drift.d)
+        for t, a in zip(ts, got):
+            assert np.array_equal(a, eval_drift(drift, float(t))), (drift, t)
+        assert eval_drift(drift, ts[:0]).shape == (0, drift.d, drift.d)
+
+
+def test_periodic_drift_rejects_non_finite_times():
+    drift = PeriodicDrift(period=2.0, times=[0.0, 1.0],
+                          values=[[[1.0]], [[-1.0]]])
+    for bad in (math.nan, math.inf, [0.5, -math.inf]):
+        with pytest.raises(ValueError, match="drift times must be finite"):
+            eval_drift(drift, bad)
+
+
 def test_callable_drift():
     drift = CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
                           period=2 * math.pi)

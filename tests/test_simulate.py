@@ -10,7 +10,7 @@ from scipy.integrate import quad_vec, solve_ivp
 from scipy.linalg import solve_continuous_lyapunov
 from scipy.stats import kstest
 
-from affinesde.linalg import expm
+from affinesde.linalg import expm, step_propagators
 from affinesde.model import (GL_NODES, CallableDrift, ConstantDrift,
                              DiffusionSpec, ExpDecay, LogPower, PeriodicDrift,
                              PowerLaw, eval_drift, eval_sigma,
@@ -132,10 +132,10 @@ def _adaptive_step_covariance(drift, sigma, t, dt, tol=1e-10, points=None):
     """Reference Q of one step by scipy's adaptive quad_vec, independent of
     the package's Gauss-Legendre rule; points are the step fractions of
     sigma's kinks."""
-    E = simulate._step_propagator(drift, t, dt, tol)
+    E = step_propagators(drift, [t], dt, min(tol, 1e-12))
 
     def integrand(u):
-        M = E(u) @ eval_sigma(sigma, float(t + u * dt))
+        M = E(u)[0] @ eval_sigma(sigma, float(t + u * dt))
         return dt * (M @ M.T)
 
     Q, err = quad_vec(integrand, 0.0, 1.0, epsabs=1e-300, epsrel=tol,
@@ -479,7 +479,7 @@ def test_periodic_sampler_covariances_exact(m):
 def _level0_propagators(psis):
     """E[j, k] = Psi(t_j + dt, t_j + u_k dt) at the level-0 nodes u_k."""
     u, _ = gauss_legendre_rule(0)
-    return np.array([psi(u) for psi in psis])
+    return np.moveaxis(psis(u), 1, 0)
 
 
 def _one_shot_covariances(sigma, times, dt, psis):
@@ -501,7 +501,7 @@ def _envelope_covariances(sigma, times, dt, psis):
     g = np.asarray(sigma.form.envelope.value(times[:, None] + u * dt)) ** 2
     M = _level0_propagators(psis) @ sigma.form.pattern
     C = (dt * M) @ np.swapaxes(M, -1, -2)
-    m = len(psis)
+    m = len(M)
     Q = np.empty((len(times), sigma.d, sigma.d))
     for j in range(m):
         Q[j::m] = np.einsum("k,nk,kij->nij", w, g[j::m], C[j])
@@ -509,9 +509,9 @@ def _envelope_covariances(sigma, times, dt, psis):
 
 
 def _propagators(drift, m, dt):
-    """The step propagators of the m period positions of a grid from 0."""
-    return [simulate._step_propagator(drift, j * dt, dt, 1e-10)
-            for j in range(m)]
+    """The step propagators of the m period positions of a grid from 0, as
+    the sampler builds them at cov_tol 1e-10."""
+    return step_propagators(drift, dt * np.arange(m), dt, 1e-12)
 
 
 A2 = np.array([[-1.0, 0.5], [0.0, -2.0]])
