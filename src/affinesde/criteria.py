@@ -26,9 +26,8 @@ import numpy as np
 from . import model
 from .linalg import monodromy, spectral_abscissa
 from .model import (BOUNDED, REGIME_UNDECIDED, STABLE, UNBOUNDED, ZERO,
-                    CallableDrift, ConstantDrift, DiffusionSpec,
-                    EnvelopePattern, PeriodicDrift, TableSigma, frobenius_sq,
-                    interval_integrals)
+                    ConstantDrift, DiffusionSpec, EnvelopePattern, TableSigma,
+                    frobenius_sq, interval_integrals)
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -440,8 +439,7 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
         gate_note = "" if drift_stable else (
             "spectral abscissa >= 0: the unperturbed system is not "
             "asymptotically stable and additive noise cannot stabilise it")
-    elif isinstance(drift, (PeriodicDrift, CallableDrift)) and \
-            getattr(drift, "period", None) is not None:
+    elif getattr(drift, "period", None) is not None:
         rho = monodromy(drift, tol=min(tol, 1e-12)).rho
         drift_stable = rho < 1.0
         gate_note = "" if drift_stable else (

@@ -1,10 +1,11 @@
 """Small dense linear algebra for the drift matrix.
 
 Spectral abscissa / radius, the Lyapunov solve A^T M + M A = -I, matrix
-exponentials, and the propagator Psi(t, s) of X' = A(t) X, whose values are
-the fundamental solutions and the Floquet monodromy matrix Psi(T, 0) for
-periodic drifts.  One routine, `step_propagators`, builds Psi over a step
-from many starts in one adaptive solve; `propagator` is its one-start case.
+exponentials, and the propagator Psi(t, s) of X' = A(t) X.  One routine,
+`step_propagators`, builds Psi over a step from many starts in one adaptive
+solve; the sampler's transitions and the Floquet monodromy matrix Psi(T, 0)
+of a periodic drift, the product of a period's transitions, both come
+from it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConstantDrift, eval_drift
+from .model import ConstantDrift, PeriodicDrift, eval_drift
 
 
 class StabilityError(ValueError):
@@ -64,10 +65,11 @@ def solve_lyapunov(A) -> LyapunovSolution:
     return LyapunovSolution(M=M, residual=residual)
 
 
-def expm(A, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential exp(A t) (scaling and squaring)."""
+def expm(A, t=1.0) -> np.ndarray:
+    """Matrix exponential exp(A t) (scaling and squaring): a (d, d) matrix
+    for a scalar t, and t.shape + (d, d) for an array of times."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    At = A * float(t)
+    At = A * np.asarray(t, dtype=float)[..., None, None]
     if not np.all(np.isfinite(At)):
         raise ValueError("A*t must be finite")
     # imported here, so that a run that takes no exponential (classify on a
@@ -104,24 +106,21 @@ def step_propagators(drift, starts, dt: float, tol: float = 1e-10):
         raise ValueError("dt must be finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    # a NaN or zero tolerance would hold solve_ivp forever
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     m, d = len(starts), drift.d
     if isinstance(drift, ConstantDrift):
         def exp_at(u):
-            if np.ndim(u):
-                E = np.array([expm(drift.matrix, dt - x * dt) for x in u])
-            else:
-                E = expm(drift.matrix, dt - u * dt)
+            E = expm(drift.matrix, dt - np.multiply(u, dt))
             return np.array(np.broadcast_to(E[..., None, :, :],
                                             E.shape[:-2] + (m, d, d)))
         return exp_at
     # only this branch needs scipy.integrate, a third of a second to import
     from scipy.integrate import solve_ivp
 
-    # eval_drift takes one time several times faster than an array of one
-    origin = starts if m > 1 else float(starts[0])
-
     def rhs(s, y):
-        return -(y.reshape(m, d, d) @ eval_drift(drift, origin + s)).reshape(-1)
+        return -(y.reshape(m, d, d) @ eval_drift(drift, starts + s)).reshape(-1)
 
     local = tol / math.sqrt(m)
     sol = solve_ivp(rhs, (dt, 0.0), np.tile(np.eye(d), (m, 1)).reshape(-1),
@@ -135,37 +134,6 @@ def step_propagators(drift, starts, dt: float, tol: float = 1e-10):
     return at
 
 
-def propagator(drift, t_end: float, t_lo: float, tol: float = 1e-10):
-    """The map s -> Psi(t_end, s) on [t_lo, t_end], Psi(t_end, t_end) = I.
-
-    Psi(t, s) carries a state at time s to time t under X' = A X.  This is
-    the one-start case of `step_propagators`, from t_lo over t_end - t_lo:
-    exp(A (t_end - s)) for a constant drift, and for a time-dependent one
-    the adjoint equation dY/ds = -Y A(s), Y(t_end) = I, solved once
-    backwards at local tolerance tol, with dense output.  The map takes a
-    time, giving a (d, d) matrix, or a 1-d array of times, giving one
-    matrix per time.
-    """
-    # a NaN would pass the order check below and hold solve_ivp forever
-    for name, value in (("t_end", t_end), ("t_lo", t_lo)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-    if t_end < t_lo:
-        raise ValueError("t_end must be >= t_lo")
-    if t_end == t_lo:
-        d = drift.d
-        return lambda s: np.eye(d) + np.zeros(np.shape(s) + (d, d))
-    dt = t_end - t_lo
-    psi = step_propagators(drift, [t_lo], dt, tol)
-    return lambda s: psi(np.subtract(s, t_lo) / dt)[..., 0, :, :]
-
-
-def fundamental_solution(drift, t_end: float, tol: float = 1e-10,
-                         t_start: float = 0.0) -> np.ndarray:
-    """Psi(t_end) for Psi'(t) = A(t) Psi(t), Psi(t_start) = I."""
-    return propagator(drift, t_end, t_start, tol)(t_start)
-
-
 @dataclass(frozen=True)
 class MonodromyResult:
     Psi_T: np.ndarray
@@ -173,13 +141,29 @@ class MonodromyResult:
 
 
 def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
-    """Floquet monodromy Psi(T) and its spectral radius for a periodic drift."""
+    """Floquet monodromy Psi(T, 0) and its spectral radius for a periodic drift.
+
+    The period is cut into m equal segments, m the smallest multiple of the
+    knot count (one for a callable drift) that is at least 64, and Psi(T, 0)
+    is the ordered product of the segments' transitions from one stacked
+    `step_propagators` solve at tol.  Uniform knots then fall on segment
+    edges, so no solve crosses a kink of a piecewise-linear drift, where the
+    solver's error estimate does not hold; and each transition has O(1)
+    entries, so the absolute tolerance acts as a relative one, which it does
+    not on a whole period's decayed entries.
+    """
     if isinstance(drift, ConstantDrift):
         raise ValueError("monodromy needs a periodic drift; use expm for constant A")
     period = getattr(drift, "period", None)
     if period is None:
         raise ValueError("drift has no period")
-    Psi_T = fundamental_solution(drift, period, tol=tol)
+    knots = len(drift.times) if isinstance(drift, PeriodicDrift) else 1
+    m = knots * math.ceil(64 / knots)
+    seg = period / m
+    steps = step_propagators(drift, seg * np.arange(m), seg, tol)(0.0)
+    Psi_T = steps[0]
+    for step in steps[1:]:
+        Psi_T = step @ Psi_T
     det = float(np.linalg.det(Psi_T))
     if det == 0.0:
         raise RuntimeError("monodromy matrix is singular; integration failed")

@@ -18,7 +18,6 @@ Specs are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
@@ -461,7 +460,9 @@ class PeriodicDrift:
     """T-periodic matrix function sampled on [0, T), piecewise linear.
 
     Evaluation wraps t mod T; the segment from the last knot back to t=T
-    interpolates towards the first sample, so A(t + T) = A(t) exactly.
+    interpolates towards the first sample, so A(t + T) = A(t) exactly.  A
+    kinks at the knots, so `linalg.monodromy` cuts the period into a multiple
+    of the knot count of equal segments, on whose edges uniform knots fall.
     """
 
     period: float
@@ -480,15 +481,10 @@ class PeriodicDrift:
         v = self.values
         if v.ndim != 3 or v.shape[0] != len(ts) or v.shape[1] != v.shape[2]:
             raise ValueError("values must have shape (n_times, d, d)")
-        # eval_drift's segments: float knots closed by the period, whose
-        # value is the first sample again; the scalar branch reads the
-        # tuples, which it indexes faster than arrays, and an array of times
-        # reads arrays of them
-        object.__setattr__(self, "_knots",
-                           (*map(float, ts), float(self.period)))
-        object.__setattr__(self, "_knot_values", (*v, v[0]))
-        object.__setattr__(self, "_knot_array", np.array(self._knots))
-        object.__setattr__(self, "_value_array", np.array(self._knot_values))
+        # eval_drift's segments: the knots closed by the period, whose value
+        # is the first sample again
+        object.__setattr__(self, "_knot_array", np.append(ts, self.period))
+        object.__setattr__(self, "_value_array", np.concatenate([v, v[:1]]))
 
     @property
     def d(self) -> int:
@@ -510,34 +506,15 @@ class CallableDrift:
 
 def eval_drift(drift, t) -> np.ndarray:
     """Evaluate A(t): a (d, d) matrix for a scalar t, and an array of shape
-    t.shape + (d, d) for an array of times.
-
-    Every entry equals the scalar call at its time; a periodic drift's times
-    must be finite.
+    t.shape + (d, d) for an array of times; a periodic drift's times must be
+    finite.
     """
     if isinstance(drift, ConstantDrift):
         return np.array(np.broadcast_to(drift.matrix,
                                         np.shape(t) + drift.matrix.shape))
     if isinstance(drift, PeriodicDrift):
-        # a float (np.float64 is one) is a scalar: np.ndim costs about a
-        # third of this branch, which the ODE solver calls per stage
-        if not isinstance(t, float) and np.ndim(t):
-            return _periodic_drift_at(drift, np.asarray(t, dtype=float))
-        tm = float(t)
-        # fmod raises on an infinite time and returns NaN for a NaN one
-        if not math.isfinite(tm):
-            raise ValueError("drift times must be finite")
-        tm = math.fmod(tm, drift.period)
-        if tm < 0:
-            tm += drift.period
-        ts, vs = drift._knots, drift._knot_values
-        # tm = T after rounding stays on the wrap segment [t_last, T]
-        i = min(bisect.bisect_right(ts, tm), len(ts) - 1) - 1
-        w = (tm - ts[i]) / (ts[i + 1] - ts[i])
-        return (1.0 - w) * vs[i] + w * vs[i + 1]
+        return _periodic_drift_at(drift, np.asarray(t, dtype=float))
     if isinstance(drift, CallableDrift):
-        if np.ndim(t) == 0:
-            return _call_drift(drift, t)
         tt = np.asarray(t, dtype=float)
         return np.array([_call_drift(drift, float(x)) for x in tt.reshape(-1)]
                         ).reshape(tt.shape + (drift.d, drift.d))
@@ -545,15 +522,15 @@ def eval_drift(drift, t) -> np.ndarray:
 
 
 def _periodic_drift_at(drift: PeriodicDrift, t: np.ndarray) -> np.ndarray:
-    """A periodic drift at an array of times: the scalar branch of
-    `eval_drift` on arrays, so every entry equals the scalar call's; the
-    scalar branch stays, since numpy's calls cost several times its Python
-    arithmetic on a single time."""
+    """A periodic drift at an array of times of any shape, a 0-d one
+    included: t wrapped into [0, T) by fmod, its segment found by
+    searchsorted, and A linearly interpolated between the segment's knots."""
     if not np.all(np.isfinite(t)):
         raise ValueError("drift times must be finite")
     tm = np.fmod(t, drift.period)
-    tm[tm < 0] += drift.period
+    tm = np.where(tm < 0, tm + drift.period, tm)
     ts, vs = drift._knot_array, drift._value_array
+    # tm = T after rounding stays on the wrap segment [t_last, T]
     i = np.minimum(np.searchsorted(ts, tm, side="right"), len(ts) - 1) - 1
     w = ((tm - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
     return (1.0 - w) * vs[i] + w * vs[i + 1]

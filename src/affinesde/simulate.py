@@ -10,9 +10,10 @@ where Psi is the propagator of X' = A(t) X (e^{A (t - s)} for a constant
 drift), so the sampler has no discretisation bias at grid points, periodic
 drifts included.  A constant drift is the periodic case with a single period
 position, and both run one recursion.  `linalg.step_propagators` builds Psi
-over a step for every period position at once: one matrix exponential per
-node for a constant drift, one stacked adaptive solve for a periodic one,
-whose dense output serves the transitions and the panel's nodes.  Both
+over a step for every period position at once: one stacked matrix
+exponential over the nodes for a constant drift, one stacked adaptive solve
+for a periodic one, whose dense output serves the transitions and the
+panel's nodes.  Both
 sigma forms, envelope and table, get their Q_n from one panel of
 `model.gauss_legendre_rule` per step, fed by `eval_sigma` at the nodes,
 at the lowest level (12 nodes on each of 2^L sub-panels) that passes two
@@ -179,6 +180,8 @@ def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
             raise ValueError(f"{name} must be finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
     Q = _step_covariances(sigma, np.array([float(t)]), dt, tol,

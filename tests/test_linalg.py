@@ -7,8 +7,7 @@ import scipy.integrate
 from scipy.integrate import quad_vec, solve_ivp
 
 from affinesde.linalg import (MonodromyResult, StabilityError, expm,
-                              fundamental_solution, monodromy, propagator,
-                              solve_lyapunov, spectral_abscissa,
+                              monodromy, solve_lyapunov, spectral_abscissa,
                               spectral_radius, step_propagators)
 from affinesde.model import (CallableDrift, ConstantDrift, PeriodicDrift,
                              eval_drift, gauss_legendre_rule)
@@ -98,6 +97,16 @@ def test_expm_examples():
                                atol=1e-14)
 
 
+def test_expm_takes_an_array_of_times():
+    # one exponential per time, each the scalar call's bit for bit
+    A = np.array([[-1.0, 0.5], [0.3, -2.0]])
+    t = np.array([[0.0, 0.25], [1.7, 3.0]])
+    got = expm(A, t)
+    assert got.shape == (2, 2, 2, 2)
+    for idx in np.ndindex(t.shape):
+        assert np.array_equal(got[idx], expm(A, float(t[idx])))
+
+
 def test_expm_overflow_raises():
     with pytest.raises((OverflowError, ValueError)):
         expm(np.array([[1.0]]), 1e6)
@@ -107,23 +116,28 @@ def test_expm_overflow_raises():
 # fundamental solutions and monodromy
 # ---------------------------------------------------------------------------
 
+def _fundamental_solution(drift, t, tol=1e-10, s=0.0):
+    """Psi(t, s): the transition of the one-start step propagator from s."""
+    return step_propagators(drift, [s], t - s, tol)(0.0)[0]
+
+
 def test_fundamental_solution_constant_reduction():
     A = np.array([[-1.0, 0.5], [0.3, -2.0]])
-    Psi = fundamental_solution(ConstantDrift(A), 1.7)
+    Psi = _fundamental_solution(ConstantDrift(A), 1.7)
     np.testing.assert_allclose(Psi, expm(A, 1.7), atol=1e-8)
 
 
 def test_fundamental_solution_sin_drift():
     drift = CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
                           period=2 * math.pi)
-    Psi = fundamental_solution(drift, 2 * math.pi, tol=1e-12)
+    Psi = _fundamental_solution(drift, 2 * math.pi, tol=1e-12)
     assert Psi[0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_fundamental_solution_shifted_cos_drift():
     drift = CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t)]]), d=1,
                           period=2 * math.pi)
-    Psi = fundamental_solution(drift, 2 * math.pi, tol=1e-12)
+    Psi = _fundamental_solution(drift, 2 * math.pi, tol=1e-12)
     assert Psi[0, 0] == pytest.approx(math.exp(-2 * math.pi), rel=1e-8)
 
 
@@ -133,7 +147,7 @@ def test_fundamental_solution_shifted_start():
         fn=lambda t: np.diag([-1.0 + math.cos(t), -2.0]), d=2,
         period=2 * math.pi)
     for s, t in ((1.3, 4.0), (2.0, 2.5), (5.0, 11.0)):
-        Psi = fundamental_solution(drift, t, tol=1e-12, t_start=s)
+        Psi = _fundamental_solution(drift, t, tol=1e-12, s=s)
         expect = np.diag([math.exp(-(t - s) + math.sin(t) - math.sin(s)),
                           math.exp(-2.0 * (t - s))])
         np.testing.assert_allclose(Psi, expect, rtol=1e-8, atol=1e-11)
@@ -143,30 +157,9 @@ def test_fundamental_solution_semigroup():
     A = np.array([[-0.5, 1.0], [0.0, -1.5]])
     drift = ConstantDrift(A)
     s, t = 0.8, 1.3
-    lhs = fundamental_solution(drift, s + t)
-    rhs = fundamental_solution(drift, s) @ fundamental_solution(drift, t)
+    lhs = _fundamental_solution(drift, s + t)
+    rhs = _fundamental_solution(drift, s) @ _fundamental_solution(drift, t)
     np.testing.assert_allclose(lhs, rhs, atol=1e-7)
-
-
-@pytest.mark.parametrize("drift", [
-    ConstantDrift([[-1.0, 0.5], [0.0, -2.0]]),
-    PeriodicDrift(period=1.5, times=[0.0, 0.5],
-                  values=[[[-1.0, 0.5], [0.0, -2.0]], [[-2.0, 0.0], [0.3, -0.5]]]),
-], ids=["constant", "periodic"])
-def test_propagator_takes_an_array_of_times(drift):
-    # one matrix per time, each the scalar call's up to the dense output's
-    # rounding; the degenerate interval gives identities of the same shape
-    psi = propagator(drift, 1.25, 0.5, tol=1e-12)
-    s = np.array([0.5, 0.6, 1.0, 1.25])
-    got = psi(s)
-    assert got.shape == (4, 2, 2)
-    for k, x in enumerate(s):
-        np.testing.assert_allclose(got[k], psi(float(x)), rtol=1e-14,
-                                   atol=1e-15)
-    eye = propagator(PeriodicDrift(period=1.0, times=[0.0], values=[[[-1.0]]]),
-                     0.5, 0.5)
-    assert eye(0.5).shape == (1, 1)
-    assert np.array_equal(eye(s), np.ones((4, 1, 1)))
 
 
 PERIODIC2 = PeriodicDrift(period=1.5, times=[0.0, 0.5],
@@ -196,40 +189,69 @@ def test_step_propagators_match_the_one_start_propagator(drift, m):
     assert got.shape == (len(u), m, 2, 2)
     assert np.array_equal(psis(0.0), got[0])
     for j, t in enumerate(starts):
-        ref = propagator(drift, t + dt, t, tol=1e-12)(t + u * dt)
+        ref = step_propagators(drift, [t], dt, 1e-12)(u)[:, 0]
         assert np.abs(got[:, j] - ref).max() <= 1e-11 * np.abs(ref).max(), j
     assert np.array_equal(got[-1], np.broadcast_to(np.eye(2), (m, 2, 2)))
 
 
-def _separate_monodromy(drift, tol):
-    """Psi(T, 0) by a backward RK45 solve of dY/ds = -Y A(s), Y(T) = I, on
-    its own: the route monodromy took before the stacked solve."""
-    d, T = drift.d, drift.period
+def _knot_segment_reference(drift):
+    """Psi(T, 0) of a piecewise-linear drift as the product of a DOP853
+    solve on each knot segment, so that no solve crosses a kink, at an rtol
+    just above scipy's floor of 100 machine epsilons."""
+    d = drift.d
+    edges = [*drift.times, drift.period]
+    Psi = np.eye(d)
+    for a, b in zip(edges, edges[1:]):
+        sol = solve_ivp(lambda s, y: (eval_drift(drift, s) @
+                                      y.reshape(d, d)).reshape(-1),
+                        (a, b), np.eye(d).reshape(-1), method="DOP853",
+                        rtol=3e-14, atol=1e-15)
+        assert sol.success
+        Psi = sol.y[:, -1].reshape(d, d) @ Psi
+    return Psi
 
-    def rhs(s, y):
-        return -(y.reshape(d, d) @ eval_drift(drift, s)).reshape(-1)
 
-    sol = solve_ivp(rhs, (T, 0.0), np.eye(d).reshape(-1), method="RK45",
-                    rtol=tol, atol=tol, dense_output=True)
-    assert sol.success
-    return sol.sol(0.0).reshape(d, d)
+def test_monodromy_diagonal_is_exact_on_a_triangular_drift():
+    # the 16-knot drift is upper triangular, so diag Psi(T, 0) is
+    # exp(int a_ii) = exp(h sum_k a_ii(t_k)) for the knot spacing h; the
+    # knot-segment reference holds it too
+    drift = _knots16_drift()
+    h = drift.period / 16
+    exact = np.exp(h * np.einsum("kii->i", drift.values))
+    np.testing.assert_allclose(np.diag(_knot_segment_reference(drift)), exact,
+                               rtol=1e-13)
+    np.testing.assert_allclose(np.diag(monodromy(drift, tol=1e-12).Psi_T),
+                               exact, rtol=1e-10)
 
 
-@pytest.mark.parametrize("drift", [
-    PERIODIC2, _knots16_drift(),
-    PeriodicDrift(period=1.0, times=[0.0, 0.5],
-                  values=[np.array([[-1.0]]), np.array([[-1.0]])]),
-    CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
-                  period=2 * math.pi),
-    CallableDrift(fn=lambda t: np.diag([-1.0 + math.cos(t), -2.0]), d=2,
-                  period=2 * math.pi),
+_TWO_PI = 2 * math.pi
+
+
+@pytest.mark.parametrize("drift, reference, bounds", [
+    (PERIODIC2, _knot_segment_reference, {1e-10: 2e-8, 1e-12: 3e-10}),
+    (_knots16_drift(), _knot_segment_reference, {1e-10: 1e-9, 1e-12: 1e-10}),
+    (PeriodicDrift(period=1.0, times=[0.0, 0.5],
+                   values=[np.array([[-1.0]]), np.array([[-1.0]])]),
+     lambda drift: np.array([[math.exp(-1.0)]]), {1e-10: 6e-11, 1e-12: 6e-13}),
+    (CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
+                   period=_TWO_PI),
+     lambda drift: np.eye(1), {1e-10: 2e-10, 1e-12: 2e-12}),
+    (CallableDrift(fn=lambda t: np.diag([-1.0 + math.cos(t), -2.0]), d=2,
+                   period=_TWO_PI),
+     lambda drift: np.diag([math.exp(-_TWO_PI), math.exp(-2 * _TWO_PI)]),
+     {1e-10: 8e-6, 1e-12: 1e-7}),
 ], ids=["periodic2", "knots16", "constant-values", "sin", "diag"])
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
-def test_monodromy_is_the_separate_solve_bit_for_bit(drift, tol):
-    # the one-start case of the stacked solve runs from offset 0, so it
-    # takes the same steps as a solve of its own
-    assert np.array_equal(monodromy(drift, tol=tol).Psi_T,
-                          _separate_monodromy(drift, tol))
+def test_monodromy_matches_an_independent_reference(drift, reference, bounds,
+                                                    tol):
+    # entrywise relative error against the exact monodromy, or against a
+    # solve cut at every kink.  Each bound is the error of one RK45 solve
+    # over the whole period at the same tol, rounded up, except on the
+    # 16-knot drift, whose kinks fall on the segment edges: that solve
+    # misses these bounds by three orders of magnitude or more
+    ref = reference(drift)
+    got = monodromy(drift, tol=tol).Psi_T
+    np.testing.assert_allclose(got, ref, rtol=bounds[tol], atol=0.0)
 
 
 @pytest.mark.parametrize("drift", [ConstantDrift([[-1.0]]), PERIODIC2],
@@ -247,6 +269,18 @@ def test_step_propagators_reject_bad_arguments(drift):
             step_propagators(drift, [0.0], bad)
     with pytest.raises(ValueError, match="^starts must be a non-empty 1-d"):
         step_propagators(drift, [], 0.25)
+    for bad in (math.nan, math.inf, 0.0, -1e-10):
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            step_propagators(drift, [0.0], 0.25, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_monodromy_rejects_a_bad_tol(bad):
+    # a NaN, zero or infinite tolerance would hold the adjoint solve forever
+    drift = CallableDrift(fn=lambda t: np.diag([-1.0 + math.cos(t), -2.0]),
+                          d=2, period=_TWO_PI)
+    with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        monodromy(drift, tol=bad)
 
 
 def test_step_propagators_hold_each_start_to_tol(monkeypatch):
@@ -268,25 +302,13 @@ def test_step_propagators_raise_on_a_failed_solve(monkeypatch):
         step_propagators(PERIODIC2, [0.0, 0.25], 0.25)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_propagator_rejects_non_finite_times(bad):
-    # caught at the entry, naming the argument: a NaN passes the order check
-    # and would hold the adjoint solve forever
-    periodic = PeriodicDrift(period=1.5, times=[0.0], values=[[[-1.0]]])
-    for drift in (periodic, ConstantDrift([[-1.0]])):
-        with pytest.raises(ValueError, match="^t_end must be finite"):
-            propagator(drift, bad, 0.0)
-        with pytest.raises(ValueError, match="^t_lo must be finite"):
-            propagator(drift, 1.0, bad)
-
-
 def test_determinant_identity():
     # det Psi(t) = exp(int_0^t tr A)
     drift = CallableDrift(
         fn=lambda t: np.array([[-1.0 + math.cos(t), 0.4], [0.0, -2.0]]),
         d=2, period=2 * math.pi)
     t_end = 2 * math.pi
-    Psi = fundamental_solution(drift, t_end, tol=1e-12)
+    Psi = _fundamental_solution(drift, t_end, tol=1e-12)
     tr_int = -t_end + math.sin(t_end) - 2.0 * t_end
     assert np.linalg.det(Psi) == pytest.approx(math.exp(tr_int), rel=1e-7)
 

@@ -95,6 +95,14 @@ def test_step_covariance_rejects_non_finite_times(bad):
         step_covariance(OU_DRIFT, UNIT_SIGMA, 0.0, bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-10])
+def test_step_covariance_rejects_a_bad_tol(bad):
+    # caught at the entry, naming the argument: a NaN tolerance passes
+    # min(tol, 1e-12) on to the propagator solve
+    with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        step_covariance(OU_DRIFT, UNIT_SIGMA, 0.0, 0.5, tol=bad)
+
+
 STIFF_DRIFT = ConstantDrift(np.array([[-200.0]]))
 
 
