@@ -62,8 +62,7 @@ _ENVELOPES = {cls.__name__: (cls, tuple(f.name for f in dataclasses.fields(cls))
 _CRITERIA_DEFAULTS = {"h": 1.0, "c": 1.0, "eps_lo": 2.0 ** -8,
                       "eps_hi": 2.0 ** 8, "eps_points": 33, "n_terms": 256,
                       "t_max": 256.0, "tol": 1e-8}
-_SIM_DEFAULTS = {"dt": 0.05, "t_end": 64.0, "paths": 100, "seed": 0,
-                 "cov_tol": 1e-10}
+_SIM_DEFAULTS = {"dt": 0.05, "t_end": 64.0, "paths": 100, "seed": 0}
 _STATS_DEFAULTS = {f.name: f.default
                    for f in dataclasses.fields(stats.CompareThresholds)}
 

@@ -35,13 +35,13 @@ on a pool of one thread per CPU, the calling thread among them: the draws
 and the numpy kernels release the interpreter lock.  A group is narrow
 enough that each path's draw call fills at least _FILL normals, so the
 threads take the lock from each other rarely, and its chunks are as long
-as one CPU's share of the draw budget allows.  Each chunk is solved in
-blocks of about 64 steps anchored at absolute step indices: partial sums
-inside every block of the chunk at once, then one carry of the block-start
-state per block, so a chunk of k steps costs O(b + k/b) numpy calls rather
-than k.  Every path draws from its own stream and its arithmetic is
-column-wise, so the states depend neither on the chunk length nor on the
-grouping.
+as one CPU's share of the draw budget allows, in whole blocks of about 64
+steps anchored at absolute step indices.  Each chunk is solved block-wise:
+partial sums inside every block of the chunk at once, then one carry of the
+block-start state per block, so a chunk of k steps costs O(b + k/b) numpy
+calls rather than k.  Every path draws from its own stream and its
+arithmetic is column-wise, so the states depend neither on the chunk length
+nor on the grouping.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ _CHUNK_DRAWS = 2 ** 20   # normal draws per chunk over the running path groups
 _FILL = 2048             # least normals per draw call of one path
 _BLOCK = 64              # target steps per block of the blocked recursion
 _COV_BLOCK = 8192        # set-up block length in steps (level 0's over d r)
+_COV_TOL = 1e-10         # relative tolerance of the covariance panel's checks
 
 
 class CovarianceError(RuntimeError):
@@ -77,10 +78,9 @@ class SimConfig:
     t_end: float
     paths: int
     seed: int
-    cov_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("dt", "t_end", "cov_tol"):
+        for name in ("dt", "t_end"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("paths", "seed"):
@@ -96,8 +96,6 @@ class SimConfig:
             raise ValueError("paths must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.cov_tol <= 0:
-            raise ValueError("cov_tol must be positive")
         n = round(self.t_end / self.dt)
         if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
@@ -166,7 +164,7 @@ def _path_generators(seed: int, paths: range) -> list:
 # ---------------------------------------------------------------------------
 
 def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
-                    tol: float = 1e-10) -> np.ndarray:
+                    tol: float = _COV_TOL) -> np.ndarray:
     """One-step transition covariance Q from t to t + dt.
 
     The step is the one-step grid of `_step_covariances`, so Q is the
@@ -337,13 +335,17 @@ def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
     transposes noise[n]^T, in C order.
 
     `map_shards` runs the groups T = min(CPUs, paths) at a time, so a running
-    group draws at most _CHUNK_DRAWS / T normals per chunk.  A group is at
-    most as wide as lets each path's draw call fill at least _FILL normals,
-    since every call hands the interpreter lock to the other threads; the
-    group count is rounded up to a multiple of T so that every thread runs
-    as many groups.  The T draw buffers, which together take what one
-    stream's would, are allocated here, on the calling thread, which keeps
-    them in its malloc arena whichever thread later runs a group.
+    group draws at most budget = _CHUNK_DRAWS / T normals per chunk: a
+    group of w paths takes chunks of k = b max(1, budget // (w r b)) steps,
+    whole blocks of the solve (see _block_products), which stay within
+    budget whenever one path's block does.  A group is at most as wide as
+    lets each path's draw call fill at least _FILL normals, since every call
+    hands the interpreter lock to the other threads: as wide as affords
+    each path s steps, _FILL / r rounded up to whole blocks.  The group
+    count is rounded up to a multiple of T so that every thread runs as
+    many groups.  The T draw buffers, which together take what one stream's
+    would, are allocated here, on the calling thread, which keeps them in
+    its malloc arena whichever thread later runs a group.
     """
     N, r, d = noise_t.shape
     b, P = _block_products(trans)
@@ -354,11 +356,13 @@ def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
               for a in (trans, P))
     T = min(_cpus(), cfg.paths)
     budget = _CHUNK_DRAWS // T
-    widest = max(1, budget // (r * -(-_FILL // r)))
+    s = b * -(-_FILL // (b * r))
+    widest = max(1, budget // (s * r))
     n = -(-cfg.paths // widest)
     n = min(cfg.paths, T * -(-n // T))
     edges = [cfg.paths * i // n for i in range(n + 1)]
-    groups = [(range(lo, hi), min(N, max(1, budget // ((hi - lo) * r))))
+    groups = [(range(lo, hi),
+               min(N, b * max(1, budget // ((hi - lo) * r * b))))
               for lo, hi in zip(edges, edges[1:])]
     size = max(_scratch_size(len(paths), k, r, d, b) for paths, k in groups)
     pool = [np.empty(size) for _ in range(T)]
@@ -396,13 +400,13 @@ def _solve(TT, PT, b: int, noise_t, xi, seed: int, paths: range, k: int,
     anchored at absolute step indices s = 0, b, 2b, ...: the in-block partial
     sums W_i = trans[i % m] W_{i-1} + V_{s+i} take b - 1 updates, each over
     every block of the chunk at once, and one carry per block gives
-    X_{s+i+1} = P_i X_s + W_i.  A block cut by a chunk boundary carries its
-    start state X_s and its last partial sum into the next chunk, so the
-    states do not depend on k.  Every chunk is checked to be finite.  Each
-    path's arithmetic is the same in any group, so the states do not depend
-    on the grouping either.  After the yield the generator drops the chunk
-    (and its in-block view), so the next chunk's matmul can reuse its memory
-    when the consumer has dropped it too.
+    X_{s+i+1} = P_i X_s + W_i.  k is a multiple of b unless the chunk is
+    the last, so every chunk starts a block and carries only X_s into the
+    next: the states do not depend on k.  Every chunk is checked to be
+    finite.  Each path's arithmetic is the same in any group, so the states
+    do not depend on the grouping either.  After the yield the generator
+    drops the chunk (and its in-block views), so the next chunk's matmul can
+    reuse its memory when the consumer has dropped it too.
     """
     N, r, d = noise_t.shape
     m, w = len(TT), len(paths)
@@ -416,38 +420,26 @@ def _solve(TT, PT, b: int, noise_t, xi, seed: int, paths: range, k: int,
     Z = scratch[:w * k * r].reshape(w, k, r)
     rows = _product_rows(k, b)
     tmp = scratch[:rows * w * d].reshape(rows, w, d)
-    Xs, W = X[0], None   # state at the current block's start, partial sum
+    Xs = X[0]   # state at the current block's start
     for start in range(0, N, k):
         kk = min(k, N - start)
         for p, g in enumerate(gens):
             g.standard_normal(out=Z[p, :kk])
         out = np.matmul(np.swapaxes(Z[:, :kk], 0, 1),
                         noise_t[start:start + kk])
-        o = start % b    # block position of the chunk's first step
-        if o:
-            out[0] += W @ TT[o % m]
-        for i in range(1, b):
-            j = (i - o) % b or b     # first row at position i past row 0
-            if j < kk:
-                cur = out[j::b]
-                n = len(cur)
-                cur += np.matmul(out[j - 1:j - 1 + (n - 1) * b + 1:b],
-                                 TT[i % m], out=tmp[:n])
-        j = 0
-        while j < kk:
-            pos = (o + j) % b
-            n = min(b - pos, kk - j)
-            if pos + n < b:
-                W = out[kk - 1].copy()
-            q = (start + j - pos) % m   # period position of the block start
-            out[j:j + n] += np.matmul(Xs, PT[q, pos:pos + n], out=tmp[:n])
-            if pos + n == b:
-                Xs = out[j + n - 1].copy()
-            j += n
+        for i in range(1, min(b, kk)):
+            cur = out[i::b]
+            n = len(cur)
+            cur += np.matmul(out[i - 1::b][:n], TT[i % m], out=tmp[:n])
+        for j in range(0, kk, b):
+            blk = out[j:j + b]
+            n = len(blk)
+            blk += np.matmul(Xs, PT[(start + j) % m, :n], out=tmp[:n])
+            Xs = blk[-1].copy()
         _check_finite(out)
         yield start + 1, out
         # drop the chunk before the next matmul allocates its successor
-        out = cur = None
+        out = cur = blk = None
     pool.append(scratch)
 
 
@@ -472,8 +464,9 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     holds one stream per group, in path order; `map_shards` runs them,
     min(CPUs, paths) at a time.  Each stream's chunks cover grid points
     0..N in order, the first holding X_0 alone; a later chunk is a fresh
-    array of (2**20 // T) // (width r) steps, T = min(CPUs, paths) and width
-    the group's path count.  A stream drops each chunk when asked for the
+    array of b max(1, (2**20 // T) // (width d b)) steps but the last,
+    whole blocks of b (about 64) steps, T = min(CPUs, paths) and width the
+    group's path count.  A stream drops each chunk when asked for the
     next, so a consumer that drops it too holds, per running group, a draw
     buffer and one chunk of states; one that keeps chunks (`list`) may, and
     pays for them.  A drift with a period runs the periodic sampler (dt
@@ -500,9 +493,9 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
         raise ValueError("sigma and drift dimensions differ")
     dt = cfg.dt
     times = dt * np.arange(cfg.n_steps)
-    psis = step_propagators(drift, times[:m], dt, min(cfg.cov_tol, 1e-12))
+    psis = step_propagators(drift, times[:m], dt, 1e-12)
     trans = psis(0.0)
-    noise_t = _root_in_place(_step_covariances(sigma, times, dt, cfg.cov_tol,
+    noise_t = _root_in_place(_step_covariances(sigma, times, dt, _COV_TOL,
                                                psis))
     return _run(trans, noise_t, xi, cfg)
 
@@ -606,15 +599,13 @@ def simulate_X(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> PathEnsemble:
     return collect(sample_chunks(drift, sigma, xi, cfg), cfg)
 
 
-def simulate_Y(sigma: DiffusionSpec, cfg: SimConfig, y0=None) -> PathEnsemble:
+def simulate_Y(sigma: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
     """Sample the auxiliary process dY = -Y dt + sigma(t) dB, Y(0) = 0.
 
     The recursion Y_{n+1} = e^{-dt} Y_n + V_{n+1} is exact in distribution.
-    A non-zero start y0 is accepted as a test hook.
     """
     d = sigma.d
-    xi = np.zeros(d) if y0 is None else y0
-    return simulate_X(ConstantDrift(-np.eye(d)), sigma, xi, cfg)
+    return simulate_X(ConstantDrift(-np.eye(d)), sigma, np.zeros(d), cfg)
 
 
 def bessel_scenario(d: int, alpha: float, cfg: SimConfig,

@@ -119,8 +119,7 @@ def test_out_of_range_parameters_rejected(tmp_path):
     for section, key, value in (
             ("simulation", "t_end", math.inf), ("simulation", "dt", math.nan),
             ("simulation", "paths", math.inf), ("simulation", "paths", 4.7),
-            ("simulation", "seed", 1.5), ("simulation", "cov_tol", -1.0),
-            ("simulation", "cov_tol", math.nan), ("simulation", "cov_tol", 0.0),
+            ("simulation", "seed", 1.5),
             ("criteria", "n_terms", 2.5), ("criteria", "t_max", math.inf),
             ("stats", "liminf_fraction", math.nan),
             ("stats", "liminf_fraction", 1.5),
@@ -512,6 +511,15 @@ def test_scenario_naming_a_scheme_is_rejected(tmp_path, capsys):
                      str(tmp_path)]) == EXIT_PARSE
         assert "unknown keys in 'simulation': scheme" in \
             capsys.readouterr().err
+
+
+def test_scenario_naming_cov_tol_is_rejected(tmp_path, capsys):
+    # the covariance tolerance is the sampler's own constant: a file that
+    # set one must not be sampled at another without notice
+    doc = _scalar_doc(1.0, cov_tol=1e-10)
+    assert main(["verify", write(tmp_path, doc), "--out",
+                 str(tmp_path)]) == EXIT_PARSE
+    assert "unknown keys in 'simulation': cov_tol" in capsys.readouterr().err
 
 
 def test_verify_holds_no_ensemble(tmp_path, capsys):

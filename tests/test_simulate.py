@@ -274,9 +274,11 @@ def test_states_scale_with_sigma():
 # auxiliary process Y
 # ---------------------------------------------------------------------------
 
-def test_Y_deterministic_decay_with_start_hook():
+def test_Y_drift_deterministic_decay():
+    # simulate_Y's drift -I from a non-zero start, without noise
     cfg = SimConfig(dt=0.125, t_end=4.0, paths=3, seed=1)
-    ens = simulate_Y(DiffusionSpec.constant([[0.0]]), cfg, y0=[2.0])
+    ens = simulate_X(ConstantDrift(-np.eye(1)),
+                     DiffusionSpec.constant([[0.0]]), [2.0], cfg)
     expect = 2.0 * np.exp(-ens.times)
     for p in range(3):
         np.testing.assert_allclose(ens.states[p, :, 0], expect, atol=1e-12)
@@ -371,37 +373,53 @@ def test_table_sigma_samples_through_the_panel(monkeypatch):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("budget", [1, 7, 64, 1000, 63 * 14, 65 * 14])
+@pytest.mark.parametrize("budget", [1, 7, 64, 512, 1000, 2048])
 def test_chunk_stream_independent_of_chunk_size(monkeypatch, budget):
     # the chunks tile the grid in order and carry the same bits as one
     # ensemble, whatever the number of steps per chunk and paths per group:
-    # a fill of one normal makes the groups as wide as the budget allows
+    # on two CPUs, with blocks of 64 steps and 160 steps in all, the budgets
+    # give chunks of one block, of two (512, and 2048 at a fill of one) and
+    # of the whole grid, so a last chunk may end inside a block; a fill of
+    # one normal makes the groups as wide as the budget allows
     spec = DiffusionSpec.envelope(ExpDecay(1.0, 0.2), [[1.0, 0.5], [0.0, 1.0]])
     cfg = SimConfig(dt=0.25, t_end=40.0, paths=7, seed=123)
     A = ConstantDrift(np.array([[-1.0, 0.0], [0.5, -0.5]]))
     whole = simulate_X(A, spec, [1.0, 1.0], cfg)
+    b = _block_length(A, spec, cfg)
+    assert b == 64
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
     for fill in (1, simulate._FILL):
         monkeypatch.setattr(simulate, "_FILL", fill)
         streamed = _stream_states(sample_chunks(A, spec, [1.0, 1.0], cfg),
-                                  cfg, 2)
+                                  cfg, 2, b)
         np.testing.assert_array_equal(streamed, whole.states)
 
 
-def _stream_states(shards, cfg, r):
+def _block_length(drift, sigma, cfg):
+    """The block length b of the sampler's solve on cfg's grid."""
+    with pytest.MonkeyPatch.context() as mp:
+        trans, _ = _sampler_factors(mp, drift, sigma, cfg)
+    return simulate._block_products(trans)[0]
+
+
+def _stream_states(shards, cfg, r, b):
     """The states of group streams, checked to tile the paths in group order
-    and the grid in chunks of the documented length: k = (_CHUNK_DRAWS // T)
-    // (width r) steps after X_0, T = min(CPUs, paths), width the group's
-    path count."""
+    and the grid in chunks of the documented length: after X_0, every chunk
+    but the last takes k = b max(1, budget // (width r b)) steps, a whole
+    number of the solve's blocks of b steps, with budget = _CHUNK_DRAWS // T,
+    T = min(CPUs, paths) and width the group's path count; and a chunk draws
+    within budget wherever one path's block does."""
     parts = []
-    T = min(simulate._cpus(), cfg.paths)
+    budget = simulate._CHUNK_DRAWS // min(simulate._cpus(), cfg.paths)
     for chunks in shards:
         chunks = list(chunks)
         width = chunks[0][1].shape[1]
-        k = min(cfg.n_steps,
-                max(1, (simulate._CHUNK_DRAWS // T) // (width * r)))
+        k = min(cfg.n_steps, b * max(1, budget // (width * r * b)))
         assert [n0 for n0, _ in chunks] == [0, *range(1, cfg.n_steps + 1, k)]
+        assert k % b == 0 or len(chunks) == 2
+        if b * r <= budget:
+            assert k * width * r <= budget
         parts.append(np.concatenate([X for _, X in chunks]))
     assert sum(X.shape[1] for X in parts) == cfg.paths
     return np.swapaxes(np.concatenate(parts, axis=1), 0, 1)
@@ -449,7 +467,7 @@ def _cos_drift_q(t, dt):
 def test_periodic_zero_noise_floquet_decay():
     # the transitions over one period multiply to Psi(2 pi, 0) = e^{-2 pi}
     dt = 2 * math.pi / 64
-    cfg = SimConfig(dt=dt, t_end=2 * math.pi, paths=1, seed=0, cov_tol=1e-12)
+    cfg = SimConfig(dt=dt, t_end=2 * math.pi, paths=1, seed=0)
     ens = simulate_X(COS_DRIFT, DiffusionSpec.constant([[0.0]]), [1.0], cfg)
     assert abs(math.log(ens.states[0, -1, 0]) + 2 * math.pi) <= 1e-8
 
@@ -518,7 +536,7 @@ def _envelope_covariances(sigma, times, dt, psis):
 
 def _propagators(drift, m, dt):
     """The step propagators of the m period positions of a grid from 0, as
-    the sampler builds them at cov_tol 1e-10."""
+    the sampler builds them."""
     return step_propagators(drift, dt * np.arange(m), dt, 1e-12)
 
 
@@ -756,7 +774,7 @@ EYE2_SIGMA = DiffusionSpec.constant(np.eye(2))
 ], ids=["constant", "periodic-m6", "periodic-m64", "non-normal"])
 def test_blocked_solve_matches_sequential(monkeypatch, drift, sigma, xi, dt,
                                           t_end):
-    # a small draw budget makes the chunks cut the blocks mid-way
+    # a small draw budget makes every chunk a single block
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 100)
     cfg = SimConfig(dt=dt, t_end=t_end, paths=3, seed=17)
     states, trans, noise = _sample_with_factors(monkeypatch, drift, sigma,
@@ -786,18 +804,53 @@ def test_blocked_solve_no_spurious_overflow():
 
 @pytest.mark.parametrize("budget", [1, 7 * 65, 7 * 67, 7 * 200])
 def test_chunk_stream_independent_of_chunk_size_periodic(monkeypatch, budget):
-    # m = 6 gives blocks of 66 steps, which chunks of 65 or 67 steps cut:
-    # on one CPU with a fill of one normal, one group of 7 paths takes
-    # chunks of budget // 7 steps
+    # m = 6 gives blocks of 66 steps, 240 steps in all.  On one CPU with a
+    # fill of one normal, 7 * 67 gives one group of 7 paths and chunks of
+    # one block, 7 * 200 chunks of three (198 steps, then 42), and 7 * 65
+    # groups of 3 and 4 paths with chunks of two blocks and of one; at the
+    # full fill every path is a group of its own
     cfg = SimConfig(dt=2 * math.pi / 6, t_end=80 * math.pi, paths=7, seed=5)
     whole = simulate_X(COS_DRIFT, UNIT_SIGMA, [1.0], cfg)
+    b = _block_length(COS_DRIFT, UNIT_SIGMA, cfg)
+    assert b == 66
     monkeypatch.setattr(simulate, "_cpus", lambda: 1)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
     for fill in (1, simulate._FILL):
         monkeypatch.setattr(simulate, "_FILL", fill)
         streamed = _stream_states(
-            sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg), cfg, 1)
+            sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg), cfg, 1, b)
         np.testing.assert_array_equal(streamed, whole.states)
+
+
+@pytest.mark.parametrize("trans, b", [
+    (np.array([np.diag([math.exp(50.0), math.exp(-1.0)])]), 14),
+    (np.array([np.diag([1e200, 0.5]), np.diag([1e200, 0.25])]), 1),
+], ids=["cut-back", "single-step"])
+def test_blocked_solve_overflowing_products_match_sequential(monkeypatch,
+                                                             trans, b):
+    # the first coordinate's block products overflow: e^{50 i} past i = 14
+    # cuts the blocks back to 14 steps, and a period of two steps whose
+    # product overflows already makes them single steps.  The start and the
+    # noise keep that coordinate at exact zero, so the states stay finite.
+    # Chunks of one block and of three, the last ending inside a block,
+    # carry the bits of one chunk, and those match the one-step recursion
+    assert simulate._block_products(trans)[0] == b
+    cfg = SimConfig(dt=1.0, t_end=100.0, paths=3, seed=4)
+    noise_t = np.zeros((cfg.n_steps, 1, 2))
+    noise_t[:, 0, 1] = 1.0
+    xi = np.array([0.0, 1.0])
+    monkeypatch.setattr(simulate, "_cpus", lambda: 1)
+    monkeypatch.setattr(simulate, "_FILL", 1)
+    runs = []
+    for budget in (1, 3 * 3 * b, 2 ** 20):
+        monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
+        runs.append(_stream_states(simulate._run(trans, noise_t, xi, cfg),
+                                   cfg, 1, b))
+    for states in runs[:-1]:
+        np.testing.assert_array_equal(states, runs[-1])
+    ref = _sequential_states(trans, np.swapaxes(noise_t, 1, 2), xi, cfg)
+    assert np.all(runs[-1][:, :, 0] == 0.0)
+    assert np.abs(runs[-1] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 EVIDENCE_ARRAYS = ("tail_sups", "running_max_at", "window_inf_final",
@@ -807,16 +860,19 @@ EVIDENCE_ARRAYS = ("tail_sups", "running_max_at", "window_inf_final",
 @pytest.mark.parametrize("drift, sigma, xi, dt, t_end, paths, budget", [
     (ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]])),
      DiffusionSpec.envelope(ExpDecay(1.0, 0.1), [[1.0, 0.5], [0.0, 1.0]]),
-     [1.0, -1.0], 0.25, 75.0, 7, 7 * 2 * 63),
-    (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 6, 80 * math.pi, 7, 7 * 65),
+     [1.0, -1.0], 0.25, 75.0, 7, 3 * 7 * 2 * 64),
+    (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 6, 80 * math.pi, 7,
+     2 * 7 * 66),
     (COS_DRIFT, UNIT_SIGMA, [1.0], 2 * math.pi / 6, 80 * math.pi, 2, 2 ** 20),
 ], ids=["constant", "periodic", "fewer-paths-than-shards"])
 def test_results_independent_of_shard_count(monkeypatch, drift, sigma, xi,
                                             dt, t_end, paths, budget):
     # each path's arithmetic is the same in any shard: collect's states and
-    # compare's per-path arrays equal the one-shard run's bit for bit, with
-    # chunks that cut the blocks; a small fill lets a group be as wide as
-    # the budget allows, so here there is one group per CPU
+    # compare's per-path arrays equal the one-shard run's bit for bit.  The
+    # budgets afford all 7 paths three blocks of 64 steps (r = 2), or two
+    # of 66 (r = 1), so the groups take chunks of one block and of several;
+    # a small fill lets a group be as wide as the budget allows, so here
+    # there is one group per CPU
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
     monkeypatch.setattr(simulate, "_FILL", 8)
     cfg = SimConfig(dt=dt, t_end=t_end, paths=paths, seed=29)
@@ -858,21 +914,7 @@ def test_wide_ensemble_draws_in_long_fills_on_a_cpu_sized_pool(monkeypatch):
     # (one chunk of 2**20 draws over all the paths would fill 1024), and no
     # more than two groups run at once
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
-    fills, lock = [], threading.Lock()
-    make = simulate._path_generators
-
-    class Counted:
-        def __init__(self, gen):
-            self.gen = gen
-
-        def standard_normal(self, out):
-            with lock:
-                fills.append(out.size)
-            return self.gen.standard_normal(out=out)
-
-    monkeypatch.setattr(simulate, "_path_generators",
-                        lambda seed, paths: [Counted(g)
-                                             for g in make(seed, paths)])
+    fills, lock = _counted_fills(monkeypatch)
     cfg = SimConfig(dt=0.25, t_end=512.0, paths=1024, seed=8)
     shards = sample_chunks(ConstantDrift(-np.eye(2)), EYE2_SIGMA, [1.0, 1.0],
                            cfg)
@@ -891,6 +933,56 @@ def test_wide_ensemble_draws_in_long_fills_on_a_cpu_sized_pool(monkeypatch):
     assert min(fills) >= simulate._FILL == 2048
     assert len(fills) == cfg.paths * cfg.n_steps * 2 // simulate._FILL
     assert most[0] <= simulate._cpus()
+
+
+def _counted_fills(monkeypatch):
+    """The size of every draw call the sampler's path generators make from
+    now on, and the lock that guards the list."""
+    fills, lock = [], threading.Lock()
+    make = simulate._path_generators
+
+    class Counted:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, out):
+            with lock:
+                fills.append(out.size)
+            return self.gen.standard_normal(out=out)
+
+    monkeypatch.setattr(simulate, "_path_generators",
+                        lambda seed, paths: [Counted(g)
+                                             for g in make(seed, paths)])
+    return fills, lock
+
+
+@pytest.mark.parametrize("drift, xi, dt, n_steps, paths, budget, blocks", [
+    (ConstantDrift([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.0, 0.0, -1.0]]),
+     [1.0, -1.0, 0.5], 0.25, 2048, 6, 6200, 64),
+    (COS_DRIFT, [1.0], 2 * math.pi / 100, 8200, 3, 4100, 100),
+], ids=["r3", "periodic-m100"])
+def test_whole_block_chunks_keep_the_fill_and_the_budget(
+        monkeypatch, drift, xi, dt, n_steps, paths, budget, blocks):
+    # a step draws r = d normals, one per column of its noise factor (the
+    # d x d root of Q_n).  Chunks of whole blocks (64 steps at r = 3, 100
+    # at m = 100) still let every draw call fill _FILL normals, within the
+    # budget of one CPU.  Only rounding a group's chunk down to whole blocks
+    # would not: at r = 3 groups of 3 paths would fill 640 * 3 = 1920
+    # normals, at m = 100 groups of 2 paths 2000.  The groups' chunks divide
+    # the grid, so no call is a short last one
+    cfg = SimConfig(dt=dt, t_end=n_steps * dt, paths=paths, seed=12)
+    sigma = DiffusionSpec.constant(np.eye(drift.d))
+    whole = simulate_X(drift, sigma, xi, cfg)
+    b = _block_length(drift, sigma, cfg)
+    assert b == blocks
+    monkeypatch.setattr(simulate, "_cpus", lambda: 1)
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
+    fills, _ = _counted_fills(monkeypatch)
+    streamed = _stream_states(sample_chunks(drift, sigma, xi, cfg), cfg,
+                              drift.d, b)
+    assert min(fills) >= simulate._FILL == 2048
+    assert max(fills) * paths > budget   # no group takes every path
+    np.testing.assert_array_equal(streamed, whole.states)
 
 
 def test_groups_beyond_the_shared_buffers_draw_into_fresh_ones(monkeypatch):
