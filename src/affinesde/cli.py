@@ -1,7 +1,8 @@
 """Scenario-driven command line front end.
 
 A scenario is a single YAML file naming a drift, a diffusion intensity and
-the classification / simulation / comparison parameters.  Subcommands:
+the classification / simulation parameters; the comparison's evidence rules
+are fixed in `stats`.  Subcommands:
 
     classify   analytic regime verdict and criterion report
     simulate   sample paths, write a long-format CSV
@@ -63,8 +64,6 @@ _CRITERIA_DEFAULTS = {"h": 1.0, "c": 1.0, "eps_lo": 2.0 ** -8,
                       "eps_hi": 2.0 ** 8, "eps_points": 33, "n_terms": 256,
                       "t_max": 256.0, "tol": 1e-8}
 _SIM_DEFAULTS = {"dt": 0.05, "t_end": 64.0, "paths": 100, "seed": 0}
-_STATS_DEFAULTS = {f.name: f.default
-                   for f in dataclasses.fields(stats.CompareThresholds)}
 
 
 def _check_keys(section: dict, name: str, allowed, required=()):
@@ -204,7 +203,6 @@ class Scenario:
     initial_state: tuple
     criteria: dict
     simulation: SimConfig
-    stats: stats.CompareThresholds
     output_dir: Optional[str] = None
 
     @staticmethod
@@ -213,7 +211,7 @@ class Scenario:
             raise ScenarioError("scenario must be a mapping")
         _check_keys(doc, "scenario",
                     ("name", "drift", "sigma", "initial_state", "criteria",
-                     "simulation", "stats", "output_dir"),
+                     "simulation", "output_dir"),
                     required=("name", "drift", "sigma"))
         name = str(doc["name"])
         # reports are written to <out>/<name>.<command>.yaml
@@ -230,8 +228,6 @@ class Scenario:
             crit = _criteria(doc.get("criteria") or {})
             sim = SimConfig(**_defaults(doc.get("simulation") or {},
                                         _SIM_DEFAULTS, "simulation"))
-            sts = stats.CompareThresholds(**_defaults(
-                doc.get("stats") or {}, _STATS_DEFAULTS, "stats"))
         except ScenarioError:
             raise
         except (ValueError, TypeError) as exc:
@@ -249,7 +245,7 @@ class Scenario:
                                 f"got {list(xi)}")
         return Scenario(
             name=name, drift=drift, sigma=sigma, initial_state=xi,
-            criteria=crit, simulation=sim, stats=sts,
+            criteria=crit, simulation=sim,
             output_dir=(None if doc.get("output_dir") is None
                         else str(doc["output_dir"])))
 
@@ -393,8 +389,7 @@ def cmd_verify(scn: Scenario, args) -> int:
         _emit(doc, out, f"{scn.name}.verify.yaml")
         return EXIT_UNDECIDED
     # the states stream from the sampler into the evidence; no ensemble
-    evidence = stats.compare(verdict, scn.simulation.times, _chunks(scn),
-                             thresholds=scn.stats)
+    evidence = stats.compare(verdict, scn.simulation.times, _chunks(scn))
     doc["evidence"] = evidence.summary()
     doc["agreement"] = evidence.agreement
     _emit(doc, out, f"{scn.name}.verify.yaml")

@@ -82,19 +82,20 @@ def expm(A, t=1.0) -> np.ndarray:
     return out
 
 
-def step_propagators(drift, starts, dt: float, tol: float = 1e-10):
-    """The map u -> Psi(t_j + dt, t_j + u dt) on [0, 1] for every start t_j.
+def step_propagators(drift, starts, dt, tol: float = 1e-10):
+    """The map u -> Psi(t_j + dt_j, t_j + u dt_j) on [0, 1] for every start t_j.
 
-    u = 0 gives the transitions over [t_j, t_j + dt], u = 1 the identity.
+    dt is one step length for every start, or an array of one per start.
+    u = 0 gives the transitions over [t_j, t_j + dt_j], u = 1 the identity.
     Constant drifts give exp(A (dt - u dt)) for every start.  Time-dependent
-    drifts solve the stacked adjoint equations dY_j/ds = -Y_j A(t_j + s),
-    Y_j(dt) = I, once backwards over the offset s in [dt, 0] by adaptive
-    embedded Runge-Kutta 4(5) with dense output; the right-hand side takes
-    A at every t_j + s in one `eval_drift` call.  The solver's error norm is
-    an RMS over all m d^2 components, so it runs at tol / sqrt(m): each
-    start's error bound is that of a solve of its own at tol.  The map takes
-    a u, giving an (m, d, d) stack, or a 1-d array of them, giving one stack
-    per u; the dense output evaluates an array at once.
+    drifts solve the stacked adjoint equations dY_j/du = -dt_j Y_j A(t_j +
+    u dt_j), Y_j(1) = I, once backwards over the step fraction u in [1, 0]
+    by adaptive embedded Runge-Kutta 4(5) with dense output; the right-hand
+    side takes A at every t_j + u dt_j in one `eval_drift` call.  The
+    solver's error norm is an RMS over all m d^2 components, so it runs at
+    tol / sqrt(m): each start's error bound is that of a solve of its own at
+    tol.  The map takes a u, giving an (m, d, d) stack, or a 1-d array of
+    them, giving one stack per u; the dense output evaluates an array at once.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1 or len(starts) == 0:
@@ -102,9 +103,12 @@ def step_propagators(drift, starts, dt: float, tol: float = 1e-10):
     # a NaN would hold solve_ivp forever
     if not np.all(np.isfinite(starts)):
         raise ValueError("starts must be finite")
-    if not math.isfinite(dt):
+    dt = np.asarray(dt, dtype=float)
+    if dt.shape not in ((), starts.shape):
+        raise ValueError("dt must be one step length or one per start")
+    if not np.all(np.isfinite(dt)):
         raise ValueError("dt must be finite")
-    if dt <= 0:
+    if np.any(dt <= 0):
         raise ValueError("dt must be positive")
     # a NaN or zero tolerance would hold solve_ivp forever
     if not (math.isfinite(tol) and tol > 0):
@@ -112,25 +116,27 @@ def step_propagators(drift, starts, dt: float, tol: float = 1e-10):
     m, d = len(starts), drift.d
     if isinstance(drift, ConstantDrift):
         def exp_at(u):
-            E = expm(drift.matrix, dt - np.multiply(u, dt))
-            return np.array(np.broadcast_to(E[..., None, :, :],
-                                            E.shape[:-2] + (m, d, d)))
+            # one exponential per u and step length, broadcast over the starts
+            E = expm(drift.matrix, np.reshape(dt - np.multiply.outer(u, dt),
+                                              np.shape(u) + (-1,)))
+            return np.array(np.broadcast_to(E, np.shape(u) + (m, d, d)))
         return exp_at
     # only this branch needs scipy.integrate, a third of a second to import
     from scipy.integrate import solve_ivp
+    step = np.reshape(dt, (-1, 1, 1))   # dt_j against each start's matrix
 
-    def rhs(s, y):
-        return -(y.reshape(m, d, d) @ eval_drift(drift, starts + s)).reshape(-1)
+    def rhs(u, y):
+        A = eval_drift(drift, starts + u * dt)
+        return -(y.reshape(m, d, d) @ (step * A)).reshape(-1)
 
     local = tol / math.sqrt(m)
-    sol = solve_ivp(rhs, (dt, 0.0), np.tile(np.eye(d), (m, 1)).reshape(-1),
+    sol = solve_ivp(rhs, (1.0, 0.0), np.tile(np.eye(d), (m, 1)).reshape(-1),
                     method="RK45", rtol=local, atol=local, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"fundamental solution integration failed: {sol.message}")
 
     def at(u):
-        return np.moveaxis(sol.sol(np.multiply(u, dt)), 0, -1).reshape(
-            np.shape(u) + (m, d, d))
+        return np.moveaxis(sol.sol(u), 0, -1).reshape(np.shape(u) + (m, d, d))
     return at
 
 
@@ -143,12 +149,13 @@ class MonodromyResult:
 def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
     """Floquet monodromy Psi(T, 0) and its spectral radius for a periodic drift.
 
-    The period is cut into m equal segments, m the smallest multiple of the
-    knot count (one for a callable drift) that is at least 64, and Psi(T, 0)
-    is the ordered product of the segments' transitions from one stacked
-    `step_propagators` solve at tol.  Uniform knots then fall on segment
-    edges, so no solve crosses a kink of a piecewise-linear drift, where the
-    solver's error estimate does not hold; and each transition has O(1)
+    Each knot interval of a `PeriodicDrift`, the wrap interval from the last
+    knot to T included (the whole period for a callable drift), is cut into
+    ceil(64 len / T) equal segments, and Psi(T, 0) is the ordered product of
+    the segments' transitions from one stacked `step_propagators` solve at
+    tol, with one step length per segment.  No solve then crosses a kink of
+    the piecewise-linear drift, where the solver's error estimate does not
+    hold, whether or not the knots are uniform; and each transition has O(1)
     entries, so the absolute tolerance acts as a relative one, which it does
     not on a whole period's decayed entries.
     """
@@ -157,10 +164,15 @@ def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
     period = getattr(drift, "period", None)
     if period is None:
         raise ValueError("drift has no period")
-    knots = len(drift.times) if isinstance(drift, PeriodicDrift) else 1
-    m = knots * math.ceil(64 / knots)
-    seg = period / m
-    steps = step_propagators(drift, seg * np.arange(m), seg, tol)(0.0)
+    knots = drift.times if isinstance(drift, PeriodicDrift) else [0.0]
+    edges = np.append(knots, period)
+    # the rounding of a knot difference must not add a segment where
+    # 64 len / T is whole, as it is on uniform knots
+    counts = np.ceil(64 * np.diff(edges) / period * (1 - 1e-9)).astype(int)
+    starts = np.concatenate([np.linspace(a, b, n, endpoint=False) for a, b, n
+                             in zip(edges, edges[1:], counts)])
+    steps = step_propagators(drift, starts, np.diff(np.append(starts, period)),
+                             tol)(0.0)
     Psi_T = steps[0]
     for step in steps[1:]:
         Psi_T = step @ Psi_T

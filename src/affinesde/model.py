@@ -461,8 +461,9 @@ class PeriodicDrift:
 
     Evaluation wraps t mod T; the segment from the last knot back to t=T
     interpolates towards the first sample, so A(t + T) = A(t) exactly.  A
-    kinks at the knots, so `linalg.monodromy` cuts the period into a multiple
-    of the knot count of equal segments, on whose edges uniform knots fall.
+    kinks at the knots, so `linalg.monodromy` cuts each knot interval, the
+    wrap interval included, into equal segments of its own, on whose edges
+    every knot falls.
     """
 
     period: float

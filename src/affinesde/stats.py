@@ -9,15 +9,15 @@ each of the sampler's shard streams, on the pool thread that runs it, into
 an `EvidenceAccumulator` with O(paths) state and never holds an ensemble.
 Every reduction is per path, so the accumulators joined along the path axis
 hold what one accumulator fed every path would, whatever the shard count.
-`evidence` applies simple, explainable decision rules and reports
-Consistent / Inconsistent / Inconclusive — it never forces agreement.
+`evidence` applies simple, explainable decision rules at fixed thresholds,
+the module constants below, which no caller or scenario can loosen, and
+reports Consistent / Inconsistent / Inconclusive — it never forces agreement.
 `ensemble_mean_sq` gives the mean-square curve of an in-memory ensemble.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -35,6 +35,13 @@ INCONSISTENT = "Inconsistent"
 INCONCLUSIVE = "Inconclusive"
 
 _FEED_NORMS = 2 ** 15   # squared norms per accumulator feed in compare
+
+# the fixed evidence rules of `EvidenceAccumulator.evidence`
+STABLE_FINAL_SUP = 0.05     # StableAS: median tail sup at T/2 below this
+BAND_RATIO = (0.5, 2.0)     # bounded regime: tail-sup band T/2 over T/16
+LIMINF_FRACTION = 0.9       # share of paths with a small window inf
+LIMINF_RATIO = 0.1          # "small" = below this times the band median
+MIN_GRID_POINTS = 64        # fewer -> Inconclusive outright
 
 
 # ---------------------------------------------------------------------------
@@ -115,28 +122,6 @@ def trend(times, values) -> TrendResult:
 # ---------------------------------------------------------------------------
 # verdict comparison
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CompareThresholds:
-    stable_final_sup: float = 0.05   # StableAS: median tail sup at T/2
-    band_ratio_lo: float = 0.5       # bounded regime: checkpoint band
-    band_ratio_hi: float = 2.0
-    liminf_fraction: float = 0.9     # share of paths with small window inf
-    liminf_ratio: float = 0.1        # "small" = below this times band median
-    min_grid_points: int = 64        # fewer -> Inconclusive outright
-
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{f.name} must be finite and positive, "
-                                 f"got {v!r}")
-        if self.liminf_fraction > 1:
-            raise ValueError(f"liminf_fraction must be at most 1, got "
-                             f"{self.liminf_fraction!r}")
-        if self.band_ratio_lo > self.band_ratio_hi:
-            raise ValueError("band_ratio_lo must not exceed band_ratio_hi")
-
 
 @dataclass(frozen=True)
 class RegimeEvidence:
@@ -298,8 +283,7 @@ class EvidenceAccumulator:
         self._last_sq = sq[-1].copy()
         self._next = stop
 
-    def evidence(self, verdict, thresholds: CompareThresholds =
-                 CompareThresholds()) -> RegimeEvidence:
+    def evidence(self, verdict) -> RegimeEvidence:
         """Weigh the fed series against a regime verdict.
 
         Decision rules: StableAS expects a decreasing tail-sup trend and a
@@ -307,7 +291,9 @@ class EvidenceAccumulator:
         band with window infima collapsing toward zero and a decreasing
         time-average; Unbounded expects running maxima increasing across
         checkpoints, plus the collapse statistics when the noise is fading.
-        Mixed signals yield Inconclusive, contradictions Inconsistent.
+        Mixed signals yield Inconclusive, contradictions Inconsistent.  The
+        thresholds are the module constants STABLE_FINAL_SUP, BAND_RATIO,
+        LIMINF_FRACTION, LIMINF_RATIO and MIN_GRID_POINTS.
         """
         if self._next != self.n_points:
             raise ValueError(f"only {self._next} of {self.n_points} grid "
@@ -338,7 +324,7 @@ class EvidenceAccumulator:
                 avg_sq_half=aver_half, avg_sq_final=aver_final, trends=trends,
                 notes=tuple(notes))
 
-        if self.n_points < thresholds.min_grid_points:
+        if self.n_points < MIN_GRID_POINTS:
             notes.append("horizon too short for trend evidence")
             return build(INCONCLUSIVE)
         if regime == REGIME_UNDECIDED:
@@ -350,16 +336,16 @@ class EvidenceAccumulator:
         # whether the pathwise time-average falls from T/2 to T
         band = float(np.median(sups[:, 0]))
         final_med = float(np.median(sups[:, -1]))
-        frac = float(np.mean(winf_final < thresholds.liminf_ratio * band)) \
+        frac = float(np.mean(winf_final < LIMINF_RATIO * band)) \
             if band > 0 else 0.0
         avg_falls = float(np.median(aver_final)) < float(np.median(aver_half))
 
         if regime == STABLE:
             t_lab = trends["tail_sup_median"].label
-            if t_lab == DECREASING and final_med < thresholds.stable_final_sup:
+            if t_lab == DECREASING and final_med < STABLE_FINAL_SUP:
                 return build(CONSISTENT)
             ratio = final_med / band if band > 0 else 0.0
-            if final_med >= 10.0 * thresholds.stable_final_sup and ratio > 0.5:
+            if final_med >= 10.0 * STABLE_FINAL_SUP and ratio > 0.5:
                 notes.append(f"tail sup median {final_med:.3g} stays large "
                              f"(ratio {ratio:.3g} across checkpoints)")
                 return build(INCONSISTENT)
@@ -368,11 +354,11 @@ class EvidenceAccumulator:
 
         if regime == BOUNDED:
             ratio = final_med / band if band > 0 else math.inf
-            band_ok = thresholds.band_ratio_lo <= ratio <= thresholds.band_ratio_hi
-            if band_ok and frac >= thresholds.liminf_fraction and avg_falls:
+            lo, hi = BAND_RATIO
+            band_ok = lo <= ratio <= hi
+            if band_ok and frac >= LIMINF_FRACTION and avg_falls:
                 return build(CONSISTENT)
-            if ratio > 2.0 * thresholds.band_ratio_hi or \
-                    ratio < 0.5 * thresholds.band_ratio_lo:
+            if ratio > 2.0 * hi or ratio < 0.5 * lo:
                 notes.append(f"tail sup band ratio {ratio:.3g} far outside the "
                              f"stable band")
                 return build(INCONSISTENT)
@@ -384,7 +370,7 @@ class EvidenceAccumulator:
             growing = bool(np.all(np.diff(np.median(rmax, axis=0)) > 0))
             extras_ok = True
             if getattr(verdict, "fading_noise", False):
-                extras_ok = frac >= thresholds.liminf_fraction and avg_falls
+                extras_ok = frac >= LIMINF_FRACTION and avg_falls
                 if not extras_ok:
                     notes.append("fading-noise collapse statistics missing")
             if growing and extras_ok:
@@ -400,8 +386,7 @@ class EvidenceAccumulator:
         raise ValueError(f"unknown regime {regime!r}")
 
 
-def compare(verdict, times, shards,
-            thresholds: CompareThresholds = CompareThresholds()) -> RegimeEvidence:
+def compare(verdict, times, shards) -> RegimeEvidence:
     """Weigh shard streams of state chunks (n0, X[k, path, i]) on the grid
     times, such as `sample_chunks` returns, against a regime verdict.
 
@@ -426,4 +411,4 @@ def compare(verdict, times, shards,
         return acc
 
     return EvidenceAccumulator.concat(map_shards(reduce, shards)).evidence(
-        verdict, thresholds)
+        verdict)

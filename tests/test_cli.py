@@ -19,7 +19,6 @@ from affinesde.cli import (EXIT_INCONSISTENT, EXIT_NUMERIC, EXIT_OK,
 from affinesde.model import (ConstantDrift, DiffusionSpec, EnvelopePattern,
                              ExpDecay)
 from affinesde.simulate import SimConfig
-from affinesde.stats import CompareThresholds
 
 
 def write(tmp_path, doc, name="scn.yaml"):
@@ -56,7 +55,6 @@ def test_load_scenario_returns_the_built_objects(tmp_path):
     np.testing.assert_array_equal(scn.sigma.form.pattern, np.eye(2))
     assert scn.simulation == SimConfig(dt=0.125, t_end=64.0, paths=40,
                                        seed=11)
-    assert scn.stats == CompareThresholds()
     assert scn.initial_state == (1.0, 1.0)
 
 
@@ -114,18 +112,12 @@ def test_out_of_range_parameters_rejected(tmp_path):
         with pytest.raises(ScenarioError):
             load_scenario(path)
         assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_PARSE
-    # non-finite numbers, fractional counts and seeds, and tolerances or
-    # thresholds out of range
+    # non-finite numbers, and fractional counts and seeds
     for section, key, value in (
             ("simulation", "t_end", math.inf), ("simulation", "dt", math.nan),
             ("simulation", "paths", math.inf), ("simulation", "paths", 4.7),
             ("simulation", "seed", 1.5),
-            ("criteria", "n_terms", 2.5), ("criteria", "t_max", math.inf),
-            ("stats", "liminf_fraction", math.nan),
-            ("stats", "liminf_fraction", 1.5),
-            ("stats", "min_grid_points", -3), ("stats", "min_grid_points", 2.5),
-            ("stats", "stable_final_sup", math.inf),
-            ("stats", "band_ratio_lo", 3.0)):
+            ("criteria", "n_terms", 2.5), ("criteria", "t_max", math.inf)):
         doc = base_doc()
         doc.setdefault(section, {})[key] = value
         path = write(tmp_path, doc)
@@ -520,6 +512,15 @@ def test_scenario_naming_cov_tol_is_rejected(tmp_path, capsys):
     assert main(["verify", write(tmp_path, doc), "--out",
                  str(tmp_path)]) == EXIT_PARSE
     assert "unknown keys in 'simulation': cov_tol" in capsys.readouterr().err
+
+
+def test_scenario_naming_stats_is_rejected(tmp_path, capsys):
+    # the evidence rules are the stats module's own constants: a file that
+    # set other thresholds must not be judged by these without notice
+    doc = base_doc(stats={"stable_final_sup": 10.0})
+    assert main(["verify", write(tmp_path, doc), "--out",
+                 str(tmp_path)]) == EXIT_PARSE
+    assert "unknown keys in 'scenario': stats" in capsys.readouterr().err
 
 
 def test_verify_holds_no_ensemble(tmp_path, capsys):

@@ -175,21 +175,35 @@ def _knots16_drift():
         [[-1.0 + math.cos(t), 0.5], [0.0, -2.0 + math.sin(t)]] for t in times])
 
 
-@pytest.mark.parametrize("drift, m", [(PERIODIC2, 6), (_knots16_drift(), 64)],
-                         ids=["periodic2-m6", "knots16-m64"])
-def test_step_propagators_match_the_one_start_propagator(drift, m):
-    # one stacked solve over every period position gives each position's
-    # transition (u = 0) and panel nodes as a solve of its own does
+def _positions(drift, m):
+    """The m period positions of a step of T / m, as drift, starts, dt."""
     dt = drift.period / m
-    starts = dt * np.arange(m)
+    return drift, dt * np.arange(m), dt
+
+
+# a step length per start, ending on PERIODIC2's knots at 0.5 and 1.5 but
+# crossing none, as monodromy's segments do
+_PER_START = ([0.0, 0.2, 0.45, 1.1], np.array([0.2, 0.3, 0.05, 0.4]))
+
+
+@pytest.mark.parametrize("drift, starts, dt", [
+    _positions(PERIODIC2, 6), _positions(_knots16_drift(), 64),
+    (PERIODIC2, *_PER_START),
+    (ConstantDrift([[-1.0, 0.5], [0.3, -2.0]]), *_PER_START),
+], ids=["periodic2-m6", "knots16-m64", "periodic2-per-start",
+        "constant-per-start"])
+def test_step_propagators_match_the_one_start_propagator(drift, starts, dt):
+    # one stacked solve over every start gives each start's transition
+    # (u = 0) and panel nodes as a solve of its own does
+    m = len(starts)
     psis = step_propagators(drift, starts, dt, 1e-12)
     u = np.concatenate([[0.0], *(gauss_legendre_rule(k)[0] for k in (0, 1)),
                         [1.0]])
     got = psis(u)
     assert got.shape == (len(u), m, 2, 2)
     assert np.array_equal(psis(0.0), got[0])
-    for j, t in enumerate(starts):
-        ref = step_propagators(drift, [t], dt, 1e-12)(u)[:, 0]
+    for j, (t, h) in enumerate(zip(starts, np.broadcast_to(dt, m))):
+        ref = step_propagators(drift, [t], h, 1e-12)(u)[:, 0]
         assert np.abs(got[:, j] - ref).max() <= 1e-11 * np.abs(ref).max(), j
     assert np.array_equal(got[-1], np.broadcast_to(np.eye(2), (m, 2, 2)))
 
@@ -227,8 +241,16 @@ def test_monodromy_diagonal_is_exact_on_a_triangular_drift():
 _TWO_PI = 2 * math.pi
 
 
+# one knot interval per segment count: ceil(64 len / T) = 13, 18 and 35
+KNOTS3 = PeriodicDrift(period=1.5, times=[0.0, 0.3, 0.7],
+                       values=[[[-1.0]], [[-3.0]], [[-0.5]]])
+
+
 @pytest.mark.parametrize("drift, reference, bounds", [
-    (PERIODIC2, _knot_segment_reference, {1e-10: 2e-8, 1e-12: 3e-10}),
+    (PERIODIC2, _knot_segment_reference, {1e-10: 1e-11, 1e-12: 1e-12}),
+    # exp(int A) over the period, by the trapezoid rule on each knot interval
+    (KNOTS3, lambda drift: np.array([[math.exp(-1.9)]]),
+     {1e-10: 1e-11, 1e-12: 1e-13}),
     (_knots16_drift(), _knot_segment_reference, {1e-10: 1e-9, 1e-12: 1e-10}),
     (PeriodicDrift(period=1.0, times=[0.0, 0.5],
                    values=[np.array([[-1.0]]), np.array([[-1.0]])]),
@@ -240,15 +262,16 @@ _TWO_PI = 2 * math.pi
                    period=_TWO_PI),
      lambda drift: np.diag([math.exp(-_TWO_PI), math.exp(-2 * _TWO_PI)]),
      {1e-10: 8e-6, 1e-12: 1e-7}),
-], ids=["periodic2", "knots16", "constant-values", "sin", "diag"])
+], ids=["periodic2", "knots3", "knots16", "constant-values", "sin",
+        "diag"])
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 def test_monodromy_matches_an_independent_reference(drift, reference, bounds,
                                                     tol):
     # entrywise relative error against the exact monodromy, or against a
-    # solve cut at every kink.  Each bound is the error of one RK45 solve
-    # over the whole period at the same tol, rounded up, except on the
-    # 16-knot drift, whose kinks fall on the segment edges: that solve
-    # misses these bounds by three orders of magnitude or more
+    # solve cut at every kink.  Every knot, uniform or not, falls on a
+    # segment edge; one RK45 solve over the whole period at the same tol
+    # misses the piecewise-linear drifts' bounds by three orders of
+    # magnitude or more
     ref = reference(drift)
     got = monodromy(drift, tol=tol).Psi_T
     np.testing.assert_allclose(got, ref, rtol=bounds[tol], atol=0.0)
@@ -269,6 +292,16 @@ def test_step_propagators_reject_bad_arguments(drift):
             step_propagators(drift, [0.0], bad)
     with pytest.raises(ValueError, match="^starts must be a non-empty 1-d"):
         step_propagators(drift, [], 0.25)
+    # a step length per start: each must be finite and positive, and there
+    # must be one per start
+    with pytest.raises(ValueError, match="^dt must be finite"):
+        step_propagators(drift, [0.0, 0.5], [0.25, math.nan])
+    with pytest.raises(ValueError, match="^dt must be positive"):
+        step_propagators(drift, [0.0, 0.5], [0.25, 0.0])
+    for bad in ([0.25], [0.25, 0.25, 0.25], [[0.25, 0.25]]):
+        with pytest.raises(ValueError, match="^dt must be one step length "
+                                             "or one per start"):
+            step_propagators(drift, [0.0, 0.5], bad)
     for bad in (math.nan, math.inf, 0.0, -1e-10):
         with pytest.raises(ValueError, match="^tol must be finite and positive"):
             step_propagators(drift, [0.0], 0.25, bad)
