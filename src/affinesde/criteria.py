@@ -138,7 +138,10 @@ class FinitenessRuling:
     eps: float
     partial_value: float
     n_terms: int
-    tail_bound: Optional[float] = None   # present iff status == finite
+    # when status == finite: the tail bound, or its log10 where the bound
+    # leaves the double range
+    tail_bound: Optional[float] = None
+    tail_bound_log10: Optional[float] = None
     witness: Optional[str] = None        # present iff status == infinite
 
     @property
@@ -162,9 +165,15 @@ def _rulings(spec: DiffusionSpec, eps, partial, n_terms: int, width: float,
     for e, part in zip(np.atleast_1d(eps).tolist(),
                        np.atleast_1d(partial).tolist()):
         status, extra = _status(profile, e, width), {}
-        if status == FINITE:
-            extra["tail_bound"] = 0.0 if profile.envelope is None else \
-                profile.envelope.tail(e, width * profile.fro_sq, start) / divisor
+        if status == FINITE and profile.envelope is None:
+            extra["tail_bound"] = 0.0
+        elif status == FINITE:
+            log_bound = profile.envelope.log_tail(
+                e, width * profile.fro_sq, start) - math.log(divisor)
+            try:
+                extra["tail_bound"] = math.exp(log_bound)
+            except OverflowError:
+                extra["tail_bound_log10"] = log_bound / math.log(10.0)
         elif status == INFINITE and profile.regime == BOUNDED:
             Lw = width * profile.L
             p = e * e / (2.0 * Lw)
@@ -429,7 +438,8 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     every eps gives Unbounded, and ||sigma||^2 log t -> L in (0, inf) gives
     BoundedNonConvergent with the threshold in closed form,
     eps* = sqrt(2 h L), reported as the bracket (eps*, eps*).  Tables are
-    Undecided.  fading_noise and mean_square_stable read the same profile.
+    Undecided.  fading_noise reads the same profile, and
+    mean_square_stable needs both a stable drift and fading noise.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -460,7 +470,8 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     collapse = regime == BOUNDED or (regime == UNBOUNDED and fading)
     return RegimeVerdict(
         regime=regime, drift_stable=drift_stable, fading_noise=fading,
-        mean_square_stable=fading, liminf_zero_predicted=collapse,
+        mean_square_stable=drift_stable and fading,
+        liminf_zero_predicted=collapse,
         avg_sq_zero_predicted=collapse,
         epsilon_star_bracket=(eps_star, eps_star) if regime == BOUNDED else None,
         note=note)
@@ -533,6 +544,8 @@ class CriterionReport:
                    "partial_value": r.partial_value, "n_terms": r.n_terms}
             if r.tail_bound is not None:
                 out["tail_bound"] = r.tail_bound
+            if r.tail_bound_log10 is not None:
+                out["tail_bound_log10"] = r.tail_bound_log10
             if r.witness is not None:
                 out["witness"] = r.witness
             return out

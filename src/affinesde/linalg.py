@@ -3,9 +3,9 @@
 Spectral abscissa / radius, the Lyapunov solve A^T M + M A = -I, matrix
 exponentials, and the propagator Psi(t, s) of X' = A(t) X.  One routine,
 `step_propagators`, builds Psi over a step from many starts in one adaptive
-solve; the sampler's transitions and the Floquet monodromy matrix Psi(T, 0)
-of a periodic drift, the product of a period's transitions, both come
-from it.
+solve, by the numpy Dormand-Prince stepper `_rk45`; the sampler's
+transitions and the Floquet monodromy matrix Psi(T, 0) of a periodic drift,
+the product of a period's transitions, both come from it.
 """
 
 from __future__ import annotations
@@ -82,6 +82,128 @@ def expm(A, t=1.0) -> np.ndarray:
     return out
 
 
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's
+# quartic dense output (Shampine 1986), and the step control of scipy's RK45
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _rms(x) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk45(f, t0: float, t1: float, y0: np.ndarray, tol: float):
+    """Solve y' = f(t, y), y(t0) = y0, to t1; return the dense output, a map
+    from one t to y(t) and from a 1-d array of them to one column per t.
+
+    Adaptive Dormand-Prince 5(4) at atol = tol and rtol = max(tol, 100 eps),
+    step for step as scipy's RK45: the Hairer-Norsett-Wanner initial step,
+    the RMS error norm with scale atol + max(|y|, |y_new|) rtol, step factors
+    0.9 err^(-1/5) within [0.2, 10] and no growth after a rejection.  An
+    error norm that is not below 1, NaN included, shrinks the step, and a
+    step below 10 ulp of t raises a RuntimeError, so the solve ends after a
+    bounded number of rejections; a non-finite derivative at t0 raises at
+    once.  Each step's quartic y_old + h Q [x, x^2, x^3, x^4], Q = K^T P,
+    serves the t in it; a t on a step edge takes the step that ends there.
+    """
+    rtol = max(tol, 100 * np.finfo(float).eps)
+    direction = math.copysign(1.0, t1 - t0)
+    span = abs(t1 - t0)
+    t, y, fy = t0, y0, f(t0, y0)
+    if not np.all(np.isfinite(fy)):
+        raise RuntimeError("fundamental solution integration failed: "
+                           f"non-finite derivative at t = {t0:.17g}")
+    # initial step (Hairer, Norsett & Wanner, Sec. II.4)
+    scale = tol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(fy / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = f(t + h0 * direction, y + h0 * direction * fy)
+    d2 = _rms((f1 - fy) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else \
+        (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, span)
+    K = np.empty((7, y0.size))
+    steps = []      # (t_old, h, y_old, Q) of each accepted step
+    while direction * (t - t1) < 0:
+        min_step = 10 * abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError("fundamental solution integration failed: "
+                                   f"step size {h_abs:.3g} below 10 ulp of "
+                                   f"t = {t:.17g}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = fy
+            for s in range(1, 6):
+                K[s] = f(t + _RK_C[s] * h,
+                         y + np.dot(K[:s].T, _RK_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _RK_B)
+            K[6] = f_new = f(t + h, y_new)
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(K.T, _RK_E) * h / scale)
+            if err < 1:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            rejected = True
+        factor = _MAX_FACTOR if err == 0 else \
+            min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+        h_abs *= min(1, factor) if rejected else factor
+        steps.append((t, h, y, K.T.dot(_RK_P)))
+        t, y, fy = t_new, y_new, f_new
+
+    # the step edges in the direction of the solve, increasing
+    edges = direction * np.array([step[0] for step in steps] + [t1])
+
+    def step_of(t):
+        return np.clip(np.searchsorted(edges, direction * t) - 1, 0,
+                       len(steps) - 1)
+
+    def dense(t):
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            t_old, h, y_old, Q = steps[step_of(t)]
+            x = np.cumprod(np.tile((t - t_old) / h, 4))
+            return h * np.dot(Q, x) + y_old
+        # each step's quartic takes its values of t at once, in increasing
+        # order, as scipy's dense output does
+        order = np.argsort(t)
+        at = step_of(t[order])
+        out = np.empty((y0.size, len(t)))
+        for k in np.unique(at):
+            cols = order[at == k]
+            t_old, h, y_old, Q = steps[k]
+            x = np.cumprod(np.tile((t[cols] - t_old) / h, (4, 1)), axis=0)
+            out[:, cols] = h * np.dot(Q, x) + y_old[:, None]
+        return out
+    return dense
+
+
 def step_propagators(drift, starts, dt, tol: float = 1e-10):
     """The map u -> Psi(t_j + dt_j, t_j + u dt_j) on [0, 1] for every start t_j.
 
@@ -90,17 +212,19 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
     Constant drifts give exp(A (dt - u dt)) for every start.  Time-dependent
     drifts solve the stacked adjoint equations dY_j/du = -dt_j Y_j A(t_j +
     u dt_j), Y_j(1) = I, once backwards over the step fraction u in [1, 0]
-    by adaptive embedded Runge-Kutta 4(5) with dense output; the right-hand
-    side takes A at every t_j + u dt_j in one `eval_drift` call.  The
-    solver's error norm is an RMS over all m d^2 components, so it runs at
-    tol / sqrt(m): each start's error bound is that of a solve of its own at
-    tol.  The map takes a u, giving an (m, d, d) stack, or a 1-d array of
-    them, giving one stack per u; the dense output evaluates an array at once.
+    by `_rk45`, adaptive Dormand-Prince 5(4) with dense output; the
+    right-hand side takes A at every t_j + u dt_j in one `eval_drift` call.
+    The solver's error norm is an RMS over all m d^2 components, so it runs
+    at tol / sqrt(m): each start's error bound is that of a solve of its own
+    at tol.  A solve whose step falls below 10 ulp, as when the drift's
+    entries overflow the stages, raises a RuntimeError.  The map takes a u,
+    giving an (m, d, d) stack, or a 1-d array of them, giving one stack per
+    u; the dense output evaluates an array at once.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1 or len(starts) == 0:
         raise ValueError("starts must be a non-empty 1-d array")
-    # a NaN would hold solve_ivp forever
+    # a NaN would hold the adjoint solve forever
     if not np.all(np.isfinite(starts)):
         raise ValueError("starts must be finite")
     dt = np.asarray(dt, dtype=float)
@@ -110,7 +234,7 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
         raise ValueError("dt must be finite")
     if np.any(dt <= 0):
         raise ValueError("dt must be positive")
-    # a NaN or zero tolerance would hold solve_ivp forever
+    # a NaN or zero tolerance would hold the adjoint solve forever
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     m, d = len(starts), drift.d
@@ -121,22 +245,20 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
                                               np.shape(u) + (-1,)))
             return np.array(np.broadcast_to(E, np.shape(u) + (m, d, d)))
         return exp_at
-    # only this branch needs scipy.integrate, a third of a second to import
-    from scipy.integrate import solve_ivp
     step = np.reshape(dt, (-1, 1, 1))   # dt_j against each start's matrix
 
     def rhs(u, y):
         A = eval_drift(drift, starts + u * dt)
         return -(y.reshape(m, d, d) @ (step * A)).reshape(-1)
 
-    local = tol / math.sqrt(m)
-    sol = solve_ivp(rhs, (1.0, 0.0), np.tile(np.eye(d), (m, 1)).reshape(-1),
-                    method="RK45", rtol=local, atol=local, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"fundamental solution integration failed: {sol.message}")
+    # an overflow in the stages gives a NaN error norm, which shrinks the
+    # step until the solve raises
+    with np.errstate(all="ignore"):
+        sol = _rk45(rhs, 1.0, 0.0, np.tile(np.eye(d), (m, 1)).reshape(-1),
+                    tol / math.sqrt(m))
 
     def at(u):
-        return np.moveaxis(sol.sol(u), 0, -1).reshape(np.shape(u) + (m, d, d))
+        return np.moveaxis(sol(u), 0, -1).reshape(np.shape(u) + (m, d, d))
     return at
 
 

@@ -39,15 +39,17 @@ class QuadratureError(RuntimeError):
 #   and L = lim value(t)^2 ln t: StableAS when L = 0, BoundedNonConvergent
 #   when L is in (0, inf), Unbounded when L = inf; ZERO marks an identically
 #   zero envelope, which is StableAS with a tail bound of 0;
-# * ``tail(eps, mass, T)`` -- for the StableAS and BoundedNonConvergent
-#   families, an upper bound on int_T^inf phi(x(t)) dt for every
-#   x(t) <= mass * value(t)^2, where phi(x) = sqrt(x) exp(-eps^2 / (2x)).
+# * ``log_tail(eps, mass, T)`` -- for the StableAS and BoundedNonConvergent
+#   families, the natural log of an upper bound on int_T^inf phi(x(t)) dt
+#   for every x(t) <= mass * value(t)^2, where
+#   phi(x) = sqrt(x) exp(-eps^2 / (2x)); in logs, a bound beyond the double
+#   range (PowerLaw's m! for an exponent near 0) still has a size.
 #
 # A window of width w over a non-increasing envelope has energy at most
 # w F value(t)^2 (F the squared pattern norm), so mass = w F bounds the
 # running-window integrand of I_w.  Each bound is the integral of a
-# non-increasing majorant, so tail(eps, h F, N h) / h also bounds the window
-# sum over n > N.
+# non-increasing majorant, so exp(log_tail(eps, h F, N h)) / h also bounds
+# the window sum over n > N.
 
 # the almost-sure regimes of the trichotomy, and the one profile value
 # outside it
@@ -58,15 +60,22 @@ REGIME_UNDECIDED = "Undecided"
 ZERO = "zero"                     # identically zero envelope
 
 
-def _exp_minus_power_bound(eps: float, base: float, q: float):
+def _exp_minus_power_bound(eps: float, log_base: float, q: float):
     """Pick m so that, for x <= base s^{-q},
     x e^{-eps^2/(2x)} <= m! (2/eps^2)^m base^{m+1/2} s^{-q(m+1/2)}
-    with exponent p = q (m + 1/2) > 1; returns (coefficient, p)."""
-    m = 1
-    while q * (m + 0.5) <= 1.25:
+    with exponent p = q (m + 1/2) > 1; returns (log coefficient, p).
+
+    m is the least m >= 1 with q (m + 1/2) > 1.25, in closed form; the
+    rounding of 1.25 / q moves the closed form by at most one, which the
+    two tests of the exact condition put back."""
+    m = max(1, math.floor(1.25 / q - 0.5) + 1)
+    if m > 1 and q * (m - 0.5) > 1.25:
+        m -= 1
+    elif q * (m + 0.5) <= 1.25:
         m += 1
-    coeff = math.factorial(m) * (2.0 / (eps * eps)) ** m * base ** (m + 0.5)
-    return coeff, q * (m + 0.5)
+    log_coeff = (math.lgamma(m + 1.0) + (m + 0.5) * log_base
+                 + m * (math.log(2.0) - 2.0 * math.log(eps)))
+    return log_coeff, q * (m + 0.5)
 
 
 class _Envelope:
@@ -94,11 +103,12 @@ class PowerLaw(_Envelope):
             return ZERO, 0.0
         return (STABLE, 0.0) if self.exponent < 0.0 else (UNBOUNDED, math.inf)
 
-    def tail(self, eps: float, mass: float, T: float) -> float:
+    def log_tail(self, eps: float, mass: float, T: float) -> float:
         # x(t) <= mass k^2 (1+t)^(2a) with a < 0
-        coeff, p = _exp_minus_power_bound(eps, mass * self.scale ** 2,
-                                          -2.0 * self.exponent)
-        return coeff * (1.0 + T) ** (1.0 - p) / (p - 1.0)
+        log_coeff, p = _exp_minus_power_bound(
+            eps, math.log(mass) + 2.0 * math.log(abs(self.scale)),
+            -2.0 * self.exponent)
+        return log_coeff + (1.0 - p) * math.log1p(T) - math.log(p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -118,15 +128,16 @@ class LogPower(_Envelope):
     def profile(self):
         return (ZERO, 0.0) if self.gamma == 0.0 else (BOUNDED, self.gamma)
 
-    def tail(self, eps: float, mass: float, T: float) -> float:
+    def log_tail(self, eps: float, mass: float, T: float) -> float:
         # x(t) <= L_w / ln(e+t) with L_w = mass gamma, so
         # phi(x(t)) <= sqrt(L_w / ln(e+t)) (e+t)^(-p), p = eps^2 / (2 L_w)
         Lw = mass * self.gamma
         p = eps * eps / (2.0 * Lw)
         if p <= 1.0:
             raise ValueError("no finite tail at or below the threshold")
-        lead = math.sqrt(Lw / math.log(math.e + T))
-        return lead * (math.e + T) ** (1.0 - p) / (p - 1.0)
+        log_span = math.log(math.e + T)
+        return (0.5 * (math.log(Lw) - math.log(log_span))
+                + (1.0 - p) * log_span - math.log(p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -147,12 +158,13 @@ class ExpDecay(_Envelope):
     def profile(self):
         return (ZERO if self.scale == 0.0 else STABLE), 0.0
 
-    def tail(self, eps: float, mass: float, T: float) -> float:
+    def log_tail(self, eps: float, mass: float, T: float) -> float:
         # x(t) <= B exp(-2 lam t) with B = mass k^2, and
         # x e^{-eps^2/(2x)} <= (2/(e eps^2)) x^{3/2}
-        lam, B = self.rate, mass * self.scale ** 2
-        return (2.0 / (math.e * eps * eps) * B ** 1.5
-                * math.exp(-3.0 * lam * T) / (3.0 * lam))
+        lam = self.rate
+        log_B = math.log(mass) + 2.0 * math.log(abs(self.scale))
+        return (math.log(2.0) - 1.0 - 2.0 * math.log(eps) + 1.5 * log_B
+                - 3.0 * lam * T - math.log(3.0 * lam))
 
 
 @dataclass(frozen=True)

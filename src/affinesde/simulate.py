@@ -11,9 +11,9 @@ drift), so the sampler has no discretisation bias at grid points, periodic
 drifts included.  A constant drift is the periodic case with a single period
 position, and both run one recursion.  `linalg.step_propagators` builds Psi
 over a step for every period position at once: one stacked matrix
-exponential over the nodes for a constant drift, one stacked adaptive solve
-for a periodic one, whose dense output serves the transitions and the
-panel's nodes.  Both
+exponential over the nodes for a constant drift, one stacked adaptive
+Dormand-Prince solve in numpy for a periodic one, whose dense output serves
+the transitions and the panel's nodes.  Both
 sigma forms, envelope and table, get their Q_n from one panel of
 `model.gauss_legendre_rule` per step, fed by `eval_sigma` at the nodes,
 at the lowest level (12 nodes on each of 2^L sub-panels) that passes two

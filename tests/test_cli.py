@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,20 +163,29 @@ def test_boolean_matrix_entry_rejected(tmp_path):
 
 
 def test_classify_and_verify_leave_scipy_integrate_unimported(tmp_path):
-    # scipy.integrate serves only the ODE solver of a time-dependent drift,
-    # and scipy.special nothing: a fresh interpreter runs classify on a
-    # LogPower scenario and a small verify on a constant drift without
-    # importing either.  scipy.linalg serves only the matrix exponential, so
-    # classify on a constant drift loads no scipy at all
+    # scipy.special serves nothing, and scipy.integrate nothing at run time:
+    # a fresh interpreter runs classify on a LogPower scenario and a small
+    # verify on a constant drift without importing either.  scipy.linalg
+    # serves only the matrix exponential of a constant drift, so classify on
+    # a constant drift, and classify, floquet and verify on a periodic one,
+    # whose propagators come from linalg's own Runge-Kutta stepper, load no
+    # scipy at all
     logpower = write(tmp_path, base_doc(
         name="logpower",
         sigma={"kind": "envelope", "family": "LogPower",
                "params": {"gamma": 1.0},
                "pattern": [[1.0, 0.0], [0.0, 1.0]]}), "logpower.yaml")
     constant = write(tmp_path, base_doc(), "constant.yaml")
+    periodic = write(tmp_path, base_doc(
+        name="periodic",
+        drift={"kind": "periodic", "period": 1.0, "times": [0.0, 0.5],
+               "values": [[[-1.0, 0.5], [0.0, -2.0]],
+                          [[-2.0, 0.0], [0.3, -0.5]]]}), "periodic.yaml")
     out = str(tmp_path / "out")
     code = (f"import sys\nfrom affinesde.cli import main\n"
             f"codes = [main(['classify', {logpower!r}, '--out', {out!r}])]\n"
+            f"codes += [main([cmd, {periodic!r}, '--out', {out!r}])\n"
+            f"          for cmd in ('classify', 'floquet', 'verify')]\n"
             f"loaded = 'scipy' in sys.modules\n"
             f"codes.append(main(['verify', {constant!r}, '--out', {out!r}]))\n"
             f"print(codes, loaded, 'scipy.integrate' in sys.modules,\n"
@@ -189,7 +197,7 @@ def test_classify_and_verify_leave_scipy_integrate_unimported(tmp_path):
                          text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == \
-        f"[{EXIT_OK}, {EXIT_OK}] False False False"
+        f"[{', '.join([str(EXIT_OK)] * 5)}] False False False"
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):
@@ -478,20 +486,17 @@ def test_simulate_nonfinite_states_exit_numeric(tmp_path, capsys,
             capsys.readouterr().err
 
 
-def test_simulate_failed_propagator_solve_exits_numeric(tmp_path, capsys,
-                                                       monkeypatch):
-    # the periodic sampler's stacked adjoint solve fails: a RuntimeError,
-    # reported as a numeric failure
-    import scipy.integrate
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k:
-                        SimpleNamespace(success=False, message="step too small"))
+def test_simulate_failed_propagator_solve_exits_numeric(tmp_path, capsys):
+    # the periodic sampler's stacked adjoint solve fails: drift entries of
+    # 1e300 overflow its stages, the step shrinks below 10 ulp, and the
+    # RuntimeError is reported as a numeric failure
     doc = _scalar_doc(1.0, dt=0.5, t_end=4.0, paths=2)
     doc["drift"] = {"kind": "periodic", "period": 1.0, "times": [0.0, 0.5],
-                    "values": [[[-1.0]], [[-2.0]]]}
+                    "values": [[[-1e300]], [[1e300]]]}
     assert main(["simulate", write(tmp_path, doc), "--out",
                  str(tmp_path)]) == EXIT_NUMERIC
     assert "numeric failure: fundamental solution integration failed: " \
-        "step too small" in capsys.readouterr().err
+        "step size" in capsys.readouterr().err
 
 
 def test_scenario_naming_a_scheme_is_rejected(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from affinesde import criteria
+from affinesde import criteria, model
 from affinesde.criteria import (BOUNDED, FINITE, INFINITE, REGIME_UNDECIDED,
                                 STABLE, UNBOUNDED, UNDECIDED, RegimeVerdict,
                                 build_max_sequence,
@@ -194,6 +194,64 @@ def test_tail_bound_actually_bounds_the_tail(spec, eps):
 def test_zero_sigma_finite():
     r = decide_Sprime(DiffusionSpec.constant([[0.0]]), 1.0, 1.0)
     assert r.status == FINITE and r.tail_bound == 0.0
+
+
+def _least_m(q):
+    """The least m >= 1 with q (m + 1/2) > 1.25, by counting."""
+    m = 1
+    while q * (m + 0.5) <= 1.25:
+        m += 1
+    return m
+
+
+def test_power_bound_takes_the_least_m_in_closed_form():
+    # q (m + 1/2) > 1.25 strictly: q = 0.5, from PowerLaw(1, -0.25), takes
+    # m = 3, where ceil(1.25/q - 0.5) gives 2.  The q where 1.25/q - 0.5 is
+    # whole, and their neighbours a rounding away, are where a closed form
+    # slips
+    qs = [0.5, 2.5, 1.3, 0.003, 1e-3]
+    for k in range(1, 400):
+        q = 1.25 / (k + 0.5)
+        qs += [q, math.nextafter(q, 0.0), math.nextafter(q, 1.0)]
+    for q in qs:
+        m = _least_m(q)
+        assert model._exp_minus_power_bound(1.0, 0.0, q)[1] == q * (m + 0.5), q
+    log_coeff, p = model._exp_minus_power_bound(0.5, math.log(3.0), 0.5)
+    assert p == 1.75
+    assert log_coeff == pytest.approx(math.log(6.0 * 8.0 ** 3 * 3.0 ** 3.5),
+                                      rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [-1e-12, -1e-6, -0.001, -0.003])
+def test_slow_power_law_tail_bound_beyond_the_double_range(alpha):
+    # the tail bound m! (2/eps^2)^m base^(m+1/2) (1+T)^(1-p) / (p-1) / h
+    # leaves the double range as alpha -> 0 (m ~ 0.6/|alpha|), but stays
+    # finite: its log10 is reported, here against mpmath at the counted m
+    # (the count takes seconds at alpha = -1e-6, so that one is checked in
+    # closed form)
+    mp = pytest.importorskip("mpmath")
+    spec = DiffusionSpec.envelope(PowerLaw(1.0, alpha), np.eye(2))
+    assert classify(spec, _A2).regime == STABLE
+    eps, h, N = 1.0, 1.0, 256
+    r = decide_Sprime(spec, eps, h, N)
+    assert r.status == FINITE and r.tail_bound is None
+    assert r.total_upper is None
+    q = -2.0 * alpha
+    m = _least_m(q) if alpha <= -1e-3 else math.floor(1.25 / q - 0.5) + 1
+    p = q * (m + 0.5)
+    base = 2.0 * h             # mass = h F with F = 2 for I
+    exact = (mp.loggamma(m + 1) + m * mp.log(2 / mp.mpf(eps) ** 2)
+             + (m + 0.5) * mp.log(base) + (1 - p) * mp.log(1 + N * h)
+             - mp.log(p - 1) - mp.log(h)) / mp.log(10)
+    assert r.tail_bound_log10 > 308
+    assert r.tail_bound_log10 == pytest.approx(float(exact), rel=1e-12)
+    # in the report, a finite ruling gives its bound or, where that leaves
+    # the double range, the bound's log10
+    rep = criteria.criterion_report(spec).to_dict()
+    for ruling in rep["sum_rulings"] + rep["integral_rulings"]:
+        assert ruling["status"] == FINITE
+        assert ("tail_bound" in ruling) != ("tail_bound_log10" in ruling)
+        assert ruling.get("tail_bound_log10", math.inf) > 308
 
 
 # ---------------------------------------------------------------------------
@@ -606,16 +664,22 @@ _GATE_NOTE = ("spectral abscissa >= 0: the unperturbed system is not "
      ConstantDrift([[-1.0]]),
      RegimeVerdict(REGIME_UNDECIDED, True, False, False, False, False,
                    note="finiteness undecided for this sigma form")),
+    # fading noise on a drift that is not stable: E X^2 grows like e^{0.2 t}
+    # on [[0.1]] and stays at least x0^2 on [[0]], so no mean-square
+    # stability
     (scalar(ExpDecay(1.0, 1.0)), ConstantDrift([[0.1]]),
-     RegimeVerdict(REGIME_UNDECIDED, False, True, True, False, False,
+     RegimeVerdict(REGIME_UNDECIDED, False, True, False, False, False,
+                   note=_GATE_NOTE)),
+    (scalar(ExpDecay(1.0, 1.0)), ConstantDrift([[0.0]]),
+     RegimeVerdict(REGIME_UNDECIDED, False, True, False, False, False,
                    note=_GATE_NOTE)),
     (scalar(ExpDecay(1.0, 1.0)),
      CallableDrift(fn=lambda t: np.array([[-1.0]]), d=1),
-     RegimeVerdict(REGIME_UNDECIDED, False, True, True, False, False,
+     RegimeVerdict(REGIME_UNDECIDED, False, True, False, False, False,
                    note="drift is neither constant nor periodic: no "
                         "stability gate")),
 ], ids=["exp-decay", "zero", "log-power", "constant", "table",
-        "unstable-drift", "no-period"])
+        "unstable-drift", "marginal-drift", "no-period"])
 def test_classify_verdict_table(sigma, drift, expected):
     v = classify(sigma, drift)
     bracket = expected.epsilon_star_bracket

@@ -1,8 +1,8 @@
 """Every name a package module imports is used (names in __all__ exempt),
 every module-level private name is referenced in its own module, no module
 reaches for another module's private names, every function reads its
-parameters, every name the package exports resolves, scipy.integrate is
-imported only for linalg's ODE solver, simulate reads no sigma form's internals, the regime
+parameters, every name the package exports resolves, no module imports
+scipy.integrate, simulate reads no sigma form's internals, the regime
 names are spelled only in model and the agreement names only in stats."""
 
 import ast
@@ -183,9 +183,9 @@ def scipy_integrate_imports(source: str) -> list:
     return sorted(found)
 
 
-# every integral of sigma runs on model's Gauss-Legendre rule; linalg's ODE
-# solver for a time-dependent drift is the one user of scipy.integrate
-SCIPY_INTEGRATE_ALLOWED = {"linalg.py": {"solve_ivp"}}
+# every integral of sigma runs on model's Gauss-Legendre rule, and the ODE
+# solver for a time-dependent drift is linalg's own Runge-Kutta stepper
+SCIPY_INTEGRATE_ALLOWED = {}
 
 
 def test_checker_flags_scipy_integrate():

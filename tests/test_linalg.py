@@ -1,11 +1,10 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.integrate
 from scipy.integrate import quad_vec, solve_ivp
 
+from affinesde import linalg
 from affinesde.linalg import (MonodromyResult, StabilityError, expm,
                               monodromy, solve_lyapunov, spectral_abscissa,
                               spectral_radius, step_propagators)
@@ -208,20 +207,25 @@ def test_step_propagators_match_the_one_start_propagator(drift, starts, dt):
     assert np.array_equal(got[-1], np.broadcast_to(np.eye(2), (m, 2, 2)))
 
 
+def _dop853_transition(drift, a, b):
+    """Psi(b, a) from one DOP853 solve of X' = A X, at an rtol just above
+    scipy's floor of 100 machine epsilons."""
+    d = drift.d
+    sol = solve_ivp(lambda s, y: (eval_drift(drift, s) @
+                                  y.reshape(d, d)).reshape(-1),
+                    (a, b), np.eye(d).reshape(-1), method="DOP853",
+                    rtol=3e-14, atol=1e-15)
+    assert sol.success
+    return sol.y[:, -1].reshape(d, d)
+
+
 def _knot_segment_reference(drift):
     """Psi(T, 0) of a piecewise-linear drift as the product of a DOP853
-    solve on each knot segment, so that no solve crosses a kink, at an rtol
-    just above scipy's floor of 100 machine epsilons."""
-    d = drift.d
+    solve on each knot segment, so that no solve crosses a kink."""
     edges = [*drift.times, drift.period]
-    Psi = np.eye(d)
+    Psi = np.eye(drift.d)
     for a, b in zip(edges, edges[1:]):
-        sol = solve_ivp(lambda s, y: (eval_drift(drift, s) @
-                                      y.reshape(d, d)).reshape(-1),
-                        (a, b), np.eye(d).reshape(-1), method="DOP853",
-                        rtol=3e-14, atol=1e-15)
-        assert sol.success
-        Psi = sol.y[:, -1].reshape(d, d) @ Psi
+        Psi = _dop853_transition(drift, a, b) @ Psi
     return Psi
 
 
@@ -316,23 +320,80 @@ def test_monodromy_rejects_a_bad_tol(bad):
         monodromy(drift, tol=bad)
 
 
-def test_step_propagators_hold_each_start_to_tol(monkeypatch):
-    # solve_ivp's error norm is an RMS over all m d^2 components, so the
-    # stacked solve of m starts runs at tol / sqrt(m)
-    seen = []
-    real = scipy.integrate.solve_ivp
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k:
-                        seen.append((k["rtol"], k["atol"])) or real(*a, **k))
+def test_step_propagators_hold_each_start_to_tol():
+    # the solver's error norm is an RMS over all m d^2 components, so the
+    # stacked solve of m starts runs at tol / sqrt(m), and each start's
+    # transition is within tol of a solve of its own.  The steps of 0.25
+    # end on PERIODIC2's knots but cross none
     for m in (1, 4, 64):
-        step_propagators(PERIODIC2, 0.25 * np.arange(m), 0.25, 1e-12)
-    assert seen == [(1e-12, 1e-12), (5e-13, 5e-13), (1.25e-13, 1.25e-13)]
+        starts = 0.25 * np.arange(m)
+        refs = [_dop853_transition(PERIODIC2, t, t + 0.25) for t in starts]
+        for tol in (1e-10, 1e-12):
+            got = step_propagators(PERIODIC2, starts, 0.25, tol)(0.0)
+            err = np.abs(got - refs).max(axis=(1, 2))
+            assert np.all(err <= tol), (m, tol, err.max())
+
+
+def _callable16():
+    """The 16-knot drift's smooth original, [[-1 + cos t, .5],
+    [0, -2 + sin t]], as a callable."""
+    return CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t), 0.5],
+                                                [0.0, -2.0 + math.sin(t)]]),
+                         d=2, period=_TWO_PI)
+
+
+# one start over PERIODIC2's whole period crosses both kinks, where the
+# solver rejects steps
+@pytest.mark.parametrize("drift, m", [(PERIODIC2, 6), (PERIODIC2, 1),
+                                      (_knots16_drift(), 64),
+                                      (_callable16(), 8)],
+                         ids=["periodic2", "periodic2-kinks", "knots16",
+                              "callable"])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_step_propagators_match_scipy_rk45(drift, m, tol):
+    # oracle: scipy's RK45 on the same stacked adjoint equations at the same
+    # rtol and atol runs the same Dormand-Prince steps, so its dense output
+    # agrees at the transitions, the covariance panel's nodes, u = 1 and
+    # the step edges
+    d, dt = drift.d, drift.period / m
+    starts = dt * np.arange(m)
+
+    def rhs(u, y):
+        A = eval_drift(drift, starts + u * dt)
+        return -(y.reshape(m, d, d) @ (dt * A)).reshape(-1)
+
+    local = tol / math.sqrt(m)
+    sol = solve_ivp(rhs, (1.0, 0.0), np.tile(np.eye(d), (m, 1)).reshape(-1),
+                    method="RK45", rtol=local, atol=local, dense_output=True)
+    assert sol.success
+    u = np.concatenate([[0.0], *(gauss_legendre_rule(k)[0] for k in (0, 1)),
+                        [1.0], sol.t])
+    ref = np.moveaxis(sol.sol(u), 0, -1).reshape(len(u), m, d, d)
+    got = step_propagators(drift, starts, dt, tol)(u)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_step_propagators_raise_on_a_failed_solve(monkeypatch):
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k:
-                        SimpleNamespace(success=False, message="step too small"))
-    with pytest.raises(RuntimeError, match="integration failed: step too small"):
-        step_propagators(PERIODIC2, [0.0, 0.25], 0.25)
+    # finite drift entries overflow the stages: the error norm is NaN, the
+    # step shrinks below 10 ulp and the solve raises.  At 1e308 over a step
+    # of 4, dt A overflows and the first derivative holds 0 * inf = NaN.
+    # Either way no RuntimeWarning escapes, and the solve ends after a few
+    # drift evaluations
+    calls = []
+    monkeypatch.setattr(linalg, "eval_drift", lambda drift, t:
+                        calls.append(t) or eval_drift(drift, t))
+    for d, big, dt, reason in (
+            (1, 1e300, 0.25, "step size .* below 10 ulp of t = 1$"),
+            (2, 1e300, 0.5, "step size .* below 10 ulp of t = 1$"),
+            (2, 1e308, 4.0, "non-finite derivative at t = 1$")):
+        drift = PeriodicDrift(period=1.0, times=[0.0, 0.5],
+                              values=[np.full((d, d), -big),
+                                      np.full((d, d), big)])
+        calls.clear()
+        with pytest.raises(RuntimeError, match="^fundamental solution "
+                                               f"integration failed: {reason}"):
+            step_propagators(drift, [0.0, 0.25], dt)
+        assert len(calls) <= 16, (d, big)
 
 
 def test_determinant_identity():
