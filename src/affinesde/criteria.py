@@ -139,7 +139,7 @@ class FinitenessRuling:
     partial_value: float
     n_terms: int
     # when status == finite: the tail bound, or its log10 where the bound
-    # leaves the double range
+    # leaves the double range (inf where its log does too)
     tail_bound: Optional[float] = None
     tail_bound_log10: Optional[float] = None
     witness: Optional[str] = None        # present iff status == infinite
@@ -171,8 +171,14 @@ def _rulings(spec: DiffusionSpec, eps, partial, n_terms: int, width: float,
             log_bound = profile.envelope.log_tail(
                 e, width * profile.fro_sq, start) - math.log(divisor)
             try:
-                extra["tail_bound"] = math.exp(log_bound)
+                bound = math.exp(log_bound)
             except OverflowError:
+                bound = math.inf
+            # beyond the double range the bound's log10 stands for it, inf
+            # where the log is beyond it too (math.exp(inf) does not raise)
+            if bound < math.inf:
+                extra["tail_bound"] = bound
+            else:
                 extra["tail_bound_log10"] = log_bound / math.log(10.0)
         elif status == INFINITE and profile.regime == BOUNDED:
             Lw = width * profile.L

@@ -1,11 +1,11 @@
 """Small dense linear algebra for the drift matrix.
 
-Spectral abscissa / radius, the Lyapunov solve A^T M + M A = -I, matrix
-exponentials, and the propagator Psi(t, s) of X' = A(t) X.  One routine,
-`step_propagators`, builds Psi over a step from many starts in one adaptive
-solve, by the numpy Dormand-Prince stepper `_rk45`; the sampler's
-transitions and the Floquet monodromy matrix Psi(T, 0) of a periodic drift,
-the product of a period's transitions, both come from it.
+Spectral abscissa / radius, the Lyapunov solve A^T M + M A = -I, and the
+propagator Psi(t, s) of X' = A(t) X.  One routine, `step_propagators`,
+builds Psi over a step from many starts in one adaptive solve, by the numpy
+Dormand-Prince stepper `_rk45`, for a constant drift as for a periodic one;
+the sampler's transitions and the Floquet monodromy matrix Psi(T, 0) of a
+periodic drift, the product of a period's transitions, both come from it.
 """
 
 from __future__ import annotations
@@ -63,23 +63,6 @@ def solve_lyapunov(A) -> LyapunovSolution:
     M = 0.5 * (M + M.T)
     residual = float(np.linalg.norm(A.T @ M + M @ A + I, ord="fro"))
     return LyapunovSolution(M=M, residual=residual)
-
-
-def expm(A, t=1.0) -> np.ndarray:
-    """Matrix exponential exp(A t) (scaling and squaring): a (d, d) matrix
-    for a scalar t, and t.shape + (d, d) for an array of times."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    At = A * np.asarray(t, dtype=float)[..., None, None]
-    if not np.all(np.isfinite(At)):
-        raise ValueError("A*t must be finite")
-    # imported here, so that a run that takes no exponential (classify on a
-    # constant drift) loads no scipy
-    import scipy.linalg
-    with np.errstate(over="ignore"):   # the overflow is raised below
-        out = scipy.linalg.expm(At)
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("matrix exponential overflowed")
-    return out
 
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's
@@ -209,11 +192,12 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
 
     dt is one step length for every start, or an array of one per start.
     u = 0 gives the transitions over [t_j, t_j + dt_j], u = 1 the identity.
-    Constant drifts give exp(A (dt - u dt)) for every start.  Time-dependent
-    drifts solve the stacked adjoint equations dY_j/du = -dt_j Y_j A(t_j +
-    u dt_j), Y_j(1) = I, once backwards over the step fraction u in [1, 0]
-    by `_rk45`, adaptive Dormand-Prince 5(4) with dense output; the
-    right-hand side takes A at every t_j + u dt_j in one `eval_drift` call.
+    Every drift, a constant one included, solves the stacked adjoint
+    equations dY_j/du = -dt_j Y_j A(t_j + u dt_j), Y_j(1) = I, once
+    backwards over the step fraction u in [1, 0] by `_rk45`, adaptive
+    Dormand-Prince 5(4) with dense output; the right-hand side takes A at
+    every t_j + u dt_j in one `eval_drift` call.  An explicit stepper's work
+    grows with dt ||A||, so a stiff drift over a long step takes many steps.
     The solver's error norm is an RMS over all m d^2 components, so it runs
     at tol / sqrt(m): each start's error bound is that of a solve of its own
     at tol.  A solve whose step falls below 10 ulp, as when the drift's
@@ -238,13 +222,6 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     m, d = len(starts), drift.d
-    if isinstance(drift, ConstantDrift):
-        def exp_at(u):
-            # one exponential per u and step length, broadcast over the starts
-            E = expm(drift.matrix, np.reshape(dt - np.multiply.outer(u, dt),
-                                              np.shape(u) + (-1,)))
-            return np.array(np.broadcast_to(E, np.shape(u) + (m, d, d)))
-        return exp_at
     step = np.reshape(dt, (-1, 1, 1))   # dt_j against each start's matrix
 
     def rhs(u, y):
@@ -282,7 +259,8 @@ def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
     not on a whole period's decayed entries.
     """
     if isinstance(drift, ConstantDrift):
-        raise ValueError("monodromy needs a periodic drift; use expm for constant A")
+        raise ValueError("monodromy needs a periodic drift; "
+                         "step_propagators serves a constant A")
     period = getattr(drift, "period", None)
     if period is None:
         raise ValueError("drift has no period")

@@ -43,7 +43,8 @@ class QuadratureError(RuntimeError):
 #   families, the natural log of an upper bound on int_T^inf phi(x(t)) dt
 #   for every x(t) <= mass * value(t)^2, where
 #   phi(x) = sqrt(x) exp(-eps^2 / (2x)); in logs, a bound beyond the double
-#   range (PowerLaw's m! for an exponent near 0) still has a size.
+#   range (PowerLaw's m! for an exponent near 0) still has a size, and one
+#   whose log is beyond it too (exponents below about 1e-305) is inf.
 #
 # A window of width w over a non-increasing envelope has energy at most
 # w F value(t)^2 (F the squared pattern norm), so mass = w F bounds the
@@ -105,9 +106,14 @@ class PowerLaw(_Envelope):
 
     def log_tail(self, eps: float, mass: float, T: float) -> float:
         # x(t) <= mass k^2 (1+t)^(2a) with a < 0
-        log_coeff, p = _exp_minus_power_bound(
-            eps, math.log(mass) + 2.0 * math.log(abs(self.scale)),
-            -2.0 * self.exponent)
+        try:
+            log_coeff, p = _exp_minus_power_bound(
+                eps, math.log(mass) + 2.0 * math.log(abs(self.scale)),
+                -2.0 * self.exponent)
+        except OverflowError:
+            # |a| below about 1e-305: m ~ 0.6/|a| overflows log m!, or
+            # 1.25/q overflows, so the bound's log is beyond the double range
+            return math.inf
         return log_coeff + (1.0 - p) * math.log1p(T) - math.log(p - 1.0)
 
 

@@ -10,9 +10,8 @@ where Psi is the propagator of X' = A(t) X (e^{A (t - s)} for a constant
 drift), so the sampler has no discretisation bias at grid points, periodic
 drifts included.  A constant drift is the periodic case with a single period
 position, and both run one recursion.  `linalg.step_propagators` builds Psi
-over a step for every period position at once: one stacked matrix
-exponential over the nodes for a constant drift, one stacked adaptive
-Dormand-Prince solve in numpy for a periodic one, whose dense output serves
+over a step for every period position at once, for either drift, in one
+stacked adaptive Dormand-Prince solve in numpy, whose dense output serves
 the transitions and the panel's nodes.  Both
 sigma forms, envelope and table, get their Q_n from one panel of
 `model.gauss_legendre_rule` per step, fed by `eval_sigma` at the nodes,

@@ -162,42 +162,45 @@ def test_boolean_matrix_entry_rejected(tmp_path):
         "drift.matrix")
 
 
-def test_classify_and_verify_leave_scipy_integrate_unimported(tmp_path):
-    # scipy.special serves nothing, and scipy.integrate nothing at run time:
-    # a fresh interpreter runs classify on a LogPower scenario and a small
-    # verify on a constant drift without importing either.  scipy.linalg
-    # serves only the matrix exponential of a constant drift, so classify on
-    # a constant drift, and classify, floquet and verify on a periodic one,
-    # whose propagators come from linalg's own Runge-Kutta stepper, load no
-    # scipy at all
+def test_commands_run_without_scipy(tmp_path):
+    # scipy serves only the tests: a fresh interpreter in which any scipy
+    # import raises runs classify on a LogPower scenario, and classify,
+    # floquet, simulate and a small verify on a constant and on a periodic
+    # drift, whose propagators all come from linalg's own Runge-Kutta
+    # stepper.  Every command exits 0
     logpower = write(tmp_path, base_doc(
         name="logpower",
         sigma={"kind": "envelope", "family": "LogPower",
                "params": {"gamma": 1.0},
                "pattern": [[1.0, 0.0], [0.0, 1.0]]}), "logpower.yaml")
     constant = write(tmp_path, base_doc(), "constant.yaml")
+    # floquet needs a period, which makes a constant drift a one-knot
+    # periodic one
+    with_period = write(tmp_path, base_doc(drift={
+        "kind": "constant", "matrix": [[-1.0, 0.5], [0.0, -2.0]],
+        "period": 1.0}), "with_period.yaml")
     periodic = write(tmp_path, base_doc(
         name="periodic",
         drift={"kind": "periodic", "period": 1.0, "times": [0.0, 0.5],
                "values": [[[-1.0, 0.5], [0.0, -2.0]],
                           [[-2.0, 0.0], [0.3, -0.5]]]}), "periodic.yaml")
     out = str(tmp_path / "out")
-    code = (f"import sys\nfrom affinesde.cli import main\n"
+    code = (f"import sys\nsys.modules['scipy'] = None\n"
+            f"from affinesde.cli import main\n"
             f"codes = [main(['classify', {logpower!r}, '--out', {out!r}])]\n"
-            f"codes += [main([cmd, {periodic!r}, '--out', {out!r}])\n"
-            f"          for cmd in ('classify', 'floquet', 'verify')]\n"
-            f"loaded = 'scipy' in sys.modules\n"
-            f"codes.append(main(['verify', {constant!r}, '--out', {out!r}]))\n"
-            f"print(codes, loaded, 'scipy.integrate' in sys.modules,\n"
-            f"      'scipy.special' in sys.modules)\n")
+            f"codes += [main([cmd, scn, '--out', {out!r}])\n"
+            f"          for scn in ({constant!r}, {periodic!r})\n"
+            f"          for cmd in ('classify', 'simulate', 'verify')]\n"
+            f"codes += [main(['floquet', scn, '--out', {out!r}])\n"
+            f"          for scn in ({with_period!r}, {periodic!r})]\n"
+            f"print(codes)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == \
-        f"[{', '.join([str(EXIT_OK)] * 5)}] False False False"
+    assert run.stdout.splitlines()[-1] == f"[{', '.join([str(EXIT_OK)] * 9)}]"
 
 
 def test_malformed_file_exit_code(tmp_path, capsys):
@@ -337,6 +340,27 @@ def test_classify_fast_fading_noise_exits_ok(tmp_path, capsys):
     assert all(r["partial_value"] > 0.0 for r in ints)
 
 
+@pytest.mark.parametrize("alpha", [-1e-306, -1e-310, -5e-324])
+def test_classify_power_law_exponent_near_zero_exits_ok(tmp_path, capsys,
+                                                        alpha):
+    # PowerLaw(1, alpha) is StableAS for every alpha < 0.  Below |alpha|
+    # about 1e-305 the log of the tail bound leaves the double range too
+    # (log m! overflows, and at 5e-324 so does 1.25 / q): every finite
+    # ruling then reports no tail_bound and a tail_bound_log10 of inf
+    doc = base_doc(sigma={"kind": "envelope", "family": "PowerLaw",
+                          "params": {"scale": 1.0, "exponent": alpha},
+                          "pattern": [[1.0, 0.0], [0.0, 1.0]]})
+    assert main(["classify", write(tmp_path, doc), "--out", str(tmp_path)]) \
+        == EXIT_OK
+    report = yaml.safe_load(capsys.readouterr().out)
+    assert report["verdict"]["regime"] == "StableAS"
+    crit = report["criteria"]
+    for ruling in crit["sum_rulings"] + crit["integral_rulings"]:
+        assert ruling["status"] == "finite"
+        assert "tail_bound" not in ruling
+        assert ruling["tail_bound_log10"] == math.inf
+
+
 def test_classify_reports_requested_n_terms(tmp_path, capsys):
     for n_terms, doc in ((256, base_doc()),
                          (300, base_doc(criteria={"n_terms": 300}))):
@@ -386,12 +410,12 @@ def test_simulate_zero_noise_csv(tmp_path, capsys):
     assert rows[0] == "path_id,t,x_1,x_2,norm2"
     assert len(rows) == 1 + 2 * 5
     # the deterministic flow reloads bit-faithfully from 17 significant digits
-    from affinesde.linalg import expm
+    from scipy.linalg import expm
     A = np.array([[-1.0, 0.5], [0.0, -2.0]])
     first = rows[1].split(",")
     last = rows[5].split(",")
     assert [float(x) for x in first[2:4]] == [1.0, 1.0]
-    expect = expm(A, 2.0) @ np.array([1.0, 1.0])
+    expect = expm(A * 2.0) @ np.array([1.0, 1.0])
     reloaded = np.array([float(x) for x in last[2:4]])
     np.testing.assert_allclose(reloaded, expect, atol=1e-10)
     assert report["paths"] == 2
@@ -493,6 +517,19 @@ def test_simulate_failed_propagator_solve_exits_numeric(tmp_path, capsys):
     doc = _scalar_doc(1.0, dt=0.5, t_end=4.0, paths=2)
     doc["drift"] = {"kind": "periodic", "period": 1.0, "times": [0.0, 0.5],
                     "values": [[[-1e300]], [[1e300]]]}
+    assert main(["simulate", write(tmp_path, doc), "--out",
+                 str(tmp_path)]) == EXIT_NUMERIC
+    assert "numeric failure: fundamental solution integration failed: " \
+        "step size" in capsys.readouterr().err
+
+
+def test_simulate_overflowing_constant_drift_exits_numeric(tmp_path, capsys):
+    # exp(dt) overflows on [[1]] for dt above 709, and the constant drift's
+    # adjoint solve raises.  Just above 709 it steps until its stages
+    # overflow, about 5 s at the sampler's tol 1e-12; at dt = 1e15 its first
+    # step is already below 10 ulp and it raises in milliseconds
+    doc = _scalar_doc(1.0, dt=1e15, t_end=2e15, paths=1)
+    doc["drift"] = {"kind": "constant", "matrix": [[1.0]]}
     assert main(["simulate", write(tmp_path, doc), "--out",
                  str(tmp_path)]) == EXIT_NUMERIC
     assert "numeric failure: fundamental solution integration failed: " \

@@ -2,7 +2,7 @@
 every module-level private name is referenced in its own module, no module
 reaches for another module's private names, every function reads its
 parameters, every name the package exports resolves, no module imports
-scipy.integrate, simulate reads no sigma form's internals, the regime
+scipy, simulate reads no sigma form's internals, the regime
 names are spelled only in model and the agreement names only in stats."""
 
 import ast
@@ -167,40 +167,41 @@ def test_no_private_cross_imports(path):
     assert private_cross_imports(path.read_text()) == []
 
 
-def scipy_integrate_imports(source: str) -> list:
-    """Names a module takes from scipy.integrate; the module itself when it
-    imports scipy.integrate whole."""
+def scipy_imports(source: str) -> list:
+    """Names a module takes from scipy or any of its subpackages, and the
+    modules it imports from scipy whole."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate":
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "scipy":
             found += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
-            found += ["scipy.integrate" for alias in node.names
-                      if alias.name == "integrate"]
         elif isinstance(node, ast.Import):
             found += [alias.name for alias in node.names
-                      if alias.name.startswith("scipy.integrate")]
+                      if alias.name.split(".")[0] == "scipy"]
     return sorted(found)
 
 
-# every integral of sigma runs on model's Gauss-Legendre rule, and the ODE
-# solver for a time-dependent drift is linalg's own Runge-Kutta stepper
-SCIPY_INTEGRATE_ALLOWED = {}
+# every integral of sigma runs on model's Gauss-Legendre rule, and every
+# propagator, a constant drift's included, comes from linalg's own
+# Runge-Kutta stepper, so no module imports scipy.  The two tests keep
+# their names from when only scipy.integrate was barred
 
 
 def test_checker_flags_scipy_integrate():
     source = ("from scipy.integrate import quad, quad_vec\n"
               "import scipy.integrate as si\nfrom scipy import integrate\n"
-              "from scipy.special import ndtr\nimport scipy\n")
-    assert scipy_integrate_imports(source) == \
-        ["quad", "quad_vec", "scipy.integrate", "scipy.integrate"]
+              "from scipy.special import ndtr\nimport scipy\n"
+              "import scipy.linalg\nfrom .model import expm\n"
+              "import scipyx\n")
+    assert scipy_imports(source) == \
+        ["integrate", "ndtr", "quad", "quad_vec", "scipy", "scipy.integrate",
+         "scipy.linalg"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_scipy_integrate_only_where_allowed(path):
-    found = scipy_integrate_imports(path.read_text())
-    assert set(found) <= SCIPY_INTEGRATE_ALLOWED.get(path.name, set())
+    assert scipy_imports(path.read_text()) == []
 
 
 def sigma_form_reads(source: str) -> list:

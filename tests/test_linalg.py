@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec, solve_ivp
+from scipy.linalg import expm
 
 from affinesde import linalg
-from affinesde.linalg import (MonodromyResult, StabilityError, expm,
-                              monodromy, solve_lyapunov, spectral_abscissa,
+from affinesde.linalg import (MonodromyResult, StabilityError, monodromy,
+                              solve_lyapunov, spectral_abscissa,
                               spectral_radius, step_propagators)
 from affinesde.model import (CallableDrift, ConstantDrift, PeriodicDrift,
                              eval_drift, gauss_legendre_rule)
@@ -76,39 +77,50 @@ def test_lyapunov_matches_integral_representation():
         A = _random_stable(rng, d)
         a = spectral_abscissa(A)
         T = -40.0 / a
-        oracle, err = quad_vec(lambda s: expm(A.T, s) @ expm(A, s), 0.0, T,
+        oracle, err = quad_vec(lambda s: expm(A.T * s) @ expm(A * s), 0.0, T,
                                epsabs=1e-12, epsrel=0.0, norm="max")
         assert err < 1e-11
         np.testing.assert_allclose(solve_lyapunov(A).M, oracle, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential
+# constant drifts: the same adjoint solve as a periodic one
 # ---------------------------------------------------------------------------
 
-def test_expm_examples():
-    np.testing.assert_allclose(expm(np.zeros((2, 2))), np.eye(2))
-    np.testing.assert_allclose(expm(np.diag([-1.0, -2.0]), 1.0),
-                               np.diag([math.e ** -1, math.e ** -2]),
-                               rtol=1e-12)
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(expm(nil, 3.0), [[1.0, 3.0], [0.0, 1.0]],
-                               atol=1e-14)
+A2 = np.array([[-1.0, 0.5], [0.0, -2.0]])
 
 
-def test_expm_takes_an_array_of_times():
-    # one exponential per time, each the scalar call's bit for bit
-    A = np.array([[-1.0, 0.5], [0.3, -2.0]])
-    t = np.array([[0.0, 0.25], [1.7, 3.0]])
-    got = expm(A, t)
-    assert got.shape == (2, 2, 2, 2)
-    for idx in np.ndindex(t.shape):
-        assert np.array_equal(got[idx], expm(A, float(t[idx])))
+@pytest.mark.parametrize("A, dt", [
+    (A2, 0.05), (A2, 4.0), (np.array([[0.0, 1.0], [0.0, 0.0]]), 3.0),
+    (np.diag([-1e3, -1.0]), 1.0),
+], ids=["A2-dt0.05", "A2-dt4", "nilpotent", "stiff"])
+def test_constant_drift_propagators_match_scipy_expm(A, dt):
+    # oracle: Psi(t + dt, t + u dt) = exp(A (dt - u dt)) by scipy's Pade
+    # expm, the same for every start, at the covariance panel's nodes, u = 0
+    # and u = 1, within 1e-12 of the stack's largest entry: the solver's
+    # tolerance is absolute.  The stiff drift's dt ||A|| = 1000 takes the
+    # explicit stepper about 60 ms
+    starts = np.array([0.0, 0.3, 1.7, 40.0])
+    u = np.concatenate([[0.0], *(gauss_legendre_rule(k)[0] for k in (0, 1)),
+                        [1.0]])
+    ref = np.array([expm(A * (dt - x * dt)) for x in u])
+    got = step_propagators(ConstantDrift(A), starts, dt, 1e-12)(u)
+    assert got.shape == (len(u), len(starts), 2, 2)
+    assert np.abs(got - ref[:, None]).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_expm_overflow_raises():
-    with pytest.raises((OverflowError, ValueError)):
-        expm(np.array([[1.0]]), 1e6)
+def test_constant_drift_overflow_raises():
+    # exp(710) overflows a double.  On [[1]] the adjoint solve steps until
+    # its stages overflow, the error norm turns NaN and the step shrinks
+    # below 10 ulp: after about 3,100 drift evaluations (0.05 s) at tol
+    # 1e-3, and 280,000 (5 s) at 1e-12.  At dt = 1e15 the first step is
+    # already below 10 ulp, and the solve raises after 8 evaluations
+    drift = ConstantDrift([[1.0]])
+    for dt, tol, at in ((710.0, 1e-3, "0.01"), (1e15, 1e-12, "1$")):
+        with pytest.raises(RuntimeError, match="^fundamental solution "
+                           f"integration failed: step size .* below 10 ulp "
+                           f"of t = {at}"):
+            step_propagators(drift, [0.0], dt, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +135,7 @@ def _fundamental_solution(drift, t, tol=1e-10, s=0.0):
 def test_fundamental_solution_constant_reduction():
     A = np.array([[-1.0, 0.5], [0.3, -2.0]])
     Psi = _fundamental_solution(ConstantDrift(A), 1.7)
-    np.testing.assert_allclose(Psi, expm(A, 1.7), atol=1e-8)
+    np.testing.assert_allclose(Psi, expm(A * 1.7), atol=1e-8)
 
 
 def test_fundamental_solution_sin_drift():
