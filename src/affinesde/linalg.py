@@ -91,6 +91,7 @@ _RK_P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_LN_DBL_MAX = math.log(np.finfo(float).max)   # 709.78
 
 
 def _rms(x) -> float:
@@ -201,9 +202,11 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
     The solver's error norm is an RMS over all m d^2 components, so it runs
     at tol / sqrt(m): each start's error bound is that of a solve of its own
     at tol.  A solve whose step falls below 10 ulp, as when the drift's
-    entries overflow the stages, raises a RuntimeError.  The map takes a u,
-    giving an (m, d, d) stack, or a 1-d array of them, giving one stack per
-    u; the dense output evaluates an array at once.
+    entries overflow the stages, raises a RuntimeError; a constant drift
+    whose spectral abscissa alpha has alpha max(dt) > ln(DBL_MAX) + ln d
+    raises it before the solve, since its transition cannot be a double.
+    The map takes a u, giving an (m, d, d) stack, or a 1-d array of them,
+    giving one stack per u; the dense output evaluates an array at once.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1 or len(starts) == 0:
@@ -222,6 +225,16 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     m, d = len(starts), drift.d
+    if isinstance(drift, ConstantDrift):
+        # some entry of e^{A dt} is at least rho / d = e^{alpha dt} / d, so
+        # past this the transition leaves the double range, and the solve
+        # would only find it out after its stages overflow, seconds later
+        growth = spectral_abscissa(drift.matrix) * float(np.max(dt))
+        if growth > _LN_DBL_MAX + math.log(d):
+            raise RuntimeError(
+                "fundamental solution integration failed: the transition "
+                f"overflows, spectral abscissa times dt = {growth:.6g} "
+                f"exceeds ln(DBL_MAX) + ln d = {_LN_DBL_MAX + math.log(d):.6g}")
     step = np.reshape(dt, (-1, 1, 1))   # dt_j against each start's matrix
 
     def rhs(u, y):

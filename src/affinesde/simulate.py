@@ -60,7 +60,14 @@ from .linalg import step_propagators
 from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
                     PeriodicDrift, PowerLaw, eval_sigma, gauss_legendre_rule)
 
-_CHUNK_DRAWS = 2 ** 20   # normal draws per chunk over the running path groups
+# normal draws per chunk over the running path groups.  Each running group
+# holds a draw buffer and a chunk of up to _CHUNK_DRAWS / T doubles each, so
+# the budget sets the sampler's working set, while the per-path draws set
+# the wall time.  2**19 is the knee of a sweep on a shared 2-vCPU machine:
+# against 2**20 it took verify-periodic's peak RSS from 67.6 to 55.2 MB at
+# the same wall time, while 2**18 saved 4-6 MB more at 10-20% more wall
+# time, as narrower groups pay the solve's per-step matmuls over fewer paths
+_CHUNK_DRAWS = 2 ** 19
 _FILL = 2048             # least normals per draw call of one path
 _BLOCK = 64              # target steps per block of the blocked recursion
 _COV_BLOCK = 8192        # set-up block length in steps (level 0's over d r)
@@ -463,7 +470,7 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     holds one stream per group, in path order; `map_shards` runs them,
     min(CPUs, paths) at a time.  Each stream's chunks cover grid points
     0..N in order, the first holding X_0 alone; a later chunk is a fresh
-    array of b max(1, (2**20 // T) // (width d b)) steps but the last,
+    array of b max(1, (2**19 // T) // (width r b)) steps but the last,
     whole blocks of b (about 64) steps, T = min(CPUs, paths) and width the
     group's path count.  A stream drops each chunk when asked for the
     next, so a consumer that drops it too holds, per running group, a draw

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -524,16 +525,18 @@ def test_simulate_failed_propagator_solve_exits_numeric(tmp_path, capsys):
 
 
 def test_simulate_overflowing_constant_drift_exits_numeric(tmp_path, capsys):
-    # exp(dt) overflows on [[1]] for dt above 709, and the constant drift's
-    # adjoint solve raises.  Just above 709 it steps until its stages
-    # overflow, about 5 s at the sampler's tol 1e-12; at dt = 1e15 its first
-    # step is already below 10 ulp and it raises in milliseconds
-    doc = _scalar_doc(1.0, dt=1e15, t_end=2e15, paths=1)
+    # exp(dt) overflows on [[1]] for dt above 709.78, and the constant
+    # drift's transition is refused before its adjoint solve, which just
+    # above 709 stepped until its stages overflowed, about 5 s at the
+    # sampler's tol 1e-12
+    doc = _scalar_doc(1.0, dt=710.0, t_end=1420.0, paths=1)
     doc["drift"] = {"kind": "constant", "matrix": [[1.0]]}
+    start = time.perf_counter()
     assert main(["simulate", write(tmp_path, doc), "--out",
                  str(tmp_path)]) == EXIT_NUMERIC
+    assert time.perf_counter() - start < 1.0
     assert "numeric failure: fundamental solution integration failed: " \
-        "step size" in capsys.readouterr().err
+        "the transition overflows" in capsys.readouterr().err
 
 
 def test_scenario_naming_a_scheme_is_rejected(tmp_path, capsys):

@@ -109,18 +109,34 @@ def test_constant_drift_propagators_match_scipy_expm(A, dt):
     assert np.abs(got - ref[:, None]).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_constant_drift_overflow_raises():
-    # exp(710) overflows a double.  On [[1]] the adjoint solve steps until
-    # its stages overflow, the error norm turns NaN and the step shrinks
-    # below 10 ulp: after about 3,100 drift evaluations (0.05 s) at tol
-    # 1e-3, and 280,000 (5 s) at 1e-12.  At dt = 1e15 the first step is
-    # already below 10 ulp, and the solve raises after 8 evaluations
-    drift = ConstantDrift([[1.0]])
-    for dt, tol, at in ((710.0, 1e-3, "0.01"), (1e15, 1e-12, "1$")):
+def test_constant_drift_overflow_raises(monkeypatch):
+    # exp(710) overflows a double.  Some entry of e^{A dt} is at least
+    # e^{alpha dt} / d, so a constant drift with alpha dt above
+    # ln(DBL_MAX) + ln d = 709.78 + ln d raises before the solve, at any
+    # tol: without that check the adjoint solve on [[1]] at dt 710 stepped
+    # until its stages overflowed, 280,000 drift evaluations (5 s) at tol
+    # 1e-12.  A periodic drift keeps the solver's rule: at dt = 1e15 its
+    # first step is already below 10 ulp, and it raises after a few
+    # evaluations
+    calls = []
+    monkeypatch.setattr(linalg, "eval_drift", lambda drift, t:
+                        calls.append(t) or eval_drift(drift, t))
+    for A, dt, tol, bound in (([[1.0]], 710.0, 1e-3, "709.783"),
+                              ([[1.0]], 710.0, 1e-12, "709.783"),
+                              ([[1.0]], 1e15, 1e-12, "709.783"),
+                              (np.eye(2), 711.0, 1e-12, "710.476")):
+        calls.clear()
         with pytest.raises(RuntimeError, match="^fundamental solution "
-                           f"integration failed: step size .* below 10 ulp "
-                           f"of t = {at}"):
-            step_propagators(drift, [0.0], dt, tol)
+                           "integration failed: the transition overflows, "
+                           f".* exceeds ln\\(DBL_MAX\\) \\+ ln d = {bound}$"):
+            step_propagators(ConstantDrift(A), [0.0], dt, tol)
+        assert calls == [], (dt, tol)
+    drift = PeriodicDrift(period=1.0, times=[0.0], values=[[[1.0]]])
+    with pytest.raises(RuntimeError, match="^fundamental solution "
+                       "integration failed: step size .* below 10 ulp "
+                       "of t = 1$"):
+        step_propagators(drift, [0.0], 1e15, 1e-12)
+    assert 0 < len(calls) <= 16
 
 
 # ---------------------------------------------------------------------------

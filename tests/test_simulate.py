@@ -909,9 +909,9 @@ def test_map_shards_runs_workers_in_callers_context(monkeypatch):
 
 
 def test_wide_ensemble_draws_in_long_fills_on_a_cpu_sized_pool(monkeypatch):
-    # 1024 paths on two CPUs: four groups of 256 paths with chunks of 1024
+    # 1024 paths on two CPUs: eight groups of 128 paths with chunks of 1024
     # steps, so each of a path's two draw calls fills _FILL = 2048 normals
-    # (one chunk of 2**20 draws over all the paths would fill 1024), and no
+    # (one chunk of 2**19 draws over all the paths would fill 512), and no
     # more than two groups run at once
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
     fills, lock = _counted_fills(monkeypatch)
@@ -929,7 +929,7 @@ def test_wide_ensemble_draws_in_long_fills_on_a_cpu_sized_pool(monkeypatch):
             running.discard(i)
         return steps
 
-    assert simulate.map_shards(consume, shards) == [cfg.n_steps] * 4
+    assert simulate.map_shards(consume, shards) == [cfg.n_steps] * 8
     assert min(fills) >= simulate._FILL == 2048
     assert len(fills) == cfg.paths * cfg.n_steps * 2 // simulate._FILL
     assert most[0] <= simulate._cpus()

@@ -409,21 +409,30 @@ def test_compare_reentrant_across_threads(monkeypatch):
 def test_compare_holds_one_chunk_per_shard(monkeypatch):
     # while compare reduces a chunk, the shard has already dropped the one
     # before it: beyond what sample_chunks set up (transitions, noise
-    # factors, draw buffers), the traced peak is one chunk per shard plus
-    # the feeds' small temporaries
+    # factors, draw buffers) and the grid, the traced peak is one chunk per
+    # running group plus the feeds' temporaries of 2**15 norms each.  On
+    # two CPUs a running group draws 2**18 normals per chunk, so each chunk
+    # is 2 MiB of states and the two running ones 4 MiB; the bound gives
+    # the feeds 1.5x headroom.  The shapes are a narrow long ensemble (one
+    # group per CPU) and a wide short one (128-path groups).  A first small
+    # compare takes the one-time costs of a first call, such as lazy
+    # imports, out of the trace
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
     drift = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
     sigma = DiffusionSpec.constant(np.eye(2))
-    cfg = SimConfig(dt=0.125, t_end=0.125 * 4 * 8192, paths=64, seed=3)
-    shards = sample_chunks(drift, sigma, [1.0, 1.0], cfg)
-    assert len(shards) == 2
-    steps = simulate._CHUNK_DRAWS // (cfg.paths * 2)
-    chunks = 2 * steps * (cfg.paths // 2) * 2 * 8   # one per shard, 8 MB
-    tracemalloc.start()
-    try:
-        ev = compare(UNDECIDED, cfg.times, shards)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ev.window_inf_final.shape == (cfg.paths,)
-    assert peak < 1.5 * chunks, (peak, chunks)
+    warm = SimConfig(dt=0.125, t_end=64.0, paths=4, seed=3)
+    compare(UNDECIDED, warm.times, sample_chunks(drift, sigma, [1.0, 1.0],
+                                                 warm))
+    for paths, n_steps, groups in ((64, 4 * 8192, 2), (1024, 4096, 8)):
+        cfg = SimConfig(dt=0.125, t_end=0.125 * n_steps, paths=paths, seed=3)
+        times = cfg.times
+        shards = sample_chunks(drift, sigma, [1.0, 1.0], cfg)
+        tracemalloc.start()
+        try:
+            ev = compare(UNDECIDED, times, shards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ev.window_inf_final.shape == (cfg.paths,)
+        assert peak < 1.5 * 2 * 2 * 2 ** 20, (paths, peak)
+        assert len(shards) == groups
