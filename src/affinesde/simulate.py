@@ -61,12 +61,13 @@ from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
                     PeriodicDrift, PowerLaw, eval_sigma, gauss_legendre_rule)
 
 # normal draws per chunk over the running path groups.  Each running group
-# holds a draw buffer and a chunk of up to _CHUNK_DRAWS / T doubles each, so
-# the budget sets the sampler's working set, while the per-path draws set
-# the wall time.  2**19 is the knee of a sweep on a shared 2-vCPU machine:
-# against 2**20 it took verify-periodic's peak RSS from 67.6 to 55.2 MB at
-# the same wall time, while 2**18 saved 4-6 MB more at 10-20% more wall
-# time, as narrower groups pay the solve's per-step matmuls over fewer paths
+# holds a draw buffer of up to _CHUNK_DRAWS / T normals and a chunk of d / r
+# times as many states, so the budget sets the sampler's working set, while
+# the per-path draws set the wall time.  2**19 is the knee of a sweep on a shared 2-vCPU machine:
+# against 2**20 it took verify-periodic's peak RSS from 67.6 to 55.2 MB,
+# its median wall time 1-9% longer over two seeds, inside the runs' spread,
+# while 2**18 saved 4-6 MB more at 10-20% more wall time, as narrower
+# groups pay the solve's per-step matmuls over fewer paths
 _CHUNK_DRAWS = 2 ** 19
 _FILL = 2048             # least normals per draw call of one path
 _BLOCK = 64              # target steps per block of the blocked recursion

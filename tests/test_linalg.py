@@ -115,9 +115,12 @@ def test_constant_drift_overflow_raises(monkeypatch):
     # ln(DBL_MAX) + ln d = 709.78 + ln d raises before the solve, at any
     # tol: without that check the adjoint solve on [[1]] at dt 710 stepped
     # until its stages overflowed, 280,000 drift evaluations (5 s) at tol
-    # 1e-12.  A periodic drift keeps the solver's rule: at dt = 1e15 its
-    # first step is already below 10 ulp, and it raises after a few
-    # evaluations
+    # 1e-12.  A periodic drift keeps the solver's rule, checked on the
+    # one-knot [[1]]: at dt 710 and tol 1e-3 the solve steps until its
+    # stages overflow in the middle of the solve, the error norm turns NaN
+    # and the step shrinks below 10 ulp, after about 3,100 evaluations
+    # (0.05 s); at dt = 1e15 its first step is already below 10 ulp, and it
+    # raises after a few evaluations
     calls = []
     monkeypatch.setattr(linalg, "eval_drift", lambda drift, t:
                         calls.append(t) or eval_drift(drift, t))
@@ -132,11 +135,14 @@ def test_constant_drift_overflow_raises(monkeypatch):
             step_propagators(ConstantDrift(A), [0.0], dt, tol)
         assert calls == [], (dt, tol)
     drift = PeriodicDrift(period=1.0, times=[0.0], values=[[[1.0]]])
-    with pytest.raises(RuntimeError, match="^fundamental solution "
-                       "integration failed: step size .* below 10 ulp "
-                       "of t = 1$"):
-        step_propagators(drift, [0.0], 1e15, 1e-12)
-    assert 0 < len(calls) <= 16
+    for dt, tol, at, most in ((710.0, 1e-3, "0.01", 4000),
+                              (1e15, 1e-12, "1$", 16)):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="^fundamental solution "
+                           "integration failed: step size .* below 10 ulp "
+                           f"of t = {at}"):
+            step_propagators(drift, [0.0], dt, tol)
+        assert 0 < len(calls) <= most, (dt, tol)
 
 
 # ---------------------------------------------------------------------------
