@@ -1,9 +1,8 @@
 """Almost-sure regime classification for affine SDEs dX = AX dt + sigma(t) dB,
 with exact-in-distribution Monte-Carlo verification."""
 
-from .model import (CallableDrift, ConstantDrift, DiffusionSpec, ExpDecay,
-                    LogGrow, LogPower, PeriodicDrift, PowerLaw,
-                    QuadratureError)
+from .model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
+                    LogPower, PeriodicDrift, PowerLaw, QuadratureError)
 from .criteria import (FinitenessRuling, RegimeVerdict, classify,
                        criterion_report, decide_I, decide_Sprime, limit_Lh)
 from .simulate import (PathEnsemble, SimConfig, bessel_scenario,
@@ -13,8 +12,8 @@ from .stats import RegimeEvidence, compare, ensemble_mean_sq
 __version__ = "0.1.0"
 
 __all__ = [
-    "CallableDrift", "ConstantDrift", "DiffusionSpec", "ExpDecay", "LogGrow",
-    "LogPower", "PeriodicDrift", "PowerLaw", "QuadratureError",
+    "ConstantDrift", "DiffusionSpec", "ExpDecay", "LogGrow", "LogPower",
+    "PeriodicDrift", "PowerLaw", "QuadratureError",
     "FinitenessRuling", "RegimeVerdict", "classify", "criterion_report",
     "decide_I", "decide_Sprime", "limit_Lh",
     "PathEnsemble", "SimConfig", "bessel_scenario", "sample_chunks",

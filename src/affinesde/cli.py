@@ -402,7 +402,7 @@ def cmd_verify(scn: Scenario, args) -> int:
 
 def cmd_floquet(scn: Scenario, args) -> int:
     drift = scn.drift
-    if getattr(drift, "period", None) is None:
+    if not isinstance(drift, PeriodicDrift):
         raise ScenarioError("floquet needs a periodic drift or a constant "
                             "drift with an explicit period")
     res = monodromy(drift, tol=min(scn.criteria["tol"], 1e-12))

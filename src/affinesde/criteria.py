@@ -27,7 +27,7 @@ from . import model
 from .linalg import monodromy, spectral_abscissa
 from .model import (BOUNDED, REGIME_UNDECIDED, STABLE, UNBOUNDED, ZERO,
                     ConstantDrift, DiffusionSpec, EnvelopePattern, TableSigma,
-                    frobenius_sq, interval_integrals)
+                    check_drift, frobenius_sq, interval_integrals)
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -436,12 +436,13 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
              tol: float = 1e-10) -> RegimeVerdict:
     """Three-way almost-sure regime verdict for dX = A(t) X dt + sigma dB.
 
-    Gate 1 requires a stable drift (negative spectral abscissa, or Floquet
-    multiplier inside the unit circle for periodic drifts): noise cannot
-    stabilise an unstable linear system, so without the gate nothing can be
-    concluded.  Gate 2 takes the regime that the envelope family of sigma
-    implies: S_h'(eps) finite for every eps gives StableAS, infinite for
-    every eps gives Unbounded, and ||sigma||^2 log t -> L in (0, inf) gives
+    Gate 1 requires a stable drift (negative spectral abscissa of a
+    ConstantDrift, or Floquet multipliers of a PeriodicDrift inside the
+    unit circle; any other drift is a TypeError): noise cannot stabilise an
+    unstable linear system, so without the gate nothing can be concluded.
+    Gate 2 takes the regime that the envelope family of sigma implies:
+    S_h'(eps) finite for every eps gives StableAS, infinite for every eps
+    gives Unbounded, and ||sigma||^2 log t -> L in (0, inf) gives
     BoundedNonConvergent with the threshold in closed form,
     eps* = sqrt(2 h L), reported as the bracket (eps*, eps*).  Tables are
     Undecided.  fading_noise reads the same profile, and
@@ -449,22 +450,20 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    check_drift(drift)
     # gate 1: drift stability
     if isinstance(drift, ConstantDrift):
         drift_stable = spectral_abscissa(drift.matrix) < 0.0
         gate_note = "" if drift_stable else (
             "spectral abscissa >= 0: the unperturbed system is not "
             "asymptotically stable and additive noise cannot stabilise it")
-    elif getattr(drift, "period", None) is not None:
+    else:
         rho = monodromy(drift, tol=min(tol, 1e-12)).rho
         drift_stable = rho < 1.0
         gate_note = "" if drift_stable else (
             f"Floquet multiplier spectral radius {rho:.6g} >= 1: the "
             "unperturbed periodic system is not asymptotically stable and "
             "additive noise cannot stabilise it")
-    else:
-        drift_stable = False
-        gate_note = "drift is neither constant nor periodic: no stability gate"
 
     # gate 2: the regime the noise implies
     profile = _analyze(sigma)

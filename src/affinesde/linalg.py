@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConstantDrift, PeriodicDrift, eval_drift
+from .model import ConstantDrift, check_drift, eval_drift
 
 
 class StabilityError(ValueError):
@@ -261,24 +261,23 @@ class MonodromyResult:
 def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
     """Floquet monodromy Psi(T, 0) and its spectral radius for a periodic drift.
 
-    Each knot interval of a `PeriodicDrift`, the wrap interval from the last
-    knot to T included (the whole period for a callable drift), is cut into
-    ceil(64 len / T) equal segments, and Psi(T, 0) is the ordered product of
-    the segments' transitions from one stacked `step_propagators` solve at
-    tol, with one step length per segment.  No solve then crosses a kink of
-    the piecewise-linear drift, where the solver's error estimate does not
-    hold, whether or not the knots are uniform; and each transition has O(1)
-    entries, so the absolute tolerance acts as a relative one, which it does
-    not on a whole period's decayed entries.
+    Each knot interval of the `PeriodicDrift`, the wrap interval from the
+    last knot to T included, is cut into ceil(64 len / T) equal segments,
+    and Psi(T, 0) is the ordered product of the segments' transitions from
+    one stacked `step_propagators` solve at tol, with one step length per
+    segment.  No solve then crosses a kink of the piecewise-linear drift,
+    where the solver's error estimate does not hold, whether or not the
+    knots are uniform; and each transition has O(1) entries, so the absolute
+    tolerance acts as a relative one, which it does not on a whole period's
+    decayed entries.  A ConstantDrift raises a ValueError, and any other
+    drift a TypeError.
     """
     if isinstance(drift, ConstantDrift):
         raise ValueError("monodromy needs a periodic drift; "
                          "step_propagators serves a constant A")
-    period = getattr(drift, "period", None)
-    if period is None:
-        raise ValueError("drift has no period")
-    knots = drift.times if isinstance(drift, PeriodicDrift) else [0.0]
-    edges = np.append(knots, period)
+    check_drift(drift)
+    period = drift.period
+    edges = np.append(drift.times, period)
     # the rounding of a knot difference must not add a segment where
     # 64 len / T is whole, as it is on uniform knots
     counts = np.ceil(64 * np.diff(edges) / period * (1 - 1e-9)).astype(int)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -350,14 +349,26 @@ def sigma_row_sq(spec: DiffusionSpec, t) -> np.ndarray:
 GL_NODES = 12        # Gauss-Legendre nodes per panel
 GL_MAX_LEVEL = 12    # the finest level has 2^12 panels
 
+# the GL_NODES-point rule on [-1, 1], numpy.polynomial.legendre.leggauss(12)
+# bit for bit, kept as literals so that no caller loads numpy.polynomial
+_GL_X = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+    -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_W = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+    0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+
 
 def gauss_legendre_rule(level: int):
     """Nodes u and weights w on [0, 1] of GL_NODES Gauss-Legendre nodes on
     each of 2^level equal panels, in panel order."""
     panels = 2 ** level
-    x, w = np.polynomial.legendre.leggauss(GL_NODES)
-    u = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels
-    return u.ravel(), np.tile(0.5 * w / panels, panels)
+    u = (np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0)) / panels
+    return u.ravel(), np.tile(0.5 * _GL_W / panels, panels)
 
 
 def gauss_legendre(f, bound, level: int = 0) -> np.ndarray:
@@ -366,12 +377,17 @@ def gauss_legendre(f, bound, level: int = 0) -> np.ndarray:
     panels, doubling until two levels differ by at most bound(finer value)
     in every entry, the bound one number or one per entry.  Returns the
     finer value (a zero f ends after one pair of levels); raises
-    QuadratureError past 2^GL_MAX_LEVEL panels.
+    QuadratureError at the first level whose value is not finite, since
+    finer panels do not bring an overflowed sum back, and past
+    2^GL_MAX_LEVEL panels.
     """
     prev = None
     for lev in range(level, max(level + 1, GL_MAX_LEVEL) + 1):
         u, w = gauss_legendre_rule(lev)
         val = np.tensordot(w, f(u), axes=1)
+        if not np.all(np.isfinite(val)):
+            raise QuadratureError(f"quadrature value is not finite at "
+                                  f"{2 ** lev} panels")
         if prev is not None:
             diff, allowed = np.broadcast_arrays(abs(val - prev), bound(val))
             if np.all(diff <= allowed):
@@ -510,34 +526,24 @@ class PeriodicDrift:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class CallableDrift:
-    """Arbitrary matrix function of time; period is optional metadata."""
-
-    fn: Callable[[float], np.ndarray]
-    d: int
-    period: Optional[float] = None
-
-    def __post_init__(self):
-        if self.period is not None:
-            _check_period(self.period)
+def check_drift(drift) -> None:
+    """Raise a TypeError unless drift is a ConstantDrift or a PeriodicDrift,
+    the two drifts the classification covers."""
+    if not isinstance(drift, (ConstantDrift, PeriodicDrift)):
+        raise TypeError(f"drift must be a ConstantDrift or a PeriodicDrift, "
+                        f"got {type(drift).__name__}")
 
 
 def eval_drift(drift, t) -> np.ndarray:
-    """Evaluate A(t): a (d, d) matrix for a scalar t, and an array of shape
-    t.shape + (d, d) for an array of times; a periodic drift's times must be
-    finite.
+    """Evaluate A(t) of a ConstantDrift or a PeriodicDrift: a (d, d) matrix
+    for a scalar t, and an array of shape t.shape + (d, d) for an array of
+    times; a periodic drift's times must be finite.
     """
+    check_drift(drift)
     if isinstance(drift, ConstantDrift):
         return np.array(np.broadcast_to(drift.matrix,
                                         np.shape(t) + drift.matrix.shape))
-    if isinstance(drift, PeriodicDrift):
-        return _periodic_drift_at(drift, np.asarray(t, dtype=float))
-    if isinstance(drift, CallableDrift):
-        tt = np.asarray(t, dtype=float)
-        return np.array([_call_drift(drift, float(x)) for x in tt.reshape(-1)]
-                        ).reshape(tt.shape + (drift.d, drift.d))
-    raise TypeError(f"unknown drift form {type(drift).__name__}")
+    return _periodic_drift_at(drift, np.asarray(t, dtype=float))
 
 
 def _periodic_drift_at(drift: PeriodicDrift, t: np.ndarray) -> np.ndarray:
@@ -553,10 +559,3 @@ def _periodic_drift_at(drift: PeriodicDrift, t: np.ndarray) -> np.ndarray:
     i = np.minimum(np.searchsorted(ts, tm, side="right"), len(ts) - 1) - 1
     w = ((tm - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
     return (1.0 - w) * vs[i] + w * vs[i + 1]
-
-
-def _call_drift(drift: CallableDrift, t) -> np.ndarray:
-    out = np.atleast_2d(np.asarray(drift.fn(t), dtype=float))
-    if out.shape != (drift.d, drift.d):
-        raise ValueError("callable drift returned wrong shape")
-    return out

@@ -8,9 +8,10 @@ X_{n+1} = Psi(t_n + dt, t_n) X_n + xi_n with xi_n ~ Normal(0, Q_n) and
 
 where Psi is the propagator of X' = A(t) X (e^{A (t - s)} for a constant
 drift), so the sampler has no discretisation bias at grid points, periodic
-drifts included.  A constant drift is the periodic case with a single period
-position, and both run one recursion.  `linalg.step_propagators` builds Psi
-over a step for every period position at once, for either drift, in one
+drifts included.  The drift is a `ConstantDrift` or a `PeriodicDrift`; a
+constant drift is the periodic case with a single period position, and both
+run one recursion.  `linalg.step_propagators` builds Psi over a step for
+every period position at once, for either drift, in one
 stacked adaptive Dormand-Prince solve in numpy, whose dense output serves
 the transitions and the panel's nodes.  Both
 sigma forms, envelope and table, get their Q_n from one panel of
@@ -58,7 +59,8 @@ import numpy as np
 
 from .linalg import step_propagators
 from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
-                    PeriodicDrift, PowerLaw, eval_sigma, gauss_legendre_rule)
+                    PeriodicDrift, PowerLaw, check_drift, eval_sigma,
+                    gauss_legendre_rule)
 
 # normal draws per chunk over the running path groups.  Each running group
 # holds a draw buffer of up to _CHUNK_DRAWS / T normals and a chunk of d / r
@@ -476,25 +478,23 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     group's path count.  A stream drops each chunk when asked for the
     next, so a consumer that drops it too holds, per running group, a draw
     buffer and one chunk of states; one that keeps chunks (`list`) may, and
-    pays for them.  A drift with a period runs the periodic sampler (dt
-    must divide the period; a periodic spec whose samples are all identical
-    is a constant drift), any other drift must be constant.  The set-up
+    pays for them.  The drift is a ConstantDrift or a PeriodicDrift, whose
+    period dt must divide (one whose samples are all identical is a
+    constant drift); any other drift is a TypeError.  The set-up
     (the exact transitions, the Gauss-Legendre panel covariances of either
     sigma form at the level their checks pick, and their symmetric square
     roots as noise factors) runs before this returns;
     a non-finite chunk raises FloatingPointError when it is reached.
     """
-    period = getattr(drift, "period", None)
+    check_drift(drift)
     m = 1
     if isinstance(drift, PeriodicDrift) and \
             all(np.array_equal(v, drift.values[0]) for v in drift.values):
         drift = ConstantDrift(drift.values[0])
-    elif period is not None:
-        m = int(round(period / cfg.dt))
-        if m < 1 or abs(m * cfg.dt - period) > 1e-9 * period:
+    elif isinstance(drift, PeriodicDrift):
+        m = int(round(drift.period / cfg.dt))
+        if m < 1 or abs(m * cfg.dt - drift.period) > 1e-9 * drift.period:
             raise ValueError("dt must divide the drift period")
-    elif not isinstance(drift, ConstantDrift):
-        raise TypeError("a drift without a period must be constant")
     xi = _prepare_xi(xi, drift.d)
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")

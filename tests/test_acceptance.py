@@ -16,8 +16,8 @@ from affinesde.criteria import (classify, decide_I, decide_Sprime,
                                 build_max_sequence, build_min_sequence,
                                 check_fading, term_S, term_Sprime)
 from affinesde.linalg import monodromy, solve_lyapunov
-from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
-                             ExpDecay, LogGrow, LogPower, PowerLaw,
+from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
+                             LogPower, PeriodicDrift, PowerLaw,
                              interval_integrals)
 from affinesde.simulate import (SimConfig, bessel_scenario, sample_chunks,
                                 simulate_X, step_covariance)
@@ -178,8 +178,11 @@ def test_criterion_05_lyapunov():
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_floquet():
-    drift = CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t)]]), d=1,
-                          period=2 * math.pi)
+    # -1 + cos t on 64 uniform knots, one a step: the trapezoid mean over a
+    # period is exactly -1, so Psi(2 pi, 0) = e^{-2 pi}
+    times = [2 * math.pi * k / 64 for k in range(64)]
+    drift = PeriodicDrift(period=2 * math.pi, times=times,
+                          values=[[[-1.0 + math.cos(t)]] for t in times])
     rho = monodromy(drift, tol=1e-12).rho
     assert rho == pytest.approx(math.exp(-2 * math.pi), abs=1e-8)
 

@@ -539,6 +539,52 @@ def test_simulate_overflowing_constant_drift_exits_numeric(tmp_path, capsys):
         "the transition overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, params", [
+    ("PowerLaw", {"scale": 1e200, "exponent": -0.5}),
+    ("ExpDecay", {"scale": 1e200, "rate": 1.0}),
+], ids=["power-law", "exp-decay"])
+def test_classify_overflowing_energies_exit_numeric(tmp_path, capsys, family,
+                                                    params):
+    # sigma^2 = 1e400 overflows the window energies at the first quadrature
+    # level, which raises there; doubling the panels on NaN errors took the
+    # quadrature to 4096 panels, 2 s and 634 MB peak RSS
+    doc = base_doc(sigma={"kind": "envelope", "family": family,
+                          "params": params, "pattern": np.eye(2).tolist()})
+    start = time.perf_counter()
+    assert main(["classify", write(tmp_path, doc), "--out",
+                 str(tmp_path)]) == EXIT_NUMERIC
+    assert time.perf_counter() - start < 1.0
+    assert "numeric failure: quadrature value is not finite at 1 panels" in \
+        capsys.readouterr().err
+
+
+def test_verify_does_not_load_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre rule is a literal table: a fresh interpreter that
+    # runs verify on a periodic drift has not loaded numpy.polynomial, which
+    # numpy 2 loads lazily
+    periodic = write(tmp_path, base_doc(
+        drift={"kind": "periodic", "period": 1.0, "times": [0.0, 0.5],
+               "values": [[[-1.0, 0.5], [0.0, -2.0]],
+                          [[-2.0, 0.0], [0.3, -0.5]]]},
+        simulation={"dt": 0.125, "t_end": 16.0, "paths": 8, "seed": 1}))
+    code = (f"import sys, numpy\n"
+            f"if 'numpy.polynomial' in sys.modules:\n"
+            f"    print('loaded by numpy')\n"
+            f"    sys.exit()\n"
+            f"from affinesde.cli import main\n"
+            f"main(['verify', {periodic!r}, '--out', {str(tmp_path)!r}])\n"
+            f"print('numpy.polynomial' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    if run.stdout.splitlines()[-1] == "loaded by numpy":
+        pytest.skip("import numpy loads numpy.polynomial (numpy 1.x)")
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_scenario_naming_a_scheme_is_rejected(tmp_path, capsys):
     # the exact sampler is the only one: a file that asked for another must
     # not get it without notice

@@ -15,10 +15,12 @@ from affinesde.criteria import (BOUNDED, FINITE, INFINITE, REGIME_UNDECIDED,
                                 norm_equiv_check, partial_sum_Sprime,
                                 rowwise_sum_S1, sum_general_grid, term_S,
                                 term_Sprime)
-from affinesde.model import (CallableDrift, ConstantDrift, DiffusionSpec,
-                             ExpDecay, LogGrow, LogPower, PeriodicDrift,
-                             PowerLaw, QuadratureError, interval_integrals,
+from affinesde.linalg import monodromy
+from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
+                             LogPower, PeriodicDrift, PowerLaw,
+                             QuadratureError, eval_drift, interval_integrals,
                              row_interval_integrals)
+from affinesde.simulate import SimConfig, sample_chunks
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -609,14 +611,19 @@ def test_classify_unstable_drift_gate():
 
 
 def test_classify_periodic_gate():
-    stable = CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t)]]),
-                           d=1, period=2 * math.pi)
+    # -1 + cos t on 16 uniform knots has the trapezoid mean -1, so the
+    # multiplier e^{-2 pi}; a zero drift's is 1 exactly, which the gate
+    # refuses
+    period = 2 * math.pi
+    times = [period * k / 16 for k in range(16)]
+    stable = PeriodicDrift(period=period, times=times,
+                           values=[[[-1.0 + math.cos(t)]] for t in times])
     v = classify(scalar(ExpDecay(1.0, 1.0)), stable)
     assert v.regime == "StableAS"
-    neutral = CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
-                            period=2 * math.pi)
+    neutral = PeriodicDrift(period=period, times=[0.0], values=[[[0.0]]])
     v = classify(scalar(ExpDecay(1.0, 1.0)), neutral)
     assert v.regime == "Undecided" and not v.drift_stable
+    assert v.note.startswith("Floquet multiplier spectral radius 1 >= 1")
 
 
 def test_classify_table_undecided():
@@ -673,13 +680,8 @@ _GATE_NOTE = ("spectral abscissa >= 0: the unperturbed system is not "
     (scalar(ExpDecay(1.0, 1.0)), ConstantDrift([[0.0]]),
      RegimeVerdict(REGIME_UNDECIDED, False, True, False, False, False,
                    note=_GATE_NOTE)),
-    (scalar(ExpDecay(1.0, 1.0)),
-     CallableDrift(fn=lambda t: np.array([[-1.0]]), d=1),
-     RegimeVerdict(REGIME_UNDECIDED, False, True, False, False, False,
-                   note="drift is neither constant nor periodic: no "
-                        "stability gate")),
 ], ids=["exp-decay", "zero", "log-power", "constant", "table",
-        "unstable-drift", "marginal-drift", "no-period"])
+        "unstable-drift", "marginal-drift"])
 def test_classify_verdict_table(sigma, drift, expected):
     v = classify(sigma, drift)
     bracket = expected.epsilon_star_bracket
@@ -687,6 +689,28 @@ def test_classify_verdict_table(sigma, drift, expected):
         assert v.epsilon_star_bracket == pytest.approx(bracket, rel=1e-12)
         v = dataclasses.replace(v, epsilon_star_bracket=bracket)
     assert v == expected
+
+
+class _MatrixOfTime:
+    """A drift-like object that is neither a ConstantDrift nor a
+    PeriodicDrift, with a period and a dimension for code that looks."""
+
+    d, period, times = 1, 1.0, np.zeros(1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda drift: eval_drift(drift, 0.5),
+    lambda drift: classify(scalar(ExpDecay(1.0, 1.0)), drift),
+    lambda drift: monodromy(drift),
+    lambda drift: sample_chunks(drift, scalar(ExpDecay(1.0, 1.0)), [1.0],
+                                SimConfig(dt=0.5, t_end=1.0, paths=1, seed=0)),
+], ids=["eval_drift", "classify", "monodromy", "sample_chunks"])
+def test_other_drifts_raise_a_type_error(call):
+    # the classification covers constant and periodic drifts only: any other
+    # object raises one TypeError naming its type, before any work
+    with pytest.raises(TypeError, match="^drift must be a ConstantDrift or "
+                                        "a PeriodicDrift, got _MatrixOfTime$"):
+        call(_MatrixOfTime())
 
 
 def test_mills_band_once_ratio_large():

@@ -9,8 +9,29 @@ from affinesde import linalg
 from affinesde.linalg import (MonodromyResult, StabilityError, monodromy,
                               solve_lyapunov, spectral_abscissa,
                               spectral_radius, step_propagators)
-from affinesde.model import (CallableDrift, ConstantDrift, PeriodicDrift,
-                             eval_drift, gauss_legendre_rule)
+from affinesde.model import (ConstantDrift, PeriodicDrift, eval_drift,
+                             gauss_legendre_rule)
+
+_TWO_PI = 2 * math.pi
+
+
+def _sampled(fn, n):
+    """fn(t) sampled on n uniform knots of the period 2 pi.  The trapezoid
+    sum over a period of cos t or sin t on the knots is 0, so the integral
+    of -1 + cos t is exactly -2 pi, that of sin t exactly 0."""
+    times = [_TWO_PI * k / n for k in range(n)]
+    return PeriodicDrift(period=_TWO_PI, times=times,
+                         values=[np.atleast_2d(fn(t)) for t in times])
+
+
+def _integral(drift, s, t):
+    """int_s^t A of a piecewise-linear drift: the trapezoid rule on the
+    knots between s and t, exact between them."""
+    laps = np.arange(math.floor(s / drift.period), math.ceil(t / drift.period))
+    knots = (laps[:, None] * drift.period + drift.times).ravel()
+    pts = np.concatenate([[s], knots[(knots > s) & (knots < t)], [t]])
+    A = eval_drift(drift, pts)
+    return np.einsum("k,kij->ij", np.diff(pts), 0.5 * (A[1:] + A[:-1]))
 
 
 def test_spectral_abscissa_examples():
@@ -160,28 +181,26 @@ def test_fundamental_solution_constant_reduction():
     np.testing.assert_allclose(Psi, expm(A * 1.7), atol=1e-8)
 
 
+# one solve over a whole period crosses every kink, where the solver's error
+# estimate does not hold, so these drifts have only four knots a period
 def test_fundamental_solution_sin_drift():
-    drift = CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
-                          period=2 * math.pi)
-    Psi = _fundamental_solution(drift, 2 * math.pi, tol=1e-12)
+    drift = _sampled(lambda t: [[math.sin(t)]], 4)
+    Psi = _fundamental_solution(drift, _TWO_PI, tol=1e-12)
     assert Psi[0, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_fundamental_solution_shifted_cos_drift():
-    drift = CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t)]]), d=1,
-                          period=2 * math.pi)
-    Psi = _fundamental_solution(drift, 2 * math.pi, tol=1e-12)
-    assert Psi[0, 0] == pytest.approx(math.exp(-2 * math.pi), rel=1e-8)
+    drift = _sampled(lambda t: [[-1.0 + math.cos(t)]], 4)
+    Psi = _fundamental_solution(drift, _TWO_PI, tol=1e-12)
+    assert Psi[0, 0] == pytest.approx(math.exp(-_TWO_PI), rel=1e-8)
 
 
 def test_fundamental_solution_shifted_start():
-    # Psi(t, s) = diag(exp(-(t - s) + sin t - sin s), exp(-2 (t - s)))
-    drift = CallableDrift(
-        fn=lambda t: np.diag([-1.0 + math.cos(t), -2.0]), d=2,
-        period=2 * math.pi)
+    # Psi(t, s) = diag(exp(int_s^t a_11), exp(-2 (t - s)))
+    drift = _sampled(lambda t: np.diag([-1.0 + math.cos(t), -2.0]), 4)
     for s, t in ((1.3, 4.0), (2.0, 2.5), (5.0, 11.0)):
         Psi = _fundamental_solution(drift, t, tol=1e-12, s=s)
-        expect = np.diag([math.exp(-(t - s) + math.sin(t) - math.sin(s)),
+        expect = np.diag([math.exp(_integral(drift, s, t)[0, 0]),
                           math.exp(-2.0 * (t - s))])
         np.testing.assert_allclose(Psi, expect, rtol=1e-8, atol=1e-11)
 
@@ -276,9 +295,6 @@ def test_monodromy_diagonal_is_exact_on_a_triangular_drift():
                                exact, rtol=1e-10)
 
 
-_TWO_PI = 2 * math.pi
-
-
 # one knot interval per segment count: ceil(64 len / T) = 13, 18 and 35
 KNOTS3 = PeriodicDrift(period=1.5, times=[0.0, 0.3, 0.7],
                        values=[[[-1.0]], [[-3.0]], [[-0.5]]])
@@ -293,13 +309,12 @@ KNOTS3 = PeriodicDrift(period=1.5, times=[0.0, 0.3, 0.7],
     (PeriodicDrift(period=1.0, times=[0.0, 0.5],
                    values=[np.array([[-1.0]]), np.array([[-1.0]])]),
      lambda drift: np.array([[math.exp(-1.0)]]), {1e-10: 6e-11, 1e-12: 6e-13}),
-    (CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
-                   period=_TWO_PI),
+    # the trapezoid integrals over the period: 0, and -2 pi and -4 pi
+    (_sampled(lambda t: [[math.sin(t)]], 16),
      lambda drift: np.eye(1), {1e-10: 2e-10, 1e-12: 2e-12}),
-    (CallableDrift(fn=lambda t: np.diag([-1.0 + math.cos(t), -2.0]), d=2,
-                   period=_TWO_PI),
+    (_sampled(lambda t: np.diag([-1.0 + math.cos(t), -2.0]), 16),
      lambda drift: np.diag([math.exp(-_TWO_PI), math.exp(-2 * _TWO_PI)]),
-     {1e-10: 8e-6, 1e-12: 1e-7}),
+     {1e-10: 2e-10, 1e-12: 2e-12}),
 ], ids=["periodic2", "knots3", "knots16", "constant-values", "sin",
         "diag"])
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
@@ -348,8 +363,7 @@ def test_step_propagators_reject_bad_arguments(drift):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
 def test_monodromy_rejects_a_bad_tol(bad):
     # a NaN, zero or infinite tolerance would hold the adjoint solve forever
-    drift = CallableDrift(fn=lambda t: np.diag([-1.0 + math.cos(t), -2.0]),
-                          d=2, period=_TWO_PI)
+    drift = _sampled(lambda t: np.diag([-1.0 + math.cos(t), -2.0]), 16)
     with pytest.raises(ValueError, match="^tol must be finite and positive"):
         monodromy(drift, tol=bad)
 
@@ -368,21 +382,13 @@ def test_step_propagators_hold_each_start_to_tol():
             assert np.all(err <= tol), (m, tol, err.max())
 
 
-def _callable16():
-    """The 16-knot drift's smooth original, [[-1 + cos t, .5],
-    [0, -2 + sin t]], as a callable."""
-    return CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t), 0.5],
-                                                [0.0, -2.0 + math.sin(t)]]),
-                         d=2, period=_TWO_PI)
-
-
-# one start over PERIODIC2's whole period crosses both kinks, where the
-# solver rejects steps
+# one start over PERIODIC2's whole period crosses both kinks, and each of 8
+# steps over the 16-knot drift crosses one, where the solver rejects steps
 @pytest.mark.parametrize("drift, m", [(PERIODIC2, 6), (PERIODIC2, 1),
                                       (_knots16_drift(), 64),
-                                      (_callable16(), 8)],
+                                      (_knots16_drift(), 8)],
                          ids=["periodic2", "periodic2-kinks", "knots16",
-                              "callable"])
+                              "knots16-kinks"])
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 def test_step_propagators_match_scipy_rk45(drift, m, tol):
     # oracle: scipy's RK45 on the same stacked adjoint equations at the same
@@ -431,14 +437,11 @@ def test_step_propagators_raise_on_a_failed_solve(monkeypatch):
 
 
 def test_determinant_identity():
-    # det Psi(t) = exp(int_0^t tr A)
-    drift = CallableDrift(
-        fn=lambda t: np.array([[-1.0 + math.cos(t), 0.4], [0.0, -2.0]]),
-        d=2, period=2 * math.pi)
-    t_end = 2 * math.pi
-    Psi = _fundamental_solution(drift, t_end, tol=1e-12)
-    tr_int = -t_end + math.sin(t_end) - 2.0 * t_end
-    assert np.linalg.det(Psi) == pytest.approx(math.exp(tr_int), rel=1e-7)
+    # det Psi(t) = exp(int_0^t tr A), and int_0^{2 pi} tr A = -6 pi
+    drift = _sampled(lambda t: [[-1.0 + math.cos(t), 0.4], [0.0, -2.0]], 4)
+    Psi = _fundamental_solution(drift, _TWO_PI, tol=1e-12)
+    assert np.linalg.det(Psi) == pytest.approx(math.exp(-3 * _TWO_PI),
+                                               rel=1e-7)
 
 
 def test_monodromy_constant_scalar():
@@ -450,21 +453,16 @@ def test_monodromy_constant_scalar():
 
 
 def test_monodromy_sin_drift_is_neutral():
-    drift = CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
-                          period=2 * math.pi)
+    drift = _sampled(lambda t: [[math.sin(t)]], 16)
     assert monodromy(drift, tol=1e-12).rho == pytest.approx(1.0, abs=1e-8)
 
 
 def test_monodromy_diagonal_mixed():
-    drift = CallableDrift(
-        fn=lambda t: np.diag([-1.0 + math.cos(t), -2.0]), d=2,
-        period=2 * math.pi)
+    drift = _sampled(lambda t: np.diag([-1.0 + math.cos(t), -2.0]), 16)
     res = monodromy(drift, tol=1e-12)
-    assert res.rho == pytest.approx(math.exp(-2 * math.pi), rel=1e-8)
+    assert res.rho == pytest.approx(math.exp(-_TWO_PI), rel=1e-8)
 
 
 def test_monodromy_requires_period():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^monodromy needs a periodic drift"):
         monodromy(ConstantDrift(np.array([[-1.0]])))
-    with pytest.raises(ValueError):
-        monodromy(CallableDrift(fn=lambda t: np.array([[-1.0]]), d=1))

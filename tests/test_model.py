@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from affinesde.model import (ENVELOPE_FAMILIES, GL_MAX_LEVEL, GL_NODES,
-                             CallableDrift, ConstantDrift, DiffusionSpec,
-                             ExpDecay, LogGrow, LogPower, PeriodicDrift,
-                             PowerLaw, QuadratureError, eval_drift, eval_sigma,
+                             ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
+                             LogPower, PeriodicDrift, PowerLaw,
+                             QuadratureError, eval_drift, eval_sigma,
                              frobenius_sq, gauss_legendre, gauss_legendre_rule,
                              interval_integrals, row_interval_integrals,
                              sigma_fro_sq, sigma_row_sq)
@@ -247,6 +247,30 @@ def test_gauss_legendre_ends_a_zero_integrand_after_one_pair_of_levels():
     assert np.all(interval_integrals(zero, [0.0, 5.0], [1.0, 1e6]) == 0.0)
 
 
+def test_gauss_legendre_rule_matches_leggauss():
+    # the rule's literal nodes and weights are numpy's leggauss(12), within
+    # 2 ulp for LAPACK builds whose eigensolver rounds differently
+    x, w = np.polynomial.legendre.leggauss(GL_NODES)
+    u, v = gauss_legendre_rule(0)
+    for got, ref in ((u, 0.5 * (x + 1.0)), (v, 0.5 * w)):
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
+def test_gauss_legendre_raises_on_a_non_finite_level():
+    # an overflowing integrand raises at the first level, whose value is
+    # inf or NaN, instead of doubling the panels to the cap on NaN errors
+    for bad in (math.inf, math.nan):
+        calls = []
+        with pytest.raises(QuadratureError, match="not finite at 1 panels"):
+            gauss_legendre(lambda u: calls.append(len(u)) or
+                           np.where(u > 0.5, bad, 1.0), lambda v: 1e-10)
+        assert calls == [GL_NODES]
+    # energies of 1e400 overflow at once
+    with pytest.raises(QuadratureError, match="not finite"):
+        interval_integrals(DiffusionSpec.envelope(PowerLaw(1e200, -0.5),
+                                                  np.eye(2)), [0.0], [1.0])
+
+
 def test_gauss_legendre_raises_past_its_cap():
     # 1/sqrt(u) is integrable, but the panel at 0 never converges
     with pytest.raises(QuadratureError, match=f"{2 ** GL_MAX_LEVEL} panels"):
@@ -396,10 +420,7 @@ def test_eval_drift_array_matches_scalar_calls():
     drifts = [
         periodic,
         PeriodicDrift(period=3.0, times=[0.0], values=[[[-0.5]]]),
-        ConstantDrift([[-1.0, 0.5], [0.0, -2.0]]),
-        CallableDrift(fn=lambda t: np.array([[math.sin(t), 1.0],
-                                             [0.0, math.cos(3 * t)]]),
-                      d=2, period=T)]
+        ConstantDrift([[-1.0, 0.5], [0.0, -2.0]])]
     for drift in drifts:
         got = eval_drift(drift, ts)
         assert got.shape == ts.shape + (drift.d, drift.d)
@@ -416,20 +437,12 @@ def test_periodic_drift_rejects_non_finite_times():
             eval_drift(drift, bad)
 
 
-def test_callable_drift():
-    drift = CallableDrift(fn=lambda t: np.array([[math.sin(t)]]), d=1,
-                          period=2 * math.pi)
-    np.testing.assert_allclose(eval_drift(drift, math.pi / 2), [[1.0]])
-
-
 @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_drift_period_must_be_finite_and_positive(period):
     # a NaN period passes `period <= 0`; classify's monodromy then never
     # ends, and an infinite one fails deep inside the sampler
     with pytest.raises(ValueError, match="period must be finite and positive"):
         PeriodicDrift(period=period, times=[0.0], values=[[[-1.0]]])
-    with pytest.raises(ValueError, match="period must be finite and positive"):
-        CallableDrift(fn=lambda t: np.array([[-1.0]]), d=1, period=period)
 
 
 def test_spec_shape_validation():

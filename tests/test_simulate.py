@@ -11,10 +11,9 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.stats import kstest
 
 from affinesde.linalg import step_propagators
-from affinesde.model import (GL_NODES, CallableDrift, ConstantDrift,
-                             DiffusionSpec, ExpDecay, LogPower, PeriodicDrift,
-                             PowerLaw, eval_drift, eval_sigma,
-                             gauss_legendre_rule)
+from affinesde.model import (GL_NODES, ConstantDrift, DiffusionSpec,
+                             ExpDecay, LogPower, PeriodicDrift, PowerLaw,
+                             eval_drift, eval_sigma, gauss_legendre_rule)
 from affinesde import simulate
 from affinesde.simulate import (CovarianceError, PathEnsemble, SimConfig,
                                 bessel_scenario, collect, sample_chunks,
@@ -427,9 +426,6 @@ def _stream_states(shards, cfg, r, b):
 
 def test_chunk_stream_rejects_unsampleable_drifts():
     cfg = SimConfig(dt=0.5, t_end=4.0, paths=1, seed=0)
-    with pytest.raises(TypeError):   # no period and not constant
-        sample_chunks(CallableDrift(fn=COS_DRIFT.fn, d=1), UNIT_SIGMA, [1.0],
-                      cfg)
     with pytest.raises(ValueError):  # dt does not divide the period
         sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg)
 
@@ -445,22 +441,37 @@ def test_nonfinite_states_rejected():
 # periodic drift
 # ---------------------------------------------------------------------------
 
-# a(t) = -1 + cos t has Psi(t, s) = exp(-(t - s) + sin t - sin s)
-COS_DRIFT = CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t)]]), d=1,
-                          period=2 * math.pi)
+# a(t) = -1 + cos t sampled at 0 and pi: the triangle wave from 0 down to -2
+# at pi and back, whose mean over the period is exactly -1.  Both knots fall
+# on step edges for every dt = 2 pi / m with m even, so no step crosses a kink
+COS_DRIFT = PeriodicDrift(period=2 * math.pi, times=[0.0, math.pi],
+                          values=[[[0.0]], [[-2.0]]])
+
+
+def _cos_drift_integral(t, pi=math.pi):
+    """int_0^t a for t >= 0, in the arithmetic of t and pi: -2 pi a period,
+    and within one -r^2 / pi up to pi, -pi - 2 r' + r'^2 / pi after it, with
+    r' = r - pi."""
+    laps = int(t / (2 * pi))
+    r = t - 2 * pi * laps
+    within = -r * r / pi if r <= pi else \
+        -pi - 2 * (r - pi) + (r - pi) ** 2 / pi
+    return -2 * pi * laps + within
 
 
 def _cos_drift_psi(t, s):
-    return math.exp(-(t - s) + math.sin(t) - math.sin(s))
+    return math.exp(_cos_drift_integral(t) - _cos_drift_integral(s))
 
 
 def _cos_drift_q(t, dt):
-    """mpmath oracle: Q = int_t^{t+dt} Psi(t + dt, s)^2 ds for sigma = 1."""
+    """mpmath oracle: Q = int_t^{t+dt} Psi(t + dt, s)^2 ds for sigma = 1, on
+    a step that crosses no knot."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        end = mp.mpf(t) + mp.mpf(dt)
-        q = mp.quad(lambda s: mp.exp(2 * (-(end - s) + mp.sin(end)
-                                          - mp.sin(s))), [mp.mpf(t), end])
+        pi, end = mp.mpf(math.pi), mp.mpf(t) + mp.mpf(dt)
+        top = _cos_drift_integral(end, pi)
+        q = mp.quad(lambda s: mp.exp(2 * (top - _cos_drift_integral(s, pi))),
+                    [mp.mpf(t), end])
     return float(q)
 
 
@@ -704,20 +715,16 @@ def test_periodic_constant_reduces_bit_identically():
 
 
 def test_periodic_requires_dt_dividing_period():
-    drift = CallableDrift(fn=lambda t: np.array([[math.cos(t) - 1.0]]), d=1,
-                          period=2 * math.pi)
     cfg = SimConfig(dt=0.25, t_end=8.0, paths=1, seed=0)
     with pytest.raises(ValueError):
-        simulate_X(drift, UNIT_SIGMA, [0.0], cfg)
+        simulate_X(COS_DRIFT, UNIT_SIGMA, [0.0], cfg)
 
 
 def test_periodic_stable_with_fading_noise_decays():
-    drift = CallableDrift(fn=lambda t: np.array([[-1.0 + math.cos(t)]]), d=1,
-                          period=2 * math.pi)
     dt = 2 * math.pi / 32
     cfg = SimConfig(dt=dt, t_end=64 * 2 * math.pi, paths=40, seed=8)
     sigma = DiffusionSpec.envelope(ExpDecay(1.0, 0.1), [[1.0]])
-    ens = simulate_X(drift, sigma, [1.0], cfg)
+    ens = simulate_X(COS_DRIFT, sigma, [1.0], cfg)
     T = ens.times[-1]
     cps = [T / 16, T / 8, T / 4, T / 2]
     meds = []
