@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from . import criteria, stats
-from .linalg import StabilityError, monodromy
+from .linalg import monodromy
 from .model import (ENVELOPE_FAMILIES, REGIME_UNDECIDED, ConstantDrift,
                     DiffusionSpec, PeriodicDrift, QuadratureError)
 from .simulate import CovarianceError, SimConfig, collect, sample_chunks
@@ -450,9 +450,8 @@ def main(argv=None) -> int:
     except OSError as exc:   # the output directory, a report or the CSV
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (QuadratureError, CovarianceError, StabilityError,
-            FloatingPointError, OverflowError, np.linalg.LinAlgError,
-            RuntimeError) as exc:
+    except (QuadratureError, CovarianceError, FloatingPointError,
+            OverflowError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -169,13 +169,10 @@ def _rk45(f, t0: float, t1: float, y0: np.ndarray, tol: float):
                        len(steps) - 1)
 
     def dense(t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            t_old, h, y_old, Q = steps[step_of(t)]
-            x = np.cumprod(np.tile((t - t_old) / h, 4))
-            return h * np.dot(Q, x) + y_old
         # each step's quartic takes its values of t at once, in increasing
-        # order, as scipy's dense output does
+        # order, as scipy's dense output does; one t is an array of one
+        shape = np.shape(t)
+        t = np.ravel(np.asarray(t, dtype=float))
         order = np.argsort(t)
         at = step_of(t[order])
         out = np.empty((y0.size, len(t)))
@@ -184,7 +181,7 @@ def _rk45(f, t0: float, t1: float, y0: np.ndarray, tol: float):
             t_old, h, y_old, Q = steps[k]
             x = np.cumprod(np.tile((t[cols] - t_old) / h, (4, 1)), axis=0)
             out[:, cols] = h * np.dot(Q, x) + y_old[:, None]
-        return out
+        return out.reshape((-1,) + shape)
     return dense
 
 
@@ -207,7 +204,9 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
     raises it before the solve, since its transition cannot be a double.
     The map takes a u, giving an (m, d, d) stack, or a 1-d array of them,
     giving one stack per u; the dense output evaluates an array at once.
+    Any drift but a ConstantDrift or a PeriodicDrift is a TypeError.
     """
+    check_drift(drift)
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1 or len(starts) == 0:
         raise ValueError("starts must be a non-empty 1-d array")

@@ -182,6 +182,7 @@ def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
     makes time-dependent drifts exact too.  The result is symmetrised and
     tiny negative eigenvalues (down to -1e-12 * trace) are clamped to zero.
     """
+    check_drift(drift)
     for name, value in (("t", t), ("dt", dt)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
@@ -246,7 +247,9 @@ def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     a sigma constant over the step, per unit dt) must agree, whatever sigma
     is: this catches a drift too stiff over dt.  The panel of the first step
     without a table knot strictly inside it must agree too: this catches a
-    sigma too stiff over dt.  Past GL_MAX_LEVEL a CovarianceError is raised.
+    sigma too stiff over dt.  A CovarianceError is raised at the first level
+    whose checks are not finite, since finer panels do not bring an
+    overflowed value back, and past GL_MAX_LEVEL.
     A step with knots inside, at most one per knot, is cut at them, and each
     piece takes the panel at the grid's level scaled to the piece: a table
     is linear there, and the piece is shorter than the step.
@@ -257,22 +260,25 @@ def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     kinked = set(i[(i >= 0) & (knots > times[i]) &
                    (knots < times[i] + dt)].tolist())
     first = next((n for n in range(N) if n not in kinked), None)
-    for level in range(GL_MAX_LEVEL):
-        (u, w), (u2, w2) = map(gauss_legendre_rule, (level, level + 1))
-        k = len(u)
-        E = np.ascontiguousarray(np.moveaxis(psis(np.concatenate([u, u2])),
-                                             1, 0))
-        m = len(E)
-        if all(_agree(np.einsum("k,kac,kbe->abce", w, e[:k], e[:k]),
-                      np.einsum("k,kac,kbe->abce", w2, e[k:], e[k:]), tol)
-               for e in E) and (first is None or _agree(*(
-                   _panel(sigma, times[first:first + 1], dt, v, c, e)[0]
-                   for v, c, e in ((u, w, E[first % m, :k]),
-                                   (u2, w2, E[first % m, k:]))), tol)):
-            break
-    else:
-        raise CovarianceError(f"the covariance panel fails its checks at "
-                              f"{2 ** GL_MAX_LEVEL} panels")
+    # an overflow in the checks raises in _agree instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(GL_MAX_LEVEL):
+            (u, w), (u2, w2) = map(gauss_legendre_rule, (level, level + 1))
+            k = len(u)
+            E = np.ascontiguousarray(np.moveaxis(
+                psis(np.concatenate([u, u2])), 1, 0))
+            m = len(E)
+            if all(_agree(np.einsum("k,kac,kbe->abce", w, e[:k], e[:k]),
+                          np.einsum("k,kac,kbe->abce", w2, e[k:], e[k:]),
+                          tol, level) for e in E) and (first is None or _agree(
+                    *(_panel(sigma, times[first:first + 1], dt, v, c, e)[0]
+                      for v, c, e in ((u, w, E[first % m, :k]),
+                                      (u2, w2, E[first % m, k:]))),
+                    tol, level)):
+                break
+        else:
+            raise CovarianceError(f"the covariance panel fails its checks at "
+                                  f"{2 ** GL_MAX_LEVEL} panels")
     Q = np.empty((N, d, d))
     B = max(1, _COV_BLOCK * GL_NODES // (k * d * sigma.r))
     for j in range(m):
@@ -288,8 +294,14 @@ def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     return Q
 
 
-def _agree(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """a within 10 tol of b, relative to b's largest entry."""
+def _agree(a: np.ndarray, b: np.ndarray, tol: float, level: int) -> bool:
+    """a within 10 tol of b, relative to b's largest entry, for the values a
+    and b of a check at level and at the next; raises a CovarianceError at
+    the first of them that is not finite."""
+    for lev, v in ((level, a), (level + 1, b)):
+        if not np.all(np.isfinite(v)):
+            raise CovarianceError(f"the covariance panel is not finite at "
+                                  f"{2 ** lev} panels")
     return np.abs(a - b).max() <= 10 * tol * np.abs(b).max()
 
 

@@ -133,22 +133,16 @@ class RegimeEvidence:
     window_inf_final: np.ndarray     # (paths,)
     avg_sq_half: np.ndarray          # (paths,) time-average at T/2
     avg_sq_final: np.ndarray         # (paths,)
+    medians: dict                    # summary key -> median over the paths
     trends: dict                     # name -> TrendResult
     notes: tuple = ()
 
     def summary(self) -> dict:
-        med = lambda a: float(np.median(a))
         return {
             "regime": self.regime,
             "agreement": self.agreement,
-            "checkpoints": [float(c) for c in self.checkpoints],
-            "tail_sup_median": [med(self.tail_sups[:, j])
-                                for j in range(self.tail_sups.shape[1])],
-            "running_max_median": [med(self.running_max_at[:, j])
-                                   for j in range(self.running_max_at.shape[1])],
-            "window_inf_final_median": med(self.window_inf_final),
-            "avg_sq_half_median": med(self.avg_sq_half),
-            "avg_sq_final_median": med(self.avg_sq_final),
+            "checkpoints": self.checkpoints.tolist(),
+            **{k: v.tolist() for k, v in self.medians.items()},
             "trends": {k: {"label": v.label, "slope": v.slope,
                            "stderr": v.stderr}
                        for k, v in self.trends.items()},
@@ -172,17 +166,6 @@ def _log_trend(times, vals) -> TrendResult:
     return res
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """a[0] + a[1] + ... added in row order, for a C-order (k, paths) array.
-
-    numpy reduces several columns row by row, but a lone column pairwise,
-    which would make the sum depend on where the chunks are cut.
-    """
-    if a.shape[1] > 1:
-        return np.add.reduce(a, axis=0)
-    return np.cumsum(a, axis=0)[-1]
-
-
 class EvidenceAccumulator:
     """The running reductions of ||X||^2 that the compare rules read.
 
@@ -194,12 +177,14 @@ class EvidenceAccumulator:
       T/16 ... T/2, giving tail suprema over [t_i, T] as a suffix maximum
       and running maxima over [0, t_i] as a prefix maximum
     - the minimum over the last window [7T/8, T]
-    - the trapezoid sum of ||X||^2, a running sum read at T/2 and T
+    - the trapezoid sum of ||X||^2 up to T/2 and up to T, from one in-place
+      cumulative sum per feed of its increments, seeded with the sum so far
     - ||X||^2 at the checkpoints
 
     `evidence` takes the square root of the maxima, minima and checkpoint
     values once; sqrt is monotone and correctly rounded, so these are the
-    same bits as the reductions of the norms themselves.
+    same bits as the reductions of the norms themselves.  It takes each
+    median over the paths once, for the rules and the summary alike.
     """
 
     def __init__(self, times, paths: int):
@@ -260,26 +245,19 @@ class EvidenceAccumulator:
         for j, i in enumerate(self._cp):
             if n0 <= i < stop:
                 self._at_cp[:, j] = sq[i - n0]
-        # trapezoid increments of steps n-1 -> n for n in [max(n0, 1), stop),
-        # added to the running sum one step after the other, as a cumulative
-        # sum over the whole series would
+        # trapezoid increments of steps n-1 -> n for n in [n0, stop), zero
+        # before grid point 0, the first seeded with the running sum: their
+        # cumulative sum, sequential for any path count, is the trapezoid sum
+        # up to each grid point of the chunk, as one over the whole series
         inc = np.empty(sq.shape)
-        if self._last_sq is None:
-            inc, first = inc[1:], 1
-            np.add(sq[1:], sq[:-1], out=inc)
-        else:
-            inc[0] = sq[0] + self._last_sq
-            np.add(sq[1:], sq[:-1], out=inc[1:])
-            first = n0
-        if len(inc):
-            inc *= self._half_step
-            inc[0] += self._trap
-            cut = self._half + 1 - first   # the rows up to T/2
-            if 0 < cut <= len(inc):
-                self._trap_half = _sum_rows(inc[:cut])
-                inc = inc[cut - 1:]
-                inc[0] = self._trap_half
-            self._trap = _sum_rows(inc)
+        np.add(sq[1:], sq[:-1], out=inc[1:])
+        inc[0] = 0.0 if n0 == 0 else sq[0] + self._last_sq
+        inc *= self._half_step
+        inc[0] += self._trap
+        np.cumsum(inc, axis=0, out=inc)
+        if n0 <= self._half < stop:
+            self._trap_half = inc[self._half - n0].copy()
+        self._trap = inc[-1].copy()
         self._last_sq = sq[-1].copy()
         self._next = stop
 
@@ -308,10 +286,17 @@ class EvidenceAccumulator:
         aver_half = self._trap_half / self._t_half
         aver_final = self._trap / self._t_end
         msq_at = np.mean(self._at_cp, axis=0)
+        sup_med = np.median(sups, axis=0)
+        rmax_med = np.median(rmax, axis=0)
+        # every median over the paths, each taken once, keyed as summarised
+        medians = {"tail_sup_median": sup_med, "running_max_median": rmax_med,
+                   "window_inf_final_median": np.median(winf_final),
+                   "avg_sq_half_median": np.median(aver_half),
+                   "avg_sq_final_median": np.median(aver_final)}
 
         trends = {
-            "tail_sup_median": _log_trend(cps, np.median(sups, axis=0)),
-            "running_max_median": _log_trend(cps, np.median(rmax, axis=0)),
+            "tail_sup_median": _log_trend(cps, sup_med),
+            "running_max_median": _log_trend(cps, rmax_med),
             "mean_sq_checkpoints": _log_trend(cps, msq_at),
         }
 
@@ -321,8 +306,8 @@ class EvidenceAccumulator:
             return RegimeEvidence(
                 regime=regime, agreement=agreement, checkpoints=cps,
                 tail_sups=sups, running_max_at=rmax, window_inf_final=winf_final,
-                avg_sq_half=aver_half, avg_sq_final=aver_final, trends=trends,
-                notes=tuple(notes))
+                avg_sq_half=aver_half, avg_sq_final=aver_final,
+                medians=medians, trends=trends, notes=tuple(notes))
 
         if self.n_points < MIN_GRID_POINTS:
             notes.append("horizon too short for trend evidence")
@@ -334,11 +319,11 @@ class EvidenceAccumulator:
         # shared by the rules below: the tail-sup band at the first checkpoint,
         # the share of paths whose last-window infimum collapses below it, and
         # whether the pathwise time-average falls from T/2 to T
-        band = float(np.median(sups[:, 0]))
-        final_med = float(np.median(sups[:, -1]))
+        band, final_med = float(sup_med[0]), float(sup_med[-1])
         frac = float(np.mean(winf_final < LIMINF_RATIO * band)) \
             if band > 0 else 0.0
-        avg_falls = float(np.median(aver_final)) < float(np.median(aver_half))
+        avg_falls = bool(medians["avg_sq_final_median"]
+                         < medians["avg_sq_half_median"])
 
         if regime == STABLE:
             t_lab = trends["tail_sup_median"].label
@@ -367,7 +352,7 @@ class EvidenceAccumulator:
             return build(INCONCLUSIVE)
 
         if regime == UNBOUNDED:
-            growing = bool(np.all(np.diff(np.median(rmax, axis=0)) > 0))
+            growing = bool(np.all(np.diff(rmax_med) > 0))
             extras_ok = True
             if getattr(verdict, "fading_noise", False):
                 extras_ok = frac >= LIMINF_FRACTION and avg_falls

@@ -15,12 +15,12 @@ from affinesde.criteria import (BOUNDED, FINITE, INFINITE, REGIME_UNDECIDED,
                                 norm_equiv_check, partial_sum_Sprime,
                                 rowwise_sum_S1, sum_general_grid, term_S,
                                 term_Sprime)
-from affinesde.linalg import monodromy
+from affinesde.linalg import monodromy, step_propagators
 from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
                              LogPower, PeriodicDrift, PowerLaw,
                              QuadratureError, eval_drift, interval_integrals,
                              row_interval_integrals)
-from affinesde.simulate import SimConfig, sample_chunks
+from affinesde.simulate import SimConfig, sample_chunks, step_covariance
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -704,7 +704,10 @@ class _MatrixOfTime:
     lambda drift: monodromy(drift),
     lambda drift: sample_chunks(drift, scalar(ExpDecay(1.0, 1.0)), [1.0],
                                 SimConfig(dt=0.5, t_end=1.0, paths=1, seed=0)),
-], ids=["eval_drift", "classify", "monodromy", "sample_chunks"])
+    lambda drift: step_covariance(drift, scalar(ExpDecay(1.0, 1.0)), 0.0, 0.5),
+    lambda drift: step_propagators(drift, [0.0], 0.5),
+], ids=["eval_drift", "classify", "monodromy", "sample_chunks",
+        "step_covariance", "step_propagators"])
 def test_other_drifts_raise_a_type_error(call):
     # the classification covers constant and periodic drifts only: any other
     # object raises one TypeError naming its type, before any work

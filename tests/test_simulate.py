@@ -259,6 +259,19 @@ def test_covariances_past_the_cap_raise(monkeypatch):
         step_covariance(STIFF_DRIFT, UNIT_SIGMA, 0.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("drift, scale", [
+    (ConstantDrift([[-1.0]]), 1e200),   # sigma^2 = 1e400 overflows the panel
+    (ConstantDrift([[460.0]]), 1.0),    # e^{2 * 460} overflows the drift check
+], ids=["sigma", "drift"])
+def test_covariances_raise_at_the_first_non_finite_level(drift, scale):
+    # finer panels do not bring an overflowed check back, so the level
+    # search raises at level 0, without a numpy warning, where it climbed
+    # to the cap on NaN differences
+    with pytest.raises(CovarianceError, match="not finite at 1 panels"):
+        step_covariance(drift, DiffusionSpec.constant([[scale]]), 0.0, 1.0)
+
+
 def test_states_scale_with_sigma():
     drift = ConstantDrift([[-1.0, 0.5], [0.0, -2.0]])
     cfg = SimConfig(dt=0.125, t_end=16.0, paths=5, seed=4)
