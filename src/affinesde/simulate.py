@@ -20,7 +20,8 @@ at the lowest level (12 nodes on each of 2^L sub-panels) that passes two
 checks against the next level: at every period position, whatever sigma
 is, and on the first step, which sees sigma.  A step with a table knot
 strictly inside it is cut at its knots into pieces that take the same
-panel; `step_covariance` is this route on a grid of one step.  Paths are
+panel, and each block of Q_n is rooted as it is built; `step_covariance` is
+this route on a grid of one step, squared back.  Paths are
 seeded independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
 
@@ -176,11 +177,10 @@ def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
                     tol: float = _COV_TOL) -> np.ndarray:
     """One-step transition covariance Q from t to t + dt.
 
-    The step is the one-step grid of `_step_covariances`, so Q is the
-    Gauss-Legendre panel at the lowest level that passes the panel's checks,
-    cut at the table knots inside the step; the propagator of the drift
-    makes time-dependent drifts exact too.  The result is symmetrised and
-    tiny negative eigenvalues (down to -1e-12 * trace) are clamped to zero.
+    The step is the one-step grid of `_noise_factors`, so Q = F^T F for its
+    factor F, the root of the Gauss-Legendre panel at the lowest level that
+    passes the panel's checks, cut at the table knots inside the step; the
+    propagator of the drift makes time-dependent drifts exact too.
     """
     check_drift(drift)
     for name, value in (("t", t), ("dt", dt)):
@@ -192,14 +192,14 @@ def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
         raise ValueError("tol must be finite and positive")
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
-    Q = _step_covariances(sigma, np.array([float(t)]), dt, tol,
-                          step_propagators(drift, [t], dt, min(tol, 1e-12)))[0]
-    w, V = _psd_eigh(Q)
-    return (V * w) @ V.T
+    F = _noise_factors(sigma, np.array([float(t)]), dt, tol,
+                       step_propagators(drift, [t], dt, min(tol, 1e-12)))[0]
+    return F.T @ F
 
 
-def _psd_eigh(Q: np.ndarray):
-    """Eigenvalues and vectors of symmetrised PSD matrices (one or a stack).
+def _psd_root(Q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Transposes of the symmetric PSD square roots of symmetrised Q (one
+    matrix or a stack, each rooted alike in any stack), written to out.
 
     Eigenvalues down to -1e-12 * trace are clamped to zero; lower ones raise.
     """
@@ -209,7 +209,8 @@ def _psd_eigh(Q: np.ndarray):
     if np.any(w < floor[..., None] - 1e-300):
         raise CovarianceError(f"covariance has eigenvalue {w.min():.3e} below "
                               "the clamping floor")
-    return np.maximum(w, 0.0), V
+    return np.einsum("...ik,...k,...jk->...ji", V, np.sqrt(np.maximum(w, 0.0)),
+                     V, out=out)
 
 
 def _panel(sigma: DiffusionSpec, t: np.ndarray, dt: float, u: np.ndarray,
@@ -229,17 +230,18 @@ def _panel(sigma: DiffusionSpec, t: np.ndarray, dt: float, u: np.ndarray,
     return P @ np.swapaxes(P, 1, 2)
 
 
-def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
-                      tol: float, psis) -> np.ndarray:
-    """Covariance stack Q_n for every step, (N, d, d), on one route for
-    every sigma form.
+def _noise_factors(sigma: DiffusionSpec, times: np.ndarray, dt: float,
+                   tol: float, psis) -> np.ndarray:
+    """Noise factors of every step, (N, d, d): the transposes of the
+    symmetric PSD square roots (`_psd_root`) of the step covariances Q_n, on
+    one route for every sigma form.
 
     psis maps step fractions u to the propagators Psi(t_j + dt, t_j + u dt)
     of the m period positions, shape u.shape + (m, d, d).  Step n takes
     `_panel` with those of its position j = n % m at the nodes of one level
     of `gauss_legendre_rule`, in blocks of _COV_BLOCK GL_NODES / (nodes d r)
-    steps per position, so sigma's node values are never whole; the stack
-    is built once.
+    steps per position, each block of Q_n rooted as it is built, so neither
+    sigma's node values nor Q is ever whole.
 
     The grid takes the lowest level that passes two checks against the next
     level, each to 10 tol relative to the next level's value.  At every
@@ -252,7 +254,8 @@ def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     overflowed value back, and past GL_MAX_LEVEL.
     A step with knots inside, at most one per knot, is cut at them, and each
     piece takes the panel at the grid's level scaled to the piece: a table
-    is linear there, and the piece is shorter than the step.
+    is linear there, and the piece is shorter than the step.  The step is
+    rooted from the sum of its pieces.
     """
     N, d = len(times), sigma.d
     knots = sigma.knots
@@ -279,19 +282,19 @@ def _step_covariances(sigma: DiffusionSpec, times: np.ndarray, dt: float,
         else:
             raise CovarianceError(f"the covariance panel fails its checks at "
                                   f"{2 ** GL_MAX_LEVEL} panels")
-    Q = np.empty((N, d, d))
+    F = np.empty((N, d, d))
     B = max(1, _COV_BLOCK * GL_NODES // (k * d * sigma.r))
     for j in range(m):
         for s in range(j, N, B * m):
-            Q[s:s + B * m:m] = _panel(sigma, times[s:s + B * m:m], dt, u, w,
-                                      E[j, :k])
+            _psd_root(_panel(sigma, times[s:s + B * m:m], dt, u, w, E[j, :k]),
+                      out=F[s:s + B * m:m])
     for n in kinked:
         t = times[n]
         cuts = np.r_[0.0, (knots[(knots > t) & (knots < t + dt)] - t) / dt, 1.0]
-        Q[n] = sum(_panel(sigma, times[n:n + 1], dt, a + h * u, h * w,
-                          psis(a + h * u)[:, n % m])[0]
-                   for a, h in zip(cuts[:-1], np.diff(cuts)))
-    return Q
+        _psd_root(sum(_panel(sigma, times[n:n + 1], dt, a + h * u, h * w,
+                             psis(a + h * u)[:, n % m])[0]
+                      for a, h in zip(cuts[:-1], np.diff(cuts))), out=F[n])
+    return F
 
 
 def _agree(a: np.ndarray, b: np.ndarray, tol: float, level: int) -> bool:
@@ -353,7 +356,8 @@ def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
     grid point n0 + j, and the first chunk is X_0 alone.  trans is the
     (m, d, d) stack of transitions over one drift period (m = 1 for a
     constant drift), noise_t the (N, r, d) stack of the per-step factors'
-    transposes noise[n]^T, in C order.
+    transposes noise[n]^T, in C order (from `sample_chunks`, the (N, d, d)
+    stack of `_noise_factors` as is: d normals a step whatever sigma's r).
 
     `map_shards` runs the groups T = min(CPUs, paths) at a time, so a running
     group draws at most budget = _CHUNK_DRAWS / T normals per chunk: a
@@ -492,11 +496,11 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     buffer and one chunk of states; one that keeps chunks (`list`) may, and
     pays for them.  The drift is a ConstantDrift or a PeriodicDrift, whose
     period dt must divide (one whose samples are all identical is a
-    constant drift); any other drift is a TypeError.  The set-up
-    (the exact transitions, the Gauss-Legendre panel covariances of either
-    sigma form at the level their checks pick, and their symmetric square
-    roots as noise factors) runs before this returns;
-    a non-finite chunk raises FloatingPointError when it is reached.
+    constant drift); any other drift is a TypeError.  The set-up (the exact
+    transitions, and in one blocked pass the panel covariances of either
+    sigma form, at the level their checks pick, each block rooted as it is
+    built into the noise factors) runs before this returns; a non-finite
+    chunk raises FloatingPointError when it is reached.
     """
     check_drift(drift)
     m = 1
@@ -513,25 +517,8 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     dt = cfg.dt
     times = dt * np.arange(cfg.n_steps)
     psis = step_propagators(drift, times[:m], dt, 1e-12)
-    trans = psis(0.0)
-    noise_t = _root_in_place(_step_covariances(sigma, times, dt, _COV_TOL,
-                                               psis))
-    return _run(trans, noise_t, xi, cfg)
-
-
-def _root_in_place(Q: np.ndarray) -> np.ndarray:
-    """Overwrite the (N, d, d) covariance stack Q with the transposes of its
-    symmetric PSD square roots, and return it.
-
-    The roots are taken in blocks of _COV_BLOCK steps, so the eigenpairs and
-    the symmetrised copy are never whole; each matrix's root does not depend
-    on the block, so the stack equals a one-shot build bit for bit.
-    """
-    for s in range(0, len(Q), _COV_BLOCK):
-        w, V = _psd_eigh(Q[s:s + _COV_BLOCK])
-        np.einsum("...ik,...k,...jk->...ji", V, np.sqrt(w), V,
-                  out=Q[s:s + _COV_BLOCK])
-    return Q
+    return _run(psis(0.0), _noise_factors(sigma, times, dt, _COV_TOL, psis),
+                xi, cfg)
 
 
 def map_shards(fn, shards) -> list:

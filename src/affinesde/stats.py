@@ -271,13 +271,19 @@ class EvidenceAccumulator:
         checkpoints, plus the collapse statistics when the noise is fading.
         Mixed signals yield Inconclusive, contradictions Inconsistent.  The
         thresholds are the module constants STABLE_FINAL_SUP, BAND_RATIO,
-        LIMINF_FRACTION, LIMINF_RATIO and MIN_GRID_POINTS.
+        LIMINF_FRACTION, LIMINF_RATIO and MIN_GRID_POINTS.  Overflowed
+        squares or sums (NaN or +inf) raise FloatingPointError.
         """
         if self._next != self.n_points:
             raise ValueError(f"only {self._next} of {self.n_points} grid "
                              f"points were fed")
         cps = self.checkpoints
         notes = []
+        msq_at = np.mean(self._at_cp, axis=0)
+        read = self._seg_max, self._trap_half, self._trap, msq_at
+        if not all(np.all(a < np.inf) for a in read):   # -inf: empty segment
+            raise FloatingPointError("squared state norms or their time "
+                                     "averages overflow")
         suffix = np.maximum.accumulate(self._seg_max[::-1], axis=0)[::-1]
         sups = np.sqrt(suffix[1:].T, order="C")
         prefix = np.maximum.accumulate(self._seg_max[:-1], axis=0).T
@@ -285,7 +291,6 @@ class EvidenceAccumulator:
         winf_final = np.sqrt(self._win_min)
         aver_half = self._trap_half / self._t_half
         aver_final = self._trap / self._t_end
-        msq_at = np.mean(self._at_cp, axis=0)
         sup_med = np.median(sups, axis=0)
         rmax_med = np.median(rmax, axis=0)
         # every median over the paths, each taken once, keyed as summarised
@@ -379,7 +384,8 @@ def compare(verdict, times, shards) -> RegimeEvidence:
     `map_shards` runs it on; each chunk, and every view of it, is dropped
     once fed, so per running shard only the sampler's draw buffer and one
     chunk of states are alive.  The accumulators are joined along the path
-    axis in shard order before the rules run.
+    axis in shard order before the rules run.  Both run without overflow
+    warnings, in every worker too: `evidence` raises on an overflow instead.
     """
     def reduce(_, chunks):
         acc = None
@@ -395,5 +401,6 @@ def compare(verdict, times, shards) -> RegimeEvidence:
             del X   # let the shard free the chunk before drawing the next
         return acc
 
-    return EvidenceAccumulator.concat(map_shards(reduce, shards)).evidence(
-        verdict)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return EvidenceAccumulator.concat(map_shards(reduce, shards)).evidence(
+            verdict)

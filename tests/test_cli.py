@@ -558,27 +558,47 @@ def test_classify_overflowing_energies_exit_numeric(tmp_path, capsys, family,
         capsys.readouterr().err
 
 
+def _power_law_periodic_doc(scale, exponent):
+    """A PowerLaw(scale, exponent) I noise on a 16-knot periodic drift, the
+    grid and seed of verify-periodic's benchmark scenario at 20 paths."""
+    times = [2 * math.pi * k / 16 for k in range(16)]
+    return base_doc(
+        drift={"kind": "periodic", "period": 2 * math.pi, "times": times,
+               "values": [[[-1.0 + math.cos(t), 0.5], [0.0, -2.0 + math.sin(t)]]
+                          for t in times]},
+        sigma={"kind": "envelope", "family": "PowerLaw",
+               "params": {"scale": scale, "exponent": exponent},
+               "pattern": np.eye(2).tolist()},
+        simulation={"dt": 2 * math.pi / 64, "t_end": 256 * math.pi,
+                    "paths": 20, "seed": 606})
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_overflowing_covariance_panel_exits_numeric(tmp_path, capsys):
     # sigma^2 = 1e400 overflows the sampler's first covariance panel on a
     # 16-knot periodic drift, which raises at level 0 without a numpy
     # warning; climbing to 4096 panels on NaN checks took 3-4 s and 413 MB
-    times = [2 * math.pi * k / 16 for k in range(16)]
-    doc = base_doc(
-        drift={"kind": "periodic", "period": 2 * math.pi, "times": times,
-               "values": [[[-1.0 + math.cos(t), 0.5], [0.0, -2.0 + math.sin(t)]]
-                          for t in times]},
-        sigma={"kind": "envelope", "family": "PowerLaw",
-               "params": {"scale": 1e200, "exponent": -0.5},
-               "pattern": np.eye(2).tolist()},
-        simulation={"dt": 2 * math.pi / 64, "t_end": 256 * math.pi,
-                    "paths": 20, "seed": 606})
+    doc = _power_law_periodic_doc(1e200, -0.5)
     start = time.perf_counter()
     assert main(["verify", write(tmp_path, doc), "--out",
                  str(tmp_path)]) == EXIT_NUMERIC
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == "numeric failure: the covariance " \
         "panel is not finite at 1 panels\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_overflowing_squared_norms_exit_numeric(tmp_path, capsys):
+    # sigma = 1e153 sqrt(t) I keeps the states finite, near 1e153, but their
+    # squared norms overflow: the evidence raises on them, where it read inf
+    # medians and NaN trends as Inconclusive after 16 lines of warnings
+    doc = _power_law_periodic_doc(1e153, 0.5)
+    start = time.perf_counter()
+    assert main(["verify", write(tmp_path, doc), "--out",
+                 str(tmp_path)]) == EXIT_NUMERIC
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == "numeric failure: squared state " \
+        "norms or their time averages overflow\n"
 
 
 def test_verify_does_not_load_numpy_polynomial(tmp_path):

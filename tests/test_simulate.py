@@ -110,6 +110,13 @@ def _stiff_q(sigma: float, dt: float = 1.0) -> float:
     return sigma ** 2 * -math.expm1(-400.0 * dt) / 400.0
 
 
+def _factor_squares(sigma, times, dt, tol, psis):
+    """The step covariances Q_n = F_n^T F_n that the sampler's noise factors
+    F_n (transposed roots) stand for."""
+    F = simulate._noise_factors(sigma, times, dt, tol, psis)
+    return np.swapaxes(F, 1, 2) @ F
+
+
 @pytest.mark.parametrize("sigma", [1.0, 1e-3, 1e-6])
 def test_step_covariances_relative_to_the_size_of_q(sigma):
     # Q ~ 2.5e-3 sigma^2: an absolute error floor of tol would accept a
@@ -120,8 +127,8 @@ def test_step_covariances_relative_to_the_size_of_q(sigma):
     Q = step_covariance(STIFF_DRIFT, spec, 0.0, 1.0)
     assert Q[0, 0] == pytest.approx(exact, rel=1e-10, abs=0.0)
     times = np.arange(8.0)
-    Q = simulate._step_covariances(spec, times, 1.0, 1e-10,
-                                   _propagators(STIFF_DRIFT, 1, 1.0))
+    Q = _factor_squares(spec, times, 1.0, 1e-10,
+                        _propagators(STIFF_DRIFT, 1, 1.0))
     np.testing.assert_allclose(Q[:, 0, 0], exact, rtol=1e-10, atol=0.0)
 
 
@@ -157,8 +164,8 @@ def test_panel_raises_its_level_on_a_stiff_drift(monkeypatch):
     # level
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(8.0)
-    Q = simulate._step_covariances(UNIT_SIGMA, times, 1.0, 1e-10,
-                                   _propagators(STIFF_DRIFT, 1, 1.0))
+    Q = _factor_squares(UNIT_SIGMA, times, 1.0, 1e-10,
+                        _propagators(STIFF_DRIFT, 1, 1.0))
     assert calls == []
     np.testing.assert_allclose(Q[:, 0, 0], _stiff_q(1.0), rtol=1e-10, atol=0.0)
 
@@ -171,8 +178,8 @@ def test_panel_check_does_not_depend_on_sigma(monkeypatch):
                                 [[[0.0]], [[0.0]], [[1.0]], [[1.0]]])
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(6.0)
-    Q = simulate._step_covariances(sigma, times, 1.0, 1e-10,
-                                   _propagators(STIFF_DRIFT, 1, 1.0))
+    Q = _factor_squares(sigma, times, 1.0, 1e-10,
+                        _propagators(STIFF_DRIFT, 1, 1.0))
     assert calls == []
     assert Q[0, 0, 0] == 0.0
     np.testing.assert_allclose(Q[1:, 0, 0], _stiff_q(1.0), rtol=1e-10, atol=0.0)
@@ -187,8 +194,8 @@ def test_panel_checks_every_period_position(monkeypatch):
                           values=[[[-1.0]], [[-1.0]], [[-200.0]]])
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(9.0)
-    Q = simulate._step_covariances(UNIT_SIGMA, times, 1.0, 1e-10,
-                                   _propagators(drift, 3, 1.0))
+    Q = _factor_squares(UNIT_SIGMA, times, 1.0, 1e-10,
+                        _propagators(drift, 3, 1.0))
     assert calls == []
     for n, t in enumerate(times):
         ref = _adaptive_step_covariance(drift, UNIT_SIGMA, float(t), 1.0)
@@ -205,8 +212,8 @@ def test_step_with_two_knots_takes_the_raised_level(monkeypatch):
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(4.0)
     cov_tol = 1e-10
-    Q = simulate._step_covariances(sigma, times, 1.0, cov_tol,
-                                   _propagators(STIFF_DRIFT, 1, 1.0))
+    Q = _factor_squares(sigma, times, 1.0, cov_tol,
+                        _propagators(STIFF_DRIFT, 1, 1.0))
     assert calls == []
     for n, t in enumerate(times):
         inside = [k - t for k in (0.98, 0.99) if t < k < t + 1.0]
@@ -231,8 +238,8 @@ def test_panel_raises_its_level_on_a_stiff_sigma(monkeypatch):
     drift = ConstantDrift([[-1.0]])
     calls = _counting_step_covariance(monkeypatch)
     times = np.arange(4.0)
-    Q = simulate._step_covariances(STIFF_SIGMA, times, 1.0, 1e-10,
-                                   _propagators(drift, 1, 1.0))
+    Q = _factor_squares(STIFF_SIGMA, times, 1.0, 1e-10,
+                        _propagators(drift, 1, 1.0))
     assert calls == []
     np.testing.assert_allclose(Q[:, 0, 0], _stiff_sigma_q(times), rtol=1e-10,
                                atol=0.0)
@@ -253,8 +260,8 @@ def test_covariances_past_the_cap_raise(monkeypatch):
     # sampler's level search and in step_covariance, which shares it
     monkeypatch.setattr(simulate, "GL_MAX_LEVEL", 2)
     with pytest.raises(CovarianceError, match="4 panels"):
-        simulate._step_covariances(UNIT_SIGMA, np.arange(4.0), 1.0, 1e-10,
-                                   _propagators(STIFF_DRIFT, 1, 1.0))
+        simulate._noise_factors(UNIT_SIGMA, np.arange(4.0), 1.0, 1e-10,
+                                _propagators(STIFF_DRIFT, 1, 1.0))
     with pytest.raises(CovarianceError, match="4 panels"):
         step_covariance(STIFF_DRIFT, UNIT_SIGMA, 0.0, 1.0)
 
@@ -578,10 +585,11 @@ PERIODIC2 = PeriodicDrift(period=1.5, times=[0.0, 0.5],
 def test_step_covariances_blocked_equal_one_shot(monkeypatch, drift, m, dt,
                                                  block, n_steps):
     # each period position takes its steps in blocks of _COV_BLOCK // (d r),
-    # a short last block included; the stack equals one block per position
-    # bit for bit, the panel's formula over every step at once and, for an
-    # envelope, its separable form to 1e-14.  The table's knots lie beyond
-    # the grid, so every step takes the panel, at level 0
+    # a short last block included, each rooted as it is built; the factors
+    # equal one block per position bit for bit, and their squares the
+    # panel's formula over every step at once and, for an envelope, its
+    # separable form to 1e-14.  The table's knots lie beyond the grid, so
+    # every step takes the panel, at level 0
     times = dt * np.arange(n_steps)
     psis = _propagators(drift, m, dt)
     pattern = [[1.0, 0.5], [0.0, 1.0]]
@@ -593,10 +601,11 @@ def test_step_covariances_blocked_equal_one_shot(monkeypatch, drift, m, dt,
                      [[0.0, 3.0, 1.0], [1.0, -1.0, 0.5]]])
     for sigma in [*envelopes, table]:
         monkeypatch.setattr(simulate, "_COV_BLOCK", block)
-        Q = simulate._step_covariances(sigma, times, dt, 1e-10, psis)
+        F = simulate._noise_factors(sigma, times, dt, 1e-10, psis)
         monkeypatch.setattr(simulate, "_COV_BLOCK", 6 * n_steps)
         assert np.array_equal(
-            Q, simulate._step_covariances(sigma, times, dt, 1e-10, psis))
+            F, simulate._noise_factors(sigma, times, dt, 1e-10, psis))
+        Q = np.swapaxes(F, 1, 2) @ F
         refs = [_one_shot_covariances(sigma, times, dt, psis)]
         if sigma is not table:
             refs.append(_envelope_covariances(sigma, times, dt, psis))
@@ -608,8 +617,9 @@ def test_table_covariances_match_adaptive_quadrature(monkeypatch):
     # knots on the grid (0, 0.5, 2) and off it (0.6, 1.3, and 2.1 and 2.2
     # inside one step): a table is linear between knots, so the panel is
     # exact there; the steps 2, 5 and 8 with a knot inside are cut at the
-    # knots, and each piece takes the panel.  Each Q_n matches scipy's
-    # adaptive quadrature told where the knots are
+    # knots, and each piece takes the panel.  Each factor's square matches
+    # scipy's adaptive quadrature told where the knots are, so a cut step is
+    # rooted from the sum of its pieces
     dt, cov_tol = 0.25, 1e-10
     knots = [0.0, 0.5, 0.6, 1.3, 2.0, 2.1, 2.2]
     values = np.random.default_rng(5).normal(size=(len(knots), 2, 3))
@@ -617,8 +627,8 @@ def test_table_covariances_match_adaptive_quadrature(monkeypatch):
     drift = ConstantDrift(A2)
     times = dt * np.arange(16)
     calls = _counting_step_covariance(monkeypatch)
-    Q = simulate._step_covariances(sigma, times, dt, cov_tol,
-                                   _propagators(drift, 1, dt))
+    Q = _factor_squares(sigma, times, dt, cov_tol,
+                        _propagators(drift, 1, dt))
     assert calls == []
     for n, t in enumerate(times):
         inside = [(k - t) / dt for k in knots if t < k < t + dt]
@@ -689,7 +699,7 @@ def test_step_covariances_never_build_the_node_table():
     sigma = DiffusionSpec.envelope(LogPower(1.0), np.eye(2))
     tracemalloc.start()
     try:
-        Q = simulate._step_covariances(sigma, times, dt, 1e-10, psis)
+        Q = simulate._noise_factors(sigma, times, dt, 1e-10, psis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -699,22 +709,23 @@ def test_step_covariances_never_build_the_node_table():
 
 @pytest.mark.parametrize("block", [7, 8192])
 def test_noise_factors_blocked_equal_one_shot(monkeypatch, block):
-    # the square roots are taken in step blocks, a short last block
-    # included; the factors equal one eigh and one einsum over the whole
-    # covariance stack bit for bit
+    # sample_chunks hands _run the very stack that _noise_factors builds, at
+    # a set-up block of one step per position and of whole periods alike,
+    # with no second pass over it; the stack equals a one-block build bit
+    # for bit
     monkeypatch.setattr(simulate, "_COV_BLOCK", block)
     stacks = []
-    build = simulate._step_covariances
-    monkeypatch.setattr(simulate, "_step_covariances",
-                        lambda *a: stacks.append(build(*a).copy())
-                        or stacks[-1].copy())
+    build = simulate._noise_factors
+    monkeypatch.setattr(simulate, "_noise_factors",
+                        lambda *a: stacks.append(build(*a)) or stacks[-1])
     sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0, 0.5], [0.0, 1.0]])
     cfg = SimConfig(dt=0.25, t_end=0.25 * 8200, paths=1, seed=0)
-    _, _, noise = _sample_with_factors(monkeypatch, PERIODIC2, sigma,
-                                       [1.0, 0.0], cfg)
-    w, V = simulate._psd_eigh(stacks[0])
-    one_shot = np.einsum("...ik,...k,...jk->...ji", V, np.sqrt(w), V)
-    assert np.array_equal(np.swapaxes(noise, 1, 2), one_shot)
+    _, noise_t = _sampler_factors(monkeypatch, PERIODIC2, sigma, cfg)
+    assert len(stacks) == 1 and noise_t is stacks[0]
+    monkeypatch.setattr(simulate, "_COV_BLOCK", 6 * cfg.n_steps)
+    assert np.array_equal(noise_t, build(
+        sigma, cfg.dt * np.arange(cfg.n_steps), cfg.dt, simulate._COV_TOL,
+        _propagators(PERIODIC2, 6, cfg.dt)))
 
 
 def test_periodic_constant_reduces_bit_identically():

@@ -328,6 +328,20 @@ def test_accumulator_rejects_gaps_and_short_feeds():
         EvidenceAccumulator(np.array([0.0, 1.0, 3.0, 4.0]), 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x, t_end", [(1e160, 64.0), (8.94e153, 0.25)],
+                         ids=["squares", "checkpoint-mean"])
+def test_overflowing_squares_of_finite_states_raise(x, t_end):
+    # the states are finite, but near 1e160 their squares overflow, and
+    # near 9e153 (squares 8e307) on a short grid only the mean of three
+    # paths' squares at a checkpoint does: compare raises rather than read
+    # inf or NaN evidence, and warns of nothing
+    t = np.linspace(0.0, t_end, 257)
+    with pytest.raises(FloatingPointError, match="^squared state norms or "
+                       "their time averages overflow$"):
+        _signal_evidence(t, np.full((3, len(t)), x))
+
+
 def test_compare_chunks_matches_compare(monkeypatch):
     # compare over the sampler's stream cut into many small chunks gives the
     # same evidence as over the default chunks
