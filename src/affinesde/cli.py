@@ -389,7 +389,7 @@ def cmd_verify(scn: Scenario, args) -> int:
         _emit(doc, out, f"{scn.name}.verify.yaml")
         return EXIT_UNDECIDED
     # the states stream from the sampler into the evidence; no ensemble
-    evidence = stats.compare(verdict, scn.simulation.times, _chunks(scn))
+    evidence = stats.compare(verdict, scn.simulation, _chunks(scn))
     doc["evidence"] = evidence.summary()
     doc["agreement"] = evidence.agreement
     _emit(doc, out, f"{scn.name}.verify.yaml")

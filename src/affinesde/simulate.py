@@ -122,12 +122,16 @@ class SimConfig:
 
 @dataclass
 class PathEnsemble:
-    times: np.ndarray          # (N+1,)
     states: np.ndarray         # (paths, N+1, d)
     config: SimConfig
 
     def __post_init__(self):
         _check_finite(self.states)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The config's grid 0, dt, ..., N dt, shape (N+1,)."""
+        return self.config.times
 
     @property
     def n_paths(self) -> int:
@@ -591,7 +595,7 @@ def collect(shards, cfg: SimConfig) -> PathEnsemble:
             del X
 
     map_shards(fill, [itertools.chain([h], s) for h, s in zip(heads, shards)])
-    return PathEnsemble(times=cfg.times, states=states, config=cfg)
+    return PathEnsemble(states=states, config=cfg)
 
 
 def simulate_X(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> PathEnsemble:

@@ -4,9 +4,11 @@ Almost-sure limits cannot be tested from a finite horizon, so the sample
 paths are reduced to finite-horizon proxies: suprema over dyadic tail
 segments (limsup proxy), trailing-window infima (liminf proxy) and pathwise
 time-averages of ||X||^2.  Every proxy the rules read is a running reduction
-at indices known before the run, so `compare` feeds the squared norms of
-each of the sampler's shard streams, on the pool thread that runs it, into
-an `EvidenceAccumulator` with O(paths) state and never holds an ensemble.
+at grid indices fixed before the run by integer arithmetic on the step
+count N of the `SimConfig` that built the stream, so `compare` feeds the
+squared norms of each of the sampler's shard streams, on the pool thread
+that runs it, into an `EvidenceAccumulator` with O(paths) state and never
+holds an ensemble.
 Every reduction is per path, so the accumulators joined along the path axis
 hold what one accumulator fed every path would, whatever the shard count.
 `evidence` applies simple, explainable decision rules at fixed thresholds,
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BOUNDED, REGIME_UNDECIDED, STABLE, UNBOUNDED
-from .simulate import PathEnsemble, map_shards, squared_norms
+from .simulate import PathEnsemble, SimConfig, map_shards, squared_norms
 
 DECREASING = "Decreasing"
 FLAT = "Flat"
@@ -45,31 +47,12 @@ MIN_GRID_POINTS = 64        # fewer -> Inconclusive outright
 
 
 # ---------------------------------------------------------------------------
-# grid helpers and the ensemble mean square
+# checkpoints and the ensemble mean square
 # ---------------------------------------------------------------------------
 
 def dyadic_checkpoints(t_end: float) -> np.ndarray:
     """Limsup-proxy checkpoints T/16, T/8, T/4, T/2."""
     return t_end / np.array([16.0, 8.0, 4.0, 2.0])
-
-
-def _index_at(times: np.ndarray, t: float) -> int:
-    """Index of the first grid time at or after t, up to rounding."""
-    return int(np.searchsorted(times, t - 1e-12 * max(1.0, abs(t))))
-
-
-def _window_samples(times: np.ndarray, window: float) -> int:
-    """Number of grid steps spanned by a trailing window (at least one)."""
-    if window <= 0 or window > times[-1] - times[0]:
-        raise ValueError("window must be positive and fit in the horizon")
-    return max(int(round(window / (times[1] - times[0]))), 1)
-
-
-def _uniform_step(times: np.ndarray) -> float:
-    gaps = np.diff(times)
-    if not np.allclose(gaps, gaps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniform")
-    return float(gaps[0])
 
 
 def ensemble_mean_sq(ensemble: PathEnsemble):
@@ -169,14 +152,17 @@ def _log_trend(times, vals) -> TrendResult:
 class EvidenceAccumulator:
     """The running reductions of ||X||^2 that the compare rules read.
 
-    Feed the squared norms of grid points n0, n0 + 1, ... in order as
-    time-major (k, paths) chunks; the state is O(paths) whatever the
-    chunking:
+    Feed the squared norms of the grid points n0, n0 + 1, ... of cfg's grid
+    t_n = n dt, n = 0 .. N, in order as time-major (k, paths) chunks; the
+    state is O(paths) whatever the chunking.  T is dt N, and every index is
+    integer arithmetic on N:
 
     - the maximum over each segment between the dyadic checkpoints
-      T/16 ... T/2, giving tail suprema over [t_i, T] as a suffix maximum
-      and running maxima over [0, t_i] as a prefix maximum
-    - the minimum over the last window [7T/8, T]
+      T/16 ... T/2, at indices ceil(N/q) for q = 16, 8, 4, 2, giving tail
+      suprema over [t_i, T] as a suffix maximum and running maxima over
+      [0, t_i] as a prefix maximum
+    - the minimum over the last window [7T/8, T], grid points
+      N - N // 8 .. N, the first at or after 7T/8 (for N < 8, the last step)
     - the trapezoid sum of ||X||^2 up to T/2 and up to T, from one in-place
       cumulative sum per feed of its increments, seeded with the sum so far
     - ||X||^2 at the checkpoints
@@ -187,17 +173,16 @@ class EvidenceAccumulator:
     median over the paths once, for the rules and the summary alike.
     """
 
-    def __init__(self, times, paths: int):
-        times = np.asarray(times, dtype=float)
-        self._half_step = 0.5 * _uniform_step(times)
-        T = float(times[-1])
-        self.n_points = len(times)
-        self.checkpoints = dyadic_checkpoints(T)
-        self._cp = [_index_at(times, c) for c in self.checkpoints]
+    def __init__(self, cfg: SimConfig, paths: int):
+        N, dt = cfg.n_steps, cfg.dt
+        self._half_step = 0.5 * dt
+        self.n_points = N + 1
+        self.checkpoints = dyadic_checkpoints(dt * N)
+        self._cp = [-(-N // q) for q in (16, 8, 4, 2)]
         self._bounds = [0, *self._cp, self.n_points]
-        self._win = self.n_points - 1 - _window_samples(times, T / 8.0)
-        self._half = _index_at(times, T / 2.0)
-        self._t_half, self._t_end = float(times[self._half]), T
+        self._win = N - max(N // 8, 1)
+        self._half = self._cp[-1]
+        self._t_half, self._t_end = dt * self._half, dt * N
         self._seg_max = np.full((len(self._bounds) - 1, paths), -np.inf)
         self._at_cp = np.empty((paths, len(self._cp)))
         self._win_min = np.full(paths, np.inf)
@@ -359,7 +344,7 @@ class EvidenceAccumulator:
         if regime == UNBOUNDED:
             growing = bool(np.all(np.diff(rmax_med) > 0))
             extras_ok = True
-            if getattr(verdict, "fading_noise", False):
+            if verdict.fading_noise:
                 extras_ok = frac >= LIMINF_FRACTION and avg_falls
                 if not extras_ok:
                     notes.append("fading-noise collapse statistics missing")
@@ -376,9 +361,10 @@ class EvidenceAccumulator:
         raise ValueError(f"unknown regime {regime!r}")
 
 
-def compare(verdict, times, shards) -> RegimeEvidence:
+def compare(verdict, cfg: SimConfig, shards) -> RegimeEvidence:
     """Weigh shard streams of state chunks (n0, X[k, path, i]) on the grid
-    times, such as `sample_chunks` returns, against a regime verdict.
+    of cfg, such as `sample_chunks(..., cfg)` returns, against a regime
+    verdict.
 
     Each shard's squared norms feed its own accumulator on the thread that
     `map_shards` runs it on; each chunk, and every view of it, is dropped
@@ -391,7 +377,7 @@ def compare(verdict, times, shards) -> RegimeEvidence:
         acc = None
         for n0, X in chunks:
             if acc is None:
-                acc = EvidenceAccumulator(times, X.shape[1])
+                acc = EvidenceAccumulator(cfg, X.shape[1])
             # a few rows at a time: the squared norms and the accumulator's
             # temporaries stay small, and so does a worker thread's own
             # malloc arena, which the calling thread cannot reuse

@@ -30,7 +30,7 @@ BIG = dict(dt=0.05, t_end=4096.0, paths=200)
 
 def _evidence(verdict, drift, sigma, xi, cfg):
     """compare on the sampler's stream; no ensemble is held."""
-    return compare(verdict, cfg.times, sample_chunks(drift, sigma, xi, cfg))
+    return compare(verdict, cfg, sample_chunks(drift, sigma, xi, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -452,8 +452,7 @@ def test_chunk_stream_rejects_unsampleable_drifts():
 
 def test_nonfinite_states_rejected():
     with pytest.raises(FloatingPointError):
-        PathEnsemble(times=np.array([0.0, 1.0]),
-                     states=np.array([[[0.0], [math.inf]]]),
+        PathEnsemble(states=np.array([[[0.0], [math.inf]]]),
                      config=SimConfig(dt=1.0, t_end=1.0, paths=1, seed=0))
 
 
@@ -914,7 +913,7 @@ def test_results_independent_of_shard_count(monkeypatch, drift, sigma, xi,
         shards = sample_chunks(drift, sigma, xi, cfg)
         assert len(shards) == min(n, paths)
         states = collect(shards, cfg).states
-        ev = compare(undecided, cfg.times, sample_chunks(drift, sigma, xi, cfg))
+        ev = compare(undecided, cfg, sample_chunks(drift, sigma, xi, cfg))
         runs.append((states, *(getattr(ev, a) for a in EVIDENCE_ARRAYS)))
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
@@ -1061,7 +1060,7 @@ def test_derived_series():
     np.testing.assert_allclose(ens.norms, np.abs(ens.states[:, :, 0]))
     # the time-average compare reads from the same stream, against a direct
     # trapezoid average of the collected norms at the final time
-    ev = compare(SimpleNamespace(regime="Undecided"), cfg.times,
+    ev = compare(SimpleNamespace(regime="Undecided"), cfg,
                  sample_chunks(ConstantDrift(-np.eye(1)), UNIT_SIGMA, [0.0], cfg))
     assert np.all(ev.avg_sq_final >= 0)
     direct = np.trapezoid(ens.norms ** 2, ens.times, axis=1) / ens.times[-1]

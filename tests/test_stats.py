@@ -22,10 +22,16 @@ from affinesde.stats import (CONSISTENT, DECREASING, FLAT, INCONCLUSIVE,
 UNDECIDED = SimpleNamespace(regime="Undecided")
 
 
-def _signal_evidence(t, x):
-    """compare's evidence on scalar signals x[path, time], fed as one chunk."""
+def _grid(t_end, n_steps):
+    """The config of the uniform grid of n_steps steps over [0, t_end]."""
+    return SimConfig(dt=t_end / n_steps, t_end=t_end, paths=1, seed=0)
+
+
+def _signal_evidence(cfg, x):
+    """compare's evidence on scalar signals x[path, time] on cfg's grid,
+    fed as one chunk."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return compare(UNDECIDED, t, [[(0, x.T[:, :, None])]])
+    return compare(UNDECIDED, cfg, [[(0, x.T[:, :, None])]])
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +39,9 @@ def _signal_evidence(t, x):
 # ---------------------------------------------------------------------------
 
 def test_tail_sup_exponential():
-    t = np.linspace(0.0, 16.0, 2049)
-    ev = _signal_evidence(t, np.exp(-t))
+    cfg = _grid(16.0, 2048)
+    t = cfg.times
+    ev = _signal_evidence(cfg, np.exp(-t))
     np.testing.assert_array_equal(ev.checkpoints, [1.0, 2.0, 4.0, 8.0])
     np.testing.assert_allclose(ev.tail_sups[0], np.exp(-ev.checkpoints),
                                rtol=1e-12)
@@ -42,43 +49,59 @@ def test_tail_sup_exponential():
 
 
 def test_tail_sup_periodic():
-    t = np.linspace(0.0, 40.0, 8001)
-    ev = _signal_evidence(t, np.sin(t))
+    cfg = _grid(40.0, 8000)
+    t = cfg.times
+    ev = _signal_evidence(cfg, np.sin(t))
     np.testing.assert_allclose(ev.tail_sups[0], 1.0, atol=1e-3)
 
 
 def test_tail_sup_non_increasing_in_checkpoint():
     rng = np.random.default_rng(0)
-    t = np.linspace(0.0, 8.0, 513)
-    ev = _signal_evidence(t, rng.standard_normal((5, len(t))))
+    cfg = _grid(8.0, 512)
+    ev = _signal_evidence(cfg, rng.standard_normal((5, cfg.n_steps + 1)))
     assert np.all(np.diff(ev.tail_sups, axis=-1) <= 0)
     assert np.all(np.diff(ev.running_max_at, axis=-1) >= 0)
 
 
 def test_window_inf_signals():
-    t = np.linspace(0.0, 10.0, 2001)
-    ev = _signal_evidence(t, np.exp(-t))
+    cfg = _grid(10.0, 2000)
+    t = cfg.times
+    ev = _signal_evidence(cfg, np.exp(-t))
     assert ev.window_inf_final[0] == pytest.approx(math.exp(-t[-1]), rel=1e-9)
-    ev = _signal_evidence(t, np.ones_like(t))
+    ev = _signal_evidence(cfg, np.ones_like(t))
     np.testing.assert_allclose(ev.window_inf_final, 1.0)
 
 
+@pytest.mark.parametrize("dt", [0.25, 0.7])
+@pytest.mark.parametrize("n_steps", [12, 28])
+def test_window_inf_is_exactly_the_last_eighth(n_steps, dt):
+    # the window [7T/8, T] starts at the first grid point at or after 7T/8,
+    # index N - N // 8 = ceil(7N/8), whatever dt: here 7N/8 is a half-step,
+    # so a step count of T/8 over dt, rounded, would start it one early
+    cfg = SimConfig(dt=dt, t_end=dt * n_steps, paths=1, seed=0)
+    start = n_steps - max(n_steps // 8, 1)
+    assert start == math.ceil(7 * n_steps / 8)
+    for dip, want in ((start - 1, 1.0), (start, 0.0)):
+        x = np.ones(n_steps + 1)
+        x[dip] = 0.0
+        assert _signal_evidence(cfg, x).window_inf_final[0] == want
+
+
 def test_avg_sq_constant_and_exponential():
-    t = np.linspace(0.0, 4.0, 4001)
-    ev = _signal_evidence(t, 3.0 * np.ones_like(t))
+    cfg = _grid(4.0, 4000)
+    ev = _signal_evidence(cfg, 3.0 * np.ones_like(cfg.times))
     np.testing.assert_allclose([ev.avg_sq_half, ev.avg_sq_final], 9.0)
-    dt = 1e-3
-    t = np.arange(0.0, 5.0 + dt / 2, dt)
-    ev = _signal_evidence(t, np.exp(-t))
+    cfg = _grid(5.0, 5000)
+    t = cfg.times
+    ev = _signal_evidence(cfg, np.exp(-t))
     for got, upto in ((ev.avg_sq_half, 2.5), (ev.avg_sq_final, 5.0)):
         expect = (1 - math.exp(-2 * upto)) / (2 * upto)
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
 
 def test_avg_sq_sine_approaches_half():
-    dt = 1e-3
-    t = np.arange(0.0, 200.0 + dt / 2, dt)
-    ev = _signal_evidence(t, np.sin(t))
+    cfg = _grid(200.0, 200_000)
+    ev = _signal_evidence(cfg, np.sin(cfg.times))
     assert ev.avg_sq_final[0] == pytest.approx(0.5, abs=2e-3)
 
 
@@ -127,7 +150,7 @@ def _config(t_end=256.0, dt=0.125, paths=60, seed=13):
 
 def _compare(verdict, sigma, cfg):
     """compare on the sampler's stream of dX = -X dt + sigma dB, X(0) = 1."""
-    return compare(verdict, cfg.times, sample_chunks(DRIFT, sigma, [1.0], cfg))
+    return compare(verdict, cfg, sample_chunks(DRIFT, sigma, [1.0], cfg))
 
 
 def test_compare_stable_consistent():
@@ -270,7 +293,7 @@ def test_accumulator_matches_brute_force_any_chunking():
     streamed = _compare(verdict, BRUTE_SIGMA, BRUTE_CFG)
     for name, chunks in splits.items():
         for paths in (slice(None), slice(4, 5)):   # all paths and one path
-            acc = EvidenceAccumulator(t, norms[paths].shape[0])
+            acc = EvidenceAccumulator(BRUTE_CFG, norms[paths].shape[0])
             for a, b in chunks:
                 acc.add(a, sq[paths, a:b].T)
             ev = acc.evidence(verdict)
@@ -286,13 +309,14 @@ def test_accumulator_on_squared_norms_matches_numpy(paths):
     # the trapezoid averages agree to rounding and do not depend on the
     # chunking
     rng = np.random.default_rng(11)
-    t = np.linspace(0.0, 64.0, 513)
+    cfg = _grid(64.0, 512)
+    t = cfg.times
     sq = rng.exponential(size=(len(t), paths)) * (1.0 + t[:, None])
     norms = np.sqrt(sq)
     cps = [32, 64, 128, 256]   # the checkpoints T/16 ... T/2
     runs = []
     for cuts in (range(0, len(t), 37), [1, 32, 33, 256, 257, 448, 449], []):
-        acc = EvidenceAccumulator(t, paths)
+        acc = EvidenceAccumulator(cfg, paths)
         for a, b in _splits(len(t), cuts):
             acc.add(a, sq[a:b])
         ev = acc.evidence(UNDECIDED)
@@ -315,17 +339,15 @@ def test_accumulator_on_squared_norms_matches_numpy(paths):
 
 
 def test_accumulator_rejects_gaps_and_short_feeds():
-    t = np.linspace(0.0, 8.0, 65)
-    acc = EvidenceAccumulator(t, 2)
+    cfg = _grid(8.0, 64)
+    acc = EvidenceAccumulator(cfg, 2)
     acc.add(0, np.ones((10, 2)))
     with pytest.raises(ValueError):
         acc.add(11, np.ones((3, 2)))
     with pytest.raises(ValueError):
         acc.evidence(None)
     with pytest.raises(ValueError):   # parts fed different grid points
-        EvidenceAccumulator.concat([acc, EvidenceAccumulator(t, 2)])
-    with pytest.raises(ValueError):   # the trapezoid sums need a uniform grid
-        EvidenceAccumulator(np.array([0.0, 1.0, 3.0, 4.0]), 1)
+        EvidenceAccumulator.concat([acc, EvidenceAccumulator(cfg, 2)])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -336,10 +358,10 @@ def test_overflowing_squares_of_finite_states_raise(x, t_end):
     # near 9e153 (squares 8e307) on a short grid only the mean of three
     # paths' squares at a checkpoint does: compare raises rather than read
     # inf or NaN evidence, and warns of nothing
-    t = np.linspace(0.0, t_end, 257)
+    cfg = _grid(t_end, 256)
     with pytest.raises(FloatingPointError, match="^squared state norms or "
                        "their time averages overflow$"):
-        _signal_evidence(t, np.full((3, len(t)), x))
+        _signal_evidence(cfg, np.full((3, cfg.n_steps + 1), x))
 
 
 def test_compare_chunks_matches_compare(monkeypatch):
@@ -368,7 +390,7 @@ def test_compare_raises_worker_failure_after_every_shard_stopped():
     # are slow, shard 2 slower than the calling thread's shard 0, and stop
     # before their next chunk; compare raises the worker's error only once
     # no shard thread is left
-    t = np.linspace(0.0, 64.0, 257)
+    cfg = _grid(64.0, 256)
     fed = [0, 0, 0]
     pause = [0.01, 0.0, 0.2]
 
@@ -383,7 +405,7 @@ def test_compare_raises_worker_failure_after_every_shard_stopped():
 
     with pytest.raises(FloatingPointError,
                        match="^non-finite states in ensemble$"):
-        compare(UNDECIDED, t, [shard(0), shard(1), shard(2)])
+        compare(UNDECIDED, cfg, [shard(0), shard(1), shard(2)])
     assert not _shard_threads()
     assert fed[1] == 1 and max(fed) < 64
 
@@ -423,10 +445,10 @@ def test_compare_reentrant_across_threads(monkeypatch):
 def test_compare_holds_one_chunk_per_shard(monkeypatch):
     # while compare reduces a chunk, the shard has already dropped the one
     # before it: beyond what sample_chunks set up (transitions, noise
-    # factors, draw buffers) and the grid, the traced peak is one chunk per
-    # running group plus the feeds' temporaries of 2**15 norms each.  On
-    # two CPUs a running group draws 2**18 normals per chunk, so each chunk
-    # is 2 MiB of states and the two running ones 4 MiB; the bound gives
+    # factors, draw buffers), the traced peak is one chunk per running
+    # group plus the feeds' temporaries of 2**15 norms each.  On two CPUs
+    # a running group draws 2**18 normals per chunk, so each chunk is
+    # 2 MiB of states and the two running ones 4 MiB; the bound gives
     # the feeds 1.5x headroom.  The shapes are a narrow long ensemble (one
     # group per CPU) and a wide short one (128-path groups).  A first small
     # compare takes the one-time costs of a first call, such as lazy
@@ -435,15 +457,13 @@ def test_compare_holds_one_chunk_per_shard(monkeypatch):
     drift = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
     sigma = DiffusionSpec.constant(np.eye(2))
     warm = SimConfig(dt=0.125, t_end=64.0, paths=4, seed=3)
-    compare(UNDECIDED, warm.times, sample_chunks(drift, sigma, [1.0, 1.0],
-                                                 warm))
+    compare(UNDECIDED, warm, sample_chunks(drift, sigma, [1.0, 1.0], warm))
     for paths, n_steps, groups in ((64, 4 * 8192, 2), (1024, 4096, 8)):
         cfg = SimConfig(dt=0.125, t_end=0.125 * n_steps, paths=paths, seed=3)
-        times = cfg.times
         shards = sample_chunks(drift, sigma, [1.0, 1.0], cfg)
         tracemalloc.start()
         try:
-            ev = compare(UNDECIDED, times, shards)
+            ev = compare(UNDECIDED, cfg, shards)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
