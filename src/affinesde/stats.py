@@ -11,6 +11,9 @@ that runs it, into an `EvidenceAccumulator` with O(paths) state and never
 holds an ensemble.
 Every reduction is per path, so the accumulators joined along the path axis
 hold what one accumulator fed every path would, whatever the shard count.
+The rules read the path medians and their log-log least-squares trends
+across the checkpoint times, the grid times dt ceil(N/q) the values are
+read at.
 `evidence` applies simple, explainable decision rules at fixed thresholds,
 the module constants below, which no caller or scenario can loosen, and
 reports Consistent / Inconsistent / Inconclusive — it never forces agreement.
@@ -47,17 +50,12 @@ MIN_GRID_POINTS = 64        # fewer -> Inconclusive outright
 
 
 # ---------------------------------------------------------------------------
-# checkpoints and the ensemble mean square
+# the ensemble mean square and the log-log trend
 # ---------------------------------------------------------------------------
-
-def dyadic_checkpoints(t_end: float) -> np.ndarray:
-    """Limsup-proxy checkpoints T/16, T/8, T/4, T/2."""
-    return t_end / np.array([16.0, 8.0, 4.0, 2.0])
-
 
 def ensemble_mean_sq(ensemble: PathEnsemble):
     """E||X(t)||^2 curve with per-time standard errors; (mean, stderr)."""
-    sq = ensemble.norms ** 2
+    sq = squared_norms(ensemble.states)
     mean = np.mean(sq, axis=0)
     if ensemble.n_paths > 1:
         se = np.std(sq, axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
@@ -66,36 +64,44 @@ def ensemble_mean_sq(ensemble: PathEnsemble):
     return mean, se
 
 
-# ---------------------------------------------------------------------------
-# trend classification
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class TrendResult:
     label: str          # Decreasing | Flat | Increasing
-    slope: float        # least-squares slope on the log-time axis
+    slope: float        # least-squares slope of log v against log t
     stderr: float
 
 
-def trend(times, values) -> TrendResult:
-    """Sign of the least-squares slope of values against log(t), at 2 sigma."""
+def log_trend(times, vals) -> TrendResult:
+    """Sign of the least-squares slope of log v against log t, at 2 sigma.
+
+    A centred closed-form fit on the positive-time points: with t~ and v~
+    the logs of t and max(v, 1e-300) less their means, the slope is
+    t~.v~ / t~.t~ with variance |v~ - slope t~|^2 / ((n - 2) t~.t~).  A
+    constant series has one v~, 0 up to the rounding of its mean, so it
+    reads Flat; at a power-of-two count of points, such as the four
+    checkpoints, the mean is exact and slope and stderr are 0.  A monotone
+    series that reaches exact zero has decayed past the smallest positive
+    double, whose repeated floor values would inflate the error and mask
+    the collapse: it reads Decreasing.
+    """
     t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
+    v = np.asarray(vals, dtype=float)
     keep = t > 0
-    t, v = np.log(t[keep]), v[keep]
+    t, v = t[keep], v[keep]
     if len(t) < 3:
         raise ValueError("trend needs at least three positive-time points")
-    X = np.column_stack([np.ones_like(t), t])
-    coef, *_ = np.linalg.lstsq(X, v, rcond=None)
-    resid = v - X @ coef
-    dof = len(t) - 2
-    s2 = float(resid @ resid) / dof if dof > 0 else 0.0
-    var_slope = s2 / float(np.sum((t - t.mean()) ** 2))
-    se = math.sqrt(max(var_slope, 0.0))
-    slope = float(coef[1])
+    lt = np.log(t)
+    lt -= lt.mean()
+    lv = np.log(np.maximum(v, 1e-300))
+    lv -= lv.mean()
+    sxx = float(lt @ lt)
+    slope = float(lt @ lv) / sxx
+    resid = lv - slope * lt
+    se = math.sqrt(float(resid @ resid) / ((len(t) - 2) * sxx))
     if slope > 2.0 * se:
         label = INCREASING
-    elif slope < -2.0 * se:
+    elif slope < -2.0 * se or (v[0] > 0 and v[-1] == 0.0
+                                and np.all(np.diff(v) <= 0)):
         label = DECREASING
     else:
         label = FLAT
@@ -133,22 +139,6 @@ class RegimeEvidence:
         }
 
 
-def _log_trend(times, vals) -> TrendResult:
-    """Trend of a positive magnitude series on a log scale.
-
-    Decay over many orders of magnitude then registers as a trend.  A
-    monotone series that reaches exact zero has decayed past the smallest
-    positive double; the repeated floor values would otherwise inflate the
-    regression error and mask the collapse, so it is labelled Decreasing.
-    """
-    v = np.asarray(vals, dtype=float)
-    res = trend(times, np.log(np.maximum(v, 1e-300)))
-    if res.label == FLAT and v[0] > 0 and v[-1] == 0.0 and \
-            np.all(np.diff(v) <= 0):
-        res = TrendResult(label=DECREASING, slope=res.slope, stderr=res.stderr)
-    return res
-
-
 class EvidenceAccumulator:
     """The running reductions of ||X||^2 that the compare rules read.
 
@@ -157,10 +147,11 @@ class EvidenceAccumulator:
     state is O(paths) whatever the chunking.  T is dt N, and every index is
     integer arithmetic on N:
 
-    - the maximum over each segment between the dyadic checkpoints
-      T/16 ... T/2, at indices ceil(N/q) for q = 16, 8, 4, 2, giving tail
-      suprema over [t_i, T] as a suffix maximum and running maxima over
-      [0, t_i] as a prefix maximum
+    - the maximum over each segment between the dyadic checkpoints, grid
+      points ceil(N/q) for q = 16, 8, 4, 2 at the times dt ceil(N/q) that
+      `checkpoints` holds (T/q when q divides N), giving tail suprema over
+      [t_i, T] as a suffix maximum and running maxima over [0, t_i] as a
+      prefix maximum
     - the minimum over the last window [7T/8, T], grid points
       N - N // 8 .. N, the first at or after 7T/8 (for N < 8, the last step)
     - the trapezoid sum of ||X||^2 up to T/2 and up to T, from one in-place
@@ -177,8 +168,8 @@ class EvidenceAccumulator:
         N, dt = cfg.n_steps, cfg.dt
         self._half_step = 0.5 * dt
         self.n_points = N + 1
-        self.checkpoints = dyadic_checkpoints(dt * N)
         self._cp = [-(-N // q) for q in (16, 8, 4, 2)]
+        self.checkpoints = dt * np.array(self._cp, dtype=float)
         self._bounds = [0, *self._cp, self.n_points]
         self._win = N - max(N // 8, 1)
         self._half = self._cp[-1]
@@ -254,7 +245,9 @@ class EvidenceAccumulator:
         band with window infima collapsing toward zero and a decreasing
         time-average; Unbounded expects running maxima increasing across
         checkpoints, plus the collapse statistics when the noise is fading.
-        Mixed signals yield Inconclusive, contradictions Inconsistent.  The
+        Mixed signals yield Inconclusive, contradictions Inconsistent; running
+        maxima never fall, so the Unbounded rule has no Inconsistent outcome.
+        The trends are `log_trend` fits across the checkpoint times.  The
         thresholds are the module constants STABLE_FINAL_SUP, BAND_RATIO,
         LIMINF_FRACTION, LIMINF_RATIO and MIN_GRID_POINTS.  Overflowed
         squares or sums (NaN or +inf) raise FloatingPointError.
@@ -285,9 +278,9 @@ class EvidenceAccumulator:
                    "avg_sq_final_median": np.median(aver_final)}
 
         trends = {
-            "tail_sup_median": _log_trend(cps, sup_med),
-            "running_max_median": _log_trend(cps, rmax_med),
-            "mean_sq_checkpoints": _log_trend(cps, msq_at),
+            "tail_sup_median": log_trend(cps, sup_med),
+            "running_max_median": log_trend(cps, rmax_med),
+            "mean_sq_checkpoints": log_trend(cps, msq_at),
         }
 
         regime = verdict.regime
@@ -343,20 +336,14 @@ class EvidenceAccumulator:
 
         if regime == UNBOUNDED:
             growing = bool(np.all(np.diff(rmax_med) > 0))
-            extras_ok = True
-            if verdict.fading_noise:
-                extras_ok = frac >= LIMINF_FRACTION and avg_falls
-                if not extras_ok:
-                    notes.append("fading-noise collapse statistics missing")
-            if growing and extras_ok:
-                return build(CONSISTENT)
-            if trends["running_max_median"].label == DECREASING:
-                notes.append("running maxima decreasing against an unbounded "
-                             "prediction")
-                return build(INCONSISTENT)
-            notes.append("running maxima not strictly increasing across all "
-                         "checkpoints")
-            return build(INCONCLUSIVE)
+            collapses = not verdict.fading_noise or (
+                frac >= LIMINF_FRACTION and avg_falls)
+            if not collapses:
+                notes.append("fading-noise collapse statistics missing")
+            if not growing:
+                notes.append("running maxima not strictly increasing across "
+                             "all checkpoints")
+            return build(CONSISTENT if growing and collapses else INCONCLUSIVE)
 
         raise ValueError(f"unknown regime {regime!r}")
 

@@ -21,7 +21,7 @@ from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
                              interval_integrals)
 from affinesde.simulate import (SimConfig, bessel_scenario, sample_chunks,
                                 simulate_X, step_covariance)
-from affinesde.stats import compare, dyadic_checkpoints, ensemble_mean_sq
+from affinesde.stats import compare, ensemble_mean_sq
 
 A2 = np.array([[-1.0, 0.5], [0.0, -2.0]])
 DRIFT2 = ConstantDrift(A2)
@@ -234,7 +234,7 @@ def test_criterion_08_mean_square_equivalence():
                      SimConfig(dt=0.25, t_end=512.0, paths=2000, seed=808))
     msq, _ = ensemble_mean_sq(ens)
     cps_idx = [int(np.searchsorted(ens.times, c - 1e-9))
-               for c in dyadic_checkpoints(512.0)]
+               for c in 512.0 / np.array([16, 8, 4, 2])]
     vals = msq[cps_idx]
     assert np.all(np.diff(vals) < 0)
 
@@ -244,7 +244,7 @@ def test_criterion_08_mean_square_equivalence():
                      SimConfig(dt=0.125, t_end=16.0, paths=2000, seed=809))
     msq, se = ensemble_mean_sq(ens)
     cps_idx = [int(np.searchsorted(ens.times, c - 1e-9))
-               for c in dyadic_checkpoints(16.0)]
+               for c in 16.0 / np.array([16, 8, 4, 2])]
     vals, errs = msq[cps_idx], se[cps_idx]
     # non-decreasing up to sampling noise
     for j in range(len(vals) - 1):

@@ -494,6 +494,19 @@ def test_verify_large_noise(tmp_path, capsys):
     assert codes[1] == codes[0]
 
 
+def test_verify_flat_running_maxima_inconclusive(tmp_path, capsys):
+    # from x0 = 100 under noise 0.01 every running maximum is the initial
+    # 100: an exactly flat series, neither growth nor a contradiction
+    doc = _scalar_doc(0.01, dt=0.25, t_end=140.0, seed=1)
+    doc["initial_state"] = [100.0]
+    assert main(["verify", write(tmp_path, doc), "--out", str(tmp_path)]) \
+        == EXIT_UNDECIDED
+    report = yaml.safe_load(capsys.readouterr().out)
+    assert report["verdict"]["regime"] == "Unbounded"
+    assert report["evidence"]["notes"] == ["running maxima not strictly "
+                                           "increasing across all checkpoints"]
+
+
 def test_simulate_nonfinite_states_exit_numeric(tmp_path, capsys,
                                                monkeypatch):
     # the unstable drift [[1]] multiplies the state by e^4 each step of

@@ -15,8 +15,7 @@ from affinesde.simulate import (SimConfig, sample_chunks, simulate_X,
                                 simulate_Y, squared_norms)
 from affinesde.stats import (CONSISTENT, DECREASING, FLAT, INCONCLUSIVE,
                              INCONSISTENT, INCREASING, EvidenceAccumulator,
-                             compare, dyadic_checkpoints, ensemble_mean_sq,
-                             trend)
+                             compare, ensemble_mean_sq, log_trend)
 
 # a verdict without a prediction: compare reports the evidence, no rules
 UNDECIDED = SimpleNamespace(regime="Undecided")
@@ -127,14 +126,51 @@ def test_ensemble_mean_sq_ou_stationary():
 
 def test_trend_labels():
     t = np.geomspace(1.0, 100.0, 24)
-    assert trend(t, 2.0 * np.log(t) + 1).label == INCREASING
-    assert trend(t, -0.5 * np.log(t)).label == DECREASING
+    assert log_trend(t, np.exp(2.0 * np.log(t) + 1)).label == INCREASING
+    assert log_trend(t, np.exp(-0.5 * np.log(t))).label == DECREASING
     rng = np.random.default_rng(2)
-    assert trend(t, 5.0 + 1e-6 * rng.standard_normal(24)).label == FLAT
+    assert log_trend(t, np.exp(5.0 + 1e-6 * rng.standard_normal(24))).label \
+        == FLAT
 
 
-def test_dyadic_checkpoints():
-    np.testing.assert_allclose(dyadic_checkpoints(16.0), [1.0, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("t_end, n_steps, level",
+                         [(140.0, 560, 100.0), (64.0, 256, 10.0)])
+def test_constant_series_trend_is_exactly_flat(t_end, n_steps, level):
+    # a constant series has no slope to fit: it reads Flat with slope and
+    # stderr 0 at the checkpoints of any grid, not the sign of rounding noise
+    cps = EvidenceAccumulator(_grid(t_end, n_steps), 1).checkpoints
+    res = log_trend(cps, np.full(len(cps), level))
+    assert (res.label, res.slope, res.stderr) == (FLAT, 0.0, 0.0)
+
+
+def test_checkpoints_are_the_grid_times_read():
+    # the checkpoints are the times dt ceil(N/q) of the grid points the
+    # statistics are read at, and the trends are fitted on them; where q
+    # divides N they are T/16 ... T/2
+    assert EvidenceAccumulator(_grid(16.0, 16), 1).checkpoints.tolist() \
+        == [1.0, 2.0, 4.0, 8.0]
+    cfg = SimConfig(dt=0.5, t_end=50.0, paths=1, seed=0)
+    t = cfg.times
+    sq = 1.0 + t ** 2
+    acc = EvidenceAccumulator(cfg, 1)
+    acc.add(0, sq[:, None])
+    ev = acc.evidence(UNDECIDED)
+    assert ev.checkpoints.tolist() == [3.5, 6.5, 12.5, 25.0]
+    cps = [7, 13, 25, 50]
+    slope = np.polyfit(np.log(t[cps]), np.log(sq[cps]), 1)[0]
+    assert ev.trends["mean_sq_checkpoints"].slope == pytest.approx(slope,
+                                                                   rel=1e-9)
+
+
+def test_unbounded_growth_without_collapse_notes_only_the_collapse():
+    # running maxima that grow at every checkpoint, under fading noise whose
+    # collapse statistics are missing: Inconclusive, for the collapse alone
+    cfg = _grid(64.0, 256)
+    acc = EvidenceAccumulator(cfg, 1)
+    acc.add(0, (1.0 + cfg.times)[:, None])
+    ev = acc.evidence(SimpleNamespace(regime="Unbounded", fading_noise=True))
+    assert ev.agreement == INCONCLUSIVE
+    assert ev.notes == ("fading-noise collapse statistics missing",)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +317,7 @@ def test_accumulator_matches_brute_force_any_chunking():
     T = t[-1]
     # grid indices of the checkpoints, T/2 and the window start 7T/8
     marks = [int(np.flatnonzero(t == c)[0])
-             for c in (*dyadic_checkpoints(T), T / 2, T - T / 8)]
+             for c in (T / 16, T / 8, T / 4, T / 2, T - T / 8)]
     splits = {
         "single steps": _splits(n, range(n)),
         "cut at and around each mark": _splits(
