@@ -5,9 +5,9 @@ from .model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
                     LogPower, PeriodicDrift, PowerLaw, QuadratureError)
 from .criteria import (FinitenessRuling, RegimeVerdict, classify,
                        criterion_report, decide_I, decide_Sprime, limit_Lh)
-from .simulate import (PathEnsemble, SimConfig, bessel_scenario,
-                       sample_chunks, simulate_X, simulate_Y, step_covariance)
-from .stats import RegimeEvidence, compare, ensemble_mean_sq
+from .simulate import (PathEnsemble, SimConfig, sample_chunks, simulate_X,
+                       step_covariance)
+from .stats import RegimeEvidence, compare
 
 __version__ = "0.1.0"
 
@@ -16,8 +16,8 @@ __all__ = [
     "PeriodicDrift", "PowerLaw", "QuadratureError",
     "FinitenessRuling", "RegimeVerdict", "classify", "criterion_report",
     "decide_I", "decide_Sprime", "limit_Lh",
-    "PathEnsemble", "SimConfig", "bessel_scenario", "sample_chunks",
-    "simulate_X", "simulate_Y", "step_covariance",
-    "RegimeEvidence", "compare", "ensemble_mean_sq",
+    "PathEnsemble", "SimConfig", "sample_chunks", "simulate_X",
+    "step_covariance",
+    "RegimeEvidence", "compare",
     "__version__",
 ]

@@ -34,7 +34,8 @@ from . import criteria, stats
 from .linalg import monodromy
 from .model import (ENVELOPE_FAMILIES, REGIME_UNDECIDED, ConstantDrift,
                     DiffusionSpec, PeriodicDrift, QuadratureError)
-from .simulate import CovarianceError, SimConfig, collect, sample_chunks
+from .simulate import (CovarianceError, SimConfig, sample_chunks,
+                       squared_norms, state_norms)
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "AFFINESDE_OUT"
@@ -321,17 +322,37 @@ def _chunks(scn: Scenario):
         raise ScenarioError(str(exc)) from exc
 
 
-def _write_paths_csv(ens, path: Path) -> None:
-    d = ens.d
-    header = "path_id,t," + ",".join(f"x_{i+1}" for i in range(d)) + ",norm2"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for p in range(ens.n_paths):
-            for j, t in enumerate(ens.times):
-                row = [str(p), f"{t:.17g}"]
-                row += [f"{x:.17g}" for x in ens.states[p, j]]
-                row.append(f"{ens.norms[p, j]:.17g}")
-                fh.write(",".join(row) + "\n")
+_CSV_ROWS = 2 ** 13   # CSV rows formatted at once
+
+
+def _write_csv(fh, shards, cfg: SimConfig) -> np.ndarray:
+    """Write the paths CSV from the group streams, walked together on this
+    thread, and return the last grid row's states.  Rows are time-major (t
+    outer, path_id inner), values but path_id at 17 significant digits:
+    each pass joins the groups along the path axis up to the end of their
+    shortest chunk and formats about _CSV_ROWS rows with one % format."""
+    streams = [iter(s) for s in shards]
+    chunks = [next(s) for s in streams]   # the X_0 chunks: no draws yet
+    d = chunks[0][1].shape[2]
+    fh.write("path_id,t," + ",".join(f"x_{i + 1}" for i in range(d))
+             + ",norm2\n")
+    row = "%d,%.17g" + ",%.17g" * (d + 1) + "\n"
+    ids, times, n0 = np.arange(cfg.paths), cfg.times, 0
+    step = max(1, _CSV_ROWS // cfg.paths)
+    while n0 <= cfg.n_steps:
+        for i, (c0, k) in enumerate([(c0, len(X)) for c0, X in chunks]):
+            if c0 + k == n0:   # taken whole: drop it before the next draws
+                chunks[i] = None
+                chunks[i] = next(streams[i])
+        end = min(c0 + len(X) for c0, X in chunks)
+        for j in range(n0, end, step):
+            e = min(j + step, end)
+            X = np.concatenate([X[j - c0:e - c0] for c0, X in chunks], axis=1)
+            vals = np.dstack([*np.broadcast_arrays(ids, times[j:e, None]), X,
+                              state_norms(X)])
+            fh.write(row * ids.size * (e - j) % tuple(vals.ravel().tolist()))
+        n0 = end
+    return X[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +386,28 @@ def _made_out_dir(scn: Scenario, args) -> Path:
 
 def cmd_simulate(scn: Scenario, args) -> int:
     out = _made_out_dir(scn, args)
-    ens = collect(_chunks(scn), scn.simulation)
+    cfg = scn.simulation
+    shards = _chunks(scn)   # the set-up runs here, before the CSV is opened
     csv_path = out / f"{scn.name}.paths.csv"
-    _write_paths_csv(ens, csv_path)
-    msq, msq_se = stats.ensemble_mean_sq(ens)
+    fh = open(csv_path, "w")
+    try:
+        with fh:   # the states stream from the sampler; no ensemble
+            last = _write_csv(fh, shards, cfg)
+    except BaseException:   # a failure mid-stream leaves no partial CSV
+        csv_path.unlink(missing_ok=True)
+        raise
+    # the summary reads the last grid row alone, summed in path order as
+    # numpy sums the columns of a (paths, N+1) array: the ensemble's bits
+    sq, n = squared_norms(last), cfg.paths
+    msq = float(np.cumsum(sq)[-1]) / n
+    var = float(np.cumsum((sq - msq) ** 2)[-1]) / (n - 1) if n > 1 else 0.0
     doc = {"scenario": scn.name, "csv": str(csv_path),
-           "paths": ens.n_paths, "steps": len(ens.times) - 1,
-           "dt": ens.config.dt, "t_end": float(ens.times[-1]),
-           "seed": ens.config.seed,
-           "final_mean_sq": float(msq[-1]),
-           "final_mean_sq_se": float(msq_se[-1]),
-           "final_norm_median": float(np.median(ens.norms[:, -1]))}
+           "paths": cfg.paths, "steps": cfg.n_steps,
+           "dt": cfg.dt, "t_end": float(cfg.times[-1]),
+           "seed": cfg.seed,
+           "final_mean_sq": msq,
+           "final_mean_sq_se": math.sqrt(var) / math.sqrt(n),
+           "final_norm_median": float(np.median(np.sqrt(sq)))}
     _emit(doc, out, f"{scn.name}.simulate.yaml")
     return EXIT_OK
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from .linalg import step_propagators
 from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
-                    PeriodicDrift, PowerLaw, check_drift, eval_sigma,
+                    PeriodicDrift, check_drift, eval_sigma,
                     gauss_legendre_rule)
 
 # normal draws per chunk over the running path groups.  Each running group
@@ -607,26 +607,3 @@ def simulate_X(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> PathEnsemble:
     demonstrations.
     """
     return collect(sample_chunks(drift, sigma, xi, cfg), cfg)
-
-
-def simulate_Y(sigma: DiffusionSpec, cfg: SimConfig) -> PathEnsemble:
-    """Sample the auxiliary process dY = -Y dt + sigma(t) dB, Y(0) = 0.
-
-    The recursion Y_{n+1} = e^{-dt} Y_n + V_{n+1} is exact in distribution.
-    """
-    d = sigma.d
-    return simulate_X(ConstantDrift(-np.eye(d)), sigma, np.zeros(d), cfg)
-
-
-def bessel_scenario(d: int, alpha: float, cfg: SimConfig,
-                    xi=None) -> PathEnsemble:
-    """Square-Bessel-type benchmark: A = -I_d, sigma(t) = (1+t)^alpha I_d.
-
-    Used for qualitative regime inspection in dimension d >= 3.
-    """
-    if d < 3:
-        raise ValueError("the benchmark needs d >= 3")
-    sigma = DiffusionSpec.envelope(PowerLaw(scale=1.0, exponent=float(alpha)),
-                                   np.eye(d))
-    start = np.ones(d) if xi is None else xi
-    return simulate_X(ConstantDrift(-np.eye(d)), sigma, start, cfg)

@@ -17,7 +17,6 @@ read at.
 `evidence` applies simple, explainable decision rules at fixed thresholds,
 the module constants below, which no caller or scenario can loosen, and
 reports Consistent / Inconsistent / Inconclusive — it never forces agreement.
-`ensemble_mean_sq` gives the mean-square curve of an in-memory ensemble.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BOUNDED, REGIME_UNDECIDED, STABLE, UNBOUNDED
-from .simulate import PathEnsemble, SimConfig, map_shards, squared_norms
+from .simulate import SimConfig, map_shards, squared_norms
 
 DECREASING = "Decreasing"
 FLAT = "Flat"
@@ -50,19 +49,8 @@ MIN_GRID_POINTS = 64        # fewer -> Inconclusive outright
 
 
 # ---------------------------------------------------------------------------
-# the ensemble mean square and the log-log trend
+# the log-log trend
 # ---------------------------------------------------------------------------
-
-def ensemble_mean_sq(ensemble: PathEnsemble):
-    """E||X(t)||^2 curve with per-time standard errors; (mean, stderr)."""
-    sq = squared_norms(ensemble.states)
-    mean = np.mean(sq, axis=0)
-    if ensemble.n_paths > 1:
-        se = np.std(sq, axis=0, ddof=1) / math.sqrt(ensemble.n_paths)
-    else:
-        se = np.zeros_like(mean)
-    return mean, se
-
 
 @dataclass(frozen=True)
 class TrendResult:

@@ -19,9 +19,9 @@ from affinesde.linalg import monodromy, solve_lyapunov
 from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
                              LogPower, PeriodicDrift, PowerLaw,
                              interval_integrals)
-from affinesde.simulate import (SimConfig, bessel_scenario, sample_chunks,
-                                simulate_X, step_covariance)
-from affinesde.stats import compare, ensemble_mean_sq
+from affinesde.simulate import (SimConfig, sample_chunks, simulate_X,
+                                squared_norms, step_covariance)
+from affinesde.stats import compare
 
 A2 = np.array([[-1.0, 0.5], [0.0, -2.0]])
 DRIFT2 = ConstantDrift(A2)
@@ -232,7 +232,7 @@ def test_criterion_08_mean_square_equivalence():
     assert all(check_fading(fading, h) for h in (0.5, 1.0, 2.0))
     ens = simulate_X(drift, fading, [0.0],
                      SimConfig(dt=0.25, t_end=512.0, paths=2000, seed=808))
-    msq, _ = ensemble_mean_sq(ens)
+    msq = squared_norms(ens.states).mean(axis=0)
     cps_idx = [int(np.searchsorted(ens.times, c - 1e-9))
                for c in 512.0 / np.array([16, 8, 4, 2])]
     vals = msq[cps_idx]
@@ -242,7 +242,8 @@ def test_criterion_08_mean_square_equivalence():
     assert not any(check_fading(const, h) for h in (0.5, 1.0, 2.0))
     ens = simulate_X(drift, const, [0.0],
                      SimConfig(dt=0.125, t_end=16.0, paths=2000, seed=809))
-    msq, se = ensemble_mean_sq(ens)
+    sq = squared_norms(ens.states)
+    msq, se = sq.mean(axis=0), sq.std(axis=0, ddof=1) / math.sqrt(ens.n_paths)
     cps_idx = [int(np.searchsorted(ens.times, c - 1e-9))
                for c in 16.0 / np.array([16, 8, 4, 2])]
     vals, errs = msq[cps_idx], se[cps_idx]
@@ -312,8 +313,8 @@ def test_criterion_11_bessel_scenarios():
     sigma = DiffusionSpec.envelope(PowerLaw(1.0, 1.0), np.eye(d))
     verdict = classify(sigma, drift)
     assert verdict.regime == "Unbounded"
-    ens = bessel_scenario(d, 1.0, SimConfig(dt=0.05, t_end=512.0, paths=100,
-                                            seed=113))
+    ens = simulate_X(drift, sigma, np.ones(d),
+                     SimConfig(dt=0.05, t_end=512.0, paths=100, seed=113))
     # minima over the trailing 64-unit windows ending at T/2 + 32 and at T
     w = int(round(64.0 / 0.05))
     n = ens.norms.shape[1]

@@ -410,16 +410,77 @@ def test_simulate_zero_noise_csv(tmp_path, capsys):
     rows = (tmp_path / "demo.paths.csv").read_text().splitlines()
     assert rows[0] == "path_id,t,x_1,x_2,norm2"
     assert len(rows) == 1 + 2 * 5
+    # time-major: t outer, path_id inner
+    assert [r.split(",")[:2] for r in rows[1:3]] == [["0", "0"], ["1", "0"]]
+    assert rows[-1].split(",")[:2] == ["1", "2"]
     # the deterministic flow reloads bit-faithfully from 17 significant digits
     from scipy.linalg import expm
     A = np.array([[-1.0, 0.5], [0.0, -2.0]])
-    first = rows[1].split(",")
-    last = rows[5].split(",")
-    assert [float(x) for x in first[2:4]] == [1.0, 1.0]
     expect = expm(A * 2.0) @ np.array([1.0, 1.0])
-    reloaded = np.array([float(x) for x in last[2:4]])
-    np.testing.assert_allclose(reloaded, expect, atol=1e-10)
+    for first, last in zip(rows[1:3], rows[-2:]):
+        assert [float(x) for x in first.split(",")[2:4]] == [1.0, 1.0]
+        reloaded = np.array([float(x) for x in last.split(",")[2:4]])
+        np.testing.assert_allclose(reloaded, expect, atol=1e-10)
     assert report["paths"] == 2
+
+
+def _ensemble_rows(ens):
+    """CSV data rows of an in-memory ensemble, path-major, each value
+    formatted on its own."""
+    rows = []
+    for p in range(ens.n_paths):
+        for j, t in enumerate(ens.times):
+            row = [str(p), f"{t:.17g}"]
+            row += [f"{x:.17g}" for x in ens.states[p, j]]
+            row.append(f"{ens.norms[p, j]:.17g}")
+            rows.append(",".join(row))
+    return rows
+
+
+def test_simulate_csv_does_not_depend_on_the_grouping(tmp_path, capsys,
+                                                      monkeypatch):
+    # a 2-d periodic drift; on one CPU and on two, the small draw budget cuts
+    # the 7 paths into groups of unequal width and so of unequal chunk
+    # length, which the writer joins at the shortest chunk's end
+    doc = base_doc(drift={"kind": "periodic", "period": 1.0,
+                          "times": [0.0, 0.5],
+                          "values": [[[-1.0, 0.5], [0.0, -2.0]],
+                                     [[-2.0, 0.0], [0.3, -0.5]]]},
+                   sigma={"kind": "constant", "values": [[1.0, 0.0],
+                                                         [0.5, 1.0]]},
+                   simulation={"dt": 0.125, "t_end": 375.0, "paths": 7,
+                               "seed": 5})
+    path = write(tmp_path, doc)
+    scn = load_scenario(path)
+    monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 2 ** 13)
+    texts = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
+        lengths = {len(list(s)[1][1]) for s in cli._chunks(scn)}
+        assert len(lengths) > 1, lengths
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["simulate", path, "--out", str(out)]) == EXIT_OK
+        texts.append((out / "demo.paths.csv").read_text())
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+    rows = texts[0].splitlines()
+    assert rows[0] == "path_id,t,x_1,x_2,norm2"
+    ens = simulate.simulate_X(scn.drift, scn.sigma, scn.initial_state,
+                              scn.simulation)
+    assert sorted(rows[1:]) == sorted(_ensemble_rows(ens))
+
+
+def test_simulate_one_path_summary(tmp_path, capsys):
+    doc = base_doc(simulation={"dt": 0.125, "t_end": 4.0, "paths": 1,
+                               "seed": 2})
+    assert main(["simulate", write(tmp_path, doc), "--out",
+                 str(tmp_path)]) == EXIT_OK
+    report = yaml.safe_load(capsys.readouterr().out)
+    assert report["final_mean_sq_se"] == 0.0
+    last = [float(x) for x in (tmp_path / "demo.paths.csv").read_text()
+            .splitlines()[-1].split(",")]
+    assert report["final_norm_median"] == last[-1]
+    assert report["final_mean_sq"] == last[2] ** 2 + last[3] ** 2
 
 
 def test_simulate_flag_overrides(tmp_path, capsys):
@@ -522,6 +583,9 @@ def test_simulate_nonfinite_states_exit_numeric(tmp_path, capsys,
         assert code == EXIT_NUMERIC
         assert "numeric failure: non-finite states in ensemble" in \
             capsys.readouterr().err
+        # the CSV opened before the failure is removed, and no report written
+        assert not (tmp_path / "demo.paths.csv").exists()
+        assert not (tmp_path / "demo.simulate.yaml").exists()
 
 
 def test_simulate_failed_propagator_solve_exits_numeric(tmp_path, capsys):

@@ -16,8 +16,8 @@ from affinesde.model import (GL_NODES, ConstantDrift, DiffusionSpec,
                              eval_drift, eval_sigma, gauss_legendre_rule)
 from affinesde import simulate
 from affinesde.simulate import (CovarianceError, PathEnsemble, SimConfig,
-                                bessel_scenario, collect, sample_chunks,
-                                simulate_X, simulate_Y, step_covariance)
+                                collect, sample_chunks, simulate_X,
+                                step_covariance)
 from affinesde.stats import compare
 
 OU_DRIFT = ConstantDrift(np.array([[-1.0]]))
@@ -290,11 +290,11 @@ def test_states_scale_with_sigma():
 
 
 # ---------------------------------------------------------------------------
-# auxiliary process Y
+# auxiliary process Y: dY = -Y dt + sigma dB, Y(0) = 0
 # ---------------------------------------------------------------------------
 
 def test_Y_drift_deterministic_decay():
-    # simulate_Y's drift -I from a non-zero start, without noise
+    # Y's drift -I from a non-zero start, without noise
     cfg = SimConfig(dt=0.125, t_end=4.0, paths=3, seed=1)
     ens = simulate_X(ConstantDrift(-np.eye(1)),
                      DiffusionSpec.constant([[0.0]]), [2.0], cfg)
@@ -305,7 +305,7 @@ def test_Y_drift_deterministic_decay():
 
 def test_Y_stationary_variance():
     cfg = SimConfig(dt=0.25, t_end=16.0, paths=4000, seed=42)
-    ens = simulate_Y(DiffusionSpec.constant([[1.5]]), cfg)
+    ens = simulate_X(OU_DRIFT, DiffusionSpec.constant([[1.5]]), [0.0], cfg)
     target = 1.5 ** 2 / 2
     final = ens.states[:, -1, 0]
     est = float(np.var(final, ddof=1))
@@ -315,7 +315,7 @@ def test_Y_stationary_variance():
 
 def test_Y_increments_are_gaussian():
     cfg = SimConfig(dt=0.5, t_end=50.0, paths=100, seed=3)
-    ens = simulate_Y(UNIT_SIGMA, cfg)
+    ens = simulate_X(OU_DRIFT, UNIT_SIGMA, [0.0], cfg)
     q = (1 - math.exp(-2 * cfg.dt)) / 2
     y = ens.states[:, :, 0]
     v = (y[:, 1:] - math.exp(-cfg.dt) * y[:, :-1]) / math.sqrt(q)
@@ -340,11 +340,17 @@ def test_X_zero_noise_matches_matrix_exponential():
 
 
 def test_X_reduces_to_Y():
-    spec = DiffusionSpec.constant([[0.7]])
+    # drift -I from 0 is the recursion Y_{n+1} = e^{-dt} Y_n + sqrt(q) Z_n,
+    # each path drawing its Z_n from its own Philox stream
     cfg = SimConfig(dt=0.5, t_end=8.0, paths=5, seed=9)
-    a = simulate_Y(spec, cfg)
-    b = simulate_X(ConstantDrift(-np.eye(1)), spec, [0.0], cfg)
-    np.testing.assert_array_equal(a.states, b.states)
+    ens = simulate_X(OU_DRIFT, DiffusionSpec.constant([[0.7]]), [0.0], cfg)
+    q = 0.7 ** 2 * -math.expm1(-2 * cfg.dt) / 2
+    gens = simulate._path_generators(cfg.seed, range(cfg.paths))
+    for p, g in enumerate(gens):
+        y = [0.0]
+        for z in g.standard_normal(cfg.n_steps):
+            y.append(math.exp(-cfg.dt) * y[-1] + math.sqrt(q) * z)
+        np.testing.assert_allclose(ens.states[p, :, 0], y, atol=1e-12)
 
 
 def test_X_mean_square_matches_analytic():
@@ -1041,14 +1047,12 @@ def test_groups_beyond_the_shared_buffers_draw_into_fresh_ones(monkeypatch):
 # benchmark scenario
 # ---------------------------------------------------------------------------
 
-def test_bessel_requires_dimension():
-    with pytest.raises(ValueError):
-        bessel_scenario(2, -1.0, SimConfig(dt=0.1, t_end=1.0, paths=1, seed=0))
-
-
 def test_bessel_decaying_noise_shrinks():
+    # A = -I_5, sigma(t) = (1 + t)^-1 I_5
     cfg = SimConfig(dt=0.05, t_end=128.0, paths=30, seed=4)
-    ens = bessel_scenario(5, -1.0, cfg)
+    ens = simulate_X(ConstantDrift(-np.eye(5)),
+                     DiffusionSpec.envelope(PowerLaw(1.0, -1.0), np.eye(5)),
+                     np.ones(5), cfg)
     early = float(np.median(np.max(ens.norms[:, :200], axis=1)))
     late = float(np.median(ens.norms[:, -1]))
     assert late < 0.1 * early
@@ -1056,7 +1060,7 @@ def test_bessel_decaying_noise_shrinks():
 
 def test_derived_series():
     cfg = SimConfig(dt=0.5, t_end=4.0, paths=2, seed=6)
-    ens = simulate_Y(UNIT_SIGMA, cfg)
+    ens = simulate_X(OU_DRIFT, UNIT_SIGMA, [0.0], cfg)
     np.testing.assert_allclose(ens.norms, np.abs(ens.states[:, :, 0]))
     # the time-average compare reads from the same stream, against a direct
     # trapezoid average of the collected norms at the final time

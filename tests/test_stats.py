@@ -12,10 +12,10 @@ from affinesde.criteria import classify
 from affinesde.model import ConstantDrift, DiffusionSpec, ExpDecay, LogPower
 from affinesde import simulate
 from affinesde.simulate import (SimConfig, sample_chunks, simulate_X,
-                                simulate_Y, squared_norms)
+                                squared_norms)
 from affinesde.stats import (CONSISTENT, DECREASING, FLAT, INCONCLUSIVE,
                              INCONSISTENT, INCREASING, EvidenceAccumulator,
-                             compare, ensemble_mean_sq, log_trend)
+                             compare, log_trend)
 
 # a verdict without a prediction: compare reports the evidence, no rules
 UNDECIDED = SimpleNamespace(regime="Undecided")
@@ -104,13 +104,19 @@ def test_avg_sq_sine_approaches_half():
     assert ev.avg_sq_final[0] == pytest.approx(0.5, abs=2e-3)
 
 
+def _mean_sq(ens):
+    """E||X(t)||^2 over the paths with its per-time standard errors."""
+    sq = squared_norms(ens.states)
+    return sq.mean(axis=0), sq.std(axis=0, ddof=1) / math.sqrt(ens.n_paths)
+
+
 def test_ensemble_mean_sq_deterministic():
     A = np.array([[-1.0, 0.5], [0.0, -2.0]])
     xi = np.array([1.0, -1.0])
     cfg = SimConfig(dt=0.25, t_end=3.0, paths=3, seed=0)
     ens = simulate_X(ConstantDrift(A), DiffusionSpec.constant(np.zeros((2, 2))),
                      xi, cfg)
-    mean, se = ensemble_mean_sq(ens)
+    mean, se = _mean_sq(ens)
     from scipy.linalg import expm
     expect = [float(np.sum((expm(A * t) @ xi) ** 2)) for t in ens.times]
     np.testing.assert_allclose(mean, expect, atol=1e-12)
@@ -119,8 +125,9 @@ def test_ensemble_mean_sq_deterministic():
 
 def test_ensemble_mean_sq_ou_stationary():
     cfg = SimConfig(dt=0.25, t_end=16.0, paths=3000, seed=21)
-    ens = simulate_Y(DiffusionSpec.constant([[1.0]]), cfg)
-    mean, se = ensemble_mean_sq(ens)
+    ens = simulate_X(ConstantDrift(-np.eye(1)), DiffusionSpec.constant([[1.0]]),
+                     [0.0], cfg)
+    mean, se = _mean_sq(ens)
     assert abs(mean[-1] - 0.5) <= 3 * se[-1]
 
 
