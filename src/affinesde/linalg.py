@@ -268,8 +268,9 @@ def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
     where the solver's error estimate does not hold, whether or not the
     knots are uniform; and each transition has O(1) entries, so the absolute
     tolerance acts as a relative one, which it does not on a whole period's
-    decayed entries.  A ConstantDrift raises a ValueError, and any other
-    drift a TypeError.
+    decayed entries.  A product that is not finite raises a RuntimeError;
+    one that is finite is returned however small its determinant.  A
+    ConstantDrift raises a ValueError, and any other drift a TypeError.
     """
     if isinstance(drift, ConstantDrift):
         raise ValueError("monodromy needs a periodic drift; "
@@ -284,10 +285,13 @@ def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
                              in zip(edges, edges[1:], counts)])
     steps = step_propagators(drift, starts, np.diff(np.append(starts, period)),
                              tol)(0.0)
+    # det Psi(T) = exp(int_0^T tr A) under- or overflows on valid drifts, so
+    # only a product that leaves the doubles is a failure
     Psi_T = steps[0]
-    for step in steps[1:]:
-        Psi_T = step @ Psi_T
-    det = float(np.linalg.det(Psi_T))
-    if det == 0.0:
-        raise RuntimeError("monodromy matrix is singular; integration failed")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in steps[1:]:
+            Psi_T = step @ Psi_T
+    if not np.all(np.isfinite(Psi_T)):
+        raise RuntimeError("monodromy matrix is not finite: the period's "
+                           "transition product overflows")
     return MonodromyResult(Psi_T=Psi_T, rho=spectral_radius(Psi_T))

@@ -29,8 +29,9 @@ The recursion streams: `sample_chunks` cuts the paths into contiguous path
 groups and returns one stream of time-major chunks (n0, X[k, path, i]) per
 group, so a consumer that only reduces them (such as `stats.compare`) never
 holds the (paths, N+1, d) ensemble: while it works on a chunk, each running
-group holds only a draw buffer and that one chunk of states, since a stream
-drops a chunk before it draws the next.  `simulate_X` gathers the same
+group holds only that one chunk of states plus a staging slice of at most
+_STAGE paths' draws, since a stream drops a chunk before it draws the next
+and draws a chunk's paths _STAGE at a time.  `simulate_X` gathers the same
 chunks into a `PathEnsemble`.  `map_shards` runs a consumer on every group
 on a pool of one thread per CPU, the calling thread among them: the draws
 and the numpy kernels release the interpreter lock.  A group is narrow
@@ -64,15 +65,22 @@ from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
                     gauss_legendre_rule)
 
 # normal draws per chunk over the running path groups.  Each running group
-# holds a draw buffer of up to _CHUNK_DRAWS / T normals and a chunk of d / r
-# times as many states, so the budget sets the sampler's working set, while
-# the per-path draws set the wall time.  2**19 is the knee of a sweep on a shared 2-vCPU machine:
+# holds a chunk of up to d / r times _CHUNK_DRAWS / T states plus a staging
+# slice of at most _STAGE paths' draws, so the budget sets the sampler's
+# working set, while the per-path draws set the wall time.  2**19 is the
+# knee of a sweep on a shared 2-vCPU machine:
 # against 2**20 it took verify-periodic's peak RSS from 67.6 to 55.2 MB,
 # its median wall time 1-9% longer over two seeds, inside the runs' spread,
 # while 2**18 saved 4-6 MB more at 10-20% more wall time, as narrower
 # groups pay the solve's per-step matmuls over fewer paths
 _CHUNK_DRAWS = 2 ** 19
 _FILL = 2048             # least normals per draw call of one path
+# most paths of a group drawn and turned into increments at once: the knee
+# of a sweep of the increment matmul on chunks of 1,280 x 100 and 1,024 x 125
+# paths on a shared 2-vCPU machine, 0.44-0.74 ms a chunk in slices of 32
+# against 0.47-0.57 ms whole, 0.65-0.95 ms in slices of 16 and 1.09-1.28 ms
+# in slices of 8
+_STAGE = 32
 _BLOCK = 64              # target steps per block of the blocked recursion
 _COV_BLOCK = 8192        # set-up block length in steps (level 0's over d r)
 _COV_TOL = 1e-10         # relative tolerance of the covariance panel's checks
@@ -372,9 +380,11 @@ def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
     hands the interpreter lock to the other threads: as wide as affords
     each path s steps, _FILL / r rounded up to whole blocks.  The group
     count is rounded up to a multiple of T so that every thread runs as
-    many groups.  The T draw buffers, which together take what one stream's
-    would, are allocated here, on the calling thread, which keeps them in
-    its malloc arena whichever thread later runs a group.
+    many groups.  A running group holds its chunk of states plus a staging
+    slice of at most _STAGE paths' draws (see _solve).  The T scratch
+    buffers, each the larger of a slice and the solve's widest product, are
+    allocated here, on the calling thread, which keeps them in its malloc
+    arena whichever thread later runs a group.
     """
     N, r, d = noise_t.shape
     b, P = _block_products(trans)
@@ -405,10 +415,17 @@ def _product_rows(k: int, b: int) -> int:
     return max(min(b, k), -(-k // b))
 
 
+def _stage_width(w: int) -> int:
+    """Paths per staging slice of a group of w paths: the slices of at most
+    _STAGE paths, as few as that allows, split evenly but the last."""
+    return -(-w // -(-w // _STAGE))
+
+
 def _scratch_size(w: int, k: int, r: int, d: int, b: int) -> int:
-    """Doubles of scratch for a group of w paths and chunks of k steps: its
-    draws or its widest solve product, whichever is larger."""
-    return max(w * k * r, _product_rows(k, b) * w * d)
+    """Doubles of scratch for a group of w paths and chunks of k steps: one
+    staging slice's draws or its widest solve product, whichever is
+    larger."""
+    return max(_stage_width(w) * k * r, _product_rows(k, b) * w * d)
 
 
 def _solve(TT, PT, b: int, noise_t, xi, seed: int, paths: range, k: int,
@@ -417,13 +434,17 @@ def _solve(TT, PT, b: int, noise_t, xi, seed: int, paths: range, k: int,
 
     TT and PT are the C-order transposes of trans and of the block products
     P.  Once X_0 is out, the group builds its paths' Philox streams and
-    takes a draw buffer from pool, which it returns after its last chunk (a
-    fresh buffer if none is free: more groups run at once than map_shards
-    runs, or a stream was left unfinished).  Each chunk draws path p's
-    standard normals from the path's own stream into row p of the buffer's
-    (paths, k, r) view Z, and forms the increments V_n = noise[n] Z_n in the
-    chunk's output array with one batched matmul; the solve's products then
-    reuse the buffer, since Z is read only by that matmul.
+    takes a scratch buffer from pool, which it returns after its last chunk
+    (a fresh buffer if none is free: more groups run at once than map_shards
+    runs, or a stream was left unfinished).  Each chunk is a fresh
+    (k, paths, d) array, filled a staging slice of at most _STAGE paths at a
+    time (see _stage_width): path p draws its chunk's standard normals from
+    its own stream, in one call, into its row of the buffer's (slice, k, r)
+    view Z, and one batched matmul per slice writes the slice's increments
+    V_n = noise[n] Z_n into the chunk.  So the group holds the chunk plus
+    one slice's draws, not a whole chunk's; the solve's products then reuse
+    the buffer, since Z is read only by those matmuls.  Each path's
+    increments are the same in any slice.
 
     The recursion is then solved in blocks of b steps (see _block_products)
     anchored at absolute step indices s = 0, b, 2b, ...: the in-block partial
@@ -446,16 +467,20 @@ def _solve(TT, PT, b: int, noise_t, xi, seed: int, paths: range, k: int,
         scratch = pool.pop()
     except IndexError:
         scratch = np.empty(_scratch_size(w, k, r, d, b))
-    Z = scratch[:w * k * r].reshape(w, k, r)
+    stage = _stage_width(w)
+    Z = scratch[:stage * k * r].reshape(stage, k, r)
     rows = _product_rows(k, b)
     tmp = scratch[:rows * w * d].reshape(rows, w, d)
     Xs = X[0]   # state at the current block's start
     for start in range(0, N, k):
         kk = min(k, N - start)
-        for p, g in enumerate(gens):
-            g.standard_normal(out=Z[p, :kk])
-        out = np.matmul(np.swapaxes(Z[:, :kk], 0, 1),
-                        noise_t[start:start + kk])
+        out = np.empty((kk, w, d))
+        for lo in range(0, w, stage):
+            hi = min(w, lo + stage)
+            for z, g in zip(Z, gens[lo:hi]):
+                g.standard_normal(out=z[:kk])
+            np.matmul(np.swapaxes(Z[:hi - lo, :kk], 0, 1),
+                      noise_t[start:start + kk], out=out[:, lo:hi])
         for i in range(1, min(b, kk)):
             cur = out[i::b]
             n = len(cur)
@@ -493,14 +518,15 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
     holds one stream per group, in path order; `map_shards` runs them,
     min(CPUs, paths) at a time.  Each stream's chunks cover grid points
     0..N in order, the first holding X_0 alone; a later chunk is a fresh
-    array of b max(1, (2**19 // T) // (width r b)) steps but the last,
-    whole blocks of b (about 64) steps, T = min(CPUs, paths) and width the
-    group's path count.  A stream drops each chunk when asked for the
-    next, so a consumer that drops it too holds, per running group, a draw
-    buffer and one chunk of states; one that keeps chunks (`list`) may, and
-    pays for them.  The drift is a ConstantDrift or a PeriodicDrift, whose
-    period dt must divide (one whose samples are all identical is a
-    constant drift); any other drift is a TypeError.  The set-up (the exact
+    array of b max(1, (_CHUNK_DRAWS // T) // (width r b)) steps but the
+    last, whole blocks of b (about 64) steps, T = min(CPUs, paths) and width
+    the group's path count.  A stream drops each chunk when asked for the
+    next, so a consumer that drops it too holds, per running group, one
+    chunk of states plus a staging slice of at most _STAGE paths' draws; one
+    that keeps chunks (`list`) may, and pays for them.  The drift is a
+    ConstantDrift or a PeriodicDrift, whose period dt must divide (one whose
+    samples are all identical is a constant drift); any other drift is a
+    TypeError.  The set-up (the exact
     transitions, and in one blocked pass the panel covariances of either
     sigma form, at the level their checks pick, each block rooted as it is
     built into the noise factors) runs before this returns; a non-finite

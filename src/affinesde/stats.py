@@ -343,9 +343,10 @@ def compare(verdict, cfg: SimConfig, shards) -> RegimeEvidence:
 
     Each shard's squared norms feed its own accumulator on the thread that
     `map_shards` runs it on; each chunk, and every view of it, is dropped
-    once fed, so per running shard only the sampler's draw buffer and one
-    chunk of states are alive.  The accumulators are joined along the path
-    axis in shard order before the rules run.  Both run without overflow
+    once fed, so per running shard only one chunk of states plus the
+    sampler's staging slice of at most `_STAGE` paths' draws are alive.
+    The accumulators are joined along the path axis in shard order before
+    the rules run.  Both run without overflow
     warnings, in every worker too: `evidence` raises on an overflow instead.
     """
     def reduce(_, chunks):

@@ -813,6 +813,45 @@ def test_classify_and_floquet_agree_on_a_barely_stable_drift(tmp_path, capsys):
     assert verdict["regime"] == "Unbounded"
 
 
+def _kinked_diagonal_doc(a):
+    """The 2-knot drift of period 1 with A(0) = a I and A(1/2) = a I plus
+    0.1 above the diagonal, with ExpDecay noise: rho = e^a, while det Psi(1)
+    = e^{2 a} leaves the doubles for |a| = 400 already."""
+    return base_doc(drift={"kind": "periodic", "period": 1.0,
+                           "times": [0.0, 0.5],
+                           "values": [[[a, 0.0], [0.0, a]],
+                                      [[a, 0.1], [0.0, a]]]})
+
+
+def test_extremely_stable_periodic_drift_is_stable(tmp_path, capsys):
+    # rho = e^-400 is a normal double though det Psi(1) underflows to 0
+    path = write(tmp_path, _kinked_diagonal_doc(-400.0))
+    assert main(["classify", path, "--out", str(tmp_path)]) == EXIT_OK
+    assert yaml.safe_load(capsys.readouterr().out)["verdict"]["regime"] == \
+        "StableAS"
+    assert main(["floquet", path, "--out", str(tmp_path)]) == EXIT_OK
+    assert yaml.safe_load(capsys.readouterr().out)["rho"] == \
+        pytest.approx(math.exp(-400.0), rel=1e-9)
+
+
+def test_extremely_unstable_periodic_drift(tmp_path, capsys):
+    # e^800 overflows the period's product: a numeric failure, reported on
+    # one line and no traceback; e^400 does not, though its determinant
+    # does, and classify rules on it with no RuntimeWarning (the suite
+    # turns those into errors)
+    path = write(tmp_path, _kinked_diagonal_doc(800.0))
+    for command in ("classify", "floquet"):
+        assert main([command, path, "--out", str(tmp_path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("numeric failure:") == 1, err
+        assert err.startswith("numeric failure: monodromy matrix is not "
+                              "finite") and "Traceback" not in err
+    path = write(tmp_path, _kinked_diagonal_doc(400.0), "a400.yaml")
+    assert main(["classify", path, "--out", str(tmp_path)]) == EXIT_UNDECIDED
+    assert yaml.safe_load(capsys.readouterr().out)["verdict"]["regime"] == \
+        "Undecided"
+
+
 def test_sampler_setup_error_exit_parse(tmp_path, capsys):
     # dt = 0.05 does not divide the period 2 pi: only sampling needs that,
     # so the scenario parses, classify and floquet run, and verify and

@@ -452,6 +452,31 @@ def test_monodromy_constant_scalar():
     assert abs(np.linalg.det(res.Psi_T)) > 0
 
 
+def _diagonal_kink(a):
+    """The 2-knot drift of period 1 with A(0) = a I and A(1/2) = a I plus
+    0.1 above the diagonal: int_0^1 tr A = 2 a, and rho = e^a."""
+    return PeriodicDrift(period=1.0, times=[0.0, 0.5],
+                         values=[a * np.eye(2), [[a, 0.1], [0.0, a]]])
+
+
+def test_monodromy_keeps_an_underflowing_determinant():
+    # det Psi(1) = e^-800 underflows to 0.0, yet rho = e^-400 ~ 1.9e-174 is
+    # a normal double: only a product that is not finite is a failure
+    res = monodromy(_diagonal_kink(-400.0), tol=1e-12)
+    assert np.linalg.det(res.Psi_T) == 0.0
+    assert res.rho == pytest.approx(math.exp(-400.0), rel=1e-9)
+
+
+def test_monodromy_overflow_is_a_runtime_error():
+    # e^800 leaves the doubles: a RuntimeError, with no RuntimeWarning (the
+    # suite turns warnings into errors) and no ValueError from the radius
+    with pytest.raises(RuntimeError, match="^monodromy matrix is not finite"):
+        monodromy(_diagonal_kink(800.0), tol=1e-12)
+    # e^400 is finite though its determinant e^800 is not
+    assert monodromy(_diagonal_kink(400.0), tol=1e-12).rho == \
+        pytest.approx(math.exp(400.0), rel=1e-9)
+
+
 def test_monodromy_sin_drift_is_neutral():
     drift = _sampled(lambda t: [[math.sin(t)]], 16)
     assert monodromy(drift, tol=1e-12).rho == pytest.approx(1.0, abs=1e-8)

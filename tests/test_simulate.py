@@ -1021,6 +1021,55 @@ def test_whole_block_chunks_keep_the_fill_and_the_budget(
     np.testing.assert_array_equal(streamed, whole.states)
 
 
+@pytest.mark.parametrize("paths", [7, 101])
+def test_staging_width_moves_no_bit(monkeypatch, paths):
+    # a group draws and transforms its paths a staging slice at a time; a
+    # path's increments are the same in a slice of 1, of 3 (the last one
+    # shorter), of 32 or of the whole group, on one CPU and on two
+    cfg = SimConfig(dt=0.25, t_end=0.25 * 300, paths=paths, seed=17)
+    whole = simulate_X(PERIODIC2, EYE2_SIGMA, [1.0, -1.0], cfg).states
+    for stage, cpus in itertools.product((1, 3, 32, 1000), (1, 2)):
+        monkeypatch.setattr(simulate, "_STAGE", stage)
+        monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
+        states = collect(sample_chunks(PERIODIC2, EYE2_SIGMA, [1.0, -1.0],
+                                       cfg), cfg).states
+        assert np.array_equal(states, whole), (stage, cpus)
+
+
+def _chunk_lengths(_, chunks):
+    """The length of every chunk of a stream, each dropped before the
+    stream draws the next."""
+    lengths = []
+    for _, X in chunks:
+        lengths.append(len(X))
+        del X
+    return lengths
+
+
+def test_running_group_holds_one_chunk_plus_a_staging_slice(monkeypatch):
+    # on one CPU 256 paths make one group with chunks of k = 1024 steps at
+    # 4096 steps.  Drained by a consumer that keeps nothing, the sampler's
+    # traced peak, less its N d d doubles of noise factors, stays below 1.5
+    # chunks: the chunk, and a staging slice of 32 paths' draws an eighth
+    # of its size, where a whole chunk's draws took a second chunk
+    monkeypatch.setattr(simulate, "_cpus", lambda: 1)
+    cfg = SimConfig(dt=0.25, t_end=0.25 * 4096, paths=256, seed=3)
+    k, w, d = 1024, 256, 2
+    tracemalloc.start()
+    try:
+        shards = sample_chunks(ConstantDrift(np.array([[-1.0, 0.5],
+                                                       [0.0, -2.0]])),
+                               EYE2_SIGMA, [1.0, 1.0], cfg)
+        assert len(shards) == 1
+        sizes = simulate.map_shards(_chunk_lengths, shards)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [[1] + [k] * 4]
+    factors = cfg.n_steps * d * d * 8
+    assert peak - factors < 1.5 * k * w * d * 8, (peak, factors)
+
+
 def test_groups_beyond_the_shared_buffers_draw_into_fresh_ones(monkeypatch):
     # a consumer that advances every group in turn keeps more groups started
     # than map_shards would, and so than there are shared draw buffers; the
