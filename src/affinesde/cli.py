@@ -11,9 +11,10 @@ are fixed in `stats`.  Subcommands:
 
 Exit codes: 0 success/Consistent, 1 scenario parse or usage error (a scenario
 name must be a plain file name) or a report or CSV that cannot be written
-(``output error:``), 2 numeric failure, 3 Undecided or Inconclusive, 4
-Inconsistent.  Reports go to a file <out>/<name>.<command>.yaml and, once
-written, to stdout; diagnostics go to stderr.
+(``output error:``), 2 numeric failure (``numeric failure:``), an array too
+large to allocate included, 3 Undecided or Inconclusive, 4 Inconsistent.
+Reports go to a file <out>/<name>.<command>.yaml and, once written, to
+stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -483,7 +484,8 @@ def main(argv=None) -> int:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (QuadratureError, CovarianceError, FloatingPointError,
-            OverflowError, np.linalg.LinAlgError, RuntimeError) as exc:
+            OverflowError, np.linalg.LinAlgError, RuntimeError,
+            MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -66,8 +66,8 @@ def term_Sprime(eps, theta_sq):
     if eps.ndim > 1 or not np.all(eps > 0):
         raise ValueError("eps must be positive: one value or a 1-d array")
     theta_sq = np.asarray(theta_sq, dtype=float)
-    if np.any(theta_sq < 0):
-        raise ValueError("theta_sq must be >= 0")
+    if not np.all(theta_sq >= 0):
+        raise ValueError("theta_sq must be >= 0 and not NaN")
     out = np.zeros(eps.shape + theta_sq.shape)
     pos = theta_sq > 0.0
     th, e = theta_sq[pos], eps[..., None]
@@ -109,15 +109,17 @@ def _analyze(spec: DiffusionSpec, pattern_norm_sq: Optional[float] = None) -> _P
     squared pattern norm; used to re-run the analysis under a norm other
     than Frobenius.
     """
-    f = spec.form
-    if isinstance(f, TableSigma):
-        held = frobenius_sq(f.values[-1]) > 0.0
+    if isinstance(spec, TableSigma):
+        held = frobenius_sq(spec.values[-1]) > 0.0
         return _Profile(REGIME_UNDECIDED, math.inf if held else 0.0, not held)
-    regime, L = f.envelope.profile()
-    F = frobenius_sq(f.pattern) if pattern_norm_sq is None else pattern_norm_sq
+    if not isinstance(spec, EnvelopePattern):
+        raise TypeError(f"sigma must be an EnvelopePattern or a TableSigma, "
+                        f"got {type(spec).__name__}")
+    regime, L = spec.envelope.profile()
+    F = frobenius_sq(spec.pattern) if pattern_norm_sq is None else pattern_norm_sq
     if F == 0.0 or regime == ZERO:
         return _Profile(STABLE, 0.0, True)
-    return _Profile(regime, L * F, regime != UNBOUNDED, f.envelope, F)
+    return _Profile(regime, L * F, regime != UNBOUNDED, spec.envelope, F)
 
 
 def _status(profile: _Profile, eps: float, width: float) -> str:
@@ -517,10 +519,9 @@ def norm_equiv_check(spec: DiffusionSpec, eps: float, alt_norm: str,
 
     Thresholds may move but the implied regime must not.
     """
-    f = spec.form
-    if not isinstance(f, EnvelopePattern):
+    if not isinstance(spec, EnvelopePattern):
         raise ValueError("norm comparison needs a constant or envelope form")
-    fro, alt = _analyze(spec), _analyze(spec, _alt_norm_sq(f.pattern, alt_norm))
+    fro, alt = _analyze(spec), _analyze(spec, _alt_norm_sq(spec.pattern, alt_norm))
     return NormEquivReport(
         eps=eps, alt_norm=alt_norm,
         status_frobenius=_status(fro, eps, h),

@@ -1,13 +1,16 @@
 """Diffusion and drift specifications, and windowed intensity integrals.
 
 The diffusion coefficient is a continuous matrix function sigma(t) of shape
-(d, r) in one of two forms: an envelope family times a constant pattern (a
-constant sigma is the pattern under the zero-exponent ``PowerLaw``), or a
-piecewise-linear table; any other form is a TypeError.  ``eval_sigma`` is
-the one evaluator of both forms, at a single time or at an array of times;
-the exact simulation's covariance panel reads both through it.  The
-classification criteria consume sigma only through weighted integrals of
-its squared Frobenius norm, so this module centralises those quadratures:
+(d, r), and its form is its spec: an ``EnvelopePattern``, an envelope family
+times a constant pattern (a constant sigma is the pattern under the
+zero-exponent ``PowerLaw``), or a piecewise-linear ``TableSigma``, both
+subclasses of the field-less ``DiffusionSpec``, whose constructors build
+them; any other object is a TypeError where sigma is read.  ``eval_sigma``
+is the one evaluator of both forms, at a single time or at an array of
+times; the exact simulation's covariance panel reads both through it.  A
+table and a periodic drift are interpolated by one routine, ``_table_at``.
+The classification criteria consume sigma only through weighted integrals
+of its squared Frobenius norm, so this module centralises those quadratures:
 ``interval_integrals`` (energy over each interval) and
 ``row_interval_integrals`` (the same per row of sigma) share one routine,
 exact Simpson over a table's pieces and, for envelopes, one call of
@@ -19,7 +22,7 @@ Specs are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -199,36 +202,67 @@ ENVELOPE_FAMILIES = (PowerLaw, LogPower, ExpDecay, LogGrow)
 # diffusion forms
 # ---------------------------------------------------------------------------
 
-def _readonly(a) -> np.ndarray:
+def _readonly(a, what: str = "matrix entries") -> np.ndarray:
     out = np.array(a, dtype=float)
     if not np.all(np.isfinite(out)):
-        raise ValueError("matrix entries must be finite")
+        raise ValueError(f"{what} must be finite")
     out.setflags(write=False)
     return out
 
 
+class DiffusionSpec:
+    """sigma(t) of shape (d, r): the base of its two forms, EnvelopePattern
+    and TableSigma, which the constructors build."""
+
+    # times where sigma may have a kink: a table's knots, else none
+    knots = np.empty(0)
+
+    @staticmethod
+    def constant(values) -> "EnvelopePattern":
+        """A constant sigma: the pattern under the zero-exponent PowerLaw,
+        whose value is exactly 1."""
+        return DiffusionSpec.envelope(PowerLaw(1.0, 0.0), values)
+
+    @staticmethod
+    def envelope(env, pattern) -> "EnvelopePattern":
+        return EnvelopePattern(env, np.atleast_2d(np.asarray(pattern, dtype=float)))
+
+    @staticmethod
+    def table(times, values) -> "TableSigma":
+        v = np.asarray(values, dtype=float)
+        return TableSigma(times, v[:, None, None] if v.ndim == 1 else v)
+
+
 @dataclass(frozen=True)
-class EnvelopePattern:
-    envelope: object
+class EnvelopePattern(DiffusionSpec):
+    """sigma(t) = envelope.value(t) * pattern."""
+
+    # field() keeps the inherited DiffusionSpec.envelope from being the default
+    envelope: object = field()
     pattern: np.ndarray
+    d = property(lambda self: self.pattern.shape[0])
+    r = property(lambda self: self.pattern.shape[1])
 
     def __post_init__(self):
         if not isinstance(self.envelope, ENVELOPE_FAMILIES):
             raise ValueError(f"unknown envelope family: {type(self.envelope).__name__}")
         object.__setattr__(self, "pattern", _readonly(self.pattern))
-        if self.pattern.ndim != 2:
-            raise ValueError("pattern must be a 2-d matrix")
+        if self.pattern.ndim != 2 or self.pattern.size == 0:
+            raise ValueError("pattern must be a 2-d matrix with d, r >= 1")
 
 
 @dataclass(frozen=True)
-class TableSigma:
+class TableSigma(DiffusionSpec):
     """Piecewise-linear samples; constant extrapolation beyond the last knot."""
 
     times: np.ndarray
     values: np.ndarray   # shape (len(times), d, r)
+    d = property(lambda self: self.values.shape[1])
+    r = property(lambda self: self.values.shape[2])
+    knots = property(lambda self: self.times)
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _readonly(self.times))
+        object.__setattr__(self, "times", _readonly(self.times, "table times"))
         object.__setattr__(self, "values", _readonly(self.values))
         if self.times.ndim != 1 or len(self.times) < 2:
             raise ValueError("table needs at least two sample times")
@@ -236,55 +270,9 @@ class TableSigma:
             raise ValueError("table times must be strictly increasing")
         if self.times[0] < 0:
             raise ValueError("table times must be >= 0")
-        if self.values.shape[0] != len(self.times) or self.values.ndim != 3:
+        if self.values.ndim != 3 or self.values.shape[0] != len(self.times) \
+                or self.values.size == 0:
             raise ValueError("table values must have shape (n_times, d, r)")
-
-
-@dataclass(frozen=True)
-class DiffusionSpec:
-    d: int
-    r: int
-    form: object
-
-    def __post_init__(self):
-        if self.d < 1 or self.r < 1:
-            raise ValueError("dimensions must be positive")
-        f = self.form
-        if isinstance(f, EnvelopePattern):
-            if f.pattern.shape != (self.d, self.r):
-                raise ValueError("pattern shape mismatch")
-        elif isinstance(f, TableSigma):
-            if f.values.shape[1:] != (self.d, self.r):
-                raise ValueError("table value shape mismatch")
-        else:
-            raise TypeError(f"sigma must be an EnvelopePattern or a "
-                            f"TableSigma, got {type(f).__name__}")
-
-    # -- constructors -------------------------------------------------------
-    @staticmethod
-    def constant(values) -> "DiffusionSpec":
-        """A constant sigma: the pattern under the zero-exponent PowerLaw,
-        whose value is exactly 1."""
-        return DiffusionSpec.envelope(PowerLaw(1.0, 0.0), values)
-
-    @staticmethod
-    def envelope(env, pattern) -> "DiffusionSpec":
-        p = np.atleast_2d(np.asarray(pattern, dtype=float))
-        return DiffusionSpec(p.shape[0], p.shape[1], EnvelopePattern(env, p))
-
-    @staticmethod
-    def table(times, values) -> "DiffusionSpec":
-        v = np.asarray(values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None, None]
-        return DiffusionSpec(v.shape[1], v.shape[2],
-                             TableSigma(np.asarray(times, float), v))
-
-    @property
-    def knots(self) -> np.ndarray:
-        """Times where sigma may have a kink: a table's knots, else none."""
-        return self.form.times if isinstance(self.form, TableSigma) \
-            else np.empty(0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +280,12 @@ class DiffusionSpec:
 # ---------------------------------------------------------------------------
 
 def frobenius_sq(m) -> float:
-    """Sum of squared entries."""
+    """Sum of squared entries; inf where it overflows."""
     a = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return float(np.sum(a * a))
+    with np.errstate(over="ignore"):
+        return float(np.sum(a * a))
 
 
 def _check_time(t) -> np.ndarray:
@@ -317,16 +306,27 @@ def eval_sigma(spec: DiffusionSpec, t) -> np.ndarray:
     differently from its array loop.
     """
     tt = _check_time(t)
-    f = spec.form
-    if isinstance(f, EnvelopePattern):
-        env = f.envelope.value(tt.reshape(-1)).reshape(tt.shape)
-        return env[..., None, None] * f.pattern
-    ts, vs = f.times, f.values
-    i = np.clip(np.searchsorted(ts, tt, side="right") - 1, 0, len(ts) - 2)
-    w = ((tt - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
+    if isinstance(spec, TableSigma):
+        return _table_at(spec.times, spec.values, tt)
+    if not isinstance(spec, EnvelopePattern):
+        raise TypeError(f"sigma must be an EnvelopePattern or a TableSigma, "
+                        f"got {type(spec).__name__}")
+    env = spec.envelope.value(tt.reshape(-1)).reshape(tt.shape)
+    # one (i, j) entry at a time: a broadcast's inner loop would be r long
+    out = np.empty(tt.shape + spec.pattern.shape)
+    for (i, j), p in np.ndenumerate(spec.pattern):
+        np.multiply(env, p, out=out[..., i, j])
+    return out
+
+
+def _table_at(ts: np.ndarray, vs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Samples vs at knots ts, interpolated linearly at times t of any shape,
+    a 0-d one included, and held at the end values beyond the knots."""
+    i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    w = ((t - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
     out = (1.0 - w) * vs[i] + w * vs[i + 1]
-    out[tt <= ts[0]] = vs[0]
-    out[tt >= ts[-1]] = vs[-1]
+    out[t <= ts[0]] = vs[0]
+    out[t >= ts[-1]] = vs[-1]
     return out
 
 
@@ -421,18 +421,23 @@ def _energies(sq, spec: DiffusionSpec, left, right, tol: float) -> np.ndarray:
         raise ValueError("intervals must satisfy 0 <= left <= right")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    f = spec.form
-    if isinstance(f, TableSigma):
-        ts = f.times
-        # cum[k] integrates over [ts[0], ts[k]]; the empty first piece is 0
-        cum = np.cumsum(_simpson(sq, spec, np.r_[ts[0], ts[:-1]], ts), axis=0)
+    if isinstance(spec, TableSigma):
+        ts = spec.times
         i = np.searchsorted(ts, left, side="right")      # first knot > left
         j = np.searchsorted(ts, right, side="left") - 1  # last knot < right
         split = i <= j
         i, j = np.minimum(i, len(ts) - 1), np.maximum(j, 0)
-        return (_simpson(sq, spec, left, np.where(split, ts[i], right))
-                + _times(split, cum[j] - cum[i])
-                + _simpson(sq, spec, np.where(split, ts[j], right), right))
+        # an overflow gives inf or NaN (inf - inf, 0 inf), which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            # cum[k] integrates over [ts[0], ts[k]]; the empty first piece is 0
+            cum = np.cumsum(_simpson(sq, spec, np.r_[ts[0], ts[:-1]], ts),
+                            axis=0)
+            res = (_simpson(sq, spec, left, np.where(split, ts[i], right))
+                   + _times(split, cum[j] - cum[i])
+                   + _simpson(sq, spec, np.where(split, ts[j], right), right))
+        if not np.all(np.isfinite(res)):
+            raise QuadratureError("table energy is not finite")
+        return res
 
     # envelopes: map every interval onto u in [0, 1] and integrate the
     # whole array on one shared rule
@@ -506,7 +511,7 @@ class PeriodicDrift:
 
     def __post_init__(self):
         _check_period(self.period)
-        object.__setattr__(self, "times", _readonly(self.times))
+        object.__setattr__(self, "times", _readonly(self.times, "table times"))
         object.__setattr__(self, "values", _readonly(self.values))
         ts = self.times
         if ts.ndim != 1 or len(ts) < 1 or ts[0] != 0.0 or np.any(np.diff(ts) <= 0):
@@ -543,19 +548,10 @@ def eval_drift(drift, t) -> np.ndarray:
     if isinstance(drift, ConstantDrift):
         return np.array(np.broadcast_to(drift.matrix,
                                         np.shape(t) + drift.matrix.shape))
-    return _periodic_drift_at(drift, np.asarray(t, dtype=float))
-
-
-def _periodic_drift_at(drift: PeriodicDrift, t: np.ndarray) -> np.ndarray:
-    """A periodic drift at an array of times of any shape, a 0-d one
-    included: t wrapped into [0, T) by fmod, its segment found by
-    searchsorted, and A linearly interpolated between the segment's knots."""
+    t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("drift times must be finite")
+    # t wrapped into [0, T) by fmod, or onto T itself after rounding
     tm = np.fmod(t, drift.period)
-    tm = np.where(tm < 0, tm + drift.period, tm)
-    ts, vs = drift._knot_array, drift._value_array
-    # tm = T after rounding stays on the wrap segment [t_last, T]
-    i = np.minimum(np.searchsorted(ts, tm, side="right"), len(ts) - 1) - 1
-    w = ((tm - ts[i]) / (ts[i + 1] - ts[i]))[..., None, None]
-    return (1.0 - w) * vs[i] + w * vs[i + 1]
+    return _table_at(drift._knot_array, drift._value_array,
+                     np.where(tm < 0, tm + drift.period, tm))

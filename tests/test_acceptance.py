@@ -154,7 +154,7 @@ def test_criterion_04_sum_integral_agreement():
         for eps in grid:
             a = decide_Sprime(spec, float(eps), 1.0, n_terms=16)
             b = decide_I(spec, float(eps), 1.0, t_max=16.0, tol=1e-6)
-            assert a.status == b.status, (spec.form, eps, a.status, b.status)
+            assert a.status == b.status, (spec, eps, a.status, b.status)
 
 
 # ---------------------------------------------------------------------------

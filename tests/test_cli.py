@@ -50,9 +50,9 @@ def test_load_scenario_returns_the_built_objects(tmp_path):
     assert isinstance(scn.drift, ConstantDrift)
     np.testing.assert_array_equal(scn.drift.matrix, [[-1.0, 0.5], [0.0, -2.0]])
     assert isinstance(scn.sigma, DiffusionSpec)
-    assert isinstance(scn.sigma.form, EnvelopePattern)
-    assert scn.sigma.form.envelope == ExpDecay(scale=1.0, rate=1.0)
-    np.testing.assert_array_equal(scn.sigma.form.pattern, np.eye(2))
+    assert isinstance(scn.sigma, EnvelopePattern)
+    assert scn.sigma.envelope == ExpDecay(scale=1.0, rate=1.0)
+    np.testing.assert_array_equal(scn.sigma.pattern, np.eye(2))
     assert scn.simulation == SimConfig(dt=0.125, t_end=64.0, paths=40,
                                        seed=11)
     assert scn.initial_state == (1.0, 1.0)
@@ -633,6 +633,35 @@ def test_classify_overflowing_energies_exit_numeric(tmp_path, capsys, family,
     assert time.perf_counter() - start < 1.0
     assert "numeric failure: quadrature value is not finite at 1 panels" in \
         capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_table_energies_exit_numeric(tmp_path, capsys):
+    # a table's window energies of 1e400 overflow: classify reports one
+    # numeric failure, where inf - inf made them NaN, read as zero terms
+    # (partial_value 0.0 at every eps, exit 3, two numpy warnings); verify
+    # needs no energy of a table, whose verdict is Undecided
+    doc = base_doc(sigma={"kind": "table", "times": [0.0, 1.0],
+                          "values": [[[1e200, 0.0]], [[1e200, 0.0]]]},
+                   drift={"kind": "constant", "matrix": [[-1.0]]},
+                   initial_state=[1.0])
+    path = write(tmp_path, doc)
+    assert main(["classify", path, "--out", str(tmp_path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.count("numeric failure:") == 1, err
+    assert "numeric failure: table energy is not finite" in err
+    assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_UNDECIDED
+
+
+def test_unallocatable_criterion_window_exits_numeric(tmp_path, capsys):
+    # 10^15 window edges take 7.11 PiB, beyond any 47-bit address space, so
+    # the allocation fails at once; the MemoryError was a traceback
+    doc = base_doc(criteria={"n_terms": 10 ** 15})
+    assert main(["classify", write(tmp_path, doc), "--out",
+                 str(tmp_path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.count("numeric failure:") == 1, err
+    assert "Unable to allocate" in err
 
 
 def _power_law_periodic_doc(scale, exponent):

@@ -87,6 +87,9 @@ def test_terms():
         term_Sprime(1.0, -1.0)
     with pytest.raises(ValueError):
         term_Sprime(1.0, np.array([1.0, -1.0]))
+    # a NaN energy (an overflowed table energy once was one) is no zero term
+    with pytest.raises(ValueError, match="not NaN"):
+        term_Sprime(1.0, [1.0, math.nan])
 
 
 def test_term_sprime_takes_an_array_of_eps():
@@ -646,8 +649,8 @@ def test_classify_h_independent(spec, regime):
         v = classify(spec, drift, h=h)
         assert v.regime == regime
         if regime == "BoundedNonConvergent":
-            F = float(np.sum(spec.form.pattern ** 2))
-            eps_star = math.sqrt(2.0 * h * spec.form.envelope.gamma * F)
+            F = float(np.sum(spec.pattern ** 2))
+            eps_star = math.sqrt(2.0 * h * spec.envelope.gamma * F)
             lo, hi = v.epsilon_star_bracket
             assert lo <= eps_star * (1 + 1e-3) and hi >= eps_star * (1 - 1e-3)
 
@@ -761,3 +764,9 @@ def test_criterion_report_roundtrip():
     assert d["fading"] is True and d["L_h"] == 0.0
     assert all(r["status"] == "finite" for r in d["sum_rulings"])
     assert all(r["status"] == "finite" for r in d["integral_rulings"])
+
+
+def test_classify_rejects_a_sigma_that_is_no_form():
+    with pytest.raises(TypeError, match="EnvelopePattern or a TableSigma, "
+                                        "got object"):
+        classify(object(), _A2)

@@ -227,7 +227,7 @@ def sigma_form_reads(source: str) -> list:
 def test_checker_flags_sigma_form_reads():
     source = ("from .model import TableSigma, DiffusionSpec, eval_sigma\n"
               "if isinstance(f, EnvelopePattern):\n"
-              "    g = f.envelope.value(t) * sigma.form.pattern\n"
+              "    g = f.envelope.value(t) * sigma.pattern\n"
               "envelope = DiffusionSpec.envelope(env, pattern)\n"
               "s = eval_sigma(spec, t)\n")
     assert sigma_form_reads(source) == [

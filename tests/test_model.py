@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from affinesde.model import (ENVELOPE_FAMILIES, GL_MAX_LEVEL, GL_NODES,
-                             ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
-                             LogPower, PeriodicDrift, PowerLaw,
-                             QuadratureError, eval_drift, eval_sigma,
-                             frobenius_sq, gauss_legendre, gauss_legendre_rule,
+                             ConstantDrift, DiffusionSpec, EnvelopePattern,
+                             ExpDecay, LogGrow, LogPower, PeriodicDrift,
+                             PowerLaw, QuadratureError, TableSigma, _table_at,
+                             eval_drift, eval_sigma, frobenius_sq,
+                             gauss_legendre, gauss_legendre_rule,
                              interval_integrals, row_interval_integrals,
                              sigma_fro_sq, sigma_row_sq)
 
@@ -107,7 +108,7 @@ def test_eval_sigma_array_matches_scalar_calls(name):
 
 def test_eval_sigma_table_knots_and_holds_are_exact():
     spec = _VEC_SPECS["table"]
-    vals = spec.form.values
+    vals = spec.values
     got = eval_sigma(spec, np.array([0.0, 0.37, 1.2, 2.0, 5.0, 9.0]))
     assert np.array_equal(got, vals[[0, 0, 1, 2, 3, 3]])
 
@@ -122,11 +123,11 @@ def test_eval_sigma_array_rejects_bad_times(name):
 
 def test_constant_sigma_is_zero_exponent_powerlaw():
     spec = DiffusionSpec.constant([[1.0, 0.3], [0.0, 0.8]])
-    assert spec.form.envelope == PowerLaw(1.0, 0.0)
-    assert np.array_equal(spec.form.pattern, [[1.0, 0.3], [0.0, 0.8]])
+    assert spec.envelope == PowerLaw(1.0, 0.0)
+    assert np.array_equal(spec.pattern, [[1.0, 0.3], [0.0, 0.8]])
     t = np.array([0.0, 1.0, 1e6])
     assert np.array_equal(eval_sigma(spec, t),
-                          np.broadcast_to(spec.form.pattern, (3, 2, 2)))
+                          np.broadcast_to(spec.pattern, (3, 2, 2)))
 
 
 def test_table_continuity_lipschitz():
@@ -303,7 +304,7 @@ def test_table_integral_exact_quadratic():
 
 def _piecewise_simpson(spec, a, b):
     """Reference: Simpson's rule on every piece of [a, b] between knots."""
-    ts = spec.form.times
+    ts = spec.times
     pts = np.concatenate(([a], ts[(ts > a) & (ts < b)], [b]))
     mids = 0.5 * (pts[:-1] + pts[1:])
     f0, fm, f1 = (sigma_fro_sq(spec, x) for x in (pts[:-1], mids, pts[1:]))
@@ -336,6 +337,24 @@ def test_table_row_energies_sum_to_frobenius_energies():
     np.testing.assert_allclose(rows.sum(axis=1),
                                interval_integrals(spec, left, right),
                                rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("values", [[1e200, 1e200], [1e154, 1e154, 1.0]],
+                         ids=["squares", "simpson-sum"])
+def test_overflowing_table_energies_raise(values):
+    # 1e200^2 overflows sigma^2 itself and 1e154^2 = 1e308 the Simpson sum;
+    # either gave NaN energies (inf - inf, 0 inf) and two warnings
+    spec = DiffusionSpec.table(np.arange(len(values), dtype=float), values)
+    with pytest.raises(QuadratureError, match="table energy is not finite"):
+        interval_integrals(spec, [0.0, 0.5], [1.0, 2.0])
+    with pytest.raises(QuadratureError, match="table energy is not finite"):
+        row_interval_integrals(spec, [0.0], [1.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_frobenius_sq_overflows_to_inf_quietly():
+    assert frobenius_sq([[1e200, 0.0]]) == math.inf
 
 
 def test_interval_integrals_validation():
@@ -395,7 +414,9 @@ def test_periodic_drift_matches_searchsorted_lookup_bit_for_bit():
     mids = [0.5 * (a + b) for a, b in zip(knots, knots[1:] + [T])]
     wrap = [knots[-1] + f * (T - knots[-1]) for f in (0.0, 0.3, 0.999)]
     ts = knots + mids + wrap + [-x for x in mids + wrap] + \
-        [k * T for k in (-3, -1, 0, 1, 2, 7)] + [-1e-300, math.nextafter(T, 0)]
+        [k * T for k in (-3, -1, 0, 1, 2, 7)] + [-1e-300, math.nextafter(T, 0)] + \
+        [math.nextafter(k * T, s) for k in (-7, -1, 0, 1, 2, 1000)
+         for s in (-math.inf, math.inf)]   # one ulp either side of k T
     for d in (drift, one):
         for t in ts + [0.7, 1.5, 2.9, -4.1, 1e6 + 0.1]:
             a, b = eval_drift(d, t), _searchsorted_drift(d, t)
@@ -446,11 +467,91 @@ def test_drift_period_must_be_finite_and_positive(period):
 
 
 def test_spec_shape_validation():
-    with pytest.raises(ValueError):
-        DiffusionSpec(2, 2, DiffusionSpec.constant([[1.0]]).form)
+    # the forms are the specs: any other object is a TypeError where sigma
+    # is read
     with pytest.raises(TypeError, match="EnvelopePattern or a TableSigma"):
-        DiffusionSpec(1, 1, object())
+        eval_sigma(object(), 0.0)
+    with pytest.raises(TypeError, match="EnvelopePattern or a TableSigma"):
+        interval_integrals(object(), [0.0], [1.0])
     with pytest.raises(ValueError):
         DiffusionSpec.table([0.0], [[[1.0]]])        # one sample only
     with pytest.raises(ValueError):
         DiffusionSpec.table([1.0, 0.0], [[[1.0]], [[2.0]]])
+
+
+# ---------------------------------------------------------------------------
+# the forms are the specs
+# ---------------------------------------------------------------------------
+
+def test_constructors_return_the_forms():
+    env = DiffusionSpec.envelope(PowerLaw(1.0, -0.5),
+                                 [[1.0, 0.2, 0.0], [0.5, -1.0, 0.3]])
+    const = DiffusionSpec.constant([[1.0, 0.3], [0.0, 0.8]])
+    table = DiffusionSpec.table([0.5, 1.0, 3.0], np.zeros((3, 2, 4)))
+    scalar_table = DiffusionSpec.table([0.0, 1.0], [1.0, 2.0])
+    for spec, form in ((env, EnvelopePattern), (const, EnvelopePattern),
+                       (table, TableSigma), (scalar_table, TableSigma)):
+        assert type(spec) is form and isinstance(spec, DiffusionSpec)
+    # d, r and the knots are read from the pattern or the table
+    assert [(s.d, s.r) for s in (env, const, table, scalar_table)] == \
+        [(2, 3), (2, 2), (2, 4), (1, 1)]
+    assert env.knots.shape == (0,) and const.knots.shape == (0,)
+    assert table.knots is table.times
+    assert np.array_equal(table.knots, [0.5, 1.0, 3.0])
+    # the base holds no data, and the forms stay frozen
+    assert not dataclasses.is_dataclass(DiffusionSpec)
+    assert [f.name for f in dataclasses.fields(EnvelopePattern)] == \
+        ["envelope", "pattern"]
+    assert [f.name for f in dataclasses.fields(TableSigma)] == \
+        ["times", "values"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        env.pattern = np.eye(2)
+    # the envelope field takes no default from the DiffusionSpec.envelope
+    # constructor it shadows
+    with pytest.raises(TypeError, match="envelope"):
+        EnvelopePattern(pattern=np.eye(2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DiffusionSpec.constant(np.zeros((2, 0))),
+    lambda: DiffusionSpec.envelope(ExpDecay(1.0, 1.0), np.zeros((0, 3))),
+    lambda: DiffusionSpec.table([0.0, 1.0], np.zeros((2, 0, 1))),
+    lambda: DiffusionSpec.table([0.0, 1.0], np.zeros((2, 3, 0))),
+], ids=["constant", "envelope", "table-rows", "table-columns"])
+def test_zero_size_sigma_rejected(build):
+    with pytest.raises(ValueError, match="d, r"):
+        build()
+
+
+def test_nan_table_time_is_a_bad_time():
+    with pytest.raises(ValueError, match="table times must be finite"):
+        DiffusionSpec.table([0.0, math.nan], [[[1.0]], [[2.0]]])
+
+
+def _point(ts, vs, t):
+    """Per-point reference of `_table_at`: hold the end values beyond the
+    knots, else interpolate between the knots that bracket t."""
+    if t <= ts[0]:
+        return vs[0]
+    if t >= ts[-1]:
+        return vs[-1]
+    i = int(np.searchsorted(ts, t, side="right")) - 1
+    w = (t - ts[i]) / (ts[i + 1] - ts[i])
+    return (1.0 - w) * vs[i] + w * vs[i + 1]
+
+
+def test_table_at_matches_the_per_point_formula():
+    rng = np.random.default_rng(11)
+    ts = np.array([0.37, 1.2, 2.0, 5.0])
+    vs = rng.uniform(-1.0, 1.0, size=(4, 2, 3))
+    t = np.concatenate([ts, np.nextafter(ts, 0.0), np.nextafter(ts, 9.0),
+                        [0.0, 0.1, 0.8, 3.3, 5.5, 1e9]])
+    got = _table_at(ts, vs, t)
+    assert got.shape == t.shape + (2, 3)
+    for x, g in zip(t, got):
+        assert np.array_equal(g, _point(ts, vs, x)), x
+    # on the knots and at the holds the samples come back exactly
+    assert np.array_equal(got[:4], vs)
+    assert np.array_equal(got[-6], vs[0]) and np.array_equal(got[-1], vs[-1])
+    assert np.array_equal(_table_at(ts, vs, np.array(0.8)),
+                          _point(ts, vs, 0.8))

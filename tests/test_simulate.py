@@ -560,8 +560,8 @@ def _envelope_covariances(sigma, times, dt, psis):
     the squared envelope at the nodes weighs the pattern's per-node
     covariances, Q_n = sum_k w_k g(t_n + u_k dt)^2 dt (E[j, k] p)(E[j, k] p)^T."""
     u, w = gauss_legendre_rule(0)
-    g = np.asarray(sigma.form.envelope.value(times[:, None] + u * dt)) ** 2
-    M = _level0_propagators(psis) @ sigma.form.pattern
+    g = np.asarray(sigma.envelope.value(times[:, None] + u * dt)) ** 2
+    M = _level0_propagators(psis) @ sigma.pattern
     C = (dt * M) @ np.swapaxes(M, -1, -2)
     m = len(M)
     Q = np.empty((len(times), sigma.d, sigma.d))
