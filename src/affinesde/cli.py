@@ -327,12 +327,13 @@ _CSV_ROWS = 2 ** 13   # CSV rows formatted at once
 
 
 def _write_csv(fh, shards, cfg: SimConfig) -> np.ndarray:
-    """Write the paths CSV from the group streams, walked together on this
-    thread, and return the last grid row's states.  Rows are time-major (t
-    outer, path_id inner), values but path_id at 17 significant digits:
-    each pass joins the groups along the path axis up to the end of their
-    shortest chunk and formats about _CSV_ROWS rows with one % format."""
-    streams = [iter(s) for s in shards]
+    """Write the paths CSV from the (paths, stream) group pairs, their
+    streams walked together on this thread in path order, and return the
+    last grid row's states.  Rows are time-major (t outer, path_id inner),
+    values but path_id at 17 significant digits: each pass joins the groups
+    along the path axis up to the end of their shortest chunk and formats
+    about _CSV_ROWS rows with one % format."""
+    streams = [iter(s) for _, s in shards]
     chunks = [next(s) for s in streams]   # the X_0 chunks: no draws yet
     d = chunks[0][1].shape[2]
     fh.write("path_id,t," + ",".join(f"x_{i + 1}" for i in range(d))

@@ -411,8 +411,9 @@ def _simpson(sq, spec: DiffusionSpec, a: np.ndarray, b: np.ndarray) -> np.ndarra
 def _energies(sq, spec: DiffusionSpec, left, right, tol: float) -> np.ndarray:
     """Integral of sq(spec, t), sq = sigma_fro_sq or sigma_row_sq, over each
     [left[i], right[i]].  A table's sq is quadratic between knots, so Simpson
-    is exact on the first and last piece, and the whole knot segments between
-    them come from cumulative sums.  Envelopes share one gauss_legendre."""
+    is exact on every piece: the partial first and last, and the whole knot
+    segments between them, whose energies are summed over the segments each
+    interval covers alone.  Envelopes share one gauss_legendre."""
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     if left.shape != right.shape:
@@ -427,13 +428,18 @@ def _energies(sq, spec: DiffusionSpec, left, right, tol: float) -> np.ndarray:
         j = np.searchsorted(ts, right, side="left") - 1  # last knot < right
         split = i <= j
         i, j = np.minimum(i, len(ts) - 1), np.maximum(j, 0)
-        # an overflow gives inf or NaN (inf - inf, 0 inf), which raises below
+        # an overflow gives inf or NaN (0 inf), which raises below
         with np.errstate(over="ignore", invalid="ignore"):
-            # cum[k] integrates over [ts[0], ts[k]]; the empty first piece is 0
-            cum = np.cumsum(_simpson(sq, spec, np.r_[ts[0], ts[:-1]], ts),
-                            axis=0)
+            # seg[k] integrates over [ts[k], ts[k + 1]], the last over the
+            # empty [ts[-1], ts[-1]]; reduceat sums seg[i:j] where i < j and
+            # gives seg[i] where the interval covers no whole segment, which
+            # the mask drops, so no other segment enters an interval's sum
+            seg = _simpson(sq, spec, ts, np.r_[ts[1:], ts[-1]])
+            whole = np.add.reduceat(seg, np.stack((i, j), -1).ravel(), axis=0)
+            whole = whole[::2].reshape(i.shape + seg.shape[1:])
+            covers = (i < j).reshape(i.shape + (1,) * (seg.ndim - 1))
             res = (_simpson(sq, spec, left, np.where(split, ts[i], right))
-                   + _times(split, cum[j] - cum[i])
+                   + np.where(covers, whole, 0.0)
                    + _simpson(sq, spec, np.where(split, ts[j], right), right))
         if not np.all(np.isfinite(res)):
             raise QuadratureError("table energy is not finite")

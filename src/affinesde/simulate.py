@@ -26,36 +26,36 @@ seeded independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
 
 The recursion streams: `sample_chunks` cuts the paths into contiguous path
-groups and returns one stream of time-major chunks (n0, X[k, path, i]) per
-group, so a consumer that only reduces them (such as `stats.compare`) never
-holds the (paths, N+1, d) ensemble: while it works on a chunk, each running
-group holds only that one chunk of states plus a staging slice of at most
-_STAGE paths' draws, since a stream drops a chunk before it draws the next
-and draws a chunk's paths _STAGE at a time.  `simulate_X` gathers the same
-chunks into a `PathEnsemble`.  `map_shards` runs a consumer on every group
-on a pool of one thread per CPU, the calling thread among them: the draws
-and the numpy kernels release the interpreter lock.  A group is narrow
-enough that each path's draw call fills at least _FILL normals, so the
-threads take the lock from each other rarely, and its chunks are as long
-as one CPU's share of the draw budget allows, in whole blocks of about 64
-steps anchored at absolute step indices.  Each chunk is solved block-wise:
-partial sums inside every block of the chunk at once, then one carry of the
-block-start state per block, so a chunk of k steps costs O(b + k/b) numpy
-calls rather than k.  Every path draws from its own stream and its
-arithmetic is column-wise, so the states depend neither on the chunk length
-nor on the grouping.
+groups and returns one (paths, stream) pair per group, paths the group's
+range of path indices and stream its time-major chunks (n0, X[k, path, i]),
+so a consumer that only reduces them (such as `stats.compare`) never holds
+the (paths, N+1, d) ensemble: while it works on a chunk, each running group
+holds only that one chunk of states plus a staging slice of at most _STAGE
+paths' draws, since a stream drops a chunk before it draws the next and
+draws a chunk's paths _STAGE at a time.  A consumer places a group's
+columns by its range alone; `simulate_X` writes each group's chunks into
+its own rows of the (paths, N+1, d) states.  `map_shards` runs a consumer
+on every group on a pool of one thread per CPU, the calling thread among
+them: the draws and the numpy kernels release the interpreter lock.  A
+group is narrow enough that each path's draw call fills at least _FILL
+normals, so the threads take the lock from each other rarely, and its
+chunks are as long as one CPU's share of the draw budget allows, in whole
+blocks of about 64 steps anchored at absolute step indices.  Each chunk
+is solved block-wise: partial sums inside every block of the chunk at
+once, then one carry of the block-start state per block, so a chunk of k
+steps costs O(b + k/b) numpy calls rather than k.  Every path draws from
+its own stream and its arithmetic is column-wise, so the states depend
+neither on the chunk length nor on the grouping.
 """
 
 from __future__ import annotations
 
 import contextvars
-import itertools
 import math
 import numbers
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -126,33 +126,6 @@ class SimConfig:
     def times(self) -> np.ndarray:
         """The grid 0, dt, ..., N dt, shape (N+1,)."""
         return self.dt * np.arange(self.n_steps + 1)
-
-
-@dataclass
-class PathEnsemble:
-    states: np.ndarray         # (paths, N+1, d)
-    config: SimConfig
-
-    def __post_init__(self):
-        _check_finite(self.states)
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        """The config's grid 0, dt, ..., N dt, shape (N+1,)."""
-        return self.config.times
-
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.states.shape[2]
-
-    @cached_property
-    def norms(self) -> np.ndarray:
-        """Euclidean norm ||X(t)||_2 per path and grid point."""
-        return state_norms(self.states)
 
 
 def squared_norms(states: np.ndarray) -> np.ndarray:
@@ -360,16 +333,17 @@ def _cpus() -> int:
 
 def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
          cfg: SimConfig) -> list:
-    """Group streams of time-major chunks (n0, X) of X_{n+1} = trans[n % m]
-    X_n + noise[n] Z_n.
+    """(paths, stream) pairs of the path groups, each stream yielding the
+    time-major chunks (n0, X) of X_{n+1} = trans[n % m] X_n + noise[n] Z_n.
 
     The paths are cut into contiguous groups, in path order, and each group
-    gets its own stream: X[j, p] is the state of the group's p-th path at
-    grid point n0 + j, and the first chunk is X_0 alone.  trans is the
-    (m, d, d) stack of transitions over one drift period (m = 1 for a
-    constant drift), noise_t the (N, r, d) stack of the per-step factors'
-    transposes noise[n]^T, in C order (from `sample_chunks`, the (N, d, d)
-    stack of `_noise_factors` as is: d normals a step whatever sigma's r).
+    gets its range of path indices and its own stream: X[j, p] is the state
+    of path paths[p] at grid point n0 + j, and the first chunk is X_0
+    alone.  trans is the (m, d, d) stack of transitions over one drift
+    period (m = 1 for a constant drift), noise_t the (N, r, d) stack of the
+    per-step factors' transposes noise[n]^T, in C order (from
+    `sample_chunks`, the (N, d, d) stack of `_noise_factors` as is: d
+    normals a step whatever sigma's r).
 
     `map_shards` runs the groups T = min(CPUs, paths) at a time, so a running
     group draws at most budget = _CHUNK_DRAWS / T normals per chunk: a
@@ -405,7 +379,7 @@ def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
               for lo, hi in zip(edges, edges[1:])]
     size = max(_scratch_size(len(paths), k, r, d, b) for paths, k in groups)
     pool = [np.empty(size) for _ in range(T)]
-    return [_solve(TT, PT, b, noise_t, xi, cfg.seed, paths, k, pool)
+    return [(paths, _solve(TT, PT, b, noise_t, xi, cfg.seed, paths, k, pool))
             for paths, k in groups]
 
 
@@ -511,16 +485,17 @@ def _prepare_xi(xi, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
-    """Sample the SDE from X(0) = xi as path-group streams of time-major
-    chunks (n0, X[k, path, i]).
+    """Sample the SDE from X(0) = xi as (paths, stream) pairs of path
+    groups, each stream yielding time-major chunks (n0, X[k, path, i]).
 
     The paths are cut into contiguous groups (see `_run`), and the list
-    holds one stream per group, in path order; `map_shards` runs them,
-    min(CPUs, paths) at a time.  Each stream's chunks cover grid points
-    0..N in order, the first holding X_0 alone; a later chunk is a fresh
-    array of b max(1, (_CHUNK_DRAWS // T) // (width r b)) steps but the
-    last, whole blocks of b (about 64) steps, T = min(CPUs, paths) and width
-    the group's path count.  A stream drops each chunk when asked for the
+    holds one pair per group, in path order: paths is the group's range of
+    path indices, so the ranges tile 0 .. cfg.paths, and X[:, p] is path
+    paths[p]; `map_shards` runs them, min(CPUs, paths) at a time.  Each
+    stream's chunks cover grid points 0..N in order, the first holding X_0
+    alone; a later chunk is a fresh array of b max(1, (_CHUNK_DRAWS // T) //
+    (width r b)) steps but the last, whole blocks of b (about 64) steps,
+    T = min(CPUs, paths) and width the group's path count.  A stream drops each chunk when asked for the
     next, so a consumer that drops it too holds, per running group, one
     chunk of states plus a staging slice of at most _STAGE paths' draws; one
     that keeps chunks (`list`) may, and pays for them.  The drift is a
@@ -552,8 +527,8 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
 
 
 def map_shards(fn, shards) -> list:
-    """[fn(i, chunks_i)] over shard streams, on a pool of T = min(CPUs,
-    shards) threads.
+    """[fn(paths_i, chunks_i)] over (paths, stream) shard pairs, such as
+    `sample_chunks` returns, on a pool of T = min(CPUs, shards) threads.
 
     Thread j runs shards j, j + T, j + 2T, ... one after the other, thread 0
     being the calling thread and each other one a worker, all in the
@@ -579,8 +554,9 @@ def map_shards(fn, shards) -> list:
         for i in range(j, len(shards), T):
             if stop.is_set():
                 return
+            paths, chunks = shards[i]
             try:
-                results[i] = fn(i, until_stopped(shards[i]))
+                results[i] = fn(paths, until_stopped(chunks))
             except BaseException as exc:   # re-raised by the calling thread
                 errors[i] = exc
                 stop.set()
@@ -604,32 +580,24 @@ def map_shards(fn, shards) -> list:
     return results
 
 
-def collect(shards, cfg: SimConfig) -> PathEnsemble:
-    """Gather `sample_chunks` group streams into a PathEnsemble.
+def simulate_X(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> np.ndarray:
+    """Sample dX = A(t) X dt + sigma(t) dB from X(0) = xi on the uniform grid
+    cfg.times: the (paths, N+1, d) states.
 
-    Each group fills its own paths' rows of the states on the pool thread
-    that `map_shards` runs it on.
+    Each group of the `sample_chunks` stream writes its own paths' rows on
+    the pool thread that `map_shards` runs it on, so it takes the same
+    drifts: constant ones and periodic ones whose period dt divides.  The
+    drift need not be stable; unstable drifts are legitimate for
+    non-stabilisation demonstrations.
     """
-    shards = [iter(s) for s in shards]
-    heads = [next(s) for s in shards]   # the X_0 chunks: no draws yet
-    states = np.empty((cfg.paths, cfg.n_steps + 1, heads[0][1].shape[2]))
-    views = np.split(states, np.cumsum([X.shape[1] for _, X in heads[:-1]]))
+    shards = sample_chunks(drift, sigma, xi, cfg)
+    states = np.empty((cfg.paths, cfg.n_steps + 1, drift.d))
 
-    def fill(i, chunks):
+    def fill(paths, chunks):
+        rows = states[paths.start:paths.stop]
         for n0, X in chunks:
-            views[i][:, n0:n0 + len(X)] = np.swapaxes(X, 0, 1)
+            rows[:, n0:n0 + len(X)] = np.swapaxes(X, 0, 1)
             del X
 
-    map_shards(fill, [itertools.chain([h], s) for h, s in zip(heads, shards)])
-    return PathEnsemble(states=states, config=cfg)
-
-
-def simulate_X(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> PathEnsemble:
-    """Sample dX = A(t) X dt + sigma(t) dB from X(0) = xi on the uniform grid.
-
-    Gathers the `sample_chunks` stream, so it takes the same drifts: constant
-    ones and periodic ones whose period dt divides.  The drift need not be
-    stable; unstable drifts are legitimate for non-stabilisation
-    demonstrations.
-    """
-    return collect(sample_chunks(drift, sigma, xi, cfg), cfg)
+    map_shards(fill, shards)
+    return states

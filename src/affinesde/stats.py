@@ -7,10 +7,10 @@ time-averages of ||X||^2.  Every proxy the rules read is a running reduction
 at grid indices fixed before the run by integer arithmetic on the step
 count N of the `SimConfig` that built the stream, so `compare` feeds the
 squared norms of each of the sampler's shard streams, on the pool thread
-that runs it, into an `EvidenceAccumulator` with O(paths) state and never
-holds an ensemble.
-Every reduction is per path, so the accumulators joined along the path axis
-hold what one accumulator fed every path would, whatever the shard count.
+that runs it, into the columns of the shard's paths of one
+`EvidenceAccumulator` with O(paths) state, and never holds an ensemble.
+Every reduction is per path, so the accumulator holds the same values
+whatever the shard count.
 The rules read the path medians and their log-log least-squares trends
 across the checkpoint times, the grid times dt ceil(N/q) the values are
 read at.
@@ -21,7 +21,6 @@ reports Consistent / Inconsistent / Inconclusive — it never forces agreement.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -67,7 +66,9 @@ def log_trend(times, vals) -> TrendResult:
     t~.v~ / t~.t~ with variance |v~ - slope t~|^2 / ((n - 2) t~.t~).  A
     constant series has one v~, 0 up to the rounding of its mean, so it
     reads Flat; at a power-of-two count of points, such as the four
-    checkpoints, the mean is exact and slope and stderr are 0.  A monotone
+    checkpoints, the mean is exact and slope and stderr are 0.  Points all
+    at one time, such as the checkpoints of a grid of one or two steps, show
+    no trend: they read Flat with slope and stderr 0.  A monotone
     series that reaches exact zero has decayed past the smallest positive
     double, whose repeated floor values would inflate the error and mask
     the collapse: it reads Decreasing.
@@ -78,6 +79,8 @@ def log_trend(times, vals) -> TrendResult:
     t, v = t[keep], v[keep]
     if len(t) < 3:
         raise ValueError("trend needs at least three positive-time points")
+    if t.min() == t.max():
+        return TrendResult(label=FLAT, slope=0.0, stderr=0.0)
     lt = np.log(t)
     lt -= lt.mean()
     lv = np.log(np.maximum(v, 1e-300))
@@ -131,9 +134,11 @@ class EvidenceAccumulator:
     """The running reductions of ||X||^2 that the compare rules read.
 
     Feed the squared norms of the grid points n0, n0 + 1, ... of cfg's grid
-    t_n = n dt, n = 0 .. N, in order as time-major (k, paths) chunks; the
-    state is O(paths) whatever the chunking.  T is dt N, and every index is
-    integer arithmetic on N:
+    t_n = n dt, n = 0 .. N, in order as time-major (k, w) chunks of the
+    columns first .. first + w - 1 of the paths; each path keeps its own
+    next grid point, so disjoint columns may be fed from different threads,
+    and the state is O(paths) whatever the chunking.  T is dt N, and every
+    index is integer arithmetic on N:
 
     - the maximum over each segment between the dyadic checkpoints, grid
       points ceil(N/q) for q = 16, 8, 4, 2 at the times dt ceil(N/q) that
@@ -167,63 +172,49 @@ class EvidenceAccumulator:
         self._win_min = np.full(paths, np.inf)
         self._trap = np.zeros(paths)        # trapezoid sum up to _next - 1
         self._trap_half = np.zeros(paths)
-        self._last_sq = None                # ||X||^2 at grid point _next - 1
-        self._next = 0
+        self._last_sq = np.zeros(paths)     # ||X||^2 at grid point _next - 1
+        self._next = np.zeros(paths, dtype=np.int64)   # per path
 
-    # the per-path state and the axis it stacks the paths on
-    _PATH_AXIS = {"_seg_max": 1, "_at_cp": 0, "_win_min": 0, "_trap": 0,
-                  "_trap_half": 0, "_last_sq": 0}
-
-    @classmethod
-    def concat(cls, parts) -> "EvidenceAccumulator":
-        """One accumulator over the paths of parts, in order.
-
-        The parts must share the grid and have been fed the same points;
-        every per-path reduction is column-wise, so the result is what one
-        accumulator fed all the paths would hold.
-        """
-        if len({p._next for p in parts}) != 1:
-            raise ValueError("the parts were fed different grid points")
-        acc = copy.copy(parts[0])
-        for name, axis in cls._PATH_AXIS.items():
-            if getattr(acc, name) is not None:   # _last_sq before any feed
-                setattr(acc, name, np.concatenate(
-                    [getattr(p, name) for p in parts], axis=axis))
-        return acc
-
-    def add(self, n0: int, sq) -> None:
-        """Take ||X||^2 at grid points n0 .. n0 + k - 1, shape (k, paths)."""
+    def add(self, n0: int, sq, first: int = 0) -> None:
+        """Take ||X||^2 at grid points n0 .. n0 + k - 1 of the paths first ..
+        first + w - 1, shape (k, w); each of them must have been fed up to
+        n0 - 1."""
         sq = np.asarray(sq, dtype=float)
         stop = n0 + len(sq)
-        if n0 != self._next or stop > self.n_points:
-            raise ValueError(f"chunk [{n0}, {stop}) does not continue at "
-                             f"{self._next} within {self.n_points} points")
+        cols = slice(first, first + sq.shape[1])
+        fed = self._next[cols]
+        if first < 0 or len(fed) != sq.shape[1] or np.any(fed != n0) \
+                or stop > self.n_points:
+            raise ValueError(f"chunk [{n0}, {stop}) of paths {first} .. "
+                             f"{first + sq.shape[1] - 1} does not continue "
+                             f"their feed within {self.n_points} points and "
+                             f"{len(self._next)} paths")
         for s, (lo, hi) in enumerate(zip(self._bounds, self._bounds[1:])):
             lo, hi = max(lo, n0), min(hi, stop)
             if lo < hi:
-                np.maximum(self._seg_max[s], sq[lo - n0:hi - n0].max(axis=0),
-                           out=self._seg_max[s])
+                seg = self._seg_max[s, cols]
+                np.maximum(seg, sq[lo - n0:hi - n0].max(axis=0), out=seg)
         if stop > self._win:
-            np.minimum(self._win_min, sq[max(self._win - n0, 0):].min(axis=0),
-                       out=self._win_min)
+            win = self._win_min[cols]
+            np.minimum(win, sq[max(self._win - n0, 0):].min(axis=0), out=win)
         for j, i in enumerate(self._cp):
             if n0 <= i < stop:
-                self._at_cp[:, j] = sq[i - n0]
+                self._at_cp[cols, j] = sq[i - n0]
         # trapezoid increments of steps n-1 -> n for n in [n0, stop), zero
         # before grid point 0, the first seeded with the running sum: their
         # cumulative sum, sequential for any path count, is the trapezoid sum
         # up to each grid point of the chunk, as one over the whole series
         inc = np.empty(sq.shape)
         np.add(sq[1:], sq[:-1], out=inc[1:])
-        inc[0] = 0.0 if n0 == 0 else sq[0] + self._last_sq
+        inc[0] = 0.0 if n0 == 0 else sq[0] + self._last_sq[cols]
         inc *= self._half_step
-        inc[0] += self._trap
+        inc[0] += self._trap[cols]
         np.cumsum(inc, axis=0, out=inc)
         if n0 <= self._half < stop:
-            self._trap_half = inc[self._half - n0].copy()
-        self._trap = inc[-1].copy()
-        self._last_sq = sq[-1].copy()
-        self._next = stop
+            self._trap_half[cols] = inc[self._half - n0]
+        self._trap[cols] = inc[-1]
+        self._last_sq[cols] = sq[-1]
+        fed[:] = stop
 
     def evidence(self, verdict) -> RegimeEvidence:
         """Weigh the fed series against a regime verdict.
@@ -240,9 +231,9 @@ class EvidenceAccumulator:
         LIMINF_FRACTION, LIMINF_RATIO and MIN_GRID_POINTS.  Overflowed
         squares or sums (NaN or +inf) raise FloatingPointError.
         """
-        if self._next != self.n_points:
-            raise ValueError(f"only {self._next} of {self.n_points} grid "
-                             f"points were fed")
+        if np.any(self._next != self.n_points):
+            raise ValueError(f"only {self._next.min()} of {self.n_points} "
+                             f"grid points were fed")
         cps = self.checkpoints
         notes = []
         msq_at = np.mean(self._at_cp, axis=0)
@@ -341,28 +332,27 @@ def compare(verdict, cfg: SimConfig, shards) -> RegimeEvidence:
     of cfg, such as `sample_chunks(..., cfg)` returns, against a regime
     verdict.
 
-    Each shard's squared norms feed its own accumulator on the thread that
-    `map_shards` runs it on; each chunk, and every view of it, is dropped
-    once fed, so per running shard only one chunk of states plus the
-    sampler's staging slice of at most `_STAGE` paths' draws are alive.
-    The accumulators are joined along the path axis in shard order before
-    the rules run.  Both run without overflow
-    warnings, in every worker too: `evidence` raises on an overflow instead.
+    One accumulator holds every path.  Each shard's squared norms feed its
+    own paths' columns of it on the thread that `map_shards` runs the shard
+    on; each chunk, and every view of it, is dropped once fed, so per
+    running shard only one chunk of states plus the sampler's staging slice
+    of at most `_STAGE` paths' draws are alive.  `map_shards` joins its
+    threads before the rules run, and `evidence` requires every path to
+    have been fed the whole grid.  Both run without overflow warnings, in
+    every worker too: `evidence` raises on an overflow instead.
     """
-    def reduce(_, chunks):
-        acc = None
+    acc = EvidenceAccumulator(cfg, cfg.paths)
+
+    def reduce(paths, chunks):
+        # a few rows at a time: the squared norms and the accumulator's
+        # temporaries stay small, and so does a worker thread's own malloc
+        # arena, which the calling thread cannot reuse
+        rows = max(1, _FEED_NORMS // len(paths))
         for n0, X in chunks:
-            if acc is None:
-                acc = EvidenceAccumulator(cfg, X.shape[1])
-            # a few rows at a time: the squared norms and the accumulator's
-            # temporaries stay small, and so does a worker thread's own
-            # malloc arena, which the calling thread cannot reuse
-            rows = max(1, _FEED_NORMS // X.shape[1])
             for a in range(0, len(X), rows):
-                acc.add(n0 + a, squared_norms(X[a:a + rows]))
+                acc.add(n0 + a, squared_norms(X[a:a + rows]), paths.start)
             del X   # let the shard free the chunk before drawing the next
-        return acc
 
     with np.errstate(over="ignore", invalid="ignore"):
-        return EvidenceAccumulator.concat(map_shards(reduce, shards)).evidence(
-            verdict)
+        map_shards(reduce, shards)
+        return acc.evidence(verdict)

@@ -20,7 +20,7 @@ from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
                              LogPower, PeriodicDrift, PowerLaw,
                              interval_integrals)
 from affinesde.simulate import (SimConfig, sample_chunks, simulate_X,
-                                squared_norms, step_covariance)
+                                squared_norms, state_norms, step_covariance)
 from affinesde.stats import compare
 
 A2 = np.array([[-1.0, 0.5], [0.0, -2.0]])
@@ -207,16 +207,14 @@ def test_criterion_07_ou_exactness():
         assert Q[0, 0] == pytest.approx((1 - math.exp(-2 * dt)) / 2,
                                         abs=1e-12)
     cfg = SimConfig(dt=0.5, t_end=50.0, paths=100, seed=707)
-    ens = simulate_X(drift, sigma, [0.0], cfg)
     q = (1 - math.exp(-2 * cfg.dt)) / 2
-    y = ens.states[:, :, 0]
+    y = simulate_X(drift, sigma, [0.0], cfg)[:, :, 0]
     incr = (y[:, 1:] - math.exp(-cfg.dt) * y[:, :-1]) / math.sqrt(q)
     assert incr.size == 10_000
     assert kstest(incr.ravel(), "norm").pvalue > 0.01
 
     cfg = SimConfig(dt=0.25, t_end=16.0, paths=4000, seed=708)
-    ens = simulate_X(drift, sigma, [0.0], cfg)
-    final = ens.states[:, -1, 0]
+    final = simulate_X(drift, sigma, [0.0], cfg)[:, -1, 0]
     est = float(np.var(final, ddof=1))
     se = est * math.sqrt(2.0 / (len(final) - 1))
     assert abs(est - 0.5) <= 3 * se
@@ -230,21 +228,19 @@ def test_criterion_08_mean_square_equivalence():
     drift = ConstantDrift(np.array([[-1.0]]))
     fading = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
     assert all(check_fading(fading, h) for h in (0.5, 1.0, 2.0))
-    ens = simulate_X(drift, fading, [0.0],
-                     SimConfig(dt=0.25, t_end=512.0, paths=2000, seed=808))
-    msq = squared_norms(ens.states).mean(axis=0)
-    cps_idx = [int(np.searchsorted(ens.times, c - 1e-9))
+    cfg = SimConfig(dt=0.25, t_end=512.0, paths=2000, seed=808)
+    msq = squared_norms(simulate_X(drift, fading, [0.0], cfg)).mean(axis=0)
+    cps_idx = [int(np.searchsorted(cfg.times, c - 1e-9))
                for c in 512.0 / np.array([16, 8, 4, 2])]
     vals = msq[cps_idx]
     assert np.all(np.diff(vals) < 0)
 
     const = DiffusionSpec.constant([[1.0]])
     assert not any(check_fading(const, h) for h in (0.5, 1.0, 2.0))
-    ens = simulate_X(drift, const, [0.0],
-                     SimConfig(dt=0.125, t_end=16.0, paths=2000, seed=809))
-    sq = squared_norms(ens.states)
-    msq, se = sq.mean(axis=0), sq.std(axis=0, ddof=1) / math.sqrt(ens.n_paths)
-    cps_idx = [int(np.searchsorted(ens.times, c - 1e-9))
+    cfg = SimConfig(dt=0.125, t_end=16.0, paths=2000, seed=809)
+    sq = squared_norms(simulate_X(drift, const, [0.0], cfg))
+    msq, se = sq.mean(axis=0), sq.std(axis=0, ddof=1) / math.sqrt(cfg.paths)
+    cps_idx = [int(np.searchsorted(cfg.times, c - 1e-9))
                for c in 16.0 / np.array([16, 8, 4, 2])]
     vals, errs = msq[cps_idx], se[cps_idx]
     # non-decreasing up to sampling noise
@@ -313,12 +309,13 @@ def test_criterion_11_bessel_scenarios():
     sigma = DiffusionSpec.envelope(PowerLaw(1.0, 1.0), np.eye(d))
     verdict = classify(sigma, drift)
     assert verdict.regime == "Unbounded"
-    ens = simulate_X(drift, sigma, np.ones(d),
-                     SimConfig(dt=0.05, t_end=512.0, paths=100, seed=113))
+    norms = state_norms(simulate_X(
+        drift, sigma, np.ones(d),
+        SimConfig(dt=0.05, t_end=512.0, paths=100, seed=113)))
     # minima over the trailing 64-unit windows ending at T/2 + 32 and at T
     w = int(round(64.0 / 0.05))
-    n = ens.norms.shape[1]
+    n = norms.shape[1]
     mid = w + (n - w) // 2
-    early = float(np.median(ens.norms[:, mid - w:mid + 1].min(axis=1)))
-    late = float(np.median(ens.norms[:, n - 1 - w:].min(axis=1)))
+    early = float(np.median(norms[:, mid - w:mid + 1].min(axis=1)))
+    late = float(np.median(norms[:, n - 1 - w:].min(axis=1)))
     assert late > early

@@ -424,15 +424,16 @@ def test_simulate_zero_noise_csv(tmp_path, capsys):
     assert report["paths"] == 2
 
 
-def _ensemble_rows(ens):
-    """CSV data rows of an in-memory ensemble, path-major, each value
-    formatted on its own."""
+def _ensemble_rows(states, times):
+    """CSV data rows of in-memory (paths, N+1, d) states on the grid times,
+    path-major, each value formatted on its own."""
     rows = []
-    for p in range(ens.n_paths):
-        for j, t in enumerate(ens.times):
+    norms = simulate.state_norms(states)
+    for p in range(len(states)):
+        for j, t in enumerate(times):
             row = [str(p), f"{t:.17g}"]
-            row += [f"{x:.17g}" for x in ens.states[p, j]]
-            row.append(f"{ens.norms[p, j]:.17g}")
+            row += [f"{x:.17g}" for x in states[p, j]]
+            row.append(f"{norms[p, j]:.17g}")
             rows.append(",".join(row))
     return rows
 
@@ -456,7 +457,7 @@ def test_simulate_csv_does_not_depend_on_the_grouping(tmp_path, capsys,
     texts = []
     for cpus in (1, 2):
         monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
-        lengths = {len(list(s)[1][1]) for s in cli._chunks(scn)}
+        lengths = {len(list(s)[1][1]) for _, s in cli._chunks(scn)}
         assert len(lengths) > 1, lengths
         out = tmp_path / f"cpus{cpus}"
         assert main(["simulate", path, "--out", str(out)]) == EXIT_OK
@@ -465,9 +466,10 @@ def test_simulate_csv_does_not_depend_on_the_grouping(tmp_path, capsys,
     assert texts[0] == texts[1]
     rows = texts[0].splitlines()
     assert rows[0] == "path_id,t,x_1,x_2,norm2"
-    ens = simulate.simulate_X(scn.drift, scn.sigma, scn.initial_state,
-                              scn.simulation)
-    assert sorted(rows[1:]) == sorted(_ensemble_rows(ens))
+    states = simulate.simulate_X(scn.drift, scn.sigma, scn.initial_state,
+                                 scn.simulation)
+    assert sorted(rows[1:]) == sorted(_ensemble_rows(states,
+                                                     scn.simulation.times))
 
 
 def test_simulate_one_path_summary(tmp_path, capsys):
@@ -537,6 +539,24 @@ def test_verify_tiny_horizon_inconclusive(tmp_path, capsys):
         == EXIT_UNDECIDED
     report = yaml.safe_load(capsys.readouterr().out)
     assert report["agreement"] == "Inconclusive"
+
+
+@pytest.mark.parametrize("t_end", [1.0, 2.0])
+def test_verify_one_or_two_step_horizon_inconclusive(tmp_path, capsys, t_end):
+    # on a grid of one or two steps all four checkpoints fall on grid point
+    # 1, so the trends are fitted on times without spread: the report still
+    # reads Inconclusive for the short horizon, with no traceback
+    doc = base_doc()
+    doc["simulation"] = {"dt": 1.0, "t_end": t_end, "paths": 5, "seed": 2}
+    assert main(["verify", write(tmp_path, doc), "--out", str(tmp_path)]) \
+        == EXIT_UNDECIDED
+    out, err = capsys.readouterr()
+    report = yaml.safe_load(out)
+    assert report["agreement"] == "Inconclusive"
+    assert report["evidence"]["notes"] == \
+        ["horizon too short for trend evidence"]
+    assert report["evidence"]["checkpoints"] == [1.0] * 4
+    assert "Traceback" not in err
 
 
 def _scalar_doc(sigma, **sim):

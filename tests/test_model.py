@@ -352,6 +352,33 @@ def test_overflowing_table_energies_raise(values):
         row_interval_integrals(spec, [0.0], [1.0])
 
 
+def test_table_energies_keep_the_precision_of_the_covered_pieces():
+    # the energy 1e10 of the knot pieces before the interval must not enter
+    # its sum: [1.5, 2], [2, 3] and [3, 3.5] hold 0.5, 1 and 0.5 exactly
+    spec = DiffusionSpec.table([0.0, 1.0, 1.000001, 2.0, 3.0, 4.0],
+                               [[[1e10]], [[1e10]], [[1.0]], [[1.0]], [[1.0]],
+                                [[1.0]]])
+    assert interval_integrals(spec, [1.5, 2.0], [3.5, 4.0]).tolist() \
+        == [2.0, 2.0]
+    assert row_interval_integrals(spec, [1.5], [3.5]).tolist() == [[2.0]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_table_energies_away_from_an_overflowing_piece_are_finite():
+    # the piece [0, 1] overflows sigma^2; the intervals after it do not
+    # cover it and keep their energies, quietly, while one that covers any
+    # of it still raises
+    spec = DiffusionSpec.table([0.0, 1.0, 2.0, 3.0],
+                               [[[1e200]], [[1e200]], [[1.0]], [[1.0]]])
+    assert interval_integrals(spec, [2.0, 2.0], [2.5, 3.0]).tolist() \
+        == [0.5, 1.0]
+    assert row_interval_integrals(spec, [2.0], [2.5]).tolist() == [[0.5]]
+    for left in (0.5, 1.5):
+        with pytest.raises(QuadratureError, match="table energy is not "
+                           "finite"):
+            interval_integrals(spec, [2.0, left], [2.5, 3.0])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_frobenius_sq_overflows_to_inf_quietly():
     assert frobenius_sq([[1e200, 0.0]]) == math.inf

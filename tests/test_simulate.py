@@ -15,9 +15,8 @@ from affinesde.model import (GL_NODES, ConstantDrift, DiffusionSpec,
                              ExpDecay, LogPower, PeriodicDrift, PowerLaw,
                              eval_drift, eval_sigma, gauss_legendre_rule)
 from affinesde import simulate
-from affinesde.simulate import (CovarianceError, PathEnsemble, SimConfig,
-                                collect, sample_chunks, simulate_X,
-                                step_covariance)
+from affinesde.simulate import (CovarianceError, SimConfig, sample_chunks,
+                                simulate_X, state_norms, step_covariance)
 from affinesde.stats import compare
 
 OU_DRIFT = ConstantDrift(np.array([[-1.0]]))
@@ -285,8 +284,8 @@ def test_states_scale_with_sigma():
     unit = simulate_X(drift, DiffusionSpec.constant(np.eye(2)), [0.0, 0.0], cfg)
     big = simulate_X(drift, DiffusionSpec.constant(1000.0 * np.eye(2)),
                      [0.0, 0.0], cfg)
-    np.testing.assert_allclose(big.states, 1000.0 * unit.states, rtol=1e-12,
-                               atol=1e-12 * 1000.0 * np.abs(unit.states).max())
+    np.testing.assert_allclose(big, 1000.0 * unit, rtol=1e-12,
+                               atol=1e-12 * 1000.0 * np.abs(unit).max())
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +295,18 @@ def test_states_scale_with_sigma():
 def test_Y_drift_deterministic_decay():
     # Y's drift -I from a non-zero start, without noise
     cfg = SimConfig(dt=0.125, t_end=4.0, paths=3, seed=1)
-    ens = simulate_X(ConstantDrift(-np.eye(1)),
-                     DiffusionSpec.constant([[0.0]]), [2.0], cfg)
-    expect = 2.0 * np.exp(-ens.times)
+    states = simulate_X(ConstantDrift(-np.eye(1)),
+                        DiffusionSpec.constant([[0.0]]), [2.0], cfg)
+    expect = 2.0 * np.exp(-cfg.times)
     for p in range(3):
-        np.testing.assert_allclose(ens.states[p, :, 0], expect, atol=1e-12)
+        np.testing.assert_allclose(states[p, :, 0], expect, atol=1e-12)
 
 
 def test_Y_stationary_variance():
     cfg = SimConfig(dt=0.25, t_end=16.0, paths=4000, seed=42)
-    ens = simulate_X(OU_DRIFT, DiffusionSpec.constant([[1.5]]), [0.0], cfg)
+    states = simulate_X(OU_DRIFT, DiffusionSpec.constant([[1.5]]), [0.0], cfg)
     target = 1.5 ** 2 / 2
-    final = ens.states[:, -1, 0]
+    final = states[:, -1, 0]
     est = float(np.var(final, ddof=1))
     se = est * math.sqrt(2.0 / (len(final) - 1))
     assert abs(est - target) <= 3 * se
@@ -315,9 +314,8 @@ def test_Y_stationary_variance():
 
 def test_Y_increments_are_gaussian():
     cfg = SimConfig(dt=0.5, t_end=50.0, paths=100, seed=3)
-    ens = simulate_X(OU_DRIFT, UNIT_SIGMA, [0.0], cfg)
     q = (1 - math.exp(-2 * cfg.dt)) / 2
-    y = ens.states[:, :, 0]
+    y = simulate_X(OU_DRIFT, UNIT_SIGMA, [0.0], cfg)[:, :, 0]
     v = (y[:, 1:] - math.exp(-cfg.dt) * y[:, :-1]) / math.sqrt(q)
     sample = v.ravel()
     assert sample.size == 10_000
@@ -332,10 +330,10 @@ def test_X_zero_noise_matches_matrix_exponential():
     A = np.array([[-1.0, 0.5], [0.2, -2.0]])
     xi = np.array([1.0, -1.0])
     cfg = SimConfig(dt=0.25, t_end=5.0, paths=2, seed=0)
-    ens = simulate_X(ConstantDrift(A), DiffusionSpec.constant(np.zeros((2, 2))),
-                     xi, cfg)
-    for j, t in enumerate(ens.times):
-        np.testing.assert_allclose(ens.states[0, j], expm(A * t) @ xi,
+    states = simulate_X(ConstantDrift(A),
+                        DiffusionSpec.constant(np.zeros((2, 2))), xi, cfg)
+    for j, t in enumerate(cfg.times):
+        np.testing.assert_allclose(states[0, j], expm(A * t) @ xi,
                                    atol=1e-10)
 
 
@@ -343,14 +341,14 @@ def test_X_reduces_to_Y():
     # drift -I from 0 is the recursion Y_{n+1} = e^{-dt} Y_n + sqrt(q) Z_n,
     # each path drawing its Z_n from its own Philox stream
     cfg = SimConfig(dt=0.5, t_end=8.0, paths=5, seed=9)
-    ens = simulate_X(OU_DRIFT, DiffusionSpec.constant([[0.7]]), [0.0], cfg)
+    states = simulate_X(OU_DRIFT, DiffusionSpec.constant([[0.7]]), [0.0], cfg)
     q = 0.7 ** 2 * -math.expm1(-2 * cfg.dt) / 2
     gens = simulate._path_generators(cfg.seed, range(cfg.paths))
     for p, g in enumerate(gens):
         y = [0.0]
         for z in g.standard_normal(cfg.n_steps):
             y.append(math.exp(-cfg.dt) * y[-1] + math.sqrt(q) * z)
-        np.testing.assert_allclose(ens.states[p, :, 0], y, atol=1e-12)
+        np.testing.assert_allclose(states[p, :, 0], y, atol=1e-12)
 
 
 def test_X_mean_square_matches_analytic():
@@ -366,8 +364,8 @@ def test_X_mean_square_matches_analytic():
     target = det_part + float(np.trace(integ))
 
     cfg = SimConfig(dt=0.125, t_end=2.0, paths=6000, seed=5)
-    ens = simulate_X(ConstantDrift(A), DiffusionSpec.constant(S), xi, cfg)
-    sq = ens.norms[:, -1] ** 2
+    states = simulate_X(ConstantDrift(A), DiffusionSpec.constant(S), xi, cfg)
+    sq = state_norms(states)[:, -1] ** 2
     est = float(np.mean(sq))
     se = float(np.std(sq, ddof=1)) / math.sqrt(len(sq))
     assert abs(est - target) <= 3 * se
@@ -379,7 +377,7 @@ def test_reproducibility_bit_identical():
     A = ConstantDrift(np.array([[-1.0, 0.0], [0.5, -0.5]]))
     a = simulate_X(A, spec, [1.0, 1.0], cfg)
     b = simulate_X(A, spec, [1.0, 1.0], cfg)
-    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_table_sigma_samples_through_the_panel(monkeypatch):
@@ -392,8 +390,8 @@ def test_table_sigma_samples_through_the_panel(monkeypatch):
     A = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
     cfg = SimConfig(dt=0.05, t_end=3.2, paths=8, seed=31)
     calls = _counting_step_covariance(monkeypatch)
-    ref = simulate_X(A, DiffusionSpec.constant(S), [1.0, -1.0], cfg).states
-    got = simulate_X(A, table, [1.0, -1.0], cfg).states
+    ref = simulate_X(A, DiffusionSpec.constant(S), [1.0, -1.0], cfg)
+    got = simulate_X(A, table, [1.0, -1.0], cfg)
     assert calls == []
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -418,7 +416,7 @@ def test_chunk_stream_independent_of_chunk_size(monkeypatch, budget):
         monkeypatch.setattr(simulate, "_FILL", fill)
         streamed = _stream_states(sample_chunks(A, spec, [1.0, 1.0], cfg),
                                   cfg, 2, b)
-        np.testing.assert_array_equal(streamed, whole.states)
+        np.testing.assert_array_equal(streamed, whole)
 
 
 def _block_length(drift, sigma, cfg):
@@ -429,24 +427,26 @@ def _block_length(drift, sigma, cfg):
 
 
 def _stream_states(shards, cfg, r, b):
-    """The states of group streams, checked to tile the paths in group order
-    and the grid in chunks of the documented length: after X_0, every chunk
+    """The states of (paths, stream) group pairs, checked to tile the paths
+    in group order, each stream as wide as its range, and the grid in chunks
+    of the documented length: after X_0, every chunk
     but the last takes k = b max(1, budget // (width r b)) steps, a whole
     number of the solve's blocks of b steps, with budget = _CHUNK_DRAWS // T,
     T = min(CPUs, paths) and width the group's path count; and a chunk draws
     within budget wherever one path's block does."""
     parts = []
     budget = simulate._CHUNK_DRAWS // min(simulate._cpus(), cfg.paths)
-    for chunks in shards:
+    assert [p for paths, _ in shards for p in paths] == list(range(cfg.paths))
+    for paths, chunks in shards:
         chunks = list(chunks)
-        width = chunks[0][1].shape[1]
+        width = len(paths)
+        assert {X.shape[1] for _, X in chunks} == {width}
         k = min(cfg.n_steps, b * max(1, budget // (width * r * b)))
         assert [n0 for n0, _ in chunks] == [0, *range(1, cfg.n_steps + 1, k)]
         assert k % b == 0 or len(chunks) == 2
         if b * r <= budget:
             assert k * width * r <= budget
         parts.append(np.concatenate([X for _, X in chunks]))
-    assert sum(X.shape[1] for X in parts) == cfg.paths
     return np.swapaxes(np.concatenate(parts, axis=1), 0, 1)
 
 
@@ -454,12 +454,6 @@ def test_chunk_stream_rejects_unsampleable_drifts():
     cfg = SimConfig(dt=0.5, t_end=4.0, paths=1, seed=0)
     with pytest.raises(ValueError):  # dt does not divide the period
         sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg)
-
-
-def test_nonfinite_states_rejected():
-    with pytest.raises(FloatingPointError):
-        PathEnsemble(states=np.array([[[0.0], [math.inf]]]),
-                     config=SimConfig(dt=1.0, t_end=1.0, paths=1, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +498,8 @@ def test_periodic_zero_noise_floquet_decay():
     # the transitions over one period multiply to Psi(2 pi, 0) = e^{-2 pi}
     dt = 2 * math.pi / 64
     cfg = SimConfig(dt=dt, t_end=2 * math.pi, paths=1, seed=0)
-    ens = simulate_X(COS_DRIFT, DiffusionSpec.constant([[0.0]]), [1.0], cfg)
-    assert abs(math.log(ens.states[0, -1, 0]) + 2 * math.pi) <= 1e-8
+    states = simulate_X(COS_DRIFT, DiffusionSpec.constant([[0.0]]), [1.0], cfg)
+    assert abs(math.log(states[0, -1, 0]) + 2 * math.pi) <= 1e-8
 
 
 @pytest.mark.parametrize("dt", [2 * math.pi / 64, 1.0])
@@ -524,8 +518,8 @@ def test_periodic_sampler_covariances_exact(m):
     dt = 2 * math.pi / m
     cfg = SimConfig(dt=dt, t_end=4 * math.pi, paths=1, seed=11)
     Y = simulate_X(COS_DRIFT, DiffusionSpec.constant([[0.0]]), [1.0],
-                   cfg).states[0, :, 0]
-    X = simulate_X(COS_DRIFT, UNIT_SIGMA, [0.0], cfg).states[0, :, 0]
+                   cfg)[0, :, 0]
+    X = simulate_X(COS_DRIFT, UNIT_SIGMA, [0.0], cfg)[0, :, 0]
     gen = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=(cfg.seed, 0))))
     Z = gen.standard_normal((cfg.n_steps, 1))[:, 0]
@@ -740,7 +734,7 @@ def test_periodic_constant_reduces_bit_identically():
     cfg = SimConfig(dt=0.25, t_end=4.0, paths=4, seed=31)
     a = simulate_X(periodic, spec, [1.0, 0.0], cfg)
     b = simulate_X(ConstantDrift(A), spec, [1.0, 0.0], cfg)
-    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_periodic_requires_dt_dividing_period():
@@ -753,13 +747,13 @@ def test_periodic_stable_with_fading_noise_decays():
     dt = 2 * math.pi / 32
     cfg = SimConfig(dt=dt, t_end=64 * 2 * math.pi, paths=40, seed=8)
     sigma = DiffusionSpec.envelope(ExpDecay(1.0, 0.1), [[1.0]])
-    ens = simulate_X(COS_DRIFT, sigma, [1.0], cfg)
-    T = ens.times[-1]
+    norms = state_norms(simulate_X(COS_DRIFT, sigma, [1.0], cfg))
+    T = cfg.times[-1]
     cps = [T / 16, T / 8, T / 4, T / 2]
     meds = []
     for c in cps:
-        i = int(np.searchsorted(ens.times, c))
-        meds.append(float(np.median(np.max(ens.norms[:, i:], axis=1))))
+        i = int(np.searchsorted(cfg.times, c))
+        meds.append(float(np.median(np.max(norms[:, i:], axis=1))))
     assert all(b < a for a, b in zip(meds, meds[1:]))
 
 
@@ -792,7 +786,7 @@ def _sample_with_factors(monkeypatch, drift, sigma, xi, cfg):
         return run(trans, noise_t, xi, cfg)
 
     monkeypatch.setattr(simulate, "_run", spy)
-    states = simulate_X(drift, sigma, xi, cfg).states
+    states = simulate_X(drift, sigma, xi, cfg)
     return states, factors["trans"], factors["noise"]
 
 
@@ -826,8 +820,7 @@ def test_blocked_solve_no_spurious_overflow():
     drift = ConstantDrift(np.array([[50.0]]))
     cfg = SimConfig(dt=1.0, t_end=128.0, paths=2, seed=0)
     zero = DiffusionSpec.constant([[0.0]])
-    ens = simulate_X(drift, zero, [0.0], cfg)
-    assert np.all(ens.states == 0.0)
+    assert np.all(simulate_X(drift, zero, [0.0], cfg) == 0.0)
     with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
         simulate_X(drift, zero, [1.0], cfg)
     # a period of m = 2 steps whose product overflows already: the blocks
@@ -835,7 +828,7 @@ def test_blocked_solve_no_spurious_overflow():
     shards = simulate._run(np.full((2, 1, 1), 1e200), np.zeros((8, 1, 1)),
                            np.zeros(1), SimConfig(dt=1.0, t_end=8.0, paths=2,
                                                   seed=0))
-    assert all(np.all(X == 0.0) for chunks in shards for _, X in chunks)
+    assert all(np.all(X == 0.0) for _, chunks in shards for _, X in chunks)
 
 
 @pytest.mark.parametrize("budget", [1, 7 * 65, 7 * 67, 7 * 200])
@@ -855,7 +848,7 @@ def test_chunk_stream_independent_of_chunk_size_periodic(monkeypatch, budget):
         monkeypatch.setattr(simulate, "_FILL", fill)
         streamed = _stream_states(
             sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg), cfg, 1, b)
-        np.testing.assert_array_equal(streamed, whole.states)
+        np.testing.assert_array_equal(streamed, whole)
 
 
 @pytest.mark.parametrize("trans, b", [
@@ -903,7 +896,7 @@ EVIDENCE_ARRAYS = ("tail_sups", "running_max_at", "window_inf_final",
 ], ids=["constant", "periodic", "fewer-paths-than-shards"])
 def test_results_independent_of_shard_count(monkeypatch, drift, sigma, xi,
                                             dt, t_end, paths, budget):
-    # each path's arithmetic is the same in any shard: collect's states and
+    # each path's arithmetic is the same in any shard: simulate_X's states and
     # compare's per-path arrays equal the one-shard run's bit for bit.  The
     # budgets afford all 7 paths three blocks of 64 steps (r = 2), or two
     # of 66 (r = 1), so the groups take chunks of one block and of several;
@@ -916,14 +909,43 @@ def test_results_independent_of_shard_count(monkeypatch, drift, sigma, xi,
     runs = []
     for n in (1, 2, 3):
         monkeypatch.setattr(simulate, "_cpus", lambda: n)
-        shards = sample_chunks(drift, sigma, xi, cfg)
-        assert len(shards) == min(n, paths)
-        states = collect(shards, cfg).states
+        assert len(sample_chunks(drift, sigma, xi, cfg)) == min(n, paths)
+        states = simulate_X(drift, sigma, xi, cfg)
         ev = compare(undecided, cfg, sample_chunks(drift, sigma, xi, cfg))
         runs.append((states, *(getattr(ev, a) for a in EVIDENCE_ARRAYS)))
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cpus, groups", [(1, 3), (2, 6), (3, 9)])
+def test_group_ranges_tile_the_paths_in_order(monkeypatch, cpus, groups):
+    # 600 paths at the full fill are 3 groups of at most 256 paths on one
+    # CPU, and on two and three CPUs 5 and 8, rounded up to a multiple of
+    # the CPUs.  The pairs' ranges are contiguous and in path order, cover
+    # every path once, and each stream is as wide as its range; map_shards
+    # hands each consumer its own range.  compare places a group's columns
+    # by its range alone, so the pairs in reverse order give the same
+    # evidence
+    monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
+    cfg = SimConfig(dt=0.25, t_end=16.0, paths=600, seed=2)
+    drift = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
+    shards = sample_chunks(drift, EYE2_SIGMA, [1.0, 1.0], cfg)
+    ranges = [paths for paths, _ in shards]
+    assert len(ranges) == groups
+    assert [p for paths in ranges for p in paths] == list(range(cfg.paths))
+    assert all(paths.step == 1 for paths in ranges)
+    widths = simulate.map_shards(
+        lambda paths, chunks: (paths, {X.shape[1] for _, X in chunks}),
+        shards)
+    assert widths == [(paths, {len(paths)}) for paths in ranges]
+    undecided = SimpleNamespace(regime="Undecided")
+    want = compare(undecided, cfg, sample_chunks(drift, EYE2_SIGMA,
+                                                 [1.0, 1.0], cfg))
+    got = compare(undecided, cfg, sample_chunks(drift, EYE2_SIGMA,
+                                                [1.0, 1.0], cfg)[::-1])
+    for name in EVIDENCE_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_map_shards_runs_workers_in_callers_context(monkeypatch):
@@ -932,14 +954,16 @@ def test_map_shards_runs_workers_in_callers_context(monkeypatch):
     # on every shard as on the calling thread, and it is gone on return
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
 
-    def probe(i, chunks):
-        return i, list(chunks), np.geterr()["over"], \
+    def probe(paths, chunks):
+        return paths, list(chunks), np.geterr()["over"], \
             threading.current_thread() is threading.main_thread()
 
+    shards = [(range(0, 1), [0]), (range(1, 3), [1, 2]), (range(3, 4), [3])]
     with np.errstate(over="raise"):
-        got = simulate.map_shards(probe, [[0], [1, 2], [3]])
-    assert got == [(0, [0], "raise", True), (1, [1, 2], "raise", False),
-                   (2, [3], "raise", True)]
+        got = simulate.map_shards(probe, shards)
+    assert got == [(range(0, 1), [0], "raise", True),
+                   (range(1, 3), [1, 2], "raise", False),
+                   (range(3, 4), [3], "raise", True)]
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("affinesde-shard")]
 
@@ -956,13 +980,13 @@ def test_wide_ensemble_draws_in_long_fills_on_a_cpu_sized_pool(monkeypatch):
                            cfg)
     running, most = set(), [0]
 
-    def consume(i, chunks):
+    def consume(paths, chunks):
         with lock:
-            running.add(i)
+            running.add(paths.start)
             most[0] = max(most[0], len(running))
         steps = sum(len(X) for n0, X in chunks if n0)
         with lock:
-            running.discard(i)
+            running.discard(paths.start)
         return steps
 
     assert simulate.map_shards(consume, shards) == [cfg.n_steps] * 8
@@ -1018,7 +1042,7 @@ def test_whole_block_chunks_keep_the_fill_and_the_budget(
                               drift.d, b)
     assert min(fills) >= simulate._FILL == 2048
     assert max(fills) * paths > budget   # no group takes every path
-    np.testing.assert_array_equal(streamed, whole.states)
+    np.testing.assert_array_equal(streamed, whole)
 
 
 @pytest.mark.parametrize("paths", [7, 101])
@@ -1027,16 +1051,15 @@ def test_staging_width_moves_no_bit(monkeypatch, paths):
     # path's increments are the same in a slice of 1, of 3 (the last one
     # shorter), of 32 or of the whole group, on one CPU and on two
     cfg = SimConfig(dt=0.25, t_end=0.25 * 300, paths=paths, seed=17)
-    whole = simulate_X(PERIODIC2, EYE2_SIGMA, [1.0, -1.0], cfg).states
+    whole = simulate_X(PERIODIC2, EYE2_SIGMA, [1.0, -1.0], cfg)
     for stage, cpus in itertools.product((1, 3, 32, 1000), (1, 2)):
         monkeypatch.setattr(simulate, "_STAGE", stage)
         monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
-        states = collect(sample_chunks(PERIODIC2, EYE2_SIGMA, [1.0, -1.0],
-                                       cfg), cfg).states
+        states = simulate_X(PERIODIC2, EYE2_SIGMA, [1.0, -1.0], cfg)
         assert np.array_equal(states, whole), (stage, cpus)
 
 
-def _chunk_lengths(_, chunks):
+def _chunk_lengths(paths, chunks):
     """The length of every chunk of a stream, each dropped before the
     stream draws the next."""
     lengths = []
@@ -1084,12 +1107,12 @@ def test_groups_beyond_the_shared_buffers_draw_into_fresh_ones(monkeypatch):
     shards = sample_chunks(A, spec, [1.0, 1.0], cfg)
     assert len(shards) > 2
     parts = [[] for _ in shards]
-    for chunks in itertools.zip_longest(*shards):
+    for chunks in itertools.zip_longest(*(s for _, s in shards)):
         for part, chunk in zip(parts, chunks):
             if chunk is not None:
                 part.append(chunk[1])
     states = np.concatenate([np.concatenate(p) for p in parts], axis=1)
-    np.testing.assert_array_equal(np.swapaxes(states, 0, 1), whole.states)
+    np.testing.assert_array_equal(np.swapaxes(states, 0, 1), whole)
 
 
 # ---------------------------------------------------------------------------
@@ -1099,22 +1122,24 @@ def test_groups_beyond_the_shared_buffers_draw_into_fresh_ones(monkeypatch):
 def test_bessel_decaying_noise_shrinks():
     # A = -I_5, sigma(t) = (1 + t)^-1 I_5
     cfg = SimConfig(dt=0.05, t_end=128.0, paths=30, seed=4)
-    ens = simulate_X(ConstantDrift(-np.eye(5)),
-                     DiffusionSpec.envelope(PowerLaw(1.0, -1.0), np.eye(5)),
-                     np.ones(5), cfg)
-    early = float(np.median(np.max(ens.norms[:, :200], axis=1)))
-    late = float(np.median(ens.norms[:, -1]))
+    norms = state_norms(simulate_X(
+        ConstantDrift(-np.eye(5)),
+        DiffusionSpec.envelope(PowerLaw(1.0, -1.0), np.eye(5)), np.ones(5),
+        cfg))
+    early = float(np.median(np.max(norms[:, :200], axis=1)))
+    late = float(np.median(norms[:, -1]))
     assert late < 0.1 * early
 
 
 def test_derived_series():
     cfg = SimConfig(dt=0.5, t_end=4.0, paths=2, seed=6)
-    ens = simulate_X(OU_DRIFT, UNIT_SIGMA, [0.0], cfg)
-    np.testing.assert_allclose(ens.norms, np.abs(ens.states[:, :, 0]))
+    states = simulate_X(OU_DRIFT, UNIT_SIGMA, [0.0], cfg)
+    norms = state_norms(states)
+    np.testing.assert_allclose(norms, np.abs(states[:, :, 0]))
     # the time-average compare reads from the same stream, against a direct
-    # trapezoid average of the collected norms at the final time
+    # trapezoid average of the gathered norms at the final time
     ev = compare(SimpleNamespace(regime="Undecided"), cfg,
                  sample_chunks(ConstantDrift(-np.eye(1)), UNIT_SIGMA, [0.0], cfg))
     assert np.all(ev.avg_sq_final >= 0)
-    direct = np.trapezoid(ens.norms ** 2, ens.times, axis=1) / ens.times[-1]
+    direct = np.trapezoid(norms ** 2, cfg.times, axis=1) / cfg.times[-1]
     np.testing.assert_allclose(ev.avg_sq_final, direct, rtol=1e-12)

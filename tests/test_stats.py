@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -12,7 +13,7 @@ from affinesde.criteria import classify
 from affinesde.model import ConstantDrift, DiffusionSpec, ExpDecay, LogPower
 from affinesde import simulate
 from affinesde.simulate import (SimConfig, sample_chunks, simulate_X,
-                                squared_norms)
+                                squared_norms, state_norms)
 from affinesde.stats import (CONSISTENT, DECREASING, FLAT, INCONCLUSIVE,
                              INCONSISTENT, INCREASING, EvidenceAccumulator,
                              compare, log_trend)
@@ -21,16 +22,17 @@ from affinesde.stats import (CONSISTENT, DECREASING, FLAT, INCONCLUSIVE,
 UNDECIDED = SimpleNamespace(regime="Undecided")
 
 
-def _grid(t_end, n_steps):
+def _grid(t_end, n_steps, paths=1):
     """The config of the uniform grid of n_steps steps over [0, t_end]."""
-    return SimConfig(dt=t_end / n_steps, t_end=t_end, paths=1, seed=0)
+    return SimConfig(dt=t_end / n_steps, t_end=t_end, paths=paths, seed=0)
 
 
 def _signal_evidence(cfg, x):
     """compare's evidence on scalar signals x[path, time] on cfg's grid,
-    fed as one chunk."""
+    fed as one chunk of one shard of every path."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    return compare(UNDECIDED, cfg, [[(0, x.T[:, :, None])]])
+    return compare(UNDECIDED, dataclasses.replace(cfg, paths=len(x)),
+                   [(range(len(x)), [(0, x.T[:, :, None])])])
 
 
 # ---------------------------------------------------------------------------
@@ -104,30 +106,29 @@ def test_avg_sq_sine_approaches_half():
     assert ev.avg_sq_final[0] == pytest.approx(0.5, abs=2e-3)
 
 
-def _mean_sq(ens):
+def _mean_sq(states):
     """E||X(t)||^2 over the paths with its per-time standard errors."""
-    sq = squared_norms(ens.states)
-    return sq.mean(axis=0), sq.std(axis=0, ddof=1) / math.sqrt(ens.n_paths)
+    sq = squared_norms(states)
+    return sq.mean(axis=0), sq.std(axis=0, ddof=1) / math.sqrt(len(states))
 
 
 def test_ensemble_mean_sq_deterministic():
     A = np.array([[-1.0, 0.5], [0.0, -2.0]])
     xi = np.array([1.0, -1.0])
     cfg = SimConfig(dt=0.25, t_end=3.0, paths=3, seed=0)
-    ens = simulate_X(ConstantDrift(A), DiffusionSpec.constant(np.zeros((2, 2))),
-                     xi, cfg)
-    mean, se = _mean_sq(ens)
+    mean, se = _mean_sq(simulate_X(
+        ConstantDrift(A), DiffusionSpec.constant(np.zeros((2, 2))), xi, cfg))
     from scipy.linalg import expm
-    expect = [float(np.sum((expm(A * t) @ xi) ** 2)) for t in ens.times]
+    expect = [float(np.sum((expm(A * t) @ xi) ** 2)) for t in cfg.times]
     np.testing.assert_allclose(mean, expect, atol=1e-12)
     np.testing.assert_allclose(se, 0.0, atol=1e-15)
 
 
 def test_ensemble_mean_sq_ou_stationary():
     cfg = SimConfig(dt=0.25, t_end=16.0, paths=3000, seed=21)
-    ens = simulate_X(ConstantDrift(-np.eye(1)), DiffusionSpec.constant([[1.0]]),
-                     [0.0], cfg)
-    mean, se = _mean_sq(ens)
+    mean, se = _mean_sq(simulate_X(ConstantDrift(-np.eye(1)),
+                                   DiffusionSpec.constant([[1.0]]), [0.0],
+                                   cfg))
     assert abs(mean[-1] - 0.5) <= 3 * se[-1]
 
 
@@ -148,6 +149,19 @@ def test_constant_series_trend_is_exactly_flat(t_end, n_steps, level):
     cps = EvidenceAccumulator(_grid(t_end, n_steps), 1).checkpoints
     res = log_trend(cps, np.full(len(cps), level))
     assert (res.label, res.slope, res.stderr) == (FLAT, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("vals", [[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 0.0],
+                                  [5.0, 5.0, 5.0]])
+def test_points_at_one_time_trend_is_exactly_flat(vals):
+    # the checkpoints of a one- or two-step grid all fall on grid point 1:
+    # times without spread carry no slope, whatever the values, and a series
+    # that reaches zero there has not decayed over time
+    res = log_trend(np.ones(len(vals)), vals)
+    assert (res.label, res.slope, res.stderr) == (FLAT, 0.0, 0.0)
+    cps = EvidenceAccumulator(_grid(2.0, 2), 1).checkpoints
+    assert cps.tolist() == [1.0] * 4
+    assert log_trend(cps, [1.0, 2.0, 3.0, 4.0]).label == FLAT
 
 
 def test_checkpoints_are_the_grid_times_read():
@@ -261,7 +275,7 @@ def test_bounded_regime_liminf_fraction():
     assert ev.agreement == CONSISTENT
 
 
-# the ensemble of the brute-force tests; simulate_X collects the same
+# the ensemble of the brute-force tests; simulate_X gathers the same
 # per-path Philox streams that compare reads from sample_chunks
 BRUTE_SIGMA = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
 BRUTE_CFG = _config(t_end=64.0, dt=0.25, paths=9, seed=3)
@@ -271,19 +285,19 @@ def test_compare_statistics_match_brute_force():
     # every per-path array compare reports, against its definition on the
     # grid: sup over [t_i, T], max over [0, t_i], min over [T - T/8, T] and
     # the trapezoid average of ||X||^2 over [0, t]
-    ens = simulate_X(DRIFT, BRUTE_SIGMA, [1.0], BRUTE_CFG)
+    norms = state_norms(simulate_X(DRIFT, BRUTE_SIGMA, [1.0], BRUTE_CFG))
     ev = _compare(classify(BRUTE_SIGMA, DRIFT), BRUTE_SIGMA, BRUTE_CFG)
-    t, norms = ens.times, ens.norms
+    t = BRUTE_CFG.times
     T = t[-1]
     np.testing.assert_array_equal(ev.checkpoints, [T / 16, T / 8, T / 4, T / 2])
     for j, c in enumerate(ev.checkpoints):
         i = int(np.flatnonzero(t == c)[0])
-        for p in range(ens.n_paths):
+        for p in range(BRUTE_CFG.paths):
             assert ev.tail_sups[p, j] == max(norms[p, i:])
             assert ev.running_max_at[p, j] == max(norms[p, :i + 1])
     last = t >= T - T / 8
     assert np.count_nonzero(last) == 33
-    for p in range(ens.n_paths):
+    for p in range(BRUTE_CFG.paths):
         assert ev.window_inf_final[p] == min(norms[p, last])
         for got, upto in ((ev.avg_sq_half[p], T / 2), (ev.avg_sq_final[p], T)):
             keep = t <= upto
@@ -317,9 +331,9 @@ def _splits(n_points, cuts):
 
 
 def test_accumulator_matches_brute_force_any_chunking():
-    ens = simulate_X(DRIFT, BRUTE_SIGMA, [1.0], BRUTE_CFG)
+    states = simulate_X(DRIFT, BRUTE_SIGMA, [1.0], BRUTE_CFG)
     verdict = classify(BRUTE_SIGMA, DRIFT)
-    t, norms = ens.times, ens.norms
+    t, norms = BRUTE_CFG.times, state_norms(states)
     n = len(t)
     T = t[-1]
     # grid indices of the checkpoints, T/2 and the window start 7T/8
@@ -332,7 +346,7 @@ def test_accumulator_matches_brute_force_any_chunking():
         "uneven": _splits(n, range(0, n, 7)),
         "one chunk": _splits(n, []),
     }
-    sq = squared_norms(ens.states)
+    sq = squared_norms(states)
     streamed = _compare(verdict, BRUTE_SIGMA, BRUTE_CFG)
     for name, chunks in splits.items():
         for paths in (slice(None), slice(4, 5)):   # all paths and one path
@@ -389,8 +403,38 @@ def test_accumulator_rejects_gaps_and_short_feeds():
         acc.add(11, np.ones((3, 2)))
     with pytest.raises(ValueError):
         acc.evidence(None)
-    with pytest.raises(ValueError):   # parts fed different grid points
-        EvidenceAccumulator.concat([acc, EvidenceAccumulator(cfg, 2)])
+
+
+def test_accumulator_checks_each_columns_own_feed():
+    # paths 0 and 1 moved on to grid point 10; paths 2 and 3 still start at
+    # 0, so a chunk at 10 is a gap for them, alone or with path 1, and one
+    # at 0 a repeat for path 1; columns outside the paths are refused too
+    cfg = _grid(8.0, 64)
+    acc = EvidenceAccumulator(cfg, 4)
+    acc.add(0, np.ones((10, 2)), 0)
+    for n0, width, first in ((10, 2, 2), (10, 3, 1), (0, 3, 1), (10, 2, 3),
+                             (10, 1, -1)):
+        with pytest.raises(ValueError):
+            acc.add(n0, np.ones((3, width)), first)
+    acc.add(0, np.ones((10, 2)), 2)
+    acc.add(10, np.ones((55, 4)))
+    assert acc.evidence(UNDECIDED).window_inf_final.tolist() == [1.0] * 4
+
+
+def test_compare_rejects_a_shard_that_stops_short():
+    # shard range(2, 4) ends at grid point 32 of 64: the other shard's full
+    # feed does not stand in for it, and no evidence is read
+    cfg = _grid(8.0, 64, paths=4)
+
+    def stream(stop):
+        yield 0, np.ones((1, 2, 1))
+        yield 1, np.ones((stop - 1, 2, 1))
+
+    with pytest.raises(ValueError, match="^only 33 of 65 grid points"):
+        compare(UNDECIDED, cfg, [(range(0, 2), stream(65)),
+                                 (range(2, 4), stream(33))])
+    with pytest.raises(ValueError, match="^only 0 of 65 grid points"):
+        compare(UNDECIDED, cfg, [(range(0, 2), stream(65))])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -411,11 +455,11 @@ def test_compare_chunks_matches_compare(monkeypatch):
     # compare over the sampler's stream cut into many small chunks gives the
     # same evidence as over the default chunks
     verdict = classify(BRUTE_SIGMA, DRIFT)
-    ens = simulate_X(DRIFT, BRUTE_SIGMA, [1.0], BRUTE_CFG)
+    norms = state_norms(simulate_X(DRIFT, BRUTE_SIGMA, [1.0], BRUTE_CFG))
     default = _compare(verdict, BRUTE_SIGMA, BRUTE_CFG)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 50)
     ev = _compare(verdict, BRUTE_SIGMA, BRUTE_CFG)
-    _assert_brute_force(ev, ens.times, ens.norms)
+    _assert_brute_force(ev, BRUTE_CFG.times, norms)
     assert ev.summary() == default.summary()
 
 
@@ -433,7 +477,7 @@ def test_compare_raises_worker_failure_after_every_shard_stopped():
     # are slow, shard 2 slower than the calling thread's shard 0, and stop
     # before their next chunk; compare raises the worker's error only once
     # no shard thread is left
-    cfg = _grid(64.0, 256)
+    cfg = _grid(64.0, 256, paths=6)
     fed = [0, 0, 0]
     pause = [0.01, 0.0, 0.2]
 
@@ -448,7 +492,8 @@ def test_compare_raises_worker_failure_after_every_shard_stopped():
 
     with pytest.raises(FloatingPointError,
                        match="^non-finite states in ensemble$"):
-        compare(UNDECIDED, cfg, [shard(0), shard(1), shard(2)])
+        compare(UNDECIDED, cfg, [(range(2 * i, 2 * i + 2), shard(i))
+                                 for i in range(3)])
     assert not _shard_threads()
     assert fed[1] == 1 and max(fed) < 64
 
