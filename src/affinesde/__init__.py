@@ -5,7 +5,7 @@ from .model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
                     LogPower, PeriodicDrift, PowerLaw, QuadratureError)
 from .criteria import (FinitenessRuling, RegimeVerdict, classify,
                        criterion_report, decide_I, decide_Sprime, limit_Lh)
-from .simulate import SimConfig, sample_chunks, simulate_X, step_covariance
+from .simulate import SimConfig, prepare, simulate_X, step_covariance
 from .stats import RegimeEvidence, compare
 
 __version__ = "0.1.0"
@@ -15,7 +15,7 @@ __all__ = [
     "PeriodicDrift", "PowerLaw", "QuadratureError",
     "FinitenessRuling", "RegimeVerdict", "classify", "criterion_report",
     "decide_I", "decide_Sprime", "limit_Lh",
-    "SimConfig", "sample_chunks", "simulate_X",
+    "SimConfig", "prepare", "simulate_X",
     "step_covariance",
     "RegimeEvidence", "compare",
     "__version__",

@@ -35,8 +35,8 @@ from . import criteria, stats
 from .linalg import monodromy
 from .model import (ENVELOPE_FAMILIES, REGIME_UNDECIDED, ConstantDrift,
                     DiffusionSpec, PeriodicDrift, QuadratureError)
-from .simulate import (CovarianceError, SimConfig, sample_chunks,
-                       squared_norms, state_norms)
+from .simulate import (CovarianceError, SimConfig, prepare, squared_norms,
+                       state_norms)
 
 SCHEMA_VERSION = 1
 OUT_ENV_VAR = "AFFINESDE_OUT"
@@ -315,8 +315,8 @@ def _chunks(scn: Scenario):
     its numeric failures keep their own exit code.
     """
     try:
-        return sample_chunks(scn.drift, scn.sigma, scn.initial_state,
-                             scn.simulation)
+        return prepare(scn.drift, scn.sigma,
+                       scn.simulation).shards(scn.initial_state)
     except np.linalg.LinAlgError:   # a ValueError, but a numeric failure
         raise
     except (ValueError, TypeError) as exc:

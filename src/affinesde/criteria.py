@@ -422,6 +422,25 @@ def limit_Lh(spec: DiffusionSpec, h: float) -> float:
 # regime verdict
 # ---------------------------------------------------------------------------
 
+# What the abstract claims of ||X|| beside the regime, by (regime, fading
+# noise): (liminf ||X|| = 0, pathwise average of ||X||^2 -> 0), both a.s.:
+# "In the case of stable or bounded solutions, or when solutions are a.s.
+# unstable asymptotically stable in mean square, it follows that the norm of
+# the solution has zero liminf, by virtue of the fact that ||X||^2 has zero
+# pathwise average a.s."  Unbounded noise that fades is that mean-square
+# stable case, as the drift has passed gate 1; False is "not predicted".
+# An envelope fades unless Unbounded, so StableAS and BoundedNonConvergent
+# have no row without fading.
+_ZERO_CLAIMS = {
+    (STABLE, True): (True, True),
+    (BOUNDED, True): (True, True),
+    (UNBOUNDED, True): (True, True),
+    (UNBOUNDED, False): (False, False),
+    (REGIME_UNDECIDED, True): (False, False),
+    (REGIME_UNDECIDED, False): (False, False),
+}
+
+
 @dataclass(frozen=True)
 class RegimeVerdict:
     regime: str
@@ -447,8 +466,9 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     gives Unbounded, and ||sigma||^2 log t -> L in (0, inf) gives
     BoundedNonConvergent with the threshold in closed form,
     eps* = sqrt(2 h L), reported as the bracket (eps*, eps*).  Tables are
-    Undecided.  fading_noise reads the same profile, and
-    mean_square_stable needs both a stable drift and fading noise.
+    Undecided.  fading_noise reads the same profile,
+    mean_square_stable needs both a stable drift and fading noise, and the
+    two zero-liminf claims are the row of _ZERO_CLAIMS.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -474,12 +494,12 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     note = gate_note or ("finiteness undecided for this sigma form"
                          if regime == REGIME_UNDECIDED else "")
     eps_star = math.sqrt(2.0 * h * profile.L) if regime == BOUNDED else None
-    collapse = regime == BOUNDED or (regime == UNBOUNDED and fading)
+    liminf_zero, avg_sq_zero = _ZERO_CLAIMS[regime, fading]
     return RegimeVerdict(
         regime=regime, drift_stable=drift_stable, fading_noise=fading,
         mean_square_stable=drift_stable and fading,
-        liminf_zero_predicted=collapse,
-        avg_sq_zero_predicted=collapse,
+        liminf_zero_predicted=liminf_zero,
+        avg_sq_zero_predicted=avg_sq_zero,
         epsilon_star_bracket=(eps_star, eps_star) if regime == BOUNDED else None,
         note=note)
 

@@ -25,8 +25,9 @@ this route on a grid of one step, squared back.  Paths are
 seeded independently from a counter-based generator, so the ensemble is
 bit-reproducible and order-independent.
 
-The recursion streams: `sample_chunks` cuts the paths into contiguous path
-groups and returns one (paths, stream) pair per group, paths the group's
+The recursion streams: `prepare` returns the set-up, a `Setup` holding the
+transitions and noise factors, and its `shards(xi)` cuts the paths into
+contiguous path groups, one (paths, stream) pair per group, paths the group's
 range of path indices and stream its time-major chunks (n0, X[k, path, i]),
 so a consumer that only reduces them (such as `stats.compare`) never holds
 the (paths, N+1, d) ensemble: while it works on a chunk, each running group
@@ -331,56 +332,73 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run(trans: np.ndarray, noise_t: np.ndarray, xi: np.ndarray,
-         cfg: SimConfig) -> list:
-    """(paths, stream) pairs of the path groups, each stream yielding the
-    time-major chunks (n0, X) of X_{n+1} = trans[n % m] X_n + noise[n] Z_n.
+@dataclass(frozen=True, eq=False)
+class Setup:
+    """The sampler's set-up on the grid of cfg: trans is the (m, d, d)
+    stack of transitions over one drift period (m = 1 for a constant
+    drift), noise the (N, r, d) stack of the transposes F_n^T of the step
+    noise factors F_n, in C order.  `prepare` gives both read-only, noise
+    the (N, d, d) stack of `_noise_factors` as is: d normals a step
+    whatever sigma's r."""
 
-    The paths are cut into contiguous groups, in path order, and each group
-    gets its range of path indices and its own stream: X[j, p] is the state
-    of path paths[p] at grid point n0 + j, and the first chunk is X_0
-    alone.  trans is the (m, d, d) stack of transitions over one drift
-    period (m = 1 for a constant drift), noise_t the (N, r, d) stack of the
-    per-step factors' transposes noise[n]^T, in C order (from
-    `sample_chunks`, the (N, d, d) stack of `_noise_factors` as is: d
-    normals a step whatever sigma's r).
+    cfg: SimConfig
+    trans: np.ndarray
+    noise: np.ndarray
 
-    `map_shards` runs the groups T = min(CPUs, paths) at a time, so a running
-    group draws at most budget = _CHUNK_DRAWS / T normals per chunk: a
-    group of w paths takes chunks of k = b max(1, budget // (w r b)) steps,
-    whole blocks of the solve (see _block_products), which stay within
-    budget whenever one path's block does.  A group is at most as wide as
-    lets each path's draw call fill at least _FILL normals, since every call
-    hands the interpreter lock to the other threads: as wide as affords
-    each path s steps, _FILL / r rounded up to whole blocks.  The group
-    count is rounded up to a multiple of T so that every thread runs as
-    many groups.  A running group holds its chunk of states plus a staging
-    slice of at most _STAGE paths' draws (see _solve).  The T scratch
-    buffers, each the larger of a slice and the solve's widest product, are
-    allocated here, on the calling thread, which keeps them in its malloc
-    arena whichever thread later runs a group.
-    """
-    N, r, d = noise_t.shape
-    b, P = _block_products(trans)
-    # every right-hand factor is a transpose in C order: numpy's matmul of
-    # small matrices runs several times faster on those than on transposed
-    # views
-    TT, PT = (np.ascontiguousarray(np.swapaxes(a, -1, -2))
-              for a in (trans, P))
-    T = min(_cpus(), cfg.paths)
-    budget = _CHUNK_DRAWS // T
-    s = b * -(-_FILL // (b * r))
-    widest = max(1, budget // (s * r))
-    n = -(-cfg.paths // widest)
-    n = min(cfg.paths, T * -(-n // T))
-    edges = [cfg.paths * i // n for i in range(n + 1)]
-    groups = [(range(lo, hi),
-               min(N, b * max(1, budget // ((hi - lo) * r * b))))
-              for lo, hi in zip(edges, edges[1:])]
-    size = max(_scratch_size(len(paths), k, r, d, b) for paths, k in groups)
-    pool = [np.empty(size) for _ in range(T)]
-    return [(paths, _solve(TT, PT, b, noise_t, xi, cfg.seed, paths, k, pool))
-            for paths, k in groups]
+    def shards(self, xi) -> list:
+        """(paths, stream) pairs of the contiguous path groups, in path
+        order, each stream yielding the time-major chunks (n0, X) of
+        X_{n+1} = trans[n % m] X_n + F_n Z_n from X_0 = xi.
+
+        paths is the group's range of path indices, the ranges tiling
+        0 .. cfg.paths: X[j, p] is the state of path paths[p] at grid point
+        n0 + j, and the first chunk is X_0 alone.  A stream drops each chunk
+        when asked for the next, and raises FloatingPointError at the first
+        chunk that is not finite.
+
+        `map_shards` runs the groups T = min(CPUs, paths) at a time, so a
+        running group draws at most budget = _CHUNK_DRAWS / T normals per
+        chunk: a group of w paths takes chunks of k = b max(1, budget //
+        (w r b)) steps, whole blocks of the solve (see _block_products),
+        which stay within budget whenever one path's block does.  A group is
+        at most as wide as lets each path's draw call fill at least _FILL
+        normals, since every call hands the interpreter lock to the other
+        threads: as wide as affords each path s steps, _FILL / r rounded up
+        to whole blocks.  The group count is rounded up to a multiple of T
+        so that every thread runs as many groups.  A running group holds its
+        chunk of states plus a staging slice of at most _STAGE paths' draws
+        (see _solve).  The T scratch buffers, each the larger of a slice and
+        the solve's widest product, are allocated here, on the calling
+        thread, which keeps them in its malloc arena whichever thread later
+        runs a group.
+        """
+        N, r, d = self.noise.shape
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        if xi.shape != (d,):
+            raise ValueError(f"initial condition must have shape ({d},)")
+        if not np.all(np.isfinite(xi)):
+            raise ValueError("initial condition must be finite")
+        b, P = _block_products(self.trans)
+        # every right-hand factor is a transpose in C order: numpy's matmul
+        # of small matrices runs several times faster on those than on
+        # transposed views
+        TT, PT = (np.ascontiguousarray(np.swapaxes(a, -1, -2))
+                  for a in (self.trans, P))
+        cfg = self.cfg
+        T = min(_cpus(), cfg.paths)
+        budget = _CHUNK_DRAWS // T
+        s = b * -(-_FILL // (b * r))
+        widest = max(1, budget // (s * r))
+        n = -(-cfg.paths // widest)
+        n = min(cfg.paths, T * -(-n // T))
+        edges = [cfg.paths * i // n for i in range(n + 1)]
+        groups = [(range(lo, hi),
+                   min(N, b * max(1, budget // ((hi - lo) * r * b))))
+                  for lo, hi in zip(edges, edges[1:])]
+        size = max(_scratch_size(len(g), k, r, d, b) for g, k in groups)
+        pool = [np.empty(size) for _ in range(T)]
+        return [(g, _solve(TT, PT, b, self.noise, xi, cfg.seed, g, k, pool))
+                for g, k in groups]
 
 
 def _product_rows(k: int, b: int) -> int:
@@ -471,41 +489,20 @@ def _solve(TT, PT, b: int, noise_t, xi, seed: int, paths: range, k: int,
     pool.append(scratch)
 
 
-def _prepare_xi(xi, d: int) -> np.ndarray:
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (d,):
-        raise ValueError(f"initial condition must have shape ({d},)")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("initial condition must be finite")
-    return xi
-
-
 # ---------------------------------------------------------------------------
 # public samplers
 # ---------------------------------------------------------------------------
 
-def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
-    """Sample the SDE from X(0) = xi as (paths, stream) pairs of path
-    groups, each stream yielding time-major chunks (n0, X[k, path, i]).
+def prepare(drift, sigma: DiffusionSpec, cfg: SimConfig) -> Setup:
+    """The sampler's set-up for the SDE on the grid of cfg, whose
+    `Setup.shards(xi)` samples it from X(0) = xi: the exact transitions,
+    and in one blocked pass the panel covariances of either sigma form, at
+    the level their checks pick, each block rooted as it is built into the
+    noise factors.
 
-    The paths are cut into contiguous groups (see `_run`), and the list
-    holds one pair per group, in path order: paths is the group's range of
-    path indices, so the ranges tile 0 .. cfg.paths, and X[:, p] is path
-    paths[p]; `map_shards` runs them, min(CPUs, paths) at a time.  Each
-    stream's chunks cover grid points 0..N in order, the first holding X_0
-    alone; a later chunk is a fresh array of b max(1, (_CHUNK_DRAWS // T) //
-    (width r b)) steps but the last, whole blocks of b (about 64) steps,
-    T = min(CPUs, paths) and width the group's path count.  A stream drops each chunk when asked for the
-    next, so a consumer that drops it too holds, per running group, one
-    chunk of states plus a staging slice of at most _STAGE paths' draws; one
-    that keeps chunks (`list`) may, and pays for them.  The drift is a
-    ConstantDrift or a PeriodicDrift, whose period dt must divide (one whose
-    samples are all identical is a constant drift); any other drift is a
-    TypeError.  The set-up (the exact
-    transitions, and in one blocked pass the panel covariances of either
-    sigma form, at the level their checks pick, each block rooted as it is
-    built into the noise factors) runs before this returns; a non-finite
-    chunk raises FloatingPointError when it is reached.
+    The drift is a ConstantDrift or a PeriodicDrift, whose period dt must
+    divide (one whose samples are all identical is a constant drift); any
+    other drift is a TypeError.
     """
     check_drift(drift)
     m = 1
@@ -516,19 +513,19 @@ def sample_chunks(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> list:
         m = int(round(drift.period / cfg.dt))
         if m < 1 or abs(m * cfg.dt - drift.period) > 1e-9 * drift.period:
             raise ValueError("dt must divide the drift period")
-    xi = _prepare_xi(xi, drift.d)
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
     dt = cfg.dt
     times = dt * np.arange(cfg.n_steps)
     psis = step_propagators(drift, times[:m], dt, 1e-12)
-    return _run(psis(0.0), _noise_factors(sigma, times, dt, _COV_TOL, psis),
-                xi, cfg)
+    trans, noise = psis(0.0), _noise_factors(sigma, times, dt, _COV_TOL, psis)
+    trans.flags.writeable = noise.flags.writeable = False
+    return Setup(cfg, trans, noise)
 
 
 def map_shards(fn, shards) -> list:
     """[fn(paths_i, chunks_i)] over (paths, stream) shard pairs, such as
-    `sample_chunks` returns, on a pool of T = min(CPUs, shards) threads.
+    `Setup.shards` returns, on a pool of T = min(CPUs, shards) threads.
 
     Thread j runs shards j, j + T, j + 2T, ... one after the other, thread 0
     being the calling thread and each other one a worker, all in the
@@ -584,13 +581,13 @@ def simulate_X(drift, sigma: DiffusionSpec, xi, cfg: SimConfig) -> np.ndarray:
     """Sample dX = A(t) X dt + sigma(t) dB from X(0) = xi on the uniform grid
     cfg.times: the (paths, N+1, d) states.
 
-    Each group of the `sample_chunks` stream writes its own paths' rows on
+    Each group of `prepare(...).shards(xi)` writes its own paths' rows on
     the pool thread that `map_shards` runs it on, so it takes the same
     drifts: constant ones and periodic ones whose period dt divides.  The
     drift need not be stable; unstable drifts are legitimate for
     non-stabilisation demonstrations.
     """
-    shards = sample_chunks(drift, sigma, xi, cfg)
+    shards = prepare(drift, sigma, cfg).shards(xi)
     states = np.empty((cfg.paths, cfg.n_steps + 1, drift.d))
 
     def fill(paths, chunks):

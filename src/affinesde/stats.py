@@ -6,8 +6,8 @@ segments (limsup proxy), trailing-window infima (liminf proxy) and pathwise
 time-averages of ||X||^2.  Every proxy the rules read is a running reduction
 at grid indices fixed before the run by integer arithmetic on the step
 count N of the `SimConfig` that built the stream, so `compare` feeds the
-squared norms of each of the sampler's shard streams, on the pool thread
-that runs it, into the columns of the shard's paths of one
+squared norms of each of the sampler's shard streams (`Setup.shards`), on
+the pool thread that runs it, into the columns of the shard's paths of one
 `EvidenceAccumulator` with O(paths) state, and never holds an ensemble.
 Every reduction is per path, so the accumulator holds the same values
 whatever the shard count.
@@ -329,8 +329,8 @@ class EvidenceAccumulator:
 
 def compare(verdict, cfg: SimConfig, shards) -> RegimeEvidence:
     """Weigh shard streams of state chunks (n0, X[k, path, i]) on the grid
-    of cfg, such as `sample_chunks(..., cfg)` returns, against a regime
-    verdict.
+    of cfg, such as `prepare(..., cfg).shards(xi)` returns, against a
+    regime verdict.
 
     One accumulator holds every path.  Each shard's squared norms feed its
     own paths' columns of it on the thread that `map_shards` runs the shard

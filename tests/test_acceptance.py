@@ -19,7 +19,7 @@ from affinesde.linalg import monodromy, solve_lyapunov
 from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
                              LogPower, PeriodicDrift, PowerLaw,
                              interval_integrals)
-from affinesde.simulate import (SimConfig, sample_chunks, simulate_X,
+from affinesde.simulate import (SimConfig, prepare, simulate_X,
                                 squared_norms, state_norms, step_covariance)
 from affinesde.stats import compare
 
@@ -30,7 +30,7 @@ BIG = dict(dt=0.05, t_end=4096.0, paths=200)
 
 def _evidence(verdict, drift, sigma, xi, cfg):
     """compare on the sampler's stream; no ensemble is held."""
-    return compare(verdict, cfg, sample_chunks(drift, sigma, xi, cfg))
+    return compare(verdict, cfg, prepare(drift, sigma, cfg).shards(xi))
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,7 @@ def test_unwritable_output_exits_parse(tmp_path, capsys, monkeypatch, command):
     def never(*args):
         raise AssertionError("sampled before the output directory was made")
 
-    monkeypatch.setattr(cli, "sample_chunks", never)
+    monkeypatch.setattr(cli, "prepare", never)
     doc = base_doc(drift={"kind": "constant", "matrix": [[-1.0]],
                           "period": 1.0},
                    sigma={"kind": "constant", "values": [[1.0]]},

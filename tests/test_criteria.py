@@ -20,7 +20,7 @@ from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
                              LogPower, PeriodicDrift, PowerLaw,
                              QuadratureError, eval_drift, interval_integrals,
                              row_interval_integrals)
-from affinesde.simulate import SimConfig, sample_chunks, step_covariance
+from affinesde.simulate import SimConfig, prepare, step_covariance
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -662,9 +662,9 @@ _GATE_NOTE = ("spectral abscissa >= 0: the unperturbed system is not "
 
 @pytest.mark.parametrize("sigma,drift,expected", [
     (scalar(ExpDecay(1.0, 1.0)), ConstantDrift([[-1.0]]),
-     RegimeVerdict(STABLE, True, True, True, False, False)),
+     RegimeVerdict(STABLE, True, True, True, True, True)),
     (DiffusionSpec.constant([[0.0]]), ConstantDrift([[-1.0]]),
-     RegimeVerdict(STABLE, True, True, True, False, False)),
+     RegimeVerdict(STABLE, True, True, True, True, True)),
     (DiffusionSpec.envelope(LogPower(1.0), np.eye(2) / math.sqrt(2.0)), _A2,
      RegimeVerdict(BOUNDED, True, True, True, True, True,
                    (math.sqrt(2.0), math.sqrt(2.0)))),
@@ -694,6 +694,35 @@ def test_classify_verdict_table(sigma, drift, expected):
     assert v == expected
 
 
+def test_zero_claims_follow_the_abstract():
+    # "In the case of stable or bounded solutions, or when solutions are
+    # a.s. unstable asymptotically stable in mean square, it follows that the
+    # norm of the solution has zero liminf, by virtue of the fact that
+    # ||X||^2 has zero pathwise average a.s." (the paper's abstract).  Each
+    # row gives (liminf_zero_predicted, avg_sq_zero_predicted); StableAS and
+    # BoundedNonConvergent come with fading noise only
+    assert criteria._ZERO_CLAIMS == {
+        (STABLE, True): (True, True),               # stable solutions
+        (BOUNDED, True): (True, True),              # bounded solutions
+        (UNBOUNDED, True): (True, True),     # unstable, mean-square stable
+        (UNBOUNDED, False): (False, False),         # nothing claimed
+        (REGIME_UNDECIDED, True): (False, False),   # not predicted
+        (REGIME_UNDECIDED, False): (False, False),  # not predicted
+    }
+
+
+@pytest.mark.parametrize("sigma", [
+    DiffusionSpec.envelope(PowerLaw(1.0, -0.8), np.eye(2)),
+    DiffusionSpec.envelope(ExpDecay(1.0, 1.0), np.eye(2)),
+    DiffusionSpec.constant(np.zeros((2, 2))),
+], ids=["power-law", "exp-decay", "zero"])
+def test_stable_verdicts_predict_zero_liminf_and_average(sigma):
+    # X -> 0 a.s. gives liminf ||X|| = 0 and a zero average of ||X||^2
+    v = classify(sigma, _A2)
+    assert v.regime == STABLE
+    assert v.liminf_zero_predicted and v.avg_sq_zero_predicted
+
+
 class _MatrixOfTime:
     """A drift-like object that is neither a ConstantDrift nor a
     PeriodicDrift, with a period and a dimension for code that looks."""
@@ -705,11 +734,11 @@ class _MatrixOfTime:
     lambda drift: eval_drift(drift, 0.5),
     lambda drift: classify(scalar(ExpDecay(1.0, 1.0)), drift),
     lambda drift: monodromy(drift),
-    lambda drift: sample_chunks(drift, scalar(ExpDecay(1.0, 1.0)), [1.0],
-                                SimConfig(dt=0.5, t_end=1.0, paths=1, seed=0)),
+    lambda drift: prepare(drift, scalar(ExpDecay(1.0, 1.0)),
+                          SimConfig(dt=0.5, t_end=1.0, paths=1, seed=0)),
     lambda drift: step_covariance(drift, scalar(ExpDecay(1.0, 1.0)), 0.0, 0.5),
     lambda drift: step_propagators(drift, [0.0], 0.5),
-], ids=["eval_drift", "classify", "monodromy", "sample_chunks",
+], ids=["eval_drift", "classify", "monodromy", "prepare",
         "step_covariance", "step_propagators"])
 def test_other_drifts_raise_a_type_error(call):
     # the classification covers constant and periodic drifts only: any other

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import threading
@@ -15,7 +16,7 @@ from affinesde.model import (GL_NODES, ConstantDrift, DiffusionSpec,
                              ExpDecay, LogPower, PeriodicDrift, PowerLaw,
                              eval_drift, eval_sigma, gauss_legendre_rule)
 from affinesde import simulate
-from affinesde.simulate import (CovarianceError, SimConfig, sample_chunks,
+from affinesde.simulate import (CovarianceError, Setup, SimConfig, prepare,
                                 simulate_X, state_norms, step_covariance)
 from affinesde.stats import compare
 
@@ -250,7 +251,7 @@ def test_stiff_sigma_takes_no_step_covariance_call_on_a_long_grid(
     # the stiff sigma on the panel alone, with no step_covariance call
     calls = _counting_step_covariance(monkeypatch)
     cfg = SimConfig(dt=1.0, t_end=4096.0, paths=1, seed=0)
-    sample_chunks(ConstantDrift([[-1.0]]), STIFF_SIGMA, [1.0], cfg)
+    prepare(ConstantDrift([[-1.0]]), STIFF_SIGMA, cfg)
     assert calls == []
 
 
@@ -414,16 +415,14 @@ def test_chunk_stream_independent_of_chunk_size(monkeypatch, budget):
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
     for fill in (1, simulate._FILL):
         monkeypatch.setattr(simulate, "_FILL", fill)
-        streamed = _stream_states(sample_chunks(A, spec, [1.0, 1.0], cfg),
+        streamed = _stream_states(prepare(A, spec, cfg).shards([1.0, 1.0]),
                                   cfg, 2, b)
         np.testing.assert_array_equal(streamed, whole)
 
 
 def _block_length(drift, sigma, cfg):
     """The block length b of the sampler's solve on cfg's grid."""
-    with pytest.MonkeyPatch.context() as mp:
-        trans, _ = _sampler_factors(mp, drift, sigma, cfg)
-    return simulate._block_products(trans)[0]
+    return simulate._block_products(prepare(drift, sigma, cfg).trans)[0]
 
 
 def _stream_states(shards, cfg, r, b):
@@ -453,7 +452,7 @@ def _stream_states(shards, cfg, r, b):
 def test_chunk_stream_rejects_unsampleable_drifts():
     cfg = SimConfig(dt=0.5, t_end=4.0, paths=1, seed=0)
     with pytest.raises(ValueError):  # dt does not divide the period
-        sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg)
+        prepare(COS_DRIFT, UNIT_SIGMA, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -636,22 +635,13 @@ def test_table_covariances_match_adaptive_quadrature(monkeypatch):
         assert np.abs(Q[n] - ref).max() <= cov_tol * np.abs(ref).max(), n
 
 
-def _sampler_factors(monkeypatch, drift, sigma, cfg):
-    """The transitions and the transposed noise factors that sample_chunks
-    sets up, taken before any draw."""
-    got = {}
-    monkeypatch.setattr(simulate, "_run", lambda trans, noise_t, xi, cfg:
-                        got.update(trans=trans, noise_t=noise_t) or [])
-    sample_chunks(drift, sigma, np.zeros(drift.d), cfg)
-    return got["trans"], got["noise_t"]
-
-
-def _sampled_covariances(trans, noise_t):
-    """Cov X_n of the sampled law from X_0 = 0: C_0 = 0 and
+def _sampled_covariances(setup):
+    """Cov X_n of the sampled law of a Setup from X_0 = 0: C_0 = 0 and
     C_{n+1} = Phi_n C_n Phi_n^T + Q_n, Phi_n = trans[n % m] and
-    Q_n = noise[n] noise[n]^T."""
+    Q_n = F_n F_n^T, noise[n] being F_n^T."""
+    trans = setup.trans
     C = [np.zeros(trans.shape[1:])]
-    for n, f in enumerate(noise_t):
+    for n, f in enumerate(setup.noise):
         phi = trans[n % len(trans)]
         C.append(phi @ C[-1] @ phi.T + f.T @ f)
     return np.array(C)
@@ -660,13 +650,13 @@ def _sampled_covariances(trans, noise_t):
 @pytest.mark.parametrize("drift, dt", [(PERIODIC2, 0.25),
                                        (ConstantDrift(A2), 0.05)],
                          ids=["periodic", "constant"])
-def test_sampled_covariances_solve_the_moment_ode(monkeypatch, drift, dt):
+def test_sampled_covariances_solve_the_moment_ode(drift, dt):
     # the covariance of the exact law solves C' = A C + C A^T + sigma sigma^T;
     # scipy's DOP853 integrates it independently of the panel, here for a
     # time-varying sigma under a matrix periodic drift and a constant one
     sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0, 0.5], [0.0, 1.0]])
     cfg = SimConfig(dt=dt, t_end=12.0, paths=1, seed=0)
-    C = _sampled_covariances(*_sampler_factors(monkeypatch, drift, sigma, cfg))
+    C = _sampled_covariances(prepare(drift, sigma, cfg))
 
     def rhs(t, c):
         C, A, S = c.reshape(2, 2), eval_drift(drift, t), eval_sigma(sigma, t)
@@ -679,13 +669,13 @@ def test_sampled_covariances_solve_the_moment_ode(monkeypatch, drift, dt):
     assert np.abs(C - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
-def test_sampled_covariance_reaches_the_lyapunov_solution(monkeypatch):
+def test_sampled_covariance_reaches_the_lyapunov_solution():
     # a constant sigma S on the stable A2: Cov X_n tends to the solution of
     # A2 C + C A2^T = -S S^T, which it meets to rounding by t = 20
     S = np.array([[1.0, 0.3], [0.0, 0.8]])
     cfg = SimConfig(dt=0.05, t_end=20.0, paths=1, seed=0)
-    C = _sampled_covariances(*_sampler_factors(
-        monkeypatch, ConstantDrift(A2), DiffusionSpec.constant(S), cfg))
+    C = _sampled_covariances(prepare(ConstantDrift(A2),
+                                     DiffusionSpec.constant(S), cfg))
     ref = solve_continuous_lyapunov(A2, -S @ S.T)
     assert np.abs(C[400] - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -708,21 +698,15 @@ def test_step_covariances_never_build_the_node_table():
 
 @pytest.mark.parametrize("block", [7, 8192])
 def test_noise_factors_blocked_equal_one_shot(monkeypatch, block):
-    # sample_chunks hands _run the very stack that _noise_factors builds, at
-    # a set-up block of one step per position and of whole periods alike,
-    # with no second pass over it; the stack equals a one-block build bit
-    # for bit
+    # the Setup's noise stack, built at a set-up block of one step per
+    # position and of whole periods alike, equals a one-block build bit for
+    # bit
     monkeypatch.setattr(simulate, "_COV_BLOCK", block)
-    stacks = []
-    build = simulate._noise_factors
-    monkeypatch.setattr(simulate, "_noise_factors",
-                        lambda *a: stacks.append(build(*a)) or stacks[-1])
     sigma = DiffusionSpec.envelope(LogPower(1.0), [[1.0, 0.5], [0.0, 1.0]])
     cfg = SimConfig(dt=0.25, t_end=0.25 * 8200, paths=1, seed=0)
-    _, noise_t = _sampler_factors(monkeypatch, PERIODIC2, sigma, cfg)
-    assert len(stacks) == 1 and noise_t is stacks[0]
+    noise = prepare(PERIODIC2, sigma, cfg).noise
     monkeypatch.setattr(simulate, "_COV_BLOCK", 6 * cfg.n_steps)
-    assert np.array_equal(noise_t, build(
+    assert np.array_equal(noise, simulate._noise_factors(
         sigma, cfg.dt * np.arange(cfg.n_steps), cfg.dt, simulate._COV_TOL,
         _propagators(PERIODIC2, 6, cfg.dt)))
 
@@ -776,18 +760,11 @@ def _sequential_states(trans, noise, xi, cfg):
     return states
 
 
-def _sample_with_factors(monkeypatch, drift, sigma, xi, cfg):
-    """The sampled states, and the (trans, noise) the sampler ran them with."""
-    factors = {}
-    run = simulate._run
-
-    def spy(trans, noise_t, xi, cfg):
-        factors.update(trans=trans, noise=np.swapaxes(noise_t, 1, 2))
-        return run(trans, noise_t, xi, cfg)
-
-    monkeypatch.setattr(simulate, "_run", spy)
-    states = simulate_X(drift, sigma, xi, cfg)
-    return states, factors["trans"], factors["noise"]
+def _states(shards):
+    """The (paths, N+1, d) states of (paths, stream) pairs in path order."""
+    return np.swapaxes(np.concatenate(
+        [np.concatenate([X for _, X in chunks]) for _, chunks in shards],
+        axis=1), 0, 1)
 
 
 EYE2_SIGMA = DiffusionSpec.constant(np.eye(2))
@@ -807,10 +784,11 @@ def test_blocked_solve_matches_sequential(monkeypatch, drift, sigma, xi, dt,
     # a small draw budget makes every chunk a single block
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", 100)
     cfg = SimConfig(dt=dt, t_end=t_end, paths=3, seed=17)
-    states, trans, noise = _sample_with_factors(monkeypatch, drift, sigma,
-                                                xi, cfg)
+    setup = prepare(drift, sigma, cfg)
+    states = _states(setup.shards(xi))
     assert cfg.n_steps >= 300
-    ref = _sequential_states(trans, noise, np.asarray(xi, float), cfg)
+    ref = _sequential_states(setup.trans, np.swapaxes(setup.noise, 1, 2),
+                             np.asarray(xi, float), cfg)
     assert np.abs(states - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -825,9 +803,9 @@ def test_blocked_solve_no_spurious_overflow():
         simulate_X(drift, zero, [1.0], cfg)
     # a period of m = 2 steps whose product overflows already: the blocks
     # are single steps
-    shards = simulate._run(np.full((2, 1, 1), 1e200), np.zeros((8, 1, 1)),
-                           np.zeros(1), SimConfig(dt=1.0, t_end=8.0, paths=2,
-                                                  seed=0))
+    shards = Setup(SimConfig(dt=1.0, t_end=8.0, paths=2, seed=0),
+                   np.full((2, 1, 1), 1e200),
+                   np.zeros((8, 1, 1))).shards(np.zeros(1))
     assert all(np.all(X == 0.0) for _, chunks in shards for _, X in chunks)
 
 
@@ -847,7 +825,7 @@ def test_chunk_stream_independent_of_chunk_size_periodic(monkeypatch, budget):
     for fill in (1, simulate._FILL):
         monkeypatch.setattr(simulate, "_FILL", fill)
         streamed = _stream_states(
-            sample_chunks(COS_DRIFT, UNIT_SIGMA, [1.0], cfg), cfg, 1, b)
+            prepare(COS_DRIFT, UNIT_SIGMA, cfg).shards([1.0]), cfg, 1, b)
         np.testing.assert_array_equal(streamed, whole)
 
 
@@ -873,7 +851,7 @@ def test_blocked_solve_overflowing_products_match_sequential(monkeypatch,
     runs = []
     for budget in (1, 3 * 3 * b, 2 ** 20):
         monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
-        runs.append(_stream_states(simulate._run(trans, noise_t, xi, cfg),
+        runs.append(_stream_states(Setup(cfg, trans, noise_t).shards(xi),
                                    cfg, 1, b))
     for states in runs[:-1]:
         np.testing.assert_array_equal(states, runs[-1])
@@ -906,12 +884,12 @@ def test_results_independent_of_shard_count(monkeypatch, drift, sigma, xi,
     monkeypatch.setattr(simulate, "_FILL", 8)
     cfg = SimConfig(dt=dt, t_end=t_end, paths=paths, seed=29)
     undecided = SimpleNamespace(regime="Undecided")
-    runs = []
+    setup, runs = prepare(drift, sigma, cfg), []
     for n in (1, 2, 3):
         monkeypatch.setattr(simulate, "_cpus", lambda: n)
-        assert len(sample_chunks(drift, sigma, xi, cfg)) == min(n, paths)
+        assert len(setup.shards(xi)) == min(n, paths)
         states = simulate_X(drift, sigma, xi, cfg)
-        ev = compare(undecided, cfg, sample_chunks(drift, sigma, xi, cfg))
+        ev = compare(undecided, cfg, setup.shards(xi))
         runs.append((states, *(getattr(ev, a) for a in EVIDENCE_ARRAYS)))
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):
@@ -930,7 +908,8 @@ def test_group_ranges_tile_the_paths_in_order(monkeypatch, cpus, groups):
     monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
     cfg = SimConfig(dt=0.25, t_end=16.0, paths=600, seed=2)
     drift = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
-    shards = sample_chunks(drift, EYE2_SIGMA, [1.0, 1.0], cfg)
+    setup = prepare(drift, EYE2_SIGMA, cfg)
+    shards = setup.shards([1.0, 1.0])
     ranges = [paths for paths, _ in shards]
     assert len(ranges) == groups
     assert [p for paths in ranges for p in paths] == list(range(cfg.paths))
@@ -940,12 +919,40 @@ def test_group_ranges_tile_the_paths_in_order(monkeypatch, cpus, groups):
         shards)
     assert widths == [(paths, {len(paths)}) for paths in ranges]
     undecided = SimpleNamespace(regime="Undecided")
-    want = compare(undecided, cfg, sample_chunks(drift, EYE2_SIGMA,
-                                                 [1.0, 1.0], cfg))
-    got = compare(undecided, cfg, sample_chunks(drift, EYE2_SIGMA,
-                                                [1.0, 1.0], cfg)[::-1])
+    want = compare(undecided, cfg, setup.shards([1.0, 1.0]))
+    got = compare(undecided, cfg, setup.shards([1.0, 1.0])[::-1])
     for name in EVIDENCE_ARRAYS:
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_one_setup_samples_as_fresh_ones():
+    # a Setup is a value: sampled twice from one initial state and once
+    # from another, it gives the states of a fresh prepare each time, bit
+    # for bit, and its stacks equal the fresh ones
+    sigma = DiffusionSpec.envelope(ExpDecay(1.0, 0.2), [[1.0, 0.5], [0.0, 1.0]])
+    cfg = SimConfig(dt=0.25, t_end=0.25 * 300, paths=5, seed=9)
+    setup = prepare(PERIODIC2, sigma, cfg)
+    runs = []
+    for xi in ([1.0, -1.0], [0.0, 2.0], [1.0, -1.0]):
+        fresh = prepare(PERIODIC2, sigma, cfg)
+        assert np.array_equal(setup.trans, fresh.trans)
+        assert np.array_equal(setup.noise, fresh.noise)
+        runs.append(_states(setup.shards(xi)))
+        assert np.array_equal(runs[-1], _states(fresh.shards(xi)))
+    assert np.array_equal(runs[0], runs[2])
+    assert not np.array_equal(runs[0], runs[1])
+
+
+def test_setup_stacks_are_read_only():
+    # shards reads the stacks and never writes them, so nothing can change
+    # a set-up between two samplings
+    cfg = SimConfig(dt=0.25, t_end=4.0, paths=1, seed=0)
+    setup = prepare(PERIODIC2, EYE2_SIGMA, cfg)
+    for stack in (setup.trans, setup.noise):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setup.noise = np.zeros_like(setup.noise)
 
 
 def test_map_shards_runs_workers_in_callers_context(monkeypatch):
@@ -976,8 +983,8 @@ def test_wide_ensemble_draws_in_long_fills_on_a_cpu_sized_pool(monkeypatch):
     monkeypatch.setattr(simulate, "_cpus", lambda: 2)
     fills, lock = _counted_fills(monkeypatch)
     cfg = SimConfig(dt=0.25, t_end=512.0, paths=1024, seed=8)
-    shards = sample_chunks(ConstantDrift(-np.eye(2)), EYE2_SIGMA, [1.0, 1.0],
-                           cfg)
+    shards = prepare(ConstantDrift(-np.eye(2)), EYE2_SIGMA,
+                     cfg).shards([1.0, 1.0])
     running, most = set(), [0]
 
     def consume(paths, chunks):
@@ -1038,7 +1045,7 @@ def test_whole_block_chunks_keep_the_fill_and_the_budget(
     monkeypatch.setattr(simulate, "_cpus", lambda: 1)
     monkeypatch.setattr(simulate, "_CHUNK_DRAWS", budget)
     fills, _ = _counted_fills(monkeypatch)
-    streamed = _stream_states(sample_chunks(drift, sigma, xi, cfg), cfg,
+    streamed = _stream_states(prepare(drift, sigma, cfg).shards(xi), cfg,
                               drift.d, b)
     assert min(fills) >= simulate._FILL == 2048
     assert max(fills) * paths > budget   # no group takes every path
@@ -1080,9 +1087,9 @@ def test_running_group_holds_one_chunk_plus_a_staging_slice(monkeypatch):
     k, w, d = 1024, 256, 2
     tracemalloc.start()
     try:
-        shards = sample_chunks(ConstantDrift(np.array([[-1.0, 0.5],
-                                                       [0.0, -2.0]])),
-                               EYE2_SIGMA, [1.0, 1.0], cfg)
+        shards = prepare(ConstantDrift(np.array([[-1.0, 0.5],
+                                                 [0.0, -2.0]])),
+                         EYE2_SIGMA, cfg).shards([1.0, 1.0])
         assert len(shards) == 1
         sizes = simulate.map_shards(_chunk_lengths, shards)
         peak = tracemalloc.get_traced_memory()[1]
@@ -1104,7 +1111,7 @@ def test_groups_beyond_the_shared_buffers_draw_into_fresh_ones(monkeypatch):
     cfg = SimConfig(dt=0.25, t_end=40.0, paths=7, seed=123)
     A = ConstantDrift(np.array([[-1.0, 0.0], [0.5, -0.5]]))
     whole = simulate_X(A, spec, [1.0, 1.0], cfg)
-    shards = sample_chunks(A, spec, [1.0, 1.0], cfg)
+    shards = prepare(A, spec, cfg).shards([1.0, 1.0])
     assert len(shards) > 2
     parts = [[] for _ in shards]
     for chunks in itertools.zip_longest(*(s for _, s in shards)):
@@ -1139,7 +1146,8 @@ def test_derived_series():
     # the time-average compare reads from the same stream, against a direct
     # trapezoid average of the gathered norms at the final time
     ev = compare(SimpleNamespace(regime="Undecided"), cfg,
-                 sample_chunks(ConstantDrift(-np.eye(1)), UNIT_SIGMA, [0.0], cfg))
+                 prepare(ConstantDrift(-np.eye(1)), UNIT_SIGMA,
+                         cfg).shards([0.0]))
     assert np.all(ev.avg_sq_final >= 0)
     direct = np.trapezoid(norms ** 2, cfg.times, axis=1) / cfg.times[-1]
     np.testing.assert_allclose(ev.avg_sq_final, direct, rtol=1e-12)

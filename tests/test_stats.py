@@ -12,7 +12,7 @@ import pytest
 from affinesde.criteria import classify
 from affinesde.model import ConstantDrift, DiffusionSpec, ExpDecay, LogPower
 from affinesde import simulate
-from affinesde.simulate import (SimConfig, sample_chunks, simulate_X,
+from affinesde.simulate import (SimConfig, prepare, simulate_X,
                                 squared_norms, state_norms)
 from affinesde.stats import (CONSISTENT, DECREASING, FLAT, INCONCLUSIVE,
                              INCONSISTENT, INCREASING, EvidenceAccumulator,
@@ -207,7 +207,7 @@ def _config(t_end=256.0, dt=0.125, paths=60, seed=13):
 
 def _compare(verdict, sigma, cfg):
     """compare on the sampler's stream of dX = -X dt + sigma dB, X(0) = 1."""
-    return compare(verdict, cfg, sample_chunks(DRIFT, sigma, [1.0], cfg))
+    return compare(verdict, cfg, prepare(DRIFT, sigma, cfg).shards([1.0]))
 
 
 def test_compare_stable_consistent():
@@ -276,7 +276,7 @@ def test_bounded_regime_liminf_fraction():
 
 
 # the ensemble of the brute-force tests; simulate_X gathers the same
-# per-path Philox streams that compare reads from sample_chunks
+# per-path Philox streams that compare reads from Setup.shards
 BRUTE_SIGMA = DiffusionSpec.envelope(LogPower(1.0), [[1.0]])
 BRUTE_CFG = _config(t_end=64.0, dt=0.25, paths=9, seed=3)
 
@@ -532,7 +532,7 @@ def test_compare_reentrant_across_threads(monkeypatch):
 
 def test_compare_holds_one_chunk_per_shard(monkeypatch):
     # while compare reduces a chunk, the shard has already dropped the one
-    # before it: beyond what sample_chunks set up (transitions, noise
+    # before it: beyond what prepare and shards set up (transitions, noise
     # factors, draw buffers), the traced peak is one chunk per running
     # group plus the feeds' temporaries of 2**15 norms each.  On two CPUs
     # a running group draws 2**18 normals per chunk, so each chunk is
@@ -545,10 +545,10 @@ def test_compare_holds_one_chunk_per_shard(monkeypatch):
     drift = ConstantDrift(np.array([[-1.0, 0.5], [0.0, -2.0]]))
     sigma = DiffusionSpec.constant(np.eye(2))
     warm = SimConfig(dt=0.125, t_end=64.0, paths=4, seed=3)
-    compare(UNDECIDED, warm, sample_chunks(drift, sigma, [1.0, 1.0], warm))
+    compare(UNDECIDED, warm, prepare(drift, sigma, warm).shards([1.0, 1.0]))
     for paths, n_steps, groups in ((64, 4 * 8192, 2), (1024, 4096, 8)):
         cfg = SimConfig(dt=0.125, t_end=0.125 * n_steps, paths=paths, seed=3)
-        shards = sample_chunks(drift, sigma, [1.0, 1.0], cfg)
+        shards = prepare(drift, sigma, cfg).shards([1.0, 1.0])
         tracemalloc.start()
         try:
             ev = compare(UNDECIDED, cfg, shards)
