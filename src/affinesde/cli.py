@@ -34,7 +34,7 @@ import yaml
 from . import criteria, stats
 from .linalg import monodromy
 from .model import (ENVELOPE_FAMILIES, REGIME_UNDECIDED, ConstantDrift,
-                    DiffusionSpec, PeriodicDrift, QuadratureError)
+                    DiffusionSpec, LogPower, PeriodicDrift, QuadratureError)
 from .simulate import (CovarianceError, SimConfig, prepare, squared_norms,
                        state_norms)
 
@@ -56,9 +56,11 @@ class ScenarioError(ValueError):
 # scenario schema
 # ---------------------------------------------------------------------------
 
-# family name -> (class, parameter names)
-_ENVELOPES = {cls.__name__: (cls, tuple(f.name for f in dataclasses.fields(cls)))
-              for cls in ENVELOPE_FAMILIES}
+# family name -> (class, parameter names, the names without a default)
+_ENVELOPES = {cls.__name__: (
+    cls, tuple(f.name for f in dataclasses.fields(cls)),
+    tuple(f.name for f in dataclasses.fields(cls)
+          if f.default is dataclasses.MISSING)) for cls in ENVELOPE_FAMILIES}
 
 # eps_lo, eps_hi and eps_points are still accepted so that existing scenario
 # files parse, but nothing reads them: classify computes eps* in closed form
@@ -157,13 +159,23 @@ def _sigma(section: dict) -> DiffusionSpec:
     if kind == "envelope":
         _check_keys(section, "sigma", ("kind", "family", "params", "pattern"),
                     required=("family", "params", "pattern"))
-        fam = str(section["family"])
+        fam, params = str(section["family"]), section["params"]
+        if fam == "LogGrow":
+            # k ln(e+t)^beta, beta > 0, is LogPower(1, -2 beta) on the
+            # pattern k P: the same sigma up to rounding, without k^2
+            names = ("scale", "exponent")
+            _check_keys(params, "sigma.params", names, required=names)
+            k, beta = (_num(params, n) for n in names)
+            if not beta > 0:
+                raise ScenarioError("LogGrow exponent must be positive")
+            return DiffusionSpec.envelope(
+                LogPower(1.0, -2.0 * beta),
+                k * _matrix(section["pattern"], "sigma.pattern"))
         if fam not in _ENVELOPES:
             raise ScenarioError(f"unknown envelope family {fam!r}")
-        cls, param_names = _ENVELOPES[fam]
-        params = section["params"]
-        _check_keys(params, "sigma.params", param_names, required=param_names)
-        env = cls(**{k: _num(params, k) for k in param_names})
+        cls, names, required = _ENVELOPES[fam]
+        _check_keys(params, "sigma.params", names, required=required)
+        env = cls(**{k: _num(params, k) for k in names if k in params})
         return DiffusionSpec.envelope(
             env, _matrix(section["pattern"], "sigma.pattern"))
     if kind == "table":

@@ -99,8 +99,8 @@ def _analyze(spec: DiffusionSpec, pattern_norm_sq: Optional[float] = None) -> _P
     implies under a stable drift, L = lim ||sigma(t)||^2 log t, and whether
     the noise fades.
 
-    Envelope families give the regime and L from their ``profile()``, and
-    fade unless Unbounded; an identically zero sigma is StableAS without an
+    Envelope families give the regime, L and fading from their
+    ``profile()``; an identically zero sigma is StableAS without an
     envelope, so its tail bound is 0.  A constant sigma is the zero-exponent
     PowerLaw envelope, so it is Unbounded unless zero.  A table holds its
     last value forever, so a non-zero hold gives L = inf and no fading, a
@@ -115,11 +115,11 @@ def _analyze(spec: DiffusionSpec, pattern_norm_sq: Optional[float] = None) -> _P
     if not isinstance(spec, EnvelopePattern):
         raise TypeError(f"sigma must be an EnvelopePattern or a TableSigma, "
                         f"got {type(spec).__name__}")
-    regime, L = spec.envelope.profile()
+    regime, L, fading = spec.envelope.profile()
     F = frobenius_sq(spec.pattern) if pattern_norm_sq is None else pattern_norm_sq
     if F == 0.0 or regime == ZERO:
         return _Profile(STABLE, 0.0, True)
-    return _Profile(regime, L * F, regime != UNBOUNDED, spec.envelope, F)
+    return _Profile(regime, L * F, fading, spec.envelope, F)
 
 
 def _status(profile: _Profile, eps: float, width: float) -> str:
@@ -157,11 +157,12 @@ def _rulings(spec: DiffusionSpec, eps, partial, n_terms: int, width: float,
              start: float, divisor: float, tol: float):
     """Rulings on partial values computed up to `start` with windows of
     `width`; the tail bound beyond `start` is divided by `divisor`.  The
-    profile, and an Unbounded witness's energy floor, serve every eps."""
+    profile, and a non-fading witness's energy floor, serve every eps.
+    Divergent fading noise has its family's witness."""
     profile = _analyze(spec)
-    if profile.regime == UNBOUNDED:
-        # Unbounded families have non-decreasing envelopes: the window
-        # [w, 2w] is the smallest after the first
+    if profile.regime == UNBOUNDED and not profile.fading:
+        # Unbounded envelopes that do not fade are non-decreasing: the
+        # window [w, 2w] is the smallest after the first
         b = float(interval_integrals(spec, [width], [2.0 * width], tol)[0])
     rulings = []
     for e, part in zip(np.atleast_1d(eps).tolist(),
@@ -182,16 +183,9 @@ def _rulings(spec: DiffusionSpec, eps, partial, n_terms: int, width: float,
                 extra["tail_bound"] = bound
             else:
                 extra["tail_bound_log10"] = log_bound / math.log(10.0)
-        elif status == INFINITE and profile.regime == BOUNDED:
-            Lw = width * profile.L
-            p = e * e / (2.0 * Lw)
-            where = "p <= 1" if p <= 1.0 else (
-                f"eps equals eps* = sqrt(2 L_w) within rounding "
-                f"(p - 1 = {p - 1.0:.2g})")
-            extra["witness"] = (
-                f"terms >= sqrt(L_w/ln(e+t+w)) * (e+t+w)^(-p) with "
-                f"p = eps^2/(2 L_w) = {p:.6g}, L_w = {Lw:.6g} and {where}; "
-                f"the comparison series diverges")
+        elif status == INFINITE and profile.fading:
+            extra["witness"] = profile.envelope.witness(
+                e, width * profile.fro_sq)
         elif status == INFINITE:
             extra["witness"] = (
                 f"window energies are bounded below by {b:.6g} > 0, so each "
@@ -429,8 +423,8 @@ def limit_Lh(spec: DiffusionSpec, h: float) -> float:
 # the solution has zero liminf, by virtue of the fact that ||X||^2 has zero
 # pathwise average a.s."  Unbounded noise that fades is that mean-square
 # stable case, as the drift has passed gate 1; False is "not predicted".
-# An envelope fades unless Unbounded, so StableAS and BoundedNonConvergent
-# have no row without fading.
+# StableAS and BoundedNonConvergent envelopes always fade, so they have no
+# row without fading.
 _ZERO_CLAIMS = {
     (STABLE, True): (True, True),
     (BOUNDED, True): (True, True),
@@ -585,10 +579,28 @@ class CriterionReport:
         }
 
 
+_REPORT_EPS = (0.5, 1.0, 2.0, 4.0)
+
+
 def criterion_report(spec: DiffusionSpec, h: float = 1.0, c: float = 1.0,
-                     eps_values=(0.5, 1.0, 2.0, 4.0), n_terms: int = 256,
+                     eps_values=None, n_terms: int = 256,
                      t_max: float = 256.0, tol: float = 1e-8) -> CriterionReport:
-    """Evaluate both criteria over a small eps grid at once, for reporting."""
+    """Evaluate both criteria over a small eps grid at once, for reporting.
+
+    By default the grid is (0.5, 1, 2, 4), and for BoundedNonConvergent noise
+    it goes on with e/2, e and 2e for the threshold e = sqrt(2 h L) of the
+    sums, then for sqrt(2 c L) of the integrals, each value once, so that
+    the report straddles eps* wherever it is.  Given eps_values are taken
+    as they are.
+    """
+    if eps_values is None:
+        profile = _analyze(spec)
+        eps_values = list(_REPORT_EPS)
+        if profile.regime == BOUNDED:
+            for w in (h, c):
+                star = math.sqrt(2.0 * w * profile.L)
+                eps_values += [e for e in (0.5 * star, star, 2.0 * star)
+                               if e not in eps_values]
     eps = np.array(eps_values, dtype=float)
     sums = decide_Sprime(spec, eps, h, n_terms, min(tol, 1e-8))
     ints = decide_I(spec, eps, c, t_max, tol)

@@ -91,7 +91,7 @@ _RK_P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_LN_DBL_MAX = math.log(np.finfo(float).max)   # 709.78
+LN_DBL_MAX = math.log(np.finfo(float).max)   # 709.78
 
 
 def _rms(x) -> float:
@@ -185,6 +185,25 @@ def _rk45(f, t0: float, t1: float, y0: np.ndarray, tol: float):
     return dense
 
 
+def transition_growth(drift, dt) -> float:
+    """alpha max(dt) for a ConstantDrift of spectral abscissa alpha, -inf
+    for a PeriodicDrift: some entry of e^{A dt} is at least
+    rho / d = e^{alpha dt} / d.  Past ln(DBL_MAX) + ln d the transition
+    leaves the double range, which raises a RuntimeError here, where the
+    adjoint solve would only find it out after its stages overflow,
+    seconds later."""
+    if not isinstance(drift, ConstantDrift):
+        return -math.inf
+    growth = spectral_abscissa(drift.matrix) * float(np.max(dt))
+    limit = LN_DBL_MAX + math.log(drift.d)
+    if growth > limit:
+        raise RuntimeError(
+            "fundamental solution integration failed: the transition "
+            f"overflows, spectral abscissa times dt = {growth:.6g} "
+            f"exceeds ln(DBL_MAX) + ln d = {limit:.6g}")
+    return growth
+
+
 def step_propagators(drift, starts, dt, tol: float = 1e-10):
     """The map u -> Psi(t_j + dt_j, t_j + u dt_j) on [0, 1] for every start t_j.
 
@@ -201,7 +220,8 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
     at tol.  A solve whose step falls below 10 ulp, as when the drift's
     entries overflow the stages, raises a RuntimeError; a constant drift
     whose spectral abscissa alpha has alpha max(dt) > ln(DBL_MAX) + ln d
-    raises it before the solve, since its transition cannot be a double.
+    raises it before the solve (`transition_growth`), since its transition
+    cannot be a double.
     The map takes a u, giving an (m, d, d) stack, or a 1-d array of them,
     giving one stack per u; the dense output evaluates an array at once.
     Any drift but a ConstantDrift or a PeriodicDrift is a TypeError.
@@ -224,16 +244,7 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     m, d = len(starts), drift.d
-    if isinstance(drift, ConstantDrift):
-        # some entry of e^{A dt} is at least rho / d = e^{alpha dt} / d, so
-        # past this the transition leaves the double range, and the solve
-        # would only find it out after its stages overflow, seconds later
-        growth = spectral_abscissa(drift.matrix) * float(np.max(dt))
-        if growth > _LN_DBL_MAX + math.log(d):
-            raise RuntimeError(
-                "fundamental solution integration failed: the transition "
-                f"overflows, spectral abscissa times dt = {growth:.6g} "
-                f"exceeds ln(DBL_MAX) + ln d = {_LN_DBL_MAX + math.log(d):.6g}")
+    transition_growth(drift, dt)
     step = np.reshape(dt, (-1, 1, 1))   # dt_j against each start's matrix
 
     def rhs(u, y):

@@ -37,22 +37,27 @@ class QuadratureError(RuntimeError):
 #
 # Each family carries its own asymptotic mathematics next to ``value``:
 #
-# * ``profile()`` -- the regime the envelope implies under a stable drift
-#   and L = lim value(t)^2 ln t: StableAS when L = 0, BoundedNonConvergent
-#   when L is in (0, inf), Unbounded when L = inf; ZERO marks an identically
-#   zero envelope, which is StableAS with a tail bound of 0;
+# * ``profile()`` -- (regime, L, fading): the regime the envelope implies
+#   under a stable drift, L = lim value(t)^2 ln t, and whether value(t) -> 0.
+#   StableAS when L = 0, BoundedNonConvergent when L is in (0, inf),
+#   Unbounded when L = inf; ZERO marks an identically zero envelope, which
+#   is StableAS with a tail bound of 0.  Only LogPower below power 1 is
+#   Unbounded and fading; every other Unbounded envelope is non-decreasing;
 # * ``log_tail(eps, mass, T)`` -- for the StableAS and BoundedNonConvergent
 #   families, the natural log of an upper bound on int_T^inf phi(x(t)) dt
 #   for every x(t) <= mass * value(t)^2, where
 #   phi(x) = sqrt(x) exp(-eps^2 / (2x)); in logs, a bound beyond the double
 #   range (PowerLaw's m! for an exponent near 0) still has a size, and one
-#   whose log is beyond it too (exponents below about 1e-305) is inf.
+#   whose log is beyond it too (exponents below about 1e-305) is inf;
+# * ``witness(eps, mass)`` -- for the fading families whose sums diverge
+#   (LogPower up to power 1), why they diverge when every window energy is
+#   at least mass * value(t + w)^2.
 #
 # A window of width w over a non-increasing envelope has energy at most
 # w F value(t)^2 (F the squared pattern norm), so mass = w F bounds the
-# running-window integrand of I_w.  Each bound is the integral of a
-# non-increasing majorant, so exp(log_tail(eps, h F, N h)) / h also bounds
-# the window sum over n > N.
+# running-window integrand of I_w, and at least w F value(t + w)^2.  Each
+# bound is the integral of a non-increasing majorant, so
+# exp(log_tail(eps, h F, N h)) / h also bounds the window sum over n > N.
 
 # the almost-sure regimes of the trichotomy, and the one profile value
 # outside it
@@ -103,8 +108,9 @@ class PowerLaw(_Envelope):
 
     def profile(self):
         if self.scale == 0.0:
-            return ZERO, 0.0
-        return (STABLE, 0.0) if self.exponent < 0.0 else (UNBOUNDED, math.inf)
+            return ZERO, 0.0, True
+        return (STABLE, 0.0, True) if self.exponent < 0.0 else \
+            (UNBOUNDED, math.inf, False)
 
     def log_tail(self, eps: float, mass: float, T: float) -> float:
         # x(t) <= mass k^2 (1+t)^(2a) with a < 0
@@ -121,23 +127,35 @@ class PowerLaw(_Envelope):
 
 @dataclass(frozen=True)
 class LogPower(_Envelope):
-    """Envelope sqrt(gamma / ln(e + t))."""
+    """Envelope sqrt(gamma / ln(e + t)**power), power <= 1: a threshold at
+    power 1, Unbounded noise that fades for power in (0, 1), and noise that
+    does not fade for power <= 0."""
 
     gamma: float
+    power: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
         if self.gamma < 0:
             raise ValueError("LogPower gamma must be >= 0")
+        if self.power > 1:
+            raise ValueError("LogPower power above 1 is not supported: its "
+                             "tail bound and closed-form energies are open "
+                             "(ROADMAP item 2)")
 
     def value(self, t):
-        return np.sqrt(self.gamma / np.log(math.e + np.asarray(t, dtype=float)))
+        return np.sqrt(self.gamma / np.log(math.e + np.asarray(t, dtype=float))
+                       ** self.power)
 
     def profile(self):
-        return (ZERO, 0.0) if self.gamma == 0.0 else (BOUNDED, self.gamma)
+        if self.gamma == 0.0:
+            return ZERO, 0.0, True
+        if self.power == 1.0:
+            return BOUNDED, self.gamma, True
+        return UNBOUNDED, math.inf, self.power > 0.0
 
     def log_tail(self, eps: float, mass: float, T: float) -> float:
-        # x(t) <= L_w / ln(e+t) with L_w = mass gamma, so
+        # power 1: x(t) <= L_w / ln(e+t) with L_w = mass gamma, so
         # phi(x(t)) <= sqrt(L_w / ln(e+t)) (e+t)^(-p), p = eps^2 / (2 L_w)
         Lw = mass * self.gamma
         p = eps * eps / (2.0 * Lw)
@@ -146,6 +164,33 @@ class LogPower(_Envelope):
         log_span = math.log(math.e + T)
         return (0.5 * (math.log(Lw) - math.log(log_span))
                 + (1.0 - p) * log_span - math.log(p - 1.0))
+
+    def witness(self, eps: float, mass: float) -> str:
+        # x(t) >= L_w / ln(e+t+w)^power with L_w = mass gamma, and phi
+        # increases in x
+        Lw = mass * self.gamma
+        if self.power == 1.0:
+            # phi(x(t)) >= sqrt(L_w / ln(e+t+w)) (e+t+w)^(-p) with
+            # p = eps^2 / (2 L_w)
+            p = eps * eps / (2.0 * Lw)
+            where = "p <= 1" if p <= 1.0 else (
+                f"eps equals eps* = sqrt(2 L_w) within rounding "
+                f"(p - 1 = {p - 1.0:.2g})")
+            return (f"terms >= sqrt(L_w/ln(e+t+w)) * (e+t+w)^(-p) with "
+                    f"p = eps^2/(2 L_w) = {p:.6g}, L_w = {Lw:.6g} and {where}; "
+                    f"the comparison series diverges")
+        # power q < 1: eps^2 ln(e+t+w)^q / (2 L_w) <= ln(e+t+w) / 2 once
+        # ln(e+t+w)^(1-q) >= eps^2 / L_w
+        q = self.power
+        log_start = (2.0 * math.log(eps) - math.log(Lw)) / (1.0 - q)
+        try:
+            start = f"{math.exp(log_start):.6g}"
+        except OverflowError:
+            start = f"e^{log_start:.6g}"
+        return (f"window energies are >= L_w/ln(e+t+w)^q with L_w = {Lw:.6g} "
+                f"and q = {q:.6g} < 1, so once ln(e+t+w) >= "
+                f"(eps^2/L_w)^(1/(1-q)) = {start} each term is >= "
+                f"sqrt(L_w) ln(e+t+w)^(-q/2) (e+t+w)^(-1/2); the sum diverges")
 
 
 @dataclass(frozen=True)
@@ -164,7 +209,7 @@ class ExpDecay(_Envelope):
         return self.scale * np.exp(-self.rate * np.asarray(t, dtype=float))
 
     def profile(self):
-        return (ZERO if self.scale == 0.0 else STABLE), 0.0
+        return (ZERO if self.scale == 0.0 else STABLE), 0.0, True
 
     def log_tail(self, eps: float, mass: float, T: float) -> float:
         # x(t) <= B exp(-2 lam t) with B = mass k^2, and
@@ -175,27 +220,7 @@ class ExpDecay(_Envelope):
                 - 3.0 * lam * T - math.log(3.0 * lam))
 
 
-@dataclass(frozen=True)
-class LogGrow(_Envelope):
-    """Envelope k * (ln(e + t))**beta with beta > 0."""
-
-    scale: float
-    exponent: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.exponent <= 0:
-            raise ValueError("LogGrow exponent must be positive")
-
-    def value(self, t):
-        return self.scale * np.log(math.e + np.asarray(t, dtype=float)) ** self.exponent
-
-    def profile(self):
-        # never finite, so no tail bound
-        return (ZERO, 0.0) if self.scale == 0.0 else (UNBOUNDED, math.inf)
-
-
-ENVELOPE_FAMILIES = (PowerLaw, LogPower, ExpDecay, LogGrow)
+ENVELOPE_FAMILIES = (PowerLaw, LogPower, ExpDecay)
 
 
 # ---------------------------------------------------------------------------

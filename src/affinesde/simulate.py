@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import step_propagators
+from .linalg import LN_DBL_MAX, step_propagators, transition_growth
 from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
                     PeriodicDrift, check_drift, eval_sigma,
                     gauss_legendre_rule)
@@ -178,9 +178,27 @@ def step_covariance(drift, sigma: DiffusionSpec, t: float, dt: float,
         raise ValueError("tol must be finite and positive")
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
+    _check_growth(drift, dt)
     F = _noise_factors(sigma, np.array([float(t)]), dt, tol,
                        step_propagators(drift, [t], dt, min(tol, 1e-12)))[0]
     return F.T @ F
+
+
+def _check_growth(drift, dt: float) -> None:
+    """Refuse, before the propagator solve, a constant drift whose transition
+    (`transition_growth`, first) or covariance panel must overflow.
+
+    The level-0 drift check of `_noise_factors` holds w_0 E_0[a, c]^2 on its
+    diagonal, E_0 = e^{A dt (1 - u_0)} at the first node u_0 (weight w_0),
+    and some entry of E_0 is at least e^{alpha dt (1 - u_0)} / d: past
+    ln(DBL_MAX), with a margin of 1e-3 for the solve's error, that check is
+    not finite (alpha dt about 360 at d = 1).
+    """
+    growth = transition_growth(drift, dt)
+    u, w = gauss_legendre_rule(0)
+    if (math.log(w[0]) + 2.0 * growth * (1.0 - u[0])
+            - 2.0 * math.log(drift.d) > LN_DBL_MAX + 1e-3):
+        raise CovarianceError("the covariance panel is not finite at 1 panels")
 
 
 def _psd_root(Q: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -516,6 +534,7 @@ def prepare(drift, sigma: DiffusionSpec, cfg: SimConfig) -> Setup:
     if sigma.d != drift.d:
         raise ValueError("sigma and drift dimensions differ")
     dt = cfg.dt
+    _check_growth(drift, dt)
     times = dt * np.arange(cfg.n_steps)
     psis = step_propagators(drift, times[:m], dt, 1e-12)
     trans, noise = psis(0.0), _noise_factors(sigma, times, dt, _COV_TOL, psis)

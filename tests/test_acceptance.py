@@ -16,9 +16,8 @@ from affinesde.criteria import (classify, decide_I, decide_Sprime,
                                 build_max_sequence, build_min_sequence,
                                 check_fading, term_S, term_Sprime)
 from affinesde.linalg import monodromy, solve_lyapunov
-from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
-                             LogPower, PeriodicDrift, PowerLaw,
-                             interval_integrals)
+from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogPower,
+                             PeriodicDrift, PowerLaw, interval_integrals)
 from affinesde.simulate import (SimConfig, prepare, simulate_X,
                                 squared_norms, state_norms, step_covariance)
 from affinesde.stats import compare
@@ -78,6 +77,22 @@ def test_criterion_01c_unbounded_regime():
     assert verdict.regime == "Unbounded"
     ev = _evidence(verdict, DRIFT2, sigma, [1.0, 1.0],
                    SimConfig(seed=103, **BIG))
+    assert np.all(np.diff(np.median(ev.running_max_at, axis=0)) > 0)
+    assert ev.agreement == "Consistent"
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_criterion_01d_fading_unbounded_regime(seed):
+    # the abstract's a.s. unstable solutions that are asymptotically stable
+    # in mean square: ||sigma||^2 = 1 / sqrt(ln(e+t)) fades, yet the window
+    # sums diverge at every eps
+    sigma = DiffusionSpec.envelope(LogPower(0.5, 0.5), np.eye(2))
+    verdict = classify(sigma, DRIFT2)
+    assert verdict.regime == "Unbounded"
+    assert verdict.fading_noise and verdict.mean_square_stable
+    assert verdict.liminf_zero_predicted and verdict.avg_sq_zero_predicted
+    ev = _evidence(verdict, DRIFT2, sigma, [1.0, 1.0],
+                   SimConfig(seed=seed, **BIG))
     assert np.all(np.diff(np.median(ev.running_max_at, axis=0)) > 0)
     assert ev.agreement == "Consistent"
 
@@ -145,7 +160,8 @@ def test_criterion_04_sum_integral_agreement():
         DiffusionSpec.envelope(PowerLaw(1.0, -0.25), [[1.0]]),
         DiffusionSpec.envelope(PowerLaw(1.0, 0.5), [[1.0]]),
         DiffusionSpec.envelope(LogPower(1.0), [[1.0]]),
-        DiffusionSpec.envelope(LogGrow(1.0, 0.5), [[1.0]]),
+        DiffusionSpec.envelope(LogPower(1.0, 0.5), [[1.0]]),
+        DiffusionSpec.envelope(LogPower(1.0, -1.0), [[1.0]]),   # ln(e+t)^0.5
         DiffusionSpec.constant([[1.0]]),
         DiffusionSpec.constant([[0.0]]),
     ]

@@ -17,7 +17,7 @@ from affinesde.cli import (EXIT_INCONSISTENT, EXIT_NUMERIC, EXIT_OK,
                            EXIT_PARSE, EXIT_UNDECIDED, ScenarioError,
                            _apply_overrides, load_scenario, main)
 from affinesde.model import (ConstantDrift, DiffusionSpec, EnvelopePattern,
-                             ExpDecay)
+                             ExpDecay, LogPower, eval_sigma)
 from affinesde.simulate import SimConfig
 
 
@@ -384,6 +384,89 @@ def test_classify_bounded_bracket(tmp_path, capsys):
     assert v["regime"] == "BoundedNonConvergent"
     lo, hi = v["epsilon_star_bracket"]
     assert lo <= math.sqrt(2) + 1e-3 and hi >= math.sqrt(2) - 1e-3
+
+
+def _log_doc(family, params, pattern):
+    return base_doc(sigma={"kind": "envelope", "family": family,
+                           "params": params, "pattern": pattern})
+
+
+def test_logpower_power_defaults_to_one(tmp_path, capsys):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    for params, env in (({"gamma": 2.0}, LogPower(2.0, 1.0)),
+                        ({"gamma": 2.0, "power": 0.5}, LogPower(2.0, 0.5))):
+        scn = load_scenario(write(tmp_path, _log_doc("LogPower", params, eye)))
+        assert scn.sigma.envelope == env
+    for params, field in (({"power": 0.5}, "gamma"),
+                          ({"gamma": 1.0, "exponent": 0.5}, "exponent")):
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(write(tmp_path, _log_doc("LogPower", params, eye)))
+    path = write(tmp_path, _log_doc("LogPower", {"gamma": 1.0, "power": 1.5},
+                                    eye))
+    assert main(["classify", path, "--out", str(tmp_path)]) == EXIT_PARSE
+    assert "ROADMAP item 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [1.0, -2.0, 1e200])
+def test_loggrow_alias_matches_its_logpower_spelling(tmp_path, capsys, k):
+    # family LogGrow {scale: k, exponent: beta} on P is LogPower(1, -2 beta)
+    # on k P: the same sigma up to rounding, with k's sign kept and no k^2
+    # to overflow; P / |k| keeps the energies finite at k = 1e200
+    beta = 0.75
+    P = np.array([[1.0, 0.5], [0.0, 1.0]]) / abs(k)
+    grow = _log_doc("LogGrow", {"scale": k, "exponent": beta}, P.tolist())
+    spelled = _log_doc("LogPower", {"gamma": 1.0, "power": -2.0 * beta},
+                       (k * P).tolist())
+    sigma = load_scenario(write(tmp_path, grow)).sigma
+    assert sigma.envelope == LogPower(1.0, -2.0 * beta)
+    t = np.array([0.0, 1.0, 1e3, 1e6])
+    expect = k * np.log(math.e + t)[:, None, None] ** beta * P
+    np.testing.assert_allclose(eval_sigma(sigma, t), expect, rtol=1e-14)
+    reports = []
+    for doc in (grow, spelled):
+        assert main(["classify", write(tmp_path, doc), "--out",
+                     str(tmp_path)]) == EXIT_OK
+        reports.append(yaml.safe_load(capsys.readouterr().out))
+    a, b = reports
+    assert a["verdict"] == b["verdict"]
+    assert a["verdict"]["regime"] == "Unbounded"
+    assert a["verdict"]["fading_noise"] is False
+    for key in ("sum_rulings", "integral_rulings"):
+        for x, y in zip(a["criteria"][key], b["criteria"][key], strict=True):
+            assert x["status"] == y["status"] == "infinite"
+            assert x["partial_value"] == pytest.approx(y["partial_value"],
+                                                       rel=1e-12)
+
+
+def test_loggrow_alias_keeps_its_checks(tmp_path, capsys):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    for params, message in (
+            ({"scale": 1.0, "exponent": 0.0}, "exponent must be positive"),
+            ({"scale": 1.0, "exponent": -1.0}, "exponent must be positive"),
+            ({"scale": 1.0}, "missing keys"),
+            ({"scale": 1.0, "exponent": 0.5, "gamma": 1.0}, "unknown keys"),
+            ({"scale": 1.0, "exponent": math.inf}, "must be finite")):
+        path = write(tmp_path, _log_doc("LogGrow", params, eye))
+        assert main(["classify", path, "--out", str(tmp_path)]) == EXIT_PARSE
+        assert message in capsys.readouterr().err, params
+
+
+def test_classify_report_brackets_eps_star(tmp_path, capsys):
+    # LogPower(100) on I / sqrt(2): eps* = sqrt(200), beyond the fixed eps
+    # values (0.5, 1, 2, 4), at which every ruling is Infinite
+    r = 1.0 / math.sqrt(2.0)
+    doc = _log_doc("LogPower", {"gamma": 100.0}, [[r, 0.0], [0.0, r]])
+    assert main(["classify", write(tmp_path, doc), "--out", str(tmp_path)]) \
+        == EXIT_OK
+    report = yaml.safe_load(capsys.readouterr().out)
+    star = report["verdict"]["epsilon_star_bracket"][0]
+    assert star == pytest.approx(math.sqrt(200.0), rel=1e-12)
+    crit = report["criteria"]
+    assert crit["eps_values"] == [0.5, 1.0, 2.0, 4.0, star / 2, star, 2 * star]
+    for key in ("sum_rulings", "integral_rulings"):
+        status = {x["eps"]: x["status"] for x in crit[key]}
+        assert [status[e] for e in crit["eps_values"]] == \
+            ["infinite"] * 6 + ["finite"]
 
 
 def test_classify_unstable_drift(tmp_path, capsys):

@@ -16,8 +16,8 @@ from affinesde.criteria import (BOUNDED, FINITE, INFINITE, REGIME_UNDECIDED,
                                 rowwise_sum_S1, sum_general_grid, term_S,
                                 term_Sprime)
 from affinesde.linalg import monodromy, step_propagators
-from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogGrow,
-                             LogPower, PeriodicDrift, PowerLaw,
+from affinesde.model import (ConstantDrift, DiffusionSpec, ExpDecay, LogPower,
+                             PeriodicDrift, PowerLaw,
                              QuadratureError, eval_drift, interval_integrals,
                              row_interval_integrals)
 from affinesde.simulate import SimConfig, prepare, step_covariance
@@ -354,7 +354,7 @@ def test_integral_raises_on_quadrature_error():
     scalar(PowerLaw(1.0, -0.8)),
     scalar(PowerLaw(1.0, -0.25)),
     scalar(LogPower(1.0)),
-    scalar(LogGrow(1.0, 0.5)),
+    scalar(LogPower(1.0, -1.0)),    # ln(e+t)^0.5
     scalar(PowerLaw(1.0, 0.5)),
     DiffusionSpec.constant([[1.0]]),
     DiffusionSpec.constant([[0.0]]),
@@ -411,6 +411,74 @@ def test_report_computes_the_energies_once_for_every_eps(spec, monkeypatch):
                                   t_max=16.0)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_fading_unbounded_noise_has_a_decay_witness():
+    # LogPower(1, 1/2): window energies theta^2(n) >= 1 / ln(e+t+1)^(1/2)
+    # with t = n h, L_w = 1, so at eps = 1 (start 1 <= ln(e+t+1) always)
+    # every term is at least ln(e+t+1)^(-1/4) (e+t+1)^(-1/2), a divergent
+    # sum; the floor witness of non-fading noise (a constant energy) would
+    # be false here
+    spec = scalar(LogPower(1.0, 0.5))
+    eps = [0.5, 1.0, 4.0]
+    for rulings in (decide_Sprime(spec, eps, 1.0, n_terms=32),
+                    decide_I(spec, eps, 1.0, t_max=16.0, tol=1e-6)):
+        for r in rulings:
+            assert r.status == INFINITE
+            assert r.witness.startswith("window energies are >= "
+                                        "L_w/ln(e+t+w)^q with L_w = 1 and "
+                                        "q = 0.5 < 1, so once ln(e+t+w) >= ")
+    assert "(eps^2/L_w)^(1/(1-q)) = 1 each term" in rulings[1].witness
+    assert "(eps^2/L_w)^(1/(1-q)) = 256 each term" in rulings[2].witness
+    n = np.array([1.0, 10.0, 1e3, 1e6, 1e9])
+    theta_sq = interval_integrals(spec, n, n + 1.0, 1e-12)
+    span = math.e + n + 1.0
+    assert np.all(theta_sq >= 1.0 / np.sqrt(np.log(span)))
+    assert np.all(term_Sprime(1.0, theta_sq)
+                  >= np.log(span) ** -0.25 * span ** -0.5)
+    # a start beyond the double range is given as a power of e
+    r = decide_Sprime(spec, 1e80, 1.0, n_terms=4)
+    assert "(eps^2/L_w)^(1/(1-q)) = e^736.827 each term" in r.witness
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 0.01, 1.0, 100.0, 1e5])
+def test_criterion_report_brackets_eps_star(gamma):
+    # eps* = sqrt(2 h gamma F) with F = 1 for I / sqrt(2), wherever it
+    # falls against the fixed eps values (0.5, 1, 2, 4): the rulings turn
+    # from Infinite at eps* and below to Finite above, in both criteria
+    spec = DiffusionSpec.envelope(LogPower(gamma), np.eye(2) / math.sqrt(2.0))
+    star = classify(spec, _A2).epsilon_star_bracket[0]
+    rep = criteria.criterion_report(spec)
+    assert rep.eps_values == (0.5, 1.0, 2.0, 4.0, star / 2, star, 2 * star)
+    for rulings in (rep.sum_rulings, rep.integral_rulings):
+        status = {r.eps: r.status for r in rulings}
+        assert status[star] == INFINITE
+        assert all(s == (FINITE if e > star else INFINITE)
+                   for e, s in status.items())
+
+
+def test_criterion_report_eps_values():
+    # h and c have a threshold each; a value already present is not
+    # repeated; given values are reported as given; other regimes keep the
+    # fixed four
+    spec = DiffusionSpec.envelope(LogPower(2.0), [[1.0]])
+    rep = criteria.criterion_report(spec, h=1.0, c=4.0, n_terms=16,
+                                    t_max=16.0)
+    assert rep.eps_values == (0.5, 1.0, 2.0, 4.0, 8.0)
+    sums = {r.eps: r.status for r in rep.sum_rulings}
+    ints = {r.eps: r.status for r in rep.integral_rulings}
+    assert sums == {0.5: INFINITE, 1.0: INFINITE, 2.0: INFINITE,
+                    4.0: FINITE, 8.0: FINITE}
+    assert ints == {0.5: INFINITE, 1.0: INFINITE, 2.0: INFINITE,
+                    4.0: INFINITE, 8.0: FINITE}
+    rep = criteria.criterion_report(spec, eps_values=(3.0, 0.25), n_terms=16,
+                                    t_max=16.0)
+    assert rep.eps_values == (3.0, 0.25)
+    assert [r.eps for r in rep.sum_rulings] == [3.0, 0.25]
+    for other in (scalar(ExpDecay(1.0, 1.0)), scalar(LogPower(1.0, 0.5)),
+                  DiffusionSpec.constant([[1.0]])):
+        rep = criteria.criterion_report(other, n_terms=16, t_max=16.0)
+        assert rep.eps_values == (0.5, 1.0, 2.0, 4.0)
 
 
 def test_decide_I_examples():
@@ -530,7 +598,8 @@ def test_check_fading_analytic():
     assert check_fading(scalar(ExpDecay(1.0, 1.0)), 1.0) is True
     assert check_fading(DiffusionSpec.constant([[1.0]]), 1.0) is False
     assert check_fading(scalar(LogPower(1.0)), 1.0) is True
-    assert check_fading(scalar(LogGrow(1.0, 1.0)), 1.0) is False
+    assert check_fading(scalar(LogPower(1.0, 0.5)), 1.0) is True
+    assert check_fading(scalar(LogPower(1.0, -2.0)), 1.0) is False  # ln(e+t)
 
 
 def test_check_fading_table_trend():
@@ -683,8 +752,18 @@ _GATE_NOTE = ("spectral abscissa >= 0: the unperturbed system is not "
     (scalar(ExpDecay(1.0, 1.0)), ConstantDrift([[0.0]]),
      RegimeVerdict(REGIME_UNDECIDED, False, True, False, False, False,
                    note=_GATE_NOTE)),
+    # ||sigma||^2 = 2 / ln(e+t)^p on I: the threshold eps* = sqrt(2 h 2) at
+    # p = 1, the abstract's a.s. unstable solutions that are mean-square
+    # stable for p in (0, 1), and noise that does not fade for p <= 0
+    (DiffusionSpec.envelope(LogPower(1.0, 1.0), np.eye(2)), _A2,
+     RegimeVerdict(BOUNDED, True, True, True, True, True, (2.0, 2.0))),
+    (DiffusionSpec.envelope(LogPower(1.0, 0.5), np.eye(2)), _A2,
+     RegimeVerdict(UNBOUNDED, True, True, True, True, True)),
+    (DiffusionSpec.envelope(LogPower(1.0, -1.0), np.eye(2)), _A2,
+     RegimeVerdict(UNBOUNDED, True, False, False, False, False)),
 ], ids=["exp-decay", "zero", "log-power", "constant", "table",
-        "unstable-drift", "marginal-drift"])
+        "unstable-drift", "marginal-drift", "log-power-1", "log-power-half",
+        "log-power-minus-1"])
 def test_classify_verdict_table(sigma, drift, expected):
     v = classify(sigma, drift)
     bracket = expected.epsilon_star_bracket

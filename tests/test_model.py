@@ -6,7 +6,7 @@ import pytest
 
 from affinesde.model import (ENVELOPE_FAMILIES, GL_MAX_LEVEL, GL_NODES,
                              ConstantDrift, DiffusionSpec, EnvelopePattern,
-                             ExpDecay, LogGrow, LogPower, PeriodicDrift,
+                             ExpDecay, LogPower, PeriodicDrift,
                              PowerLaw, QuadratureError, TableSigma, _table_at,
                              eval_drift, eval_sigma, frobenius_sq,
                              gauss_legendre, gauss_legendre_rule,
@@ -22,7 +22,7 @@ def test_envelope_values_at_zero():
     assert PowerLaw(2.0, -1.0).value(0.0) == pytest.approx(2.0)
     assert LogPower(2.0).value(0.0) == pytest.approx(math.sqrt(2.0))
     assert ExpDecay(3.0, 1.0).value(0.0) == pytest.approx(3.0)
-    assert LogGrow(1.0, 1.0).value(0.0) == pytest.approx(1.0)
+    assert LogPower(1.0, -2.0).value(0.0) == pytest.approx(1.0)   # ln(e+t)
 
 
 def test_envelope_values_vectorized():
@@ -31,16 +31,60 @@ def test_envelope_values_vectorized():
     np.testing.assert_allclose(ExpDecay(2.0, 0.5).value(t), 2 * np.exp(-0.5 * t))
 
 
+def test_logpower_power_one_is_the_default_bit_for_bit():
+    t = np.array([0.0, 0.37, 1.0, 4.0, 1e3, 1e6])
+    for gamma in (1e-6, 0.5, 1.0, 1e5):
+        bare = np.sqrt(gamma / np.log(math.e + t))
+        np.testing.assert_array_equal(LogPower(gamma).value(t), bare)
+        np.testing.assert_array_equal(LogPower(gamma, 1.0).value(t), bare)
+    np.testing.assert_allclose(LogPower(2.0, 0.5).value(t),
+                               np.sqrt(2.0 / np.sqrt(np.log(math.e + t))),
+                               rtol=1e-15)
+
+
+def test_logpower_profile_per_power_range():
+    # (regime, L per unit squared pattern norm, fading)
+    assert LogPower(2.0).profile() == ("BoundedNonConvergent", 2.0, True)
+    assert LogPower(2.0, 0.5).profile() == ("Unbounded", math.inf, True)
+    assert LogPower(2.0, 1e-9).profile() == ("Unbounded", math.inf, True)
+    assert LogPower(2.0, 0.0).profile() == ("Unbounded", math.inf, False)
+    assert LogPower(2.0, -1.0).profile() == ("Unbounded", math.inf, False)
+    assert LogPower(0.0, 0.5).profile() == ("zero", 0.0, True)
+
+
+@pytest.mark.parametrize("power", [1.5, float(np.nextafter(1.0, 2.0))])
+def test_logpower_power_above_one_raises(power):
+    # StableAS log noise, whose tail bound is still open
+    with pytest.raises(ValueError, match="ROADMAP item 2"):
+        LogPower(1.0, power)
+
+
 _VALID_ENVELOPES = {PowerLaw: PowerLaw(1.0, -0.5), LogPower: LogPower(1.0),
-                    ExpDecay: ExpDecay(1.0, 1.0), LogGrow: LogGrow(1.0, 0.5)}
+                    ExpDecay: ExpDecay(1.0, 1.0)}
+
+# the growing log envelope k ln(e+t)^beta is spelled LogPower(1, -2 beta) on
+# the pattern k P: a non-finite beta is a non-finite power, a non-finite k a
+# non-finite pattern
+_LOGGROW_SPELLING = {
+    "scale": ("matrix entries must be finite",
+              lambda k: DiffusionSpec.envelope(LogPower(1.0, -1.0), [[k]])),
+    "exponent": ("LogPower power must be finite",
+                 lambda beta: LogPower(1.0, -2.0 * beta)),
+}
 
 
 @pytest.mark.parametrize("family,field", [
     (family, f.name) for family in ENVELOPE_FAMILIES
-    for f in dataclasses.fields(family)],
+    for f in dataclasses.fields(family)] + [
+    ("LogGrow", field) for field in _LOGGROW_SPELLING],
     ids=lambda x: x if isinstance(x, str) else x.__name__)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_envelope_rejects_nonfinite_parameters(family, field, bad):
+    if family == "LogGrow":
+        message, build = _LOGGROW_SPELLING[field]
+        with pytest.raises(ValueError, match=message):
+            build(bad)
+        return
     valid = _VALID_ENVELOPES[family]
     message = f"{family.__name__} {field} must be finite"
     with pytest.raises(ValueError, match=message):
@@ -202,14 +246,17 @@ def test_window_intensity_matches_mpmath_for_logpower():
         assert wi[n] == pytest.approx(float(oracle), abs=1e-11)
 
 
-# the squared envelopes, for mpmath at any precision
+# the squared envelopes, for mpmath at any precision; the id LogGrow names
+# the growing case ln(e+t)^0.5, spelled LogPower(1, -1)
 _MP_SQUARED = {
     LogPower(1.0): lambda mp, s: 1 / mp.log(mp.e + s),
-    LogGrow(1.0, 0.5): lambda mp, s: mp.log(mp.e + s),
+    LogPower(1.0, -1.0): lambda mp, s: mp.log(mp.e + s),
+    LogPower(1.0, 0.5): lambda mp, s: 1 / mp.sqrt(mp.log(mp.e + s)),
 }
 
 
-@pytest.mark.parametrize("env", list(_MP_SQUARED), ids=["LogPower", "LogGrow"])
+@pytest.mark.parametrize("env", list(_MP_SQUARED),
+                         ids=["LogPower", "LogGrow", "LogPower-half"])
 @pytest.mark.parametrize("t", [0.0, 1.0, 1e3, 1e6])
 @pytest.mark.parametrize("w", [1e-3, 1.0])
 def test_window_energies_match_mpmath(env, t, w):

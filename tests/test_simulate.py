@@ -279,6 +279,47 @@ def test_covariances_raise_at_the_first_non_finite_level(drift, scale):
         step_covariance(drift, DiffusionSpec.constant([[scale]]), 0.0, 1.0)
 
 
+def _covariance_limit(d):
+    """The largest alpha dt the sampler sets up at dimension d: past it the
+    level-0 drift check's w_0 E_0[a, c]^2 >= w_0 e^{2 alpha dt (1 - u_0)} / d^2
+    leaves the double range, with the set-up's 1e-3 margin."""
+    u, w = gauss_legendre_rule(0)
+    return (math.log(np.finfo(float).max) + 1e-3 - math.log(w[0])
+            + 2.0 * math.log(d)) / (2.0 * (1.0 - u[0]))
+
+
+class _Solved(Exception):
+    pass
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_overflowing_covariance_is_refused_before_the_solve(monkeypatch, d):
+    # alpha dt about 360 at d = 1: a constant drift just past it raises the
+    # level-0 CovarianceError at once, where the adjoint solve stepped for
+    # seconds to reach e^{alpha dt}; one just below it reaches the solve,
+    # as does a periodic drift of the same matrix
+    def solve(*args):
+        raise _Solved
+    monkeypatch.setattr(simulate, "step_propagators", solve)
+    limit = _covariance_limit(d)
+    assert 360.0 < limit < 361.0 if d == 1 else limit > 360.5
+    sigma = DiffusionSpec.constant(np.eye(d))
+    cfg = SimConfig(dt=1.0, t_end=4.0, paths=1, seed=0)
+
+    def drift(alpha):
+        return ConstantDrift(np.diag([alpha] + [-1.0] * (d - 1)))
+    for run in (lambda A: step_covariance(A, sigma, 0.0, 1.0),
+                lambda A: prepare(A, sigma, cfg)):
+        with pytest.raises(CovarianceError, match="not finite at 1 panels"):
+            run(drift(limit * (1 + 1e-9)))
+        with pytest.raises(_Solved):
+            run(drift(limit * (1 - 1e-9)))
+        with pytest.raises(_Solved):
+            run(PeriodicDrift(period=1.0, times=[0.0, 0.5],
+                              values=[drift(2 * limit).matrix,
+                                      drift(3 * limit).matrix]))
+
+
 def test_states_scale_with_sigma():
     drift = ConstantDrift([[-1.0, 0.5], [0.0, -2.0]])
     cfg = SimConfig(dt=0.125, t_end=16.0, paths=5, seed=4)
