@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from . import criteria, stats
-from .linalg import monodromy
+from .linalg import stability_gate
 from .model import (ENVELOPE_FAMILIES, REGIME_UNDECIDED, ConstantDrift,
                     DiffusionSpec, LogPower, PeriodicDrift, QuadratureError)
 from .simulate import (CovarianceError, SimConfig, prepare, squared_norms,
@@ -451,12 +451,14 @@ def cmd_floquet(scn: Scenario, args) -> int:
     if not isinstance(drift, PeriodicDrift):
         raise ScenarioError("floquet needs a periodic drift or a constant "
                             "drift with an explicit period")
-    res = monodromy(drift, tol=min(scn.criteria["tol"], 1e-12))
+    # classify's gate at classify's tolerance, so the two cannot disagree
+    gate = stability_gate(drift, tol=min(scn.criteria["tol"], 1e-12))
+    res = gate.monodromy
     doc = {"scenario": scn.name,
            "period": float(drift.period),
            "monodromy": [[float(x) for x in row] for row in res.Psi_T],
            "rho": float(res.rho),
-           "drift_stable": bool(res.rho < 1.0)}
+           "drift_stable": gate.stable}
     _emit(doc, _out_dir(scn, args), f"{scn.name}.floquet.yaml")
     return EXIT_OK
 

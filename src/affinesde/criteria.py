@@ -24,10 +24,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import model
-from .linalg import monodromy, spectral_abscissa
+from .linalg import spectral_abscissa, stability_gate
 from .model import (BOUNDED, REGIME_UNDECIDED, STABLE, UNBOUNDED, ZERO,
-                    ConstantDrift, DiffusionSpec, EnvelopePattern, TableSigma,
-                    check_drift, frobenius_sq, interval_integrals)
+                    DiffusionSpec, EnvelopePattern, TableSigma, check_drift,
+                    frobenius_sq, interval_integrals)
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -447,14 +447,40 @@ class RegimeVerdict:
     note: str = ""
 
 
+def _gate_note(drift, gate) -> str:
+    """Why gate 1 failed: an unstable drift, or one within rounding of
+    instability, whose note names the certificate's margin."""
+    if gate.monodromy is None:
+        alpha = spectral_abscissa(drift.matrix)
+        if alpha >= 0.0:
+            return ("spectral abscissa >= 0: the unperturbed system is not "
+                    "asymptotically stable and additive noise cannot "
+                    "stabilise it")
+        where = f"spectral abscissa is {alpha:.3g}"
+    else:
+        rho = gate.monodromy.rho
+        if rho >= 1.0:
+            return (f"Floquet multiplier spectral radius {rho:.6g} >= 1: the "
+                    "unperturbed periodic system is not asymptotically "
+                    "stable and additive noise cannot stabilise it")
+        where = f"Floquet multipliers' spectral radius is 1 - {1.0 - rho:.3g}"
+    return (f"{gate.reason}, though the {where}: a drift within rounding of "
+            f"instability is not certified stable, and additive noise "
+            f"cannot stabilise an unstable one")
+
+
 def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
              tol: float = 1e-10) -> RegimeVerdict:
     """Three-way almost-sure regime verdict for dX = A(t) X dt + sigma dB.
 
-    Gate 1 requires a stable drift (negative spectral abscissa of a
-    ConstantDrift, or Floquet multipliers of a PeriodicDrift inside the
-    unit circle; any other drift is a TypeError): noise cannot stabilise an
+    Gate 1 requires a drift certified stable by `linalg.stability_gate`,
+    a positive definite Lyapunov solution with a margin above
+    `linalg.DELTA`, for a PeriodicDrift the Stein solution on its
+    monodromy (any other drift is a TypeError): noise cannot stabilise an
     unstable linear system, so without the gate nothing can be concluded.
+    A drift that fails it, though its spectral abscissa is negative (or its
+    Floquet multipliers inside the unit circle), is within rounding of
+    instability, and the note names the margin.
     Gate 2 takes the regime that the envelope family of sigma implies:
     S_h'(eps) finite for every eps gives StableAS, infinite for every eps
     gives Unbounded, and ||sigma||^2 log t -> L in (0, inf) gives
@@ -467,19 +493,10 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     if h <= 0:
         raise ValueError("h must be positive")
     check_drift(drift)
-    # gate 1: drift stability
-    if isinstance(drift, ConstantDrift):
-        drift_stable = spectral_abscissa(drift.matrix) < 0.0
-        gate_note = "" if drift_stable else (
-            "spectral abscissa >= 0: the unperturbed system is not "
-            "asymptotically stable and additive noise cannot stabilise it")
-    else:
-        rho = monodromy(drift, tol=min(tol, 1e-12)).rho
-        drift_stable = rho < 1.0
-        gate_note = "" if drift_stable else (
-            f"Floquet multiplier spectral radius {rho:.6g} >= 1: the "
-            "unperturbed periodic system is not asymptotically stable and "
-            "additive noise cannot stabilise it")
+    # gate 1: drift stability, certified
+    gate = stability_gate(drift, tol=min(tol, 1e-12))
+    drift_stable = gate.stable
+    gate_note = "" if drift_stable else _gate_note(drift, gate)
 
     # gate 2: the regime the noise implies
     profile = _analyze(sigma)

@@ -1,17 +1,22 @@
 """Small dense linear algebra for the drift matrix.
 
-Spectral abscissa / radius, the Lyapunov solve A^T M + M A = -I, and the
-propagator Psi(t, s) of X' = A(t) X.  One routine, `step_propagators`,
-builds Psi over a step from many starts in one adaptive solve, by the numpy
-Dormand-Prince stepper `_rk45`, for a constant drift as for a periodic one;
-the sampler's transitions and the Floquet monodromy matrix Psi(T, 0) of a
-periodic drift, the product of a period's transitions, both come from it.
+Spectral abscissa / radius, the stability certificate and the propagator
+Psi(t, s) of X' = A(t) X.  One routine, `step_propagators`, builds Psi over
+a step from many starts in one adaptive solve, by the numpy Dormand-Prince
+stepper `_rk45`, for a constant drift as for a periodic one; the sampler's
+transitions and the Floquet monodromy matrix Psi(T, 0) of a periodic drift,
+the product of a period's transitions, both come from it.  The drift gate
+of the classification is `stability_gate`: a positive definite solution of
+the Lyapunov equation A^T M + M A = -I, or of the Stein equation
+Psi^T M Psi - M = -I on the monodromy, from `solve_lyapunov`'s Kronecker
+solve, with a margin above DELTA, which the solve's rounding cannot reach.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -38,31 +43,88 @@ def spectral_radius(C) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(C))))
 
 
+# The stability certificate (Lyapunov 1892; on the margin, Van Loan, "How
+# near is a stable matrix to an unstable matrix?", 1985).  M > 0 with
+# A^T M + M A = -I proves A stable, and A + E stays stable while
+# ||E||_2 < 1 / (2 ||M||_2): so 1 / (2 ||M||_2 ||A||_2) is a relative
+# margin.  M > 0 with Psi^T M Psi - M = -I proves rho(Psi) < 1, with the
+# margin 1 / ||M||_2.  The computed M solves a nearby equation: Gaussian
+# elimination on the n = d^2 Kronecker system leaves a residual R of about
+# n u ||K|| ||M|| (u = 2^-53, the pivot growth small in practice), with
+# ||K|| <= 2 ||A|| (or 1 + ||Psi||^2), and M still proves stability while
+# ||R|| < 1, that is while the margin exceeds about n u.  At d <= KRON_MAX_D,
+# n u <= 1.2e-13, so DELTA = 1e-12 leaves a factor 8 for the pivot growth
+# and the norms' own rounding.  A marginal drift (an eigenvalue on the axis
+# or the unit circle) has a singular system, or a margin at the level of
+# the solve's rounding, far below DELTA: a nilpotent 2 x 2 drift's is at
+# most 3e-17.  A monodromy computed at tol is off by E, about 64 tol
+# ||Psi|| over its 64 or more segment transitions, and M certifies
+# Psi + E while ||M|| (2 ||Psi|| ||E|| + ||E||^2) < 1: about 128 tol at
+# ||Psi|| near 1, so for a periodic drift DELTA widens by 1e3 tol.
+DELTA = 1e-12
+# the largest d whose Kronecker system is solved: 8 MB and about 0.06 s at
+# 32, where 64 would take 134 MB and seconds; beyond it no drift is certified
+KRON_MAX_D = 32
+
+
 @dataclass(frozen=True)
 class LyapunovSolution:
     M: np.ndarray
     residual: float
+    margin: float
 
 
-def solve_lyapunov(A) -> LyapunovSolution:
-    """Solve A^T M + M A = -I for the positive definite M.
+def solve_lyapunov(A, discrete: bool = False, tol: float = 0.0
+                   ) -> LyapunovSolution:
+    """The stability certificate of A: the positive definite M with
+    A^T M + M A = -I, or with A^T M A - M = -I for discrete, when A is the
+    monodromy of a periodic drift computed at tol.
 
-    Uses the Kronecker-vectorised linear system; requires the spectral
-    abscissa of A to be negative (otherwise no positive definite solution
-    exists and a StabilityError is raised).
+    The d^2 x d^2 Kronecker-vectorised system is solved by LU.  A
+    StabilityError, naming the margin, is raised wherever no certificate
+    exists: d above KRON_MAX_D, a singular system, an M that is not finite
+    or whose Cholesky factorisation fails, or a margin (1 / (2 ||M|| ||A||),
+    or 1 / ||M|| for discrete) not above DELTA, widened by 1e3 tol for
+    discrete.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
     d = A.shape[0]
-    if spectral_abscissa(A) >= 0:
-        raise StabilityError("Lyapunov solve requires all eigenvalues of A "
-                             "to have negative real parts")
+    if d > KRON_MAX_D:
+        raise StabilityError(f"no stability certificate: the Kronecker "
+                             f"system of d = {d} > {KRON_MAX_D} is not "
+                             f"solved, so no stability margin")
     I = np.eye(d)
-    K = np.kron(I, A.T) + np.kron(A.T, I)
-    m = np.linalg.solve(K, -I.reshape(-1))
-    M = m.reshape(d, d)
-    M = 0.5 * (M + M.T)
-    residual = float(np.linalg.norm(A.T @ M + M @ A + I, ord="fro"))
-    return LyapunovSolution(M=M, residual=residual)
+    # an A whose products overflow (a monodromy near e^400, say) leaves M
+    # or the margin non-finite, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.kron(A.T, A.T) - np.eye(d * d) if discrete else \
+            np.kron(I, A.T) + np.kron(A.T, I)
+        try:
+            M = np.linalg.solve(K, -I.reshape(-1)).reshape(d, d)
+        except np.linalg.LinAlgError:
+            M = np.full((d, d), np.inf)
+        M = 0.5 * (M + M.T)
+        if not np.all(np.isfinite(M)):
+            raise StabilityError("no stability certificate: the Lyapunov "
+                                 "equation is singular (stability margin 0)")
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise StabilityError("no stability certificate: the Lyapunov "
+                                 "solution is not positive definite, so "
+                                 "there is no stability margin") from None
+        norm_M = np.linalg.norm(M, 2)
+        margin = float(1.0 / norm_M if discrete else
+                       1.0 / (2.0 * norm_M * np.linalg.norm(A, 2)))
+    delta = DELTA + 1e3 * tol if discrete else DELTA
+    if not margin > delta:
+        raise StabilityError(f"no stability certificate: stability margin "
+                             f"{margin:.3g} is not above delta {delta:.3g}")
+    R = A.T @ M @ A - M + I if discrete else A.T @ M + M @ A + I
+    return LyapunovSolution(M=M, residual=float(np.linalg.norm(R, "fro")),
+                            margin=margin)
 
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince 1980) with Shampine's
@@ -306,3 +368,27 @@ def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
         raise RuntimeError("monodromy matrix is not finite: the period's "
                            "transition product overflows")
     return MonodromyResult(Psi_T=Psi_T, rho=spectral_radius(Psi_T))
+
+
+@dataclass(frozen=True)
+class StabilityGate:
+    """Whether the drift is certified stable, why not (the StabilityError's
+    message) and, for a periodic drift, its monodromy."""
+    stable: bool
+    reason: str
+    monodromy: Optional[MonodromyResult]
+
+
+def stability_gate(drift, tol: float = 1e-12) -> StabilityGate:
+    """The drift's stability certificate (`solve_lyapunov`): on the matrix
+    of a ConstantDrift, and on the monodromy of a PeriodicDrift at tol."""
+    check_drift(drift)
+    mono = None if isinstance(drift, ConstantDrift) else monodromy(drift, tol)
+    try:
+        if mono is None:
+            solve_lyapunov(drift.matrix)
+        else:
+            solve_lyapunov(mono.Psi_T, discrete=True, tol=tol)
+    except StabilityError as exc:
+        return StabilityGate(False, str(exc), mono)
+    return StabilityGate(True, "", mono)

@@ -14,7 +14,8 @@ of its squared Frobenius norm, so this module centralises those quadratures:
 ``interval_integrals`` (energy over each interval) and
 ``row_interval_integrals`` (the same per row of sigma) share one routine,
 exact Simpson over a table's pieces and, for envelopes, one call of
-``gauss_legendre``, the package's one rule for smooth integrals.
+``gauss_legendre``, the package's one rule for smooth integrals, whose
+``level_search`` also gives the sampler's covariance panel its level.
 
 Specs are immutable after construction and safe to share across threads.
 """
@@ -396,31 +397,37 @@ def gauss_legendre_rule(level: int):
     return u.ravel(), np.tile(0.5 * _GL_W / panels, panels)
 
 
-def gauss_legendre(f, bound, level: int = 0) -> np.ndarray:
-    """Integral over [0, 1] of f, whose values at a 1-d array of nodes have
-    the nodes on the first axis, by `gauss_legendre_rule` from 2^level
-    panels, doubling until two levels differ by at most bound(finer value)
-    in every entry, the bound one number or one per entry.  Returns the
-    finer value (a zero f ends after one pair of levels); raises
-    QuadratureError at the first level whose value is not finite, since
-    finer panels do not bring an overflowed sum back, and past
-    2^GL_MAX_LEVEL panels.
-    """
+def level_search(value, bound, level: int = 0, error=QuadratureError,
+                  what="quadrature value",
+                  fails="quadrature error {diff:.3e} exceeds {allowed:.3e}"):
+    """value(u, w) on the rule `gauss_legendre_rule(lev)` at lev = level,
+    level + 1, ... until two levels differ by at most bound(finer value) in
+    every entry, the bound one number or one per entry: the finer value and
+    its level.  Raises error "<what> is not finite at N panels" at the
+    first level whose value is not, as finer panels do not bring an
+    overflowed sum back, and "<fails> at N panels", with the worst entry,
+    past 2^GL_MAX_LEVEL panels."""
     prev = None
     for lev in range(level, max(level + 1, GL_MAX_LEVEL) + 1):
-        u, w = gauss_legendre_rule(lev)
-        val = np.tensordot(w, f(u), axes=1)
+        val = value(*gauss_legendre_rule(lev))
         if not np.all(np.isfinite(val)):
-            raise QuadratureError(f"quadrature value is not finite at "
-                                  f"{2 ** lev} panels")
+            raise error(f"{what} is not finite at {2 ** lev} panels")
         if prev is not None:
             diff, allowed = np.broadcast_arrays(abs(val - prev), bound(val))
             if np.all(diff <= allowed):
-                return val
+                return val, lev
         prev = val
     worst = np.argmax(diff - allowed)
-    raise QuadratureError(f"quadrature error {diff.flat[worst]:.3e} exceeds "
-                          f"{allowed.flat[worst]:.3e} at {2 ** lev} panels")
+    detail = fails.format(diff=diff.flat[worst], allowed=allowed.flat[worst])
+    raise error(f"{detail} at {2 ** lev} panels")
+
+
+def gauss_legendre(f, bound, level: int = 0) -> np.ndarray:
+    """Integral over [0, 1] of f, whose values at a 1-d array of nodes have
+    the nodes on the first axis, by `gauss_legendre_rule` from 2^level
+    panels, doubling in `level_search` (a zero f ends after one pair)."""
+    return level_search(lambda u, w: np.tensordot(w, f(u), axes=1), bound,
+                         level)[0]
 
 def _times(widths: np.ndarray, v: np.ndarray) -> np.ndarray:
     """widths * v, with widths broadcast over the trailing axes of v."""

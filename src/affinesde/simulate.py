@@ -17,13 +17,13 @@ the transitions and the panel's nodes.  Both
 sigma forms, envelope and table, get their Q_n from one panel of
 `model.gauss_legendre_rule` per step, fed by `eval_sigma` at the nodes,
 at the lowest level (12 nodes on each of 2^L sub-panels) that passes two
-checks against the next level: at every period position, whatever sigma
-is, and on the first step, which sees sigma.  A step with a table knot
-strictly inside it is cut at its knots into pieces that take the same
-panel, and each block of Q_n is rooted as it is built; `step_covariance` is
-this route on a grid of one step, squared back.  Paths are
-seeded independently from a counter-based generator, so the ensemble is
-bit-reproducible and order-independent.
+checks against the next level (`model.level_search`): at every period
+position, whatever sigma is, and on the first step, which sees sigma.  A
+step with a table knot strictly inside it is cut at its knots into pieces
+that take the same panel, and each block of Q_n is rooted as it is built;
+`step_covariance` is this route on a grid of one step, squared back.
+Paths are seeded independently from a counter-based generator, so the
+ensemble is bit-reproducible and order-independent.
 
 The recursion streams: `prepare` returns the set-up, a `Setup` holding the
 transitions and noise factors, and its `shards(xi)` cuts the paths into
@@ -61,9 +61,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import LN_DBL_MAX, step_propagators, transition_growth
-from .model import (GL_MAX_LEVEL, GL_NODES, ConstantDrift, DiffusionSpec,
-                    PeriodicDrift, check_drift, eval_sigma,
-                    gauss_legendre_rule)
+from .model import (GL_NODES, ConstantDrift, DiffusionSpec, PeriodicDrift,
+                    check_drift, eval_sigma, gauss_legendre_rule,
+                    level_search)
 
 # normal draws per chunk over the running path groups.  Each running group
 # holds a chunk of up to d / r times _CHUNK_DRAWS / T states plus a staging
@@ -253,9 +253,9 @@ def _noise_factors(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     a sigma constant over the step, per unit dt) must agree, whatever sigma
     is: this catches a drift too stiff over dt.  The panel of the first step
     without a table knot strictly inside it must agree too: this catches a
-    sigma too stiff over dt.  A CovarianceError is raised at the first level
-    whose checks are not finite, since finer panels do not bring an
-    overflowed value back, and past GL_MAX_LEVEL.
+    sigma too stiff over dt.  The search is `model.level_search`'s, with
+    its CovarianceError at the first level whose checks are not finite, and
+    past GL_MAX_LEVEL.
     A step with knots inside, at most one per knot, is cut at them, and each
     piece takes the panel at the grid's level scaled to the piece: a table
     is linear there, and the piece is shorter than the step.  The step is
@@ -267,25 +267,28 @@ def _noise_factors(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     kinked = set(i[(i >= 0) & (knots > times[i]) &
                    (knots < times[i] + dt)].tolist())
     first = next((n for n in range(N) if n not in kinked), None)
-    # an overflow in the checks raises in _agree instead of warning
+
+    def checks(u, w):
+        # a row per position's drift map, then the panel's, zero-padded
+        E = np.moveaxis(psis(u), 1, 0)
+        out = np.zeros((len(E) + 1, d ** 4))
+        out[:-1] = [np.einsum("k,kac,kbe->abce", w, e, e).ravel() for e in E]
+        if first is not None:
+            out[-1, :d * d] = _panel(sigma, times[first:first + 1], dt, u, w,
+                                     E[first % len(E)])[0].ravel()
+        return out
+
+    # an overflow in the checks raises in the search instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for level in range(GL_MAX_LEVEL):
-            (u, w), (u2, w2) = map(gauss_legendre_rule, (level, level + 1))
-            k = len(u)
-            E = np.ascontiguousarray(np.moveaxis(
-                psis(np.concatenate([u, u2])), 1, 0))
-            m = len(E)
-            if all(_agree(np.einsum("k,kac,kbe->abce", w, e[:k], e[:k]),
-                          np.einsum("k,kac,kbe->abce", w2, e[k:], e[k:]),
-                          tol, level) for e in E) and (first is None or _agree(
-                    *(_panel(sigma, times[first:first + 1], dt, v, c, e)[0]
-                      for v, c, e in ((u, w, E[first % m, :k]),
-                                      (u2, w2, E[first % m, k:]))),
-                    tol, level)):
-                break
-        else:
-            raise CovarianceError(f"the covariance panel fails its checks at "
-                                  f"{2 ** GL_MAX_LEVEL} panels")
+        level = level_search(checks, lambda v: 10 * tol * np.abs(v).max(
+            axis=1, keepdims=True), error=CovarianceError, what="the "
+            "covariance panel", fails="the covariance panel fails its "
+            "checks")[1] - 1
+    (u, w), (u2, _) = map(gauss_legendre_rule, (level, level + 1))
+    k = len(u)
+    # one call on the pair's nodes, as the dense output rounds with their count
+    E = np.ascontiguousarray(np.moveaxis(psis(np.concatenate([u, u2])), 1, 0))
+    m = len(E)
     F = np.empty((N, d, d))
     B = max(1, _COV_BLOCK * GL_NODES // (k * d * sigma.r))
     for j in range(m):
@@ -299,17 +302,6 @@ def _noise_factors(sigma: DiffusionSpec, times: np.ndarray, dt: float,
                              psis(a + h * u)[:, n % m])[0]
                       for a, h in zip(cuts[:-1], np.diff(cuts))), out=F[n])
     return F
-
-
-def _agree(a: np.ndarray, b: np.ndarray, tol: float, level: int) -> bool:
-    """a within 10 tol of b, relative to b's largest entry, for the values a
-    and b of a check at level and at the next; raises a CovarianceError at
-    the first of them that is not finite."""
-    for lev, v in ((level, a), (level + 1, b)):
-        if not np.all(np.isfinite(v)):
-            raise CovarianceError(f"the covariance panel is not finite at "
-                                  f"{2 ** lev} panels")
-    return np.abs(a - b).max() <= 10 * tol * np.abs(b).max()
 
 
 # ---------------------------------------------------------------------------

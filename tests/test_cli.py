@@ -945,6 +945,66 @@ def test_classify_and_floquet_agree_on_a_barely_stable_drift(tmp_path, capsys):
     assert verdict["regime"] == "Unbounded"
 
 
+_LOG_R2_SIGMA = {"kind": "envelope", "family": "LogPower",
+                 "params": {"gamma": 1.0},
+                 "pattern": (np.eye(2) / math.sqrt(2.0)).tolist()}
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.0, 1.0], [-1.0, -1.0]], [[2.0, -5.0], [1.0, -2.0]],
+    [[3.0, -10.0], [1.0, -3.0]], [[0.5, -1.25], [1.0, -0.5]],
+])
+def test_classify_marginal_drift_exits_undecided(tmp_path, capsys, matrix):
+    # eigenvalues 0 or +-i: the spectral abscissa rounded below 0 passed
+    # gate 1, and classify read BoundedNonConvergent, exit 0
+    doc = base_doc(drift={"kind": "constant", "matrix": matrix},
+                   sigma=_LOG_R2_SIGMA)
+    assert main(["classify", write(tmp_path, doc), "--out",
+                 str(tmp_path)]) == EXIT_UNDECIDED
+    verdict = yaml.safe_load(capsys.readouterr().out)["verdict"]
+    assert verdict["regime"] == "Undecided"
+    assert verdict["drift_stable"] is False
+    assert "stability margin" in verdict["note"]
+
+
+def _rotation_drift_doc(seed):
+    """A 3-knot drift w(t) S [[0, 1], [-1, 0]] S^-1 of period 1, S and w
+    seeded: rho = 1 exactly, computed within 1e-13 of it."""
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((2, 2))
+    w = rng.uniform(-2.0, 2.0, 3)
+    values = [(wk * S @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @
+               np.linalg.inv(S)).tolist() for wk in w]
+    return base_doc(drift={"kind": "periodic", "period": 1.0,
+                           "times": [0.0, 1 / 3, 2 / 3], "values": values},
+                    sigma=_LOG_R2_SIGMA)
+
+
+def test_floquet_and_classify_share_the_certificate(tmp_path, capsys):
+    # floquet read rho < 1.0 and classify the same test, so they agreed on
+    # the rotations by calling them stable; both now read the certificate
+    ts = [2 * math.pi * k / 16 for k in range(16)]
+    cases = [(_rotation_drift_doc(seed), False) for seed in range(8)] + [
+        (base_doc(drift={"kind": "periodic", "period": 2 * math.pi,
+                         "times": ts,
+                         "values": [[[-1.0 + math.cos(t), 0.5],
+                                     [0.0, -2.0 + math.sin(t)]] for t in ts]}),
+         True),
+        (base_doc(drift={"kind": "periodic", "period": 1.0, "times": [0.0],
+                         "values": [[[0.0, 1.0], [-1.0, 0.0]]]}), False),
+        (_kinked_diagonal_doc(-400.0), True),
+        (_kinked_diagonal_doc(400.0), False)]
+    for i, (doc, stable) in enumerate(cases):
+        path = write(tmp_path, doc, f"case{i}.yaml")
+        assert main(["floquet", path, "--out", str(tmp_path)]) == EXIT_OK
+        assert yaml.safe_load(capsys.readouterr().out)["drift_stable"] is \
+            stable, i
+        assert main(["classify", path, "--out", str(tmp_path)]) == \
+            (EXIT_OK if stable else EXIT_UNDECIDED)
+        assert yaml.safe_load(capsys.readouterr().out)["verdict"][
+            "drift_stable"] is stable, i
+
+
 def _kinked_diagonal_doc(a):
     """The 2-knot drift of period 1 with A(0) = a I and A(1/2) = a I plus
     0.1 above the diagonal, with ExpDecay noise: rho = e^a, while det Psi(1)

@@ -773,6 +773,87 @@ def test_classify_verdict_table(sigma, drift, expected):
     assert v == expected
 
 
+# ---------------------------------------------------------------------------
+# gate 1: the stability certificate
+# ---------------------------------------------------------------------------
+
+_LOG_R2 = DiffusionSpec.envelope(LogPower(1.0), np.eye(2) / math.sqrt(2.0))
+_BOUNDED_R2 = RegimeVerdict(BOUNDED, True, True, True, True, True,
+                            (math.sqrt(2.0), math.sqrt(2.0)))
+
+
+def _nilpotent_transforms(seed: int = 7, n: int = 2000) -> list:
+    """P J P^-1 for n seeded normal P, J the 2 x 2 nilpotent Jordan block:
+    both eigenvalues are 0, and the spectral abscissa computes as about
+    +-1e-17."""
+    rng = np.random.default_rng(seed)
+    J = np.array([[0.0, 1.0], [0.0, 0.0]])
+    out = []
+    for _ in range(n):
+        P = rng.standard_normal((2, 2))
+        out.append(ConstantDrift(P @ J @ np.linalg.inv(P)))
+    return out
+
+
+def _rotation_drifts(seed: int = 7, n: int = 40) -> list:
+    """n seeded 3-knot drifts w(t) S [[0, 1], [-1, 0]] S^-1 of period 1,
+    S normal and w's knot values uniform on [-2, 2]: the A(t) commute, so
+    Psi(1) = S R S^-1 for a rotation R, and rho = 1 exactly, which the
+    monodromy computes as 1 - 4e-14 to 1 + 1e-15."""
+    rng = np.random.default_rng(seed)
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    out = []
+    for _ in range(n):
+        S = rng.standard_normal((2, 2))
+        w = rng.uniform(-2.0, 2.0, 3)
+        out.append(PeriodicDrift(1.0, [0.0, 1 / 3, 2 / 3],
+                                 [wk * S @ J @ np.linalg.inv(S) for wk in w]))
+    return out
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.0, 1.0], [-1.0, -1.0]],      # nilpotent, abscissa -3e-17
+    [[2.0, -5.0], [1.0, -2.0]],      # eigenvalues +-i, abscissa -7e-17
+    [[3.0, -10.0], [1.0, -3.0]],     # eigenvalues +-i
+    [[0.5, -1.25], [1.0, -0.5]],     # eigenvalues +-i
+])
+def test_marginal_drifts_are_not_certified(matrix):
+    # a spectral abscissa that rounds below 0 passed gate 1 as a stable
+    # drift (BoundedNonConvergent, exit 0); the certificate's Kronecker
+    # system is singular, and the note names the margin
+    v = classify(_LOG_R2, ConstantDrift(matrix))
+    assert v.regime == REGIME_UNDECIDED and not v.drift_stable
+    assert "stability margin 0" in v.note
+    assert "spectral abscissa is -" in v.note
+
+
+def test_no_nilpotent_transform_is_certified_but_stable_guards_are():
+    # seed 7: the sign test called 509 of the 2,000 stable; the largest
+    # margin of those whose M factors is 1.8e-17, far below DELTA.  The
+    # defective stable [[1, -4], [1, -3]] (margin 0.014) and the very
+    # non-normal [[-1, 1000], [0, -1]] (margin 2e-9, a guard against a DELTA
+    # set too high) keep every verdict field
+    called = [i for i, drift in enumerate(_nilpotent_transforms())
+              if classify(_LOG_R2, drift).drift_stable]
+    assert called == []
+    for matrix in ([[1.0, -4.0], [1.0, -3.0]], [[-1.0, 1000.0], [0.0, -1.0]]):
+        v = classify(_LOG_R2, ConstantDrift(matrix))
+        assert v.epsilon_star_bracket == pytest.approx(
+            _BOUNDED_R2.epsilon_star_bracket, rel=1e-12)
+        assert dataclasses.replace(
+            v, epsilon_star_bracket=_BOUNDED_R2.epsilon_star_bracket) == \
+            _BOUNDED_R2
+
+
+def test_no_rotation_drift_is_certified():
+    # seed 7: rho < 1.0 called all 40 stable; the Stein margins 1 / ||M||
+    # are at most 4e-14, below DELTA widened by the monodromy's tolerance
+    for drift in _rotation_drifts():
+        v = classify(_LOG_R2, drift)
+        assert v.regime == REGIME_UNDECIDED and not v.drift_stable, drift
+        assert "stability" in v.note
+
+
 def test_zero_claims_follow_the_abstract():
     # "In the case of stable or bounded solutions, or when solutions are
     # a.s. unstable asymptotically stable in mean square, it follows that the

@@ -72,6 +72,42 @@ def test_lyapunov_rejects_unstable():
         solve_lyapunov([[0.1]])
 
 
+def test_lyapunov_certificate_margins():
+    # A^T M + M A = -I gives the margin 1 / (2 ||M|| ||A||): 1/2 for -I,
+    # where M = I / 2
+    assert solve_lyapunov(-np.eye(3)).margin == pytest.approx(1.0)
+    # the Stein equation on rho I gives M = I / (1 - rho^2) and the margin
+    # 1 - rho^2
+    sol = solve_lyapunov(0.6 * np.eye(2), discrete=True)
+    np.testing.assert_allclose(sol.M, np.eye(2) / 0.64, rtol=1e-14)
+    assert sol.margin == pytest.approx(0.64, rel=1e-14)
+    assert sol.residual <= 1e-14
+
+
+def test_lyapunov_refuses_marginal_and_oversized_matrices():
+    # eigenvalues 0 and +-i: the Kronecker system is singular, where the
+    # solve once raised numpy's LinAlgError, past a spectral abscissa test
+    # that rounding passed
+    for A in ([[1.0, 1.0], [-1.0, -1.0]], [[2.0, -5.0], [1.0, -2.0]]):
+        with pytest.raises(StabilityError, match="stability margin 0"):
+            solve_lyapunov(A)
+    # a margin at or below DELTA is no certificate: 2e-18 for this stable
+    # drift, which 1e-12 below its diagonal makes marginal
+    with pytest.raises(StabilityError, match="margin .* is not above delta"):
+        solve_lyapunov([[-1e-6, 1.0], [0.0, -1e-6]])
+    # a monodromy's tolerance widens DELTA by 1e3 tol: 1 - rho^2 = 5e-10 is
+    # a certificate for an exact matrix, but not for one computed at 1e-12
+    rho = math.sqrt(1.0 - 5e-10)
+    assert solve_lyapunov([[rho]], discrete=True).margin == \
+        pytest.approx(5e-10, rel=1e-6)
+    with pytest.raises(StabilityError, match="not above delta 1e-09"):
+        solve_lyapunov([[rho]], discrete=True, tol=1e-12)
+    # the d^2 x d^2 system is solved up to d = KRON_MAX_D
+    solve_lyapunov(-np.eye(linalg.KRON_MAX_D))
+    with pytest.raises(StabilityError, match="d = 33 > 32 is not solved"):
+        solve_lyapunov(-np.eye(linalg.KRON_MAX_D + 1))
+
+
 def _random_stable(rng, d):
     eigs = rng.uniform(-5.0, -0.1, size=d)
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))

@@ -14,8 +14,9 @@ from scipy.stats import kstest
 from affinesde.linalg import step_propagators
 from affinesde.model import (GL_NODES, ConstantDrift, DiffusionSpec,
                              ExpDecay, LogPower, PeriodicDrift, PowerLaw,
-                             eval_drift, eval_sigma, gauss_legendre_rule)
-from affinesde import simulate
+                             QuadratureError, eval_drift, eval_sigma,
+                             gauss_legendre_rule)
+from affinesde import model, simulate
 from affinesde.simulate import (CovarianceError, Setup, SimConfig, prepare,
                                 simulate_X, state_norms, step_covariance)
 from affinesde.stats import compare
@@ -258,12 +259,26 @@ def test_stiff_sigma_takes_no_step_covariance_call_on_a_long_grid(
 def test_covariances_past_the_cap_raise(monkeypatch):
     # the stiff drift needs more panels than a cap of 2^2 allows, in the
     # sampler's level search and in step_covariance, which shares it
-    monkeypatch.setattr(simulate, "GL_MAX_LEVEL", 2)
+    monkeypatch.setattr(model, "GL_MAX_LEVEL", 2)
     with pytest.raises(CovarianceError, match="4 panels"):
         simulate._noise_factors(UNIT_SIGMA, np.arange(4.0), 1.0, 1e-10,
                                 _propagators(STIFF_DRIFT, 1, 1.0))
     with pytest.raises(CovarianceError, match="4 panels"):
         step_covariance(STIFF_DRIFT, UNIT_SIGMA, 0.0, 1.0)
+
+
+def test_one_cap_serves_the_quadrature_and_the_panel(monkeypatch):
+    # the covariance panel and gauss_legendre share model's level search, so
+    # one patched cap stops both, each with its own error class and message
+    monkeypatch.setattr(model, "GL_MAX_LEVEL", 2)
+    with pytest.raises(CovarianceError, match="^the covariance panel fails "
+                       "its checks at 4 panels$"):
+        simulate._noise_factors(UNIT_SIGMA, np.arange(4.0), 1.0, 1e-10,
+                                _propagators(STIFF_DRIFT, 1, 1.0))
+    with pytest.raises(QuadratureError, match=r"^quadrature error \S+ "
+                       r"exceeds \S+ at 4 panels$"):
+        model.gauss_legendre(lambda u: 1.0 / np.sqrt(u),
+                             lambda v: 1e-12 * abs(v))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
