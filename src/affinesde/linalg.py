@@ -63,7 +63,7 @@ def spectral_radius(C) -> float:
 # ||Psi|| near 1, so for a periodic drift DELTA widens by 1e3 tol.
 DELTA = 1e-12
 # the largest d whose Kronecker system is solved: 8 MB and about 0.06 s at
-# 32, where 64 would take 134 MB and seconds; beyond it no drift is certified
+# 32, where 64 would take 134 MB and seconds
 KRON_MAX_D = 32
 
 
@@ -115,9 +115,11 @@ def solve_lyapunov(A, discrete: bool = False, tol: float = 0.0
             raise StabilityError("no stability certificate: the Lyapunov "
                                  "solution is not positive definite, so "
                                  "there is no stability margin") from None
-        norm_M = np.linalg.norm(M, 2)
-        margin = float(1.0 / norm_M if discrete else
-                       1.0 / (2.0 * norm_M * np.linalg.norm(A, 2)))
+        # the 2-norms from the symmetric eigensolver the sampler's roots
+        # load anyway: ||M|| = lambda_max(M), ||A|| = sqrt(lambda_max(A^T A))
+        norm_M = np.linalg.eigvalsh(M)[-1]
+        margin = float(1.0 / norm_M if discrete else 1.0 / (
+            2.0 * norm_M * math.sqrt(np.linalg.eigvalsh(A.T @ A)[-1])))
     delta = DELTA + 1e3 * tol if discrete else DELTA
     if not margin > delta:
         raise StabilityError(f"no stability certificate: stability margin "
@@ -326,8 +328,14 @@ def step_propagators(drift, starts, dt, tol: float = 1e-10):
 
 @dataclass(frozen=True)
 class MonodromyResult:
+    """The monodromy Psi(T, 0); rho, its spectral radius, is computed when
+    read, as gate 1 reads the certificate instead."""
+
     Psi_T: np.ndarray
-    rho: float
+
+    @property
+    def rho(self) -> float:
+        return spectral_radius(self.Psi_T)
 
 
 def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
@@ -367,7 +375,7 @@ def monodromy(drift, tol: float = 1e-10) -> MonodromyResult:
     if not np.all(np.isfinite(Psi_T)):
         raise RuntimeError("monodromy matrix is not finite: the period's "
                            "transition product overflows")
-    return MonodromyResult(Psi_T=Psi_T, rho=spectral_radius(Psi_T))
+    return MonodromyResult(Psi_T=Psi_T)
 
 
 @dataclass(frozen=True)
@@ -381,9 +389,15 @@ class StabilityGate:
 
 def stability_gate(drift, tol: float = 1e-12) -> StabilityGate:
     """The drift's stability certificate (`solve_lyapunov`): on the matrix
-    of a ConstantDrift, and on the monodromy of a PeriodicDrift at tol."""
+    of a ConstantDrift, and on the monodromy of a PeriodicDrift at tol.
+    Past d = KRON_MAX_D, where the Kronecker system is not solved, the gate
+    is the uncertified sign test of a negative spectral abscissa or of
+    rho < 1."""
     check_drift(drift)
     mono = None if isinstance(drift, ConstantDrift) else monodromy(drift, tol)
+    if drift.d > KRON_MAX_D:
+        return StabilityGate(spectral_abscissa(drift.matrix) < 0.0
+                             if mono is None else mono.rho < 1.0, "", mono)
     try:
         if mono is None:
             solve_lyapunov(drift.matrix)

@@ -398,8 +398,8 @@ def gauss_legendre_rule(level: int):
 
 
 def level_search(value, bound, level: int = 0, error=QuadratureError,
-                  what="quadrature value",
-                  fails="quadrature error {diff:.3e} exceeds {allowed:.3e}"):
+                 what="quadrature value",
+                 fails="quadrature error {diff:.3e} exceeds {allowed:.3e}"):
     """value(u, w) on the rule `gauss_legendre_rule(lev)` at lev = level,
     level + 1, ... until two levels differ by at most bound(finer value) in
     every entry, the bound one number or one per entry: the finer value and
@@ -427,7 +427,8 @@ def gauss_legendre(f, bound, level: int = 0) -> np.ndarray:
     the nodes on the first axis, by `gauss_legendre_rule` from 2^level
     panels, doubling in `level_search` (a zero f ends after one pair)."""
     return level_search(lambda u, w: np.tensordot(w, f(u), axes=1), bound,
-                         level)[0]
+                        level)[0]
+
 
 def _times(widths: np.ndarray, v: np.ndarray) -> np.ndarray:
     """widths * v, with widths broadcast over the trailing axes of v."""

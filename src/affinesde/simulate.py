@@ -253,9 +253,8 @@ def _noise_factors(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     a sigma constant over the step, per unit dt) must agree, whatever sigma
     is: this catches a drift too stiff over dt.  The panel of the first step
     without a table knot strictly inside it must agree too: this catches a
-    sigma too stiff over dt.  The search is `model.level_search`'s, with
-    its CovarianceError at the first level whose checks are not finite, and
-    past GL_MAX_LEVEL.
+    sigma too stiff over dt.  `model.level_search` raises its CovarianceError
+    at the first level whose checks are not finite, and past GL_MAX_LEVEL.
     A step with knots inside, at most one per knot, is cut at them, and each
     piece takes the panel at the grid's level scaled to the piece: a table
     is linear there, and the piece is shorter than the step.  The step is

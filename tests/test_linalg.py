@@ -102,10 +102,15 @@ def test_lyapunov_refuses_marginal_and_oversized_matrices():
         pytest.approx(5e-10, rel=1e-6)
     with pytest.raises(StabilityError, match="not above delta 1e-09"):
         solve_lyapunov([[rho]], discrete=True, tol=1e-12)
-    # the d^2 x d^2 system is solved up to d = KRON_MAX_D
+    # the d^2 x d^2 system is solved up to d = KRON_MAX_D; past it the gate
+    # is the sign test
     solve_lyapunov(-np.eye(linalg.KRON_MAX_D))
     with pytest.raises(StabilityError, match="d = 33 > 32 is not solved"):
         solve_lyapunov(-np.eye(linalg.KRON_MAX_D + 1))
+    for a in (-1.0, 0.0):
+        gate = linalg.stability_gate(
+            ConstantDrift(a * np.eye(linalg.KRON_MAX_D + 1)))
+        assert gate.stable is (a < 0.0) and gate.monodromy is None
 
 
 def _random_stable(rng, d):

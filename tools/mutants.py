@@ -67,8 +67,8 @@ MUTANTS = [
                     "10 tol", [
         (SIM, "10 * tol * np.abs(v).max(", "1e3 * tol * np.abs(v).max(")]),
     ("monodromy-rho", "monodromy's rho scaled by 1.001", [
-        (LIN, "rho=spectral_radius(Psi_T))",
-         "rho=1.001 * spectral_radius(Psi_T))")]),
+        (LIN, "return spectral_radius(self.Psi_T)",
+         "return 1.001 * spectral_radius(self.Psi_T)")]),
     ("stable-final-sup", "the StableAS evidence threshold STABLE_FINAL_SUP "
                          "times 10", [
         ("src/affinesde/stats.py", "STABLE_FINAL_SUP = 0.05 ",
