@@ -73,8 +73,8 @@ def test_lyapunov_rejects_unstable():
 
 
 def test_lyapunov_certificate_margins():
-    # A^T M + M A = -I gives the margin 1 / (2 ||M|| ||A||): 1/2 for -I,
-    # where M = I / 2
+    # A^T M + M A = -I gives the margin 1 / (2 ||M|| ||A||): 1 for -I,
+    # whose M = I / 2
     assert solve_lyapunov(-np.eye(3)).margin == pytest.approx(1.0)
     # the Stein equation on rho I gives M = I / (1 - rho^2) and the margin
     # 1 - rho^2
