@@ -474,10 +474,11 @@ def classify(sigma: DiffusionSpec, drift, h: float = 1.0,
     """Three-way almost-sure regime verdict for dX = A(t) X dt + sigma dB.
 
     Gate 1 requires a drift certified stable by `linalg.stability_gate`,
-    a positive definite Lyapunov solution with a margin above
-    `linalg.DELTA`, for a PeriodicDrift the Stein solution on its
-    monodromy (any other drift is a TypeError): noise cannot stabilise an
-    unstable linear system, so without the gate nothing can be concluded.
+    a positive definite Lyapunov solution with a margin above the solve's
+    rounding (`linalg.DELTA` d^2), for a PeriodicDrift the Stein solution
+    on its monodromy (any other drift is a TypeError): noise cannot
+    stabilise an unstable linear system, so without the gate nothing can
+    be concluded.
     A drift that fails it, though its spectral abscissa is negative (or its
     Floquet multipliers inside the unit circle), is within rounding of
     instability, and the note names the margin.

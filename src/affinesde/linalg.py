@@ -9,7 +9,8 @@ the product of a period's transitions, both come from it.  The drift gate
 of the classification is `stability_gate`: a positive definite solution of
 the Lyapunov equation A^T M + M A = -I, or of the Stein equation
 Psi^T M Psi - M = -I on the monodromy, from `solve_lyapunov`'s Kronecker
-solve, with a margin above DELTA, which the solve's rounding cannot reach.
+solve, with a margin above DELTA d^2, which the solve's rounding cannot
+reach.
 """
 
 from __future__ import annotations
@@ -52,19 +53,18 @@ def spectral_radius(C) -> float:
 # elimination on the n = d^2 Kronecker system leaves a residual R of about
 # n u ||K|| ||M|| (u = 2^-53, the pivot growth small in practice), with
 # ||K|| <= 2 ||A|| (or 1 + ||Psi||^2), and M still proves stability while
-# ||R|| < 1, that is while the margin exceeds about n u.  At d <= KRON_MAX_D,
-# n u <= 1.2e-13, so DELTA = 1e-12 leaves a factor 8 for the pivot growth
-# and the norms' own rounding.  A marginal drift (an eigenvalue on the axis
-# or the unit circle) has a singular system, or a margin at the level of
-# the solve's rounding, far below DELTA: a nilpotent 2 x 2 drift's is at
-# most 3e-17.  A monodromy computed at tol is off by E, about 64 tol
-# ||Psi|| over its 64 or more segment transitions, and M certifies
-# Psi + E while ||M|| (2 ||Psi|| ||E|| + ||E||^2) < 1: about 128 tol at
-# ||Psi|| near 1, so for a periodic drift DELTA widens by 1e3 tol.
-DELTA = 1e-12
-# the largest d whose Kronecker system is solved: 8 MB and about 0.06 s at
-# 32, where 64 would take 134 MB and seconds
-KRON_MAX_D = 32
+# ||R|| < 1, that is while the margin exceeds about n u, or
+# n u (1 + ||Psi||^2) for Stein.  So the margin must exceed DELTA d^2, or
+# DELTA d^2 (1 + ||Psi||^2), with DELTA = 8 u leaving a factor 8 for the
+# pivot growth and the norms' own rounding: 3.6e-15 at d = 2.  A marginal
+# drift (an eigenvalue on the axis or the unit circle) has a singular
+# system, or a margin at the level of the solve's rounding, below that: a
+# nilpotent 2 x 2 drift's is at most 3e-17.  A monodromy computed at tol is
+# off by E, about 64 tol ||Psi|| over its 64 or more segment transitions,
+# and M certifies Psi + E while ||M|| (2 ||Psi|| ||E|| + ||E||^2) < 1, that
+# is while the margin exceeds about 128 tol ||Psi||^2: for a periodic drift
+# the bound widens by 1e3 tol ||Psi||^2.
+DELTA = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,18 @@ def solve_lyapunov(A, discrete: bool = False, tol: float = 0.0
     A^T M + M A = -I, or with A^T M A - M = -I for discrete, when A is the
     monodromy of a periodic drift computed at tol.
 
-    The d^2 x d^2 Kronecker-vectorised system is solved by LU.  A
-    StabilityError, naming the margin, is raised wherever no certificate
-    exists: d above KRON_MAX_D, a singular system, an M that is not finite
-    or whose Cholesky factorisation fails, or a margin (1 / (2 ||M|| ||A||),
-    or 1 / ||M|| for discrete) not above DELTA, widened by 1e3 tol for
-    discrete.
+    The d^2 x d^2 Kronecker-vectorised system is solved by LU, in O(d^6)
+    time and O(d^4) memory.  A StabilityError, naming the margin, is raised
+    wherever no certificate exists: a singular system, an M that is not
+    finite or whose Cholesky factorisation fails, or a margin
+    (1 / (2 ||M|| ||A||), or 1 / ||M|| for discrete) not above the solve's
+    rounding, DELTA d^2, or for discrete DELTA d^2 (1 + ||A||^2) widened by
+    1e3 tol ||A||^2.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     d = A.shape[0]
-    if d > KRON_MAX_D:
-        raise StabilityError(f"no stability certificate: the Kronecker "
-                             f"system of d = {d} > {KRON_MAX_D} is not "
-                             f"solved, so no stability margin")
     I = np.eye(d)
     # an A whose products overflow (a monodromy near e^400, say) leaves M
     # or the margin non-finite, which raises below
@@ -118,9 +115,11 @@ def solve_lyapunov(A, discrete: bool = False, tol: float = 0.0
         # the 2-norms from the symmetric eigensolver the sampler's roots
         # load anyway: ||M|| = lambda_max(M), ||A|| = sqrt(lambda_max(A^T A))
         norm_M = np.linalg.eigvalsh(M)[-1]
-        margin = float(1.0 / norm_M if discrete else 1.0 / (
-            2.0 * norm_M * math.sqrt(np.linalg.eigvalsh(A.T @ A)[-1])))
-    delta = DELTA + 1e3 * tol if discrete else DELTA
+        norm_A_sq = np.linalg.eigvalsh(A.T @ A)[-1]
+        margin = float(1.0 / norm_M if discrete else
+                       1.0 / (2.0 * norm_M * math.sqrt(norm_A_sq)))
+        delta = float(DELTA * d * d * (1.0 + norm_A_sq) +
+                      1e3 * tol * norm_A_sq if discrete else DELTA * d * d)
     if not margin > delta:
         raise StabilityError(f"no stability certificate: stability margin "
                              f"{margin:.3g} is not above delta {delta:.3g}")
@@ -389,15 +388,9 @@ class StabilityGate:
 
 def stability_gate(drift, tol: float = 1e-12) -> StabilityGate:
     """The drift's stability certificate (`solve_lyapunov`): on the matrix
-    of a ConstantDrift, and on the monodromy of a PeriodicDrift at tol.
-    Past d = KRON_MAX_D, where the Kronecker system is not solved, the gate
-    is the uncertified sign test of a negative spectral abscissa or of
-    rho < 1."""
+    of a ConstantDrift, and on the monodromy of a PeriodicDrift at tol."""
     check_drift(drift)
     mono = None if isinstance(drift, ConstantDrift) else monodromy(drift, tol)
-    if drift.d > KRON_MAX_D:
-        return StabilityGate(spectral_abscissa(drift.matrix) < 0.0
-                             if mono is None else mono.rho < 1.0, "", mono)
     try:
         if mono is None:
             solve_lyapunov(drift.matrix)

@@ -400,13 +400,12 @@ def gauss_legendre_rule(level: int):
 def level_search(value, bound, level: int = 0, error=QuadratureError,
                  what="quadrature value",
                  fails="quadrature error {diff:.3e} exceeds {allowed:.3e}"):
-    """value(u, w) on the rule `gauss_legendre_rule(lev)` at lev = level,
-    level + 1, ... until two levels differ by at most bound(finer value) in
-    every entry, the bound one number or one per entry: the finer value and
-    its level.  Raises error "<what> is not finite at N panels" at the
-    first level whose value is not, as finer panels do not bring an
-    overflowed sum back, and "<fails> at N panels", with the worst entry,
-    past 2^GL_MAX_LEVEL panels."""
+    """value(u, w) on `gauss_legendre_rule(lev)` at lev = level, level + 1,
+    ... until two levels differ by at most bound(finer value) in every
+    entry (one bound or one per entry): the finer value and its level.
+    Raises error "<what> is not finite at N panels" at the first level whose
+    value is not, as finer panels do not bring an overflowed sum back, and
+    "<fails> at N panels", with the worst entry, past 2^GL_MAX_LEVEL."""
     prev = None
     for lev in range(level, max(level + 1, GL_MAX_LEVEL) + 1):
         val = value(*gauss_legendre_rule(lev))
@@ -424,8 +423,7 @@ def level_search(value, bound, level: int = 0, error=QuadratureError,
 
 def gauss_legendre(f, bound, level: int = 0) -> np.ndarray:
     """Integral over [0, 1] of f, whose values at a 1-d array of nodes have
-    the nodes on the first axis, by `gauss_legendre_rule` from 2^level
-    panels, doubling in `level_search` (a zero f ends after one pair)."""
+    the nodes on the first axis, by `level_search` from 2^level panels."""
     return level_search(lambda u, w: np.tensordot(w, f(u), axes=1), bound,
                         level)[0]
 

@@ -253,8 +253,9 @@ def _noise_factors(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     a sigma constant over the step, per unit dt) must agree, whatever sigma
     is: this catches a drift too stiff over dt.  The panel of the first step
     without a table knot strictly inside it must agree too: this catches a
-    sigma too stiff over dt.  `model.level_search` raises its CovarianceError
-    at the first level whose checks are not finite, and past GL_MAX_LEVEL.
+    sigma too stiff over dt.  Each check, one held at a time, searches in
+    `model.level_search` from the level found so far, which raises its
+    CovarianceError at a level whose check is not finite and past the cap.
     A step with knots inside, at most one per knot, is cut at them, and each
     piece takes the panel at the grid's level scaled to the piece: a table
     is linear there, and the piece is shorter than the step.  The step is
@@ -266,28 +267,30 @@ def _noise_factors(sigma: DiffusionSpec, times: np.ndarray, dt: float,
     kinked = set(i[(i >= 0) & (knots > times[i]) &
                    (knots < times[i] + dt)].tolist())
     first = next((n for n in range(N) if n not in kinked), None)
+    m, props = len(psis(0.0)), {}
 
-    def checks(u, w):
-        # a row per position's drift map, then the panel's, zero-padded
-        E = np.moveaxis(psis(u), 1, 0)
-        out = np.zeros((len(E) + 1, d ** 4))
-        out[:-1] = [np.einsum("k,kac,kbe->abce", w, e, e).ravel() for e in E]
-        if first is not None:
-            out[-1, :d * d] = _panel(sigma, times[first:first + 1], dt, u, w,
-                                     E[first % len(E)])[0].ravel()
-        return out
+    def check(u, w):
+        # check j: position j's drift map, then the first unkinked panel
+        if len(u) not in props:
+            props[len(u)] = np.moveaxis(psis(u), 1, 0)
+        e = props[len(u)][j if j < m else first % m]
+        return np.einsum("k,kac,kbe->abce", w, e, e) if j < m else \
+            _panel(sigma, times[first:first + 1], dt, u, w, e)[0]
 
-    # an overflow in the checks raises in the search instead of warning
+    # the checks take turns, from the first again when one raises the level,
+    # until all agree at one; an overflow raises in the search, unwarned
+    level = j = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        level = level_search(checks, lambda v: 10 * tol * np.abs(v).max(
-            axis=1, keepdims=True), error=CovarianceError, what="the "
-            "covariance panel", fails="the covariance panel fails its "
-            "checks")[1] - 1
+        while j < m + (first is not None):
+            lev = level_search(check, lambda v: 10 * tol * np.abs(v).max(),
+                               level, CovarianceError, "the covariance panel",
+                               "the covariance panel fails its checks")[1] - 1
+            level, j = lev, 0 if lev > level else j + 1
+    props.clear()
     (u, w), (u2, _) = map(gauss_legendre_rule, (level, level + 1))
     k = len(u)
     # one call on the pair's nodes, as the dense output rounds with their count
     E = np.ascontiguousarray(np.moveaxis(psis(np.concatenate([u, u2])), 1, 0))
-    m = len(E)
     F = np.empty((N, d, d))
     B = max(1, _COV_BLOCK * GL_NODES // (k * d * sigma.r))
     for j in range(m):

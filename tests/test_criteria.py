@@ -829,14 +829,16 @@ def test_marginal_drifts_are_not_certified(matrix):
 
 def test_no_nilpotent_transform_is_certified_but_stable_guards_are():
     # seed 7: the sign test called 509 of the 2,000 stable; the largest
-    # margin of those whose M factors is 1.8e-17, far below DELTA.  The
-    # defective stable [[1, -4], [1, -3]] (margin 0.014) and the very
-    # non-normal [[-1, 1000], [0, -1]] (margin 2e-9, a guard against a DELTA
-    # set too high) keep every verdict field
+    # margin of those whose M factors is 1.8e-17, far below the bound
+    # DELTA d^2 = 3.6e-15.  The defective stable [[1, -4], [1, -3]] (margin
+    # 0.014) and the very non-normal shears [[-1, b], [0, -1]] (margins
+    # 2e-9 and 2.5e-13, guards against a bound set too high: one sized for
+    # d = 32, 1e-12, refused b = 2e4) keep every verdict field
     called = [i for i, drift in enumerate(_nilpotent_transforms())
               if classify(_LOG_R2, drift).drift_stable]
     assert called == []
-    for matrix in ([[1.0, -4.0], [1.0, -3.0]], [[-1.0, 1000.0], [0.0, -1.0]]):
+    for matrix in ([[1.0, -4.0], [1.0, -3.0]], [[-1.0, 1000.0], [0.0, -1.0]],
+                   [[-1.0, 2e4], [0.0, -1.0]]):
         v = classify(_LOG_R2, ConstantDrift(matrix))
         assert v.epsilon_star_bracket == pytest.approx(
             _BOUNDED_R2.epsilon_star_bracket, rel=1e-12)
@@ -847,7 +849,8 @@ def test_no_nilpotent_transform_is_certified_but_stable_guards_are():
 
 def test_no_rotation_drift_is_certified():
     # seed 7: rho < 1.0 called all 40 stable; the Stein margins 1 / ||M||
-    # are at most 4e-14, below DELTA widened by the monodromy's tolerance
+    # are at most 4e-14, below the bound widened by the monodromy's
+    # tolerance
     for drift in _rotation_drifts():
         v = classify(_LOG_R2, drift)
         assert v.regime == REGIME_UNDECIDED and not v.drift_stable, drift

@@ -84,33 +84,50 @@ def test_lyapunov_certificate_margins():
     assert sol.residual <= 1e-14
 
 
-def test_lyapunov_refuses_marginal_and_oversized_matrices():
+def test_lyapunov_refuses_marginal_matrices():
     # eigenvalues 0 and +-i: the Kronecker system is singular, where the
     # solve once raised numpy's LinAlgError, past a spectral abscissa test
     # that rounding passed
     for A in ([[1.0, 1.0], [-1.0, -1.0]], [[2.0, -5.0], [1.0, -2.0]]):
         with pytest.raises(StabilityError, match="stability margin 0"):
             solve_lyapunov(A)
-    # a margin at or below DELTA is no certificate: 2e-18 for this stable
-    # drift, which 1e-12 below its diagonal makes marginal
-    with pytest.raises(StabilityError, match="margin .* is not above delta"):
+    # a margin at or below the solve's rounding, DELTA d^2 = 3.6e-15 at
+    # d = 2, is no certificate: 2e-18 for this stable drift, which 1e-12
+    # below its diagonal makes marginal
+    with pytest.raises(StabilityError, match="margin .* is not above delta "
+                                             "3.55e-15"):
         solve_lyapunov([[-1e-6, 1.0], [0.0, -1e-6]])
-    # a monodromy's tolerance widens DELTA by 1e3 tol: 1 - rho^2 = 5e-10 is
-    # a certificate for an exact matrix, but not for one computed at 1e-12
+    # a monodromy's tolerance widens the bound by 1e3 tol ||Psi||^2:
+    # 1 - rho^2 = 5e-10 is a certificate for an exact matrix, but not for
+    # one computed at 1e-12
     rho = math.sqrt(1.0 - 5e-10)
     assert solve_lyapunov([[rho]], discrete=True).margin == \
         pytest.approx(5e-10, rel=1e-6)
     with pytest.raises(StabilityError, match="not above delta 1e-09"):
         solve_lyapunov([[rho]], discrete=True, tol=1e-12)
-    # the d^2 x d^2 system is solved up to d = KRON_MAX_D; past it the gate
-    # is the sign test
-    solve_lyapunov(-np.eye(linalg.KRON_MAX_D))
-    with pytest.raises(StabilityError, match="d = 33 > 32 is not solved"):
-        solve_lyapunov(-np.eye(linalg.KRON_MAX_D + 1))
-    for a in (-1.0, 0.0):
-        gate = linalg.stability_gate(
-            ConstantDrift(a * np.eye(linalg.KRON_MAX_D + 1)))
-        assert gate.stable is (a < 0.0) and gate.monodromy is None
+
+
+def test_lyapunov_bound_scales_with_the_solve():
+    # the bound is the rounding of the d^2 x d^2 solve, DELTA d^2: the
+    # shear [[-1, b], [0, -1]], both eigenvalues -1, has the margin about
+    # 2 / b^3, 2.5e-13 at b = 2e4, which a bound sized for d = 32 (1e-12)
+    # refused
+    sol = solve_lyapunov([[-1.0, 2e4], [0.0, -1.0]])
+    assert 2e-13 < sol.margin < 3e-13
+    # the certificate is solved at every d, here d = 33, its bound
+    # DELTA 33^2
+    assert solve_lyapunov(-np.eye(33)).margin == pytest.approx(1.0)
+    # the Stein bound grows with ||Psi||^2, as the monodromy's error and
+    # the solve's residual do: Psi = [[0.5, 1e3], [0, 0.5]] keeps rho = 0.5
+    # but has ||Psi|| = 1e3 and the margin 3.4e-7, a certificate for an
+    # exact matrix and for one computed at 1e-18, but not at 1e-15, where
+    # a widening of 1e3 tol alone (1e-12) would pass it
+    Psi = [[0.5, 1e3], [0.0, 0.5]]
+    margin = solve_lyapunov(Psi, discrete=True).margin
+    assert margin == pytest.approx(3.375e-7, rel=1e-3)
+    assert solve_lyapunov(Psi, discrete=True, tol=1e-18).margin == margin
+    with pytest.raises(StabilityError, match="not above delta 1e-06"):
+        solve_lyapunov(Psi, discrete=True, tol=1e-15)
 
 
 def _random_stable(rng, d):
